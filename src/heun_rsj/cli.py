@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dynamics, heun_poly, spectral, structure
-from .errors import HeunRsjError, IndexOutOfRange, NonPositiveDiscriminant
+from .errors import HeunRsjError
 from .model import DcheParams, dche_to_params
 from .serialize import (
     SCHEMA,
@@ -36,48 +34,31 @@ from .serialize import (
     write_csv,
 )
 
-TOL = {
-    "master": 1e-9,
-    "linear_system": 1e-10,
-    "symmetry": 1e-9,
-    "coeff_relations": 1e-10,
-    "factorization": 1e-10,
-    "det_product": 1e-9,
-    "det_min": 1e-10,
-    "phase": 1e-6,
-}
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HEUN_RSJ_THREADS", "")
-    cap = os.cpu_count() or 1
-    if raw.strip():
-        try:
-            cap = min(cap, max(1, int(raw)))
-        except ValueError:
-            cap = 1
-    return max(1, min(cap, 32))
-
 
 def _physical_fields(d: DcheParams) -> dict:
     try:
         p = dche_to_params(d)
-    except (NonPositiveDiscriminant, HeunRsjError) as exc:
+    except HeunRsjError as exc:
         return {"error": type(exc).__name__}
     return {"omega": p.omega, "A": p.A, "B": p.B}
 
 
-def _spectrum_rows(n: int, mu: float, refine_tol: float) -> list[dict]:
+def _spectrum_rows(n: int, mu: float) -> list[dict]:
     rows = []
-    for i, lam in enumerate(spectral.lambda_spectrum(n, mu, refine_tol).lambdas):
+    for i, lam in enumerate(spectral.lambda_spectrum(n, mu).lambdas):
         row = {"index": i, "lambda": lam}
         row.update(_physical_fields(DcheParams(n=n, mu=mu, lam=lam)))
         rows.append(row)
     return rows
 
 
+def _csv_fields(row: dict) -> list:
+    """omega, A, B of a spectrum row; blank cells for a non-physical root."""
+    return ["", "", ""] if "error" in row else [row["omega"], row["A"], row["B"]]
+
+
 def cmd_spectrum(args) -> tuple[str, int]:
-    rows = _spectrum_rows(args.n, args.mu, args.refine_tol)
+    rows = _spectrum_rows(args.n, args.mu)
     if args.format == "json":
         return (
             json_dumps(
@@ -91,41 +72,14 @@ def cmd_spectrum(args) -> tuple[str, int]:
             ),
             0,
         )
-    table = [
-        [
-            row["index"],
-            row["lambda"],
-            *(
-                ["", "", ""]
-                if "error" in row
-                else [row["omega"], row["A"], row["B"]]
-            ),
-        ]
-        for row in rows
-    ]
+    table = [[row["index"], row["lambda"], *_csv_fields(row)] for row in rows]
     return write_csv(["index", "lambda", "omega", "A", "B"], table), 0
 
 
-def _root_params(n: int, mu: float, root: int) -> DcheParams:
-    """Triplet at one spectral root, independent of whether it is physical."""
-    spectrum = spectral.lambda_spectrum(n, mu)
-    if not 0 <= root < len(spectrum.lambdas):
-        raise IndexOutOfRange(
-            f"root index {root} outside [0, {len(spectrum.lambdas) - 1}]"
-        )
-    return DcheParams(n=n, mu=mu, lam=spectrum.lambdas[root])
-
-
 def cmd_poly(args) -> tuple[str, int]:
-    d = _root_params(args.n, args.mu, args.root)
-    poly = heun_poly.build_polynomial(d, tol_spec=args.tol_spec)
-    master = max(
-        abs(heun_poly.residual_master(poly, z))
-        / max(heun_poly.residual_master_scale(poly, z), 1e-300)
-        for z in heun_poly.SAMPLE_POINTS
-    )
-    rows = heun_poly.residual_linear_system(poly)
-    linear = float(np.max(np.abs(rows))) / max(abs(c) for c in poly.coeffs)
+    d = spectral.root_params(args.n, args.mu, args.root)
+    poly = heun_poly.build_polynomial(d)
+    master, linear = structure.residuals(poly)
     report = {
         "schema": SCHEMA,
         "command": "poly",
@@ -145,75 +99,8 @@ def cmd_poly(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    d = _root_params(args.n, args.mu, args.root)
-    poly = heun_poly.build_polynomial(d, tol_spec=args.tol_spec)
-    checks: list[dict] = []
-    skipped: list[dict] = []
-
-    def add(name: str, value: float, tol: float) -> None:
-        checks.append(
-            {"name": name, "value": value, "tolerance": tol, "pass": value <= tol}
-        )
-
-    master = max(
-        abs(heun_poly.residual_master(poly, z))
-        / max(heun_poly.residual_master_scale(poly, z), 1e-300)
-        for z in heun_poly.SAMPLE_POINTS
-    )
-    add("master_equation_rel", float(master), TOL["master"])
-
-    amax = max(abs(c) for c in poly.coeffs)
-    rows = heun_poly.residual_linear_system(poly)
-    add("linear_system_rel", float(np.max(np.abs(rows))) / amax, TOL["linear_system"])
-
-    disc = d.lam + d.mu**2
-    if disc > spectral.DISC_MARGIN:
-        add("reflection_symmetry", float(structure.symmetry_residual(poly)), TOL["symmetry"])
-        rel = structure.coeff_relations_residual(poly)
-        add("coeff_relations_rel", float(np.max(np.abs(rel))) / amax, TOL["coeff_relations"])
-
-        dev, sign = spectral.check_factorization(d)
-        prod_scale = max(
-            1.0,
-            float(
-                np.max(np.abs(spectral.symmetry_matrix(1, d).entries
-                              @ spectral.symmetry_matrix(-1, d).entries))
-            ),
-        )
-        add("factorization_rel", dev / prod_scale, TOL["factorization"])
-        checks.append(
-            {
-                "name": "factorization_sign",
-                "value": sign,
-                "tolerance": -1,
-                "pass": sign == -1,
-            }
-        )
-        det_p, det_m = spectral.spectral_condition(d)
-        delta = heun_poly.spectral_det(d)
-        scale = heun_poly.det_scale(d)
-        add(
-            "det_product_rel",
-            abs(abs(det_p * det_m) - abs(delta)) / max(scale, 1.0),
-            TOL["det_product"],
-        )
-        add("det_min_rel", min(abs(det_p), abs(det_m)) / max(scale, 1.0), TOL["det_min"])
-    else:
-        reason = (
-            "NonPositiveDiscriminant"
-            if disc <= 0
-            else "DiscriminantBelowMargin"
-        )
-        for name in (
-            "reflection_symmetry",
-            "coeff_relations_rel",
-            "factorization_rel",
-            "factorization_sign",
-            "det_product_rel",
-            "det_min_rel",
-        ):
-            skipped.append({"name": name, "reason": reason})
-
+    d = spectral.root_params(args.n, args.mu, args.root)
+    checks, skipped = structure.certify(heun_poly.build_polynomial(d))
     ok = all(c["pass"] for c in checks)
     report = {
         "schema": SCHEMA,
@@ -246,9 +133,8 @@ def cmd_simulate(args) -> tuple[str, int]:
 
 
 def cmd_phase_compare(args) -> tuple[str, int]:
-    _, d = spectral.physical_point(args.n, args.mu, args.root)
+    p, d = spectral.physical_point(args.n, args.mu, args.root)
     poly = heun_poly.build_polynomial(d)
-    p = dche_to_params(d)
     t_end = args.periods * p.period
     h = args.h if args.h else p.period / 2000.0
 
@@ -267,7 +153,7 @@ def cmd_phase_compare(args) -> tuple[str, int]:
     resid = dphi + np.sin(phi[1:-1]) - dynamics.bias(p, fine[1:-1])
     ode_max = float(np.max(np.abs(resid)))
 
-    ok = dev <= TOL["phase"] and ode_max <= TOL["phase"]
+    ok = dev <= structure.TOL["phase"] and ode_max <= structure.TOL["phase"]
     report = {
         "schema": SCHEMA,
         "command": "phase-compare",
@@ -283,7 +169,7 @@ def cmd_phase_compare(args) -> tuple[str, int]:
         "epsilon": structure.symmetry_sign(poly),
         "max_phase_dev_mod_2pi": dev,
         "ode_residual_max": ode_max,
-        "tolerance": TOL["phase"],
+        "tolerance": structure.TOL["phase"],
         "pass": ok,
     }
     return json_dumps(report), 0 if ok else 1
@@ -313,33 +199,14 @@ def cmd_ortho(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    if args.mu_points == 1:
-        mus = [args.mu_start]
-    else:
-        mus = list(
-            np.linspace(args.mu_start, args.mu_stop, args.mu_points)
-        )
-    grid = [(n, mu) for n in range(args.n_min, args.n_max + 1) for mu in mus]
-
-    def point(item):
-        n, mu = item
-        out = []
-        for lam in spectral.lambda_spectrum(n, float(mu)).lambdas:
-            d = DcheParams(n=n, mu=float(mu), lam=lam)
-            phys = _physical_fields(d)
-            if "error" in phys:
-                out.append([n, float(mu), lam, "", "", ""])
-            else:
-                out.append([n, float(mu), lam, phys["omega"], phys["A"], phys["B"]])
-        return out
-
-    threads = _thread_count()
-    if threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(point, grid))
-    else:
-        chunks = [point(g) for g in grid]
-    rows = [row for chunk in chunks for row in chunk]
+    mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
+    rows = [
+        [n, float(mu), row["lambda"], *_csv_fields(row)]
+        for n in range(args.n_min, args.n_max + 1)
+        for mu in mus
+        for row in _spectrum_rows(n, float(mu))
+    ]
+    # A descending mu grid still emits rows in ascending (n, mu, lambda).
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return write_csv(["n", "mu", "lambda", "omega", "A", "B"], rows), 0
 
@@ -378,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="spectral lambdas at (n, mu)")
     sp.add_argument("--n", type=_non_negative_int, required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
-    sp.add_argument("--refine-tol", type=_positive(float), default=1e-10)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_spectrum)
 
@@ -386,14 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--n", type=_non_negative_int, required=True)
     pl.add_argument("--mu", type=_finite_float, required=True)
     pl.add_argument("--root", type=_non_negative_int, required=True)
-    pl.add_argument("--tol-spec", type=_positive(float), default=1e-8)
     pl.set_defaults(func=cmd_poly)
 
     vf = sub.add_parser("verify", help="residual dashboard at one spectral root")
     vf.add_argument("--n", type=_non_negative_int, required=True)
     vf.add_argument("--mu", type=_finite_float, required=True)
     vf.add_argument("--root", type=_non_negative_int, required=True)
-    vf.add_argument("--tol-spec", type=_positive(float), default=1e-8)
     vf.set_defaults(func=cmd_verify)
 
     sim = sub.add_parser("simulate", help="integrate the phase or companion system")

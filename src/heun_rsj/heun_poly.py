@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .model import DcheParams, HeunPolynomial
 
 __all__ = [
     "SAMPLE_POINTS",
+    "SPECTRAL_TOL",
     "TriDiagMatrix",
     "coefficient_matrix",
     "spectral_det",
@@ -53,6 +55,10 @@ __all__ = [
     "necessary_condition",
     "build_polynomial",
 ]
+
+#: Largest |det| / max(1, largest recurrence summand) that
+#: :func:`build_polynomial` accepts as a spectral triplet.
+SPECTRAL_TOL = 1e-8
 
 # Deterministic residual sample set: two reciprocal pairs on the real axis,
 # sixteen points on the unit circle and the point z = -1 once more.
@@ -214,13 +220,23 @@ def spectral_det_transfer(d: DcheParams) -> float:
     """Determinant through the ordered 2x2 transfer-matrix product.
 
     Independent of :func:`spectral_det`: no minor recurrence is shared.
-    Degree 0 has no transfer representation.
+    The product runs in exact rational arithmetic on the float inputs,
+    because its entries grow far beyond the determinant and cancel down to
+    it: in floating point, (n, mu, lambda) = (12, 1, -1) came out as -32
+    instead of -1.  Degree 0 has no transfer representation.
     """
     if d.n == 0:
         raise DegreeZeroUnsupported("transfer product needs degree n >= 1")
-    col = np.array([d.n - d.lam, float(d.n)])
-    col = _transfer_product_times(col, d, 1)
-    return -(d.lam * col[0] + d.mu**2 * col[1])
+    lam, mu2 = Fraction(d.lam), Fraction(d.mu) ** 2
+    x, y = d.n - lam, Fraction(d.n)
+    for j in range(d.n - 1, 0, -1):  # apply M_{n-1} first, M_1 last
+        zj = j * (j - d.n - 1)
+        x, y = (zj + lam) * x + mu2 * y, zj * x
+    det = -(lam * x + mu2 * y)
+    try:
+        return float(det)
+    except OverflowError:
+        return math.inf if det > 0 else -math.inf
 
 
 def coefficient_ratios(d: DcheParams) -> np.ndarray:
@@ -327,12 +343,12 @@ def necessary_condition(d: DcheParams) -> float:
     return float(col[0] + (d.mu**2 / d.lam) * col[1])
 
 
-def build_polynomial(d: DcheParams, tol_spec: float = 1e-8) -> HeunPolynomial:
+def build_polynomial(d: DcheParams) -> HeunPolynomial:
     """Construct the normalised polynomial at a spectral triplet.
 
-    Gates on the determinant being numerically zero relative to the largest
-    summand of its recurrence, then chains the coefficients from the ratio
-    recurrence with a_n = 1.
+    Gates on the determinant being numerically zero (``SPECTRAL_TOL``)
+    relative to the largest summand of its recurrence, then chains the
+    coefficients from the ratio recurrence with a_n = 1.
     """
     det, _, smax, e = _det_scan(d.n, d.mu, d.lam)
     # Compare |det| against tol * max(1, summand_max) in log2 space so the
@@ -340,9 +356,9 @@ def build_polynomial(d: DcheParams, tol_spec: float = 1e-8) -> HeunPolynomial:
     if det != 0.0:
         log_det = math.log2(abs(det)) + e
         log_scale = max(0.0, math.log2(smax) + e) if smax else 0.0
-        if log_det > math.log2(tol_spec) + log_scale:
+        if log_det > math.log2(SPECTRAL_TOL) + log_scale:
             raise NotSpectral(
-                f"determinant magnitude 2**{log_det:.2f} exceeds {tol_spec:g} * "
+                f"determinant magnitude 2**{log_det:.2f} exceeds {SPECTRAL_TOL:g} * "
                 f"scale (2**{log_scale:.2f}) at (n={d.n}, mu={d.mu}, lambda={d.lam})"
             )
     if d.n == 0:

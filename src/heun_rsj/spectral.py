@@ -6,7 +6,7 @@ eigenvalues of a tridiagonal matrix ``T`` with ``T[j][j] = j*(n+1-j)`` and
 off-diagonal pair products ``mu**2*(j+1)*(n-j)``; since those products are
 non-negative, ``T`` is similar to a real symmetric tridiagonal matrix and the
 whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem and
-then polishes each root on the determinant recurrence itself.
+then polishes each root in extended precision on the determinant recurrence.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 (one per sign) whose product reproduces the coefficient matrix up to an
@@ -34,12 +34,14 @@ from .model import DcheParams, RsjParams, dche_to_params
 
 __all__ = [
     "DISC_MARGIN",
+    "ROOT_TOL",
     "SpectralSet",
     "lambda_spectrum",
     "SymmetryMatrix",
     "symmetry_matrix",
     "check_factorization",
     "spectral_condition",
+    "root_params",
     "physical_point",
 ]
 
@@ -52,6 +54,10 @@ __all__ = [
 #: orders of magnitude to spare; roots below it are reported but excluded
 #: from symmetry certification.
 DISC_MARGIN = 1e-9
+
+#: Bound on the relative determinant (:func:`_refine_ratio`) that every root
+#: returned by :func:`lambda_spectrum` must meet.
+ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ def _refine_ratio(
     first-variation magnitude |lam * d(det)/d(lam)|.  The variation term makes
     the criterion a *relative root-location* test: at a polished simple root
     the smallest representable |det| is about |ddet| * ulp(lam), which can
-    dwarf ``refine_tol * smax`` at large n and |mu| even though lam itself is
+    dwarf ``ROOT_TOL * smax`` at large n and |mu| even though lam itself is
     accurate to the last bit.  All three mantissas share the 2**e frame, so
     only the constant 1 needs the frame correction.
     """
@@ -94,13 +100,14 @@ def _refine_ratio(
     return 2.0**x
 
 
-def lambda_spectrum(n: int, mu: float, refine_tol: float = 1e-10) -> SpectralSet:
-    """All roots of the determinant gate at (n, mu), polished by Newton.
+def lambda_spectrum(n: int, mu: float) -> SpectralSet:
+    """All roots of the determinant gate at (n, mu), polished in extended precision.
 
     Eigenvalues of the symmetrised tridiagonal matrix seed the roots; each is
-    then refined on the determinant recurrence until its magnitude drops
-    below ``refine_tol`` times the local determinant scale (largest recurrence
-    summand or first-variation magnitude, whichever is bigger).
+    polished by :func:`_polish_extended` and must then bring the determinant
+    below ``ROOT_TOL`` times the local determinant scale (largest recurrence
+    summand or first-variation magnitude, whichever is bigger), or
+    ``ConvergenceFailure`` names the root that missed.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"degree n must be a non-negative int, got {n!r}")
@@ -118,39 +125,29 @@ def lambda_spectrum(n: int, mu: float, refine_tol: float = 1e-10) -> SpectralSet
 
     roots = []
     for i, seed in enumerate(seeds):
-        lam = float(seed)
-        best, best_ratio = lam, math.inf
-        visited: set[float] = set()
-        for _ in range(60):
-            det, ddet, smax, e = _det_scan(n, mu, lam)
-            ratio = _refine_ratio(det, ddet, lam, smax, e)
-            if ratio < best_ratio:
-                best, best_ratio = lam, ratio
-            if ratio <= refine_tol or det == 0.0 or ddet == 0.0:
-                break
-            visited.add(lam)
-            lam = lam - det / ddet
-            if lam in visited:
-                break  # sub-ulp oscillation between adjacent floats
-        if best_ratio > refine_tol:
+        lam = _polish_extended(n, mu, float(seed))
+        det, ddet, smax, e = _det_scan(n, mu, lam)
+        ratio = _refine_ratio(det, ddet, lam, smax, e)
+        if ratio > ROOT_TOL:
             raise ConvergenceFailure(
                 i,
-                f"root {i} of (n={n}, mu={mu}) stalled at relative "
-                f"determinant {best_ratio:.3e} > {refine_tol:g}",
+                f"root {i} of (n={n}, mu={mu}) polished to relative "
+                f"determinant {ratio:.3e} > {ROOT_TOL:g}",
             )
-        roots.append(_polish_extended(n, mu, best))
+        roots.append(lam)
 
     return SpectralSet(n=n, mu=float(mu), lambdas=tuple(sorted(roots)))
 
 
 def _polish_extended(n: int, mu: float, lam: float) -> float:
-    """Final Newton steps on the determinant in extended precision.
+    """Newton steps on the determinant in extended precision from a seed.
 
-    The double recurrence's cancellation noise near a root can misplace it by
-    tens of ulps, which downstream coefficient relations amplify.  A few
-    extended-precision steps land within an ulp of the true zero.  Falls back
-    to the double result on any sign of trouble (non-finite values, a zero
-    derivative, or a correction larger than the noise radius could explain).
+    Cancellation noise in the double recurrence near a root can misplace it
+    by tens of ulps, which downstream coefficient relations amplify.  A few
+    extended-precision steps from the eigenvalue seed land within an ulp of
+    the true zero.  Returns the seed unchanged on any sign of trouble
+    (non-finite values, a zero derivative, or a correction larger than the
+    seed's error could explain); the caller's ``ROOT_TOL`` gate then decides.
     """
     cap = 1e-8 * max(1.0, abs(lam))
     cur = np.longdouble(lam)
@@ -229,6 +226,16 @@ def spectral_condition(d: DcheParams) -> tuple[float, float]:
     return det_plus, det_minus
 
 
+def root_params(n: int, mu: float, root_index: int) -> DcheParams:
+    """Triplet at one spectral root, independent of whether it is physical."""
+    spectrum = lambda_spectrum(n, mu)
+    if not 0 <= root_index < len(spectrum.lambdas):
+        raise IndexOutOfRange(
+            f"root index {root_index} outside [0, {len(spectrum.lambdas) - 1}]"
+        )
+    return DcheParams(n=n, mu=float(mu), lam=spectrum.lambdas[root_index])
+
+
 def physical_point(
     n: int, mu: float, root_index: int
 ) -> tuple[RsjParams, DcheParams]:
@@ -237,10 +244,5 @@ def physical_point(
     The recovered record has ``B = -(n+1)*omega`` exactly and positive
     drive frequency.
     """
-    spectrum = lambda_spectrum(n, mu)
-    if not 0 <= root_index < len(spectrum.lambdas):
-        raise IndexOutOfRange(
-            f"root_index {root_index} outside [0, {len(spectrum.lambdas) - 1}]"
-        )
-    d = DcheParams(n=n, mu=float(mu), lam=spectrum.lambdas[root_index])
+    d = root_params(n, mu, root_index)
     return dche_to_params(d), d

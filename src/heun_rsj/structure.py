@@ -12,6 +12,9 @@ frequency.  The symmetry fixes the phase trajectory in closed form,
 pairs P with a second, non-polynomial solution through a quadrature with an
 exact Wronskian, and yields a finite-interval-free orthogonality relation on
 (0, inf) between solutions of different degree sharing the same mu.
+
+``certify`` collects every residual that vouches for a polynomial solution
+into one record of checks run and checks skipped.
 """
 
 from __future__ import annotations
@@ -32,10 +35,14 @@ from .errors import (
     ZeroAtOne,
     ZeroOnUnitCircle,
 )
+from . import heun_poly, spectral
 from .heun_poly import SAMPLE_POINTS
 from .model import DcheParams, HeunPolynomial, dche_to_params
 
 __all__ = [
+    "TOL",
+    "residuals",
+    "certify",
     "reflected_polynomial",
     "symmetry_sign",
     "symmetry_residual",
@@ -49,6 +56,29 @@ __all__ = [
     "orthogonality_integral",
     "norm_integral",
 ]
+
+#: Pass bounds of the certification record, plus the closed-form phase bound
+#: used against brute-force integration.
+TOL = {
+    "master": 1e-9,
+    "linear_system": 1e-10,
+    "symmetry": 1e-9,
+    "coeff_relations": 1e-10,
+    "factorization": 1e-10,
+    "det_product": 1e-9,
+    "det_min": 1e-10,
+    "phase": 1e-6,
+}
+
+# Checks that need c = sqrt(lambda + mu**2), in report order.
+_C_CHECKS = (
+    "reflection_symmetry",
+    "coeff_relations_rel",
+    "factorization_rel",
+    "factorization_sign",
+    "det_product_rel",
+    "det_min_rel",
+)
 
 
 def _c_scale(d: DcheParams) -> float:
@@ -140,6 +170,68 @@ def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
             val -= (n + 1.0 - k) * a[n + 1 - k]
         out[k] = val
     return out
+
+
+def residuals(P: HeunPolynomial) -> tuple[float, float]:
+    """Worst relative residuals ``(master_rel, linear_rel)`` of P.
+
+    ``master_rel`` is the master-equation residual over the sample set, each
+    point divided by its largest summand; ``linear_rel`` is the largest row
+    residual of the coefficient system divided by max |a_k|.
+    """
+    master = max(
+        abs(heun_poly.residual_master(P, z))
+        / max(heun_poly.residual_master_scale(P, z), 1e-300)
+        for z in SAMPLE_POINTS
+    )
+    rows = heun_poly.residual_linear_system(P)
+    amax = max(abs(c) for c in P.coeffs)
+    return float(master), float(np.max(np.abs(rows))) / amax
+
+
+def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
+    """Certification record of P: ``(checks, skipped)``.
+
+    Each check is ``{"name", "value", "tolerance", "pass"}`` with its bound
+    from ``TOL``.  The master and linear-system residuals always run.  The
+    checks that need c run only when lambda + mu**2 clears
+    ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped`` as
+    ``{"name", "reason"}``.
+    """
+    d = P.params
+    checks: list[dict] = []
+
+    def add(name: str, value: float, tol: float) -> None:
+        checks.append(
+            {"name": name, "value": value, "tolerance": tol, "pass": value <= tol}
+        )
+
+    master, linear = residuals(P)
+    add("master_equation_rel", master, TOL["master"])
+    add("linear_system_rel", linear, TOL["linear_system"])
+
+    disc = d.lam + d.mu**2
+    if disc <= spectral.DISC_MARGIN:
+        reason = "NonPositiveDiscriminant" if disc <= 0 else "DiscriminantBelowMargin"
+        return checks, [{"name": name, "reason": reason} for name in _C_CHECKS]
+
+    amax = max(abs(c) for c in P.coeffs)
+    add("reflection_symmetry", float(symmetry_residual(P)), TOL["symmetry"])
+    rel = coeff_relations_residual(P)
+    add("coeff_relations_rel", float(np.max(np.abs(rel))) / amax, TOL["coeff_relations"])
+
+    dev, sign = spectral.check_factorization(d)
+    prod = spectral.symmetry_matrix(1, d).entries @ spectral.symmetry_matrix(-1, d).entries
+    prod_scale = max(1.0, float(np.max(np.abs(prod))))
+    add("factorization_rel", dev / prod_scale, TOL["factorization"])
+    add("factorization_sign", sign, -1)  # sign is +-1: passes only at -1
+    det_p, det_m = spectral.spectral_condition(d)
+    delta = heun_poly.spectral_det(d)
+    scale = max(heun_poly.det_scale(d), 1.0)
+    det_gap = abs(abs(det_p * det_m) - abs(delta))
+    add("det_product_rel", det_gap / scale, TOL["det_product"])
+    add("det_min_rel", min(abs(det_p), abs(det_m)) / scale, TOL["det_min"])
+    return checks, []
 
 
 def _check_path_clear(P: HeunPolynomial, base: complex, z: complex) -> None:

@@ -14,12 +14,8 @@ from heun_rsj import heun_poly, spectral, structure
 from heun_rsj.dynamics import bias, integrate_phase, integrate_xy, phase_from_xy
 from heun_rsj.errors import ZeroOnUnitCircle
 from heun_rsj.heun_poly import (
-    SAMPLE_POINTS,
     build_polynomial,
     det_scale,
-    residual_linear_system,
-    residual_master,
-    residual_master_scale,
     spectral_det,
     spectral_det_transfer,
 )
@@ -132,18 +128,9 @@ def test_criterion_4_polynomial_certification():
                 tested += 1
                 poly = build_polynomial(d)
                 amax = max(abs(c) for c in poly.coeffs)
-                worst["master"] = max(
-                    worst["master"],
-                    max(
-                        abs(residual_master(poly, z))
-                        / max(residual_master_scale(poly, z), 1e-300)
-                        for z in SAMPLE_POINTS
-                    ),
-                )
-                worst["linear"] = max(
-                    worst["linear"],
-                    float(np.max(np.abs(residual_linear_system(poly)))) / amax,
-                )
+                master, linear = structure.residuals(poly)
+                worst["master"] = max(worst["master"], master)
+                worst["linear"] = max(worst["linear"], linear)
                 worst["symmetry"] = max(
                     worst["symmetry"], structure.symmetry_residual(poly)
                 )

@@ -231,14 +231,18 @@ class TestSimulate:
 
 
 class TestSweep:
-    ARGS = [
-        "sweep",
-        "--n-min", "1", "--n-max", "2",
-        "--mu-start", "0.5", "--mu-stop", "1.0", "--mu-points", "3",
-    ]
-
-    def test_grid_layout(self, capsys):
-        code, out, _ = run_cli(capsys, *self.ARGS)
+    @pytest.mark.parametrize(
+        "mu_start,mu_stop",
+        [("0.5", "1.0"), ("1.0", "0.5")],
+        ids=["ascending", "descending"],
+    )
+    def test_grid_layout(self, capsys, mu_start, mu_stop):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep",
+            "--n-min", "1", "--n-max", "2",
+            "--mu-start", mu_start, "--mu-stop", mu_stop, "--mu-points", "3",
+        )
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "n,mu,lambda,omega,A,B"
@@ -248,13 +252,6 @@ class TestSweep:
             n, mu, lam = line.split(",")[:3]
             keys.append((int(n), float(mu), float(lam)))
         assert keys == sorted(keys)
-
-    def test_thread_count_invisible(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEUN_RSJ_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *self.ARGS)
-        monkeypatch.setenv("HEUN_RSJ_THREADS", "4")
-        _, parallel, _ = run_cli(capsys, *self.ARGS)
-        assert serial == parallel
 
     def test_mu_stop_required_for_multiple_points(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from heun_rsj import spectral
 from heun_rsj.errors import (
+    ConvergenceFailure,
     IndexOutOfRange,
     InvalidParams,
     NonPositiveDiscriminant,
@@ -140,6 +141,18 @@ class TestSpectrum:
             ) / (2.0 * h)
             scale = max(det_scale(d), abs(lam * slope), abs(h * slope))
             assert abs(spectral_det(d)) <= 1e-9 * scale
+
+    def test_unpolished_root_fails_the_gate(self, monkeypatch):
+        # The gate on the returned roots is the only guard between a bad
+        # polish and the caller: a root one part in 1e6 off must not pass.
+        monkeypatch.setattr(
+            spectral,
+            "_polish_extended",
+            lambda n, mu, seed: seed + 1e-6 * max(1.0, abs(seed)),
+        )
+        with pytest.raises(ConvergenceFailure) as err:
+            lambda_spectrum(5, 1.0)
+        assert err.value.root_index == 0
 
 
 class TestSymmetryMatrices:
