@@ -44,6 +44,7 @@ __all__ = [
     "spectral_det",
     "spectral_det_scaled",
     "det_scale",
+    "det_and_scale",
     "transfer_matrix",
     "spectral_det_transfer",
     "coefficient_ratios",
@@ -106,18 +107,22 @@ def coefficient_matrix(d: DcheParams) -> TriDiagMatrix:
     return TriDiagMatrix(n=n, diag=diag, upper=upper, lower=lower)
 
 
-def _det_scan(n: int, mu: float, lam: float) -> tuple[float, float, float, int]:
-    """Leading-minor recurrence with shared power-of-two renormalisation.
+def _det_scan(n: int, mu: float, lam: np.ndarray):
+    """Leading-minor recurrence with power-of-two renormalisation, per lambda.
 
-    Returns ``(det, ddet_dlambda, summand_max, e)`` where the true values are
-    each entry times ``2**e``.  The common frame keeps Newton ratios exact and
-    prevents overflow for large n.
+    Runs the recurrence on a 1-D array of lambda at once and returns arrays
+    ``(det, ddet_dlambda, summand_max, e)``; the true values are each entry
+    times ``2**e`` of its own element.  Whenever the binary exponent of an
+    element's largest magnitude passes +-300, that element's four recurrence
+    values and its summand maximum are scaled by the same power of two (the
+    others by exactly 1), which keeps Newton ratios exact and prevents
+    overflow for large n.
     """
     mu2 = mu * mu
-    prev2, prev = 1.0, lam  # D_{-1}, D_0
-    dprev2, dprev = 0.0, 1.0  # their lambda-derivatives
-    smax = abs(lam)
-    e = 0
+    prev2, prev = np.ones_like(lam), lam  # D_{-1}, D_0
+    dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)  # their lambda-derivatives
+    smax = np.abs(lam)
+    e = np.zeros(lam.shape, dtype=np.int64)
     for j in range(1, n + 1):
         dj = lam - j * (n + 1 - j)
         cj = mu2 * j * (n - j + 1)
@@ -125,21 +130,27 @@ def _det_scan(n: int, mu: float, lam: float) -> tuple[float, float, float, int]:
         t2 = cj * prev2
         cur = t1 - t2
         dcur = dj * dprev + prev - cj * dprev2
-        smax = max(smax, abs(t1), abs(t2))
+        smax = np.fmax(np.fmax(smax, np.abs(t1)), np.abs(t2))
         prev2, prev = prev, cur
         dprev2, dprev = dprev, dcur
-        m = max(abs(prev), abs(prev2), abs(dprev), abs(dprev2), smax)
-        if m > 0.0:
-            ex = math.frexp(m)[1]
-            if ex > 300 or ex < -300:
-                s = math.ldexp(1.0, -ex)
-                prev2 *= s
-                prev *= s
-                dprev2 *= s
-                dprev *= s
-                smax *= s
-                e += ex
+        m = np.maximum(
+            np.maximum(np.abs(prev), np.abs(prev2)),
+            np.maximum(np.maximum(np.abs(dprev), np.abs(dprev2)), smax),
+        )
+        ex = np.frexp(m)[1]
+        far = np.abs(ex) > 300
+        if far.any():
+            s = np.where(far, np.ldexp(1.0, -ex), 1.0)
+            prev2, prev, dprev2, dprev = prev2 * s, prev * s, dprev2 * s, dprev * s
+            smax = smax * s
+            e += np.where(far, ex, 0)
     return prev, dprev, smax, e
+
+
+def _scan_at(d: DcheParams) -> tuple[float, float, float, int]:
+    """:func:`_det_scan` at the single lambda of a triplet, as Python scalars."""
+    det, ddet, smax, e = _det_scan(d.n, d.mu, np.array([d.lam], dtype=float))
+    return float(det[0]), float(ddet[0]), float(smax[0]), int(e[0])
 
 
 def _ldexp_clamped(m: float, e: int) -> float:
@@ -152,27 +163,10 @@ def _ldexp_clamped(m: float, e: int) -> float:
         return math.copysign(math.inf, m)
 
 
-def _det_newton_extended(n: int, mu: float, lam):
-    """Determinant and its lambda-derivative in extended precision.
-
-    Same leading-minor recurrence as :func:`_det_scan` but carried in
-    ``numpy.longdouble`` without renormalisation (the extended exponent range
-    covers every degree this library targets).  Used to place spectral roots
-    closer than the double recurrence's own cancellation noise allows.
-    """
-    ld = np.longdouble
-    mu2 = ld(mu) * ld(mu)
-    lam = ld(lam)
-    prev2, prev = ld(1.0), lam
-    dprev2, dprev = ld(0.0), ld(1.0)
-    for j in range(1, n + 1):
-        dj = lam - ld(j * (n + 1 - j))
-        cj = mu2 * ld(j * (n - j + 1))
-        cur = dj * prev - cj * prev2
-        dcur = dj * dprev + prev - cj * dprev2
-        prev2, prev = prev, cur
-        dprev2, dprev = dprev, dcur
-    return prev, dprev
+def det_and_scale(d: DcheParams) -> tuple[float, float]:
+    """:func:`spectral_det` and :func:`det_scale` of one triplet from one scan."""
+    det, _, smax, e = _scan_at(d)
+    return _ldexp_clamped(det, e), max(1.0, _ldexp_clamped(smax, e))
 
 
 def spectral_det(d: DcheParams) -> float:
@@ -181,13 +175,12 @@ def spectral_det(d: DcheParams) -> float:
     A polynomial of exact degree n + 1 in lambda (monic).  May saturate to
     +-inf for very large n; :func:`spectral_det_scaled` never does.
     """
-    det, _, _, e = _det_scan(d.n, d.mu, d.lam)
-    return _ldexp_clamped(det, e)
+    return det_and_scale(d)[0]
 
 
 def spectral_det_scaled(d: DcheParams) -> tuple[float, int]:
     """Determinant as ``(mantissa, exponent)`` with value mantissa * 2**exponent."""
-    det, _, _, e = _det_scan(d.n, d.mu, d.lam)
+    det, _, _, e = _scan_at(d)
     return det, e
 
 
@@ -196,10 +189,7 @@ def det_scale(d: DcheParams) -> float:
 
     The natural yardstick for 'is this determinant numerically zero'.
     """
-    _, _, smax, e = _det_scan(d.n, d.mu, d.lam)
-    if smax == 0.0:
-        return 1.0
-    return max(1.0, _ldexp_clamped(smax, e))
+    return det_and_scale(d)[1]
 
 
 def transfer_matrix(k: int, d: DcheParams) -> np.ndarray:
@@ -350,7 +340,7 @@ def build_polynomial(d: DcheParams) -> HeunPolynomial:
     relative to the largest summand of its recurrence, then chains the
     coefficients from the ratio recurrence with a_n = 1.
     """
-    det, _, smax, e = _det_scan(d.n, d.mu, d.lam)
+    det, _, smax, e = _scan_at(d)
     # Compare |det| against tol * max(1, summand_max) in log2 space so the
     # shared 2**e frame can never overflow the gate itself.
     if det != 0.0:

@@ -6,7 +6,11 @@ eigenvalues of a tridiagonal matrix ``T`` with ``T[j][j] = j*(n+1-j)`` and
 off-diagonal pair products ``mu**2*(j+1)*(n-j)``; since those products are
 non-negative, ``T`` is similar to a real symmetric tridiagonal matrix and the
 whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem and
-then polishes each root in extended precision on the determinant recurrence.
+then polishes all n + 1 roots together in extended precision: the determinant
+recurrence runs on the whole array of roots, so a spectrum costs O(n) numpy
+calls per Newton pass.  Each root keeps its own Newton state, and a root whose
+step goes wrong falls back to its eigenvalue seed without disturbing the
+others; one array scan of the determinant then gates every returned root.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 (one per sign) whose product reproduces the coefficient matrix up to an
@@ -29,7 +33,7 @@ from .errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from .heun_poly import _det_newton_extended, _det_scan, coefficient_matrix
+from .heun_poly import _det_scan, coefficient_matrix
 from .model import DcheParams, RsjParams, dche_to_params
 
 __all__ = [
@@ -103,11 +107,12 @@ def _refine_ratio(
 def lambda_spectrum(n: int, mu: float) -> SpectralSet:
     """All roots of the determinant gate at (n, mu), polished in extended precision.
 
-    Eigenvalues of the symmetrised tridiagonal matrix seed the roots; each is
-    polished by :func:`_polish_extended` and must then bring the determinant
-    below ``ROOT_TOL`` times the local determinant scale (largest recurrence
-    summand or first-variation magnitude, whichever is bigger), or
-    ``ConvergenceFailure`` names the root that missed.
+    Eigenvalues of the symmetrised tridiagonal matrix seed the roots, and
+    :func:`_polish_extended` polishes them all at once.  One array scan of the
+    determinant then gates every root: each must bring the determinant below
+    ``ROOT_TOL`` times the local determinant scale (largest recurrence summand
+    or first-variation magnitude, whichever is bigger), or
+    ``ConvergenceFailure`` names the lowest seed index that missed.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"degree n must be a non-negative int, got {n!r}")
@@ -123,47 +128,72 @@ def lambda_spectrum(n: int, mu: float) -> SpectralSet:
         )
         seeds = eigh_tridiagonal(diag, off, eigvals_only=True)
 
-    roots = []
-    for i, seed in enumerate(seeds):
-        lam = _polish_extended(n, mu, float(seed))
-        det, ddet, smax, e = _det_scan(n, mu, lam)
-        ratio = _refine_ratio(det, ddet, lam, smax, e)
+    lams = _polish_extended(n, mu, seeds)
+    det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, lams))
+    for i, lam in enumerate(lams.tolist()):
+        ratio = _refine_ratio(det[i], ddet[i], lam, smax[i], e[i])
         if ratio > ROOT_TOL:
             raise ConvergenceFailure(
                 i,
                 f"root {i} of (n={n}, mu={mu}) polished to relative "
                 f"determinant {ratio:.3e} > {ROOT_TOL:g}",
             )
-        roots.append(lam)
 
-    return SpectralSet(n=n, mu=float(mu), lambdas=tuple(sorted(roots)))
+    return SpectralSet(n=n, mu=float(mu), lambdas=tuple(sorted(lams.tolist())))
 
 
-def _polish_extended(n: int, mu: float, lam: float) -> float:
-    """Newton steps on the determinant in extended precision from a seed.
+def _det_newton_extended(n: int, mu: float, lam: np.ndarray):
+    """Determinant and its lambda-derivative in extended precision, per lambda.
+
+    Same leading-minor recurrence as :func:`heun_poly._det_scan`, run on a
+    1-D ``numpy.longdouble`` array of lambda at once and without
+    renormalisation (the extended exponent range covers every degree this
+    library targets).  Used to place spectral roots closer than the double
+    recurrence's own cancellation noise allows.
+    """
+    ld = np.longdouble
+    mu2 = ld(mu) * ld(mu)
+    prev2, prev = np.ones_like(lam), lam
+    dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)
+    for j in range(1, n + 1):
+        dj = lam - ld(j * (n + 1 - j))
+        cj = mu2 * ld(j * (n - j + 1))
+        cur = dj * prev - cj * prev2
+        dcur = dj * dprev + prev - cj * dprev2
+        prev2, prev = prev, cur
+        dprev2, dprev = dprev, dcur
+    return prev, dprev
+
+
+def _polish_extended(n: int, mu: float, seeds: np.ndarray) -> np.ndarray:
+    """Newton steps on the determinant in extended precision, all roots at once.
 
     Cancellation noise in the double recurrence near a root can misplace it
     by tens of ulps, which downstream coefficient relations amplify.  A few
-    extended-precision steps from the eigenvalue seed land within an ulp of
-    the true zero.  Returns the seed unchanged on any sign of trouble
-    (non-finite values, a zero derivative, or a correction larger than the
-    seed's error could explain); the caller's ``ROOT_TOL`` gate then decides.
+    extended-precision steps from the eigenvalue seeds land within an ulp of
+    the true zeros.  Every pass evaluates :func:`_det_newton_extended` on the
+    roots still moving, and each root keeps its own state: it stops once its
+    step no longer changes it, and falls back to its own seed on any sign of
+    trouble (non-finite values, a zero derivative, or a correction larger than
+    the seed's error could explain) while the others go on.  The caller's
+    ``ROOT_TOL`` gate then decides.
     """
-    cap = 1e-8 * max(1.0, abs(lam))
-    cur = np.longdouble(lam)
+    cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
+    cur = seeds.astype(np.longdouble)
+    live = np.arange(seeds.size)  # indices of the roots still stepping
     for _ in range(8):
-        det, ddet = _det_newton_extended(n, mu, cur)
-        if not (np.isfinite(det) and np.isfinite(ddet)) or ddet == 0:
-            return lam
-        step = det / ddet
-        if abs(float(cur - step) - lam) > cap:
-            return lam
-        nxt = cur - step
-        if nxt == cur:
+        if live.size == 0:
             break
-        cur = nxt
-    out = float(cur)
-    return out if math.isfinite(out) else lam
+        at = cur[live]
+        det, ddet = _det_newton_extended(n, mu, at)
+        ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
+        nxt = at - det / np.where(ok, ddet, 1)
+        ok &= np.abs(nxt.astype(float) - seeds[live]) <= cap[live]
+        cur[live[~ok]] = seeds[live[~ok]]
+        moving = ok & (nxt != at)
+        cur[live[moving]] = nxt[moving]
+        live = live[moving]
+    return cur.astype(float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -226,8 +226,7 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     add("factorization_rel", dev / prod_scale, TOL["factorization"])
     add("factorization_sign", sign, -1)  # sign is +-1: passes only at -1
     det_p, det_m = spectral.spectral_condition(d)
-    delta = heun_poly.spectral_det(d)
-    scale = max(heun_poly.det_scale(d), 1.0)
+    delta, scale = heun_poly.det_and_scale(d)
     det_gap = abs(abs(det_p * det_m) - abs(delta))
     add("det_product_rel", det_gap / scale, TOL["det_product"])
     add("det_min_rel", min(abs(det_p), abs(det_m)) / scale, TOL["det_min"])

@@ -18,6 +18,7 @@ from heun_rsj.errors import (
 )
 from heun_rsj.heun_poly import (
     SAMPLE_POINTS,
+    _det_scan,
     build_polynomial,
     coeff_transfer,
     coefficient_matrix,
@@ -76,6 +77,34 @@ class TestCoefficientMatrix:
         d = DcheParams(n=3, mu=1.2, lam=0.5)
         m = coefficient_matrix(d)
         np.testing.assert_array_equal(m.dense_t(), m.dense().T)
+
+
+def _det_scan_loop(n, mu, lam):
+    """One-lambda reference for :func:`heun_poly._det_scan`, in Python floats."""
+    mu2 = mu * mu
+    prev2, prev = 1.0, lam
+    dprev2, dprev = 0.0, 1.0
+    smax = abs(lam)
+    e = 0
+    for j in range(1, n + 1):
+        dj = lam - j * (n + 1 - j)
+        cj = mu2 * j * (n - j + 1)
+        t1 = dj * prev
+        t2 = cj * prev2
+        cur = t1 - t2
+        dcur = dj * dprev + prev - cj * dprev2
+        smax = max(smax, abs(t1), abs(t2))
+        prev2, prev = prev, cur
+        dprev2, dprev = dprev, dcur
+        m = max(abs(prev), abs(prev2), abs(dprev), abs(dprev2), smax)
+        ex = math.frexp(m)[1]
+        if m > 0.0 and abs(ex) > 300:
+            s = math.ldexp(1.0, -ex)
+            prev2, prev, dprev2, dprev, smax = (
+                prev2 * s, prev * s, dprev2 * s, dprev * s, smax * s
+            )
+            e += ex
+    return prev, dprev, smax, e
 
 
 class TestDeterminant:
@@ -166,6 +195,20 @@ class TestDeterminant:
 
     def test_scale_floor(self):
         assert det_scale(DcheParams(n=2, mu=1.0, lam=0.5)) >= 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 60, 150, 300])
+    @pytest.mark.parametrize("mu", [0.2, 1.82, -1.3])
+    def test_array_scan_matches_scalar_loop(self, n, mu):
+        # The array recurrence must do, element by element, exactly the
+        # arithmetic of the one-lambda loop below -- renormalisation frames
+        # included, which n >= 60 exercises -- at the roots and between them.
+        lams = np.concatenate([
+            lambda_spectrum(n, mu).lambdas,
+            np.linspace(-mu * mu - 1.0, n * n / 4.0 + 3.0, 9),
+        ])
+        got = zip(*(a.tolist() for a in _det_scan(n, mu, lams)))
+        for lam, scan in zip(lams.tolist(), got):
+            assert scan == _det_scan_loop(n, mu, lam)
 
 
 class TestTransferObjects:

@@ -14,10 +14,11 @@ from heun_rsj.errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from heun_rsj.heun_poly import coefficient_matrix, det_scale, spectral_det
+from heun_rsj.heun_poly import _det_scan, coefficient_matrix, det_scale, spectral_det
 from heun_rsj.model import DcheParams
 from heun_rsj.spectral import (
     DISC_MARGIN,
+    ROOT_TOL,
     SpectralSet,
     check_factorization,
     lambda_spectrum,
@@ -36,6 +37,24 @@ def _eigen_oracle(n: int, mu: float) -> np.ndarray:
     """
     c = coefficient_matrix(DcheParams(n=n, mu=mu, lam=0.0)).dense()
     return np.linalg.eigvals(-c)
+
+
+def _polish_loop(n: int, mu: float, seed: float) -> float:
+    """One-root reference for :func:`spectral._polish_extended`."""
+    cap = 1e-8 * max(1.0, abs(seed))
+    cur = np.longdouble(seed)
+    for _ in range(8):
+        det, ddet = spectral._det_newton_extended(n, mu, np.array([cur]))
+        det, ddet = det[0], ddet[0]
+        if not (np.isfinite(det) and np.isfinite(ddet)) or ddet == 0:
+            return seed
+        nxt = cur - det / ddet
+        if abs(float(nxt) - seed) > cap:
+            return seed
+        if nxt == cur:
+            break
+        cur = nxt
+    return float(cur)
 
 
 class TestSpectrum:
@@ -148,11 +167,82 @@ class TestSpectrum:
         monkeypatch.setattr(
             spectral,
             "_polish_extended",
-            lambda n, mu, seed: seed + 1e-6 * max(1.0, abs(seed)),
+            lambda n, mu, seeds: seeds + 1e-6 * np.maximum(1.0, np.abs(seeds)),
         )
         with pytest.raises(ConvergenceFailure) as err:
             lambda_spectrum(5, 1.0)
         assert err.value.root_index == 0
+
+    @pytest.mark.parametrize("n,mu", [(1, 0.5), (5, 1.0), (30, -2.2), (60, 1.82)])
+    def test_array_polish_matches_one_root_loop(self, n, mu):
+        # Seeds a hair off the roots converge; most seeds halfway between
+        # two roots step past the cap and fall back to themselves.
+        roots = np.array(lambda_spectrum(n, mu).lambdas)
+        seeds = np.concatenate([roots * (1.0 + 1e-12), (roots[1:] + roots[:-1]) / 2.0])
+        got = spectral._polish_extended(n, mu, seeds)
+        assert got.tolist() == [_polish_loop(n, mu, x) for x in seeds.tolist()]
+        assert np.all(got[: n + 1] != seeds[: n + 1])
+        assert np.any(got[n + 1:] == seeds[n + 1:])
+
+    @pytest.mark.parametrize("n,mu,k", [(5, 1.0, 2), (12, 1.3, 0), (40, -0.7, 40)])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_fallback_stays_in_its_own_root(self, monkeypatch, n, mu, k, moved):
+        # The polish runs every root through one array recurrence.  A root
+        # whose determinant turns non-finite -- at its seed, or once its
+        # first step has moved it -- must fall back to its own seed and
+        # leave every other root exactly as the clean run polishes it.
+        polish = spectral._polish_extended
+        polished = []
+
+        def spy(n_, mu_, seeds):
+            polished.append((np.array(seeds), polish(n_, mu_, seeds)))
+            return polished[-1][1]
+
+        monkeypatch.setattr(spectral, "_polish_extended", spy)
+        clean = lambda_spectrum(n, mu).lambdas
+        seeds, clean_roots = polished.pop()
+        assert clean_roots[k] != seeds[k]  # the clean polish moves root k
+
+        recurrence = spectral._det_newton_extended
+
+        def poisoned(n_, mu_, lam):
+            det, ddet = recurrence(n_, mu_, lam)
+            hit = np.abs(lam - seeds[k]) <= 1e-9 * max(1.0, abs(seeds[k]))
+            if moved:
+                hit &= lam != seeds[k]
+            return np.where(hit, np.nan, det), ddet
+
+        monkeypatch.setattr(spectral, "_det_newton_extended", poisoned)
+        try:
+            got = lambda_spectrum(n, mu).lambdas
+        except ConvergenceFailure as err:
+            assert err.root_index == k
+            got = None
+        _, roots = polished.pop()
+        assert roots[k] == seeds[k]
+        others = np.arange(n + 1) != k
+        assert np.array_equal(roots[others], clean_roots[others])
+        if got is not None:
+            assert got[k] == seeds[k]
+            assert got[:k] + got[k + 1:] == clean[:k] + clean[k + 1:]
+
+    @pytest.mark.parametrize("n", [60, 110, 200, 300])
+    @pytest.mark.parametrize("mu", [0.2, 1.82, -1.3, 3.0])
+    def test_moments_and_gate_at_sweep_degrees(self, n, mu):
+        # The trace of T and of T**2 fix the first two moments of the
+        # spectrum exactly, at any degree; every returned root must also
+        # clear the ROOT_TOL gate on its own.
+        lams = lambda_spectrum(n, mu).lambdas
+        assert len(lams) == n + 1
+        s1 = n * (n + 1) * (n + 2) / 6.0
+        s2 = math.fsum(float(j * (n + 1 - j)) ** 2 for j in range(n + 1))
+        s2 += 2.0 * mu * mu * math.fsum(float((j + 1) * (n - j)) for j in range(n))
+        assert abs(math.fsum(lams) - s1) <= 1e-12 * s1
+        assert abs(math.fsum(x * x for x in lams) - s2) <= 1e-12 * s2
+        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, np.array(lams)))
+        for i, lam in enumerate(lams):
+            ratio = spectral._refine_ratio(det[i], ddet[i], lam, smax[i], e[i])
+            assert ratio <= ROOT_TOL
 
 
 class TestSymmetryMatrices:
