@@ -35,6 +35,7 @@ __all__ = [
     "Trajectory",
     "params_to_dche",
     "dche_to_params",
+    "mu_squared",
 ]
 
 
@@ -124,13 +125,21 @@ def params_to_dche(p: RsjParams, tol_int: float = 1e-9) -> DcheCandidate:
     return DcheCandidate(n_real=n_real, mu=mu, lam=lam, integral=integral)
 
 
+def mu_squared(mu: float) -> float:
+    """``mu**2``, or ``InvalidParams`` where the square overflows a double."""
+    try:
+        return mu**2
+    except OverflowError:
+        raise InvalidParams(f"mu**2 overflows a double at mu = {mu!r}") from None
+
+
 def dche_to_params(d: DcheParams) -> RsjParams:
     """Invert the reduction, picking the canonical ``omega > 0`` branch.
 
     Requires ``lambda + mu**2 > 0`` (real drive frequency) and ``mu != 0``
-    (nonzero bias amplitude).
+    (nonzero bias amplitude), and ``mu**2`` within the double range.
     """
-    disc = d.lam + d.mu**2
+    disc = d.lam + mu_squared(d.mu)
     if disc <= 0:
         raise NonPositiveDiscriminant(
             f"lambda + mu**2 = {disc!r} <= 0: no real drive frequency exists"

@@ -5,8 +5,10 @@ system is a monic polynomial of degree n + 1 in lambda.  Its roots are the
 eigenvalues of a tridiagonal matrix ``T`` with ``T[j][j] = j*(n+1-j)`` and
 off-diagonal pair products ``mu**2*(j+1)*(n-j)``; since those products are
 non-negative, ``T`` is similar to a real symmetric tridiagonal matrix and the
-whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem and
-then polishes all n + 1 roots together in extended precision: the determinant
+whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem with
+numpy's dense symmetric eigensolver (the same LAPACK eigenvalue iteration as
+a dedicated tridiagonal solver, so this module needs no scipy) and then
+polishes all n + 1 roots together in extended precision: the determinant
 recurrence runs on the whole array of roots, so a spectrum costs O(n) numpy
 calls per Newton pass.  Each root keeps its own Newton state, and a root whose
 step goes wrong falls back to its eigenvalue seed without disturbing the
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConvergenceFailure,
@@ -34,7 +35,7 @@ from .errors import (
     NonPositiveDiscriminant,
 )
 from .heun_poly import _det_scan, coefficient_matrix
-from .model import DcheParams, RsjParams, dche_to_params
+from .model import DcheParams, RsjParams, dche_to_params, mu_squared
 
 __all__ = [
     "DISC_MARGIN",
@@ -119,16 +120,7 @@ def lambda_spectrum(n: int, mu: float) -> SpectralSet:
     if not (isinstance(mu, (int, float)) and math.isfinite(mu)):
         raise InvalidParams(f"mu must be a finite real, got {mu!r}")
 
-    diag = np.array([j * (n + 1.0 - j) for j in range(n + 1)])
-    if n == 0:
-        seeds = np.array([0.0])
-    else:
-        off = np.array(
-            [abs(mu) * math.sqrt((j + 1.0) * (n - j)) for j in range(n)]
-        )
-        seeds = eigh_tridiagonal(diag, off, eigvals_only=True)
-
-    lams = _polish_extended(n, mu, seeds)
+    lams = _polish_extended(n, mu, _eigen_seeds(n, mu))
     det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, lams))
     for i, lam in enumerate(lams.tolist()):
         ratio = _refine_ratio(det[i], ddet[i], lam, smax[i], e[i])
@@ -140,6 +132,24 @@ def lambda_spectrum(n: int, mu: float) -> SpectralSet:
             )
 
     return SpectralSet(n=n, mu=float(mu), lambdas=tuple(sorted(lams.tolist())))
+
+
+def _eigen_seeds(n: int, mu: float) -> np.ndarray:
+    """Eigenvalues of the symmetrised tridiagonal matrix, ascending.
+
+    The matrix has diagonal ``j*(n+1-j)`` and off-diagonal
+    ``|mu|*sqrt((j+1)*(n-j))``.  It is filled densely (diagonal plus lower
+    band) for numpy's symmetric eigensolver: LAPACK's reduction to
+    tridiagonal form leaves an already tridiagonal matrix unchanged, and the
+    eigenvalues then come from the same ``dsterf`` iteration that a dedicated
+    tridiagonal solver runs, so the seeds match ``eigh_tridiagonal`` bit for
+    bit (checked in the tests).
+    """
+    diag = [j * (n + 1.0 - j) for j in range(n + 1)]
+    off = [abs(mu) * math.sqrt((j + 1.0) * (n - j)) for j in range(n)]
+    if not math.isfinite(max(off, default=0.0)):
+        raise InvalidParams(f"mu = {mu!r} overflows the eigenproblem at n = {n}")
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
 
 
 def _det_newton_extended(n: int, mu: float, lam: np.ndarray):
@@ -257,12 +267,18 @@ def spectral_condition(d: DcheParams) -> tuple[float, float]:
 
 
 def root_params(n: int, mu: float, root_index: int) -> DcheParams:
-    """Triplet at one spectral root, independent of whether it is physical."""
+    """Triplet at one spectral root, independent of whether it is physical.
+
+    Every use of the triplet needs ``mu**2``, so a drive whose square
+    overflows a double raises ``InvalidParams`` here, before any polynomial
+    work.
+    """
     spectrum = lambda_spectrum(n, mu)
     if not 0 <= root_index < len(spectrum.lambdas):
         raise IndexOutOfRange(
             f"root index {root_index} outside [0, {len(spectrum.lambdas) - 1}]"
         )
+    mu_squared(mu)
     return DcheParams(n=n, mu=float(mu), lam=spectrum.lambdas[root_index])
 
 

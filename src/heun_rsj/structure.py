@@ -15,6 +15,10 @@ exact Wronskian, and yields a finite-interval-free orthogonality relation on
 
 ``certify`` collects every residual that vouches for a polynomial solution
 into one record of checks run and checks skipped.
+
+The quadratures (second solution, orthogonality and norm integrals) are the
+package's only use of scipy: ``scipy.integrate`` is imported at the first
+one, so the spectrum, certification and closed-form phase never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InvalidParams,
@@ -249,17 +252,19 @@ def _check_path_clear(P: HeunPolynomial, base: complex, z: complex) -> None:
             )
 
 
-def _quad_complex(f, a: float, b: float) -> complex:
-    parts = []
-    for pick in (lambda w: w.real, lambda w: w.imag):
-        res = quad(
-            lambda s: pick(f(s)), a, b, epsabs=1e-10, epsrel=1e-10,
-            limit=400, full_output=1,
-        )
-        if len(res) > 3:
-            raise QuadratureFailure(f"quadrature did not converge: {res[3]}")
-        parts.append(res[0])
-    return complex(parts[0], parts[1])
+def _quad(f, a: float, b: float, abserr_ok: float | None = None) -> float:
+    """Adaptive quadrature of a real integrand over [a, b].
+
+    ``scipy.integrate`` is imported here, on first use.  A non-convergence
+    warning raises ``QuadratureFailure`` unless the reported absolute error
+    is at most ``abserr_ok``.
+    """
+    from scipy.integrate import quad
+
+    res = quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=400, full_output=1)
+    if len(res) > 3 and (abserr_ok is None or res[1] > abserr_ok):
+        raise QuadratureFailure(f"quadrature did not converge: {res[3]}")
+    return float(res[0])
 
 
 def second_solution_jet(
@@ -286,7 +291,10 @@ def second_solution_jet(
             zc - complex(base)
         )
 
-    integral = _quad_complex(integrand, 0.0, 1.0)
+    integral = complex(
+        _quad(lambda s: integrand(s).real, 0.0, 1.0),
+        _quad(lambda s: integrand(s).imag, 0.0, 1.0),
+    )
     pv = complex(P.value(zc))
     d1 = complex(P.deriv1(zc))
     d2 = complex(P.deriv2(zc))
@@ -435,20 +443,6 @@ def _decay_halfwidth(mu: float, growth: float) -> float:
     return u
 
 
-def _quad_real(f, a: float, b: float, noise_floor: float = 0.0) -> float:
-    """Adaptive quadrature that tolerates pure-roundoff non-convergence.
-
-    When the true integral is zero up to cancellation (the orthogonality
-    case), the integrator cannot meet a relative target and flags roundoff;
-    the value is still good to its reported absolute error, so a warning is
-    accepted whenever that error is below ``1e-9 * max(noise_floor, 1)``.
-    """
-    res = quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=400, full_output=1)
-    if len(res) > 3 and res[1] > 1e-9 * max(noise_floor, 1.0):
-        raise QuadratureFailure(f"quadrature did not converge: {res[3]}")
-    return float(res[0])
-
-
 def orthogonality_integral(
     P1: HeunPolynomial, P2: HeunPolynomial
 ) -> tuple[float, float]:
@@ -479,7 +473,11 @@ def orthogonality_integral(
         * z_grid
     )
     scale = float(np.trapezoid(np.abs(dense), grid))
-    value = _quad_real(f, -half, half, noise_floor=scale)
+    # When the true integral is zero up to cancellation, the integrator
+    # cannot meet its relative target and flags roundoff; the value is still
+    # good to its reported absolute error, which is accepted below 1e-9 of
+    # the absolute integral.
+    value = _quad(f, -half, half, abserr_ok=1e-9 * max(scale, 1.0))
     return value, scale
 
 
@@ -498,4 +496,4 @@ def norm_integral(P: HeunPolynomial) -> float:
         return z ** (-n) * math.exp(-mu * (z + 1.0 / z)) * float(P.value(z)) ** 2 * z
 
     half = _decay_halfwidth(mu, n + 1.0)
-    return _quad_real(f, -half, half)
+    return _quad(f, -half, half, abserr_ok=1e-9)

@@ -76,6 +76,28 @@ class TestSpectrum:
             main(["spectrum", "--n", "-1", "--mu", "1"])
         assert err.value.code == 2
 
+    # |mu| above sqrt(DBL_MAX) ~ 1.34e154: the roots exist, but mu**2 does not.
+    @pytest.mark.parametrize("mu", ["1e160", "-1e300"])
+    def test_huge_mu_rows_carry_typed_error(self, capsys, mu):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "3", f"--mu={mu}")
+        assert code == 0 and err == ""
+        roots = parse_json(out)["roots"]
+        assert [r["index"] for r in roots] == [0, 1, 2, 3]
+        for r in roots:
+            assert math.isfinite(r["lambda"])
+            assert r["error"] == "InvalidParams"
+            assert "omega" not in r
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--n", "3", f"--mu={mu}", "--format", "csv"
+        )
+        assert code == 0
+        assert all(line.endswith(",,,") for line in out.splitlines()[1:])
+
+    def test_overflowing_eigenproblem_is_typed_error(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "5", "--mu", "1.7e308")
+        assert code == 1 and out == ""
+        assert err.startswith("error: InvalidParams: ")
+
 
 class TestPoly:
     def test_report(self, capsys):
@@ -258,6 +280,55 @@ class TestSweep:
             main(["sweep", "--n-min", "1", "--n-max", "1",
                   "--mu-start", "0.5", "--mu-points", "3"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--n", "3", "--mu", "1e160", "--root", "0"],
+        ["verify", "--n", "3", "--mu=-1e160", "--root", "3"],
+        ["phase-compare", "--n", "2", "--mu", "1e300", "--root", "1"],
+        ["ortho", "--n1", "0", "--root1", "0", "--n2", "1", "--root2", "0",
+         "--mu", "1e200"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_huge_mu_root_commands_exit_typed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: InvalidParams: mu**2 overflows")
+
+
+# Every subcommand but ortho must run without importing scipy; ortho's
+# quadrature imports scipy.integrate on first use.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import heun_rsj.cli as cli
+runs = [
+    ["spectrum", "--n", "4", "--mu", "1"],
+    ["spectrum", "--n", "4", "--mu", "1", "--format", "csv"],
+    ["poly", "--n", "3", "--mu", "0.5", "--root", "1"],
+    ["verify", "--n", "2", "--mu", "1", "--root", "2"],
+    ["simulate", "--a", "1", "--b", "-1", "--omega", "0.25", "--t-end", "5"],
+    ["phase-compare", "--n", "1", "--mu", "0.5", "--root", "1", "--periods", "1"],
+    ["sweep", "--n-min", "0", "--n-max", "3", "--mu-start", "0.5",
+     "--mu-stop", "1", "--mu-points", "2"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+    hot = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    cli.main(["ortho", "--n1", "0", "--root1", "0", "--n2", "1", "--root2", "0",
+              "--mu", "1"])
+print(codes, hot, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_scipy_stays_off_the_hot_path():
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0] [] True\n"
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from heun_rsj import spectral
 from heun_rsj.errors import (
@@ -37,6 +38,18 @@ def _eigen_oracle(n: int, mu: float) -> np.ndarray:
     """
     c = coefficient_matrix(DcheParams(n=n, mu=mu, lam=0.0)).dense()
     return np.linalg.eigvals(-c)
+
+
+def _scipy_seeds(n: int, mu: float) -> np.ndarray:
+    """Eigenvalue seeds from scipy's dedicated tridiagonal solver."""
+    if n == 0:
+        return np.array([0.0])
+    diag = np.array([j * (n + 1.0 - j) for j in range(n + 1)])
+    off = np.array([abs(mu) * math.sqrt((j + 1.0) * (n - j)) for j in range(n)])
+    return eigh_tridiagonal(diag, off, eigvals_only=True)
+
+
+_ORACLE_DEGREES = list(range(61)) + list(range(67, 250, 7))
 
 
 def _polish_loop(n: int, mu: float, seed: float) -> float:
@@ -225,6 +238,19 @@ class TestSpectrum:
         if got is not None:
             assert got[k] == seeds[k]
             assert got[:k] + got[k + 1:] == clean[:k] + clean[k + 1:]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.37, -1.3, 1e3])
+    def test_seeds_and_roots_match_scipy_oracle(self, monkeypatch, mu):
+        # The dense numpy eigensolver must give scipy's tridiagonal
+        # eigenvalues bit for bit, and so the polished roots too.
+        for n in _ORACLE_DEGREES:
+            seeds = spectral._eigen_seeds(n, mu)
+            assert seeds.tobytes() == _scipy_seeds(n, mu).tobytes(), n
+        got = [lambda_spectrum(n, mu).lambdas for n in _ORACLE_DEGREES]
+        monkeypatch.setattr(spectral, "_eigen_seeds", _scipy_seeds)
+        for n, lams in zip(_ORACLE_DEGREES, got):
+            want = lambda_spectrum(n, mu).lambdas
+            assert np.array(lams).tobytes() == np.array(want).tobytes(), n
 
     @pytest.mark.parametrize("n", [60, 110, 200, 300])
     @pytest.mark.parametrize("mu", [0.2, 1.82, -1.3, 3.0])
