@@ -64,20 +64,17 @@ from .heun_poly import (
     necessary_condition,
     residual_linear_system,
     residual_master,
-    residual_master_scale,
     spectral_det,
     spectral_det_scaled,
     spectral_det_transfer,
-    det_scale,
     transfer_matrix,
 )
 from .spectral import (
     SpectralSet,
     SymmetryMatrix,
-    check_factorization,
+    factorization,
     lambda_spectrum,
     physical_point,
-    spectral_condition,
     symmetry_matrix,
 )
 from .structure import (

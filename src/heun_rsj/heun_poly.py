@@ -11,11 +11,12 @@ closes into a homogeneous tridiagonal linear system for the coefficients:
     row n:  mu*a_{n-1} + (lambda - n)*a_n
 
 A nontrivial solution exists iff the determinant of that system vanishes;
-``spectral_det`` evaluates it by the classic three-term minor recurrence and
-``spectral_det_transfer`` independently through ordered products of 2x2
-transfer matrices, so the two routes cross-check each other.  Coefficients
-come either from the terminating ratio recurrence (``coeffs_from_ratios``)
-or, again independently, from transfer-matrix products (``coeff_transfer``).
+``spectral_det`` evaluates it, with its scale, by the classic three-term
+minor recurrence and ``spectral_det_transfer`` independently through ordered
+products of 2x2 transfer matrices, so the two routes cross-check each other.
+Coefficients come either from the terminating ratio recurrence
+(``coeffs_from_ratios``) or, again independently, from transfer-matrix
+products (``coeff_transfer``).
 """
 
 from __future__ import annotations
@@ -43,15 +44,12 @@ __all__ = [
     "coefficient_matrix",
     "spectral_det",
     "spectral_det_scaled",
-    "det_scale",
-    "det_and_scale",
     "transfer_matrix",
     "spectral_det_transfer",
     "coefficient_ratios",
     "coeffs_from_ratios",
     "coeff_transfer",
     "residual_master",
-    "residual_master_scale",
     "residual_linear_system",
     "necessary_condition",
     "build_polynomial",
@@ -78,8 +76,7 @@ class TriDiagMatrix:
 
     ``upper[j]`` is the entry (j, j+1) and ``lower[j]`` the entry (j+1, j).
     The literature writes the same system in both this orientation and its
-    transpose; the determinant is shared, and :meth:`dense_t` exposes the
-    transposed ("index-shuffled") orientation directly.
+    transpose ("index-shuffled"); the determinant is shared.
     """
 
     n: int
@@ -93,9 +90,6 @@ class TriDiagMatrix:
             + np.diag(self.upper, 1)
             + np.diag(self.lower, -1)
         )
-
-    def dense_t(self) -> np.ndarray:
-        return self.dense().T
 
 
 def coefficient_matrix(d: DcheParams) -> TriDiagMatrix:
@@ -140,6 +134,10 @@ def _det_scan(n: int, mu: float, lam: np.ndarray):
         ex = np.frexp(m)[1]
         far = np.abs(ex) > 300
         if far.any():
+            # At a double root (mu = 0) the recurrence values all reach
+            # exactly zero while earlier frames shrank the summand maximum to
+            # a subnormal; a shift of 2**-ex past 2**1022 would be inf.
+            ex = np.maximum(ex, -1022)
             s = np.where(far, np.ldexp(1.0, -ex), 1.0)
             prev2, prev, dprev2, dprev = prev2 * s, prev * s, dprev2 * s, dprev * s
             smax = smax * s
@@ -163,33 +161,23 @@ def _ldexp_clamped(m: float, e: int) -> float:
         return math.copysign(math.inf, m)
 
 
-def det_and_scale(d: DcheParams) -> tuple[float, float]:
-    """:func:`spectral_det` and :func:`det_scale` of one triplet from one scan."""
+def spectral_det(d: DcheParams) -> tuple[float, float]:
+    """Determinant of the coefficient system and its scale, from one scan.
+
+    The determinant is zero iff a polynomial exists; it is a polynomial of
+    exact degree n + 1 in lambda (monic).  The scale is the largest absolute
+    summand met in the recurrence, floored at 1: the natural yardstick for
+    'is this determinant numerically zero'.  Both may saturate to +-inf for
+    very large n; :func:`spectral_det_scaled` never does.
+    """
     det, _, smax, e = _scan_at(d)
     return _ldexp_clamped(det, e), max(1.0, _ldexp_clamped(smax, e))
-
-
-def spectral_det(d: DcheParams) -> float:
-    """Determinant of the coefficient system; zero iff a polynomial exists.
-
-    A polynomial of exact degree n + 1 in lambda (monic).  May saturate to
-    +-inf for very large n; :func:`spectral_det_scaled` never does.
-    """
-    return det_and_scale(d)[0]
 
 
 def spectral_det_scaled(d: DcheParams) -> tuple[float, int]:
     """Determinant as ``(mantissa, exponent)`` with value mantissa * 2**exponent."""
     det, _, _, e = _scan_at(d)
     return det, e
-
-
-def det_scale(d: DcheParams) -> float:
-    """Largest absolute summand met in the determinant recurrence, floored at 1.
-
-    The natural yardstick for 'is this determinant numerically zero'.
-    """
-    return det_and_scale(d)[1]
 
 
 def transfer_matrix(k: int, d: DcheParams) -> np.ndarray:
@@ -287,29 +275,25 @@ def coeff_transfer(k: int, d: DcheParams) -> float:
     return (10.0 * f2 - f1) / 9.0
 
 
-def _master_terms(P: HeunPolynomial, z):
+def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:
+    """Residual of the polynomial-form equation at z, and its scale.
+
+    The residual uses exact derivatives; the scale is the largest absolute
+    value among its four summands.
+    """
     n, mu, lam = P.params.n, P.params.mu, P.params.lam
     v = P.value(z)
     dv = P.deriv1(z)
     d2v = P.deriv2(z)
     inner = z * dv - n * v
-    return (
+    terms = (
         z * ((1.0 - n) * dv + z * d2v),
         -mu * z * inner,
         (mu - z) * dv,
         lam * v,
     )
-
-
-def residual_master(P: HeunPolynomial, z) -> complex:
-    """Residual of the polynomial-form equation at z, with exact derivatives."""
-    t1, t2, t3, t4 = _master_terms(P, z)
-    return t1 + t2 + t3 + t4
-
-
-def residual_master_scale(P: HeunPolynomial, z) -> float:
-    """Largest absolute summand entering :func:`residual_master` at z."""
-    return float(max(abs(t) for t in _master_terms(P, z)))
+    t1, t2, t3, t4 = terms
+    return t1 + t2 + t3 + t4, float(max(abs(t) for t in terms))
 
 
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:

@@ -44,8 +44,7 @@ __all__ = [
     "lambda_spectrum",
     "SymmetryMatrix",
     "symmetry_matrix",
-    "check_factorization",
-    "spectral_condition",
+    "factorization",
     "root_params",
     "physical_point",
 ]
@@ -113,7 +112,9 @@ def lambda_spectrum(n: int, mu: float) -> SpectralSet:
     determinant then gates every root: each must bring the determinant below
     ``ROOT_TOL`` times the local determinant scale (largest recurrence summand
     or first-variation magnitude, whichever is bigger), or
-    ``ConvergenceFailure`` names the lowest seed index that missed.
+    ``ConvergenceFailure`` names the lowest seed index that missed.  A root
+    whose scan is not finite misses.  Where ``mu**2`` overflows a double no
+    root is gated.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"degree n must be a non-negative int, got {n!r}")
@@ -121,15 +122,18 @@ def lambda_spectrum(n: int, mu: float) -> SpectralSet:
         raise InvalidParams(f"mu must be a finite real, got {mu!r}")
 
     lams = _polish_extended(n, mu, _eigen_seeds(n, mu))
-    det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, lams))
-    for i, lam in enumerate(lams.tolist()):
-        ratio = _refine_ratio(det[i], ddet[i], lam, smax[i], e[i])
-        if ratio > ROOT_TOL:
-            raise ConvergenceFailure(
-                i,
-                f"root {i} of (n={n}, mu={mu}) polished to relative "
-                f"determinant {ratio:.3e} > {ROOT_TOL:g}",
-            )
+    # Where mu**2 overflows a double the determinant has no double value to
+    # gate; every use of such a triplet raises InvalidParams (mu_squared).
+    if math.isfinite(mu * mu):
+        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, lams))
+        for i, lam in enumerate(lams.tolist()):
+            ratio = _refine_ratio(det[i], ddet[i], lam, smax[i], e[i])
+            if not ratio <= ROOT_TOL:  # a NaN ratio fails too
+                raise ConvergenceFailure(
+                    i,
+                    f"root {i} of (n={n}, mu={mu}) polished to relative "
+                    f"determinant {ratio:.3e} > {ROOT_TOL:g}",
+                )
 
     return SpectralSet(n=n, mu=float(mu), lambdas=tuple(sorted(lams.tolist())))
 
@@ -239,31 +243,27 @@ def symmetry_matrix(epsilon: int, d: DcheParams) -> SymmetryMatrix:
     return SymmetryMatrix(epsilon=epsilon, n=n, entries=g)
 
 
-def check_factorization(d: DcheParams) -> tuple[float, int]:
-    """Compare the product of the two symmetry matrices against the system matrix.
+def factorization(d: DcheParams) -> tuple[float, int, float, float]:
+    """The factorization of the system matrix by the two symmetry matrices.
 
-    Returns ``(max_entry_deviation, sign)`` where sign in {+1, -1} marks the
-    better of ``G+ G- = +Phi`` / ``G+ G- = -Phi`` in the transposed
-    orientation.  The consistent outcome is sign = -1.
+    Returns ``(rel_dev, sign, det_plus, det_minus)``.  ``sign`` in {+1, -1}
+    marks the better of ``G+ G- = +Phi`` / ``G+ G- = -Phi`` in the
+    transposed orientation (the consistent outcome is sign = -1), and
+    ``rel_dev`` is its largest entry deviation divided by
+    ``max(1, max|G+ G-|)``.  ``det_plus`` and ``det_minus`` are the
+    determinants of G+ and G-: their product matches the gate determinant in
+    magnitude, so lambda is spectral iff one of the pair (numerically)
+    vanishes.
     """
-    prod = symmetry_matrix(1, d).entries @ symmetry_matrix(-1, d).entries
-    phi_t = coefficient_matrix(d).dense_t()
+    gp = symmetry_matrix(1, d).entries
+    gm = symmetry_matrix(-1, d).entries
+    prod = gp @ gm
+    phi_t = coefficient_matrix(d).dense().T
     dev_minus = float(np.max(np.abs(prod + phi_t)))
     dev_plus = float(np.max(np.abs(prod - phi_t)))
-    if dev_minus <= dev_plus:
-        return dev_minus, -1
-    return dev_plus, 1
-
-
-def spectral_condition(d: DcheParams) -> tuple[float, float]:
-    """Determinants of the two symmetry matrices.
-
-    Their product matches the gate determinant in magnitude, so lambda is
-    spectral iff one of the pair (numerically) vanishes.
-    """
-    det_plus = float(np.linalg.det(symmetry_matrix(1, d).entries))
-    det_minus = float(np.linalg.det(symmetry_matrix(-1, d).entries))
-    return det_plus, det_minus
+    dev, sign = (dev_minus, -1) if dev_minus <= dev_plus else (dev_plus, 1)
+    scale = max(1.0, float(np.max(np.abs(prod))))
+    return dev / scale, sign, float(np.linalg.det(gp)), float(np.linalg.det(gm))
 
 
 def root_params(n: int, mu: float, root_index: int) -> DcheParams:

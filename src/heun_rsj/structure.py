@@ -183,9 +183,8 @@ def residuals(P: HeunPolynomial) -> tuple[float, float]:
     residual of the coefficient system divided by max |a_k|.
     """
     master = max(
-        abs(heun_poly.residual_master(P, z))
-        / max(heun_poly.residual_master_scale(P, z), 1e-300)
-        for z in SAMPLE_POINTS
+        abs(res) / max(scale, 1e-300)
+        for res, scale in (heun_poly.residual_master(P, z) for z in SAMPLE_POINTS)
     )
     rows = heun_poly.residual_linear_system(P)
     amax = max(abs(c) for c in P.coeffs)
@@ -223,13 +222,10 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     rel = coeff_relations_residual(P)
     add("coeff_relations_rel", float(np.max(np.abs(rel))) / amax, TOL["coeff_relations"])
 
-    dev, sign = spectral.check_factorization(d)
-    prod = spectral.symmetry_matrix(1, d).entries @ spectral.symmetry_matrix(-1, d).entries
-    prod_scale = max(1.0, float(np.max(np.abs(prod))))
-    add("factorization_rel", dev / prod_scale, TOL["factorization"])
+    rel_dev, sign, det_p, det_m = spectral.factorization(d)
+    add("factorization_rel", rel_dev, TOL["factorization"])
     add("factorization_sign", sign, -1)  # sign is +-1: passes only at -1
-    det_p, det_m = spectral.spectral_condition(d)
-    delta, scale = heun_poly.det_and_scale(d)
+    delta, scale = heun_poly.spectral_det(d)
     det_gap = abs(abs(det_p * det_m) - abs(delta))
     add("det_product_rel", det_gap / scale, TOL["det_product"])
     add("det_min_rel", min(abs(det_p), abs(det_m)) / scale, TOL["det_min"])

@@ -13,19 +13,9 @@ import pytest
 from heun_rsj import heun_poly, spectral, structure
 from heun_rsj.dynamics import bias, integrate_phase, integrate_xy, phase_from_xy
 from heun_rsj.errors import ZeroOnUnitCircle
-from heun_rsj.heun_poly import (
-    build_polynomial,
-    det_scale,
-    spectral_det,
-    spectral_det_transfer,
-)
+from heun_rsj.heun_poly import build_polynomial, spectral_det, spectral_det_transfer
 from heun_rsj.model import DcheParams, RsjParams, dche_to_params
-from heun_rsj.spectral import (
-    check_factorization,
-    lambda_spectrum,
-    spectral_condition,
-    symmetry_matrix,
-)
+from heun_rsj.spectral import factorization, lambda_spectrum
 
 import helpers
 
@@ -74,10 +64,10 @@ def test_criterion_2_determinant_routes_and_closed_form():
             mu = rng.uniform(-5.0, 5.0)
             lam = rng.uniform(-10.0, 30.0)
             d = DcheParams(n=n, mu=mu, lam=lam)
-            a = spectral_det(d)
+            a, scale = spectral_det(d)
             b = spectral_det_transfer(d)
             denom = max(abs(a), abs(b))
-            if denom <= 1e-9 * det_scale(d):
+            if denom <= 1e-9 * scale:
                 continue
             worst_rel = max(worst_rel, abs(a - b) / denom)
 
@@ -171,24 +161,18 @@ def test_criterion_5_factorization():
                 if lam + mu**2 > spectral.DISC_MARGIN
             ]
             for d in generic + roots:
-                dev, sign = check_factorization(d)
+                rel_dev, sign, det_p, det_m = factorization(d)
                 signs.add(sign)
-                gp = symmetry_matrix(1, d).entries
-                gm = symmetry_matrix(-1, d).entries
-                scale = max(1.0, float(np.max(np.abs(gp @ gm))))
-                worst_dev = max(worst_dev, dev / scale)
-            for d in generic + roots:
-                det_p, det_m = spectral_condition(d)
-                delta = spectral_det(d)
-                scale = max(det_scale(d), abs(delta))
+                worst_dev = max(worst_dev, rel_dev)
+                delta, det_scale = spectral_det(d)
+                scale = max(det_scale, abs(delta))
                 worst_prod = max(
                     worst_prod, abs(abs(det_p * det_m) - abs(delta)) / scale
                 )
-            for d in roots:
-                det_p, det_m = spectral_condition(d)
-                worst_min = max(
-                    worst_min, min(abs(det_p), abs(det_m)) / det_scale(d)
-                )
+                if d in roots:
+                    worst_min = max(
+                        worst_min, min(abs(det_p), abs(det_m)) / det_scale
+                    )
     ok = (
         signs == {-1}
         and worst_dev <= 1e-10

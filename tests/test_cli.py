@@ -299,6 +299,15 @@ def test_huge_mu_root_commands_exit_typed(capsys, argv):
     assert err.startswith("error: InvalidParams: mu**2 overflows")
 
 
+# From about |mu| = 1e153 up to sqrt(DBL_MAX) the double determinant scan
+# overflows to NaN at the polished roots; a NaN relative determinant must
+# fail the root gate.
+def test_nan_determinant_fails_the_root_gate(capsys):
+    code, out, err = run_cli(capsys, "poly", "--n", "3", "--mu", "1.3e154", "--root", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ConvergenceFailure: ")
+
+
 # Every subcommand but ortho must run without importing scipy; ortho's
 # quadrature imports scipy.integrate on first use.
 _SCIPY_PROBE = """

@@ -24,11 +24,9 @@ from heun_rsj.heun_poly import (
     coefficient_matrix,
     coefficient_ratios,
     coeffs_from_ratios,
-    det_scale,
     necessary_condition,
     residual_linear_system,
     residual_master,
-    residual_master_scale,
     spectral_det,
     spectral_det_scaled,
     spectral_det_transfer,
@@ -73,11 +71,6 @@ class TestCoefficientMatrix:
             coefficient_matrix(d).dense(), expected, rtol=0.0, atol=0.0
         )
 
-    def test_dense_t_is_transpose(self):
-        d = DcheParams(n=3, mu=1.2, lam=0.5)
-        m = coefficient_matrix(d)
-        np.testing.assert_array_equal(m.dense_t(), m.dense().T)
-
 
 def _det_scan_loop(n, mu, lam):
     """One-lambda reference for :func:`heun_poly._det_scan`, in Python floats."""
@@ -97,7 +90,7 @@ def _det_scan_loop(n, mu, lam):
         prev2, prev = prev, cur
         dprev2, dprev = dprev, dcur
         m = max(abs(prev), abs(prev2), abs(dprev), abs(dprev2), smax)
-        ex = math.frexp(m)[1]
+        ex = max(math.frexp(m)[1], -1022)
         if m > 0.0 and abs(ex) > 300:
             s = math.ldexp(1.0, -ex)
             prev2, prev, dprev2, dprev, smax = (
@@ -113,7 +106,7 @@ class TestDeterminant:
     def test_two_by_two_closed_form(self, mu, lam):
         d = DcheParams(n=1, mu=mu, lam=lam)
         expected = lam * (lam - 1.0) - mu**2
-        assert spectral_det(d) == pytest.approx(
+        assert spectral_det(d)[0] == pytest.approx(
             expected, rel=1e-13, abs=1e-13
         )
 
@@ -125,11 +118,9 @@ class TestDeterminant:
     @settings(max_examples=200)
     def test_matches_dense_determinant(self, n, mu, lam):
         d = DcheParams(n=n, mu=mu, lam=lam)
-        ours = spectral_det(d)
+        ours, scale = spectral_det(d)
         dense = float(np.linalg.det(coefficient_matrix(d).dense()))
-        assert abs(ours - dense) <= 1e-9 * max(
-            det_scale(d), abs(ours), abs(dense)
-        )
+        assert abs(ours - dense) <= 1e-9 * max(scale, abs(ours), abs(dense))
 
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -140,10 +131,10 @@ class TestDeterminant:
     @example(n=12, mu=1.0, lam=-1.0)  # lambda = -mu**2: float product lost it
     def test_minor_and_transfer_routes_agree(self, n, mu, lam):
         d = DcheParams(n=n, mu=mu, lam=lam)
-        a = spectral_det(d)
+        a, scale = spectral_det(d)
         b = spectral_det_transfer(d)
         denom = max(abs(a), abs(b))
-        if denom <= 1e-9 * det_scale(d):
+        if denom <= 1e-9 * scale:
             # Both routes see a numerical zero; nothing to compare.
             return
         assert abs(a - b) <= 1e-10 * denom
@@ -161,7 +152,7 @@ class TestDeterminant:
         mu = 1.3
 
         def f(lam):
-            return spectral_det(DcheParams(n=n, mu=mu, lam=lam))
+            return spectral_det(DcheParams(n=n, mu=mu, lam=lam))[0]
 
         vals = [f(float(j)) for j in range(n + 3)]
         # (n+1)-th forward difference of a monic degree-(n+1) polynomial on a
@@ -181,27 +172,29 @@ class TestDeterminant:
     @settings(max_examples=100)
     def test_hand_value_degree_three_at_lambda_zero(self, mu):
         d = DcheParams(n=3, mu=mu, lam=0.0)
-        assert spectral_det(d) == pytest.approx(
+        assert spectral_det(d)[0] == pytest.approx(
             9.0 * mu**4 - 36.0 * mu**2, rel=1e-13, abs=1e-13
         )
 
     def test_exact_zero_at_mu_two(self):
-        assert spectral_det(DcheParams(n=3, mu=2.0, lam=0.0)) == 0.0
+        assert spectral_det(DcheParams(n=3, mu=2.0, lam=0.0))[0] == 0.0
 
     def test_scaled_form_consistent(self):
         d = DcheParams(n=6, mu=2.0, lam=3.7)
         m, e = spectral_det_scaled(d)
-        assert math.ldexp(m, e) == spectral_det(d)
+        assert math.ldexp(m, e) == spectral_det(d)[0]
 
     def test_scale_floor(self):
-        assert det_scale(DcheParams(n=2, mu=1.0, lam=0.5)) >= 1.0
+        assert spectral_det(DcheParams(n=2, mu=1.0, lam=0.5))[1] >= 1.0
 
     @pytest.mark.parametrize("n", [0, 1, 7, 60, 150, 300])
-    @pytest.mark.parametrize("mu", [0.2, 1.82, -1.3])
+    @pytest.mark.parametrize("mu", [0.2, 1.82, -1.3, 0.0])
     def test_array_scan_matches_scalar_loop(self, n, mu):
         # The array recurrence must do, element by element, exactly the
         # arithmetic of the one-lambda loop below -- renormalisation frames
         # included, which n >= 60 exercises -- at the roots and between them.
+        # mu = 0 has double roots, where the frame of an exact zero is set by
+        # a subnormal summand maximum from n = 136 on.
         lams = np.concatenate([
             lambda_spectrum(n, mu).lambdas,
             np.linspace(-mu * mu - 1.0, n * n / 4.0 + 3.0, 9),
@@ -311,8 +304,8 @@ class TestNecessaryCondition:
         if abs(lam) < 1e-3:
             return
         d = DcheParams(n=n, mu=mu, lam=lam)
-        delta = spectral_det(d)
-        if abs(delta) <= 1e-6 * det_scale(d):
+        delta, scale = spectral_det(d)
+        if abs(delta) <= 1e-6 * scale:
             return
         value = necessary_condition(d)
         reference = -delta / (n * lam)
@@ -339,9 +332,8 @@ class TestResidualEvaluators:
     def test_master_residual_small_at_solution(self):
         poly = self._solution()
         for z in SAMPLE_POINTS:
-            res = abs(residual_master(poly, z))
-            scale = max(residual_master_scale(poly, z), 1e-300)
-            assert res <= 1e-10 * scale
+            res, scale = residual_master(poly, z)
+            assert abs(res) <= 1e-10 * max(scale, 1e-300)
 
     def test_master_residual_flags_perturbation(self):
         poly = self._solution()
@@ -350,9 +342,8 @@ class TestResidualEvaluators:
         coeffs[1] += 1e-4 * amax
         bad = HeunPolynomial(n=poly.n, coeffs=tuple(coeffs), params=poly.params)
         worst = max(
-            abs(residual_master(bad, z))
-            / max(residual_master_scale(bad, z), 1e-300)
-            for z in SAMPLE_POINTS
+            abs(res) / max(scale, 1e-300)
+            for res, scale in (residual_master(bad, z) for z in SAMPLE_POINTS)
         )
         assert worst >= 1e-6
 
@@ -399,6 +390,5 @@ class TestBuildPolynomial:
             poly = build_polynomial(DcheParams(n=3, mu=2.0, lam=lam))
             assert abs(poly.coeffs[1]) <= 1e-12
             for z in SAMPLE_POINTS:
-                res = abs(residual_master(poly, z))
-                scale = max(residual_master_scale(poly, z), 1e-300)
-                assert res <= 1e-9 * scale
+                res, scale = residual_master(poly, z)
+                assert abs(res) <= 1e-9 * max(scale, 1e-300)

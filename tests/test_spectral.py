@@ -15,16 +15,15 @@ from heun_rsj.errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from heun_rsj.heun_poly import _det_scan, coefficient_matrix, det_scale, spectral_det
+from heun_rsj.heun_poly import _det_scan, coefficient_matrix, spectral_det
 from heun_rsj.model import DcheParams
 from heun_rsj.spectral import (
     DISC_MARGIN,
     ROOT_TOL,
     SpectralSet,
-    check_factorization,
+    factorization,
     lambda_spectrum,
     physical_point,
-    spectral_condition,
     symmetry_matrix,
 )
 
@@ -160,7 +159,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("mu", [0.25, 1.0, 3.0, -2.0, 5.0])
     def test_roots_zero_the_determinant(self, n, mu):
         # At large n the determinant is so steep near its roots that its
-        # value changes by a sizeable fraction of det_scale between
+        # value changes by a sizeable fraction of the det scale between
         # adjacent doubles, so the summand scale alone is not a usable
         # yardstick.  Fold in |lam * Delta'| (finite differences): the
         # bound then certifies each root to ~1e-9 relative accuracy.
@@ -168,11 +167,24 @@ class TestSpectrum:
             d = DcheParams(n=n, mu=mu, lam=lam)
             h = 1e-6 * max(1.0, abs(lam))
             slope = (
-                spectral_det(DcheParams(n=n, mu=mu, lam=lam + h))
-                - spectral_det(DcheParams(n=n, mu=mu, lam=lam - h))
+                spectral_det(DcheParams(n=n, mu=mu, lam=lam + h))[0]
+                - spectral_det(DcheParams(n=n, mu=mu, lam=lam - h))[0]
             ) / (2.0 * h)
-            scale = max(det_scale(d), abs(lam * slope), abs(h * slope))
-            assert abs(spectral_det(d)) <= 1e-9 * scale
+            det, det_scale = spectral_det(d)
+            scale = max(det_scale, abs(lam * slope), abs(h * slope))
+            assert abs(det) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("n", [136, 137, 249])
+    def test_mu_zero_double_roots_pass_the_gate(self, n):
+        # Every root j*(n+1-j) is double at mu = 0: the scan reaches an exact
+        # zero while its frame holds only a subnormal summand maximum, and
+        # the frame shift must stay finite there.
+        lams = lambda_spectrum(n, 0.0).lambdas
+        assert lams == tuple(sorted(float(j * (n + 1 - j)) for j in range(n + 1)))
+        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, 0.0, np.array(lams)))
+        for i, lam in enumerate(lams):
+            assert all(math.isfinite(x) for x in (det[i], ddet[i], smax[i]))
+            assert spectral._refine_ratio(det[i], ddet[i], lam, smax[i], e[i]) <= ROOT_TOL
 
     def test_unpolished_root_fails_the_gate(self, monkeypatch):
         # The gate on the returned roots is the only guard between a bad
@@ -309,22 +321,31 @@ class TestSymmetryMatrices:
         phi_t = coefficient_matrix(d).dense().T
         np.testing.assert_allclose(gp @ gm, -phi_t, atol=1e-14)
 
+    # (0.9, 0.8) at n = 1 is the hand case above.
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
-    @pytest.mark.parametrize("lam,mu", [(0.73, 1.1), (2.4, 0.6), (5.9, 2.3)])
+    @pytest.mark.parametrize(
+        "lam,mu", [(0.73, 1.1), (2.4, 0.6), (5.9, 2.3), (0.9, 0.8)]
+    )
     def test_factorization_generic(self, n, lam, mu):
         d = DcheParams(n=n, mu=mu, lam=lam)
-        dev, sign = check_factorization(d)
+        rel_dev, sign, det_p, det_m = factorization(d)
         gp = symmetry_matrix(1, d).entries
         gm = symmetry_matrix(-1, d).entries
-        scale = max(1.0, float(np.max(np.abs(gp @ gm))))
+        prod = gp @ gm
+        phi_t = coefficient_matrix(d).dense().T
+        dev = float(np.max(np.abs(prod + phi_t)))
         assert sign == -1
-        assert dev <= 1e-12 * scale
+        assert dev < float(np.max(np.abs(prod - phi_t)))
+        assert rel_dev == dev / max(1.0, float(np.max(np.abs(prod))))
+        assert rel_dev <= 1e-12
+        assert det_p == float(np.linalg.det(gp))
+        assert det_m == float(np.linalg.det(gm))
 
     def test_condition_splits_determinant(self):
         d = DcheParams(n=3, mu=1.2, lam=1.9)
-        det_p, det_m = spectral_condition(d)
+        _, _, det_p, det_m = factorization(d)
         assert abs(det_p * det_m) == pytest.approx(
-            abs(spectral_det(d)), rel=1e-10
+            abs(spectral_det(d)[0]), rel=1e-10
         )
 
     def test_one_factor_vanishes_at_root(self):
@@ -333,8 +354,8 @@ class TestSymmetryMatrices:
             d = DcheParams(n=n, mu=mu, lam=lam)
             if d.lam + mu**2 <= DISC_MARGIN:
                 continue
-            det_p, det_m = spectral_condition(d)
-            assert min(abs(det_p), abs(det_m)) <= 1e-10 * det_scale(d)
+            _, _, det_p, det_m = factorization(d)
+            assert min(abs(det_p), abs(det_m)) <= 1e-10 * spectral_det(d)[1]
 
 
 class TestPhysicalPoint:
