@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from heun_rsj import (
-    DcheParams,
     ZeroOnUnitCircle,
     build_polynomial,
     dche_to_params,
     integrate_phase,
     lambda_spectrum,
     phase_series,
+    root_params,
 )
 from heun_rsj.serialize import fmt_float
 from heun_rsj.spectral import DISC_MARGIN
@@ -53,13 +53,13 @@ def wrapped_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.angle(np.exp(1j * (a - b))))))
 
 
-def benchmark_root(cfg: BenchConfig, index: int, lam: float) -> RootReport:
-    d = DcheParams(n=cfg.n, mu=cfg.mu, lam=lam)
-    P = build_polynomial(d)
+def benchmark_root(cfg: BenchConfig, index: int) -> RootReport:
+    d, epsilon = root_params(cfg.n, cfg.mu, index)
+    P = build_polynomial(d, epsilon)
     p = dche_to_params(d)
     t_end = cfg.periods * p.period
 
-    report = RootReport(index=index, lam=lam)
+    report = RootReport(index=index, lam=d.lam)
     for per_period in cfg.steps:
         h = p.period / per_period
         times = np.arange(cfg.periods * per_period + 1) * h
@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
                   "(skipped: discriminant below margin)")
             continue
         try:
-            reports.append(benchmark_root(cfg, i, lam))
+            reports.append(benchmark_root(cfg, i))
         except ZeroOnUnitCircle:
             print(f"root {i}: lambda = {fmt_float(lam)}  "
                   "(skipped: polynomial zero on the unit circle)")

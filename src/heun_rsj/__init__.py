@@ -28,7 +28,6 @@ from .errors import (
     ZeroArgument,
     ZeroAtOne,
     ZeroOnUnitCircle,
-    ZeroRatioDivision,
 )
 from .model import (
     DcheCandidate,
@@ -58,9 +57,6 @@ from .heun_poly import (
     TriDiagMatrix,
     build_polynomial,
     coefficient_matrix,
-    coefficient_ratios,
-    coeff_transfer,
-    coeffs_from_ratios,
     necessary_condition,
     residual_linear_system,
     residual_master,
@@ -75,6 +71,7 @@ from .spectral import (
     factorization,
     lambda_spectrum,
     physical_point,
+    root_params,
     symmetry_matrix,
 )
 from .structure import (

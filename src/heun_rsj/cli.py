@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -77,8 +78,8 @@ def cmd_spectrum(args) -> tuple[str, int]:
 
 
 def cmd_poly(args) -> tuple[str, int]:
-    d = spectral.root_params(args.n, args.mu, args.root)
-    poly = heun_poly.build_polynomial(d)
+    d, epsilon = spectral.root_params(args.n, args.mu, args.root)
+    poly = heun_poly.build_polynomial(d, epsilon)
     master, linear = structure.residuals(poly)
     report = {
         "schema": SCHEMA,
@@ -89,18 +90,15 @@ def cmd_poly(args) -> tuple[str, int]:
         "lambda": d.lam,
     }
     report.update(_physical_fields(d))
-    try:
-        report["epsilon"] = structure.symmetry_sign(poly)
-    except HeunRsjError as exc:
-        report["epsilon_error"] = type(exc).__name__
+    report["epsilon"] = epsilon
     report["coeffs"] = list(poly.coeffs)
     report["residuals"] = {"master_rel_max": master, "linear_system_rel_max": linear}
     return json_dumps(report), 0
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    d = spectral.root_params(args.n, args.mu, args.root)
-    checks, skipped = structure.certify(heun_poly.build_polynomial(d))
+    d, epsilon = spectral.root_params(args.n, args.mu, args.root)
+    checks, skipped = structure.certify(heun_poly.build_polynomial(d, epsilon))
     ok = all(c["pass"] for c in checks)
     report = {
         "schema": SCHEMA,
@@ -109,6 +107,7 @@ def cmd_verify(args) -> tuple[str, int]:
         "mu": args.mu,
         "root_index": args.root,
         "lambda": d.lam,
+        "epsilon": epsilon,
         "checks": checks,
         "skipped": skipped,
         "pass": ok,
@@ -133,8 +132,8 @@ def cmd_simulate(args) -> tuple[str, int]:
 
 
 def cmd_phase_compare(args) -> tuple[str, int]:
-    p, d = spectral.physical_point(args.n, args.mu, args.root)
-    poly = heun_poly.build_polynomial(d)
+    p, d, epsilon = spectral.physical_point(args.n, args.mu, args.root)
+    poly = heun_poly.build_polynomial(d, epsilon)
     t_end = args.periods * p.period
     h = args.h if args.h else p.period / 2000.0
 
@@ -176,10 +175,10 @@ def cmd_phase_compare(args) -> tuple[str, int]:
 
 
 def cmd_ortho(args) -> tuple[str, int]:
-    _, d1 = spectral.physical_point(args.n1, args.mu, args.root1)
-    _, d2 = spectral.physical_point(args.n2, args.mu, args.root2)
-    p1 = heun_poly.build_polynomial(d1)
-    p2 = heun_poly.build_polynomial(d2)
+    _, d1, eps1 = spectral.physical_point(args.n1, args.mu, args.root1)
+    _, d2, eps2 = spectral.physical_point(args.n2, args.mu, args.root2)
+    p1 = heun_poly.build_polynomial(d1, eps1)
+    p2 = heun_poly.build_polynomial(d2, eps2)
     value, scale = structure.orthogonality_integral(p1, p2)
     ratio = abs(value) / scale if scale > 0 else 0.0
     applies = args.n1 != args.n2
@@ -187,8 +186,8 @@ def cmd_ortho(args) -> tuple[str, int]:
         "schema": SCHEMA,
         "command": "ortho",
         "mu": args.mu,
-        "p1": {"n": args.n1, "root_index": args.root1, "lambda": d1.lam},
-        "p2": {"n": args.n2, "root_index": args.root2, "lambda": d2.lam},
+        "p1": {"n": args.n1, "root_index": args.root1, "lambda": d1.lam, "epsilon": eps1},
+        "p2": {"n": args.n2, "root_index": args.root2, "lambda": d2.lam, "epsilon": eps2},
         "value": value,
         "scale": scale,
         "ratio": ratio,
@@ -298,6 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu-points", type=_positive(int), default=1)
     sw.set_defaults(func=cmd_sweep)
 
+    # argparse's own negative-number pattern has no exponent, so it would
+    # read the "-1e3" of "--mu -1e3" as an option.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

@@ -49,16 +49,8 @@ class IndexOutOfRange(HeunRsjError, IndexError):
     """A coefficient or root index lies outside its valid range."""
 
 
-class ZeroRatioDivision(HeunRsjError, ZeroDivisionError):
-    """A downward ratio R_{k+1} vanished exactly, blocking the recurrence."""
-
-    def __init__(self, k: int):
-        self.k = k
-        super().__init__(f"ratio recurrence hit R_{k + 1} = 0 while forming R_{k}")
-
-
 class NotSpectral(HeunRsjError):
-    """The determinant gate rejected (n, mu, lambda): no polynomial solution."""
+    """(n, mu, lambda, epsilon) is not a spectral root: no polynomial solution."""
 
 
 class LambdaZero(HeunRsjError):

@@ -1,4 +1,4 @@
-"""Polynomial solutions of the reduced equation and their determinant gate.
+"""Polynomial solutions of the reduced equation and their determinant.
 
 Substituting ``P(z) = sum_{k=0}^n a_k z^k`` into the polynomial-form equation
 
@@ -14,9 +14,9 @@ A nontrivial solution exists iff the determinant of that system vanishes;
 ``spectral_det`` evaluates it, with its scale, by the classic three-term
 minor recurrence and ``spectral_det_transfer`` independently through ordered
 products of 2x2 transfer matrices, so the two routes cross-check each other.
-Coefficients come either from the terminating ratio recurrence
-(``coeffs_from_ratios``) or, again independently, from transfer-matrix
-products (``coeff_transfer``).
+The coefficients themselves come from the reflection relation of the
+solution (``build_polynomial``): an eigenvector of a symmetric Jacobi matrix
+whose eigenvalue fixes both lambda and the reflection sign.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ import numpy as np
 
 from .errors import (
     DegreeZeroUnsupported,
-    IndexOutOfRange,
     InvalidParams,
     LambdaZero,
     NotSpectral,
-    ZeroRatioDivision,
 )
-from .model import DcheParams, HeunPolynomial
+from .model import DcheParams, HeunPolynomial, mu_squared
 
 __all__ = [
     "SAMPLE_POINTS",
@@ -46,17 +44,14 @@ __all__ = [
     "spectral_det_scaled",
     "transfer_matrix",
     "spectral_det_transfer",
-    "coefficient_ratios",
-    "coeffs_from_ratios",
-    "coeff_transfer",
     "residual_master",
     "residual_linear_system",
     "necessary_condition",
     "build_polynomial",
 ]
 
-#: Largest |det| / max(1, largest recurrence summand) that
-#: :func:`build_polynomial` accepts as a spectral triplet.
+#: Largest relative eigen-residual ``||(J - kappa*I) v|| / ||J||`` (infinity
+#: norms, ``||v|| = 1``) at which :func:`build_polynomial` accepts a root.
 SPECTRAL_TOL = 1e-8
 
 # Deterministic residual sample set: two reciprocal pairs on the real axis,
@@ -217,64 +212,6 @@ def spectral_det_transfer(d: DcheParams) -> float:
         return math.inf if det > 0 else -math.inf
 
 
-def coefficient_ratios(d: DcheParams) -> np.ndarray:
-    """Scaled ratios R_k = (mu/k) * a_{k-1}/a_k for k = 1..n (index k-1).
-
-    Downward recurrence terminating at R_n = 1 - lambda/n; each step uses
-    R_k = 1 + lambda/(k(k-n-1)) + mu^2/(k(k-n-1)*R_{k+1}).  No ratio below
-    k = 1 is ever formed.
-    """
-    n, mu, lam = d.n, d.mu, d.lam
-    if n == 0:
-        return np.empty(0)
-    r = np.empty(n)
-    r[n - 1] = 1.0 - lam / n
-    for k in range(n - 1, 0, -1):
-        if r[k] == 0.0:
-            raise ZeroRatioDivision(k)
-        denom = k * (k - n - 1.0)
-        r[k - 1] = 1.0 + lam / denom + mu**2 / (denom * r[k])
-    return r
-
-
-def coeffs_from_ratios(d: DcheParams) -> np.ndarray:
-    """Coefficients a_0..a_n with a_n = 1, chained down through the ratios."""
-    if d.mu == 0:
-        raise InvalidParams("mu must be nonzero to chain coefficients from ratios")
-    r = coefficient_ratios(d)
-    a = np.empty(d.n + 1)
-    a[d.n] = 1.0
-    for k in range(d.n, 0, -1):
-        a[k - 1] = (k / d.mu) * r[k - 1] * a[k]
-    return a
-
-
-def coeff_transfer(k: int, d: DcheParams) -> float:
-    """Coefficient a_k (a_n = 1) from the transfer-matrix representation.
-
-    Valid for 1 <= k <= n directly; k = 0 is the limit of the k -> k + eps
-    regularised formula, taken by Richardson extrapolation over
-    eps in {1e-6, 1e-7}.  Independent of :func:`coeffs_from_ratios`.
-    """
-    if d.n == 0:
-        raise DegreeZeroUnsupported("transfer coefficients need degree n >= 1")
-    if not 0 <= k <= d.n:
-        raise IndexOutOfRange(f"k = {k} outside [0, {d.n}]")
-    n, mu = d.n, d.mu
-    if k >= 1:
-        col = _transfer_product_times(np.array([n - d.lam, float(n)]), d, k)
-        return (-mu) ** (k - n) / (k * math.factorial(n + 1 - k)) * col[1]
-    col = _transfer_product_times(np.array([n - d.lam, float(n)]), d, 1)
-
-    def reg(eps: float) -> float:
-        z_eps = eps * (eps - n - 1.0)
-        head = z_eps * col[0]  # [0, 1] . M_eps . col
-        return (-mu) ** (-n) / (eps * math.factorial(n + 1)) * head
-
-    f1, f2 = reg(1e-6), reg(1e-7)
-    return (10.0 * f2 - f1) / 9.0
-
-
 def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:
     """Residual of the polynomial-form equation at z, and its scale.
 
@@ -317,33 +254,78 @@ def necessary_condition(d: DcheParams) -> float:
     return float(col[0] + (d.mu**2 / d.lam) * col[1])
 
 
-def build_polynomial(d: DcheParams) -> HeunPolynomial:
-    """Construct the normalised polynomial at a spectral triplet.
+def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric Jacobi form of the reflection relations at (n, mu).
 
-    Gates on the determinant being numerically zero (``SPECTRAL_TOL``)
-    relative to the largest summand of its recurrence, then chains the
-    coefficients from the ratio recurrence with a_n = 1.
+    A solution with sign eps has ``K^T a = kappa*a``, ``kappa = -eps*c``, for
+    ``K = G_eps - eps*c*I`` (``spectral.symmetry_matrix``).  In the
+    interleaved index order ``(0, n, 1, n-1, ...)`` K^T is tridiagonal:
+    (i, n-i) couple through ``mu`` both ways, (n-i, i+1) through ``-(i+1)``
+    and ``-(n-i)``, and the last position holds ``mu`` (n even) or
+    ``-(n+1)/2`` (n odd).  Every pair product is positive, so
+    ``J = D^-1 K^T D`` is symmetric for a diagonal D.  Returns
+    ``(jac, order, log_d)``: an eigenvector v of J gives the coefficients
+    ``a[order] = exp(log_d) * v``.
     """
-    det, _, smax, e = _scan_at(d)
-    # Compare |det| against tol * max(1, summand_max) in log2 space so the
-    # shared 2**e frame can never overflow the gate itself.
-    if det != 0.0:
-        log_det = math.log2(abs(det)) + e
-        log_scale = max(0.0, math.log2(smax) + e) if smax else 0.0
-        if log_det > math.log2(SPECTRAL_TOL) + log_scale:
-            raise NotSpectral(
-                f"determinant magnitude 2**{log_det:.2f} exceeds {SPECTRAL_TOL:g} * "
-                f"scale (2**{log_scale:.2f}) at (n={d.n}, mu={d.mu}, lambda={d.lam})"
-            )
-    if d.n == 0:
-        return HeunPolynomial(n=0, coeffs=(1.0,), params=d)
-    try:
-        coeffs = coeffs_from_ratios(d)
-    except ZeroRatioDivision:
-        # An interior coefficient vanishes exactly (isolated zero: a simple
-        # root has a one-dimensional kernel, so zeros cannot be consecutive);
-        # the transfer route computes each coefficient independently.
-        coeffs = np.array([coeff_transfer(k, d) for k in range(d.n + 1)])
-    if not np.all(np.isfinite(coeffs)):
-        raise InvalidParams("ratio chain produced non-finite coefficients")
-    return HeunPolynomial(n=d.n, coeffs=tuple(float(c) for c in coeffs), params=d)
+    m = n + 1
+    order = np.empty(m, dtype=np.intp)
+    order[0::2] = np.arange((m + 1) // 2)
+    order[1::2] = n - np.arange(m // 2)
+    i = np.arange(n) // 2
+    odd = np.arange(n) % 2 == 1
+    off = np.where(odd, -np.sqrt((i + 1.0) * (n - i)), mu)
+    # d_{p+1} / d_p = sqrt(lower / upper) of each pair; 1 where both are mu.
+    ratio = np.where(odd, 0.5 * np.log((n - i) / (i + 1.0)), 0.0)
+    log_d = np.concatenate(([0.0], np.cumsum(ratio)))
+    diag = np.zeros(m)
+    diag[-1] = -(n + 1) / 2 if n % 2 else mu
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return jac, order, log_d
+
+
+def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
+    """The polynomial of the spectral root (lambda, epsilon), with a_n = 1.
+
+    ``spectral.root_params`` gives the pair.  The coefficients are the
+    eigenvector of J (:func:`_reflection_jacobi`) at
+    ``kappa = -epsilon*sqrt(lambda + mu**2)`` (0 where lambda + mu**2 <= 0):
+    two inverse-iteration solves of ``J - kappa*I`` from the all-ones
+    vector, mapped back through the similarity.  ``NotSpectral`` is raised
+    unless the solve vector v, scaled to ``max|v_k| = 1``, has
+    ``max|((J - kappa*I) v)_k| <= SPECTRAL_TOL * ||J||`` (largest row sum);
+    ``InvalidParams`` where a_n = 1 overflows the other coefficients, or
+    where mu = 0 makes every root of degree n >= 1 double.
+    """
+    if epsilon not in (1, -1):
+        raise InvalidParams(f"epsilon must be +1 or -1, got {epsilon!r}")
+    n, mu = d.n, d.mu
+    if mu == 0 and n >= 1:
+        raise InvalidParams("mu must be nonzero: at mu = 0 every root is double")
+    kappa = -epsilon * math.sqrt(max(d.lam + mu_squared(mu), 0.0))
+    jac, order, log_d = _reflection_jacobi(n, mu)
+    # Infinity norms throughout: no square of an entry of J can overflow.
+    norm = float(np.linalg.norm(jac, np.inf))
+    # A shift on an exact eigenvalue would make the solve singular; moving
+    # it a few ulps of ||J|| changes the convergence rate, not the limit.
+    nudge = 4.0 * np.finfo(float).eps * max(norm, 1.0)
+    shifted = jac - (kappa + nudge) * np.eye(n + 1)
+    v = np.ones(n + 1)
+    for _ in range(2):
+        v = np.linalg.solve(shifted, v)
+        v /= np.max(np.abs(v))
+    resid = float(np.max(np.abs(jac @ v - kappa * v)))
+    if not resid <= SPECTRAL_TOL * norm:  # a NaN residual fails too
+        raise NotSpectral(
+            f"eigen-residual {resid:.3e} exceeds {SPECTRAL_TOL:g} * ||J|| "
+            f"({norm:.3e}) at (n={n}, mu={mu}, lambda={d.lam}, epsilon={epsilon})"
+        )
+    lead = min(n, 1)  # position of a_n in the interleaved order
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = np.exp(log_d - log_d[lead]) * (v / v[lead])
+    if not np.all(np.isfinite(a)):
+        raise InvalidParams(
+            f"a_n = 1 overflows the other coefficients at (n={n}, mu={mu})"
+        )
+    coeffs = np.empty(n + 1)
+    coeffs[order] = a
+    return HeunPolynomial(n=n, coeffs=tuple(coeffs.tolist()), params=d)

@@ -153,7 +153,7 @@ class HeunPolynomial:
     """Polynomial ``P(z) = sum a_k z^k`` attached to its reduced triplet.
 
     ``coeffs`` is ascending, length ``n + 1``, with ``a_n != 0`` so the degree
-    is exact.  Construction from the determinant gate normalises ``a_n = 1``;
+    is exact.  ``heun_poly.build_polynomial`` normalises ``a_n = 1``;
     derived objects (e.g. the reflected polynomial) may carry another leading
     coefficient.
     """

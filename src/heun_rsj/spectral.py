@@ -18,7 +18,9 @@ The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 (one per sign) whose product reproduces the coefficient matrix up to an
 overall factor of -1 in its transposed orientation -- re-derived by brute
 force on small n in the test-suite -- so the determinant splits into two
-factors and every spectral lambda kills one of them.
+factors and every spectral lambda kills one of them.  The sign of the factor
+it kills names the root together with lambda: ``root_params`` reads it from
+the eigenvalues of the symmetric Jacobi form of the reflection relations.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from .heun_poly import _det_scan, coefficient_matrix
+from .heun_poly import _det_scan, _reflection_jacobi, coefficient_matrix
 from .model import DcheParams, RsjParams, dche_to_params, mu_squared
 
 __all__ = [
@@ -266,29 +268,48 @@ def factorization(d: DcheParams) -> tuple[float, int, float, float]:
     return dev / scale, sign, float(np.linalg.det(gp)), float(np.linalg.det(gm))
 
 
-def root_params(n: int, mu: float, root_index: int) -> DcheParams:
-    """Triplet at one spectral root, independent of whether it is physical.
+def _root_signs(n: int, mu: float, lambdas) -> list[int]:
+    """Reflection sign of every root, for the ascending spectrum ``lambdas``.
 
-    Every use of the triplet needs ``mu**2``, so a drive whose square
-    overflows a double raises ``InvalidParams`` here, before any polynomial
-    work.
+    A root is the pair (lambda, epsilon): the two members of a
+    near-degenerate pair carry opposite signs and can round to one double
+    lambda.  The eigenvalues kappa of the Jacobi form of the reflection
+    relations (``heun_poly._reflection_jacobi``) give
+    ``lambda = kappa**2 - mu**2`` and ``epsilon = -sign(kappa)`` (+1 at 0).
+    Ranked by ``(kappa**2 - mu**2, epsilon)`` they match ``lambdas`` in
+    order; a pair whose ``lambdas`` are one double is ordered by epsilon.
+    """
+    mu2 = mu_squared(mu)
+    kappa = np.linalg.eigvalsh(_reflection_jacobi(n, mu)[0])
+    signs = np.where(kappa > 0, -1, 1).tolist()
+    ranked = sorted(zip((kappa * kappa - mu2).tolist(), signs))
+    return [eps for _, eps in sorted(zip(lambdas, (eps for _, eps in ranked)))]
+
+
+def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
+    """Triplet and reflection sign ``(d, epsilon)`` of one spectral root.
+
+    The triplet carries the polished lambda of :func:`lambda_spectrum` and
+    the sign comes from :func:`_root_signs`; the root need not be physical.
+    A drive whose square overflows a double raises ``InvalidParams`` here,
+    before any polynomial work.
     """
     spectrum = lambda_spectrum(n, mu)
     if not 0 <= root_index < len(spectrum.lambdas):
         raise IndexOutOfRange(
             f"root index {root_index} outside [0, {len(spectrum.lambdas) - 1}]"
         )
-    mu_squared(mu)
-    return DcheParams(n=n, mu=float(mu), lam=spectrum.lambdas[root_index])
+    d = DcheParams(n=n, mu=float(mu), lam=spectrum.lambdas[root_index])
+    return d, _root_signs(n, mu, spectrum.lambdas)[root_index]
 
 
 def physical_point(
     n: int, mu: float, root_index: int
-) -> tuple[RsjParams, DcheParams]:
-    """Bias parameters realising one spectral root, with its triplet.
+) -> tuple[RsjParams, DcheParams, int]:
+    """Bias parameters realising one spectral root, with its triplet and sign.
 
     The recovered record has ``B = -(n+1)*omega`` exactly and positive
     drive frequency.
     """
-    d = root_params(n, mu, root_index)
-    return dche_to_params(d), d
+    d, epsilon = root_params(n, mu, root_index)
+    return dche_to_params(d), d, epsilon

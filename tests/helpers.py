@@ -13,16 +13,25 @@ from heun_rsj import heun_poly, spectral
 from heun_rsj.model import DcheParams, HeunPolynomial
 
 
-def spectral_points(n: int, mu: float) -> list[tuple[int, DcheParams]]:
-    """All spectral triplets at (n, mu), tagged with their root index."""
-    spectrum = spectral.lambda_spectrum(n, mu)
+def spectral_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:
+    """All spectral roots at (n, mu): root index, triplet and reflection sign.
+
+    Same pairs as ``spectral.root_params`` at every index, from one spectrum.
+    """
+    lams = spectral.lambda_spectrum(n, mu).lambdas
+    signs = spectral._root_signs(n, mu, lams)
     return [
-        (i, DcheParams(n=n, mu=mu, lam=lam))
-        for i, lam in enumerate(spectrum.lambdas)
+        (i, DcheParams(n=n, mu=mu, lam=lam), eps)
+        for i, (lam, eps) in enumerate(zip(lams, signs))
     ]
 
 
-def admissible_points(n: int, mu: float) -> list[tuple[int, DcheParams]]:
+def solution(n: int, mu: float, index: int) -> HeunPolynomial:
+    """The polynomial of root ``index`` at (n, mu)."""
+    return heun_poly.build_polynomial(*spectral.root_params(n, mu, index))
+
+
+def admissible_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:
     """Spectral triplets whose discriminant clears the certification margin.
 
     Roots with lambda + mu**2 below the margin exist (the lowest root can
@@ -32,17 +41,15 @@ def admissible_points(n: int, mu: float) -> list[tuple[int, DcheParams]]:
     checks.
     """
     return [
-        (i, d)
-        for i, d in spectral_points(n, mu)
-        if d.lam + d.mu**2 > spectral.DISC_MARGIN
+        point
+        for point in spectral_points(n, mu)
+        if point[1].lam + mu**2 > spectral.DISC_MARGIN
     ]
 
 
-def positive_disc_points(n: int, mu: float) -> list[tuple[int, DcheParams]]:
-    """Spectral triplets with strictly positive discriminant (physical)."""
-    return [
-        (i, d) for i, d in spectral_points(n, mu) if d.lam + d.mu**2 > 0.0
-    ]
+def positive_disc_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:
+    """Spectral roots with strictly positive discriminant (physical)."""
+    return [point for point in spectral_points(n, mu) if point[1].lam + mu**2 > 0.0]
 
 
 def real_zeros_in_window(P: HeunPolynomial, lo: float, hi: float) -> list[float]:

@@ -114,9 +114,9 @@ def test_criterion_4_polynomial_certification():
             points = helpers.spectral_points(n, mu)
             admissible = helpers.admissible_points(n, mu)
             skipped += len(points) - len(admissible)
-            for _, d in admissible:
+            for _, d, eps in admissible:
                 tested += 1
-                poly = build_polynomial(d)
+                poly = build_polynomial(d, eps)
                 amax = max(abs(c) for c in poly.coeffs)
                 master, linear = structure.residuals(poly)
                 worst["master"] = max(worst["master"], master)
@@ -154,7 +154,7 @@ def test_criterion_5_factorization():
     generic_lams = (0.37, 2.9)
     for n in range(11):
         for mu in (0.5, 1.0, 2.0):
-            roots = [d for _, d in helpers.admissible_points(n, mu)]
+            roots = [d for _, d, _ in helpers.admissible_points(n, mu)]
             generic = [
                 DcheParams(n=n, mu=mu, lam=lam)
                 for lam in generic_lams
@@ -195,8 +195,8 @@ def test_criterion_6_closed_form_phase_vs_brute_force():
     tested = excluded = 0
     for n in (0, 1, 2):
         for mu in (0.5, 1.0):
-            for _, d in helpers.admissible_points(n, mu):
-                poly = build_polynomial(d)
+            for _, d, eps in helpers.admissible_points(n, mu):
+                poly = build_polynomial(d, eps)
                 p = dche_to_params(d)
                 t_end = 10.0 * p.period
                 try:
@@ -238,8 +238,8 @@ def test_criterion_7_orthogonality():
     for mu in (0.25, 0.5, 1.0, 2.0):
         cache = {
             n: [
-                build_polynomial(d)
-                for _, d in helpers.positive_disc_points(n, mu)
+                build_polynomial(d, eps)
+                for _, d, eps in helpers.positive_disc_points(n, mu)
             ]
             for n in range(5)
         }
@@ -270,8 +270,8 @@ def test_criterion_8_second_solution():
     worst_w = worst_q = 0.0
     tested = 0
     for n in range(4):
-        for _, d in helpers.spectral_points(n, 1.0):
-            poly = build_polynomial(d)
+        for _, d, eps in helpers.spectral_points(n, 1.0):
+            poly = build_polynomial(d, eps)
             for z, base in helpers.wronskian_pairs(poly):
                 q, dq, d2q = structure.second_solution_jet(poly, z, base=base)
                 w = poly.value(z) * dq - poly.deriv1(z) * q

@@ -93,6 +93,11 @@ class TestSpectrum:
         assert code == 0
         assert all(line.endswith(",,,") for line in out.splitlines()[1:])
 
+    def test_negative_exponent_value(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "1", "--mu", "-1e3")
+        assert code == 0 and err == ""
+        assert parse_json(out)["mu"] == -1000.0
+
     def test_overflowing_eigenproblem_is_typed_error(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "5", "--mu", "1.7e308")
         assert code == 1 and out == ""
@@ -112,6 +117,20 @@ class TestPoly:
         assert doc["epsilon"] in (-1, 1)
         assert doc["residuals"]["master_rel_max"] <= 1e-9
         assert doc["residuals"]["linear_system_rel_max"] <= 1e-10
+
+    def test_equal_lambda_pair_prints_two_polynomials(self, capsys):
+        # Roots 1 and 2 of (20, 0.25) round to one double lambda; the
+        # reflection sign names each of them.
+        docs = []
+        for root in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "poly", "--n", "20", "--mu", "0.25", "--root", root
+            )
+            assert code == 0
+            docs.append(parse_json(out))
+        assert docs[0]["lambda"] == docs[1]["lambda"]
+        assert (docs[0]["epsilon"], docs[1]["epsilon"]) == (-1, 1)
+        assert docs[0]["coeffs"] != docs[1]["coeffs"]
 
     def test_bad_root_index_is_computational_error(self, capsys):
         code, out, err = run_cli(
@@ -238,6 +257,16 @@ class TestSimulate:
         assert doc["kind"] == "xy"
         assert doc["columns"] == ["t", "x", "y"]
         assert len(doc["rows"]) == 3
+
+    def test_negative_exponent_value(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate",
+            "--a", "1", "--b", "-2e-1", "--omega", "1",
+            "--t-end", "1.0", "--h", "0.5",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "t,phi"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "run.csv"

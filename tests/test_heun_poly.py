@@ -14,16 +14,12 @@ from heun_rsj.errors import (
     InvalidParams,
     LambdaZero,
     NotSpectral,
-    ZeroRatioDivision,
 )
 from heun_rsj.heun_poly import (
     SAMPLE_POINTS,
     _det_scan,
     build_polynomial,
-    coeff_transfer,
     coefficient_matrix,
-    coefficient_ratios,
-    coeffs_from_ratios,
     necessary_condition,
     residual_linear_system,
     residual_master,
@@ -33,7 +29,15 @@ from heun_rsj.heun_poly import (
     transfer_matrix,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial
-from heun_rsj.spectral import lambda_spectrum
+from heun_rsj.spectral import lambda_spectrum, root_params
+
+import helpers
+from oracles import (
+    ZeroRatioDivision,
+    coeff_transfer,
+    coefficient_ratios,
+    coeffs_from_ratios,
+)
 
 moderate_mu = st.floats(min_value=-4.0, max_value=4.0)
 moderate_lam = st.floats(min_value=-10.0, max_value=20.0)
@@ -325,9 +329,8 @@ class TestNecessaryCondition:
 
 
 class TestResidualEvaluators:
-    def _solution(self, n=2, mu=1.0, index=-1):
-        lam = lambda_spectrum(n, mu).lambdas[index]
-        return build_polynomial(DcheParams(n=n, mu=mu, lam=lam))
+    def _solution(self, n=2, mu=1.0):
+        return helpers.solution(n, mu, n)
 
     def test_master_residual_small_at_solution(self):
         poly = self._solution()
@@ -365,29 +368,30 @@ class TestResidualEvaluators:
 class TestBuildPolynomial:
     def test_monic_normalisation(self):
         for n, mu in [(1, 0.5), (3, 1.0), (5, 2.0)]:
-            for lam in lambda_spectrum(n, mu).lambdas:
-                poly = build_polynomial(DcheParams(n=n, mu=mu, lam=lam))
+            for index in range(n + 1):
+                poly = helpers.solution(n, mu, index)
                 assert poly.coeffs[-1] == 1.0
                 assert poly.n == n
 
     def test_degree_zero(self):
-        poly = build_polynomial(DcheParams(n=0, mu=0.5, lam=0.0))
+        poly = build_polynomial(DcheParams(n=0, mu=0.5, lam=0.0), -1)
         assert poly.coeffs == (1.0,)
 
     def test_rejects_generic_lambda(self):
-        with pytest.raises(NotSpectral):
-            build_polynomial(DcheParams(n=2, mu=1.0, lam=0.123))
+        for epsilon in (1, -1):
+            with pytest.raises(NotSpectral):
+                build_polynomial(DcheParams(n=2, mu=1.0, lam=0.123), epsilon)
 
     def test_interior_zero_coefficient_case(self):
         # At (n, mu) = (3, 2) one spectral lambda is exactly 0 and the
-        # kernel vector has a vanishing interior coefficient; the ratio
-        # chain cannot cross it, so construction falls back to the
-        # independent per-coefficient route.
-        lams = lambda_spectrum(3, 2.0).lambdas
-        lam0 = min(lams, key=abs)
-        assert abs(lam0) <= 1e-13
-        for lam in (lam0, 0.0):
-            poly = build_polynomial(DcheParams(n=3, mu=2.0, lam=lam))
+        # kernel vector has a vanishing interior coefficient, which stopped
+        # the old ratio chain.  kappa = -2*epsilon is then an exact
+        # eigenvalue of the Jacobi matrix, so the shifted solve must still
+        # go through.
+        d0, eps = root_params(3, 2.0, 1)
+        assert abs(d0.lam) <= 1e-13
+        for lam in (d0.lam, 0.0):
+            poly = build_polynomial(DcheParams(n=3, mu=2.0, lam=lam), eps)
             assert abs(poly.coeffs[1]) <= 1e-12
             for z in SAMPLE_POINTS:
                 res, scale = residual_master(poly, z)

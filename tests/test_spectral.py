@@ -360,8 +360,9 @@ class TestSymmetryMatrices:
 
 class TestPhysicalPoint:
     def test_frozen_case(self):
-        p, d = physical_point(3, 2.0, 1)
+        p, d, eps = physical_point(3, 2.0, 1)
         assert abs(d.lam) <= 1e-13
+        assert eps == 1
         assert p.omega == pytest.approx(0.25, rel=1e-14)
         assert p.A == pytest.approx(1.0, rel=1e-14)
         assert p.B == pytest.approx(-1.0, rel=1e-14)
@@ -371,8 +372,9 @@ class TestPhysicalPoint:
         for index, lam in enumerate(lambda_spectrum(n, mu).lambdas):
             if lam + mu**2 <= 0:
                 continue
-            p, d = physical_point(n, mu, index)
+            p, d, eps = physical_point(n, mu, index)
             assert d == DcheParams(n=n, mu=mu, lam=lam)
+            assert eps in (-1, 1)
             assert p.omega > 0
             assert p.B == -(n + 1) * p.omega
             assert 4.0 * p.omega**2 * (lam + mu**2) == pytest.approx(

@@ -13,11 +13,11 @@ from heun_rsj.errors import (
     NonPositiveArgument,
     NotUnimodular,
     PolynomialZeroOnPath,
+    QuadratureFailure,
     ZeroAtOne,
     ZeroOnUnitCircle,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial, dche_to_params
-from heun_rsj.spectral import lambda_spectrum
 from heun_rsj.structure import (
     coeff_relations_residual,
     norm_integral,
@@ -36,11 +36,6 @@ from heun_rsj.structure import (
 import helpers
 
 
-def _solution(n, mu, index):
-    lam = lambda_spectrum(n, mu).lambdas[index]
-    return heun_poly.build_polynomial(DcheParams(n=n, mu=mu, lam=lam))
-
-
 class TestReflectedPolynomial:
     def test_hand_shuffle_degree_one(self):
         d = DcheParams(n=1, mu=0.6, lam=0.9)
@@ -52,13 +47,13 @@ class TestReflectedPolynomial:
 
     @pytest.mark.parametrize("n,mu,index", [(1, 1.0, 0), (2, 1.0, 2), (3, 0.5, 3)])
     def test_solves_same_equation(self, n, mu, index):
-        image = reflected_polynomial(_solution(n, mu, index))
+        image = reflected_polynomial(helpers.solution(n, mu, index))
         for z in heun_poly.SAMPLE_POINTS:
             res, scale = heun_poly.residual_master(image, z)
             assert abs(res) <= 1e-9 * max(scale, 1e-300)
 
     def test_proportional_to_original_at_spectral_point(self):
-        poly = _solution(2, 1.0, 2)
+        poly = helpers.solution(2, 1.0, 2)
         image = reflected_polynomial(poly)
         d = poly.params
         c = math.sqrt(d.lam + d.mu**2)
@@ -74,12 +69,12 @@ class TestReflectedPolynomial:
 class TestSymmetrySign:
     @pytest.mark.parametrize("mu,expected", [(0.7, -1), (-0.7, 1)])
     def test_degree_zero_sign_is_minus_sign_of_mu(self, mu, expected):
-        assert symmetry_sign(_solution(0, mu, 0)) == expected
+        assert symmetry_sign(helpers.solution(0, mu, 0)) == expected
 
     def test_degree_one_sign_follows_lambda(self):
         # For n = 1, eps * c = lambda exactly on the spectral curve, so the
         # sign is the sign of the root.
-        lo, hi = _solution(1, 1.0, 0), _solution(1, 1.0, 1)
+        lo, hi = helpers.solution(1, 1.0, 0), helpers.solution(1, 1.0, 1)
         assert symmetry_sign(lo) == -1
         assert symmetry_sign(hi) == 1
 
@@ -102,7 +97,7 @@ class TestSymmetryResiduals:
         "n,mu,index", [(1, 1.0, 0), (1, 1.0, 1), (2, 0.5, 2), (4, 2.0, 4)]
     )
     def test_small_at_solutions(self, n, mu, index):
-        poly = _solution(n, mu, index)
+        poly = helpers.solution(n, mu, index)
         assert symmetry_residual(poly) <= 1e-10
         rel = coeff_relations_residual(poly)
         amax = max(abs(c) for c in poly.coeffs)
@@ -112,14 +107,14 @@ class TestSymmetryResiduals:
         # Relations for n = 1 reduce to eps*c*a0 = -mu and
         # eps*c + mu*a0 - 1 = 0; both follow from a0 = (1 - lambda)/mu and
         # lambda(lambda - 1) = mu^2.
-        poly = _solution(1, 1.0, 1)
+        poly = helpers.solution(1, 1.0, 1)
         lam = poly.params.lam
         assert poly.coeffs[0] == pytest.approx((1.0 - lam), rel=1e-12)
         rel = coeff_relations_residual(poly)
         assert np.max(np.abs(rel)) <= 1e-12
 
     def test_flags_perturbation(self):
-        poly = _solution(2, 1.0, 2)
+        poly = helpers.solution(2, 1.0, 2)
         coeffs = list(poly.coeffs)
         coeffs[0] += 1e-4
         bad = HeunPolynomial(n=2, coeffs=tuple(coeffs), params=poly.params)
@@ -129,7 +124,7 @@ class TestSymmetryResiduals:
 class TestPhase:
     @pytest.mark.parametrize("n,mu,index", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2)])
     def test_initial_value(self, n, mu, index):
-        poly = _solution(n, mu, index)
+        poly = helpers.solution(n, mu, index)
         eps = symmetry_sign(poly)
         assert phase_from_poly(poly, 0.0) == pytest.approx(
             -eps * math.pi / 2.0, abs=1e-12
@@ -137,7 +132,7 @@ class TestPhase:
 
     @pytest.mark.parametrize("n,mu,index", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2)])
     def test_one_period_winding_is_integer(self, n, mu, index):
-        poly = _solution(n, mu, index)
+        poly = helpers.solution(n, mu, index)
         p = dche_to_params(poly.params)
         times = np.linspace(0.0, p.period, 4001)
         phi = phase_series(poly, times)
@@ -147,7 +142,7 @@ class TestPhase:
         assert abs(round(turns)) <= 2 * n + 1
 
     def test_series_matches_pointwise_mod_2pi(self):
-        poly = _solution(1, 0.5, 1)
+        poly = helpers.solution(1, 0.5, 1)
         times = np.linspace(0.0, 3.0, 17)
         series = phase_series(poly, times)
         for t, phi in zip(times, series):
@@ -156,7 +151,7 @@ class TestPhase:
             assert math.sin(single) == pytest.approx(math.sin(phi), abs=1e-9)
 
     def test_satisfies_junction_equation(self):
-        poly = _solution(2, 1.0, 2)
+        poly = helpers.solution(2, 1.0, 2)
         p = dche_to_params(poly.params)
         times = np.linspace(0.0, p.period, 40001)
         phi = phase_series(poly, times)
@@ -175,7 +170,7 @@ class TestPhase:
 class TestSecondSolution:
     def test_wronskian_identity_and_base_independence(self):
         for index in (0, 1):
-            poly = _solution(1, 1.0, index)
+            poly = helpers.solution(1, 1.0, index)
             for z, base in helpers.wronskian_pairs(poly):
                 if abs(z - base) < 1e-9:
                     continue
@@ -191,14 +186,14 @@ class TestSecondSolution:
 
     def test_wronskian_hand_value_at_one(self):
         # z = 1 gives exactly e^{2 mu} for any degree.
-        poly = _solution(1, 1.0, 0)
+        poly = helpers.solution(1, 1.0, 0)
         q, dq, _ = second_solution_jet(poly, 1.0, base=1.6)
         w = poly.value(1.0) * dq - poly.deriv1(1.0) * q
         assert complex(w).real == pytest.approx(math.exp(2.0), rel=1e-10)
 
     @pytest.mark.parametrize("n,index", [(0, 0), (2, 2), (3, 3)])
     def test_satisfies_master_equation(self, n, index):
-        poly = _solution(n, 1.0, index)
+        poly = helpers.solution(n, 1.0, index)
         windows = helpers.clear_windows(poly)
         assert windows, "no zero-free window to test in"
         a, b = windows[-1]
@@ -209,7 +204,7 @@ class TestSecondSolution:
             assert res <= 1e-9 * max(scale, 1e-300)
 
     def test_value_shortcut_matches_jet(self):
-        poly = _solution(2, 1.0, 2)
+        poly = helpers.solution(2, 1.0, 2)
         a, b = helpers.clear_windows(poly)[-1]
         z, base = 0.25 * a + 0.75 * b, 0.5 * (a + b)
         q, _, _ = second_solution_jet(poly, z, base=base)
@@ -217,60 +212,82 @@ class TestSecondSolution:
 
     def test_zero_on_path_rejected(self):
         # The top root at (n, mu) = (1, 1) has its zero at about 0.618.
-        poly = _solution(1, 1.0, 1)
+        poly = helpers.solution(1, 1.0, 1)
         zero = -poly.coeffs[0]
         assert 0.5 < zero < 0.7
         with pytest.raises(PolynomialZeroOnPath):
             second_solution(poly, 0.55, base=1.0)
 
 
+class TestQuadrature:
+    # 1/x diverges on (0, 1]: QUADPACK stops at its subdivision limit.
+    @staticmethod
+    def _divergent(x):
+        return 1.0 / x
+
+    def test_non_convergence_is_typed(self):
+        with pytest.raises(QuadratureFailure):
+            structure._quad(self._divergent, 0.0, 1.0)
+
+    def test_abserr_ok_covers_the_reported_error(self):
+        from scipy.integrate import quad
+
+        value, abserr = quad(
+            self._divergent, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=400,
+            full_output=1,
+        )[:2]
+        assert structure._quad(self._divergent, 0.0, 1.0, abserr_ok=abserr) == value
+        with pytest.raises(QuadratureFailure):
+            structure._quad(self._divergent, 0.0, 1.0, abserr_ok=0.5 * abserr)
+
+
 class TestOrthogonality:
     def test_weight_needs_positive_argument(self):
-        p1, p2 = _solution(0, 1.0, 0), _solution(1, 1.0, 1)
+        p1, p2 = helpers.solution(0, 1.0, 0), helpers.solution(1, 1.0, 1)
         with pytest.raises(NonPositiveArgument):
             orthogonality_weight(-0.5, p1, p2)
 
     def test_weight_needs_shared_mu(self):
-        p1, p2 = _solution(0, 1.0, 0), _solution(1, 0.5, 1)
+        p1, p2 = helpers.solution(0, 1.0, 0), helpers.solution(1, 0.5, 1)
         with pytest.raises(InvalidParams):
             orthogonality_weight(1.0, p1, p2)
 
     def test_weight_vanishes_for_identical_triplets(self):
-        p1 = _solution(2, 1.0, 2)
+        p1 = helpers.solution(2, 1.0, 2)
         z = np.linspace(0.5, 2.0, 7)
         np.testing.assert_allclose(orthogonality_weight(z, p1, p1), 0.0, atol=1e-15)
 
     def test_divergence_identity_at_solutions(self):
-        p1, p2 = _solution(0, 1.0, 0), _solution(1, 1.0, 1)
+        p1, p2 = helpers.solution(0, 1.0, 0), helpers.solution(1, 1.0, 1)
         for z in (0.4, 0.9, 1.7, 3.2):
             res, scale = weight_divergence_residual(z, p1, p2)
             assert abs(res) <= 1e-12 * max(scale, 1e-300)
 
     def test_divergence_identity_flags_non_solution(self):
-        p1 = _solution(0, 1.0, 0)
+        p1 = helpers.solution(0, 1.0, 0)
         d = DcheParams(n=1, mu=1.0, lam=0.9)
         fake = HeunPolynomial(n=1, coeffs=(0.3, 1.0), params=d)
         res, scale = weight_divergence_residual(1.3, p1, fake)
         assert abs(res) > 1e-4 * scale
 
     def test_different_degrees_are_orthogonal(self):
-        p1 = _solution(0, 1.0, 0)
-        p2 = _solution(1, 1.0, 1)
+        p1 = helpers.solution(0, 1.0, 0)
+        p2 = helpers.solution(1, 1.0, 1)
         value, scale = orthogonality_integral(p1, p2)
         assert scale > 0
         assert abs(value) <= 1e-8 * scale
 
     def test_norms_positive(self):
         for n, index in [(0, 0), (1, 1), (2, 2)]:
-            poly = _solution(n, 1.0, index)
+            poly = helpers.solution(n, 1.0, index)
             norm = norm_integral(poly)
             assert math.isfinite(norm) and norm > 0
 
     def test_norm_needs_positive_mu(self):
         with pytest.raises(MuNotPositive):
-            norm_integral(_solution(1, -1.0, 0))
+            norm_integral(helpers.solution(1, -1.0, 0))
 
     def test_integral_needs_positive_mu(self):
-        p1, p2 = _solution(0, -1.0, 0), _solution(1, -1.0, 1)
+        p1, p2 = helpers.solution(0, -1.0, 0), helpers.solution(1, -1.0, 1)
         with pytest.raises(MuNotPositive):
             orthogonality_integral(p1, p2)

@@ -42,14 +42,14 @@ TEST_POINTS = [
 ]
 
 
-def _solution_jet(d: DcheParams):
+def _solution_jet(d: DcheParams, epsilon: int):
     """Analytic 2-jet of v = exp(-mu z) P(z) for a spectral polynomial P.
 
     P solving the polynomial-form equation makes v an exact solution of the
     second-order equation tested by residual_v_equation, so residuals of
     the transformed forms must vanish to rounding on any point.
     """
-    P = heun_poly.build_polynomial(d)
+    P = heun_poly.build_polynomial(d, epsilon)
     p = dche_to_params(d)
     mu = d.mu
 
@@ -64,8 +64,7 @@ def _solution_jet(d: DcheParams):
 
 
 def _spectral_case():
-    lams = spectral.lambda_spectrum(2, 1.0).lambdas
-    return DcheParams(n=2, mu=1.0, lam=lams[-1])
+    return spectral.root_params(2, 1.0, 2)
 
 
 class TestCircleCoordinate:
@@ -117,8 +116,8 @@ class TestComplexification:
 
 class TestSecondOrderForms:
     def test_v_equation_on_closed_form_solution(self):
-        d = _spectral_case()
-        p, jet = _solution_jet(d)
+        d, eps = _spectral_case()
+        p, jet = _solution_jet(d, eps)
         w = p.omega
         for z in TEST_POINTS:
             v, dv, d2v = jet(z)
@@ -136,8 +135,8 @@ class TestSecondOrderForms:
         [(1.0, residual_symmetric_form), (1j, residual_dche_form)],
     )
     def test_transported_forms(self, alpha, residual):
-        d = _spectral_case()
-        p, jet = _solution_jet(d)
+        d, eps = _spectral_case()
+        p, jet = _solution_jet(d, eps)
         for z in TEST_POINTS:
             if abs(z - alpha) < 0.2:
                 continue
@@ -153,8 +152,8 @@ class TestSecondOrderForms:
             assert abs(complex(res)) <= 1e-11 * scale
 
     def test_v_equation_rejects_non_solution(self):
-        d = _spectral_case()
-        p, jet = _solution_jet(d)
+        d, eps = _spectral_case()
+        p, jet = _solution_jet(d, eps)
         z = 0.6
         v, dv, d2v = jet(z)
         res = residual_v_equation(z, v * 1.001, dv, d2v, p)
