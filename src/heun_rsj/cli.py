@@ -135,7 +135,7 @@ def cmd_phase_compare(args) -> tuple[str, int]:
     p, d, epsilon = spectral.physical_point(args.n, args.mu, args.root)
     poly = heun_poly.build_polynomial(d, epsilon)
     t_end = args.periods * p.period
-    h = args.h if args.h else p.period / 2000.0
+    h = args.h if args.h else p.period / dynamics.DEFAULT_STEPS_PER_PERIOD
 
     traj = dynamics.integrate_phase(
         p, structure.phase_from_poly(poly, 0.0), t_end, h

@@ -39,6 +39,7 @@ from .errors import (
     ZeroOnUnitCircle,
 )
 from . import heun_poly, spectral
+from .dynamics import unwrap
 from .heun_poly import SAMPLE_POINTS
 from .model import DcheParams, HeunPolynomial, dche_to_params
 
@@ -72,6 +73,10 @@ TOL = {
     "det_min": 1e-10,
     "phase": 1e-6,
 }
+
+# Samples per block of the closed-form phase: one block's complex temporaries
+# stay in cache.
+_PHASE_BLOCK = 8192
 
 # Checks that need c = sqrt(lambda + mu**2), in report order.
 _C_CHECKS = (
@@ -318,11 +323,15 @@ def _unit_circle_clear(P: HeunPolynomial) -> None:
 def _phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
     p = dche_to_params(P.params)
     eps = symmetry_sign(P)
-    z = np.exp(1j * p.omega * times)
-    w = 1j * eps * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
-    if float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-12:
-        raise NotUnimodular("phase factor drifted off the unit circle")
-    return -np.unwrap(np.angle(w))
+    angles = np.empty(len(times))
+    for start in range(0, len(times), _PHASE_BLOCK):
+        block = slice(start, start + _PHASE_BLOCK)
+        z = np.exp(1j * p.omega * times[block])
+        w = 1j * eps * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
+        if float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-12:
+            raise NotUnimodular("phase factor drifted off the unit circle")
+        angles[block] = np.angle(w)
+    return -unwrap(angles)
 
 
 def phase_series(P: HeunPolynomial, times) -> np.ndarray:
@@ -344,16 +353,10 @@ def phase_series(P: HeunPolynomial, times) -> np.ndarray:
         widest = float(np.max(np.diff(times)))
         factor = max(1, math.ceil(widest / max_step))
     if factor == 1:
-        grid = times
-        idx = np.arange(len(times))
-    else:
-        pieces = [times[:1]]
-        for i in range(len(times) - 1):
-            pieces.append(np.linspace(times[i], times[i + 1], factor + 1)[1:])
-        grid = np.concatenate(pieces)
-        idx = np.arange(0, len(grid), factor)
-    phi = _phase_on_grid(P, grid)
-    return phi[idx]
+        return _phase_on_grid(P, times)
+    inner = np.linspace(times[:-1], times[1:], factor + 1, axis=1)[:, 1:]
+    grid = np.concatenate([times[:1], inner.ravel()])
+    return _phase_on_grid(P, grid)[::factor].copy()
 
 
 def phase_from_poly(P: HeunPolynomial, t: float) -> float:

@@ -1,9 +1,15 @@
-"""Independent coefficient routes, kept as test oracles.
+"""Independent and reference routes, kept as test oracles.
 
 ``heun_poly.build_polynomial`` takes the coefficients from the Jacobi form of
-the reflection relations.  The two routes below build them from the
-coefficient system alone -- a downward ratio chain and per-coefficient
-transfer-matrix products -- so the tests can cross-check all three.
+the reflection relations.  Two routes below build them from the coefficient
+system alone -- a downward ratio chain and per-coefficient transfer-matrix
+products -- so the tests can cross-check all three.
+
+The trajectory routes below are the straightforward forms of the fast paths
+in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
+``math.cos`` at every stage, the closed-form phase over the whole grid at
+once with ``np.unwrap``, and a refinement grid built one interval at a
+time.  The fast paths must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +18,16 @@ import math
 
 import numpy as np
 
-from heun_rsj.errors import DegreeZeroUnsupported, IndexOutOfRange, InvalidParams
+from heun_rsj.dynamics import _grid
+from heun_rsj.errors import (
+    DegreeZeroUnsupported,
+    IndexOutOfRange,
+    InvalidParams,
+    NotUnimodular,
+)
 from heun_rsj.heun_poly import _transfer_product_times
-from heun_rsj.model import DcheParams
+from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
+from heun_rsj.structure import symmetry_sign
 
 
 class ZeroRatioDivision(ZeroDivisionError):
@@ -81,3 +94,90 @@ def coeff_transfer(k: int, d: DcheParams) -> float:
 
     f1, f2 = reg(1e-6), reg(1e-7)
     return (10.0 * f2 - f1) / 9.0
+
+
+def integrate_phase_loop(
+    p: RsjParams, phi0: float, t_end: float, h: float | None = None
+) -> np.ndarray:
+    """Phase samples of classical RK4 with the drive evaluated in the loop."""
+    n_steps, dt = _grid(p, t_end, h)
+    A, B, w = p.A, p.B, p.omega
+    cos, sin = math.cos, math.sin
+
+    phi = float(phi0)
+    out = np.empty(n_steps + 1)
+    out[0] = phi
+    for i in range(n_steps):
+        t = i * dt
+        k1 = B + A * cos(w * t) - sin(phi)
+        q_mid = B + A * cos(w * (t + 0.5 * dt))
+        k2 = q_mid - sin(phi + 0.5 * dt * k1)
+        k3 = q_mid - sin(phi + 0.5 * dt * k2)
+        k4 = B + A * cos(w * (t + dt)) - sin(phi + dt * k3)
+        phi += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        out[i + 1] = phi
+    return out
+
+
+def integrate_xy_loop(
+    p: RsjParams, x0: float, y0: float, t_end: float, h: float | None = None
+) -> np.ndarray:
+    """Companion (x, y) samples of classical RK4 with the drive in the loop."""
+    n_steps, dt = _grid(p, t_end, h)
+    A, B, w = p.A, p.B, p.omega
+    cos = math.cos
+
+    x, y = float(x0), float(y0)
+    out = np.empty((n_steps + 1, 2))
+    out[0] = (x, y)
+    for i in range(n_steps):
+        t = i * dt
+        q1 = B + A * cos(w * t)
+        qm = B + A * cos(w * (t + 0.5 * dt))
+        q4 = B + A * cos(w * (t + dt))
+
+        kx1 = 0.5 * (x + q1 * y)
+        ky1 = -0.5 * (q1 * x + y)
+        x2 = x + 0.5 * dt * kx1
+        y2 = y + 0.5 * dt * ky1
+        kx2 = 0.5 * (x2 + qm * y2)
+        ky2 = -0.5 * (qm * x2 + y2)
+        x3 = x + 0.5 * dt * kx2
+        y3 = y + 0.5 * dt * ky2
+        kx3 = 0.5 * (x3 + qm * y3)
+        ky3 = -0.5 * (qm * x3 + y3)
+        x4 = x + dt * kx3
+        y4 = y + dt * ky3
+        kx4 = 0.5 * (x4 + q4 * y4)
+        ky4 = -0.5 * (q4 * x4 + y4)
+
+        x += dt * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4) / 6.0
+        y += dt * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4) / 6.0
+        out[i + 1] = (x, y)
+    return out
+
+
+def phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
+    """Closed-form phase over the whole grid in one pass, unwrapped by numpy."""
+    p = dche_to_params(P.params)
+    eps = symmetry_sign(P)
+    z = np.exp(1j * p.omega * times)
+    w = 1j * eps * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
+    if float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-12:
+        raise NotUnimodular("phase factor drifted off the unit circle")
+    return -np.unwrap(np.angle(w))
+
+
+def phase_series_loop(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
+    """Closed-form phase at increasing ``times``, on a grid refined one
+    interval at a time."""
+    p = dche_to_params(P.params)
+    max_step = p.period / (64.0 * (P.n + 2))
+    factor = 1
+    if len(times) > 1:
+        factor = max(1, math.ceil(float(np.max(np.diff(times))) / max_step))
+    pieces = [times[:1]]
+    for i in range(len(times) - 1):
+        pieces.append(np.linspace(times[i], times[i + 1], factor + 1)[1:])
+    grid = np.concatenate(pieces)
+    return phase_on_grid(P, grid)[np.arange(0, len(grid), factor)]

@@ -281,6 +281,18 @@ class TestSimulate:
         assert target.read_text().splitlines()[0] == "t,phi"
 
 
+    @pytest.mark.parametrize("system", ["phase", "xy"])
+    def test_overflowing_drive_is_typed_error(self, capsys, system):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--system", system,
+            "--a", "1e308", "--b", "1e308", "--omega", "1",
+            "--t-end", "10", "--h", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: NonFiniteState: ")
+
+
 class TestSweep:
     @pytest.mark.parametrize(
         "mu_start,mu_stop",

@@ -7,13 +7,17 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from heun_rsj.dynamics import (
+    _BLOCK,
     bias,
     integrate_phase,
     integrate_xy,
     phase_from_xy,
+    unwrap,
 )
 from heun_rsj.errors import InvalidParams, NonFiniteState, OriginUndefined
 from heun_rsj.model import RsjParams, Trajectory
+
+from oracles import integrate_phase_loop, integrate_xy_loop
 
 P = RsjParams(A=1.3, B=0.4, omega=1.1)
 
@@ -152,6 +156,69 @@ class TestCompanionStructure:
         assert dev <= 1e-6
 
 
+# Step counts of one step, below a block, at and around a block boundary.
+_STEP_COUNTS = (1, 2, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
+
+
+class TestAgainstLoopOracle:
+    """The block-drive loops reproduce the per-stage-drive loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(56))
+    def test_seeded_drive(self, seed):
+        rng = np.random.default_rng(seed)
+        p = RsjParams(
+            A=rng.uniform(-3.0, 3.0), B=rng.uniform(-3.0, 3.0),
+            omega=rng.uniform(0.2, 4.0),
+        )
+        n_steps = _STEP_COUNTS[seed % len(_STEP_COUNTS)]
+        h = rng.uniform(1e-3, 5e-2)
+        t_end = n_steps * h
+        phi0, theta = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 2.0 * np.pi)
+        x0, y0 = math.cos(theta), math.sin(theta)
+
+        direct = integrate_phase(p, phi0, t_end, h)
+        companion = integrate_xy(p, x0, y0, t_end, h)
+        assert len(direct) == len(companion) == n_steps + 1
+        assert np.array_equal(
+            direct.values[:, 0], integrate_phase_loop(p, phi0, t_end, h)
+        )
+        assert np.array_equal(
+            companion.values, integrate_xy_loop(p, x0, y0, t_end, h)
+        )
+
+
+class TestUnwrap:
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            [],
+            [0.5],
+            [0.0, np.pi, 0.0, -np.pi, 0.0],  # exact +-pi steps
+            [-np.pi, np.pi, -np.pi, 0.0, np.pi],
+            [1.0, 1.0, 1.0 + np.pi, 1.0 + np.pi, 1.0],  # zero steps
+            [-0.0, -0.0, 3.5, -0.0, -3.0],  # signed zeros around jumps
+            [0.0, 7.0, -7.0, 2.0 * np.pi, -4.0 * np.pi],  # multi-turn jumps
+            [0.1, np.nan, 0.2, 0.3, 4.0],
+            [0.0, np.inf, 1.0],
+        ],
+    )
+    def test_matches_numpy(self, angles):
+        angles = np.array(angles, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf steps
+            got, want = unwrap(angles), np.unwrap(angles)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_numpy_on_random_walks(self, seed):
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.normal(scale=2.0, size=5000))
+        angles = np.angle(np.exp(1j * walk))
+        angles[::97] = np.pi
+        angles[::89] = -np.pi
+        got, want = unwrap(angles), np.unwrap(angles)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestErrors:
     def test_phase_from_xy_needs_xy(self):
         traj = integrate_phase(P, 0.0, 1.0)
@@ -169,3 +236,15 @@ class TestErrors:
         p = RsjParams(A=5.0, B=5.0, omega=1.0)
         with pytest.raises(NonFiniteState):
             integrate_xy(p, 1.0, 0.0, 4000.0, 50.0)
+
+    @pytest.mark.parametrize("route", ["phase", "xy"])
+    @pytest.mark.parametrize(
+        "a,b,omega", [(1e308, 1e308, 1.0), (1.0, 0.5, 1e308)], ids=["q", "omega_t"]
+    )
+    def test_overflowing_drive(self, route, a, b, omega):
+        p = RsjParams(A=a, B=b, omega=omega)
+        with pytest.raises(NonFiniteState):
+            if route == "phase":
+                integrate_phase(p, 0.0, 10.0, 1.0)
+            else:
+                integrate_xy(p, 1.0, 0.0, 10.0, 1.0)

@@ -34,6 +34,7 @@ from heun_rsj.structure import (
 )
 
 import helpers
+from oracles import phase_on_grid, phase_series_loop
 
 
 class TestReflectedPolynomial:
@@ -159,6 +160,32 @@ class TestPhase:
         dphi = (phi[2:] - phi[:-2]) / (2.0 * dt)
         resid = dphi + np.sin(phi[1:-1]) - bias(p, times[1:-1])
         assert np.max(np.abs(resid)) <= 1e-6
+
+    @pytest.mark.parametrize("n,mu", [(2, 1.1), (3, 0.3), (4, 1.7), (6, 2.6), (8, 1.7)])
+    def test_series_matches_whole_grid_oracle(self, n, mu):
+        # 30,001 samples: several evaluation blocks and a partial last one.
+        for index in range(n + 1):
+            poly = helpers.solution(n, mu, index)
+            times = np.linspace(0.0, 3.0 * dche_to_params(poly.params).period, 30001)
+            assert np.array_equal(
+                phase_series(poly, times), phase_series_loop(poly, times)
+            )
+
+    def test_refined_series_matches_interval_loop(self):
+        # At n = 30 the phase-compare default step T/2000 is refined 2-fold.
+        poly = helpers.solution(30, 1.1, 7)
+        p = dche_to_params(poly.params)
+        times = np.arange(20001) * (10.0 * p.period / 20000)
+        assert np.array_equal(phase_series(poly, times), phase_series_loop(poly, times))
+
+    # At -25 periods the grid spans two evaluation blocks, walked in reverse.
+    @pytest.mark.parametrize("periods", [-0.3, -2.5, -25.0])
+    def test_negative_time_matches_whole_grid_oracle(self, monkeypatch, periods):
+        poly = helpers.solution(4, 1.7, 2)
+        t = periods * dche_to_params(poly.params).period
+        fast = phase_from_poly(poly, t)
+        monkeypatch.setattr(structure, "_phase_on_grid", phase_on_grid)
+        assert fast == phase_from_poly(poly, t)
 
     def test_unit_circle_zero_rejected(self):
         d = DcheParams(n=1, mu=1.0, lam=0.9)
