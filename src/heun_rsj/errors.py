@@ -41,20 +41,12 @@ class SingularPoint(HeunRsjError):
     """Evaluation requested at a singular point of a transformed equation."""
 
 
-class DegreeZeroUnsupported(HeunRsjError):
-    """The transfer-matrix formulas need degree n >= 1."""
-
-
 class IndexOutOfRange(HeunRsjError, IndexError):
     """A coefficient or root index lies outside its valid range."""
 
 
 class NotSpectral(HeunRsjError):
     """(n, mu, lambda, epsilon) is not a spectral root: no polynomial solution."""
-
-
-class LambdaZero(HeunRsjError):
-    """lambda = 0 where a division by lambda is required."""
 
 
 class ConvergenceFailure(HeunRsjError):

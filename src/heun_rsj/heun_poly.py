@@ -12,41 +12,29 @@ closes into a homogeneous tridiagonal linear system for the coefficients:
 
 A nontrivial solution exists iff the determinant of that system vanishes;
 ``spectral_det`` evaluates it, with its scale, by the classic three-term
-minor recurrence and ``spectral_det_transfer`` independently through ordered
-products of 2x2 transfer matrices, so the two routes cross-check each other.
-The coefficients themselves come from the reflection relation of the
-solution (``build_polynomial``): an eigenvector of a symmetric Jacobi matrix
-whose eigenvalue fixes both lambda and the reflection sign.
+minor recurrence.  The coefficients themselves come from the reflection
+relation of the solution (``build_polynomial``): an eigenvector of a
+symmetric Jacobi matrix whose eigenvalue fixes both lambda and the
+reflection sign.  The exact-rational transfer-matrix product that
+cross-checks the determinant lives with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegreeZeroUnsupported,
-    InvalidParams,
-    LambdaZero,
-    NotSpectral,
-)
+from .errors import InvalidParams, NotSpectral
 from .model import DcheParams, HeunPolynomial, mu_squared
 
 __all__ = [
     "SAMPLE_POINTS",
     "SPECTRAL_TOL",
-    "TriDiagMatrix",
     "coefficient_matrix",
     "spectral_det",
-    "spectral_det_scaled",
-    "transfer_matrix",
-    "spectral_det_transfer",
     "residual_master",
     "residual_linear_system",
-    "necessary_condition",
     "build_polynomial",
 ]
 
@@ -65,35 +53,16 @@ SAMPLE_POINTS: tuple[complex, ...] = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class TriDiagMatrix:
-    """Tridiagonal coefficient matrix, stored in row orientation.
-
-    ``upper[j]`` is the entry (j, j+1) and ``lower[j]`` the entry (j+1, j).
-    The literature writes the same system in both this orientation and its
-    transpose ("index-shuffled"); the determinant is shared.
-    """
-
-    n: int
-    diag: tuple[float, ...]
-    upper: tuple[float, ...]
-    lower: tuple[float, ...]
-
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.upper, 1)
-            + np.diag(self.lower, -1)
-        )
-
-
-def coefficient_matrix(d: DcheParams) -> TriDiagMatrix:
-    """Matrix of the homogeneous coefficient system at (n, mu, lambda)."""
+def coefficient_matrix(d: DcheParams) -> np.ndarray:
+    """Dense matrix of the coefficient system at (n, mu, lambda), by rows as
+    in the module docstring (the literature also writes its transpose)."""
     n, mu, lam = d.n, d.mu, d.lam
-    diag = tuple(lam - j * (n + 1 - j) for j in range(n + 1))
-    upper = tuple(mu * (j + 1) for j in range(n))
-    lower = tuple(mu * (n - j) for j in range(n))
-    return TriDiagMatrix(n=n, diag=diag, upper=upper, lower=lower)
+    j = np.arange(n + 1)
+    return (
+        np.diag(lam - j * (n + 1 - j))
+        + np.diag(mu * (j[:-1] + 1), 1)
+        + np.diag(mu * (n - j[:-1]), -1)
+    )
 
 
 def _det_scan(n: int, mu: float, lam: np.ndarray):
@@ -140,12 +109,6 @@ def _det_scan(n: int, mu: float, lam: np.ndarray):
     return prev, dprev, smax, e
 
 
-def _scan_at(d: DcheParams) -> tuple[float, float, float, int]:
-    """:func:`_det_scan` at the single lambda of a triplet, as Python scalars."""
-    det, ddet, smax, e = _det_scan(d.n, d.mu, np.array([d.lam], dtype=float))
-    return float(det[0]), float(ddet[0]), float(smax[0]), int(e[0])
-
-
 def _ldexp_clamped(m: float, e: int) -> float:
     """m * 2**e as a float, saturating to +-inf / signed zero at the range ends."""
     if m == 0.0:
@@ -163,53 +126,11 @@ def spectral_det(d: DcheParams) -> tuple[float, float]:
     exact degree n + 1 in lambda (monic).  The scale is the largest absolute
     summand met in the recurrence, floored at 1: the natural yardstick for
     'is this determinant numerically zero'.  Both may saturate to +-inf for
-    very large n; :func:`spectral_det_scaled` never does.
+    very large n; :func:`_det_scan` keeps the mantissas and the exponent.
     """
-    det, _, smax, e = _scan_at(d)
+    lam = np.array([d.lam], dtype=float)
+    det, _, smax, e = (a[0].item() for a in _det_scan(d.n, d.mu, lam))
     return _ldexp_clamped(det, e), max(1.0, _ldexp_clamped(smax, e))
-
-
-def spectral_det_scaled(d: DcheParams) -> tuple[float, int]:
-    """Determinant as ``(mantissa, exponent)`` with value mantissa * 2**exponent."""
-    det, _, _, e = _scan_at(d)
-    return det, e
-
-
-def transfer_matrix(k: int, d: DcheParams) -> np.ndarray:
-    """2x2 step matrix M_k = [[Z_k + lambda, mu^2], [Z_k, 0]], Z_k = k(k-n-1)."""
-    zk = float(k) * (float(k) - d.n - 1.0)
-    return np.array([[zk + d.lam, d.mu**2], [zk, 0.0]])
-
-
-def _transfer_product_times(col: np.ndarray, d: DcheParams, lo: int) -> np.ndarray:
-    """Apply M_lo * M_{lo+1} * ... * M_{n-1} to a column (larger index first)."""
-    out = col
-    for j in range(d.n - 1, lo - 1, -1):
-        out = transfer_matrix(j, d) @ out
-    return out
-
-
-def spectral_det_transfer(d: DcheParams) -> float:
-    """Determinant through the ordered 2x2 transfer-matrix product.
-
-    Independent of :func:`spectral_det`: no minor recurrence is shared.
-    The product runs in exact rational arithmetic on the float inputs,
-    because its entries grow far beyond the determinant and cancel down to
-    it: in floating point, (n, mu, lambda) = (12, 1, -1) came out as -32
-    instead of -1.  Degree 0 has no transfer representation.
-    """
-    if d.n == 0:
-        raise DegreeZeroUnsupported("transfer product needs degree n >= 1")
-    lam, mu2 = Fraction(d.lam), Fraction(d.mu) ** 2
-    x, y = d.n - lam, Fraction(d.n)
-    for j in range(d.n - 1, 0, -1):  # apply M_{n-1} first, M_1 last
-        zj = j * (j - d.n - 1)
-        x, y = (zj + lam) * x + mu2 * y, zj * x
-    det = -(lam * x + mu2 * y)
-    try:
-        return float(det)
-    except OverflowError:
-        return math.inf if det > 0 else -math.inf
 
 
 def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:
@@ -235,23 +156,7 @@ def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:
 
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:
     """Row residuals of the coefficient system applied to P's coefficients."""
-    phi = coefficient_matrix(P.params).dense()
-    return phi @ np.asarray(P.coeffs)
-
-
-def necessary_condition(d: DcheParams) -> float:
-    """Scalar whose vanishing is necessary for a polynomial solution.
-
-    Row-times-product form ``[1, mu^2/lambda] . (M_1 ... M_{n-1})
-    . [1 - lambda/n, 1]^T``; proportional to the determinant up to a nonzero
-    factor, so only its sign and zero set carry information.
-    """
-    if d.n == 0:
-        raise DegreeZeroUnsupported("necessary condition needs degree n >= 1")
-    if d.lam == 0:
-        raise LambdaZero("necessary condition divides by lambda")
-    col = _transfer_product_times(np.array([1.0 - d.lam / d.n, 1.0]), d, 1)
-    return float(col[0] + (d.mu**2 / d.lam) * col[1])
+    return coefficient_matrix(P.params) @ np.asarray(P.coeffs)
 
 
 def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

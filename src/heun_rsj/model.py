@@ -28,6 +28,7 @@ from .errors import (
 )
 
 __all__ = [
+    "TOL_INT",
     "RsjParams",
     "DcheParams",
     "DcheCandidate",
@@ -37,6 +38,9 @@ __all__ = [
     "dche_to_params",
     "mu_squared",
 ]
+
+#: Distance from an integer within which the reduced degree counts as integral.
+TOL_INT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class DcheCandidate:
     """Result of mapping physical parameters toward a reduced triplet.
 
     ``n_real`` is the un-rounded degree ``-(B/omega + 1)``.  The candidate is
-    ``integral`` when ``n_real`` sits within ``tol_int`` of a non-negative
+    ``integral`` when ``n_real`` sits within ``TOL_INT`` of a non-negative
     integer; only then does :meth:`params` produce a usable triplet.
     """
 
@@ -113,7 +117,7 @@ class DcheCandidate:
         return DcheParams(n=round(self.n_real), mu=self.mu, lam=self.lam)
 
 
-def params_to_dche(p: RsjParams, tol_int: float = 1e-9) -> DcheCandidate:
+def params_to_dche(p: RsjParams) -> DcheCandidate:
     """Map ``(A, B, omega)`` to the reduced triplet, flagging integral degree.
 
     Never raises on a non-integral degree: the caller inspects the flag.
@@ -121,7 +125,7 @@ def params_to_dche(p: RsjParams, tol_int: float = 1e-9) -> DcheCandidate:
     n_real = -(p.B / p.omega + 1.0)
     mu = p.A / (2.0 * p.omega)
     lam = 1.0 / (4.0 * p.omega**2) - mu**2
-    integral = abs(n_real - round(n_real)) <= tol_int and round(n_real) >= 0
+    integral = abs(n_real - round(n_real)) <= TOL_INT and round(n_real) >= 0
     return DcheCandidate(n_real=n_real, mu=mu, lam=lam, integral=integral)
 
 

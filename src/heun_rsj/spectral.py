@@ -44,7 +44,6 @@ __all__ = [
     "ROOT_TOL",
     "SpectralSet",
     "lambda_spectrum",
-    "SymmetryMatrix",
     "symmetry_matrix",
     "factorization",
     "root_params",
@@ -212,22 +211,13 @@ def _polish_extended(n: int, mu: float, seeds: np.ndarray) -> np.ndarray:
     return cur.astype(float)
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryMatrix:
-    """Matrix of the reflection-symmetry relations for one sign epsilon.
+def symmetry_matrix(epsilon: int, d: DcheParams) -> np.ndarray:
+    """Matrix of the reflection-symmetry relations for epsilon in {+1, -1}.
 
     Entries ``eps*c*delta(j,k) + mu*delta(j,n-k) - j*delta(j,n+1-k)`` with
     ``c = sqrt(lambda + mu**2)`` the positive inverse of twice the drive
     frequency.
     """
-
-    epsilon: int
-    n: int
-    entries: np.ndarray
-
-
-def symmetry_matrix(epsilon: int, d: DcheParams) -> SymmetryMatrix:
-    """Build the reflection-relation matrix for epsilon in {+1, -1}."""
     if epsilon not in (1, -1):
         raise InvalidParams(f"epsilon must be +1 or -1, got {epsilon!r}")
     disc = d.lam + d.mu**2
@@ -235,14 +225,12 @@ def symmetry_matrix(epsilon: int, d: DcheParams) -> SymmetryMatrix:
         raise NonPositiveDiscriminant(
             f"lambda + mu**2 = {disc!r} <= 0: no real frequency scale"
         )
-    c = math.sqrt(disc)
     n = d.n
-    g = epsilon * c * np.eye(n + 1)
-    for j in range(n + 1):
-        g[j, n - j] += d.mu
-        if 1 <= j:  # column n+1-j exists only for j >= 1
-            g[j, n + 1 - j] -= j
-    return SymmetryMatrix(epsilon=epsilon, n=n, entries=g)
+    j = np.arange(n + 1)
+    g = epsilon * math.sqrt(disc) * np.eye(n + 1)
+    g[j, n - j] += d.mu
+    g[j[1:], n + 1 - j[1:]] -= j[1:]  # column n+1-j exists only for j >= 1
+    return g
 
 
 def factorization(d: DcheParams) -> tuple[float, int, float, float]:
@@ -257,10 +245,10 @@ def factorization(d: DcheParams) -> tuple[float, int, float, float]:
     magnitude, so lambda is spectral iff one of the pair (numerically)
     vanishes.
     """
-    gp = symmetry_matrix(1, d).entries
-    gm = symmetry_matrix(-1, d).entries
+    gp = symmetry_matrix(1, d)
+    gm = symmetry_matrix(-1, d)
     prod = gp @ gm
-    phi_t = coefficient_matrix(d).dense().T
+    phi_t = coefficient_matrix(d).T
     dev_minus = float(np.max(np.abs(prod + phi_t)))
     dev_plus = float(np.max(np.abs(prod - phi_t)))
     dev, sign = (dev_minus, -1) if dev_minus <= dev_plus else (dev_plus, 1)

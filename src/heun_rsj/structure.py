@@ -78,6 +78,10 @@ TOL = {
 # stay in cache.
 _PHASE_BLOCK = 8192
 
+# Largest refined phase grid in samples (1 GiB of float64): just above
+# lambda + mu**2 = 0 the period is tiny and a short span needs a huge grid.
+_PHASE_MAX_SAMPLES = 2**27
+
 # Checks that need c = sqrt(lambda + mu**2), in report order.
 _C_CHECKS = (
     "reflection_symmetry",
@@ -98,6 +102,18 @@ def _c_scale(d: DcheParams) -> float:
     return math.sqrt(disc)
 
 
+def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of the reflection shuffle of P's coefficients.
+
+    Entry k of the first is ``mu*a_{n-k}`` and of the second
+    ``(n+1-k)*a_{n+1-k}`` (0 at k = 0), for k = 0..n.
+    """
+    a = np.asarray(P.coeffs, dtype=float)
+    up = np.zeros_like(a)
+    up[1:] = np.arange(P.n, 0, -1.0) * a[:0:-1]
+    return P.params.mu * a[::-1], up
+
+
 def reflected_polynomial(P: HeunPolynomial) -> HeunPolynomial:
     """The reflection image z**n * [P'(1/z) - mu*P(1/z)] as a polynomial.
 
@@ -105,17 +121,11 @@ def reflected_polynomial(P: HeunPolynomial) -> HeunPolynomial:
     ``a_{n+1} = 0``).  Solves the same equation exactly when P does; at a
     spectral point it is proportional to P itself.
     """
-    n, mu = P.n, P.params.mu
-    a = P.coeffs
-    c = [0.0] * (n + 1)
-    for m in range(n + 1):
-        val = -mu * a[n - m]
-        if m >= 1:
-            val += (n + 1.0 - m) * a[n + 1 - m]
-        c[m] = val
-    if c[n] == 0:
+    rev, up = _reflection_parts(P)
+    c = -rev + up
+    if c[-1] == 0:
         raise InvalidParams("reflection dropped the degree (leading coefficient 0)")
-    return HeunPolynomial(n=n, coeffs=tuple(c), params=P.params)
+    return HeunPolynomial(n=P.n, coeffs=tuple(c.tolist()), params=P.params)
 
 
 def symmetry_sign(P: HeunPolynomial, strict: bool = True) -> int:
@@ -169,15 +179,8 @@ def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
     """
     eps = symmetry_sign(P, strict=False)
     c = _c_scale(P.params)
-    n, mu = P.n, P.params.mu
-    a = P.coeffs
-    out = np.empty(n + 1)
-    for k in range(n + 1):
-        val = eps * c * a[k] + mu * a[n - k]
-        if k >= 1:
-            val -= (n + 1.0 - k) * a[n + 1 - k]
-        out[k] = val
-    return out
+    rev, up = _reflection_parts(P)
+    return (eps * c * np.asarray(P.coeffs, dtype=float) + rev) - up
 
 
 def residuals(P: HeunPolynomial) -> tuple[float, float]:
@@ -320,6 +323,13 @@ def _unit_circle_clear(P: HeunPolynomial) -> None:
         )
 
 
+def _check_grid_size(samples: int) -> None:
+    if samples > _PHASE_MAX_SAMPLES:
+        raise InvalidParams(
+            f"phase grid needs {samples} samples, over {_PHASE_MAX_SAMPLES}"
+        )
+
+
 def _phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
     p = dche_to_params(P.params)
     eps = symmetry_sign(P)
@@ -338,7 +348,8 @@ def phase_series(P: HeunPolynomial, times) -> np.ndarray:
     """Closed-form phase at the given increasing times, branch-continuous.
 
     Internally refines the grid so that no step advances the phase by more
-    than a small fraction of pi before unwrapping.
+    than a small fraction of pi before unwrapping; ``InvalidParams`` where
+    that grid exceeds 2**27 samples.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1:
@@ -352,6 +363,7 @@ def phase_series(P: HeunPolynomial, times) -> np.ndarray:
     if len(times) > 1:
         widest = float(np.max(np.diff(times)))
         factor = max(1, math.ceil(widest / max_step))
+    _check_grid_size(1 + (len(times) - 1) * factor)
     if factor == 1:
         return _phase_on_grid(P, times)
     inner = np.linspace(times[:-1], times[1:], factor + 1, axis=1)[:, 1:]
@@ -363,12 +375,14 @@ def phase_from_poly(P: HeunPolynomial, t: float) -> float:
     """Closed-form phase at time t, unwrapped continuously from t = 0.
 
     At t = 0 the phase is the principal value -arg(i*eps) = -eps*pi/2.
+    ``InvalidParams`` where the grid from 0 to t exceeds 2**27 samples.
     """
     _unit_circle_clear(P)
     p = dche_to_params(P.params)
     if t == 0.0:
         return float(_phase_on_grid(P, np.array([0.0]))[0])
     steps = max(2, math.ceil(abs(t) / p.period * 64.0 * (P.n + 2)))
+    _check_grid_size(steps + 1)
     grid = np.linspace(0.0, float(t), steps + 1)
     if t < 0:  # unwrap still walks the samples in order
         phi = _phase_on_grid(P, grid[::-1])[::-1]

@@ -5,6 +5,16 @@ the reflection relations.  Two routes below build them from the coefficient
 system alone -- a downward ratio chain and per-coefficient transfer-matrix
 products -- so the tests can cross-check all three.
 
+``heun_poly.spectral_det`` evaluates the determinant by the minor
+recurrence.  The ordered product of 2x2 transfer matrices gives it
+independently (``spectral_det_transfer``, in exact rationals) and, up to a
+nonzero factor, as the scalar ``necessary_condition``.
+
+``spectral.symmetry_matrix`` and the reflection shuffle in ``structure``
+fill their arrays by index assignment; the row loops below do the same
+arithmetic one entry at a time, and the array forms must match them bit for
+bit.
+
 The trajectory routes below are the straightforward forms of the fast paths
 in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
 ``math.cos`` at every stage, the closed-form phase over the whole grid at
@@ -15,19 +25,27 @@ time.  The fast paths must reproduce them bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from heun_rsj.dynamics import _grid
 from heun_rsj.errors import (
-    DegreeZeroUnsupported,
+    HeunRsjError,
     IndexOutOfRange,
     InvalidParams,
     NotUnimodular,
 )
-from heun_rsj.heun_poly import _transfer_product_times
 from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
 from heun_rsj.structure import symmetry_sign
+
+
+class DegreeZeroUnsupported(HeunRsjError):
+    """The transfer-matrix formulas need degree n >= 1."""
+
+
+class LambdaZero(HeunRsjError):
+    """lambda = 0 where a division by lambda is required."""
 
 
 class ZeroRatioDivision(ZeroDivisionError):
@@ -70,6 +88,58 @@ def coeffs_from_ratios(d: DcheParams) -> np.ndarray:
     return a
 
 
+def transfer_matrix(k: int, d: DcheParams) -> np.ndarray:
+    """2x2 step matrix M_k = [[Z_k + lambda, mu^2], [Z_k, 0]], Z_k = k(k-n-1)."""
+    zk = float(k) * (float(k) - d.n - 1.0)
+    return np.array([[zk + d.lam, d.mu**2], [zk, 0.0]])
+
+
+def _transfer_product_times(col: np.ndarray, d: DcheParams, lo: int) -> np.ndarray:
+    """Apply M_lo * M_{lo+1} * ... * M_{n-1} to a column (larger index first)."""
+    out = col
+    for j in range(d.n - 1, lo - 1, -1):
+        out = transfer_matrix(j, d) @ out
+    return out
+
+
+def spectral_det_transfer(d: DcheParams) -> float:
+    """Determinant through the ordered 2x2 transfer-matrix product.
+
+    Independent of ``heun_poly.spectral_det``: no minor recurrence is shared.
+    The product runs in exact rational arithmetic on the float inputs,
+    because its entries grow far beyond the determinant and cancel down to
+    it: in floating point, (n, mu, lambda) = (12, 1, -1) came out as -32
+    instead of -1.  Degree 0 has no transfer representation.
+    """
+    if d.n == 0:
+        raise DegreeZeroUnsupported("transfer product needs degree n >= 1")
+    lam, mu2 = Fraction(d.lam), Fraction(d.mu) ** 2
+    x, y = d.n - lam, Fraction(d.n)
+    for j in range(d.n - 1, 0, -1):  # apply M_{n-1} first, M_1 last
+        zj = j * (j - d.n - 1)
+        x, y = (zj + lam) * x + mu2 * y, zj * x
+    det = -(lam * x + mu2 * y)
+    try:
+        return float(det)
+    except OverflowError:
+        return math.inf if det > 0 else -math.inf
+
+
+def necessary_condition(d: DcheParams) -> float:
+    """Scalar whose vanishing is necessary for a polynomial solution.
+
+    Row-times-product form ``[1, mu^2/lambda] . (M_1 ... M_{n-1})
+    . [1 - lambda/n, 1]^T``; proportional to the determinant up to a nonzero
+    factor, so only its sign and zero set carry information.
+    """
+    if d.n == 0:
+        raise DegreeZeroUnsupported("necessary condition needs degree n >= 1")
+    if d.lam == 0:
+        raise LambdaZero("necessary condition divides by lambda")
+    col = _transfer_product_times(np.array([1.0 - d.lam / d.n, 1.0]), d, 1)
+    return float(col[0] + (d.mu**2 / d.lam) * col[1])
+
+
 def coeff_transfer(k: int, d: DcheParams) -> float:
     """Coefficient a_k (a_n = 1) from the transfer-matrix representation.
 
@@ -94,6 +164,43 @@ def coeff_transfer(k: int, d: DcheParams) -> float:
 
     f1, f2 = reg(1e-6), reg(1e-7)
     return (10.0 * f2 - f1) / 9.0
+
+
+def symmetry_matrix_loop(epsilon: int, d: DcheParams) -> np.ndarray:
+    """Reflection-relation matrix G_eps, filled row by row."""
+    n = d.n
+    g = epsilon * math.sqrt(d.lam + d.mu**2) * np.eye(n + 1)
+    for j in range(n + 1):
+        g[j, n - j] += d.mu
+        if 1 <= j:
+            g[j, n + 1 - j] -= j
+    return g
+
+
+def reflected_coeffs_loop(P: HeunPolynomial) -> list[float]:
+    """Coefficients ``(n+1-k)*a_{n+1-k} - mu*a_{n-k}`` of the reflection image."""
+    n, mu, a = P.n, P.params.mu, P.coeffs
+    out = []
+    for k in range(n + 1):
+        val = -mu * a[n - k]
+        if k >= 1:
+            val += (n + 1.0 - k) * a[n + 1 - k]
+        out.append(val)
+    return out
+
+
+def coeff_relations_loop(P: HeunPolynomial) -> np.ndarray:
+    """``eps*c*a_k - (n+1-k)*a_{n+1-k} + mu*a_{n-k}`` for k = 0..n."""
+    eps = symmetry_sign(P, strict=False)
+    c = math.sqrt(P.params.lam + P.params.mu**2)
+    n, mu, a = P.n, P.params.mu, P.coeffs
+    out = np.empty(n + 1)
+    for k in range(n + 1):
+        val = eps * c * a[k] + mu * a[n - k]
+        if k >= 1:
+            val -= (n + 1.0 - k) * a[n + 1 - k]
+        out[k] = val
+    return out
 
 
 def integrate_phase_loop(

@@ -28,7 +28,7 @@ class TestJacobiForm:
         # K = G_eps - eps*c*I is the same for either sign and any lambda.
         d = DcheParams(n=n, mu=mu, lam=1.0)
         c = math.sqrt(1.0 + mu**2)
-        k_t = (symmetry_matrix(1, d).entries - c * np.eye(n + 1)).T
+        k_t = (symmetry_matrix(1, d) - c * np.eye(n + 1)).T
         jac, order, log_d = _reflection_jacobi(n, mu)
         scale = np.exp(log_d)
         similar = k_t[np.ix_(order, order)] * scale[None, :] / scale[:, None]

@@ -8,35 +8,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heun_rsj import heun_poly
-from heun_rsj.errors import (
-    DegreeZeroUnsupported,
-    IndexOutOfRange,
-    InvalidParams,
-    LambdaZero,
-    NotSpectral,
-)
+from heun_rsj.errors import IndexOutOfRange, InvalidParams, NotSpectral
 from heun_rsj.heun_poly import (
     SAMPLE_POINTS,
     _det_scan,
     build_polynomial,
     coefficient_matrix,
-    necessary_condition,
     residual_linear_system,
     residual_master,
     spectral_det,
-    spectral_det_scaled,
-    spectral_det_transfer,
-    transfer_matrix,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial
 from heun_rsj.spectral import lambda_spectrum, root_params
 
 import helpers
 from oracles import (
+    DegreeZeroUnsupported,
+    LambdaZero,
     ZeroRatioDivision,
     coeff_transfer,
     coefficient_ratios,
     coeffs_from_ratios,
+    necessary_condition,
+    spectral_det_transfer,
+    transfer_matrix,
 )
 
 moderate_mu = st.floats(min_value=-4.0, max_value=4.0)
@@ -57,7 +52,7 @@ class TestCoefficientMatrix:
     def test_dense_n1(self):
         d = DcheParams(n=1, mu=0.7, lam=2.3)
         np.testing.assert_allclose(
-            coefficient_matrix(d).dense(),
+            coefficient_matrix(d),
             [[2.3, 0.7], [0.7, 2.3 - 1.0]],
             rtol=0.0,
             atol=0.0,
@@ -72,7 +67,7 @@ class TestCoefficientMatrix:
             [0.0, mu, lam - 2.0],
         ]
         np.testing.assert_allclose(
-            coefficient_matrix(d).dense(), expected, rtol=0.0, atol=0.0
+            coefficient_matrix(d), expected, rtol=0.0, atol=0.0
         )
 
 
@@ -123,7 +118,7 @@ class TestDeterminant:
     def test_matches_dense_determinant(self, n, mu, lam):
         d = DcheParams(n=n, mu=mu, lam=lam)
         ours, scale = spectral_det(d)
-        dense = float(np.linalg.det(coefficient_matrix(d).dense()))
+        dense = float(np.linalg.det(coefficient_matrix(d)))
         assert abs(ours - dense) <= 1e-9 * max(scale, abs(ours), abs(dense))
 
     @given(
@@ -185,8 +180,8 @@ class TestDeterminant:
 
     def test_scaled_form_consistent(self):
         d = DcheParams(n=6, mu=2.0, lam=3.7)
-        m, e = spectral_det_scaled(d)
-        assert math.ldexp(m, e) == spectral_det(d)[0]
+        m, _, _, e = _det_scan(d.n, d.mu, np.array([d.lam]))
+        assert math.ldexp(m[0], int(e[0])) == spectral_det(d)[0]
 
     def test_scale_floor(self):
         assert spectral_det(DcheParams(n=2, mu=1.0, lam=0.5))[1] >= 1.0
@@ -353,7 +348,7 @@ class TestResidualEvaluators:
     def test_linear_system_rows_match_dense_product(self):
         poly = self._solution(n=3, mu=0.5)
         rows = residual_linear_system(poly)
-        dense = coefficient_matrix(poly.params).dense() @ np.asarray(poly.coeffs)
+        dense = coefficient_matrix(poly.params) @ np.asarray(poly.coeffs)
         np.testing.assert_array_equal(rows, dense)
 
     def test_linear_system_flags_perturbation(self):

@@ -34,7 +34,12 @@ from heun_rsj.structure import (
 )
 
 import helpers
-from oracles import phase_on_grid, phase_series_loop
+from oracles import (
+    coeff_relations_loop,
+    phase_on_grid,
+    phase_series_loop,
+    reflected_coeffs_loop,
+)
 
 
 class TestReflectedPolynomial:
@@ -65,6 +70,23 @@ class TestReflectedPolynomial:
             rtol=1e-9,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 40])
+    @pytest.mark.parametrize("mu", [0.25, 1.82, -0.7])
+    def test_shuffle_matches_loop_oracle(self, n, mu):
+        # Both array forms must do the row loop's arithmetic in its order.
+        for _, d, eps in helpers.spectral_points(n, mu):
+            poly = heun_poly.build_polynomial(d, eps)
+            want = np.array(reflected_coeffs_loop(poly))
+            if want[-1] == 0:  # root 0 of (40, 0.25): lambda = -mu**2, c = 0
+                with pytest.raises(InvalidParams):
+                    reflected_polynomial(poly)
+            else:
+                image = np.array(reflected_polynomial(poly).coeffs)
+                assert image.tobytes() == want.tobytes()
+            if d.lam + d.mu**2 > 0:
+                rel = coeff_relations_residual(poly)
+                assert rel.tobytes() == coeff_relations_loop(poly).tobytes()
 
 
 class TestSymmetrySign:
@@ -186,6 +208,34 @@ class TestPhase:
         fast = phase_from_poly(poly, t)
         monkeypatch.setattr(structure, "_phase_on_grid", phase_on_grid)
         assert fast == phase_from_poly(poly, t)
+
+    def test_oversized_grid_is_typed(self):
+        # Root 0 at (7, 0.3) has lambda + mu**2 = 1.7e-16: the period is
+        # 1.6e-7, so one time unit needs a grid of 3.6e9 samples.
+        poly = helpers.solution(7, 0.3, 0)
+        with pytest.raises(InvalidParams, match=r"needs \d+ samples"):
+            phase_series(poly, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(InvalidParams, match=r"needs \d+ samples"):
+            phase_from_poly(poly, 1.0)
+
+    def test_grid_cap_counts_samples(self, monkeypatch):
+        poly = helpers.solution(2, 1.0, 2)
+        period = dche_to_params(poly.params).period
+        times = np.arange(101) * (period / 1000.0)  # no refinement needed
+        monkeypatch.setattr(structure, "_PHASE_MAX_SAMPLES", 100)
+        phase_series(poly, times[:100])
+        with pytest.raises(InvalidParams, match="needs 101 samples"):
+            phase_series(poly, times)
+        # Steps just under twice the refined step: 50 intervals of 2 samples.
+        coarse = np.arange(51) * (period / 130.0)
+        with pytest.raises(InvalidParams, match="needs 101 samples"):
+            phase_series(poly, coarse)
+        phase_series(poly, coarse[:50])
+        # One period is 64 * (n + 2) = 256 steps, so 257 samples.
+        with pytest.raises(InvalidParams, match="needs 257 samples"):
+            phase_from_poly(poly, period)
+        monkeypatch.setattr(structure, "_PHASE_MAX_SAMPLES", 257)
+        phase_from_poly(poly, period)
 
     def test_unit_circle_zero_rejected(self):
         d = DcheParams(n=1, mu=1.0, lam=0.9)
