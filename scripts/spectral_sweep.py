@@ -2,11 +2,11 @@
 """Map the spectral surface lambda_i(n, mu) and its physical bias points.
 
 For every degree in a range and every mu on a grid, compute the full set of
-polynomial eigenvalues, flag the roots whose discriminant lam + mu^2 falls
-below the admissibility margin, and recover the drive parameters
-(omega, A, B) for the admissible ones.  Results go to a CSV; a short
-summary (root counts, worst trace-identity residual, margin statistics)
-is printed at the end.
+polynomial eigenvalues (the whole grid in one ``lambda_spectra`` call), flag
+the roots whose discriminant lam + mu^2 falls below the admissibility
+margin, and recover the drive parameters (omega, A, B) for the admissible
+ones.  Results go to a CSV; a short summary (root counts, worst
+trace-identity residual, margin statistics) is printed at the end.
 
 Example
 -------
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from heun_rsj import DcheParams, dche_to_params, lambda_spectrum
+from heun_rsj import DcheParams, dche_to_params, lambda_spectra
 from heun_rsj.serialize import fmt_float, write_csv
 from heun_rsj.spectral import DISC_MARGIN
 
@@ -43,28 +43,32 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[list], dict]:
     rows: list[list] = []
     worst_trace = 0.0
     below_margin = 0
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    grid = [
+        (n, mu)
+        for n in range(cfg.n_min, cfg.n_max + 1)
+        for mu in np.linspace(cfg.mu_start, cfg.mu_stop, cfg.mu_count)
+    ]
+    spectra = lambda_spectra([(n, float(mu)) for n, mu in grid])
+    for (n, mu), spectrum in zip(grid, spectra):
         trace_exact = n * (n + 1) * (n + 2) / 6.0
-        for mu in np.linspace(cfg.mu_start, cfg.mu_stop, cfg.mu_count):
-            spectrum = lambda_spectrum(n, float(mu))
-            trace = math.fsum(spectrum.lambdas)
-            if trace_exact != 0.0:
-                worst_trace = max(
-                    worst_trace, abs(trace - trace_exact) / abs(trace_exact)
-                )
-            for i, lam in enumerate(spectrum.lambdas):
-                disc = lam + mu * mu
-                admissible = disc > DISC_MARGIN
-                if admissible:
-                    p = dche_to_params(DcheParams(n=n, mu=float(mu), lam=lam))
-                    omega, amp, bias = p.omega, p.A, p.B
-                else:
-                    # Empty cells: the record has no physical bias point.
-                    below_margin += 1
-                    omega = amp = bias = ""
-                rows.append(
-                    [n, float(mu), i, lam, disc, int(admissible), omega, amp, bias]
-                )
+        trace = math.fsum(spectrum.lambdas)
+        if trace_exact != 0.0:
+            worst_trace = max(
+                worst_trace, abs(trace - trace_exact) / abs(trace_exact)
+            )
+        for i, lam in enumerate(spectrum.lambdas):
+            disc = lam + mu * mu
+            admissible = disc > DISC_MARGIN
+            if admissible:
+                p = dche_to_params(DcheParams(n=n, mu=float(mu), lam=lam))
+                omega, amp, bias = p.omega, p.A, p.B
+            else:
+                # Empty cells: the record has no physical bias point.
+                below_margin += 1
+                omega = amp = bias = ""
+            rows.append(
+                [n, float(mu), i, lam, disc, int(admissible), omega, amp, bias]
+            )
     stats = {
         "rows": len(rows),
         "below_margin": below_margin,

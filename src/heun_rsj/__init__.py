@@ -13,7 +13,7 @@ from .errors import HeunRsjError, ZeroOnUnitCircle
 from .model import DcheParams, dche_to_params
 from .dynamics import integrate_phase
 from .heun_poly import build_polynomial
-from .spectral import lambda_spectrum, root_params
+from .spectral import lambda_spectra, lambda_spectrum, root_params
 from .structure import phase_series
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "build_polynomial",
     "dche_to_params",
     "integrate_phase",
+    "lambda_spectra",
     "lambda_spectrum",
     "phase_series",
     "root_params",

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import dynamics, heun_poly, spectral, structure
-from .errors import HeunRsjError
+from .errors import HeunRsjError, InvalidParams
 from .model import DcheParams, dche_to_params
 from .serialize import (
     SCHEMA,
@@ -44,11 +44,13 @@ def _physical_fields(d: DcheParams) -> dict:
     return {"omega": p.omega, "A": p.A, "B": p.B}
 
 
-def _spectrum_rows(n: int, mu: float) -> list[dict]:
+def _spectrum_rows(spectrum: spectral.SpectralSet) -> list[dict]:
     rows = []
-    for i, lam in enumerate(spectral.lambda_spectrum(n, mu).lambdas):
+    for i, lam in enumerate(spectrum.lambdas):
         row = {"index": i, "lambda": lam}
-        row.update(_physical_fields(DcheParams(n=n, mu=mu, lam=lam)))
+        row.update(
+            _physical_fields(DcheParams(n=spectrum.n, mu=spectrum.mu, lam=lam))
+        )
         rows.append(row)
     return rows
 
@@ -59,7 +61,7 @@ def _csv_fields(row: dict) -> list:
 
 
 def cmd_spectrum(args) -> tuple[str, int]:
-    rows = _spectrum_rows(args.n, args.mu)
+    rows = _spectrum_rows(spectral.lambda_spectrum(args.n, args.mu))
     if args.format == "json":
         return (
             json_dumps(
@@ -198,12 +200,20 @@ def cmd_ortho(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
+    if not np.all(np.isfinite(mus)):
+        raise InvalidParams(
+            f"--mu-start {args.mu_start!r} to --mu-stop {args.mu_stop!r} "
+            f"in {args.mu_points} points overflows the mu grid"
+        )
+    spectra = spectral.lambda_spectra(
+        [(n, float(mu)) for n in range(args.n_min, args.n_max + 1) for mu in mus]
+    )
     rows = [
-        [n, float(mu), row["lambda"], *_csv_fields(row)]
-        for n in range(args.n_min, args.n_max + 1)
-        for mu in mus
-        for row in _spectrum_rows(n, float(mu))
+        [s.n, s.mu, row["lambda"], *_csv_fields(row)]
+        for s in spectra
+        for row in _spectrum_rows(s)
     ]
     # A descending mu grid still emits rows in ascending (n, mu, lambda).
     rows.sort(key=lambda r: (r[0], r[1], r[2]))

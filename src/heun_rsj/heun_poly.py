@@ -65,48 +65,115 @@ def coefficient_matrix(d: DcheParams) -> np.ndarray:
     )
 
 
-def _det_scan(n: int, mu: float, lam: np.ndarray):
+def _by_degree(n, mu, lam: np.ndarray):
+    """Lay out a leading-minor recurrence over per-element degrees and drives.
+
+    ``n`` and ``mu`` are scalars or arrays matching ``lam``.  Element i takes
+    part in step j iff ``n[i] >= j``, so once the elements are sorted by
+    degree, descending and stably, the active ones always form a prefix.
+    Returns ``(order, runs, n, mu, lam)``:
+
+    * ``order`` is that sort (None where every degree is the same) and
+      ``lam`` comes back in its order;
+    * each run ``(d, k, c)`` says that the steps up to d act on the first k
+      elements, the last c of which end at step d;
+    * ``n`` and ``mu`` are the sorted degrees and drives, each a Python
+      scalar where every element shares it, so that the constants of one
+      problem's steps cost what they cost in a scalar call.
+    """
+    order = None
+    if isinstance(n, np.ndarray) and (n != n[0]).any():
+        order = np.argsort(-n, kind="stable")
+        n, lam = n[order], lam[order]
+        degrees, counts = np.unique(n, return_counts=True)
+        active = np.cumsum(counts[::-1])[::-1]
+        runs = list(zip(degrees.tolist(), active.tolist(), counts.tolist()))
+    else:
+        n = n.item(0) if isinstance(n, np.ndarray) else n
+        runs = [(n, lam.size, lam.size)]
+    if isinstance(mu, np.ndarray):
+        if (mu != mu[0]).any():
+            mu = mu if order is None else mu[order]
+        else:
+            mu = mu.item(0)
+    return order, runs, n, mu, lam
+
+
+def _take(index, *values) -> tuple:
+    """Each per-element array at ``index``; a shared scalar stays as it is."""
+    return tuple(x[index] if isinstance(x, np.ndarray) else x for x in values)
+
+
+def _unsort(order, done: list) -> tuple:
+    """The outputs of a :func:`_by_degree` layout, in the caller's order.
+
+    ``done`` holds, for each run, the outputs of the elements that ended
+    there; a later run's elements come earlier in the sorted order.
+    """
+    if order is None:
+        return done[0]
+    out = []
+    for blocks in zip(*done):
+        a = np.empty(order.size, dtype=blocks[0].dtype)
+        a[order] = np.concatenate(blocks[::-1])
+        out.append(a)
+    return tuple(out)
+
+
+def _det_scan(n, mu, lam: np.ndarray):
     """Leading-minor recurrence with power-of-two renormalisation, per lambda.
 
     Runs the recurrence on a 1-D array of lambda at once and returns arrays
     ``(det, ddet_dlambda, summand_max, e)``; the true values are each entry
-    times ``2**e`` of its own element.  Whenever the binary exponent of an
-    element's largest magnitude passes +-300, that element's four recurrence
-    values and its summand maximum are scaled by the same power of two (the
-    others by exactly 1), which keeps Newton ratios exact and prevents
-    overflow for large n.
+    times ``2**e`` of its own element.  ``n`` and ``mu`` are scalars or
+    per-element arrays: each element runs its own degree's recurrence
+    (:func:`_by_degree`) with exactly the arithmetic of a scalar call.
+    Whenever the binary exponent of an element's largest magnitude passes
+    +-300, that element's four recurrence values and its summand maximum are
+    scaled by the same power of two (the others by exactly 1), which keeps
+    Newton ratios exact and prevents overflow for large n.
     """
-    mu2 = mu * mu
+    order, runs, n, mu, lam = _by_degree(n, mu, lam)
     prev2, prev = np.ones_like(lam), lam  # D_{-1}, D_0
     dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)  # their lambda-derivatives
     smax = np.abs(lam)
     e = np.zeros(lam.shape, dtype=np.int64)
-    for j in range(1, n + 1):
-        dj = lam - j * (n + 1 - j)
-        cj = mu2 * j * (n - j + 1)
-        t1 = dj * prev
-        t2 = cj * prev2
-        cur = t1 - t2
-        dcur = dj * dprev + prev - cj * dprev2
-        smax = np.fmax(np.fmax(smax, np.abs(t1)), np.abs(t2))
-        prev2, prev = prev, cur
-        dprev2, dprev = dprev, dcur
-        m = np.maximum(
-            np.maximum(np.abs(prev), np.abs(prev2)),
-            np.maximum(np.maximum(np.abs(dprev), np.abs(dprev2)), smax),
-        )
-        ex = np.frexp(m)[1]
-        far = np.abs(ex) > 300
-        if far.any():
-            # At a double root (mu = 0) the recurrence values all reach
-            # exactly zero while earlier frames shrank the summand maximum to
-            # a subnormal; a shift of 2**-ex past 2**1022 would be inf.
-            ex = np.maximum(ex, -1022)
-            s = np.where(far, np.ldexp(1.0, -ex), 1.0)
-            prev2, prev, dprev2, dprev = prev2 * s, prev * s, dprev2 * s, dprev * s
-            smax = smax * s
-            e += np.where(far, ex, 0)
-    return prev, dprev, smax, e
+    n1, mu2 = n + 1, mu * mu
+    done, step = [], 0
+    for d, k, c in runs:
+        if k < lam.size:
+            lam, prev2, prev, dprev2, dprev, smax, e, n1, mu2 = _take(
+                slice(k), lam, prev2, prev, dprev2, dprev, smax, e, n1, mu2
+            )
+        for j in range(step + 1, d + 1):
+            r = n1 - j  # dj, cj: j*(n+1-j) and mu2*j*(n-j+1), as in a scalar call
+            dj = lam - j * r
+            cj = mu2 * j * r
+            t1 = dj * prev
+            t2 = cj * prev2
+            cur = t1 - t2
+            dcur = dj * dprev + prev - cj * dprev2
+            smax = np.fmax(np.fmax(smax, np.abs(t1)), np.abs(t2))
+            prev2, prev = prev, cur
+            dprev2, dprev = dprev, dcur
+            m = np.maximum(
+                np.maximum(np.abs(prev), np.abs(prev2)),
+                np.maximum(np.maximum(np.abs(dprev), np.abs(dprev2)), smax),
+            )
+            ex = np.frexp(m)[1]
+            far = np.abs(ex) > 300
+            if far.any():
+                # At a double root (mu = 0) the recurrence values all reach
+                # exactly zero while earlier frames shrank the summand maximum
+                # to a subnormal; a shift of 2**-ex past 2**1022 would be inf.
+                ex = np.maximum(ex, -1022)
+                s = np.where(far, np.ldexp(1.0, -ex), 1.0)
+                prev2, prev, dprev2, dprev = prev2 * s, prev * s, dprev2 * s, dprev * s
+                smax = smax * s
+                e += np.where(far, ex, 0)
+        done.append((prev[k - c:], dprev[k - c:], smax[k - c:], e[k - c:]))
+        step = d
+    return _unsort(order, done)
 
 
 def _ldexp_clamped(m: float, e: int) -> float:

@@ -36,7 +36,14 @@ from .errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from .heun_poly import _det_scan, _reflection_jacobi, coefficient_matrix
+from .heun_poly import (
+    _by_degree,
+    _det_scan,
+    _reflection_jacobi,
+    _take,
+    _unsort,
+    coefficient_matrix,
+)
 from .model import DcheParams, RsjParams, dche_to_params, mu_squared
 
 __all__ = [
@@ -44,6 +51,7 @@ __all__ = [
     "ROOT_TOL",
     "SpectralSet",
     "lambda_spectrum",
+    "lambda_spectra",
     "symmetry_matrix",
     "factorization",
     "root_params",
@@ -63,6 +71,13 @@ DISC_MARGIN = 1e-9
 #: Bound on the relative determinant (:func:`_refine_ratio`) that every root
 #: returned by :func:`lambda_spectrum` must meet.
 ROOT_TOL = 1e-10
+
+# Most roots in one run of lambda_spectra, and so the longest per-root array
+# of its polish and scan: a grid is cut, in order, into runs of whole
+# problems under it, and a problem with more roots runs alone.  At 4096 a
+# long-double working array is 64 KiB, and a sweep over n <= 200 at four mu
+# peaks at the memory of one spectrum at a time (8192 added 2 MB), no slower.
+_BATCH = 2**12
 
 
 @dataclass(frozen=True)
@@ -106,37 +121,102 @@ def _refine_ratio(
 
 
 def lambda_spectrum(n: int, mu: float) -> SpectralSet:
-    """All roots of the determinant gate at (n, mu), polished in extended precision.
+    """All roots of the determinant gate at (n, mu): :func:`lambda_spectra`
+    of the one problem."""
+    return lambda_spectra([(n, mu)])[0]
 
-    Eigenvalues of the symmetrised tridiagonal matrix seed the roots, and
-    :func:`_polish_extended` polishes them all at once.  One array scan of the
-    determinant then gates every root: each must bring the determinant below
-    ``ROOT_TOL`` times the local determinant scale (largest recurrence summand
-    or first-variation magnitude, whichever is bigger), or
+
+def lambda_spectra(problems) -> list[SpectralSet]:
+    """The spectrum of every ``(n, mu)`` in ``problems``, in their order.
+
+    Eigenvalues of each problem's symmetrised tridiagonal matrix seed its
+    roots.  The roots of many problems then go through one
+    extended-precision polish (:func:`_polish_extended`) and one array scan
+    of the determinant, each element with its own degree and drive, so a
+    grid costs about as many numpy calls as its largest degree.  The scan
+    gates every root: each must bring the determinant below ``ROOT_TOL``
+    times the local determinant scale (largest recurrence summand or
+    first-variation magnitude, whichever is bigger), or
     ``ConvergenceFailure`` names the lowest seed index that missed.  A root
     whose scan is not finite misses.  Where ``mu**2`` overflows a double no
     root is gated.
+
+    The problems are computed in runs of at most ``_BATCH`` roots, a larger
+    problem alone.  The first problem in order that fails -- an invalid
+    ``(n, mu)`` or a root that misses the gate -- raises, and no run after
+    it is computed.  Each spectrum is bit for bit the one computed alone
+    (several problems take each mu as a float).
     """
+    out: list[SpectralSet] = []
+    run: list[tuple] = []
+    width = 0  # roots in the run
+    error = None
+    for n, mu in problems:
+        try:
+            seeds = _checked_seeds(n, mu)
+        except InvalidParams as exc:
+            error = exc
+            break
+        if run and width + seeds.size > _BATCH:
+            out += _polish_and_gate(run)
+            run, width = [], 0
+        run.append((n, mu, seeds))
+        width += seeds.size
+    out += _polish_and_gate(run)
+    if error is not None:
+        raise error
+    return out
+
+
+def _checked_seeds(n: int, mu: float) -> np.ndarray:
+    """Eigenvalue seeds of a validated problem (:func:`_eigen_seeds`)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"degree n must be a non-negative int, got {n!r}")
     if not (isinstance(mu, (int, float)) and math.isfinite(mu)):
         raise InvalidParams(f"mu must be a finite real, got {mu!r}")
+    return _eigen_seeds(n, mu)
 
-    lams = _polish_extended(n, mu, _eigen_seeds(n, mu))
+
+def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
+    """Polish and gate the seeded problems ``(n, mu, seeds)`` of one run."""
+    if not run:
+        return []
+    sizes = [seeds.size for _, _, seeds in run]
+    if len(run) == 1:  # scalars: the recurrences' per-step constants stay scalar
+        n, mu, seeds = run[0]
+    else:
+        n = np.repeat([p[0] for p in run], sizes)
+        mu = np.repeat([float(p[1]) for p in run], sizes)
+        seeds = np.concatenate([p[2] for p in run])
+    lams = _polish_extended(n, mu, seeds)
     # Where mu**2 overflows a double the determinant has no double value to
     # gate; every use of such a triplet raises InvalidParams (mu_squared).
-    if math.isfinite(mu * mu):
-        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, lams))
-        for i, lam in enumerate(lams.tolist()):
-            ratio = _refine_ratio(det[i], ddet[i], lam, smax[i], e[i])
-            if not ratio <= ROOT_TOL:  # a NaN ratio fails too
-                raise ConvergenceFailure(
-                    i,
-                    f"root {i} of (n={n}, mu={mu}) polished to relative "
-                    f"determinant {ratio:.3e} > {ROOT_TOL:g}",
+    gated = [math.isfinite(float(mu_) * float(mu_)) for _, mu_, _ in run]
+    if any(gated):
+        keep = slice(None) if all(gated) else np.repeat(gated, sizes)
+        det, ddet, smax, e = (
+            a.tolist() for a in _det_scan(*_take(keep, n, mu, lams))
+        )
+    spectra = []
+    at = g = 0  # offsets of the problem in lams and in the scan
+    all_lams = lams.tolist()
+    for (n_, mu_, _), size, gate in zip(run, sizes, gated):
+        roots = all_lams[at:at + size]
+        if gate:
+            for i, lam in enumerate(roots):
+                ratio = _refine_ratio(
+                    det[g + i], ddet[g + i], lam, smax[g + i], e[g + i]
                 )
-
-    return SpectralSet(n=n, mu=float(mu), lambdas=tuple(sorted(lams.tolist())))
+                if not ratio <= ROOT_TOL:  # a NaN ratio fails too
+                    raise ConvergenceFailure(
+                        i,
+                        f"root {i} of (n={n_}, mu={mu_}) polished to relative "
+                        f"determinant {ratio:.3e} > {ROOT_TOL:g}",
+                    )
+            g += size
+        spectra.append(SpectralSet(n=n_, mu=float(mu_), lambdas=tuple(sorted(roots))))
+        at += size
+    return spectra
 
 
 def _eigen_seeds(n: int, mu: float) -> np.ndarray:
@@ -157,41 +237,55 @@ def _eigen_seeds(n: int, mu: float) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
 
 
-def _det_newton_extended(n: int, mu: float, lam: np.ndarray):
+def _det_newton_extended(n, mu, lam: np.ndarray):
     """Determinant and its lambda-derivative in extended precision, per lambda.
 
     Same leading-minor recurrence as :func:`heun_poly._det_scan`, run on a
     1-D ``numpy.longdouble`` array of lambda at once and without
     renormalisation (the extended exponent range covers every degree this
-    library targets).  Used to place spectral roots closer than the double
-    recurrence's own cancellation noise allows.
+    library targets).  ``n`` and ``mu`` are scalars or per-element arrays,
+    laid out by :func:`heun_poly._by_degree`.  Used to place spectral roots
+    closer than the double recurrence's own cancellation noise allows.
     """
     ld = np.longdouble
-    mu2 = ld(mu) * ld(mu)
+    order, runs, n, mu, lam = _by_degree(n, mu, lam)
+    m = ld(mu)
+    n1, mu2 = n + 1, m * m
     prev2, prev = np.ones_like(lam), lam
     dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)
-    for j in range(1, n + 1):
-        dj = lam - ld(j * (n + 1 - j))
-        cj = mu2 * ld(j * (n - j + 1))
-        cur = dj * prev - cj * prev2
-        dcur = dj * dprev + prev - cj * dprev2
-        prev2, prev = prev, cur
-        dprev2, dprev = dprev, dcur
-    return prev, dprev
+    done, step = [], 0
+    for d, k, c in runs:
+        if k < lam.size:
+            lam, prev2, prev, dprev2, dprev, n1, mu2 = _take(
+                slice(k), lam, prev2, prev, dprev2, dprev, n1, mu2
+            )
+        for j in range(step + 1, d + 1):
+            q = j * (n1 - j)  # j*(n+1-j) = j*(n-j+1), an exact integer
+            dj = lam - q
+            cj = mu2 * q
+            cur = dj * prev - cj * prev2
+            dcur = dj * dprev + prev - cj * dprev2
+            prev2, prev = prev, cur
+            dprev2, dprev = dprev, dcur
+        done.append((prev[k - c:], dprev[k - c:]))
+        step = d
+    return _unsort(order, done)
 
 
-def _polish_extended(n: int, mu: float, seeds: np.ndarray) -> np.ndarray:
+def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     """Newton steps on the determinant in extended precision, all roots at once.
 
     Cancellation noise in the double recurrence near a root can misplace it
     by tens of ulps, which downstream coefficient relations amplify.  A few
     extended-precision steps from the eigenvalue seeds land within an ulp of
-    the true zeros.  Every pass evaluates :func:`_det_newton_extended` on the
-    roots still moving, and each root keeps its own state: it stops once its
-    step no longer changes it, and falls back to its own seed on any sign of
-    trouble (non-finite values, a zero derivative, or a correction larger than
-    the seed's error could explain) while the others go on.  The caller's
-    ``ROOT_TOL`` gate then decides.
+    the true zeros.  ``n`` and ``mu`` are scalars or per-seed arrays, so the
+    roots of many problems polish together.  Every pass evaluates
+    :func:`_det_newton_extended` on the roots still moving, and each root
+    keeps its own state: it stops once its step no longer changes it, and
+    falls back to its own seed on any sign of trouble (non-finite values, a
+    zero derivative, or a correction larger than the seed's error could
+    explain) while the others go on.  The caller's ``ROOT_TOL`` gate then
+    decides.
     """
     cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
     cur = seeds.astype(np.longdouble)
@@ -200,7 +294,7 @@ def _polish_extended(n: int, mu: float, seeds: np.ndarray) -> np.ndarray:
         if live.size == 0:
             break
         at = cur[live]
-        det, ddet = _det_newton_extended(n, mu, at)
+        det, ddet = _det_newton_extended(*_take(live, n, mu), at)
         ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
         nxt = at - det / np.where(ok, ddet, 1)
         ok &= np.abs(nxt.astype(float) - seeds[live]) <= cap[live]

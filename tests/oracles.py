@@ -15,6 +15,10 @@ fill their arrays by index assignment; the row loops below do the same
 arithmetic one entry at a time, and the array forms must match them bit for
 bit.
 
+``cli.cmd_sweep`` computes its whole grid with one
+``spectral.lambda_spectra`` call; ``sweep_loop`` is the sweep as one
+``lambda_spectrum`` call per grid point, and the CSV bytes must match.
+
 The trajectory routes below are the straightforward forms of the fast paths
 in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
 ``math.cos`` at every stage, the closed-form phase over the whole grid at
@@ -29,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from heun_rsj.cli import _csv_fields, _physical_fields
 from heun_rsj.dynamics import _grid
 from heun_rsj.errors import (
     HeunRsjError,
@@ -37,6 +42,8 @@ from heun_rsj.errors import (
     NotUnimodular,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
+from heun_rsj.serialize import write_csv
+from heun_rsj.spectral import lambda_spectrum
 from heun_rsj.structure import symmetry_sign
 
 
@@ -201,6 +208,20 @@ def coeff_relations_loop(P: HeunPolynomial) -> np.ndarray:
             val -= (n + 1.0 - k) * a[n + 1 - k]
         out[k] = val
     return out
+
+
+def sweep_loop(
+    n_min: int, n_max: int, mu_start: float, mu_stop: float, mu_points: int
+) -> str:
+    """The ``sweep`` CSV, one ``lambda_spectrum`` call per (n, mu)."""
+    rows = []
+    for n in range(n_min, n_max + 1):
+        for mu in np.linspace(mu_start, mu_stop, mu_points):
+            for lam in lambda_spectrum(n, float(mu)).lambdas:
+                fields = _physical_fields(DcheParams(n=n, mu=float(mu), lam=lam))
+                rows.append([n, float(mu), lam, *_csv_fields(fields)])
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return write_csv(["n", "mu", "lambda", "omega", "A", "B"], rows)
 
 
 def integrate_phase_loop(

@@ -1,15 +1,19 @@
 """Command line contract: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from heun_rsj import spectral
 from heun_rsj.cli import main
 from heun_rsj.serialize import SCHEMA
+
+from oracles import sweep_loop
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +325,58 @@ class TestSweep:
             main(["sweep", "--n-min", "1", "--n-max", "1",
                   "--mu-start", "0.5", "--mu-points", "3"])
         assert err.value.code == 2
+
+    def test_golden_grid(self, capsys):
+        # SHA-256 of this sweep's stdout when every (n, mu) of the grid was
+        # computed by its own lambda_spectrum call.
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n-min", "0", "--n-max", "120",
+            "--mu-start", "-2.5", "--mu-stop", "3", "--mu-points", "4",
+        )
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "18a7aae9b449ab80d304a09f93c8f5f4907a0231eafaead7c01f4c03b8126712"
+        )
+
+    def test_matches_per_point_loop(self, capsys):
+        # mu = 0 (double roots) on a descending grid, mixed degrees.
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--n-min", "3", "--n-max", "31",
+            "--mu-start", "1.5", "--mu-stop", "-1.5", "--mu-points", "5",
+        )
+        assert code == 0
+        assert out == sweep_loop(3, 31, 1.5, -1.5, 5)
+
+    def test_first_failing_point_raises(self, capsys):
+        # (38, 1e9) passes and (38, 1e10) misses the root gate, ahead of
+        # every point of n = 39 and 40 in grid order.
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n-min", "38", "--n-max", "40",
+            "--mu-start", "1e9", "--mu-stop", "1e10", "--mu-points", "2",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(
+            "error: ConvergenceFailure: root 19 of (n=38, mu=10000000000.0) "
+        )
+
+    def test_overflowing_mu_grid_is_typed(self, capsys):
+        # The grid step (stop - start) / 2 overflows a double; no numpy
+        # warning and no NaN point may reach the user.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "sweep", "--n-min", "0", "--n-max", "1",
+                "--mu-start", "-1.7e308", "--mu-stop", "1.7e308",
+                "--mu-points", "3",
+            )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: InvalidParams: --mu-start -1.7e+308 ")
+        assert "--mu-stop 1.7e+308" in err
 
 
 @pytest.mark.parametrize(

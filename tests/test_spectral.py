@@ -22,6 +22,7 @@ from heun_rsj.spectral import (
     ROOT_TOL,
     SpectralSet,
     factorization,
+    lambda_spectra,
     lambda_spectrum,
     physical_point,
     symmetry_matrix,
@@ -291,6 +292,147 @@ class TestSpectrum:
         # gate at large mu turns this into a failure that asks for the
         # marker to go.
         assert len(lambda_spectrum(40, 1e10).lambdas) == 41
+
+
+# A mixed grid: degree 0, mu = 0 (double roots), negative and descending
+# mu, a duplicate pair, n = 300 (where the scan renormalises its frames)
+# and mu = 1e200 (mu**2 overflows, so no root is gated).
+_MIXED_GRID = [
+    (7, 2.5), (0, 0.7), (12, 0.0), (12, -2.3), (40, 1.82), (40, 1.82),
+    (7, 0.4), (300, 1.3), (5, 1e200), (2, -0.7), (0, 0.0), (60, 0.25),
+    (1, 3.0), (33, -1.1), (7, 2.5),
+]
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape, values, signs of zero and NaN positions.
+
+    For float64 this is bit identity up to NaN payloads; for longdouble it
+    also skips the padding bytes that ``tobytes`` would compare.
+    """
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and bool(np.all(
+            ((a == b) & (np.signbit(a) == np.signbit(b)))
+            | (np.isnan(a) & np.isnan(b))
+        ))
+    )
+
+
+def _bits(spectra) -> list:
+    return [(s.n, s.mu, np.array(s.lambdas).tobytes()) for s in spectra]
+
+
+class TestSpectra:
+    def test_batch_matches_one_at_a_time(self):
+        got = lambda_spectra(_MIXED_GRID)
+        want = [lambda_spectrum(n, mu) for n, mu in _MIXED_GRID]
+        assert _bits(got) == _bits(want)
+        assert lambda_spectra([]) == []
+
+    def test_large_degree_renormalises(self):
+        # The n = 300 point of the mixed grid exercises the scan's
+        # +-300 frame shift, and the mu = 1e200 point skips the gate.
+        lams = np.array(lambda_spectrum(300, 1.3).lambdas)
+        assert np.all(_det_scan(300, 1.3, lams)[3] != 0)
+        assert len(lambda_spectrum(5, 1e200).lambdas) == 6
+
+    # At cap 9 the first two problems (8 + 1 roots) fill a run exactly.
+    @pytest.mark.parametrize("cap", [1, 7, 9, 60, 400])
+    def test_runs_under_a_lowered_cap(self, monkeypatch, cap):
+        want = _bits(lambda_spectra(_MIXED_GRID))
+        runs = []
+        solve = spectral._polish_and_gate
+
+        def spy(run):
+            runs.append([(n, mu) for n, mu, _ in run])
+            return solve(run)
+
+        monkeypatch.setattr(spectral, "_BATCH", cap)
+        monkeypatch.setattr(spectral, "_polish_and_gate", spy)
+        assert _bits(lambda_spectra(_MIXED_GRID)) == want
+        # Whole problems in grid order; a run holds at most cap roots, or
+        # one problem, and ends only where the next problem would not fit.
+        assert [p for run in runs for p in run] == _MIXED_GRID
+        roots = [sum(n + 1 for n, _ in run) for run in runs]
+        assert all(r <= cap or len(run) == 1 for r, run in zip(roots, runs))
+        assert all(r + run[0][0] + 1 > cap for r, run in zip(roots, runs[1:]))
+        assert len(runs) > 1
+
+    def _per_element(self, dtype):
+        # Problems interleaved element by element, so the recurrences must
+        # sort them by degree and put every result back in place.
+        n, mu, lam = [], [], []
+        for d, m in _MIXED_GRID:
+            if m == 1e200:
+                continue  # mu**2 overflows: the double scan has no value
+            seeds = spectral._eigen_seeds(d, m)
+            n += [d] * seeds.size
+            mu += [m] * seeds.size
+            lam += seeds.tolist()
+        order = np.random.default_rng(7).permutation(len(lam))
+        return (np.array(n)[order], np.array(mu)[order],
+                np.array(lam, dtype=dtype)[order])
+
+    def test_scan_takes_per_element_arrays(self):
+        n, mu, lam = self._per_element(float)
+        got = _det_scan(n, mu, lam)
+        for i in range(lam.size):
+            want = _det_scan(int(n[i]), float(mu[i]), lam[i:i + 1])
+            for g, w in zip(got, want):
+                assert g[i:i + 1].tobytes() == w.tobytes(), i
+        assert any(np.any(e != 0) for e in got[3:])
+
+    def test_newton_takes_per_element_arrays(self):
+        n, mu, lam = self._per_element(np.longdouble)
+        got = spectral._det_newton_extended(n, mu, lam)
+        for i in range(lam.size):
+            want = spectral._det_newton_extended(int(n[i]), float(mu[i]), lam[i:i + 1])
+            for g, w in zip(got, want):
+                assert _same(g[i:i + 1], w), i
+
+    def test_polish_takes_per_element_arrays(self):
+        grid = [(d, m) for d, m in _MIXED_GRID if d < 100]
+        seeds = [spectral._eigen_seeds(d, m) for d, m in grid]
+        sizes = [s.size for s in seeds]
+        n = np.repeat([d for d, _ in grid], sizes)
+        mu = np.repeat([m for _, m in grid], sizes)
+        got = spectral._polish_extended(n, mu, np.concatenate(seeds))
+        want = [spectral._polish_extended(d, m, s) for (d, m), s in zip(grid, seeds)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_first_failure_in_order_raises(self):
+        # (2, 1e10) misses the root gate; (2, 1.7e308) overflows its
+        # eigenproblem.  The earlier problem's error wins.
+        gate = r"root 1 of \(n=2, mu=10000000000\.0\)"
+        with pytest.raises(ConvergenceFailure, match=gate):
+            lambda_spectra([(3, 1.0), (2, 1e10), (2, 1.7e308)])
+        with pytest.raises(InvalidParams, match="overflows the eigenproblem"):
+            lambda_spectra([(3, 1.0), (2, 1.7e308), (2, 1e10)])
+        with pytest.raises(InvalidParams, match="degree n must be"):
+            lambda_spectra([(3, 1.0), (-1, 1.0), (2, 1e10)])
+
+    @pytest.mark.parametrize("cap", [1, 3, 4, 5])
+    def test_error_order_across_runs(self, monkeypatch, cap):
+        # Whatever run each problem lands in, the first failing problem in
+        # order raises, and no run after it is computed.
+        monkeypatch.setattr(spectral, "_BATCH", cap)
+        solved = []
+        solve = spectral._polish_and_gate
+
+        def spy(run):
+            solved.append([n for n, _, _ in run])
+            return solve(run)
+
+        monkeypatch.setattr(spectral, "_polish_and_gate", spy)
+        with pytest.raises(ConvergenceFailure, match=r"\(n=2, mu=10000000000\.0\)"):
+            lambda_spectra([(1, 0.5), (2, 1e10), (2, 1.7e308), (4, 1.0)])
+        assert [n for run in solved for n in run] == [1, 2]
+        solved.clear()
+        with pytest.raises(InvalidParams, match="overflows the eigenproblem"):
+            lambda_spectra([(1, 0.5), (2, 0.3), (2, 1.7e308), (2, 1e10)])
+        assert [n for run in solved for n in run] == [1, 2]
 
 
 class TestSymmetryMatrices:
