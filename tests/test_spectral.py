@@ -412,6 +412,12 @@ class TestSpectra:
             lambda_spectra([(3, 1.0), (2, 1.7e308), (2, 1e10)])
         with pytest.raises(InvalidParams, match="degree n must be"):
             lambda_spectra([(3, 1.0), (-1, 1.0), (2, 1e10)])
+        # The grid of `sweep --n-min 38 --n-max 40 --mu-start 1e9
+        # --mu-stop 1e10 --mu-points 2`: every even n fails at mu = 1e10.
+        grid = [(n, mu) for n in (38, 39, 40) for mu in (1e9, 1e10)]
+        with pytest.raises(ConvergenceFailure) as err:
+            lambda_spectra(grid)
+        assert str(err.value).startswith("root 19 of (n=38, mu=10000000000.0) ")
 
     @pytest.mark.parametrize("cap", [1, 3, 4, 5])
     def test_error_order_across_runs(self, monkeypatch, cap):
