@@ -11,8 +11,9 @@ Subcommands::
     sweep           spectral surface over an (n, mu) grid as CSV
 
 Exit status: 0 on success, 1 on a computational error (or failed
-verification), 2 on a usage error.  Output is deterministic: identical
-invocations produce identical bytes.
+verification), 2 on a usage error.  A computational error is one stderr line
+naming its type; numpy floating-point warnings are not printed.  Output is
+deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def cmd_phase_compare(args) -> tuple[str, int]:
         "B": p.B,
         "periods": args.periods,
         "h": h,
-        "epsilon": structure.symmetry_sign(poly),
+        "epsilon": epsilon,
         "max_phase_dev_mod_2pi": dev,
         "ode_residual_max": ode_max,
         "tolerance": structure.TOL["phase"],
@@ -200,8 +201,7 @@ def cmd_ortho(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    with np.errstate(over="ignore", invalid="ignore"):
-        mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
+    mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
     if not np.all(np.isfinite(mus)):
         raise InvalidParams(
             f"--mu-start {args.mu_start!r} to --mu-stop {args.mu_stop!r} "
@@ -325,7 +325,10 @@ def main(argv=None) -> int:
         if args.mu_stop is None:
             args.mu_stop = args.mu_start
     try:
-        text, status = args.func(args)
+        # An overflow on the way to a typed error is reported by that error
+        # alone, not by numpy warnings ahead of it.
+        with np.errstate(all="ignore"):
+            text, status = args.func(args)
     except HeunRsjError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

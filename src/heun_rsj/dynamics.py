@@ -101,7 +101,7 @@ def integrate_phase(
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("phase integration produced a non-finite sample")
     times = np.arange(n_steps + 1) * dt
-    return Trajectory(times=times, values=out, kind="phase")
+    return Trajectory(times=times, values=out)
 
 
 def integrate_xy(
@@ -143,7 +143,7 @@ def integrate_xy(
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("companion integration produced a non-finite sample")
     times = np.arange(n_steps + 1) * dt
-    return Trajectory(times=times, values=out, kind="xy")
+    return Trajectory(times=times, values=out)
 
 
 def phase_from_xy(traj: Trajectory) -> Trajectory:
@@ -153,14 +153,14 @@ def phase_from_xy(traj: Trajectory) -> Trajectory:
     that keep the sequence continuous, so the trajectory must be sampled
     finely enough that true increments stay below pi per step.
     """
-    if traj.kind != "xy" or traj.values.shape[1] != 2:
+    if traj.kind != "xy":
         raise InvalidParams("phase_from_xy needs an 'xy' trajectory")
     x = traj.values[:, 0]
     y = traj.values[:, 1]
     if np.any(np.hypot(x, y) == 0.0):
         raise OriginUndefined("companion state reached x = y = 0")
     phi = unwrap(2.0 * np.arctan2(-y, x))
-    return Trajectory(times=traj.times, values=phi, kind="phase")
+    return Trajectory(times=traj.times, values=phi)
 
 
 def unwrap(angles: np.ndarray) -> np.ndarray:

@@ -57,12 +57,9 @@ class ConvergenceFailure(HeunRsjError):
         super().__init__(message)
 
 
-class ZeroAtOne(HeunRsjError):
-    """P(1) = 0: the reflection sign cannot be read off at z = 1."""
-
-
 class NotUnimodular(HeunRsjError):
-    """The reflection ratio at z = 1 is not +-1: input is not a solution."""
+    """The closed-form phase factor drifted off the unit circle: the
+    polynomial is not a solution with its sign epsilon."""
 
 
 class PolynomialZeroOnPath(HeunRsjError):

@@ -258,7 +258,8 @@ def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.nd
 def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     """The polynomial of the spectral root (lambda, epsilon), with a_n = 1.
 
-    ``spectral.root_params`` gives the pair.  The coefficients are the
+    ``spectral.root_params`` gives the pair, and the polynomial carries
+    epsilon.  The coefficients are the
     eigenvector of J (:func:`_reflection_jacobi`) at
     ``kappa = -epsilon*sqrt(lambda + mu**2)`` (0 where lambda + mu**2 <= 0):
     two inverse-iteration solves of ``J - kappa*I`` from the all-ones
@@ -300,4 +301,4 @@ def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
         )
     coeffs = np.empty(n + 1)
     coeffs[order] = a
-    return HeunPolynomial(n=n, coeffs=tuple(coeffs.tolist()), params=d)
+    return HeunPolynomial(coeffs=tuple(coeffs.tolist()), params=d, epsilon=epsilon)

@@ -17,7 +17,7 @@ their shared domain and always satisfy ``4*omega**2*(lambda + mu**2) = 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,28 @@ __all__ = [
     "Trajectory",
     "params_to_dche",
     "dche_to_params",
+    "finite_real",
+    "frequency_scale",
     "mu_squared",
 ]
 
 #: Distance from an integer within which the reduced degree counts as integral.
 TOL_INT = 1e-9
+
+
+def finite_real(name: str, value) -> float:
+    """``value`` as a float, or ``InvalidParams`` unless it is a finite real
+    (an int too large for a double included)."""
+    if isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise InvalidParams(
+                f"{name} is a {value.bit_length()}-bit int, too large for a double"
+            ) from None
+        if math.isfinite(x):
+            return x
+    raise InvalidParams(f"{name} must be a finite real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +74,7 @@ class RsjParams:
 
     def __post_init__(self):
         for name in ("A", "B", "omega"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidParams(f"{name} must be a finite real, got {value!r}")
+            finite_real(name, getattr(self, name))
         if self.A == 0:
             raise InvalidParams("bias amplitude A must be nonzero")
         if self.omega == 0:
@@ -90,9 +105,7 @@ class DcheParams:
         if self.n < 0:
             raise InvalidParams(f"degree n must be >= 0, got {self.n}")
         for name in ("mu", "lam"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidParams(f"{name} must be a finite real, got {value!r}")
+            finite_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -137,40 +150,50 @@ def mu_squared(mu: float) -> float:
         raise InvalidParams(f"mu**2 overflows a double at mu = {mu!r}") from None
 
 
-def dche_to_params(d: DcheParams) -> RsjParams:
-    """Invert the reduction, picking the canonical ``omega > 0`` branch.
+def frequency_scale(d: DcheParams) -> float:
+    """``c = sqrt(lambda + mu**2)``, the inverse of twice the drive frequency.
 
-    Requires ``lambda + mu**2 > 0`` (real drive frequency) and ``mu != 0``
-    (nonzero bias amplitude), and ``mu**2`` within the double range.
+    ``NonPositiveDiscriminant`` where ``lambda + mu**2 <= 0`` (no real drive
+    frequency), ``InvalidParams`` where ``mu**2`` overflows a double.
     """
     disc = d.lam + mu_squared(d.mu)
     if disc <= 0:
         raise NonPositiveDiscriminant(
             f"lambda + mu**2 = {disc!r} <= 0: no real drive frequency exists"
         )
-    omega = 1.0 / (2.0 * math.sqrt(disc))
+    return math.sqrt(disc)
+
+
+def dche_to_params(d: DcheParams) -> RsjParams:
+    """Invert the reduction, picking the canonical ``omega > 0`` branch.
+
+    Requires ``lambda + mu**2 > 0`` (real drive frequency, see
+    :func:`frequency_scale`) and ``mu != 0`` (nonzero bias amplitude).
+    """
+    omega = 1.0 / (2.0 * frequency_scale(d))
     return RsjParams(A=2.0 * d.mu * omega, B=-(d.n + 1.0) * omega, omega=omega)
 
 
 @dataclass(frozen=True)
 class HeunPolynomial:
-    """Polynomial ``P(z) = sum a_k z^k`` attached to its reduced triplet.
+    """Polynomial ``P(z) = sum a_k z^k`` of the root (params, epsilon).
 
-    ``coeffs`` is ascending, length ``n + 1``, with ``a_n != 0`` so the degree
-    is exact.  ``heun_poly.build_polynomial`` normalises ``a_n = 1``;
-    derived objects (e.g. the reflected polynomial) may carry another leading
-    coefficient.
+    ``coeffs`` is ascending, length ``n + 1`` for ``n = params.n``, with
+    ``a_n != 0`` so the degree is exact.  ``epsilon`` in {+1, -1} is the
+    reflection sign of the root,
+    ``P'(z) - mu*P(z) = epsilon * c * z**n * P(1/z)``, that the symmetry
+    residuals and the closed-form phase read.
+    ``heun_poly.build_polynomial`` normalises ``a_n = 1``; derived objects
+    (e.g. the reflected polynomial) may carry another leading coefficient.
     """
 
-    n: int
     coeffs: tuple[float, ...]
     params: DcheParams
+    epsilon: int
 
     def __post_init__(self):
-        if self.n != self.params.n:
-            raise InvalidParams(
-                f"degree field {self.n} disagrees with params.n = {self.params.n}"
-            )
+        if self.epsilon not in (1, -1):
+            raise InvalidParams(f"epsilon must be +1 or -1, got {self.epsilon!r}")
         if len(self.coeffs) != self.n + 1:
             raise InvalidParams(
                 f"need {self.n + 1} coefficients for degree {self.n}, "
@@ -180,6 +203,11 @@ class HeunPolynomial:
             raise InvalidParams("coefficients must all be finite")
         if self.coeffs[-1] == 0:
             raise InvalidParams("leading coefficient must be nonzero")
+
+    @property
+    def n(self) -> int:
+        """Degree, from the triplet."""
+        return self.params.n
 
     def value(self, z):
         """Evaluate P(z); scalar or array, real or complex."""
@@ -205,12 +233,11 @@ class Trajectory:
     """Sampled solution: ``values[i]`` is the state at ``times[i]``.
 
     ``values`` has one column for a phase trajectory and two columns (x, y)
-    for the companion system.
+    for the companion system; :attr:`kind` follows from the count.
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str = field(default="phase")
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -229,10 +256,13 @@ class Trajectory:
             )
         if values.shape[1] not in (1, 2):
             raise InvalidParams(f"values must have 1 or 2 columns, got {values.shape[1]}")
-        if self.kind not in ("phase", "xy"):
-            raise InvalidParams(f"kind must be 'phase' or 'xy', got {self.kind!r}")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
             raise InvalidParams("trajectory samples must be finite")
+
+    @property
+    def kind(self) -> str:
+        """``"phase"`` for one column, ``"xy"`` for two."""
+        return "phase" if self.values.shape[1] == 1 else "xy"
 
     def __len__(self) -> int:
         return len(self.times)

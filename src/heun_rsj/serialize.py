@@ -120,11 +120,10 @@ def trajectory_to_json(traj: Trajectory) -> str:
 def read_trajectory_csv(text: str) -> Trajectory:
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    if header == ["t", "phi"]:
-        kind = "phase"
-    elif header == ["t", "x", "y"]:
-        kind = "xy"
-    else:
+    if header not in (["t", "phi"], ["t", "x", "y"]):
         raise InvalidParams(f"unrecognised trajectory header {header!r}")
     data = np.array([[float(c) for c in row] for row in reader if row])
-    return Trajectory(times=data[:, 0], values=data[:, 1:], kind=kind)
+    traj = Trajectory(times=data[:, 0], values=data[:, 1:])
+    if _columns(traj) != header:
+        raise InvalidParams(f"header {header!r} over rows of {data.shape[1]} cells")
+    return traj

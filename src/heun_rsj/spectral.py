@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    IndexOutOfRange,
-    InvalidParams,
-    NonPositiveDiscriminant,
-)
+from .errors import ConvergenceFailure, IndexOutOfRange, InvalidParams
 from .heun_poly import (
     _by_degree,
     _det_scan,
@@ -44,7 +39,14 @@ from .heun_poly import (
     _unsort,
     coefficient_matrix,
 )
-from .model import DcheParams, RsjParams, dche_to_params, mu_squared
+from .model import (
+    DcheParams,
+    RsjParams,
+    dche_to_params,
+    finite_real,
+    frequency_scale,
+    mu_squared,
+)
 
 __all__ = [
     "DISC_MARGIN",
@@ -144,8 +146,8 @@ def lambda_spectra(problems) -> list[SpectralSet]:
     The problems are computed in runs of at most ``_BATCH`` roots, a larger
     problem alone.  The first problem in order that fails -- an invalid
     ``(n, mu)`` or a root that misses the gate -- raises, and no run after
-    it is computed.  Each spectrum is bit for bit the one computed alone
-    (several problems take each mu as a float).
+    it is computed.  Each mu is taken as a float, so each spectrum is bit for
+    bit the one computed alone.
     """
     out: list[SpectralSet] = []
     run: list[tuple] = []
@@ -153,7 +155,7 @@ def lambda_spectra(problems) -> list[SpectralSet]:
     error = None
     for n, mu in problems:
         try:
-            seeds = _checked_seeds(n, mu)
+            mu, seeds = _checked_seeds(n, mu)
         except InvalidParams as exc:
             error = exc
             break
@@ -168,13 +170,13 @@ def lambda_spectra(problems) -> list[SpectralSet]:
     return out
 
 
-def _checked_seeds(n: int, mu: float) -> np.ndarray:
-    """Eigenvalue seeds of a validated problem (:func:`_eigen_seeds`)."""
+def _checked_seeds(n: int, mu: float) -> tuple[float, np.ndarray]:
+    """``float(mu)`` and the eigenvalue seeds (:func:`_eigen_seeds`) of a
+    validated problem."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"degree n must be a non-negative int, got {n!r}")
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu)):
-        raise InvalidParams(f"mu must be a finite real, got {mu!r}")
-    return _eigen_seeds(n, mu)
+    mu = finite_real("mu", mu)
+    return mu, _eigen_seeds(n, mu)
 
 
 def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
@@ -186,12 +188,12 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
         n, mu, seeds = run[0]
     else:
         n = np.repeat([p[0] for p in run], sizes)
-        mu = np.repeat([float(p[1]) for p in run], sizes)
+        mu = np.repeat([p[1] for p in run], sizes)
         seeds = np.concatenate([p[2] for p in run])
     lams = _polish_extended(n, mu, seeds)
     # Where mu**2 overflows a double the determinant has no double value to
     # gate; every use of such a triplet raises InvalidParams (mu_squared).
-    gated = [math.isfinite(float(mu_) * float(mu_)) for _, mu_, _ in run]
+    gated = [math.isfinite(mu_ * mu_) for _, mu_, _ in run]
     if any(gated):
         keep = slice(None) if all(gated) else np.repeat(gated, sizes)
         det, ddet, smax, e = (
@@ -214,7 +216,7 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
                         f"determinant {ratio:.3e} > {ROOT_TOL:g}",
                     )
             g += size
-        spectra.append(SpectralSet(n=n_, mu=float(mu_), lambdas=tuple(sorted(roots))))
+        spectra.append(SpectralSet(n=n_, mu=mu_, lambdas=tuple(sorted(roots))))
         at += size
     return spectra
 
@@ -309,19 +311,13 @@ def symmetry_matrix(epsilon: int, d: DcheParams) -> np.ndarray:
     """Matrix of the reflection-symmetry relations for epsilon in {+1, -1}.
 
     Entries ``eps*c*delta(j,k) + mu*delta(j,n-k) - j*delta(j,n+1-k)`` with
-    ``c = sqrt(lambda + mu**2)`` the positive inverse of twice the drive
-    frequency.
+    ``c = sqrt(lambda + mu**2)`` (:func:`model.frequency_scale`).
     """
     if epsilon not in (1, -1):
         raise InvalidParams(f"epsilon must be +1 or -1, got {epsilon!r}")
-    disc = d.lam + d.mu**2
-    if disc <= 0:
-        raise NonPositiveDiscriminant(
-            f"lambda + mu**2 = {disc!r} <= 0: no real frequency scale"
-        )
     n = d.n
     j = np.arange(n + 1)
-    g = epsilon * math.sqrt(disc) * np.eye(n + 1)
+    g = epsilon * frequency_scale(d) * np.eye(n + 1)
     g[j, n - j] += d.mu
     g[j[1:], n + 1 - j[1:]] -= j[1:]  # column n+1-j exists only for j >= 1
     return g

@@ -5,7 +5,9 @@ Every polynomial solution P of degree n enjoys a reflection symmetry
     P'(z) - mu*P(z) = eps * c * z**n * P(1/z),      eps**2 = 1,
 
 with ``c = sqrt(lambda + mu**2)`` the positive inverse of twice the drive
-frequency.  The symmetry fixes the phase trajectory in closed form,
+frequency (``model.frequency_scale``).  The sign names the root together
+with lambda, and every ``HeunPolynomial`` carries it.  The symmetry fixes
+the phase trajectory in closed form,
 
     exp(-i*phi(t)) = i*eps * z**(n+1) * P(1/z) / P(z),   z = exp(i*omega*t),
 
@@ -31,24 +33,21 @@ from .errors import (
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
-    NonPositiveDiscriminant,
     NotUnimodular,
     PolynomialZeroOnPath,
     QuadratureFailure,
-    ZeroAtOne,
     ZeroOnUnitCircle,
 )
 from . import heun_poly, spectral
 from .dynamics import unwrap
 from .heun_poly import SAMPLE_POINTS
-from .model import DcheParams, HeunPolynomial, dche_to_params
+from .model import HeunPolynomial, dche_to_params, frequency_scale, mu_squared
 
 __all__ = [
     "TOL",
     "residuals",
     "certify",
     "reflected_polynomial",
-    "symmetry_sign",
     "symmetry_residual",
     "coeff_relations_residual",
     "second_solution",
@@ -93,15 +92,6 @@ _C_CHECKS = (
 )
 
 
-def _c_scale(d: DcheParams) -> float:
-    disc = d.lam + d.mu**2
-    if disc <= 0:
-        raise NonPositiveDiscriminant(
-            f"lambda + mu**2 = {disc!r} <= 0: no real frequency scale"
-        )
-    return math.sqrt(disc)
-
-
 def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """The two parts of the reflection shuffle of P's coefficients.
 
@@ -119,45 +109,24 @@ def reflected_polynomial(P: HeunPolynomial) -> HeunPolynomial:
 
     Coefficient shuffle ``a_k -> (n+1-k)*a_{n+1-k} - mu*a_{n-k}`` (with
     ``a_{n+1} = 0``).  Solves the same equation exactly when P does; at a
-    spectral point it is proportional to P itself.
+    spectral point it is proportional to P itself (by ``epsilon*c``), and it
+    carries P's epsilon.
     """
     rev, up = _reflection_parts(P)
     c = -rev + up
     if c[-1] == 0:
         raise InvalidParams("reflection dropped the degree (leading coefficient 0)")
-    return HeunPolynomial(n=P.n, coeffs=tuple(c.tolist()), params=P.params)
-
-
-def symmetry_sign(P: HeunPolynomial, strict: bool = True) -> int:
-    """Sign eps read off the reflection relation at z = 1.
-
-    ``strict`` additionally certifies that the ratio is +-1 to 1e-8, which
-    holds only for genuine solutions.
-    """
-    c = _c_scale(P.params)
-    p1 = float(P.value(1.0))
-    if abs(p1) <= 1e-12 * P.norm_l1():
-        raise ZeroAtOne("P(1) is numerically zero; sign undefined there")
-    ratio = (float(P.deriv1(1.0)) - P.params.mu * p1) / (c * p1)
-    if ratio == 0.0:
-        raise NotUnimodular("reflection ratio vanished at z = 1")
-    if strict and abs(abs(ratio) - 1.0) > 1e-8:
-        raise NotUnimodular(
-            f"reflection ratio {ratio!r} at z = 1 is not +-1: not a solution"
-        )
-    return 1 if ratio > 0 else -1
+    return HeunPolynomial(coeffs=tuple(c.tolist()), params=P.params, epsilon=P.epsilon)
 
 
 def symmetry_residual(P: HeunPolynomial) -> float:
     """Worst relative defect of the reflection relation over the sample set.
 
     Each point contributes ``|P'(z) - mu*P(z) - eps*c*z**n*P(1/z)|`` divided
-    by the largest of its three summand magnitudes.  The sign is read off
-    non-strictly so near-solutions report a large residual instead of
-    raising.
+    by the largest of its three summand magnitudes, with P's own sign eps.
     """
-    eps = symmetry_sign(P, strict=False)
-    c = _c_scale(P.params)
+    eps = P.epsilon
+    c = frequency_scale(P.params)
     n, mu = P.n, P.params.mu
     worst = 0.0
     for z in SAMPLE_POINTS:
@@ -175,12 +144,12 @@ def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
     """Residuals of the coefficient form of the reflection relation.
 
     Entry k is ``eps*c*a_k - (n+1-k)*a_{n+1-k} + mu*a_{n-k}`` for k = 0..n
-    (the k = 0 entry degenerates to ``eps*c*a_0 + mu*a_n``).
+    (the k = 0 entry degenerates to ``eps*c*a_0 + mu*a_n``), with P's own
+    sign eps.
     """
-    eps = symmetry_sign(P, strict=False)
-    c = _c_scale(P.params)
+    c = frequency_scale(P.params)
     rev, up = _reflection_parts(P)
-    return (eps * c * np.asarray(P.coeffs, dtype=float) + rev) - up
+    return (P.epsilon * c * np.asarray(P.coeffs, dtype=float) + rev) - up
 
 
 def residuals(P: HeunPolynomial) -> tuple[float, float]:
@@ -206,9 +175,10 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     from ``TOL``.  The master and linear-system residuals always run.  The
     checks that need c run only when lambda + mu**2 clears
     ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped`` as
-    ``{"name", "reason"}``.
+    ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a double.
     """
     d = P.params
+    disc = d.lam + mu_squared(d.mu)
     checks: list[dict] = []
 
     def add(name: str, value: float, tol: float) -> None:
@@ -220,7 +190,6 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     add("master_equation_rel", master, TOL["master"])
     add("linear_system_rel", linear, TOL["linear_system"])
 
-    disc = d.lam + d.mu**2
     if disc <= spectral.DISC_MARGIN:
         reason = "NonPositiveDiscriminant" if disc <= 0 else "DiscriminantBelowMargin"
         return checks, [{"name": name, "reason": reason} for name in _C_CHECKS]
@@ -332,12 +301,11 @@ def _check_grid_size(samples: int) -> None:
 
 def _phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
     p = dche_to_params(P.params)
-    eps = symmetry_sign(P)
     angles = np.empty(len(times))
     for start in range(0, len(times), _PHASE_BLOCK):
         block = slice(start, start + _PHASE_BLOCK)
         z = np.exp(1j * p.omega * times[block])
-        w = 1j * eps * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
+        w = 1j * P.epsilon * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
         if float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-12:
             raise NotUnimodular("phase factor drifted off the unit circle")
         angles[block] = np.angle(w)

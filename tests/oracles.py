@@ -15,6 +15,11 @@ fill their arrays by index assignment; the row loops below do the same
 arithmetic one entry at a time, and the array forms must match them bit for
 bit.
 
+A polynomial carries the reflection sign of its root, which
+``spectral.root_params`` reads from the Jacobi form of the reflection
+relations.  ``sign_at_one`` reads it again from the relation at the one
+point z = 1.
+
 ``cli.cmd_sweep`` computes its whole grid with one
 ``spectral.lambda_spectra`` call; ``sweep_loop`` is the sweep as one
 ``lambda_spectrum`` call per grid point, and the CSV bytes must match.
@@ -44,7 +49,6 @@ from heun_rsj.errors import (
 from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
 from heun_rsj.serialize import write_csv
 from heun_rsj.spectral import lambda_spectrum
-from heun_rsj.structure import symmetry_sign
 
 
 class DegreeZeroUnsupported(HeunRsjError):
@@ -196,9 +200,20 @@ def reflected_coeffs_loop(P: HeunPolynomial) -> list[float]:
     return out
 
 
+def sign_at_one(P: HeunPolynomial) -> int:
+    """Sign of the reflection ratio ``(P'(1) - mu*P(1)) / (c*P(1))`` at z = 1.
+
+    At a solution the ratio is ``epsilon``; ``ZeroDivisionError`` where
+    P(1) = 0.
+    """
+    c = math.sqrt(P.params.lam + P.params.mu**2)
+    p1 = float(P.value(1.0))
+    return 1 if (float(P.deriv1(1.0)) - P.params.mu * p1) / (c * p1) > 0 else -1
+
+
 def coeff_relations_loop(P: HeunPolynomial) -> np.ndarray:
     """``eps*c*a_k - (n+1-k)*a_{n+1-k} + mu*a_{n-k}`` for k = 0..n."""
-    eps = symmetry_sign(P, strict=False)
+    eps = P.epsilon
     c = math.sqrt(P.params.lam + P.params.mu**2)
     n, mu, a = P.n, P.params.mu, P.coeffs
     out = np.empty(n + 1)
@@ -288,9 +303,8 @@ def integrate_xy_loop(
 def phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
     """Closed-form phase over the whole grid in one pass, unwrapped by numpy."""
     p = dche_to_params(P.params)
-    eps = symmetry_sign(P)
     z = np.exp(1j * p.omega * times)
-    w = 1j * eps * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
+    w = 1j * P.epsilon * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
     if float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-12:
         raise NotUnimodular("phase factor drifted off the unit circle")
     return -np.unwrap(np.angle(w))

@@ -396,6 +396,58 @@ def test_huge_mu_root_commands_exit_typed(capsys, argv):
     assert err.startswith("error: InvalidParams: mu**2 overflows")
 
 
+# A failing call prints its typed error and nothing else: the overflows on
+# the way to it raise no numpy warning that names package source lines.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "3", "--mu", "1.3e154"],
+        ["sweep", "--n-min", "1", "--n-max", "4", "--mu-start", "1e152",
+         "--mu-stop", "1.3e154", "--mu-points", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_failing_call_prints_one_stderr_line(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "heun_rsj.cli", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: ConvergenceFailure: ")
+
+
+def _root_calls(command):
+    if command == "phase-compare":  # the inputs of the benchmark's cli workload
+        points = (("2", "0.8", "1"), ("5", "1.7", "3"), ("8", "2.6", "6"))
+    else:
+        points = [
+            (str(n), mu, str(root))
+            for mu in ("0.25", "1.82", "-0.7")
+            for n in range(13)
+            for root in range(n + 1)
+        ]
+    return [[command, "--n", n, "--mu", mu, "--root", root] for n, mu, root in points]
+
+
+# SHA-256 of "<exit code>\n<stdout>" over each set of calls, computed while
+# the phase path still re-read the sign at z = 1 and the records had no sign.
+@pytest.mark.parametrize(
+    "command,digest",
+    [
+        ("verify", "653c20fa7f6ba0afd8c8368a0b31c35e7295d39841bd0ce65d4b4240b5c3a762"),
+        ("poly", "dfa47e53d855f7ed8e4888bc5d7174baf3f200ab4020dc6f4911b28f6dd96812"),
+        ("phase-compare",
+         "a2e268fb5b92897b03d595bab7bd4e12ff806db32ad090c047c38780692d5ed7"),
+    ],
+)
+def test_golden_root_commands(capsys, command, digest):
+    h = hashlib.sha256()
+    for argv in _root_calls(command):
+        code, out, _ = run_cli(capsys, *argv)
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == digest
+
+
 # From about |mu| = 1e153 up to sqrt(DBL_MAX) the double determinant scan
 # overflows to NaN at the polished roots; a NaN relative determinant must
 # fail the root gate.

@@ -15,7 +15,7 @@ from heun_rsj.model import DcheParams
 from heun_rsj.spectral import lambda_spectrum, root_params, symmetry_matrix
 
 import helpers
-from oracles import ZeroRatioDivision, coeffs_from_ratios
+from oracles import ZeroRatioDivision, coeffs_from_ratios, sign_at_one
 
 # The drive strengths of the certified degree range n <= 40.
 RANGE_MUS = (0.25, 1.0, 1.82, 2.5, -0.7)
@@ -64,10 +64,14 @@ class TestRootSigns:
         assert pairs >= 100
 
     def test_sign_matches_the_z_equals_one_read(self):
+        # The record's sign (kappa's) against the one-point read of the
+        # reflection relation, over the certified degree range.
         for mu in (0.5, -1.3):
-            for n in range(8):
+            for n in range(41):
                 for _, d, eps in helpers.admissible_points(n, mu):
-                    assert structure.symmetry_sign(build_polynomial(d, eps)) == eps
+                    poly = build_polynomial(d, eps)
+                    assert poly.epsilon == eps
+                    assert sign_at_one(poly) == eps
 
     def test_root_params_matches_the_spectral_points(self):
         for i, d, eps in helpers.spectral_points(9, 1.82):

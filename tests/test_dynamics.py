@@ -226,9 +226,7 @@ class TestErrors:
             phase_from_xy(traj)
 
     def test_phase_from_xy_origin(self):
-        traj = Trajectory(
-            times=[0.0, 1.0], values=[[1.0, 0.0], [0.0, 0.0]], kind="xy"
-        )
+        traj = Trajectory(times=[0.0, 1.0], values=[[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(OriginUndefined):
             phase_from_xy(traj)
 

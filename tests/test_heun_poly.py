@@ -1,5 +1,6 @@
 """Coefficient system, determinant routes, and polynomial construction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestCoefficientRoutes:
         # is the spectral condition and stays open at a generic lambda.
         d = DcheParams(n=3, mu=1.0, lam=0.9)
         a = coeffs_from_ratios(d)
-        poly = HeunPolynomial(n=3, coeffs=tuple(a), params=d)
+        poly = HeunPolynomial(coeffs=tuple(a), params=d, epsilon=1)
         rows = residual_linear_system(poly)
         amax = np.max(np.abs(a))
         assert np.max(np.abs(rows[1:])) <= 1e-12 * amax * 10.0
@@ -338,7 +339,7 @@ class TestResidualEvaluators:
         coeffs = list(poly.coeffs)
         amax = max(abs(c) for c in coeffs)
         coeffs[1] += 1e-4 * amax
-        bad = HeunPolynomial(n=poly.n, coeffs=tuple(coeffs), params=poly.params)
+        bad = dataclasses.replace(poly, coeffs=tuple(coeffs))
         worst = max(
             abs(res) / max(scale, 1e-300)
             for res, scale in (residual_master(bad, z) for z in SAMPLE_POINTS)
@@ -356,7 +357,7 @@ class TestResidualEvaluators:
         coeffs = list(poly.coeffs)
         amax = max(abs(c) for c in coeffs)
         coeffs[0] += 1e-4 * amax
-        bad = HeunPolynomial(n=poly.n, coeffs=tuple(coeffs), params=poly.params)
+        bad = dataclasses.replace(poly, coeffs=tuple(coeffs))
         assert np.max(np.abs(residual_linear_system(bad))) >= 1e-6 * amax
 
 

@@ -19,6 +19,7 @@ from heun_rsj.model import (
     RsjParams,
     Trajectory,
     dche_to_params,
+    frequency_scale,
     params_to_dche,
 )
 
@@ -42,6 +43,10 @@ class TestRsjParams:
         with pytest.raises(InvalidParams):
             RsjParams(**kwargs)
 
+    def test_int_too_large_for_a_double_is_typed(self):
+        with pytest.raises(InvalidParams, match="A is a 1329-bit int"):
+            RsjParams(A=10**400, B=1.0, omega=1.0)
+
 
 class TestDcheParams:
     def test_accepts_zero_mu(self):
@@ -61,6 +66,10 @@ class TestDcheParams:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InvalidParams):
             DcheParams(**kwargs)
+
+    def test_int_too_large_for_a_double_is_typed(self):
+        with pytest.raises(InvalidParams, match="mu is a 1329-bit int"):
+            DcheParams(n=1, mu=10**400, lam=1.0)
 
 
 class TestTripletMaps:
@@ -92,6 +101,15 @@ class TestTripletMaps:
     def test_inverse_needs_positive_discriminant(self, lam):
         with pytest.raises(NonPositiveDiscriminant):
             dche_to_params(DcheParams(n=1, mu=0.5, lam=lam))
+
+    def test_frequency_scale(self):
+        d = DcheParams(n=2, mu=0.5, lam=1.0)
+        assert frequency_scale(d) == math.sqrt(1.25)
+        assert dche_to_params(d).omega == 1.0 / (2.0 * frequency_scale(d))
+        with pytest.raises(NonPositiveDiscriminant, match="no real drive frequency"):
+            frequency_scale(DcheParams(n=1, mu=0.5, lam=-0.25))
+        with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows"):
+            frequency_scale(DcheParams(n=1, mu=1e200, lam=1.0))
 
     @given(
         n=st.integers(min_value=0, max_value=12),
@@ -138,7 +156,7 @@ class TestHeunPolynomial:
         return DcheParams(n=n, mu=1.0, lam=0.5)
 
     def test_evaluation_jet(self):
-        poly = HeunPolynomial(n=2, coeffs=(2.0, -1.0, 3.0), params=self._params(2))
+        poly = HeunPolynomial(coeffs=(2.0, -1.0, 3.0), params=self._params(2), epsilon=1)
         z = 0.7
         assert poly.value(z) == pytest.approx(2.0 - z + 3.0 * z**2, rel=1e-15)
         assert poly.deriv1(z) == pytest.approx(-1.0 + 6.0 * z, rel=1e-15)
@@ -146,7 +164,7 @@ class TestHeunPolynomial:
         assert poly.norm_l1() == 6.0
 
     def test_vector_evaluation(self):
-        poly = HeunPolynomial(n=1, coeffs=(1.0, 2.0), params=self._params(1))
+        poly = HeunPolynomial(coeffs=(1.0, 2.0), params=self._params(1), epsilon=-1)
         z = np.array([0.0, 1.0, 1j])
         np.testing.assert_allclose(poly.value(z), 1.0 + 2.0 * z, rtol=1e-15)
 
@@ -161,36 +179,50 @@ class TestHeunPolynomial:
     )
     def test_rejects_bad_coefficients(self, n, coeffs):
         with pytest.raises(InvalidParams):
-            HeunPolynomial(n=n, coeffs=coeffs, params=self._params(n))
+            HeunPolynomial(coeffs=coeffs, params=self._params(n), epsilon=1)
 
-    def test_rejects_degree_mismatch_with_params(self):
-        with pytest.raises(InvalidParams):
-            HeunPolynomial(n=2, coeffs=(1.0, 1.0, 1.0), params=self._params(1))
+    def test_degree_is_the_triplet_degree(self):
+        poly = HeunPolynomial(coeffs=(1.0, 1.0, 1.0), params=self._params(2), epsilon=1)
+        assert poly.n == 2
+        with pytest.raises(InvalidParams, match="need 2 coefficients"):
+            HeunPolynomial(coeffs=(1.0, 1.0, 1.0), params=self._params(1), epsilon=1)
+
+    @pytest.mark.parametrize("epsilon", [0, 2, 1.0 + 1e-9, None])
+    def test_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(InvalidParams, match="epsilon must be"):
+            HeunPolynomial(coeffs=(1.0, 1.0), params=self._params(1), epsilon=epsilon)
 
 
 class TestTrajectory:
     def test_phase_columns(self):
-        traj = Trajectory(times=[0.0, 1.0], values=[0.1, 0.2], kind="phase")
+        traj = Trajectory(times=[0.0, 1.0], values=[0.1, 0.2])
         assert len(traj) == 2
         assert traj.values.shape == (2, 1)
+        assert traj.kind == "phase"
 
     def test_xy_columns(self):
-        traj = Trajectory(
-            times=[0.0, 1.0], values=[[1.0, 0.0], [0.9, 0.1]], kind="xy"
-        )
+        traj = Trajectory(times=[0.0, 1.0], values=[[1.0, 0.0], [0.9, 0.1]])
         assert traj.values.shape == (2, 2)
+        assert traj.kind == "xy"
 
     def test_rejects_non_monotone_times(self):
         with pytest.raises(InvalidParams):
-            Trajectory(times=[0.0, 0.0], values=[0.1, 0.2], kind="phase")
+            Trajectory(times=[0.0, 0.0], values=[0.1, 0.2])
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(InvalidParams):
-            Trajectory(times=[0.0, 1.0], values=[0.1, math.nan], kind="phase")
+            Trajectory(times=[0.0, 1.0], values=[0.1, math.nan])
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(InvalidParams):
+        # The kind follows from the columns: it cannot be named, and a third
+        # column is no kind at all.
+        with pytest.raises(TypeError):
             Trajectory(times=[0.0, 1.0], values=[0.1, 0.2], kind="angle")
+        with pytest.raises(InvalidParams, match="1 or 2 columns"):
+            Trajectory(times=[0.0, 1.0], values=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        traj = Trajectory(times=[0.0, 1.0], values=[[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(AttributeError):
+            traj.kind = "phase"
 
 
 class TestDcheCandidate:

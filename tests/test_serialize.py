@@ -91,16 +91,24 @@ class TestCsv:
 
 class TestTrajectoryFormats:
     def _traj(self):
-        return Trajectory(
-            times=[0.0, 0.5, 1.0], values=[0.1, 0.2, 0.35], kind="phase"
-        )
+        return Trajectory(times=[0.0, 0.5, 1.0], values=[0.1, 0.2, 0.35])
 
     def _traj_xy(self):
-        return Trajectory(
-            times=[0.0, 0.5],
-            values=[[1.0, 0.0], [0.9, -0.1]],
-            kind="xy",
-        )
+        return Trajectory(times=[0.0, 0.5], values=[[1.0, 0.0], [0.9, -0.1]])
+
+    @pytest.mark.parametrize(
+        "values", [[[0.1], [0.2]], [[1.0, 2.0], [3.0, 4.0]]], ids=["phase", "xy"]
+    )
+    def test_csv_header_matches_row_width(self, values):
+        lines = trajectory_to_csv(Trajectory(times=[0.0, 1.0], values=values)).splitlines()
+        widths = {len(line.split(",")) for line in lines}
+        assert widths == {1 + len(values[0])}
+
+    def test_csv_header_must_match_row_width(self):
+        with pytest.raises(InvalidParams, match="rows of 3 cells"):
+            read_trajectory_csv("t,phi\n0,1,2\n1,3,4\n")
+        with pytest.raises(InvalidParams, match="rows of 2 cells"):
+            read_trajectory_csv("t,x,y\n0,1\n1,3\n")
 
     def test_csv_round_trip_phase(self):
         text = trajectory_to_csv(self._traj())

@@ -419,6 +419,17 @@ class TestSpectra:
             lambda_spectra(grid)
         assert str(err.value).startswith("root 19 of (n=38, mu=10000000000.0) ")
 
+    def test_int_mu_is_taken_as_a_float(self):
+        # 2**53 + 1 has no double: a lone problem, a batch and the double it
+        # rounds to give one spectrum.  An int past the double range is typed.
+        mu = 2**53 + 1
+        for n in (1, 3):
+            lone = lambda_spectrum(n, mu)
+            assert lone == lambda_spectra([(n, mu), (n, 0.5)])[0]
+            assert lone == lambda_spectrum(n, float(mu))
+        with pytest.raises(InvalidParams, match="mu is a 1329-bit int"):
+            lambda_spectrum(2, 10**400)
+
     @pytest.mark.parametrize("cap", [1, 3, 4, 5])
     def test_error_order_across_runs(self, monkeypatch, cap):
         # Whatever run each problem lands in, the first failing problem in

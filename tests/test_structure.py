@@ -1,20 +1,19 @@
 """Reflection symmetry, phase recovery, second solutions, orthogonality."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from heun_rsj import heun_poly, structure
+from heun_rsj import heun_poly, spectral, structure
 from heun_rsj.dynamics import bias
 from heun_rsj.errors import (
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
-    NotUnimodular,
     PolynomialZeroOnPath,
     QuadratureFailure,
-    ZeroAtOne,
     ZeroOnUnitCircle,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial, dche_to_params
@@ -29,7 +28,6 @@ from heun_rsj.structure import (
     second_solution,
     second_solution_jet,
     symmetry_residual,
-    symmetry_sign,
     weight_divergence_residual,
 )
 
@@ -45,11 +43,12 @@ from oracles import (
 class TestReflectedPolynomial:
     def test_hand_shuffle_degree_one(self):
         d = DcheParams(n=1, mu=0.6, lam=0.9)
-        poly = HeunPolynomial(n=1, coeffs=(0.4, 1.0), params=d)
+        poly = HeunPolynomial(coeffs=(0.4, 1.0), params=d, epsilon=-1)
         image = reflected_polynomial(poly)
         np.testing.assert_allclose(
             image.coeffs, [-0.6, 1.0 - 0.6 * 0.4], rtol=1e-15
         )
+        assert (image.params, image.epsilon) == (d, -1)
 
     @pytest.mark.parametrize("n,mu,index", [(1, 1.0, 0), (2, 1.0, 2), (3, 0.5, 3)])
     def test_solves_same_equation(self, n, mu, index):
@@ -63,10 +62,9 @@ class TestReflectedPolynomial:
         image = reflected_polynomial(poly)
         d = poly.params
         c = math.sqrt(d.lam + d.mu**2)
-        eps = symmetry_sign(poly)
         np.testing.assert_allclose(
             np.asarray(image.coeffs),
-            eps * c * np.asarray(poly.coeffs),
+            poly.epsilon * c * np.asarray(poly.coeffs),
             rtol=1e-9,
             atol=1e-12,
         )
@@ -92,27 +90,14 @@ class TestReflectedPolynomial:
 class TestSymmetrySign:
     @pytest.mark.parametrize("mu,expected", [(0.7, -1), (-0.7, 1)])
     def test_degree_zero_sign_is_minus_sign_of_mu(self, mu, expected):
-        assert symmetry_sign(helpers.solution(0, mu, 0)) == expected
+        assert helpers.solution(0, mu, 0).epsilon == expected
 
     def test_degree_one_sign_follows_lambda(self):
         # For n = 1, eps * c = lambda exactly on the spectral curve, so the
         # sign is the sign of the root.
         lo, hi = helpers.solution(1, 1.0, 0), helpers.solution(1, 1.0, 1)
-        assert symmetry_sign(lo) == -1
-        assert symmetry_sign(hi) == 1
-
-    def test_strict_rejects_non_solution(self):
-        d = DcheParams(n=1, mu=1.0, lam=0.9)
-        fake = HeunPolynomial(n=1, coeffs=(1.0, 2.0), params=d)
-        with pytest.raises(NotUnimodular):
-            symmetry_sign(fake)
-        assert symmetry_sign(fake, strict=False) in (-1, 1)
-
-    def test_zero_at_one_detected(self):
-        d = DcheParams(n=1, mu=1.0, lam=0.9)
-        fake = HeunPolynomial(n=1, coeffs=(-1.0, 1.0), params=d)
-        with pytest.raises(ZeroAtOne):
-            symmetry_sign(fake)
+        assert lo.epsilon == -1
+        assert hi.epsilon == 1
 
 
 class TestSymmetryResiduals:
@@ -140,18 +125,52 @@ class TestSymmetryResiduals:
         poly = helpers.solution(2, 1.0, 2)
         coeffs = list(poly.coeffs)
         coeffs[0] += 1e-4
-        bad = HeunPolynomial(n=2, coeffs=tuple(coeffs), params=poly.params)
+        bad = dataclasses.replace(poly, coeffs=tuple(coeffs))
         assert symmetry_residual(bad) >= 1e-6
+
+    def test_flags_the_wrong_sign(self):
+        poly = helpers.solution(4, 2.0, 4)
+        flipped = dataclasses.replace(poly, epsilon=-poly.epsilon)
+        assert symmetry_residual(flipped) >= 0.1
+        rel = coeff_relations_residual(flipped)
+        assert np.max(np.abs(rel)) >= 0.1 * max(abs(c) for c in poly.coeffs)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            structure.certify,
+            symmetry_residual,
+            coeff_relations_residual,
+            lambda P: spectral.symmetry_matrix(P.epsilon, P.params),
+            lambda P: spectral.factorization(P.params),
+        ],
+        ids=["certify", "symmetry_residual", "coeff_relations_residual",
+             "symmetry_matrix", "factorization"],
+    )
+    def test_overflowing_mu_squared_is_typed(self, check):
+        d = DcheParams(n=1, mu=1e200, lam=1.0)
+        fake = HeunPolynomial(coeffs=(0.5, 1.0), params=d, epsilon=1)
+        with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows"):
+            check(fake)
 
 
 class TestPhase:
     @pytest.mark.parametrize("n,mu,index", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2)])
     def test_initial_value(self, n, mu, index):
         poly = helpers.solution(n, mu, index)
-        eps = symmetry_sign(poly)
         assert phase_from_poly(poly, 0.0) == pytest.approx(
-            -eps * math.pi / 2.0, abs=1e-12
+            -poly.epsilon * math.pi / 2.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("n,mu,index", [(1, 0.5, 1), (4, 1.7, 2), (9, 1.37, 0)])
+    def test_flipped_sign_shifts_the_phase_by_pi(self, n, mu, index):
+        # exp(-i*phi) = i*eps*z**(n+1)*P(1/z)/P(z): the sign of the record,
+        # and only it, sets the factor eps.
+        poly = helpers.solution(n, mu, index)
+        flipped = dataclasses.replace(poly, epsilon=-poly.epsilon)
+        times = np.linspace(0.0, 2.0 * dche_to_params(poly.params).period, 501)
+        shift = phase_series(flipped, times) - phase_series(poly, times)
+        np.testing.assert_allclose(np.mod(shift, 2.0 * math.pi), math.pi, atol=1e-9)
 
     @pytest.mark.parametrize("n,mu,index", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2)])
     def test_one_period_winding_is_integer(self, n, mu, index):
@@ -239,7 +258,7 @@ class TestPhase:
 
     def test_unit_circle_zero_rejected(self):
         d = DcheParams(n=1, mu=1.0, lam=0.9)
-        fake = HeunPolynomial(n=1, coeffs=(1.0, 1.0), params=d)  # zero at -1
+        fake = HeunPolynomial(coeffs=(1.0, 1.0), params=d, epsilon=1)  # zero at -1
         with pytest.raises(ZeroOnUnitCircle):
             phase_series(fake, np.linspace(0.0, 1.0, 9))
 
@@ -343,7 +362,7 @@ class TestOrthogonality:
     def test_divergence_identity_flags_non_solution(self):
         p1 = helpers.solution(0, 1.0, 0)
         d = DcheParams(n=1, mu=1.0, lam=0.9)
-        fake = HeunPolynomial(n=1, coeffs=(0.3, 1.0), params=d)
+        fake = HeunPolynomial(coeffs=(0.3, 1.0), params=d, epsilon=1)
         res, scale = weight_divergence_residual(1.3, p1, fake)
         assert abs(res) > 1e-4 * scale
 
