@@ -146,13 +146,11 @@ def cmd_phase_compare(args) -> tuple[str, int]:
     closed = structure.phase_series(poly, traj.times)
     diff = closed - traj.values[:, 0]
     dev = float(np.max(np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi)))
-
-    # Central differences truncate at O(dt^2 * phi'''); 4e4 points per period
-    # keeps that term safely below the phase tolerance.
-    fine = np.linspace(0.0, t_end, int(round(40000 * args.periods)) + 1)
-    phi = structure.phase_series(poly, fine)
-    dphi = (phi[2:] - phi[:-2]) / (fine[2] - fine[0])
-    resid = dphi + np.sin(phi[1:-1]) - dynamics.bias(p, fine[1:-1])
+    resid = (
+        structure.phase_rate(poly, traj.times)
+        + np.sin(closed)
+        - dynamics.bias(p, traj.times)
+    )
     ode_max = float(np.max(np.abs(resid)))
 
     ok = dev <= structure.TOL["phase"] and ode_max <= structure.TOL["phase"]

@@ -57,11 +57,6 @@ class ConvergenceFailure(HeunRsjError):
         super().__init__(message)
 
 
-class NotUnimodular(HeunRsjError):
-    """The closed-form phase factor drifted off the unit circle: the
-    polynomial is not a solution with its sign epsilon."""
-
-
 class PolynomialZeroOnPath(HeunRsjError):
     """The integration path for the second solution crosses a zero of P."""
 

@@ -9,11 +9,18 @@ frequency (``model.frequency_scale``).  The sign names the root together
 with lambda, and every ``HeunPolynomial`` carries it.  The symmetry fixes
 the phase trajectory in closed form,
 
-    exp(-i*phi(t)) = i*eps * z**(n+1) * P(1/z) / P(z),   z = exp(i*omega*t),
+    exp(-i*phi(t)) = i*eps * z**(n+1) * P(1/z) / P(z),   z = exp(i*omega*t).
 
-pairs P with a second, non-polynomial solution through a quadrature with an
-exact Wronskian, and yields a finite-interval-free orthogonality relation on
-(0, inf) between solutions of different degree sharing the same mu.
+P has real coefficients, so P(1/z) = conj P(z) on |z| = 1, and one
+evaluation of P per sample gives the phase and its exact time derivative:
+
+    phi(t)  = -eps*pi/2 - (n+1)*omega*t + 2*arg P(z),
+    phi'(t) = -omega*(n+1) + 2*omega * Re(z*P'(z) / P(z)).
+
+The same symmetry pairs P with a second, non-polynomial solution through a
+quadrature with an exact Wronskian, and yields a finite-interval-free
+orthogonality relation on (0, inf) between solutions of different degree
+sharing the same mu.
 
 ``certify`` collects every residual that vouches for a polynomial solution
 into one record of checks run and checks skipped.
@@ -33,7 +40,6 @@ from .errors import (
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
-    NotUnimodular,
     PolynomialZeroOnPath,
     QuadratureFailure,
     ZeroOnUnitCircle,
@@ -54,6 +60,7 @@ __all__ = [
     "second_solution_jet",
     "phase_from_poly",
     "phase_series",
+    "phase_rate",
     "orthogonality_weight",
     "weight_divergence_residual",
     "orthogonality_integral",
@@ -299,17 +306,25 @@ def _check_grid_size(samples: int) -> None:
         )
 
 
-def _phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
-    p = dche_to_params(P.params)
-    angles = np.empty(len(times))
+def _on_circle(P: HeunPolynomial, omega: float, times: np.ndarray, f) -> np.ndarray:
+    """``f(z, P(z))`` at ``z = exp(i*omega*t)``, one block of samples at a time."""
+    out = np.empty(len(times))
     for start in range(0, len(times), _PHASE_BLOCK):
         block = slice(start, start + _PHASE_BLOCK)
-        z = np.exp(1j * p.omega * times[block])
-        w = 1j * P.epsilon * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)
-        if float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-12:
-            raise NotUnimodular("phase factor drifted off the unit circle")
-        angles[block] = np.angle(w)
-    return -unwrap(angles)
+        z = np.exp(1j * omega * times[block])
+        out[block] = f(z, P.value(z))
+    return out
+
+
+def _phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
+    omega = dche_to_params(P.params).omega
+    arg = unwrap(_on_circle(P, omega, times, lambda z, v: np.angle(v)))
+    raw = 2.0 * arg - (P.n + 1) * omega * times
+    # Start on the principal branch [-pi, pi): at t = 0 an arg P(1) of +-pi
+    # is taken off exactly, so the phase there is -eps*pi/2 to the bit.
+    half = P.epsilon * (0.5 * np.pi)
+    turns = math.floor((raw[0] - half + np.pi) / (2.0 * np.pi))
+    return (raw - 2.0 * np.pi * turns) - half
 
 
 def phase_series(P: HeunPolynomial, times) -> np.ndarray:
@@ -357,6 +372,21 @@ def phase_from_poly(P: HeunPolynomial, t: float) -> float:
     else:
         phi = _phase_on_grid(P, grid)
     return float(phi[-1])
+
+
+def phase_rate(P: HeunPolynomial, times) -> np.ndarray:
+    """Exact time derivative of the closed-form phase at the given times.
+
+    ``-omega*(n+1) + 2*omega*Re(z*P'(z)/P(z))`` at ``z = exp(i*omega*t)``;
+    ``ZeroOnUnitCircle`` where P vanishes on the circle.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 1:
+        raise InvalidParams("times must be a non-empty 1-d array")
+    _unit_circle_clear(P)
+    omega = dche_to_params(P.params).omega
+    ratio = _on_circle(P, omega, times, lambda z, v: (z * P.deriv1(z) / v).real)
+    return 2.0 * omega * ratio - (P.n + 1) * omega
 
 
 def _shared_mu(P1: HeunPolynomial, P2: HeunPolynomial) -> float:

@@ -28,7 +28,9 @@ The trajectory routes below are the straightforward forms of the fast paths
 in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
 ``math.cos`` at every stage, the closed-form phase over the whole grid at
 once with ``np.unwrap``, and a refinement grid built one interval at a
-time.  The fast paths must reproduce them bit for bit.
+time.  The fast paths must reproduce them bit for bit.  The phase also has
+its older ratio form, which evaluates P at both z and 1/z
+(``phase_on_grid_ratio``); it must agree modulo 2*pi.
 """
 
 from __future__ import annotations
@@ -40,12 +42,7 @@ import numpy as np
 
 from heun_rsj.cli import _csv_fields, _physical_fields
 from heun_rsj.dynamics import _grid
-from heun_rsj.errors import (
-    HeunRsjError,
-    IndexOutOfRange,
-    InvalidParams,
-    NotUnimodular,
-)
+from heun_rsj.errors import HeunRsjError, IndexOutOfRange, InvalidParams
 from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
 from heun_rsj.serialize import write_csv
 from heun_rsj.spectral import lambda_spectrum
@@ -57,6 +54,10 @@ class DegreeZeroUnsupported(HeunRsjError):
 
 class LambdaZero(HeunRsjError):
     """lambda = 0 where a division by lambda is required."""
+
+
+class NotUnimodular(HeunRsjError):
+    """The ratio form of the phase factor drifted off the unit circle."""
 
 
 class ZeroRatioDivision(ZeroDivisionError):
@@ -302,6 +303,17 @@ def integrate_xy_loop(
 
 def phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
     """Closed-form phase over the whole grid in one pass, unwrapped by numpy."""
+    omega = dche_to_params(P.params).omega
+    raw = 2.0 * np.unwrap(np.angle(P.value(np.exp(1j * omega * times))))
+    raw = raw - (P.n + 1) * omega * times
+    half = P.epsilon * (0.5 * np.pi)
+    turns = math.floor((raw[0] - half + np.pi) / (2.0 * np.pi))
+    return (raw - 2.0 * np.pi * turns) - half
+
+
+def phase_on_grid_ratio(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
+    """Closed-form phase from the ratio ``i*eps*z**(n+1)*P(1/z)/P(z)``,
+    evaluating P at z and at 1/z, with its drift off |w| = 1 checked."""
     p = dche_to_params(P.params)
     z = np.exp(1j * p.omega * times)
     w = 1j * P.epsilon * z ** (P.n + 1) * P.value(1.0 / z) / P.value(z)

@@ -204,6 +204,41 @@ class TestPhaseCompare:
         assert doc["ode_residual_max"] <= 1e-6
         assert doc["epsilon"] in (-1, 1)
 
+    def test_exact_residual_at_high_frequency(self, capsys):
+        # omega = 9.6e3: central differences on 4e4 points per period read
+        # 1.1e-4 here; the exact rate reads 2.9e-8.
+        code, out, _ = run_cli(
+            capsys, "phase-compare", "--n", "9", "--mu", "1.37", "--root", "0"
+        )
+        doc = parse_json(out)
+        assert code == 0 and doc["pass"] is True
+        assert doc["ode_residual_max"] == pytest.approx(2.9e-8, rel=0.1)
+        assert doc["max_phase_dev_mod_2pi"] <= 1e-6
+
+    def test_absolute_bound_holds_at_huge_frequency(self, capsys):
+        # lambda + mu**2 = 6.9e-18 gives omega = 1.9e8: the residual is about
+        # 1e-10 of the equation's terms but over the absolute 1e-6 bound.
+        code, out, _ = run_cli(
+            capsys, "phase-compare", "--n", "7", "--mu", "0.25", "--root", "0"
+        )
+        doc = parse_json(out)
+        assert doc["omega"] > 1e8
+        assert code == 1 and doc["pass"] is False
+        assert doc["ode_residual_max"] > doc["tolerance"]
+        assert doc["max_phase_dev_mod_2pi"] <= 1e-6
+
+    def test_top_root_reports(self, capsys):
+        # The ratio form of the phase raised on this root; now it reports,
+        # and RK4 drift over the period fails the comparison.
+        code, out, err = run_cli(
+            capsys, "phase-compare", "--n", "12", "--mu", "1.82", "--root", "12",
+            "--periods", "1",
+        )
+        doc = parse_json(out)
+        assert err == ""
+        assert doc["ode_residual_max"] <= 1e-6
+        assert (code == 0) == doc["pass"]
+
 
 class TestOrtho:
     def test_different_degrees(self, capsys):
@@ -429,15 +464,16 @@ def _root_calls(command):
     return [[command, "--n", n, "--mu", mu, "--root", root] for n, mu, root in points]
 
 
-# SHA-256 of "<exit code>\n<stdout>" over each set of calls, computed while
-# the phase path still re-read the sign at z = 1 and the records had no sign.
+# SHA-256 of "<exit code>\n<stdout>" over each set of calls.  The verify and
+# poly digests date from before the records carried their sign; the
+# phase-compare digest from when its ODE residual became the exact rate.
 @pytest.mark.parametrize(
     "command,digest",
     [
         ("verify", "653c20fa7f6ba0afd8c8368a0b31c35e7295d39841bd0ce65d4b4240b5c3a762"),
         ("poly", "dfa47e53d855f7ed8e4888bc5d7174baf3f200ab4020dc6f4911b28f6dd96812"),
         ("phase-compare",
-         "a2e268fb5b92897b03d595bab7bd4e12ff806db32ad090c047c38780692d5ed7"),
+         "5421052c214f1e97e8b26a46e6d154dda332a14a15ec121cba9b435bdd52d41d"),
     ],
 )
 def test_golden_root_commands(capsys, command, digest):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heun_rsj import heun_poly, spectral, structure
-from heun_rsj.dynamics import bias
+from heun_rsj.dynamics import bias, integrate_phase
 from heun_rsj.errors import (
     InvalidParams,
     MuNotPositive,
@@ -23,6 +23,7 @@ from heun_rsj.structure import (
     orthogonality_integral,
     orthogonality_weight,
     phase_from_poly,
+    phase_rate,
     phase_series,
     reflected_polynomial,
     second_solution,
@@ -35,6 +36,7 @@ import helpers
 from oracles import (
     coeff_relations_loop,
     phase_on_grid,
+    phase_on_grid_ratio,
     phase_series_loop,
     reflected_coeffs_loop,
 )
@@ -155,12 +157,11 @@ class TestSymmetryResiduals:
 
 
 class TestPhase:
+    # P(1) < 0 at (2, 1.0, 2): 2*arg P(1) = 2*pi must come off exactly.
     @pytest.mark.parametrize("n,mu,index", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2)])
     def test_initial_value(self, n, mu, index):
         poly = helpers.solution(n, mu, index)
-        assert phase_from_poly(poly, 0.0) == pytest.approx(
-            -poly.epsilon * math.pi / 2.0, abs=1e-12
-        )
+        assert phase_from_poly(poly, 0.0) == -poly.epsilon * math.pi / 2.0
 
     @pytest.mark.parametrize("n,mu,index", [(1, 0.5, 1), (4, 1.7, 2), (9, 1.37, 0)])
     def test_flipped_sign_shifts_the_phase_by_pi(self, n, mu, index):
@@ -182,6 +183,24 @@ class TestPhase:
         turns = (phi[-1] - phi[0]) / (2.0 * math.pi)
         assert turns == pytest.approx(round(turns), abs=1e-9)
         assert abs(round(turns)) <= 2 * n + 1
+        assert round(turns) == 2 * _zeros_in_disc(poly) - (n + 1)
+
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 1.0, 1.37, 1.82, 2.2, 2.6])
+    def test_one_period_winding_counts_zeros_in_disc(self, mu):
+        # arg P winds 2*pi*k per period, k the zeros of P in |z| < 1 (the
+        # argument principle), so phi advances by 2*pi*(2k - (n+1)).
+        roots = 0
+        for n in range(13):
+            for _, d, eps in helpers.positive_disc_points(n, mu):
+                poly = heun_poly.build_polynomial(d, eps)
+                times = np.linspace(0.0, dche_to_params(d).period, 4001)
+                phi = phase_series(poly, times)
+                advance = 2.0 * math.pi * (2 * _zeros_in_disc(poly) - (n + 1))
+                assert phi[-1] - phi[0] == pytest.approx(advance, abs=1e-9)
+                roots += 1
+        # Only roots 0 of n >= 8 (mu = 0.25), n >= 9 (0.5) and n = 12 (1.0)
+        # have lambda + mu**2 <= 0.
+        assert roots == 91 - {0.25: 5, 0.5: 4, 1.0: 1}.get(mu, 0)
 
     def test_series_matches_pointwise_mod_2pi(self):
         poly = helpers.solution(1, 0.5, 1)
@@ -191,6 +210,25 @@ class TestPhase:
             single = phase_from_poly(poly, float(t))
             assert math.cos(single) == pytest.approx(math.cos(phi), abs=1e-9)
             assert math.sin(single) == pytest.approx(math.sin(phi), abs=1e-9)
+
+    def test_rate_matches_central_differences(self):
+        # At omega = 0.23 central differences on 40,001 points per period
+        # truncate near 1e-7.
+        poly = helpers.solution(2, 1.0, 2)
+        times = np.linspace(0.0, dche_to_params(poly.params).period, 40001)
+        phi = phase_series(poly, times)
+        dphi = (phi[2:] - phi[:-2]) / (times[2] - times[0])
+        assert np.max(np.abs(phase_rate(poly, times[1:-1]) - dphi)) <= 1e-6
+
+    @pytest.mark.parametrize("n,mu,index", [(1, 0.5, 1), (4, 1.7, 2), (9, 1.37, 0)])
+    def test_rate_satisfies_junction_equation(self, n, mu, index):
+        # (9, 1.37, 0) has omega = 9.6e3: central differences on 4e4 points
+        # per period read 1.1e-4 there, the exact rate 2.9e-8.
+        poly = helpers.solution(n, mu, index)
+        p = dche_to_params(poly.params)
+        times = np.linspace(0.0, 3.0 * p.period, 6001)
+        resid = phase_rate(poly, times) + np.sin(phase_series(poly, times))
+        assert np.max(np.abs(resid - bias(p, times))) <= 1e-6
 
     def test_satisfies_junction_equation(self):
         poly = helpers.solution(2, 1.0, 2)
@@ -211,6 +249,36 @@ class TestPhase:
             assert np.array_equal(
                 phase_series(poly, times), phase_series_loop(poly, times)
             )
+
+    @pytest.mark.parametrize("n,mu", [(2, 1.1), (3, 0.3), (4, 1.7), (6, 2.6), (8, 1.7)])
+    def test_series_matches_ratio_oracle_mod_2pi(self, n, mu):
+        for index in range(n + 1):
+            poly = helpers.solution(n, mu, index)
+            times = np.linspace(0.0, 3.0 * dche_to_params(poly.params).period, 30001)
+            _assert_equal_mod_2pi(
+                phase_series(poly, times), phase_on_grid_ratio(poly, times)
+            )
+
+    def test_degree_30_series_matches_ratio_oracle_mod_2pi(self):
+        # The ratio oracle does not refine, so its grid is fine enough as is.
+        poly = helpers.solution(30, 1.1, 7)
+        p = dche_to_params(poly.params)
+        times = np.arange(40001) * (10.0 * p.period / 40000)
+        _assert_equal_mod_2pi(phase_series(poly, times), phase_on_grid_ratio(poly, times))
+
+    @pytest.mark.parametrize("n,mu", [(12, 1.82), (10, 2.2), (12, 2.2)])
+    def test_top_root_phase_matches_integration(self, n, mu):
+        # The ratio form drifted 1.1e-12 to 1.6e-12 off |w| = 1 at these
+        # roots and failed its 1e-12 gate.  A whole period repels RK4 here,
+        # so the check covers a quarter.
+        poly = helpers.solution(n, mu, n)
+        p = dche_to_params(poly.params)
+        traj = integrate_phase(
+            p, phase_from_poly(poly, 0.0), 0.25 * p.period, p.period / 20000.0
+        )
+        closed = phase_series(poly, traj.times)
+        assert np.all(np.isfinite(closed))
+        assert np.max(np.abs(closed - traj.values[:, 0])) <= 1e-9
 
     def test_refined_series_matches_interval_loop(self):
         # At n = 30 the phase-compare default step T/2000 is refined 2-fold.
@@ -261,6 +329,24 @@ class TestPhase:
         fake = HeunPolynomial(coeffs=(1.0, 1.0), params=d, epsilon=1)  # zero at -1
         with pytest.raises(ZeroOnUnitCircle):
             phase_series(fake, np.linspace(0.0, 1.0, 9))
+        with pytest.raises(ZeroOnUnitCircle):
+            phase_rate(fake, np.linspace(0.0, 1.0, 9))
+
+    def test_rate_rejects_non_vector_times(self):
+        poly = helpers.solution(1, 0.5, 1)
+        with pytest.raises(InvalidParams, match="1-d"):
+            phase_rate(poly, np.zeros((2, 2)))
+        with pytest.raises(InvalidParams, match="1-d"):
+            phase_rate(poly, [])
+
+
+def _zeros_in_disc(poly):
+    return int(np.sum(np.abs(np.roots(np.asarray(poly.coeffs)[::-1])) < 1.0))
+
+
+def _assert_equal_mod_2pi(a, b):
+    np.testing.assert_allclose(np.cos(a), np.cos(b), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(np.sin(a), np.sin(b), rtol=0, atol=1e-9)
 
 
 class TestSecondSolution:
