@@ -140,9 +140,8 @@ def cmd_phase_compare(args) -> tuple[str, int]:
     t_end = args.periods * p.period
     h = args.h if args.h else p.period / dynamics.DEFAULT_STEPS_PER_PERIOD
 
-    traj = dynamics.integrate_phase(
-        p, structure.phase_from_poly(poly, 0.0), t_end, h
-    )
+    # The closed form starts at -eps*pi/2, to the bit.
+    traj = dynamics.integrate_phase(p, -epsilon * (0.5 * np.pi), t_end, h)
     closed = structure.phase_series(poly, traj.times)
     diff = closed - traj.values[:, 0]
     dev = float(np.max(np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi)))

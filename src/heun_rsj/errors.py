@@ -17,28 +17,12 @@ class NonPositiveDiscriminant(HeunRsjError):
     """lambda + mu**2 <= 0: no real drive frequency reproduces the triplet."""
 
 
-class NonIntegralDegree(HeunRsjError):
-    """The reduced degree -(B/omega + 1) is not a non-negative integer."""
-
-
 class NonFiniteState(HeunRsjError):
     """An integration produced a non-finite sample."""
 
 
 class OriginUndefined(HeunRsjError):
     """The companion state hit x = y = 0 where the phase is undefined."""
-
-
-class ZeroArgument(HeunRsjError):
-    """An argument that must be nonzero (e.g. a frequency) was zero."""
-
-
-class PoleAtAlpha(HeunRsjError):
-    """Evaluation requested at the pole z = alpha of the Moebius map."""
-
-
-class SingularPoint(HeunRsjError):
-    """Evaluation requested at a singular point of a transformed equation."""
 
 
 class IndexOutOfRange(HeunRsjError, IndexError):
@@ -55,10 +39,6 @@ class ConvergenceFailure(HeunRsjError):
     def __init__(self, root_index: int, message: str):
         self.root_index = root_index
         super().__init__(message)
-
-
-class PolynomialZeroOnPath(HeunRsjError):
-    """The integration path for the second solution crosses a zero of P."""
 
 
 class QuadratureFailure(HeunRsjError):

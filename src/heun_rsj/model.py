@@ -9,9 +9,9 @@ polynomial solutions are governed by the triplet
     mu     = A / (2*omega)         (drive strength in the rotated frame)
     lambda = 1/(4*omega**2) - mu**2
 
-The maps below convert between the physical record ``(A, B, omega)`` and the
-reduced record ``(n, mu, lambda)``.  They are exact inverses of each other on
-their shared domain and always satisfy ``4*omega**2*(lambda + mu**2) = 1``.
+``dche_to_params`` maps the reduced record ``(n, mu, lambda)`` back to the
+physical record ``(A, B, omega)``, and always satisfies
+``4*omega**2*(lambda + mu**2) = 1``.
 """
 
 from __future__ import annotations
@@ -21,28 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidParams,
-    NonIntegralDegree,
-    NonPositiveDiscriminant,
-)
+from .errors import InvalidParams, NonPositiveDiscriminant
 
 __all__ = [
-    "TOL_INT",
     "RsjParams",
     "DcheParams",
-    "DcheCandidate",
     "HeunPolynomial",
     "Trajectory",
-    "params_to_dche",
     "dche_to_params",
     "finite_real",
     "frequency_scale",
     "mu_squared",
 ]
-
-#: Distance from an integer within which the reduced degree counts as integral.
-TOL_INT = 1e-9
 
 
 def finite_real(name: str, value) -> float:
@@ -106,40 +96,6 @@ class DcheParams:
             raise InvalidParams(f"degree n must be >= 0, got {self.n}")
         for name in ("mu", "lam"):
             finite_real(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class DcheCandidate:
-    """Result of mapping physical parameters toward a reduced triplet.
-
-    ``n_real`` is the un-rounded degree ``-(B/omega + 1)``.  The candidate is
-    ``integral`` when ``n_real`` sits within ``TOL_INT`` of a non-negative
-    integer; only then does :meth:`params` produce a usable triplet.
-    """
-
-    n_real: float
-    mu: float
-    lam: float
-    integral: bool
-
-    def params(self) -> DcheParams:
-        if not self.integral:
-            raise NonIntegralDegree(
-                f"reduced degree {self.n_real!r} is not a non-negative integer"
-            )
-        return DcheParams(n=round(self.n_real), mu=self.mu, lam=self.lam)
-
-
-def params_to_dche(p: RsjParams) -> DcheCandidate:
-    """Map ``(A, B, omega)`` to the reduced triplet, flagging integral degree.
-
-    Never raises on a non-integral degree: the caller inspects the flag.
-    """
-    n_real = -(p.B / p.omega + 1.0)
-    mu = p.A / (2.0 * p.omega)
-    lam = 1.0 / (4.0 * p.omega**2) - mu**2
-    integral = abs(n_real - round(n_real)) <= TOL_INT and round(n_real) >= 0
-    return DcheCandidate(n_real=n_real, mu=mu, lam=lam, integral=integral)
 
 
 def mu_squared(mu: float) -> float:

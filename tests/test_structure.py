@@ -12,30 +12,30 @@ from heun_rsj.errors import (
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
-    PolynomialZeroOnPath,
     QuadratureFailure,
     ZeroOnUnitCircle,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial, dche_to_params
 from heun_rsj.structure import (
     coeff_relations_residual,
-    norm_integral,
     orthogonality_integral,
     orthogonality_weight,
-    phase_from_poly,
     phase_rate,
     phase_series,
-    reflected_polynomial,
-    second_solution,
-    second_solution_jet,
     symmetry_residual,
-    weight_divergence_residual,
 )
 
 import helpers
+from identities import (
+    PolynomialZeroOnPath,
+    norm_integral,
+    reflected_polynomial,
+    second_solution,
+    second_solution_jet,
+    weight_divergence_residual,
+)
 from oracles import (
     coeff_relations_loop,
-    phase_on_grid,
     phase_on_grid_ratio,
     phase_series_loop,
     reflected_coeffs_loop,
@@ -160,8 +160,9 @@ class TestPhase:
     # P(1) < 0 at (2, 1.0, 2): 2*arg P(1) = 2*pi must come off exactly.
     @pytest.mark.parametrize("n,mu,index", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2)])
     def test_initial_value(self, n, mu, index):
+        # phase-compare starts RK4 at -eps*(0.5*pi), the same double.
         poly = helpers.solution(n, mu, index)
-        assert phase_from_poly(poly, 0.0) == -poly.epsilon * math.pi / 2.0
+        assert phase_series(poly, [0.0])[0] == -poly.epsilon * math.pi / 2.0
 
     @pytest.mark.parametrize("n,mu,index", [(1, 0.5, 1), (4, 1.7, 2), (9, 1.37, 0)])
     def test_flipped_sign_shifts_the_phase_by_pi(self, n, mu, index):
@@ -207,7 +208,7 @@ class TestPhase:
         times = np.linspace(0.0, 3.0, 17)
         series = phase_series(poly, times)
         for t, phi in zip(times, series):
-            single = phase_from_poly(poly, float(t))
+            single = phase_series(poly, [float(t)])[0]
             assert math.cos(single) == pytest.approx(math.cos(phi), abs=1e-9)
             assert math.sin(single) == pytest.approx(math.sin(phi), abs=1e-9)
 
@@ -274,7 +275,7 @@ class TestPhase:
         poly = helpers.solution(n, mu, n)
         p = dche_to_params(poly.params)
         traj = integrate_phase(
-            p, phase_from_poly(poly, 0.0), 0.25 * p.period, p.period / 20000.0
+            p, -poly.epsilon * (0.5 * np.pi), 0.25 * p.period, p.period / 20000.0
         )
         closed = phase_series(poly, traj.times)
         assert np.all(np.isfinite(closed))
@@ -287,23 +288,12 @@ class TestPhase:
         times = np.arange(20001) * (10.0 * p.period / 20000)
         assert np.array_equal(phase_series(poly, times), phase_series_loop(poly, times))
 
-    # At -25 periods the grid spans two evaluation blocks, walked in reverse.
-    @pytest.mark.parametrize("periods", [-0.3, -2.5, -25.0])
-    def test_negative_time_matches_whole_grid_oracle(self, monkeypatch, periods):
-        poly = helpers.solution(4, 1.7, 2)
-        t = periods * dche_to_params(poly.params).period
-        fast = phase_from_poly(poly, t)
-        monkeypatch.setattr(structure, "_phase_on_grid", phase_on_grid)
-        assert fast == phase_from_poly(poly, t)
-
     def test_oversized_grid_is_typed(self):
         # Root 0 at (7, 0.3) has lambda + mu**2 = 1.7e-16: the period is
         # 1.6e-7, so one time unit needs a grid of 3.6e9 samples.
         poly = helpers.solution(7, 0.3, 0)
         with pytest.raises(InvalidParams, match=r"needs \d+ samples"):
             phase_series(poly, np.linspace(0.0, 1.0, 5))
-        with pytest.raises(InvalidParams, match=r"needs \d+ samples"):
-            phase_from_poly(poly, 1.0)
 
     def test_grid_cap_counts_samples(self, monkeypatch):
         poly = helpers.solution(2, 1.0, 2)
@@ -318,11 +308,6 @@ class TestPhase:
         with pytest.raises(InvalidParams, match="needs 101 samples"):
             phase_series(poly, coarse)
         phase_series(poly, coarse[:50])
-        # One period is 64 * (n + 2) = 256 steps, so 257 samples.
-        with pytest.raises(InvalidParams, match="needs 257 samples"):
-            phase_from_poly(poly, period)
-        monkeypatch.setattr(structure, "_PHASE_MAX_SAMPLES", 257)
-        phase_from_poly(poly, period)
 
     def test_unit_circle_zero_rejected(self):
         d = DcheParams(n=1, mu=1.0, lam=0.9)
@@ -338,6 +323,21 @@ class TestPhase:
             phase_rate(poly, np.zeros((2, 2)))
         with pytest.raises(InvalidParams, match="1-d"):
             phase_rate(poly, [])
+
+    @pytest.mark.parametrize(
+        "call,times",
+        [
+            (phase_series, [0.0, math.inf]),
+            (phase_series, [0.0, math.nan]),
+            (phase_series, [math.nan]),
+            (phase_rate, [math.nan, math.inf]),
+        ],
+        ids=["series-inf", "series-nan", "series-lone-nan", "rate-nan-inf"],
+    )
+    def test_non_finite_times_are_typed(self, call, times):
+        poly = helpers.solution(1, 0.5, 1)
+        with pytest.raises(InvalidParams, match="times must be finite"):
+            call(poly, times)
 
 
 def _zeros_in_disc(poly):

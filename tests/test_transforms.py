@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from heun_rsj import heun_poly, spectral
 from heun_rsj.dynamics import integrate_xy
-from heun_rsj.errors import (
-    InvalidParams,
-    OriginUndefined,
+from heun_rsj.errors import InvalidParams, OriginUndefined
+from heun_rsj.model import DcheParams, RsjParams, dche_to_params
+
+from identities import (
+    CanonicalDche,
     PoleAtAlpha,
     SingularPoint,
     ZeroArgument,
-)
-from heun_rsj.model import DcheParams, RsjParams, dche_to_params
-from heun_rsj.transforms import (
-    CanonicalDche,
     canonical_dche_params,
     mobius,
     mobius_inverse,
