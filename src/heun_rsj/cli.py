@@ -135,7 +135,8 @@ def cmd_simulate(args) -> tuple[str, int]:
 
 
 def cmd_phase_compare(args) -> tuple[str, int]:
-    p, d, epsilon = spectral.physical_point(args.n, args.mu, args.root)
+    d, epsilon = spectral.root_params(args.n, args.mu, args.root)
+    p = dche_to_params(d)
     poly = heun_poly.build_polynomial(d, epsilon)
     t_end = args.periods * p.period
     h = args.h if args.h else p.period / dynamics.DEFAULT_STEPS_PER_PERIOD
@@ -175,8 +176,11 @@ def cmd_phase_compare(args) -> tuple[str, int]:
 
 
 def cmd_ortho(args) -> tuple[str, int]:
-    _, d1, eps1 = spectral.physical_point(args.n1, args.mu, args.root1)
-    _, d2, eps2 = spectral.physical_point(args.n2, args.mu, args.root2)
+    # dche_to_params runs for its NonPositiveDiscriminant check alone.
+    d1, eps1 = spectral.root_params(args.n1, args.mu, args.root1)
+    dche_to_params(d1)
+    d2, eps2 = spectral.root_params(args.n2, args.mu, args.root2)
+    dche_to_params(d2)
     p1 = heun_poly.build_polynomial(d1, eps1)
     p2 = heun_poly.build_polynomial(d2, eps2)
     value, scale = structure.orthogonality_integral(p1, p2)

@@ -42,7 +42,8 @@ class ConvergenceFailure(HeunRsjError):
 
 
 class QuadratureFailure(HeunRsjError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
+    """The trapezoid pairing integral found no truncation point, or halving
+    its grid moved the value by more than 1e-10 of the absolute integral."""
 
 
 class ZeroOnUnitCircle(HeunRsjError):

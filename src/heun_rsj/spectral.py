@@ -7,7 +7,7 @@ off-diagonal pair products ``mu**2*(j+1)*(n-j)``; since those products are
 non-negative, ``T`` is similar to a real symmetric tridiagonal matrix and the
 whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem with
 numpy's dense symmetric eigensolver (the same LAPACK eigenvalue iteration as
-a dedicated tridiagonal solver, so this module needs no scipy) and then
+a dedicated tridiagonal solver) and then
 polishes all n + 1 roots together in extended precision: the determinant
 recurrence runs on the whole array of roots, so a spectrum costs O(n) numpy
 calls per Newton pass.  Each root keeps its own Newton state, and a root whose
@@ -41,8 +41,6 @@ from .heun_poly import (
 )
 from .model import (
     DcheParams,
-    RsjParams,
-    dche_to_params,
     finite_real,
     frequency_scale,
     mu_squared,
@@ -57,7 +55,6 @@ __all__ = [
     "symmetry_matrix",
     "factorization",
     "root_params",
-    "physical_point",
 ]
 
 #: Smallest lambda + mu**2 at which the reflection-symmetry certifications
@@ -380,14 +377,3 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     d = DcheParams(n=n, mu=float(mu), lam=spectrum.lambdas[root_index])
     return d, _root_signs(n, mu, spectrum.lambdas)[root_index]
 
-
-def physical_point(
-    n: int, mu: float, root_index: int
-) -> tuple[RsjParams, DcheParams, int]:
-    """Bias parameters realising one spectral root, with its triplet and sign.
-
-    The recovered record has ``B = -(n+1)*omega`` exactly and positive
-    drive frequency.
-    """
-    d, epsilon = root_params(n, mu, root_index)
-    return dche_to_params(d), d, epsilon

@@ -14,7 +14,9 @@ evaluators here check further identities of the paper against that code:
 - the second, non-polynomial solution by quadrature, with its exact
   Wronskian (``second_solution_jet``);
 - the pointwise divergence identity behind the orthogonality relation and
-  the self-pairing norm (``weight_divergence_residual``, ``norm_integral``).
+  the self-pairing norm (``weight_divergence_residual``, ``norm_integral``);
+- the pairing integral by scipy's adaptive quadrature, an oracle for the
+  package's trapezoid sum (``orthogonality_quad``).
 
 The error classes below are raised only by these evaluators.
 """
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from heun_rsj.errors import (
     HeunRsjError,
@@ -33,11 +36,11 @@ from heun_rsj.errors import (
     MuNotPositive,
     NonPositiveArgument,
     OriginUndefined,
+    QuadratureFailure,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, Trajectory
 from heun_rsj.structure import (
     _decay_halfwidth,
-    _quad,
     _reflection_parts,
     _shared_mu,
     orthogonality_weight,
@@ -295,6 +298,18 @@ def reflected_polynomial(P: HeunPolynomial) -> HeunPolynomial:
     return HeunPolynomial(coeffs=tuple(c.tolist()), params=P.params, epsilon=P.epsilon)
 
 
+def _quad(f, a: float, b: float, abserr_ok: float | None = None) -> float:
+    """Adaptive quadrature of a real integrand over [a, b].
+
+    A non-convergence warning raises ``QuadratureFailure`` unless the
+    reported absolute error is at most ``abserr_ok``.
+    """
+    res = quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=400, full_output=1)
+    if len(res) > 3 and (abserr_ok is None or res[1] > abserr_ok):
+        raise QuadratureFailure(f"quadrature did not converge: {res[3]}")
+    return float(res[0])
+
+
 def _check_path_clear(P: HeunPolynomial, base: complex, z: complex) -> None:
     roots = np.roots(np.asarray(P.coeffs)[::-1]) if P.n >= 1 else np.empty(0)
     seg = z - base
@@ -400,3 +415,23 @@ def norm_integral(P: HeunPolynomial) -> float:
 
     half = _decay_halfwidth(mu, n + 1.0)
     return _quad(f, -half, half, abserr_ok=1e-9)
+
+
+def orthogonality_quad(P1: HeunPolynomial, P2: HeunPolynomial, scale: float) -> float:
+    """The pairing integral of ``structure.orthogonality_integral`` by
+    adaptive quadrature on the same truncated interval in ``u = log z``.
+
+    When the true integral is zero up to cancellation, the integrator cannot
+    meet its relative target and flags roundoff; the value is still good to
+    its reported absolute error, which is accepted below 1e-9 of
+    ``max(scale, 1)``, ``scale`` being the absolute integral.
+    """
+
+    def f(u: float) -> float:
+        z = math.exp(u)
+        return float(orthogonality_weight(z, P1, P2)) * float(
+            P1.value(z)
+        ) * float(P2.value(z)) * z
+
+    half = _decay_halfwidth(P1.params.mu, (P1.n + P2.n) / 2.0 + 2.0)
+    return _quad(f, -half, half, abserr_ok=1e-9 * max(scale, 1.0))

@@ -283,6 +283,34 @@ class TestOrtho:
         assert doc["theorem_applies"] is False
         assert doc["pass"] is None
 
+    def test_large_mu_pair_passes(self, capsys):
+        # The absolute integral is 3.4e-11 here, below an absolute error
+        # floor of 1e-10; the bound is relative to it alone.
+        code, out, _ = run_cli(
+            capsys,
+            "ortho",
+            "--n1", "2", "--root1", "2",
+            "--n2", "3", "--root2", "3",
+            "--mu", "10",
+        )
+        assert code == 0
+        doc = parse_json(out)
+        assert doc["scale"] < 1e-10
+        assert doc["ratio"] <= 1e-8
+        assert doc["pass"] is True
+
+    def test_unconverged_quadrature_is_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "ortho",
+            "--n1", "0", "--root1", "0",
+            "--n2", "40", "--root2", "39",
+            "--mu", "3",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: QuadratureFailure: ")
+
 
 class TestSimulate:
     def test_phase_csv(self, capsys):
@@ -507,8 +535,7 @@ def test_nan_determinant_fails_the_root_gate(capsys):
     assert err.startswith("error: ConvergenceFailure: ")
 
 
-# Every subcommand but ortho must run without importing scipy; ortho's
-# quadrature imports scipy.integrate on first use.
+# No subcommand imports scipy, ortho's quadrature included.
 _SCIPY_PROBE = """
 import contextlib, io, sys
 import heun_rsj.cli as cli
@@ -521,13 +548,12 @@ runs = [
     ["phase-compare", "--n", "1", "--mu", "0.5", "--root", "1", "--periods", "1"],
     ["sweep", "--n-min", "0", "--n-max", "3", "--mu-start", "0.5",
      "--mu-stop", "1", "--mu-points", "2"],
+    ["ortho", "--n1", "0", "--root1", "0", "--n2", "1", "--root2", "0",
+     "--mu", "1"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
-    hot = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    cli.main(["ortho", "--n1", "0", "--root1", "0", "--n2", "1", "--root2", "0",
-              "--mu", "1"])
-print(codes, hot, "scipy.integrate" in sys.modules)
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
@@ -536,7 +562,7 @@ def test_scipy_stays_off_the_hot_path():
         [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0] [] True\n"
+    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n"
 
 
 class TestDeterminism:

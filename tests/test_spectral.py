@@ -16,7 +16,7 @@ from heun_rsj.errors import (
     NonPositiveDiscriminant,
 )
 from heun_rsj.heun_poly import _det_scan, coefficient_matrix, spectral_det
-from heun_rsj.model import DcheParams
+from heun_rsj.model import DcheParams, dche_to_params
 from heun_rsj.spectral import (
     DISC_MARGIN,
     ROOT_TOL,
@@ -24,7 +24,7 @@ from heun_rsj.spectral import (
     factorization,
     lambda_spectra,
     lambda_spectrum,
-    physical_point,
+    root_params,
     symmetry_matrix,
 )
 
@@ -537,7 +537,8 @@ class TestSymmetryMatrices:
 
 class TestPhysicalPoint:
     def test_frozen_case(self):
-        p, d, eps = physical_point(3, 2.0, 1)
+        d, eps = root_params(3, 2.0, 1)
+        p = dche_to_params(d)
         assert abs(d.lam) <= 1e-13
         assert eps == 1
         assert p.omega == pytest.approx(0.25, rel=1e-14)
@@ -549,7 +550,8 @@ class TestPhysicalPoint:
         for index, lam in enumerate(lambda_spectrum(n, mu).lambdas):
             if lam + mu**2 <= 0:
                 continue
-            p, d, eps = physical_point(n, mu, index)
+            d, eps = root_params(n, mu, index)
+            p = dche_to_params(d)
             assert d == DcheParams(n=n, mu=mu, lam=lam)
             assert eps in (-1, 1)
             assert p.omega > 0
@@ -560,7 +562,7 @@ class TestPhysicalPoint:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            physical_point(1, 1.0, 5)
+            root_params(1, 1.0, 5)
 
 
 def test_disc_margin_value():

@@ -26,6 +26,7 @@ from heun_rsj.structure import (
 )
 
 import helpers
+import identities
 from identities import (
     PolynomialZeroOnPath,
     norm_integral,
@@ -409,7 +410,7 @@ class TestQuadrature:
 
     def test_non_convergence_is_typed(self):
         with pytest.raises(QuadratureFailure):
-            structure._quad(self._divergent, 0.0, 1.0)
+            identities._quad(self._divergent, 0.0, 1.0)
 
     def test_abserr_ok_covers_the_reported_error(self):
         from scipy.integrate import quad
@@ -418,9 +419,9 @@ class TestQuadrature:
             self._divergent, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=400,
             full_output=1,
         )[:2]
-        assert structure._quad(self._divergent, 0.0, 1.0, abserr_ok=abserr) == value
+        assert identities._quad(self._divergent, 0.0, 1.0, abserr_ok=abserr) == value
         with pytest.raises(QuadratureFailure):
-            structure._quad(self._divergent, 0.0, 1.0, abserr_ok=0.5 * abserr)
+            identities._quad(self._divergent, 0.0, 1.0, abserr_ok=0.5 * abserr)
 
 
 class TestOrthogonality:
@@ -458,6 +459,28 @@ class TestOrthogonality:
         value, scale = orthogonality_integral(p1, p2)
         assert scale > 0
         assert abs(value) <= 1e-8 * scale
+
+    # The adaptive-quadrature oracle meets its own tolerance, 1e-10 of
+    # max(scale, 1), on acceptance criterion 7's pairs.
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 1.0, 2.0])
+    def test_integral_matches_quadrature_oracle(self, mu):
+        cache = [
+            [
+                heun_poly.build_polynomial(d, eps)
+                for _, d, eps in helpers.positive_disc_points(n, mu)
+            ]
+            for n in range(5)
+        ]
+        pairs = 0
+        for n1 in range(5):
+            for n2 in range(n1 + 1, 5):
+                for p1 in cache[n1]:
+                    for p2 in cache[n2]:
+                        value, scale = orthogonality_integral(p1, p2)
+                        oracle = identities.orthogonality_quad(p1, p2, scale)
+                        assert abs(value - oracle) <= 1e-10 * max(scale, 1.0)
+                        pairs += 1
+        assert pairs > 0
 
     def test_norms_positive(self):
         for n, index in [(0, 0), (1, 1), (2, 2)]:
