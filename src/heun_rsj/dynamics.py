@@ -38,6 +38,10 @@ DEFAULT_STEPS_PER_PERIOD = 2000
 # however long the run.
 _BLOCK = 4096
 
+# Most samples in one time grid, here and in the closed-form phase: 1 GiB of
+# float64 for a phase trajectory.
+_MAX_SAMPLES = 2**27
+
 
 def bias(p: RsjParams, t):
     """Drive q(t) = B + A*cos(omega*t); accepts scalars or arrays."""
@@ -45,14 +49,24 @@ def bias(p: RsjParams, t):
 
 
 def _grid(p: RsjParams, t_end: float, h: float | None) -> tuple[int, float]:
-    """Uniform grid hitting t_end exactly with step no larger than requested."""
+    """Uniform grid hitting t_end exactly with step no larger than requested.
+
+    ``InvalidParams`` where the grid would hold more than ``_MAX_SAMPLES``
+    samples, before anything is allocated.
+    """
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end)) or t_end <= 0:
         raise InvalidParams(f"t_end must be a positive real, got {t_end!r}")
     if h is None:
         h = p.period / DEFAULT_STEPS_PER_PERIOD
     if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0:
         raise InvalidParams(f"step h must be a positive real, got {h!r}")
-    n_steps = max(1, math.ceil(t_end / h - 1e-9))
+    steps = t_end / h - 1e-9
+    if not steps <= _MAX_SAMPLES - 1:  # ceil(steps) + 1 samples; inf fails too
+        raise InvalidParams(
+            f"time grid of t_end = {t_end!r} at step {h!r} needs over "
+            f"{_MAX_SAMPLES} samples"
+        )
+    n_steps = max(1, math.ceil(steps))
     return n_steps, t_end / n_steps
 
 

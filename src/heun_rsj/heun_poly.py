@@ -65,59 +65,35 @@ def coefficient_matrix(d: DcheParams) -> np.ndarray:
     )
 
 
-def _by_degree(n, mu, lam: np.ndarray):
+def _by_degree(n, mu, size: int):
     """Lay out a leading-minor recurrence over per-element degrees and drives.
 
-    ``n`` and ``mu`` are scalars or arrays matching ``lam``.  Element i takes
-    part in step j iff ``n[i] >= j``, so once the elements are sorted by
-    degree, descending and stably, the active ones always form a prefix.
-    Returns ``(order, runs, n, mu, lam)``:
+    ``n`` and ``mu`` are scalars or arrays of ``size`` elements, and the
+    degrees must be sorted descending.  Element i takes part in step j iff
+    ``n[i] >= j``, so the active elements always form a prefix.  Returns
+    ``(runs, n, mu)``:
 
-    * ``order`` is that sort (None where every degree is the same) and
-      ``lam`` comes back in its order;
     * each run ``(d, k, c)`` says that the steps up to d act on the first k
       elements, the last c of which end at step d;
-    * ``n`` and ``mu`` are the sorted degrees and drives, each a Python
-      scalar where every element shares it, so that the constants of one
-      problem's steps cost what they cost in a scalar call.
+    * ``n`` and ``mu`` are each a Python scalar where every element shares
+      it, so that the constants of one problem's steps cost what they cost
+      in a scalar call.
     """
-    order = None
-    if isinstance(n, np.ndarray) and (n != n[0]).any():
-        order = np.argsort(-n, kind="stable")
-        n, lam = n[order], lam[order]
+    if isinstance(n, np.ndarray) and n[0] != n[-1]:
         degrees, counts = np.unique(n, return_counts=True)
         active = np.cumsum(counts[::-1])[::-1]
         runs = list(zip(degrees.tolist(), active.tolist(), counts.tolist()))
     else:
         n = n.item(0) if isinstance(n, np.ndarray) else n
-        runs = [(n, lam.size, lam.size)]
-    if isinstance(mu, np.ndarray):
-        if (mu != mu[0]).any():
-            mu = mu if order is None else mu[order]
-        else:
-            mu = mu.item(0)
-    return order, runs, n, mu, lam
+        runs = [(n, size, size)]
+    if isinstance(mu, np.ndarray) and not (mu != mu[0]).any():
+        mu = mu.item(0)
+    return runs, n, mu
 
 
 def _take(index, *values) -> tuple:
     """Each per-element array at ``index``; a shared scalar stays as it is."""
     return tuple(x[index] if isinstance(x, np.ndarray) else x for x in values)
-
-
-def _unsort(order, done: list) -> tuple:
-    """The outputs of a :func:`_by_degree` layout, in the caller's order.
-
-    ``done`` holds, for each run, the outputs of the elements that ended
-    there; a later run's elements come earlier in the sorted order.
-    """
-    if order is None:
-        return done[0]
-    out = []
-    for blocks in zip(*done):
-        a = np.empty(order.size, dtype=blocks[0].dtype)
-        a[order] = np.concatenate(blocks[::-1])
-        out.append(a)
-    return tuple(out)
 
 
 def _det_scan(n, mu, lam: np.ndarray):
@@ -126,14 +102,15 @@ def _det_scan(n, mu, lam: np.ndarray):
     Runs the recurrence on a 1-D array of lambda at once and returns arrays
     ``(det, ddet_dlambda, summand_max, e)``; the true values are each entry
     times ``2**e`` of its own element.  ``n`` and ``mu`` are scalars or
-    per-element arrays: each element runs its own degree's recurrence
-    (:func:`_by_degree`) with exactly the arithmetic of a scalar call.
+    per-element arrays with the degrees descending: each element runs its
+    own degree's recurrence (:func:`_by_degree`) with exactly the arithmetic
+    of a scalar call.
     Whenever the binary exponent of an element's largest magnitude passes
     +-300, that element's four recurrence values and its summand maximum are
     scaled by the same power of two (the others by exactly 1), which keeps
     Newton ratios exact and prevents overflow for large n.
     """
-    order, runs, n, mu, lam = _by_degree(n, mu, lam)
+    runs, n, mu = _by_degree(n, mu, lam.size)
     prev2, prev = np.ones_like(lam), lam  # D_{-1}, D_0
     dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)  # their lambda-derivatives
     smax = np.abs(lam)
@@ -173,7 +150,8 @@ def _det_scan(n, mu, lam: np.ndarray):
                 e += np.where(far, ex, 0)
         done.append((prev[k - c:], dprev[k - c:], smax[k - c:], e[k - c:]))
         step = d
-    return _unsort(order, done)
+    # The runs end in ascending degree, so their blocks come in reverse order.
+    return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 
 
 def _ldexp_clamped(m: float, e: int) -> float:

@@ -25,6 +25,7 @@ the eigenvalues of the symmetric Jacobi form of the reflection relations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ from .heun_poly import (
     _det_scan,
     _reflection_jacobi,
     _take,
-    _unsort,
     coefficient_matrix,
 )
 from .model import (
@@ -177,44 +177,40 @@ def _checked_seeds(n: int, mu: float) -> tuple[float, np.ndarray]:
 
 
 def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
-    """Polish and gate the seeded problems ``(n, mu, seeds)`` of one run."""
+    """Polish and gate the seeded problems ``(n, mu, seeds)`` of one run.
+
+    The recurrences take the run stably sorted by degree, descending
+    (:func:`heun_poly._by_degree`); the spectra come back, and the first
+    failing problem raises, in the run's own order.
+    """
     if not run:
         return []
-    sizes = [seeds.size for _, _, seeds in run]
-    if len(run) == 1:  # scalars: the recurrences' per-step constants stay scalar
-        n, mu, seeds = run[0]
-    else:
-        n = np.repeat([p[0] for p in run], sizes)
-        mu = np.repeat([p[1] for p in run], sizes)
-        seeds = np.concatenate([p[2] for p in run])
-    lams = _polish_extended(n, mu, seeds)
-    # Where mu**2 overflows a double the determinant has no double value to
-    # gate; every use of such a triplet raises InvalidParams (mu_squared).
-    gated = [math.isfinite(mu_ * mu_) for _, mu_, _ in run]
-    if any(gated):
-        keep = slice(None) if all(gated) else np.repeat(gated, sizes)
-        det, ddet, smax, e = (
-            a.tolist() for a in _det_scan(*_take(keep, n, mu, lams))
-        )
-    spectra = []
-    at = g = 0  # offsets of the problem in lams and in the scan
+    order = sorted(range(len(run)), key=lambda p: -run[p][0])
+    sizes = [run[p][2].size for p in order]
+    n = np.repeat([run[p][0] for p in order], sizes)
+    mu = np.repeat([run[p][1] for p in order], sizes)
+    lams = _polish_extended(n, mu, np.concatenate([run[p][2] for p in order]))
+    # A root whose scan overflows misses the gate: no warning is due.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, lams))
+    start = dict(zip(order, itertools.accumulate(sizes, initial=0)))
     all_lams = lams.tolist()
-    for (n_, mu_, _), size, gate in zip(run, sizes, gated):
-        roots = all_lams[at:at + size]
-        if gate:
-            for i, lam in enumerate(roots):
-                ratio = _refine_ratio(
-                    det[g + i], ddet[g + i], lam, smax[g + i], e[g + i]
+    spectra = []
+    for p, (n_, mu_, seeds) in enumerate(run):
+        at = start[p]
+        roots = all_lams[at:at + seeds.size]
+        # Where mu**2 overflows a double the determinant has no double value
+        # to gate; every use of such a triplet raises InvalidParams (mu_squared).
+        for i, lam in enumerate(roots if math.isfinite(mu_ * mu_) else ()):
+            k = at + i
+            ratio = _refine_ratio(det[k], ddet[k], lam, smax[k], e[k])
+            if not ratio <= ROOT_TOL:  # a NaN ratio fails too
+                raise ConvergenceFailure(
+                    i,
+                    f"root {i} of (n={n_}, mu={mu_}) polished to relative "
+                    f"determinant {ratio:.3e} > {ROOT_TOL:g}",
                 )
-                if not ratio <= ROOT_TOL:  # a NaN ratio fails too
-                    raise ConvergenceFailure(
-                        i,
-                        f"root {i} of (n={n_}, mu={mu_}) polished to relative "
-                        f"determinant {ratio:.3e} > {ROOT_TOL:g}",
-                    )
-            g += size
         spectra.append(SpectralSet(n=n_, mu=mu_, lambdas=tuple(sorted(roots))))
-        at += size
     return spectra
 
 
@@ -242,12 +238,13 @@ def _det_newton_extended(n, mu, lam: np.ndarray):
     Same leading-minor recurrence as :func:`heun_poly._det_scan`, run on a
     1-D ``numpy.longdouble`` array of lambda at once and without
     renormalisation (the extended exponent range covers every degree this
-    library targets).  ``n`` and ``mu`` are scalars or per-element arrays,
-    laid out by :func:`heun_poly._by_degree`.  Used to place spectral roots
-    closer than the double recurrence's own cancellation noise allows.
+    library targets).  ``n`` and ``mu`` are scalars or per-element arrays
+    with the degrees descending, laid out by :func:`heun_poly._by_degree`.
+    Used to place spectral roots closer than the double recurrence's own
+    cancellation noise allows.
     """
     ld = np.longdouble
-    order, runs, n, mu, lam = _by_degree(n, mu, lam)
+    runs, n, mu = _by_degree(n, mu, lam.size)
     m = ld(mu)
     n1, mu2 = n + 1, m * m
     prev2, prev = np.ones_like(lam), lam
@@ -268,7 +265,7 @@ def _det_newton_extended(n, mu, lam: np.ndarray):
             dprev2, dprev = dprev, dcur
         done.append((prev[k - c:], dprev[k - c:]))
         step = d
-    return _unsort(order, done)
+    return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 
 
 def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
@@ -277,14 +274,14 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     Cancellation noise in the double recurrence near a root can misplace it
     by tens of ulps, which downstream coefficient relations amplify.  A few
     extended-precision steps from the eigenvalue seeds land within an ulp of
-    the true zeros.  ``n`` and ``mu`` are scalars or per-seed arrays, so the
-    roots of many problems polish together.  Every pass evaluates
-    :func:`_det_newton_extended` on the roots still moving, and each root
-    keeps its own state: it stops once its step no longer changes it, and
-    falls back to its own seed on any sign of trouble (non-finite values, a
-    zero derivative, or a correction larger than the seed's error could
-    explain) while the others go on.  The caller's ``ROOT_TOL`` gate then
-    decides.
+    the true zeros.  ``n`` and ``mu`` are scalars or per-seed arrays with
+    the degrees descending, so the roots of many problems polish together.
+    Every pass evaluates :func:`_det_newton_extended` on the roots still
+    moving, and each root keeps its own state: it stops once its step no
+    longer changes it, and falls back to its own seed on any sign of trouble
+    (non-finite values, a zero derivative, or a correction larger than the
+    seed's error could explain) while the others go on.  The caller's
+    ``ROOT_TOL`` gate then decides.
     """
     cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
     cur = seeds.astype(np.longdouble)
@@ -340,7 +337,8 @@ def factorization(d: DcheParams) -> tuple[float, int, float, float]:
     dev_plus = float(np.max(np.abs(prod - phi_t)))
     dev, sign = (dev_minus, -1) if dev_minus <= dev_plus else (dev_plus, 1)
     scale = max(1.0, float(np.max(np.abs(prod))))
-    return dev / scale, sign, float(np.linalg.det(gp)), float(np.linalg.det(gm))
+    with np.errstate(over="ignore", invalid="ignore"):  # certify types overflow
+        return dev / scale, sign, float(np.linalg.det(gp)), float(np.linalg.det(gm))
 
 
 def _root_signs(n: int, mu: float, lambdas) -> list[int]:

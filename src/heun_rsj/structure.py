@@ -27,6 +27,7 @@ into one record of checks run and checks skipped.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     ZeroOnUnitCircle,
 )
 from . import heun_poly, spectral
-from .dynamics import unwrap
+from .dynamics import _MAX_SAMPLES, unwrap
 from .heun_poly import SAMPLE_POINTS
 from .model import HeunPolynomial, dche_to_params, frequency_scale, mu_squared
 
@@ -71,10 +72,6 @@ TOL = {
 # Samples per block of the closed-form phase: one block's complex temporaries
 # stay in cache.
 _PHASE_BLOCK = 8192
-
-# Largest refined phase grid in samples (1 GiB of float64): just above
-# lambda + mu**2 = 0 the period is tiny and a short span needs a huge grid.
-_PHASE_MAX_SAMPLES = 2**27
 
 # Checks that need c = sqrt(lambda + mu**2), in report order.
 _C_CHECKS = (
@@ -155,7 +152,9 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     from ``TOL``.  The master and linear-system residuals always run.  The
     checks that need c run only when lambda + mu**2 clears
     ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped`` as
-    ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a double.
+    ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a
+    double, and where the gate determinant, its scale or det G+ * det G-
+    overflows so that a determinant check would be NaN or infinite.
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
@@ -183,12 +182,20 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     add("factorization_rel", rel_dev, TOL["factorization"])
     add("factorization_sign", sign, -1)  # sign is +-1: passes only at -1
     delta, scale = heun_poly.spectral_det(d)
-    det_gap = abs(abs(det_p * det_m) - abs(delta))
-    add("det_product_rel", det_gap / scale, TOL["det_product"])
-    add("det_min_rel", min(abs(det_p), abs(det_m)) / scale, TOL["det_min"])
+    det_product = abs(abs(det_p * det_m) - abs(delta)) / scale
+    det_min = min(abs(det_p), abs(det_m)) / scale
+    if not (math.isfinite(det_product) and math.isfinite(det_min)):
+        raise InvalidParams(
+            f"the determinants overflow a double at (n={d.n}, mu={d.mu})"
+        )
+    add("det_product_rel", det_product, TOL["det_product"])
+    add("det_min_rel", det_min, TOL["det_min"])
     return checks, []
 
 
+# phase_series and phase_rate guard the same P in turn: the verdict on the
+# last P is kept (a raise is not), so the circle is sampled once per P.
+@functools.lru_cache(maxsize=1)
 def _unit_circle_clear(P: HeunPolynomial) -> None:
     angles = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     vals = np.abs(P.value(np.exp(1j * angles)))
@@ -210,9 +217,11 @@ def _times(times) -> np.ndarray:
 
 
 def _check_grid_size(samples: int) -> None:
-    if samples > _PHASE_MAX_SAMPLES:
+    # Just above lambda + mu**2 = 0 the period is tiny and a short span needs
+    # a huge grid.
+    if samples > _MAX_SAMPLES:
         raise InvalidParams(
-            f"phase grid needs {samples} samples, over {_PHASE_MAX_SAMPLES}"
+            f"phase grid needs {samples} samples, over {_MAX_SAMPLES}"
         )
 
 

@@ -7,10 +7,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from heun_rsj import spectral, structure
 from heun_rsj.cli import main
+from heun_rsj.model import HeunPolynomial
 from heun_rsj.serialize import SCHEMA
 
 from oracles import sweep_loop
@@ -168,6 +170,18 @@ class TestVerify:
         assert all(c["pass"] for c in doc["checks"])
         assert doc["skipped"] == []
 
+    def test_determinant_overflow_is_typed(self, capsys):
+        # At n = 120 the gate determinant and its scale pass the double
+        # range while det G+ and det G- are about 2e156 each.
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "120", "--mu", "1.3", "--root", "60"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: InvalidParams: the determinants overflow a double at "
+            "(n=120, mu=1.3)\n"
+        )
+
     def test_low_discriminant_checks_are_skipped(self, capsys):
         # The lowest root at (6, 0.25) sits within 1e-9 of -mu^2, so every
         # c-dependent certificate is skipped rather than reported as noise.
@@ -240,18 +254,25 @@ class TestPhaseCompare:
         assert (code == 0) == doc["pass"]
 
     def test_unit_circle_guard_runs_twice(self, capsys, monkeypatch):
-        # One guard in phase_series and one in phase_rate, on the same P.
-        calls = []
-        guard = structure._unit_circle_clear
-        monkeypatch.setattr(
-            structure, "_unit_circle_clear", lambda P: calls.append(P) or guard(P)
-        )
+        # One guard in phase_series and one in phase_rate, on the same P:
+        # the second reads the first's verdict, so the circle is sampled once.
+        sizes = []
+        value = HeunPolynomial.value
+
+        def spy(P, z):
+            sizes.append(np.size(z))
+            return value(P, z)
+
+        monkeypatch.setattr(HeunPolynomial, "value", spy)
+        structure._unit_circle_clear.cache_clear()
         code, _, _ = run_cli(
             capsys, "phase-compare", "--n", "1", "--mu", "0.5", "--root", "1",
             "--periods", "1",
         )
         assert code == 0
-        assert len(calls) == 2
+        info = structure._unit_circle_clear.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert sizes.count(4096) == 1
 
 
 class TestOrtho:
@@ -491,6 +512,27 @@ def test_failing_call_prints_one_stderr_line(argv):
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("error: ConvergenceFailure: ")
+
+
+# Time grids past 2**27 samples are refused before anything is allocated.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--a", "1", "--b", "1", "--omega", "1", "--t-end", "1e15",
+         "--h", "1e-3"],
+        ["phase-compare", "--n", "2", "--mu", "1", "--root", "1",
+         "--periods", "100000000000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_oversized_time_grid_is_one_line(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "heun_rsj.cli", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: InvalidParams: time grid of ")
+    assert result.stderr.endswith(" needs over 134217728 samples\n")
 
 
 def _root_calls(command):

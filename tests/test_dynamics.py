@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from heun_rsj import dynamics
 from heun_rsj.dynamics import (
     _BLOCK,
     bias,
@@ -83,6 +84,17 @@ class TestGrid:
     def test_rejects_bad_step(self, h):
         with pytest.raises(InvalidParams):
             integrate_xy(P, 1.0, 0.0, 1.0, h)
+
+    @pytest.mark.parametrize("integrate", [integrate_phase, integrate_xy])
+    def test_sample_cap(self, monkeypatch, integrate):
+        # 100 samples fit a cap of 100; one step more is refused, as is a
+        # step count past the float range.
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
+        start = (0.0,) if integrate is integrate_phase else (1.0, 0.0)
+        assert len(integrate(P, *start, 99.0, 1.0)) == 100
+        for t_end, h in ((100.0, 1.0), (1e300, 1e-300)):
+            with pytest.raises(InvalidParams, match="needs over 100 samples"):
+                integrate(P, *start, t_end, h)
 
 
 class TestAgainstAdaptiveOracle:

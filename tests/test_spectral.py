@@ -1,6 +1,7 @@
 """Spectral roots, reflection matrices, and physical-point recovery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -361,8 +362,9 @@ class TestSpectra:
         assert len(runs) > 1
 
     def _per_element(self, dtype):
-        # Problems interleaved element by element, so the recurrences must
-        # sort them by degree and put every result back in place.
+        # Problems interleaved element by element, then stably sorted by
+        # degree, descending, as the recurrences take them: elements of one
+        # degree keep their shuffled mix of drives and roots.
         n, mu, lam = [], [], []
         for d, m in _MIXED_GRID:
             if m == 1e200:
@@ -372,6 +374,7 @@ class TestSpectra:
             mu += [m] * seeds.size
             lam += seeds.tolist()
         order = np.random.default_rng(7).permutation(len(lam))
+        order = order[np.argsort(-np.array(n)[order], kind="stable")]
         return (np.array(n)[order], np.array(mu)[order],
                 np.array(lam, dtype=dtype)[order])
 
@@ -393,7 +396,7 @@ class TestSpectra:
                 assert _same(g[i:i + 1], w), i
 
     def test_polish_takes_per_element_arrays(self):
-        grid = [(d, m) for d, m in _MIXED_GRID if d < 100]
+        grid = sorted((p for p in _MIXED_GRID if p[0] < 100), key=lambda p: -p[0])
         seeds = [spectral._eigen_seeds(d, m) for d, m in grid]
         sizes = [s.size for s in seeds]
         n = np.repeat([d for d, _ in grid], sizes)
@@ -401,6 +404,37 @@ class TestSpectra:
         got = spectral._polish_extended(n, mu, np.concatenate(seeds))
         want = [spectral._polish_extended(d, m, s) for (d, m), s in zip(grid, seeds)]
         assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_kernels_take_descending_degrees(self, monkeypatch):
+        # Each run reaches both recurrences stably sorted by degree,
+        # descending, and its spectra come back in grid order.
+        want = _bits(lambda_spectra(_MIXED_GRID))
+        seen = []
+
+        def spy(kernel):
+            def call(n, mu, lam):
+                seen.append(n)
+                return kernel(n, mu, lam)
+            return call
+
+        monkeypatch.setattr(spectral, "_det_scan", spy(spectral._det_scan))
+        monkeypatch.setattr(
+            spectral, "_det_newton_extended", spy(spectral._det_newton_extended)
+        )
+        assert _bits(lambda_spectra(_MIXED_GRID)) == want
+        assert len(seen) > 1
+        assert all(np.all(np.diff(n) <= 0) for n in seen)
+        degrees = np.array(sorted((n for n, _ in _MIXED_GRID), reverse=True))
+        assert np.array_equal(seen[0], np.repeat(degrees, degrees + 1))
+
+    def test_overflowing_scan_raises_no_warning(self):
+        # At mu = 1.3e154 mu**2 is a double but the gate scan overflows: the
+        # root misses the gate, with no numpy warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceFailure, match=r"root 0 of \(n=3, "):
+                lambda_spectrum(3, 1.3e154)
+            assert len(lambda_spectra(_MIXED_GRID)) == len(_MIXED_GRID)
 
     def test_first_failure_in_order_raises(self):
         # (2, 1e10) misses the root gate; (2, 1.7e308) overflows its

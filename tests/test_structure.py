@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ class TestSymmetryResiduals:
             check(fake)
 
 
+    # Middle roots: from n = 119 the gate determinant and its scale pass the
+    # double range (det G+ and det G- do not); at huge mu det G+- overflow.
+    @pytest.mark.parametrize(
+        "n,mu,index", [(119, 0.25, 59), (120, 1.3, 60), (7, 1e100, 3), (300, 1e10, 150)]
+    )
+    def test_determinant_overflow_is_typed(self, n, mu, index):
+        poly = helpers.solution(n, mu, index)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidParams, match=rf"determinants overflow a double at \(n={n}, "
+            ):
+                structure.certify(poly)
+
+    def test_last_degree_before_the_overflow(self):
+        checks, _ = structure.certify(helpers.solution(118, 0.25, 59))
+        assert all(math.isfinite(c["value"]) for c in checks)
+
+
 class TestPhase:
     # P(1) < 0 at (2, 1.0, 2): 2*arg P(1) = 2*pi must come off exactly.
     @pytest.mark.parametrize("n,mu,index", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2)])
@@ -300,7 +320,7 @@ class TestPhase:
         poly = helpers.solution(2, 1.0, 2)
         period = dche_to_params(poly.params).period
         times = np.arange(101) * (period / 1000.0)  # no refinement needed
-        monkeypatch.setattr(structure, "_PHASE_MAX_SAMPLES", 100)
+        monkeypatch.setattr(structure, "_MAX_SAMPLES", 100)
         phase_series(poly, times[:100])
         with pytest.raises(InvalidParams, match="needs 101 samples"):
             phase_series(poly, times)
