@@ -154,16 +154,6 @@ def _det_scan(n, mu, lam: np.ndarray):
     return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 
 
-def _ldexp_clamped(m: float, e: int) -> float:
-    """m * 2**e as a float, saturating to +-inf / signed zero at the range ends."""
-    if m == 0.0:
-        return m
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.copysign(math.inf, m)
-
-
 def spectral_det(d: DcheParams) -> tuple[float, float]:
     """Determinant of the coefficient system and its scale, from one scan.
 
@@ -173,9 +163,10 @@ def spectral_det(d: DcheParams) -> tuple[float, float]:
     'is this determinant numerically zero'.  Both may saturate to +-inf for
     very large n; :func:`_det_scan` keeps the mantissas and the exponent.
     """
-    lam = np.array([d.lam], dtype=float)
-    det, _, smax, e = (a[0].item() for a in _det_scan(d.n, d.mu, lam))
-    return _ldexp_clamped(det, e), max(1.0, _ldexp_clamped(smax, e))
+    det, _, smax, e = _det_scan(d.n, d.mu, np.array([d.lam], dtype=float))
+    with np.errstate(over="ignore"):  # saturates to +-inf; signed zeros stay
+        det, smax = np.ldexp(np.concatenate([det, smax]), e).tolist()
+    return det, max(1.0, smax)
 
 
 def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:

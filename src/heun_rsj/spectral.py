@@ -67,7 +67,7 @@ __all__ = [
 #: from symmetry certification.
 DISC_MARGIN = 1e-9
 
-#: Bound on the relative determinant (:func:`_refine_ratio`) that every root
+#: Bound on the relative determinant (:func:`_relative_dets`) that every root
 #: returned by :func:`lambda_spectrum` must meet.
 ROOT_TOL = 1e-10
 
@@ -88,35 +88,26 @@ class SpectralSet:
     lambdas: tuple[float, ...]
 
 
-def _refine_ratio(
-    det: float, ddet: float, lam: float, smax: float, e: int
-) -> float:
-    """|det| over the local determinant scale, evaluated safely in log2 space.
+def _relative_dets(lam, det, ddet, smax, e) -> np.ndarray:
+    """|det| over the local determinant scale of every root, in log2 space.
 
-    The scale is the largest of 1, the recurrence's largest summand, and the
-    first-variation magnitude |lam * d(det)/d(lam)|.  The variation term makes
-    the criterion a *relative root-location* test: at a polished simple root
-    the smallest representable |det| is about |ddet| * ulp(lam), which can
-    dwarf ``ROOT_TOL * smax`` at large n and |mu| even though lam itself is
+    The arguments are per-root arrays: the roots and their scan
+    (:func:`heun_poly._det_scan`).  The scale is the largest of 1, the
+    recurrence's largest summand, and the first-variation magnitude
+    |lam * d(det)/d(lam)|.  The variation term makes the criterion a
+    *relative root-location* test: at a polished simple root the smallest
+    representable |det| is about |ddet| * ulp(lam), which can dwarf
+    ``ROOT_TOL * smax`` at large n and |mu| even though lam itself is
     accurate to the last bit.  All three mantissas share the 2**e frame, so
-    only the constant 1 needs the frame correction.
+    only the constant 1 needs the frame correction; a zero term is -inf in
+    log2 space and drops out of ``np.fmax``.  A NaN or non-finite scan
+    gives a NaN or infinite ratio.
     """
-    if det == 0.0:
-        return 0.0
-    x = math.log2(abs(det)) + e
-    log_scale = 0.0
-    if smax > 0.0:
-        log_scale = max(log_scale, math.log2(smax) + e)
-    if lam != 0.0 and ddet != 0.0:
-        log_scale = max(
-            log_scale, math.log2(abs(lam)) + math.log2(abs(ddet)) + e
-        )
-    x -= log_scale
-    if x < -1074.0:
-        return 0.0
-    if x > 1023.0:
-        return math.inf
-    return 2.0**x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        variation = np.log2(np.abs(lam)) + np.log2(np.abs(ddet))
+        log_scale = np.fmax(np.fmax(np.log2(smax), variation) + e, 0.0)
+        x = np.log2(np.abs(det)) + e - log_scale
+        return np.where(x < -1074.0, 0.0, np.where(x > 1023.0, np.inf, np.exp2(x)))
 
 
 def lambda_spectrum(n: int, mu: float) -> SpectralSet:
@@ -149,22 +140,18 @@ def lambda_spectra(problems) -> list[SpectralSet]:
     out: list[SpectralSet] = []
     run: list[tuple] = []
     width = 0  # roots in the run
-    error = None
     for n, mu in problems:
         try:
             mu, seeds = _checked_seeds(n, mu)
-        except InvalidParams as exc:
-            error = exc
-            break
+        except InvalidParams:
+            _polish_and_gate(run)  # an earlier problem's failure wins
+            raise
         if run and width + seeds.size > _BATCH:
             out += _polish_and_gate(run)
             run, width = [], 0
         run.append((n, mu, seeds))
         width += seeds.size
-    out += _polish_and_gate(run)
-    if error is not None:
-        raise error
-    return out
+    return out + _polish_and_gate(run)
 
 
 def _checked_seeds(n: int, mu: float) -> tuple[float, np.ndarray]:
@@ -192,25 +179,24 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
     lams = _polish_extended(n, mu, np.concatenate([run[p][2] for p in order]))
     # A root whose scan overflows misses the gate: no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):
-        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, lams))
+        ratios = _relative_dets(lams, *_det_scan(n, mu, lams))
     start = dict(zip(order, itertools.accumulate(sizes, initial=0)))
-    all_lams = lams.tolist()
     spectra = []
     for p, (n_, mu_, seeds) in enumerate(run):
-        at = start[p]
-        roots = all_lams[at:at + seeds.size]
+        roots = slice(start[p], start[p] + seeds.size)
         # Where mu**2 overflows a double the determinant has no double value
         # to gate; every use of such a triplet raises InvalidParams (mu_squared).
-        for i, lam in enumerate(roots if math.isfinite(mu_ * mu_) else ()):
-            k = at + i
-            ratio = _refine_ratio(det[k], ddet[k], lam, smax[k], e[k])
-            if not ratio <= ROOT_TOL:  # a NaN ratio fails too
-                raise ConvergenceFailure(
-                    i,
-                    f"root {i} of (n={n_}, mu={mu_}) polished to relative "
-                    f"determinant {ratio:.3e} > {ROOT_TOL:g}",
-                )
-        spectra.append(SpectralSet(n=n_, mu=mu_, lambdas=tuple(sorted(roots))))
+        missed = np.flatnonzero(~(ratios[roots] <= ROOT_TOL))  # NaN misses too
+        if missed.size and math.isfinite(mu_ * mu_):
+            i = int(missed[0])
+            raise ConvergenceFailure(
+                i,
+                f"root {i} of (n={n_}, mu={mu_}) polished to relative "
+                f"determinant {ratios[roots][i]:.3e} > {ROOT_TOL:g}",
+            )
+        spectra.append(
+            SpectralSet(n=n_, mu=mu_, lambdas=tuple(sorted(lams[roots].tolist())))
+        )
     return spectra
 
 

@@ -154,7 +154,8 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped`` as
     ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a
     double, and where the gate determinant, its scale or det G+ * det G-
-    overflows so that a determinant check would be NaN or infinite.
+    overflows: a determinant check would be NaN, infinite, or a 0 that only
+    the infinite scale makes.
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
@@ -184,7 +185,7 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     delta, scale = heun_poly.spectral_det(d)
     det_product = abs(abs(det_p * det_m) - abs(delta)) / scale
     det_min = min(abs(det_p), abs(det_m)) / scale
-    if not (math.isfinite(det_product) and math.isfinite(det_min)):
+    if not all(map(math.isfinite, (scale, det_product, det_min))):
         raise InvalidParams(
             f"the determinants overflow a double at (n={d.n}, mu={d.mu})"
         )

@@ -10,6 +10,11 @@ recurrence.  The ordered product of 2x2 transfer matrices gives it
 independently (``spectral_det_transfer``, in exact rationals) and, up to a
 nonzero factor, as the scalar ``necessary_condition``.
 
+``spectral._relative_dets`` gates every spectral root in one array
+expression over the determinant scan; ``_refine_ratio`` is the same test one
+root at a time, with a Python branch for each term that drops out.  Their
+gate decisions must agree, and their values up to a last-bit difference.
+
 ``spectral.symmetry_matrix`` and the reflection shuffle in ``structure``
 fill their arrays by index assignment; the row loops below do the same
 arithmetic one entry at a time, and the array forms must match them bit for
@@ -224,6 +229,37 @@ def coeff_relations_loop(P: HeunPolynomial) -> np.ndarray:
             val -= (n + 1.0 - k) * a[n + 1 - k]
         out[k] = val
     return out
+
+
+def _refine_ratio(
+    det: float, ddet: float, lam: float, smax: float, e: int
+) -> float:
+    """|det| over the local determinant scale, evaluated safely in log2 space.
+
+    The scale is the largest of 1, the recurrence's largest summand, and the
+    first-variation magnitude |lam * d(det)/d(lam)|.  The variation term makes
+    the criterion a *relative root-location* test: at a polished simple root
+    the smallest representable |det| is about |ddet| * ulp(lam), which can
+    dwarf ``ROOT_TOL * smax`` at large n and |mu| even though lam itself is
+    accurate to the last bit.  All three mantissas share the 2**e frame, so
+    only the constant 1 needs the frame correction.
+    """
+    if det == 0.0:
+        return 0.0
+    x = math.log2(abs(det)) + e
+    log_scale = 0.0
+    if smax > 0.0:
+        log_scale = max(log_scale, math.log2(smax) + e)
+    if lam != 0.0 and ddet != 0.0:
+        log_scale = max(
+            log_scale, math.log2(abs(lam)) + math.log2(abs(ddet)) + e
+        )
+    x -= log_scale
+    if x < -1074.0:
+        return 0.0
+    if x > 1023.0:
+        return math.inf
+    return 2.0**x
 
 
 def sweep_loop(

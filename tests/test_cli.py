@@ -182,6 +182,18 @@ class TestVerify:
             "(n=120, mu=1.3)\n"
         )
 
+    def test_saturated_determinant_scale_is_typed(self, capsys):
+        # At root 1 of (104, 1) the gate determinant is 1.5e297 but its
+        # scale passes the double range: no determinant check is reported.
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "104", "--mu", "1", "--root", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: InvalidParams: the determinants overflow a double at "
+            "(n=104, mu=1.0)\n"
+        )
+
     def test_low_discriminant_checks_are_skipped(self, capsys):
         # The lowest root at (6, 0.25) sits within 1e-9 of -mu^2, so every
         # c-dependent certificate is skipped rather than reported as noise.

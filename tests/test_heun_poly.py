@@ -100,6 +100,26 @@ def _det_scan_loop(n, mu, lam):
     return prev, dprev, smax, e
 
 
+def _ldexp_clamped(m: float, e: int) -> float:
+    """m * 2**e by ``math.ldexp``, saturating to +-inf past the double range."""
+    if m == 0.0:
+        return m
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _spectral_det_ldexp(d: DcheParams) -> tuple[float, float]:
+    """:func:`heun_poly.spectral_det` read from the scan one float at a time."""
+    det, _, smax, e = (a[0].item() for a in _det_scan(d.n, d.mu, np.array([d.lam])))
+    return _ldexp_clamped(det, e), max(1.0, _ldexp_clamped(smax, e))
+
+
+def _same_floats(a, b) -> bool:
+    return all(x == y and math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(a, b))
+
+
 class TestDeterminant:
     @given(mu=moderate_mu, lam=moderate_lam)
     @settings(max_examples=200)
@@ -183,6 +203,26 @@ class TestDeterminant:
         d = DcheParams(n=6, mu=2.0, lam=3.7)
         m, _, _, e = _det_scan(d.n, d.mu, np.array([d.lam]))
         assert math.ldexp(m[0], int(e[0])) == spectral_det(d)[0]
+
+    def test_finite_determinant_over_a_saturated_scale(self):
+        # Root 1 at (104, 1): the scan's summand maximum passes the double
+        # range while the determinant itself stays finite.
+        d = DcheParams(n=104, mu=1.0, lam=lambda_spectrum(104, 1.0).lambdas[1])
+        det, scale = spectral_det(d)
+        assert math.isfinite(det) and scale == math.inf
+        assert _same_floats((det, scale), _spectral_det_ldexp(d))
+
+    @pytest.mark.parametrize("n,lam,sign", [(150, -1e5, -1), (151, -1e5, 1), (150, 1e6, 1)])
+    def test_overflowing_determinant_keeps_its_sign(self, n, lam, sign):
+        d = DcheParams(n=n, mu=1.0, lam=lam)
+        det, scale = spectral_det(d)
+        assert det == sign * math.inf and scale == math.inf
+        assert _same_floats((det, scale), _spectral_det_ldexp(d))
+
+    def test_signed_zero_stays(self):
+        d = DcheParams(n=0, mu=1.0, lam=-0.0)
+        assert _same_floats(spectral_det(d), (-0.0, 1.0))
+        assert _same_floats(spectral_det(d), _spectral_det_ldexp(d))
 
     def test_scale_floor(self):
         assert spectral_det(DcheParams(n=2, mu=1.0, lam=0.5))[1] >= 1.0

@@ -29,7 +29,7 @@ from heun_rsj.spectral import (
     symmetry_matrix,
 )
 
-from oracles import symmetry_matrix_loop
+from oracles import _refine_ratio, symmetry_matrix_loop
 
 
 def _eigen_oracle(n: int, mu: float) -> np.ndarray:
@@ -185,10 +185,10 @@ class TestSpectrum:
         # the frame shift must stay finite there.
         lams = lambda_spectrum(n, 0.0).lambdas
         assert lams == tuple(sorted(float(j * (n + 1 - j)) for j in range(n + 1)))
-        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, 0.0, np.array(lams)))
-        for i, lam in enumerate(lams):
-            assert all(math.isfinite(x) for x in (det[i], ddet[i], smax[i]))
-            assert spectral._refine_ratio(det[i], ddet[i], lam, smax[i], e[i]) <= ROOT_TOL
+        lams = np.array(lams)
+        det, ddet, smax, e = _det_scan(n, 0.0, lams)
+        assert np.all(np.isfinite(det) & np.isfinite(ddet) & np.isfinite(smax))
+        assert np.all(spectral._relative_dets(lams, det, ddet, smax, e) <= ROOT_TOL)
 
     def test_unpolished_root_fails_the_gate(self, monkeypatch):
         # The gate on the returned roots is the only guard between a bad
@@ -281,10 +281,9 @@ class TestSpectrum:
         s2 += 2.0 * mu * mu * math.fsum(float((j + 1) * (n - j)) for j in range(n))
         assert abs(math.fsum(lams) - s1) <= 1e-12 * s1
         assert abs(math.fsum(x * x for x in lams) - s2) <= 1e-12 * s2
-        det, ddet, smax, e = (a.tolist() for a in _det_scan(n, mu, np.array(lams)))
-        for i, lam in enumerate(lams):
-            ratio = spectral._refine_ratio(det[i], ddet[i], lam, smax[i], e[i])
-            assert ratio <= ROOT_TOL
+        lams = np.array(lams)
+        ratios = spectral._relative_dets(lams, *_det_scan(n, mu, lams))
+        assert np.all(ratios <= ROOT_TOL)
 
     @pytest.mark.xfail(strict=True, raises=ConvergenceFailure)
     def test_gate_at_huge_mu(self):
@@ -484,6 +483,62 @@ class TestSpectra:
         with pytest.raises(InvalidParams, match="overflows the eigenproblem"):
             lambda_spectra([(1, 0.5), (2, 0.3), (2, 1.7e308), (2, 1e10)])
         assert [n for run in solved for n in run] == [1, 2]
+
+
+def _agrees_with_oracle(got: np.ndarray, lam, det, ddet, smax, e) -> None:
+    """``got`` against the one-root gate of ``tests/oracles.py``: the same
+    decision at ``ROOT_TOL`` and the same value to a last-bit difference."""
+    rows = zip(det.tolist(), ddet.tolist(), lam.tolist(), smax.tolist(), e.tolist())
+    for r, row in zip(got.tolist(), rows):
+        o = _refine_ratio(*row)
+        assert (r <= ROOT_TOL) == (o <= ROOT_TOL), row
+        close = math.isfinite(o) and abs(r - o) <= 1e-15 * abs(o)
+        assert r == o or close or (r != r and o != o), row
+
+
+class TestGate:
+    @pytest.mark.parametrize("moved", [0.0, 1e-9, 1e-3])
+    def test_matches_one_root_oracle_on_the_mixed_grid(self, moved):
+        # Eigenvalue seeds, polished roots and roots moved off them, over
+        # every problem of the mixed grid; mu = 1e200 gives non-finite scans.
+        for n, mu in _MIXED_GRID:
+            roots = np.array(lambda_spectrum(n, mu).lambdas)
+            for lam in (spectral._eigen_seeds(n, mu), roots):
+                lam = lam + moved * np.maximum(1.0, np.abs(lam))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scan = _det_scan(n, mu, lam)
+                _agrees_with_oracle(spectral._relative_dets(lam, *scan), lam, *scan)
+
+    def test_matches_one_root_oracle_on_edge_rows(self):
+        inf, nan = math.inf, math.nan
+        rows = [  # (lam, det, ddet, smax, e)
+            (1.0, 0.0, 2.0, 3.0, 5),  # det = 0
+            (-2.0, -0.0, 2.0, inf, 5),
+            (1.0, 1e-20, 2.0, 0.0, 0),  # smax = 0
+            (0.0, 1e-3, 5.0, 7.0, 10),  # lam = 0
+            (0.0, 1e-3, inf, 7.0, 10),
+            (3.0, 1e-3, 0.0, 7.0, -10),  # ddet = 0
+            (3.0, 1e-3, 0.0, 0.0, -10),
+            (1.0, nan, 1.0, 1.0, 0),  # NaN or inf scan
+            (1.0, inf, 1.0, 1.0, 0),
+            (1.0, -inf, 1.0, inf, 0),
+            (1.0, 1.0, nan, 1.0, 0),
+            (1.0, 1.0, 1.0, nan, 0),
+            (1.0, 1.0, 1.0, inf, 0),
+            (1.0, 0.5, 1.0, 0.75, 3000),  # |e| in the thousands
+            (1.0, 0.5, 1.0, 0.75, -3000),
+            (2.0, 1e-200, 1e-100, 1e-150, 2500),
+            (-5.0, 3e-250, 1e-80, 1e-300, -2500),
+            (1.0, 1.0, 0.0, 2.0**-1070, 2000),  # past 2**1023
+            (1.0, 1.0, 0.0, 2.0**-1023.5, 1100),
+            (1.0, 2.0**-600, 1.0, 2.0**474.5, 0),  # below 2**-1074
+            (1.0, 1e-300, 1.0, 1e300, 0),
+        ]
+        lam, det, ddet, smax = (np.array(col) for col in list(zip(*rows))[:4])
+        e = np.array([row[4] for row in rows], dtype=np.int64)
+        got = spectral._relative_dets(lam, det, ddet, smax, e)
+        _agrees_with_oracle(got, lam, det, ddet, smax, e)
+        assert got[0] == got[1] == 0.0 and np.isnan(got[7]) and got[17] == inf
 
 
 class TestSymmetryMatrices:

@@ -161,7 +161,13 @@ class TestSymmetryResiduals:
     # Middle roots: from n = 119 the gate determinant and its scale pass the
     # double range (det G+ and det G- do not); at huge mu det G+- overflow.
     @pytest.mark.parametrize(
-        "n,mu,index", [(119, 0.25, 59), (120, 1.3, 60), (7, 1e100, 3), (300, 1e10, 150)]
+        "n,mu,index",
+        [
+            (119, 0.25, 59), (120, 1.3, 60), (7, 1e100, 3), (300, 1e10, 150),
+            # Only the scale saturates: det_product_rel and det_min_rel
+            # would be an exact 0 that certifies nothing.
+            (103, 1.82, 1), (104, 1.0, 1),
+        ],
     )
     def test_determinant_overflow_is_typed(self, n, mu, index):
         poly = helpers.solution(n, mu, index)
@@ -174,6 +180,13 @@ class TestSymmetryResiduals:
 
     def test_last_degree_before_the_overflow(self):
         checks, _ = structure.certify(helpers.solution(118, 0.25, 59))
+        assert all(math.isfinite(c["value"]) for c in checks)
+
+    @pytest.mark.parametrize("n,mu", [(102, 1.82), (103, 1.0)])
+    def test_last_degree_before_the_scale_saturates(self, n, mu):
+        poly = helpers.solution(n, mu, 1)
+        assert math.isfinite(heun_poly.spectral_det(poly.params)[1])
+        checks, _ = structure.certify(poly)
         assert all(math.isfinite(c["value"]) for c in checks)
 
 
