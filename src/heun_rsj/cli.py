@@ -19,6 +19,7 @@ deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -245,6 +246,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# parse_args leaves the parser as it was, so one build serves every call.
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heun-rsj",

@@ -29,11 +29,9 @@ from .errors import InvalidParams, NotSpectral
 from .model import DcheParams, HeunPolynomial, mu_squared
 
 __all__ = [
-    "SAMPLE_POINTS",
     "SPECTRAL_TOL",
     "coefficient_matrix",
     "spectral_det",
-    "residual_master",
     "residual_linear_system",
     "build_polynomial",
 ]
@@ -41,16 +39,6 @@ __all__ = [
 #: Largest relative eigen-residual ``||(J - kappa*I) v|| / ||J||`` (infinity
 #: norms, ``||v|| = 1``) at which :func:`build_polynomial` accepts a root.
 SPECTRAL_TOL = 1e-8
-
-# Deterministic residual sample set: two reciprocal pairs on the real axis,
-# sixteen points on the unit circle and the point z = -1 once more.
-SAMPLE_POINTS: tuple[complex, ...] = (
-    (0.5 + 0j),
-    (1.0 + 0j),
-    (2.0 + 0j),
-    *(np.exp(1j * np.pi * k / 8.0) for k in range(16)),
-    (-1.0 + 0j),
-)
 
 
 def coefficient_matrix(d: DcheParams) -> np.ndarray:
@@ -169,27 +157,6 @@ def spectral_det(d: DcheParams) -> tuple[float, float]:
     return det, max(1.0, smax)
 
 
-def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:
-    """Residual of the polynomial-form equation at z, and its scale.
-
-    The residual uses exact derivatives; the scale is the largest absolute
-    value among its four summands.
-    """
-    n, mu, lam = P.params.n, P.params.mu, P.params.lam
-    v = P.value(z)
-    dv = P.deriv1(z)
-    d2v = P.deriv2(z)
-    inner = z * dv - n * v
-    terms = (
-        z * ((1.0 - n) * dv + z * d2v),
-        -mu * z * inner,
-        (mu - z) * dv,
-        lam * v,
-    )
-    t1, t2, t3, t4 = terms
-    return t1 + t2 + t3 + t4, float(max(abs(t) for t in terms))
-
-
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:
     """Row residuals of the coefficient system applied to P's coefficients."""
     return coefficient_matrix(P.params) @ np.asarray(P.coeffs)
@@ -234,7 +201,8 @@ def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     two inverse-iteration solves of ``J - kappa*I`` from the all-ones
     vector, mapped back through the similarity.  ``NotSpectral`` is raised
     unless the solve vector v, scaled to ``max|v_k| = 1``, has
-    ``max|((J - kappa*I) v)_k| <= SPECTRAL_TOL * ||J||`` (largest row sum);
+    ``max|((J - kappa*I) v)_k| <= SPECTRAL_TOL * ||J||`` (largest row sum),
+    and where the nudged shift makes the solve exactly singular;
     ``InvalidParams`` where a_n = 1 overflows the other coefficients, or
     where mu = 0 makes every root of degree n >= 1 double.
     """
@@ -249,12 +217,18 @@ def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     norm = float(np.linalg.norm(jac, np.inf))
     # A shift on an exact eigenvalue would make the solve singular; moving
     # it a few ulps of ||J|| changes the convergence rate, not the limit.
-    nudge = 4.0 * np.finfo(float).eps * max(norm, 1.0)
-    shifted = jac - (kappa + nudge) * np.eye(n + 1)
+    shift = float(kappa + 4.0 * np.finfo(float).eps * max(norm, 1.0))
+    shifted = jac - shift * np.eye(n + 1)
     v = np.ones(n + 1)
-    for _ in range(2):
-        v = np.linalg.solve(shifted, v)
-        v /= np.max(np.abs(v))
+    try:
+        for _ in range(2):
+            v = np.linalg.solve(shifted, v)
+            v /= np.max(np.abs(v))
+    except np.linalg.LinAlgError:
+        raise NotSpectral(
+            f"J - shift*I is singular at shift {shift} (n={n}, mu={mu}, "
+            f"lambda={d.lam}, epsilon={epsilon})"
+        ) from None
     resid = float(np.max(np.abs(jac @ v - kappa * v)))
     if not resid <= SPECTRAL_TOL * norm:  # a NaN residual fails too
         raise NotSpectral(

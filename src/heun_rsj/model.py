@@ -174,11 +174,6 @@ class HeunPolynomial:
         c = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
         return np.polynomial.polynomial.polyval(z, c)
 
-    def deriv2(self, z):
-        """Evaluate P''(z) exactly from the coefficients."""
-        c = np.polynomial.polynomial.polyder(np.asarray(self.coeffs), 2)
-        return np.polynomial.polynomial.polyval(z, c)
-
     def norm_l1(self) -> float:
         """Coefficient l1 norm; bounds |P| on the closed unit disc."""
         return float(sum(abs(c) for c in self.coeffs))

@@ -41,10 +41,10 @@ from .errors import (
 )
 from . import heun_poly, spectral
 from .dynamics import _MAX_SAMPLES, unwrap
-from .heun_poly import SAMPLE_POINTS
 from .model import HeunPolynomial, dche_to_params, frequency_scale, mu_squared
 
 __all__ = [
+    "SAMPLE_POINTS",
     "TOL",
     "residuals",
     "certify",
@@ -68,6 +68,16 @@ TOL = {
     "det_min": 1e-10,
     "phase": 1e-6,
 }
+
+# Deterministic residual sample set: two reciprocal pairs on the real axis,
+# sixteen points on the unit circle and the point z = -1 once more.
+SAMPLE_POINTS: tuple[complex, ...] = (
+    (0.5 + 0j),
+    (1.0 + 0j),
+    (2.0 + 0j),
+    *(np.exp(1j * np.pi * k / 8.0) for k in range(16)),
+    (-1.0 + 0j),
+)
 
 # Samples per block of the closed-form phase: one block's complex temporaries
 # stay in cache.
@@ -96,6 +106,20 @@ def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
     return P.params.mu * a[::-1], up
 
 
+# residuals and symmetry_residual read the same P in turn within certify.
+@functools.lru_cache(maxsize=1)
+def _on_samples(P: HeunPolynomial) -> tuple[tuple, ...]:
+    """``(z, P(z), P'(z), P''(z), P(1/z))`` at each z of ``SAMPLE_POINTS``,
+    each value from a scalar ``polyval`` (numpy's array complex arithmetic
+    can differ from the scalar one in the last bit)."""
+    val, der = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    a = np.asarray(P.coeffs)
+    d1, d2 = der(a), der(a, 2)
+    return tuple(
+        (z, val(z, a), val(z, d1), val(z, d2), val(1.0 / z, a)) for z in SAMPLE_POINTS
+    )
+
+
 def symmetry_residual(P: HeunPolynomial) -> float:
     """Worst relative defect of the reflection relation over the sample set.
 
@@ -106,10 +130,10 @@ def symmetry_residual(P: HeunPolynomial) -> float:
     c = frequency_scale(P.params)
     n, mu = P.n, P.params.mu
     worst = 0.0
-    for z in SAMPLE_POINTS:
-        t1 = complex(P.deriv1(z))
-        t2 = -mu * complex(P.value(z))
-        t3 = -eps * c * z**n * complex(P.value(1.0 / z))
+    for z, v, dv, _, v_inv in _on_samples(P):
+        t1 = complex(dv)
+        t2 = -mu * complex(v)
+        t3 = -eps * c * z**n * complex(v_inv)
         scale = max(abs(t1), abs(t2), abs(t3))
         if scale == 0.0:
             continue
@@ -132,14 +156,23 @@ def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
 def residuals(P: HeunPolynomial) -> tuple[float, float]:
     """Worst relative residuals ``(master_rel, linear_rel)`` of P.
 
-    ``master_rel`` is the master-equation residual over the sample set, each
-    point divided by its largest summand; ``linear_rel`` is the largest row
-    residual of the coefficient system divided by max |a_k|.
+    ``master_rel`` is the residual of the polynomial-form equation (see
+    ``heun_poly``) over the sample set, each point divided by its largest
+    summand; ``linear_rel`` is the largest row residual of the coefficient
+    system divided by max |a_k|.
     """
-    master = max(
-        abs(res) / max(scale, 1e-300)
-        for res, scale in (heun_poly.residual_master(P, z) for z in SAMPLE_POINTS)
-    )
+    n, mu, lam = P.params.n, P.params.mu, P.params.lam
+
+    def master_rel(z, v, dv, d2v, _) -> float:
+        terms = (
+            z * ((1.0 - n) * dv + z * d2v),
+            -mu * z * (z * dv - n * v),
+            (mu - z) * dv,
+            lam * v,
+        )
+        return abs(sum(terms)) / max(float(max(abs(t) for t in terms)), 1e-300)
+
+    master = max(master_rel(*row) for row in _on_samples(P))
     rows = heun_poly.residual_linear_system(P)
     amax = max(abs(c) for c in P.coeffs)
     return float(master), float(np.max(np.abs(rows))) / amax

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
-Admissibility filtering and zero-free evaluation windows are needed by
-several test modules; keeping them here avoids re-deriving the same
-bookkeeping in each file.
+Admissibility filtering, zero-free evaluation windows and P'' (which the
+package no longer evaluates on its own) are needed by several test
+modules; keeping them here avoids re-deriving the same bookkeeping in each
+file.
 """
 
 from __future__ import annotations
@@ -11,6 +12,12 @@ import numpy as np
 
 from heun_rsj import heun_poly, spectral
 from heun_rsj.model import DcheParams, HeunPolynomial
+
+
+def deriv2(P: HeunPolynomial, z):
+    """Evaluate P''(z) exactly from the coefficients."""
+    c = np.polynomial.polynomial.polyder(np.asarray(P.coeffs), 2)
+    return np.polynomial.polynomial.polyval(z, c)
 
 
 def spectral_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:
@@ -106,7 +113,7 @@ def master_jet_residual(
     P = P_or_jet
     n, mu, lam = P.params.n, P.params.mu, P.params.lam
     if jet is None:
-        q, dq, d2q = P.value(z), P.deriv1(z), P.deriv2(z)
+        q, dq, d2q = P.value(z), P.deriv1(z), deriv2(P, z)
     else:
         q, dq, d2q = jet
     terms = (

@@ -46,6 +46,8 @@ from heun_rsj.structure import (
     orthogonality_weight,
 )
 
+from helpers import deriv2
+
 
 class NonIntegralDegree(HeunRsjError):
     """The reduced degree -(B/omega + 1) is not a non-negative integer."""
@@ -356,7 +358,7 @@ def second_solution_jet(
     )
     pv = complex(P.value(zc))
     d1 = complex(P.deriv1(zc))
-    d2 = complex(P.deriv2(zc))
+    d2 = complex(deriv2(P, zc))
     kernel = zc**n * np.exp(mu * (zc + 1.0 / zc))
     q = pv * integral
     dq = d1 * integral + kernel / pv
@@ -386,7 +388,7 @@ def weight_divergence_residual(
     pw = -(n1 + n2) / 2.0
     v1, v2 = float(P1.value(z)), float(P2.value(z))
     d1, d2 = float(P1.deriv1(z)), float(P2.deriv1(z))
-    dd1, dd2 = float(P1.deriv2(z)), float(P2.deriv2(z))
+    dd1, dd2 = float(deriv2(P1, z)), float(deriv2(P2, z))
     s = v2 * d1 - v1 * d2 - 0.5 * (n1 - n2) * v1 * v2 / z
     ds = (
         v2 * dd1

@@ -25,6 +25,12 @@ A polynomial carries the reflection sign of its root, which
 relations.  ``sign_at_one`` reads it again from the relation at the one
 point z = 1.
 
+``structure.residuals`` and ``structure.symmetry_residual`` read one table
+of P and its derivatives on the sample set.  ``residual_master`` is the
+master equation at one point, evaluating P, P' and P'' afresh;
+``master_rel_points`` and ``symmetry_residual_points`` run both checks one
+point at a time that way, and the table readers must match them bit for bit.
+
 ``cli.cmd_sweep`` computes its whole grid with one
 ``spectral.lambda_spectra`` call; ``sweep_loop`` is the sweep as one
 ``lambda_spectrum`` call per grid point, and the CSV bytes must match.
@@ -48,9 +54,18 @@ import numpy as np
 from heun_rsj.cli import _csv_fields, _physical_fields
 from heun_rsj.dynamics import _grid
 from heun_rsj.errors import HeunRsjError, IndexOutOfRange, InvalidParams
-from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
+from heun_rsj.model import (
+    DcheParams,
+    HeunPolynomial,
+    RsjParams,
+    dche_to_params,
+    frequency_scale,
+)
 from heun_rsj.serialize import write_csv
 from heun_rsj.spectral import lambda_spectrum
+from heun_rsj.structure import SAMPLE_POINTS
+
+from helpers import deriv2
 
 
 class DegreeZeroUnsupported(HeunRsjError):
@@ -215,6 +230,55 @@ def sign_at_one(P: HeunPolynomial) -> int:
     c = math.sqrt(P.params.lam + P.params.mu**2)
     p1 = float(P.value(1.0))
     return 1 if (float(P.deriv1(1.0)) - P.params.mu * p1) / (c * p1) > 0 else -1
+
+
+def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:
+    """Residual of the polynomial-form equation at z, and its scale.
+
+    The residual uses exact derivatives; the scale is the largest absolute
+    value among its four summands.
+    """
+    n, mu, lam = P.params.n, P.params.mu, P.params.lam
+    v = P.value(z)
+    dv = P.deriv1(z)
+    d2v = deriv2(P, z)
+    inner = z * dv - n * v
+    terms = (
+        z * ((1.0 - n) * dv + z * d2v),
+        -mu * z * inner,
+        (mu - z) * dv,
+        lam * v,
+    )
+    t1, t2, t3, t4 = terms
+    return t1 + t2 + t3 + t4, float(max(abs(t) for t in terms))
+
+
+def master_rel_points(P: HeunPolynomial) -> float:
+    """Worst ``|residual| / scale`` of :func:`residual_master` over the samples."""
+    return float(
+        max(
+            abs(res) / max(scale, 1e-300)
+            for res, scale in (residual_master(P, z) for z in SAMPLE_POINTS)
+        )
+    )
+
+
+def symmetry_residual_points(P: HeunPolynomial) -> float:
+    """Worst relative defect of ``P' - mu*P = eps*c*z**n*P(1/z)`` over the
+    samples, each point divided by its largest summand."""
+    eps = P.epsilon
+    c = frequency_scale(P.params)
+    n, mu = P.n, P.params.mu
+    worst = 0.0
+    for z in SAMPLE_POINTS:
+        t1 = complex(P.deriv1(z))
+        t2 = -mu * complex(P.value(z))
+        t3 = -eps * c * z**n * complex(P.value(1.0 / z))
+        scale = max(abs(t1), abs(t2), abs(t3))
+        if scale == 0.0:
+            continue
+        worst = max(worst, abs(t1 + t2 + t3) / scale)
+    return worst
 
 
 def coeff_relations_loop(P: HeunPolynomial) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from heun_rsj import spectral, structure
-from heun_rsj.cli import main
+from heun_rsj.cli import build_parser, main
 from heun_rsj.model import HeunPolynomial
 from heun_rsj.serialize import SCHEMA
 
@@ -617,6 +617,37 @@ def test_scipy_stays_off_the_hot_path():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    probe = "import sys, heun_rsj.cli; sys.exit('numpy.polynomial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_the_parser_as_fresh_processes_see_it(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the width
+        bad = ["verify", "--n", "2"]
+        good = ["verify", "--n", "2", "--mu", "1", "--root", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        first = capsys.readouterr()
+        in_process = [(exc.value.code, first.out, first.err), run_cli(capsys, *good)]
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "heun_rsj.cli", *argv],
+                capture_output=True,
+                text=True,
+            )
+            for argv in (bad, good)
+        ]
+        assert in_process[0][0] == 2 and in_process[0][2].startswith("usage: ")
+        assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
 
 
 class TestDeterminism:

@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from heun_rsj import heun_poly
 from heun_rsj.errors import IndexOutOfRange, InvalidParams, NotSpectral
 from heun_rsj.heun_poly import (
-    SAMPLE_POINTS,
     _det_scan,
     build_polynomial,
     coefficient_matrix,
     residual_linear_system,
-    residual_master,
     spectral_det,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial
 from heun_rsj.spectral import lambda_spectrum, root_params
+from heun_rsj.structure import SAMPLE_POINTS
 
 import helpers
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     coefficient_ratios,
     coeffs_from_ratios,
     necessary_condition,
+    residual_master,
     spectral_det_transfer,
     transfer_matrix,
 )
@@ -417,6 +417,17 @@ class TestBuildPolynomial:
         for epsilon in (1, -1):
             with pytest.raises(NotSpectral):
                 build_polynomial(DcheParams(n=2, mu=1.0, lam=0.123), epsilon)
+
+    def test_singular_shift_is_typed(self):
+        # 8 ulps above root 13 of (16, 0.25), the nudged shift makes the LU
+        # of J - shift*I exactly singular.
+        d = DcheParams(n=16, mu=0.25, lam=68.5838497406936)
+        with pytest.raises(
+            NotSpectral,
+            match=r"singular at shift -8\.28\d* \(n=16, mu=0\.25, "
+            r"lambda=68\.5838497406936, epsilon=1\)$",
+        ):
+            build_polynomial(d, 1)
 
     def test_interior_zero_coefficient_case(self):
         # At (n, mu) = (3, 2) one spectral lambda is exactly 0 and the

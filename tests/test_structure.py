@@ -13,6 +13,7 @@ from heun_rsj.errors import (
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
+    NonPositiveDiscriminant,
     QuadratureFailure,
     ZeroOnUnitCircle,
 )
@@ -38,9 +39,12 @@ from identities import (
 )
 from oracles import (
     coeff_relations_loop,
+    master_rel_points,
     phase_on_grid_ratio,
     phase_series_loop,
     reflected_coeffs_loop,
+    residual_master,
+    symmetry_residual_points,
 )
 
 
@@ -57,8 +61,8 @@ class TestReflectedPolynomial:
     @pytest.mark.parametrize("n,mu,index", [(1, 1.0, 0), (2, 1.0, 2), (3, 0.5, 3)])
     def test_solves_same_equation(self, n, mu, index):
         image = reflected_polynomial(helpers.solution(n, mu, index))
-        for z in heun_poly.SAMPLE_POINTS:
-            res, scale = heun_poly.residual_master(image, z)
+        for z in structure.SAMPLE_POINTS:
+            res, scale = residual_master(image, z)
             assert abs(res) <= 1e-9 * max(scale, 1e-300)
 
     def test_proportional_to_original_at_spectral_point(self):
@@ -188,6 +192,44 @@ class TestSymmetryResiduals:
         assert math.isfinite(heun_poly.spectral_det(poly.params)[1])
         checks, _ = structure.certify(poly)
         assert all(math.isfinite(c["value"]) for c in checks)
+
+
+class TestSampleTable:
+    @pytest.mark.parametrize(
+        "degrees,mu",
+        [(range(13), 0.25), (range(13), 1.82), (range(13), -0.7), ((40, 100), 1.82)],
+        ids=["n<=12-0.25", "n<=12-1.82", "n<=12--0.7", "n=40,100-1.82"],
+    )
+    def test_readers_match_per_point_oracle(self, degrees, mu):
+        # Bit for bit: the table holds the same scalar polyval values that a
+        # per-point evaluation computes.
+        for n in degrees:
+            for _, d, eps in helpers.spectral_points(n, mu):
+                poly = heun_poly.build_polynomial(d, eps)
+                assert structure.residuals(poly)[0] == master_rel_points(poly)
+                if d.lam + mu**2 > 0:
+                    assert symmetry_residual(poly) == symmetry_residual_points(poly)
+                else:
+                    for check in (symmetry_residual, symmetry_residual_points):
+                        with pytest.raises(NonPositiveDiscriminant):
+                            check(poly)
+
+    def test_certify_samples_p_once(self, monkeypatch):
+        poly = helpers.solution(8, 1.82, 4)
+        polyder = np.polynomial.polynomial.polyder
+        orders = []
+
+        def spy(c, m=1, *args):
+            orders.append(m)
+            return polyder(c, m, *args)
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyder", spy)
+        structure._on_samples.cache_clear()
+        _, skipped = structure.certify(poly)
+        assert skipped == []  # both sampled checks ran
+        info = structure._on_samples.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert orders == [1, 2]
 
 
 class TestPhase:

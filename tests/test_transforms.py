@@ -13,6 +13,7 @@ from heun_rsj.dynamics import integrate_xy
 from heun_rsj.errors import InvalidParams, OriginUndefined
 from heun_rsj.model import DcheParams, RsjParams, dche_to_params
 
+import helpers
 from identities import (
     CanonicalDche,
     PoleAtAlpha,
@@ -55,7 +56,7 @@ def _solution_jet(d: DcheParams, epsilon: int):
         g = cmath.exp(-mu * z)
         v = g * P.value(z)
         dv = g * (P.deriv1(z) - mu * P.value(z))
-        d2v = g * (P.deriv2(z) - 2.0 * mu * P.deriv1(z) + mu**2 * P.value(z))
+        d2v = g * (helpers.deriv2(P, z) - 2.0 * mu * P.deriv1(z) + mu**2 * P.value(z))
         return v, dv, d2v
 
     return p, jet
