@@ -25,6 +25,7 @@ the eigenvalues of the symmetric Jacobi form of the reflection relations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -142,7 +143,8 @@ def lambda_spectra(problems) -> list[SpectralSet]:
     width = 0  # roots in the run
     for n, mu in problems:
         try:
-            mu, seeds = _checked_seeds(n, mu)
+            mu = _checked_mu(n, mu)
+            seeds = _eigen_seeds(n, mu)
         except InvalidParams:
             _polish_and_gate(run)  # an earlier problem's failure wins
             raise
@@ -154,13 +156,12 @@ def lambda_spectra(problems) -> list[SpectralSet]:
     return out + _polish_and_gate(run)
 
 
-def _checked_seeds(n: int, mu: float) -> tuple[float, np.ndarray]:
-    """``float(mu)`` and the eigenvalue seeds (:func:`_eigen_seeds`) of a
-    validated problem."""
+def _checked_mu(n: int, mu: float) -> float:
+    """``float(mu)`` of the problem ``(n, mu)``, or ``InvalidParams`` unless n
+    is a non-negative int and mu a finite real."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"degree n must be a non-negative int, got {n!r}")
-    mu = finite_real("mu", mu)
-    return mu, _eigen_seeds(n, mu)
+    return finite_real("mu", mu)
 
 
 def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
@@ -350,14 +351,33 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
 
     The triplet carries the polished lambda of :func:`lambda_spectrum` and
     the sign comes from :func:`_root_signs`; the root need not be physical.
-    A drive whose square overflows a double raises ``InvalidParams`` here,
-    before any polynomial work.
+    Both are read from :func:`_signed_spectrum`, so the roots of one problem
+    share one computation.  ``InvalidParams`` for an invalid ``(n, mu)`` or a
+    root index that is not an int, before any spectral work; a drive whose
+    square overflows a double raises it too, before any polynomial work.
     """
-    spectrum = lambda_spectrum(n, mu)
-    if not 0 <= root_index < len(spectrum.lambdas):
-        raise IndexOutOfRange(
-            f"root index {root_index} outside [0, {len(spectrum.lambdas) - 1}]"
-        )
-    d = DcheParams(n=n, mu=float(mu), lam=spectrum.lambdas[root_index])
-    return d, _root_signs(n, mu, spectrum.lambdas)[root_index]
+    mu = _checked_mu(n, mu)
+    if not isinstance(root_index, (int, np.integer)) or isinstance(root_index, bool):
+        raise InvalidParams(f"root index must be an int, got {root_index!r}")
+    if not 0 <= root_index <= n:
+        lambda_spectrum(n, mu)  # a spectrum that cannot be computed raises first
+        raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
+    lambdas, signs = _signed_spectrum(n, mu)
+    return DcheParams(n=n, mu=mu, lam=lambdas[root_index]), signs[root_index]
 
+
+# Sized from the traffic of the certify benchmark: one cycle verifies every
+# root of n <= 40 with 943 lookups of 236-240 distinct (n, mu), and a problem
+# comes back after at most 232 other problems (about 69 in the median), so at
+# 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas and
+# 401 signs, about 16 KB (sys.getsizeof), so a full cache of those is 4 MB.
+@functools.lru_cache(maxsize=256)
+def _signed_spectrum(n: int, mu: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The lambdas of :func:`lambda_spectrum` and their :func:`_root_signs`
+    at a validated ``(n, float(mu))``.  An error is raised, not kept.
+
+    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas and
+    signs are the same.
+    """
+    lambdas = lambda_spectrum(n, mu).lambdas
+    return lambdas, tuple(_root_signs(n, mu, lambdas))

@@ -110,14 +110,29 @@ def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=1)
 def _on_samples(P: HeunPolynomial) -> tuple[tuple, ...]:
     """``(z, P(z), P'(z), P''(z), P(1/z))`` at each z of ``SAMPLE_POINTS``,
-    each value from a scalar ``polyval`` (numpy's array complex arithmetic
-    can differ from the scalar one in the last bit)."""
-    val, der = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    each value by a scalar Horner loop (:func:`_horner`); numpy's array
+    complex arithmetic can differ from the scalar one in the last bit."""
+    der = np.polynomial.polynomial.polyder
     a = np.asarray(P.coeffs)
-    d1, d2 = der(a), der(a, 2)
+    p, dp, d2p = ([complex(x) for x in c.tolist()] for c in (a, der(a), der(a, 2)))
     return tuple(
-        (z, val(z, a), val(z, d1), val(z, d2), val(1.0 / z, a)) for z in SAMPLE_POINTS
+        (z, _horner(p, z), _horner(dp, z), _horner(d2p, z), _horner(p, 1.0 / z))
+        for z in SAMPLE_POINTS
     )
+
+
+def _horner(c: list[complex], z) -> np.complex128:
+    """``polyval(z, c)`` bit for bit, without its per-call overhead: numpy's
+    scalar recurrence ``v = c[-1] + z*0``, then ``v = a + v*z`` for each
+    lower coefficient, in Python complex arithmetic.  With complex
+    coefficients every step is complex by complex, as in numpy, and the
+    result is the numpy scalar that ``polyval`` returns, so its readers
+    compute as before."""
+    z = complex(z)
+    v = c[-1] + z * 0j
+    for a in c[-2::-1]:
+        v = a + v * z
+    return np.complex128(v)
 
 
 def symmetry_residual(P: HeunPolynomial) -> float:

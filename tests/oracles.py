@@ -23,11 +23,15 @@ bit.
 A polynomial carries the reflection sign of its root, which
 ``spectral.root_params`` reads from the Jacobi form of the reflection
 relations.  ``sign_at_one`` reads it again from the relation at the one
-point z = 1.
+point z = 1.  ``root_params`` reads each (n, mu) spectrum and its signs from
+a memo; ``signed_spectrum`` computes them afresh, and the two must match
+bit for bit.
 
 ``structure.residuals`` and ``structure.symmetry_residual`` read one table
-of P and its derivatives on the sample set.  ``residual_master`` is the
-master equation at one point, evaluating P, P' and P'' afresh;
+of P and its derivatives on the sample set, evaluated by a Python Horner
+loop; ``samples_polyval`` builds the same table with one numpy ``polyval``
+call per value, and the two must match bit for bit.  ``residual_master`` is
+the master equation at one point, evaluating P, P' and P'' afresh;
 ``master_rel_points`` and ``symmetry_residual_points`` run both checks one
 point at a time that way, and the table readers must match them bit for bit.
 
@@ -62,7 +66,7 @@ from heun_rsj.model import (
     frequency_scale,
 )
 from heun_rsj.serialize import write_csv
-from heun_rsj.spectral import lambda_spectrum
+from heun_rsj.spectral import _root_signs, lambda_spectrum
 from heun_rsj.structure import SAMPLE_POINTS
 
 from helpers import deriv2
@@ -230,6 +234,23 @@ def sign_at_one(P: HeunPolynomial) -> int:
     c = math.sqrt(P.params.lam + P.params.mu**2)
     p1 = float(P.value(1.0))
     return 1 if (float(P.deriv1(1.0)) - P.params.mu * p1) / (c * p1) > 0 else -1
+
+
+def signed_spectrum(n: int, mu: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The lambdas at (n, mu) and the reflection sign of each, unmemoised."""
+    lambdas = lambda_spectrum(n, mu).lambdas
+    return lambdas, tuple(_root_signs(n, float(mu), lambdas))
+
+
+def samples_polyval(P: HeunPolynomial) -> tuple[tuple, ...]:
+    """``(z, P(z), P'(z), P''(z), P(1/z))`` at each sample point, each value
+    from its own scalar ``polyval`` call."""
+    val, der = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    a = np.asarray(P.coeffs)
+    d1, d2 = der(a), der(a, 2)
+    return tuple(
+        (z, val(z, a), val(z, d1), val(z, d2), val(1.0 / z, a)) for z in SAMPLE_POINTS
+    )
 
 
 def residual_master(P: HeunPolynomial, z) -> tuple[complex, float]:

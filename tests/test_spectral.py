@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from heun_rsj import spectral
+from heun_rsj import cli, spectral
 from heun_rsj.errors import (
     ConvergenceFailure,
     IndexOutOfRange,
@@ -29,7 +29,7 @@ from heun_rsj.spectral import (
     symmetry_matrix,
 )
 
-from oracles import _refine_ratio, symmetry_matrix_loop
+from oracles import _refine_ratio, signed_spectrum, symmetry_matrix_loop
 
 
 def _eigen_oracle(n: int, mu: float) -> np.ndarray:
@@ -71,6 +71,16 @@ def _polish_loop(n: int, mu: float, seed: float) -> float:
             break
         cur = nxt
     return float(cur)
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty ``root_params`` memo on entry and on exit, for a test that
+    patches spectral internals: it reads no spectrum that another test left,
+    and leaves none computed under its patch."""
+    spectral._signed_spectrum.cache_clear()
+    yield
+    spectral._signed_spectrum.cache_clear()
 
 
 class TestSpectrum:
@@ -190,6 +200,7 @@ class TestSpectrum:
         assert np.all(np.isfinite(det) & np.isfinite(ddet) & np.isfinite(smax))
         assert np.all(spectral._relative_dets(lams, det, ddet, smax, e) <= ROOT_TOL)
 
+    @pytest.mark.usefixtures("fresh_memo")
     def test_unpolished_root_fails_the_gate(self, monkeypatch):
         # The gate on the returned roots is the only guard between a bad
         # polish and the caller: a root one part in 1e6 off must not pass.
@@ -215,6 +226,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n,mu,k", [(5, 1.0, 2), (12, 1.3, 0), (40, -0.7, 40)])
     @pytest.mark.parametrize("moved", [False, True])
+    @pytest.mark.usefixtures("fresh_memo")
     def test_fallback_stays_in_its_own_root(self, monkeypatch, n, mu, k, moved):
         # The polish runs every root through one array recurrence.  A root
         # whose determinant turns non-finite -- at its seed, or once its
@@ -256,6 +268,7 @@ class TestSpectrum:
             assert got[:k] + got[k + 1:] == clean[:k] + clean[k + 1:]
 
     @pytest.mark.parametrize("mu", [0.0, 0.37, -1.3, 1e3])
+    @pytest.mark.usefixtures("fresh_memo")
     def test_seeds_and_roots_match_scipy_oracle(self, monkeypatch, mu):
         # The dense numpy eigensolver must give scipy's tridiagonal
         # eigenvalues bit for bit, and so the polished roots too.
@@ -340,6 +353,7 @@ class TestSpectra:
 
     # At cap 9 the first two problems (8 + 1 roots) fill a run exactly.
     @pytest.mark.parametrize("cap", [1, 7, 9, 60, 400])
+    @pytest.mark.usefixtures("fresh_memo")
     def test_runs_under_a_lowered_cap(self, monkeypatch, cap):
         want = _bits(lambda_spectra(_MIXED_GRID))
         runs = []
@@ -404,6 +418,7 @@ class TestSpectra:
         want = [spectral._polish_extended(d, m, s) for (d, m), s in zip(grid, seeds)]
         assert got.tobytes() == np.concatenate(want).tobytes()
 
+    @pytest.mark.usefixtures("fresh_memo")
     def test_kernels_take_descending_degrees(self, monkeypatch):
         # Each run reaches both recurrences stably sorted by degree,
         # descending, and its spectra come back in grid order.
@@ -464,6 +479,7 @@ class TestSpectra:
             lambda_spectrum(2, 10**400)
 
     @pytest.mark.parametrize("cap", [1, 3, 4, 5])
+    @pytest.mark.usefixtures("fresh_memo")
     def test_error_order_across_runs(self, monkeypatch, cap):
         # Whatever run each problem lands in, the first failing problem in
         # order raises, and no run after it is computed.
@@ -652,6 +668,109 @@ class TestPhysicalPoint:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             root_params(1, 1.0, 5)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Replace ``spectral.<name>`` by a pass-through that records each call's
+    arguments in the returned list."""
+    calls, fn = [], getattr(spectral, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(spectral, name, spy)
+    return calls
+
+
+class TestRootParams:
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_matches_uncached_oracle(self):
+        # Bit for bit at every root: the memo hands out what a fresh
+        # computation of the spectrum and its signs gives.
+        for n in range(41):
+            for mu in (0.25, 1.0, 1.82, 2.5, -0.7):
+                lambdas, signs = signed_spectrum(n, mu)
+                for i in range(n + 1):
+                    d, eps = root_params(n, mu, i)
+                    assert (d.n, d.mu.hex(), d.lam.hex(), eps) == (
+                        n, mu.hex(), lambdas[i].hex(), signs[i]
+                    ), (n, mu, i)
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_verifying_every_root_computes_one_spectrum(self, monkeypatch, capsys):
+        seeds = _spy(monkeypatch, "_eigen_seeds")
+        signs = _spy(monkeypatch, "_root_signs")
+        for root in range(13):
+            cli.main(["verify", "--n", "12", "--mu", "1.82", "--root", str(root)])
+        assert capsys.readouterr().out.count('"checks"') == 13
+        assert (len(seeds), len(signs)) == (1, 1)
+
+    @pytest.mark.usefixtures("fresh_memo")
+    @pytest.mark.parametrize(
+        "n,mu,index,match",
+        [
+            (1, [1.0], 0, "mu must be a finite real"),
+            (1, np.array([1.0]), 0, "mu must be a finite real"),
+            (True, 1.0, 0, "degree n must be"),
+            (2, math.nan, 0, "mu must be a finite real"),
+            (2, 1.0, 1.0, "root index must be an int"),
+            (2, 1.0, "1", "root index must be an int"),
+            (2, 1.0, None, "root index must be an int"),
+            (2, 1.0, True, "root index must be an int"),
+            (40, 1e10, 0.5, "root index must be an int"),  # spectrum would fail
+        ],
+    )
+    def test_invalid_arguments_raise_before_spectral_work(
+        self, monkeypatch, n, mu, index, match
+    ):
+        seeds = _spy(monkeypatch, "_eigen_seeds")
+        with pytest.raises(InvalidParams, match=match):
+            root_params(n, mu, index)
+        assert seeds == []
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_failure_is_raised_on_every_call(self, monkeypatch):
+        seeds = _spy(monkeypatch, "_eigen_seeds")
+        for _ in range(2):
+            with pytest.raises(ConvergenceFailure):
+                root_params(40, 1e10, 0)
+        assert len(seeds) == 2
+        assert spectral._signed_spectrum.cache_info().currsize == 0
+
+    def test_numpy_index_and_range(self):
+        assert root_params(3, 1.0, np.int64(2)) == root_params(3, 1.0, 2)
+        for index in (-1, 4, np.int64(4)):
+            with pytest.raises(IndexOutOfRange, match=r"root index -?\d outside \[0, 3\]"):
+                root_params(3, 1.0, index)
+
+    def test_error_precedence(self):
+        # A spectrum that cannot be computed raises before an out-of-range
+        # index, and an out-of-range index before a drive whose square
+        # overflows a double.
+        with pytest.raises(ConvergenceFailure):
+            root_params(40, 1e10, 99)
+        with pytest.raises(InvalidParams, match="overflows the eigenproblem"):
+            root_params(2, 1.7e308, 5)
+        with pytest.raises(IndexOutOfRange):
+            root_params(2, 1e200, 5)
+        with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows"):
+            root_params(2, 1e200, 0)
+
+    @pytest.mark.usefixtures("fresh_memo")
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_mu(self, first):
+        # mu = -0.0 and 0.0 share one memo entry, whichever comes first: a
+        # fresh computation gives both the same lambdas and signs, and each
+        # triplet keeps the caller's mu.
+        for n in (1, 2, 3, 6):
+            for mu in (first, -first):
+                lambdas, signs = signed_spectrum(n, mu)
+                for i in range(n + 1):
+                    d, eps = root_params(n, mu, i)
+                    assert (d.mu.hex(), d.lam.hex(), eps) == (
+                        mu.hex(), lambdas[i].hex(), signs[i]
+                    ), (n, mu, i)
 
 
 def test_disc_margin_value():

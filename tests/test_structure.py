@@ -44,6 +44,7 @@ from oracles import (
     phase_series_loop,
     reflected_coeffs_loop,
     residual_master,
+    samples_polyval,
     symmetry_residual_points,
 )
 
@@ -194,6 +195,20 @@ class TestSymmetryResiduals:
         assert all(math.isfinite(c["value"]) for c in checks)
 
 
+def _assert_same_table(poly: HeunPolynomial) -> None:
+    """``structure._on_samples`` against the per-value ``polyval`` oracle:
+    both parts by ``float.hex`` (signed zeros included), and the numpy scalar
+    type that ``polyval`` returns."""
+
+    def bits(row):
+        return [
+            (type(v), complex(v).real.hex(), complex(v).imag.hex()) for v in row
+        ]
+
+    got, want = structure._on_samples(poly), samples_polyval(poly)
+    assert [bits(row) for row in got] == [bits(row) for row in want], poly
+
+
 class TestSampleTable:
     @pytest.mark.parametrize(
         "degrees,mu",
@@ -213,6 +228,27 @@ class TestSampleTable:
                     for check in (symmetry_residual, symmetry_residual_points):
                         with pytest.raises(NonPositiveDiscriminant):
                             check(poly)
+
+    @pytest.mark.parametrize(
+        "degrees,mus",
+        [(range(13), (0.25, 1.0, 1.82, 2.5, -0.7)), ((40, 100), (1.82,))],
+        ids=["n<=12", "n=40,100"],
+    )
+    def test_table_matches_polyval_oracle(self, degrees, mus):
+        for n in degrees:
+            for mu in mus:
+                for _, d, eps in helpers.spectral_points(n, mu):
+                    _assert_same_table(heun_poly.build_polynomial(d, eps))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(-1.0,), (-0.0, 0.0, -0.0, -1.0), (0.0, -2.5, -0.0, 1.0), (-0.0, -0.0, -0.0, 3.0)],
+    )
+    def test_table_keeps_signed_zeros(self, coeffs):
+        # polyder of (-1.0,) is (-0.0,): P' and P'' are signed zeros.
+        d = DcheParams(n=len(coeffs) - 1, mu=0.6, lam=0.9)
+        structure._on_samples.cache_clear()  # -0.0 == 0.0: equal P, other bits
+        _assert_same_table(HeunPolynomial(coeffs=coeffs, params=d, epsilon=1))
 
     def test_certify_samples_p_once(self, monkeypatch):
         poly = helpers.solution(8, 1.82, 4)
