@@ -111,7 +111,9 @@ def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
 def _on_samples(P: HeunPolynomial) -> tuple[tuple, ...]:
     """``(z, P(z), P'(z), P''(z), P(1/z))`` at each z of ``SAMPLE_POINTS``,
     each value by a scalar Horner loop (:func:`_horner`); numpy's array
-    complex arithmetic can differ from the scalar one in the last bit."""
+    complex arithmetic can differ from the scalar one in the last bit.  1/z
+    stays in the point's own type: Python's complex division differs from
+    numpy's at some of the points."""
     der = np.polynomial.polynomial.polyder
     a = np.asarray(P.coeffs)
     p, dp, d2p = ([complex(x) for x in c.tolist()] for c in (a, der(a), der(a, 2)))
@@ -123,7 +125,7 @@ def _on_samples(P: HeunPolynomial) -> tuple[tuple, ...]:
 
 def _horner(c: list[complex], z) -> np.complex128:
     """``polyval(z, c)`` bit for bit, without its per-call overhead: numpy's
-    scalar recurrence ``v = c[-1] + z*0``, then ``v = a + v*z`` for each
+    scalar recurrence ``v = c[-1] + z*0j``, then ``v = a + v*z`` for each
     lower coefficient, in Python complex arithmetic.  With complex
     coefficients every step is complex by complex, as in numpy, and the
     result is the numpy scalar that ``polyval`` returns, so its readers
