@@ -28,43 +28,42 @@ import numpy as np
 
 from . import dynamics, heun_poly, spectral, structure
 from .errors import HeunRsjError, InvalidParams
-from .model import DcheParams, dche_to_params
+from .model import dche_to_params, drive_columns
 from .serialize import (
     SCHEMA,
     json_dumps,
     trajectory_to_csv,
     trajectory_to_json,
-    write_csv,
+    write_table,
 )
 
 
-def _physical_fields(d: DcheParams) -> dict:
-    try:
-        p = dche_to_params(d)
-    except HeunRsjError as exc:
-        return {"error": type(exc).__name__}
-    return {"omega": p.omega, "A": p.A, "B": p.B}
+def _physical(omega: float, a: float, b: float, error: str) -> dict:
+    """The physical fields of one root: its drive, or the error that the
+    drive has none."""
+    return {"error": error} if error else {"omega": omega, "A": a, "B": b}
 
 
-def _spectrum_rows(spectrum: spectral.SpectralSet) -> list[dict]:
-    rows = []
-    for i, lam in enumerate(spectrum.lambdas):
-        row = {"index": i, "lambda": lam}
-        row.update(
-            _physical_fields(DcheParams(n=spectrum.n, mu=spectrum.mu, lam=lam))
-        )
-        rows.append(row)
-    return rows
-
-
-def _csv_fields(row: dict) -> list:
-    """omega, A, B of a spectrum row; blank cells for a non-physical root."""
-    return ["", "", ""] if "error" in row else [row["omega"], row["A"], row["B"]]
+def _roots_table(spectra: list[spectral.SpectralSet]) -> tuple[np.ndarray, ...]:
+    """n, mu, lambda, omega, A, B and the error name of every root of
+    ``spectra``, in order, as whole columns (:func:`model.drive_columns`)."""
+    sizes = [len(s.lambdas) for s in spectra]
+    n = np.repeat([s.n for s in spectra], sizes)
+    mu = np.repeat([s.mu for s in spectra], sizes)
+    lam = np.array([x for s in spectra for x in s.lambdas], dtype=float)
+    return n, mu, lam, *drive_columns(n, mu, lam)
 
 
 def cmd_spectrum(args) -> tuple[str, int]:
-    rows = _spectrum_rows(spectral.lambda_spectrum(args.n, args.mu))
+    _, _, lam, omega, A, B, error = _roots_table(
+        [spectral.lambda_spectrum(args.n, args.mu)]
+    )
     if args.format == "json":
+        cells = zip(*(c.tolist() for c in (lam, omega, A, B, error)))
+        roots = [
+            {"index": i, "lambda": x, **_physical(*drive)}
+            for i, (x, *drive) in enumerate(cells)
+        ]
         return (
             json_dumps(
                 {
@@ -72,13 +71,20 @@ def cmd_spectrum(args) -> tuple[str, int]:
                     "command": "spectrum",
                     "n": args.n,
                     "mu": args.mu,
-                    "roots": rows,
+                    "roots": roots,
                 }
             ),
             0,
         )
-    table = [[row["index"], row["lambda"], *_csv_fields(row)] for row in rows]
-    return write_csv(["index", "lambda", "omega", "A", "B"], table), 0
+    return (
+        write_table(
+            ["index", "lambda", "omega", "A", "B"],
+            [np.arange(lam.size), lam],
+            [omega, A, B],
+            error == "",
+        ),
+        0,
+    )
 
 
 def cmd_poly(args) -> tuple[str, int]:
@@ -93,7 +99,7 @@ def cmd_poly(args) -> tuple[str, int]:
         "root_index": args.root,
         "lambda": d.lam,
     }
-    report.update(_physical_fields(d))
+    report.update(_physical(*(c.item() for c in drive_columns(d.n, d.mu, [d.lam]))))
     report["epsilon"] = epsilon
     report["coeffs"] = list(poly.coeffs)
     report["residuals"] = {"master_rel_max": master, "linear_system_rel_max": linear}
@@ -203,6 +209,16 @@ def cmd_ortho(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
+    # sum of (n + 1) over the degrees, times the mu points: counted before
+    # anything of that size is allocated.
+    rows = args.mu_points * (
+        (args.n_max + 1) * (args.n_max + 2) - args.n_min * (args.n_min + 1)
+    ) // 2
+    if rows > dynamics._MAX_SAMPLES:
+        raise InvalidParams(
+            f"sweep grid of n in [{args.n_min}, {args.n_max}] at {args.mu_points} "
+            f"mu points has {rows} rows, over {dynamics._MAX_SAMPLES}"
+        )
     mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
     if not np.all(np.isfinite(mus)):
         raise InvalidParams(
@@ -212,14 +228,19 @@ def cmd_sweep(args) -> tuple[str, int]:
     spectra = spectral.lambda_spectra(
         [(n, float(mu)) for n in range(args.n_min, args.n_max + 1) for mu in mus]
     )
-    rows = [
-        [s.n, s.mu, row["lambda"], *_csv_fields(row)]
-        for s in spectra
-        for row in _spectrum_rows(s)
-    ]
-    # A descending mu grid still emits rows in ascending (n, mu, lambda).
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return write_csv(["n", "mu", "lambda", "omega", "A", "B"], rows), 0
+    n, mu, lam, omega, A, B, error = _roots_table(spectra)
+    # A descending mu grid still emits rows in ascending (n, mu, lambda); the
+    # sort is stable, so rows of equal keys keep their grid order.
+    order = np.lexsort((lam, mu, n))
+    return (
+        write_table(
+            ["n", "mu", "lambda", "omega", "A", "B"],
+            [n[order], mu[order], lam[order]],
+            [omega[order], A[order], B[order]],
+            error[order] == "",
+        ),
+        0,
+    )
 
 
 def _positive(kind):

@@ -53,30 +53,20 @@ def coefficient_matrix(d: DcheParams) -> np.ndarray:
     )
 
 
-def _by_degree(n, mu, size: int):
-    """Lay out a leading-minor recurrence over per-element degrees and drives.
+def _by_degree(n, size: int) -> list[tuple[int, int, int]]:
+    """Lay out a leading-minor recurrence over per-element degrees.
 
-    ``n`` and ``mu`` are scalars or arrays of ``size`` elements, and the
-    degrees must be sorted descending.  Element i takes part in step j iff
-    ``n[i] >= j``, so the active elements always form a prefix.  Returns
-    ``(runs, n, mu)``:
-
-    * each run ``(d, k, c)`` says that the steps up to d act on the first k
-      elements, the last c of which end at step d;
-    * ``n`` and ``mu`` are each a Python scalar where every element shares
-      it, so that the constants of one problem's steps cost what they cost
-      in a scalar call.
+    ``n`` is a scalar shared by all ``size`` elements or an array of their
+    degrees, sorted descending.  Element i takes part in step j iff
+    ``n[i] >= j``, so the active elements always form a prefix.  Each run
+    ``(d, k, c)`` says that the steps up to d act on the first k elements,
+    the last c of which end at step d.
     """
-    if isinstance(n, np.ndarray) and n[0] != n[-1]:
-        degrees, counts = np.unique(n, return_counts=True)
-        active = np.cumsum(counts[::-1])[::-1]
-        runs = list(zip(degrees.tolist(), active.tolist(), counts.tolist()))
-    else:
-        n = n.item(0) if isinstance(n, np.ndarray) else n
-        runs = [(n, size, size)]
-    if isinstance(mu, np.ndarray) and not (mu != mu[0]).any():
-        mu = mu.item(0)
-    return runs, n, mu
+    if not isinstance(n, np.ndarray):
+        return [(n, size, size)]
+    degrees, counts = np.unique(n, return_counts=True)
+    active = np.cumsum(counts[::-1])[::-1]
+    return list(zip(degrees.tolist(), active.tolist(), counts.tolist()))
 
 
 def _take(index, *values) -> tuple:
@@ -98,7 +88,7 @@ def _det_scan(n, mu, lam: np.ndarray):
     scaled by the same power of two (the others by exactly 1), which keeps
     Newton ratios exact and prevents overflow for large n.
     """
-    runs, n, mu = _by_degree(n, mu, lam.size)
+    runs = _by_degree(n, lam.size)
     prev2, prev = np.ones_like(lam), lam  # D_{-1}, D_0
     dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)  # their lambda-derivatives
     smax = np.abs(lam)
@@ -138,6 +128,8 @@ def _det_scan(n, mu, lam: np.ndarray):
                 e += np.where(far, ex, 0)
         done.append((prev[k - c:], dprev[k - c:], smax[k - c:], e[k - c:]))
         step = d
+    if len(done) == 1:
+        return done[0]
     # The runs end in ascending degree, so their blocks come in reverse order.
     return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 

@@ -29,6 +29,7 @@ __all__ = [
     "HeunPolynomial",
     "Trajectory",
     "dche_to_params",
+    "drive_columns",
     "finite_real",
     "frequency_scale",
     "mu_squared",
@@ -128,6 +129,52 @@ def dche_to_params(d: DcheParams) -> RsjParams:
     """
     omega = 1.0 / (2.0 * frequency_scale(d))
     return RsjParams(A=2.0 * d.mu * omega, B=-(d.n + 1.0) * omega, omega=omega)
+
+
+def _square_or_inf(mu: float) -> float:
+    try:
+        return mu_squared(mu)
+    except InvalidParams:
+        return math.inf
+
+
+def drive_columns(n, mu, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`dche_to_params` over whole columns of triplets, without raising.
+
+    ``lam`` is a 1-d array, and ``n`` and ``mu`` are arrays of its length or
+    scalars.  Returns ``(omega, A, B, error)``: ``error`` names the error
+    that :func:`dche_to_params` raises for the row, checked in its order
+    (mu**2 overflows, then ``lambda + mu**2 <= 0``, then a non-finite or zero
+    A or omega), or is ``""`` where it returns.  There omega, A and B are
+    its values bit for bit: the same operations in the same order, with
+    mu**2 from :func:`mu_squared` (once per distinct mu).  Elsewhere they
+    mean nothing.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n, mu = (np.broadcast_to(np.asarray(x, dtype=float), lam.shape) for x in (n, mu))
+    keys, at = np.unique(mu, return_inverse=True)
+    mu2 = np.array([_square_or_inf(m) for m in keys.tolist()])[at]
+    with np.errstate(all="ignore"):
+        disc = lam + mu2
+        omega = 1.0 / (2.0 * np.sqrt(disc))
+        A = (2.0 * mu) * omega
+        B = -(n + 1.0) * omega
+    nonpositive = disc <= 0  # an overflowed mu**2 leaves disc = inf
+    physical = (
+        np.isfinite(mu2)
+        & ~nonpositive
+        & np.isfinite(A)
+        & np.isfinite(B)
+        & np.isfinite(omega)
+        & (A != 0)
+        & (omega != 0)
+    )
+    error = np.where(
+        physical,
+        "",
+        np.where(nonpositive, NonPositiveDiscriminant.__name__, InvalidParams.__name__),
+    )
+    return omega, A, B, error
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 JSON output never contains NaN or infinities; callers encode failures as
 structured error objects instead.  Dict insertion order is the emission
 order, so identical inputs yield identical bytes.
+
+Numeric tables leave through one columnar emitter (:func:`table_rows`,
+:func:`write_table`): it takes whole columns, checks each for finiteness
+once, and writes each row with a single ``str.format`` call, in the bytes
+that :func:`fmt_float` and :func:`json_dumps` give cell by cell.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ __all__ = [
     "fmt_float",
     "json_dumps",
     "write_csv",
+    "table_rows",
+    "write_table",
     "trajectory_to_csv",
     "trajectory_to_json",
 ]
@@ -93,24 +100,65 @@ def write_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _field(column: np.ndarray, present=None) -> str:
+    """Format field of one column: ``{}`` for ints, ``{:.17g}`` for floats.
+
+    A float column must be finite wherever ``present`` is set (everywhere
+    without a mask), as :func:`fmt_float` requires of each cell.
+    """
+    if column.dtype.kind != "f":
+        return "{}"
+    finite = np.isfinite(column)
+    if present is not None:
+        finite |= ~present
+    if not finite.all():
+        fmt_float(column[np.argmin(finite)].item())  # raises InvalidParams
+    return "{:.17g}"
+
+
+def table_rows(
+    columns, optional=(), present=None, sep=",", brackets=("", "")
+) -> list[str]:
+    """The rows of a table given as whole 1-d columns, one ``str.format``
+    call a row.
+
+    Ints print as ints and floats at 17 significant digits, the cells of a
+    row joined by ``sep`` between ``brackets``.  The ``optional`` columns
+    follow ``columns``; in a row where the boolean mask ``present`` is not
+    set their cells are empty, and their values are neither checked nor
+    printed.
+    """
+    required = len(columns)
+    cols = [np.asarray(c) for c in (*columns, *optional)]
+    fields = [_field(c, present if i >= required else None) for i, c in enumerate(cols)]
+    values = [c.tolist() for c in cols]
+    opening, closing = brackets
+    full = opening + sep.join(fields) + closing
+    rows = list(map(full.format, *values))
+    if present is not None and not present.all():
+        # str.format ignores the values past the fields it has.
+        short = opening + sep.join(fields[:required]) + sep * len(optional) + closing
+        for i in np.flatnonzero(~present).tolist():
+            rows[i] = short.format(*(v[i] for v in values))
+    return rows
+
+
+def write_table(header: list[str], columns, optional=(), present=None) -> str:
+    """CSV text of a table given as whole columns (:func:`table_rows`); the
+    bytes :func:`write_csv` gives for the same header and cells."""
+    return "\n".join([",".join(header), *table_rows(columns, optional, present)]) + "\n"
+
+
 def _columns(traj: Trajectory) -> list[str]:
     return ["t", "phi"] if traj.kind == "phase" else ["t", "x", "y"]
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    rows = [
-        [float(t), *map(float, vals)]
-        for t, vals in zip(traj.times, traj.values)
-    ]
-    return write_csv(_columns(traj), rows)
+    return write_table(_columns(traj), [traj.times, *traj.values.T])
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
-    return json_dumps(
-        {
-            "schema": SCHEMA,
-            "kind": traj.kind,
-            "columns": _columns(traj),
-            "rows": [[float(t), *map(float, v)] for t, v in zip(traj.times, traj.values)],
-        }
-    )
+    # The header object without its closing "}\n", then the rows.
+    head = json_dumps({"schema": SCHEMA, "kind": traj.kind, "columns": _columns(traj)})
+    rows = table_rows([traj.times, *traj.values.T], sep=", ", brackets=("[", "]"))
+    return f'{head[:-2]}, "rows": [{", ".join(rows)}]}}\n'

@@ -175,9 +175,14 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
         return []
     order = sorted(range(len(run)), key=lambda p: -run[p][0])
     sizes = [run[p][2].size for p in order]
-    n = np.repeat([run[p][0] for p in order], sizes)
-    mu = np.repeat([run[p][1] for p in order], sizes)
-    lams = _polish_extended(n, mu, np.concatenate([run[p][2] for p in order]))
+    degrees = [run[p][0] for p in order]
+    drives = [run[p][1] for p in order]
+    # A degree or drive that the whole run shares goes to the kernels as a
+    # Python scalar (mu only enters squared, so -0.0 shares with 0.0).
+    n = degrees[0] if degrees[0] == degrees[-1] else np.repeat(degrees, sizes)
+    mu = drives[0] if len(set(drives)) == 1 else np.repeat(drives, sizes)
+    seeds = run[0][2] if len(run) == 1 else np.concatenate([run[p][2] for p in order])
+    lams = _polish_extended(n, mu, seeds)
     # A root whose scan overflows misses the gate: no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = _relative_dets(lams, *_det_scan(n, mu, lams))
@@ -231,7 +236,7 @@ def _det_newton_extended(n, mu, lam: np.ndarray):
     cancellation noise allows.
     """
     ld = np.longdouble
-    runs, n, mu = _by_degree(n, mu, lam.size)
+    runs = _by_degree(n, lam.size)
     m = ld(mu)
     n1, mu2 = n + 1, m * m
     prev2, prev = np.ones_like(lam), lam
@@ -252,6 +257,8 @@ def _det_newton_extended(n, mu, lam: np.ndarray):
             dprev2, dprev = dprev, dcur
         done.append((prev[k - c:], dprev[k - c:]))
         step = d
+    if len(done) == 1:
+        return done[0]
     return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 
 
@@ -277,10 +284,13 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
         if live.size == 0:
             break
         at = cur[live]
-        det, ddet = _det_newton_extended(*_take(live, n, mu), at)
-        ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
-        nxt = at - det / np.where(ok, ddet, 1)
-        ok &= np.abs(nxt.astype(float) - seeds[live]) <= cap[live]
+        # A root whose recurrence overflows falls back to its seed: no
+        # warning is due.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det, ddet = _det_newton_extended(*_take(live, n, mu), at)
+            ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
+            nxt = at - det / np.where(ok, ddet, 1)
+            ok &= np.abs(nxt.astype(float) - seeds[live]) <= cap[live]
         cur[live[~ok]] = seeds[live[~ok]]
         moving = ok & (nxt != at)
         cur[live[moving]] = nxt[moving]

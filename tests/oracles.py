@@ -36,8 +36,10 @@ the master equation at one point, evaluating P, P' and P'' afresh;
 point at a time that way, and the table readers must match them bit for bit.
 
 ``cli.cmd_sweep`` computes its whole grid with one
-``spectral.lambda_spectra`` call; ``sweep_loop`` is the sweep as one
-``lambda_spectrum`` call per grid point, and the CSV bytes must match.
+``spectral.lambda_spectra`` call, maps it to the drive in one array pass
+and writes it through the columnar emitter; ``sweep_loop`` is the sweep as
+one ``lambda_spectrum`` call per grid point, one ``dche_to_params`` call per
+row and ``write_csv``, and the CSV bytes must match.
 
 The trajectory routes below are the straightforward forms of the fast paths
 in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
@@ -55,7 +57,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from heun_rsj.cli import _csv_fields, _physical_fields
 from heun_rsj.dynamics import _grid
 from heun_rsj.errors import HeunRsjError, IndexOutOfRange, InvalidParams
 from heun_rsj.model import (
@@ -355,8 +356,12 @@ def sweep_loop(
     for n in range(n_min, n_max + 1):
         for mu in np.linspace(mu_start, mu_stop, mu_points):
             for lam in lambda_spectrum(n, float(mu)).lambdas:
-                fields = _physical_fields(DcheParams(n=n, mu=float(mu), lam=lam))
-                rows.append([n, float(mu), lam, *_csv_fields(fields)])
+                try:
+                    p = dche_to_params(DcheParams(n=n, mu=float(mu), lam=lam))
+                    drive = [p.omega, p.A, p.B]
+                except HeunRsjError:
+                    drive = ["", "", ""]
+                rows.append([n, float(mu), lam, *drive])
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return write_csv(["n", "mu", "lambda", "omega", "A", "B"], rows)
 

@@ -472,6 +472,63 @@ class TestSweep:
             "error: ConvergenceFailure: root 19 of (n=38, mu=10000000000.0) "
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n-min", "0", "--n-max", "0", "--mu-start", "0", "--mu-stop", "1",
+             "--mu-points", "10000000000000"],
+            ["--n-min", "0", "--n-max", "1000000000000", "--mu-start", "1"],
+        ],
+        ids=["mu-points", "n-max"],
+    )
+    def test_oversized_grid_is_one_line(self, capsys, monkeypatch, argv):
+        # The rows are counted before the mu grid or any spectrum exists.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oversized grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(spectral, "lambda_spectra", refuse)
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: InvalidParams: sweep grid of n in [0, ")
+        assert err.endswith(" rows, over 134217728\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "heun_rsj.cli", "sweep", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
+
+    @pytest.mark.parametrize(
+        "largest,smallest_over,rows",
+        [
+            ((0, 0, 2**27), (0, 0, 2**27 + 1), 2**27 + 1),
+            ((5, 9, 3355443), (5, 9, 3355444), 134217760),
+            ((0, 16382, 1), (0, 16383, 1), 134225920),
+        ],
+    )
+    def test_grid_bound_is_on_rows(self, capsys, monkeypatch, largest, smallest_over,
+                                   rows):
+        # The sum of (n + 1) over the degrees, times the mu points: the
+        # largest grid within 2**27 rows goes on to the mu grid, the smallest
+        # grid past it is refused.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        def argv(n_min, n_max, points):
+            return ["sweep", "--n-min", str(n_min), "--n-max", str(n_max),
+                    "--mu-start", "0", "--mu-stop", "1", "--mu-points", str(points)]
+
+        monkeypatch.setattr(np, "linspace", reached)
+        with pytest.raises(Reached):
+            main(argv(*largest))
+        code, out, err = run_cli(capsys, *argv(*smallest_over))
+        assert code == 1 and out == ""
+        assert err.endswith(f" has {rows} rows, over 134217728\n")
+
     def test_overflowing_mu_grid_is_typed(self, capsys):
         # The grid step (stop - start) / 2 overflows a double; no numpy
         # warning and no NaN point may reach the user.
@@ -674,3 +731,76 @@ class TestDeterminism:
         assert result.returncode == 0
         _, inproc, _ = run_cli(capsys, "spectrum", "--n", "0", "--mu", "0.5")
         assert result.stdout == inproc
+
+
+# The mu set of the table digests: both zeros, a drive whose square
+# underflows, a negative drive, and one whose square overflows.  mu = 0 and
+# mu = 1e200 give rows with an error name (blank physical cells in CSV), and
+# so do low roots with lambda + mu**2 <= 0.
+_TABLE_MUS = ("0", "-0.0", "1e-160", "-0.7", "1.82", "1e200")
+
+
+def _digest(capsys, calls):
+    h = hashlib.sha256()
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        h.update(f"{code}\n{out}".encode())
+    return h.hexdigest()
+
+
+# SHA-256 of "<exit code>\n<stdout>" over each set of calls, recorded when
+# every cell was formatted one at a time.
+class TestGoldenTables:
+    @pytest.mark.parametrize(
+        "system,fmt,digest",
+        [
+            ("phase", "csv",
+             "c800556fa036aa6cf3201e838f143a507236dea6143ef49b8eac89e1f175d3eb"),
+            ("phase", "json",
+             "e541c577b3ffde14e2c702e105a592b58e4397b5fd9d6456b27a38d4f843a153"),
+            ("xy", "csv",
+             "08ec4d7c5593b7ca74c7ca4a4e4801b4a12d9e220445fb0e947fb86d59e4c644"),
+            ("xy", "json",
+             "93f7e5ee2e4ab26b230753412b8f08b2130645d7026c0900f6525d1dbf51e7ae"),
+        ],
+    )
+    def test_simulate(self, capsys, system, fmt, digest):
+        common = ["simulate", "--system", system, "--format", fmt]
+        calls = [
+            common + ["--a", "1.3", "--b", "0.7", "--omega", "1.1", "--t-end", "7.5",
+                      "--h", "0.01", "--phi0", "0.2", "--x0", "0.6", "--y0", "-0.8"],
+            common + ["--a", "-2.25", "--b", "-0.4", "--omega", "0.35",
+                      "--t-end", "40"],
+        ]
+        assert _digest(capsys, calls) == digest
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("json", "dcc988aeabd4f01d531daa5d33a57e6d6c80abb6c68e6b190168a9c6428d6dfe"),
+            ("csv", "fa90712c50465dd492d083cd1230f54613002522c6149841fa3074079334f12d"),
+        ],
+    )
+    def test_spectrum(self, capsys, fmt, digest):
+        calls = [
+            ["spectrum", "--n", str(n), "--mu", mu, "--format", fmt]
+            for n in range(13)
+            for mu in _TABLE_MUS
+        ]
+        assert _digest(capsys, calls) == digest
+
+    @pytest.mark.parametrize(
+        "mu_start,mu_stop,points,digest",
+        [
+            ("1", "1", "3",
+             "ba939a7d19fe67875fb9a62e4b8e35494be928f51449ae5ee354d04c6ae7bf26"),
+            ("-0.0", "0", "2",
+             "eb6df89105c593b5702625d5072da6abde0cf1ed1ba29a219ea3fbff01a3034b"),
+        ],
+        ids=["repeated", "signed-zeros"],
+    )
+    def test_sweep_with_equal_keys(self, capsys, mu_start, mu_stop, points, digest):
+        # Rows of equal (n, mu, lambda) interleave under the stable sort.
+        calls = [["sweep", "--n-min", "0", "--n-max", "7", "--mu-start", mu_start,
+                  "--mu-stop", mu_stop, "--mu-points", points]]
+        assert _digest(capsys, calls) == digest

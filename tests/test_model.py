@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heun_rsj.errors import InvalidParams, NonPositiveDiscriminant
+from heun_rsj.errors import HeunRsjError, InvalidParams, NonPositiveDiscriminant
 from heun_rsj.model import (
     DcheParams,
     HeunPolynomial,
     RsjParams,
     Trajectory,
     dche_to_params,
+    drive_columns,
     frequency_scale,
 )
+from heun_rsj.spectral import lambda_spectrum
 
 import helpers
 from identities import DcheCandidate, NonIntegralDegree, params_to_dche
@@ -146,6 +148,71 @@ class TestTripletMaps:
         )
         assert cand.mu == pytest.approx(a / (2.0 * w), rel=1e-15)
         assert cand.n_real == pytest.approx(-(b / w + 1.0), rel=1e-12, abs=1e-12)
+
+
+def _drive_row(n: int, mu: float, lam: float) -> tuple:
+    """What dche_to_params gives for one triplet: the float.hex of omega, A
+    and B, or the name of the error it raises."""
+    try:
+        p = dche_to_params(DcheParams(n=n, mu=mu, lam=lam))
+    except HeunRsjError as exc:
+        return (type(exc).__name__,)
+    return tuple(float.hex(x) for x in (p.omega, p.A, p.B))
+
+
+def _drive_rows(n, mu, lam) -> list[tuple]:
+    omega, A, B, error = (c.tolist() for c in drive_columns(n, mu, lam))
+    return [
+        (e,) if e else tuple(float.hex(x) for x in (w, a, b))
+        for w, a, b, e in zip(omega, A, B, error)
+    ]
+
+
+# Both zeros, a drive whose square underflows, a negative drive and one
+# whose square overflows.
+_TABLE_MUS = (0.0, -0.0, 1e-160, -0.7, 1.82, 1e200)
+
+
+class TestDriveColumns:
+    def test_every_root_matches_dche_to_params(self):
+        # Every root of n <= 40 at each mu, one spectrum at a time and then
+        # all of them in one call, as sweep makes it.
+        n_all, mu_all, lam_all, want_all = [], [], [], []
+        for n in range(41):
+            for mu in _TABLE_MUS:
+                lams = lambda_spectrum(n, mu).lambdas
+                want = [_drive_row(n, mu, lam) for lam in lams]
+                assert _drive_rows(n, mu, np.array(lams)) == want
+                n_all += [n] * len(lams)
+                mu_all += [mu] * len(lams)
+                lam_all += lams
+                want_all += want
+        assert _drive_rows(np.array(n_all), np.array(mu_all), lam_all) == want_all
+        names = {row[0] for row in want_all if len(row) == 1}
+        assert names == {"InvalidParams", "NonPositiveDiscriminant"}
+
+    @pytest.mark.parametrize(
+        "n,mu,lam",
+        [
+            (0, 1.3e154, 1.7e308),  # lambda + mu**2 overflows: omega = 0
+            (2, 5e-324, 4.0),  # A underflows to 0
+            (1, 1e-160, -1e-320),  # lambda + mu**2 = 0
+            (1, 1e-160, 5e-324),  # a subnormal discriminant
+            (3, -1e150, -1e300),
+            (0, 1.4e154, 1.0),  # mu**2 overflows
+        ],
+    )
+    def test_edge_triplets(self, n, mu, lam):
+        assert _drive_rows(n, mu, [lam]) == [_drive_row(n, mu, lam)]
+
+    @given(
+        n=st.integers(min_value=0, max_value=10**6),
+        mu=st.floats(allow_nan=False, allow_infinity=False),
+        lam=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=300)
+    def test_random_triplets(self, n, mu, lam):
+        assert _drive_rows(n, mu, [lam]) == [_drive_row(n, mu, lam)]
 
 
 class TestHeunPolynomial:

@@ -450,6 +450,38 @@ class TestSpectra:
                 lambda_spectrum(3, 1.3e154)
             assert len(lambda_spectra(_MIXED_GRID)) == len(_MIXED_GRID)
 
+    def test_overflowing_polish_raises_no_warning(self):
+        # From n = 24 at mu = 1e200 the long-double recurrence overflows at
+        # some roots; they fall back to their seeds, with no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (24, 40, 110):
+                assert len(lambda_spectrum(n, 1e200).lambdas) == n + 1
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_lone_problem_runs_on_scalars(self, monkeypatch):
+        # A run of one problem gives the kernels Python scalars for n and mu,
+        # and each kernel returns its one block without a concatenate; the
+        # spectrum is bit for bit the one computed in a mixed run.
+        grid = [(0, 0.5), (4, 1.82), (40, -0.7), (110, 2.5)]
+        want = [_bits(lambda_spectra([p, (p[0] + 1, 0.25)]))[0] for p in grid]
+        seen, joins = [], []
+        for name in ("_polish_extended", "_det_newton_extended", "_det_scan"):
+            def spy(n, mu, lam, kernel=getattr(spectral, name)):
+                seen.append((type(n), type(mu)))
+                return kernel(n, mu, lam)
+            monkeypatch.setattr(spectral, name, spy)
+        join = np.concatenate
+
+        def counted(*args, **kwargs):
+            joins.append(len(args[0]))
+            return join(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        assert [_bits([lambda_spectrum(*p)])[0] for p in grid] == want
+        assert len(seen) >= 3 * len(grid) and set(seen) == {(int, float)}
+        assert joins == []
+
     def test_first_failure_in_order_raises(self):
         # (2, 1e10) misses the root gate; (2, 1.7e308) overflows its
         # eigenproblem.  The earlier problem's error wins.
