@@ -6,8 +6,8 @@ order, so identical inputs yield identical bytes.
 
 Numeric tables leave through one columnar emitter (:func:`table_rows`,
 :func:`write_table`): it takes whole columns, checks each for finiteness
-once, and writes each row with a single ``str.format`` call, in the bytes
-that :func:`fmt_float` and :func:`json_dumps` give cell by cell.
+once, and writes each row with a single ``%`` format, in the bytes that
+:func:`fmt_float` and :func:`json_dumps` give cell by cell.
 """
 
 from __future__ import annotations
@@ -101,26 +101,26 @@ def write_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _field(column: np.ndarray, present=None) -> str:
-    """Format field of one column: ``{}`` for ints, ``{:.17g}`` for floats.
+    """Conversion of one column: ``%d`` for ints, ``%.17g`` for floats.
 
     A float column must be finite wherever ``present`` is set (everywhere
     without a mask), as :func:`fmt_float` requires of each cell.
     """
     if column.dtype.kind != "f":
-        return "{}"
+        return "%d"
     finite = np.isfinite(column)
     if present is not None:
         finite |= ~present
     if not finite.all():
         fmt_float(column[np.argmin(finite)].item())  # raises InvalidParams
-    return "{:.17g}"
+    return "%.17g"
 
 
 def table_rows(
     columns, optional=(), present=None, sep=",", brackets=("", "")
 ) -> list[str]:
-    """The rows of a table given as whole 1-d columns, one ``str.format``
-    call a row.
+    """The rows of a table given as whole 1-d columns, one ``%`` format a
+    row.
 
     Ints print as ints and floats at 17 significant digits, the cells of a
     row joined by ``sep`` between ``brackets``.  The ``optional`` columns
@@ -133,13 +133,14 @@ def table_rows(
     fields = [_field(c, present if i >= required else None) for i, c in enumerate(cols)]
     values = [c.tolist() for c in cols]
     opening, closing = brackets
+    # printf-style formatting takes about two thirds of the time of
+    # str.format for the same bytes.
     full = opening + sep.join(fields) + closing
-    rows = list(map(full.format, *values))
+    rows = list(map(full.__mod__, zip(*values)))
     if present is not None and not present.all():
-        # str.format ignores the values past the fields it has.
         short = opening + sep.join(fields[:required]) + sep * len(optional) + closing
         for i in np.flatnonzero(~present).tolist():
-            rows[i] = short.format(*(v[i] for v in values))
+            rows[i] = short % tuple(v[i] for v in values[:required])
     return rows
 
 
