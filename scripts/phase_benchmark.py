@@ -6,7 +6,8 @@ closed-form phase over several drive periods and integrate the same phase
 equation with classical RK4 at a ladder of step densities.  The printed
 table shows the maximum wrapped deviation per density: it should fall off
 as h^4 until it hits the accuracy floor of the closed form itself, which
-certifies both routes at once.
+certifies both routes at once.  A root without a polynomial or a drive (as
+at mu = 0) is reported with its typed error.
 
 Example
 -------
@@ -17,11 +18,13 @@ Example
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from heun_rsj import (
+    HeunRsjError,
     ZeroOnUnitCircle,
     build_polynomial,
     dche_to_params,
@@ -30,6 +33,7 @@ from heun_rsj import (
     phase_series,
     root_params,
 )
+from heun_rsj.cli import _positive
 from heun_rsj.serialize import fmt_float
 from heun_rsj.spectral import DISC_MARGIN
 
@@ -74,9 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=BenchConfig.n)
     parser.add_argument("--mu", type=float, default=BenchConfig.mu)
-    parser.add_argument("--periods", type=int, default=BenchConfig.periods)
+    parser.add_argument("--periods", type=_positive(int), default=BenchConfig.periods)
     parser.add_argument(
-        "--steps", type=int, nargs="+", default=list(BenchConfig.steps),
+        "--steps", type=_positive(int), nargs="+", default=list(BenchConfig.steps),
         help="RK4 step counts per drive period",
     )
     args = parser.parse_args(argv)
@@ -84,7 +88,11 @@ def main(argv: list[str] | None = None) -> int:
         n=args.n, mu=args.mu, periods=args.periods, steps=tuple(args.steps)
     )
 
-    spectrum = lambda_spectrum(cfg.n, cfg.mu)
+    try:
+        spectrum = lambda_spectrum(cfg.n, cfg.mu)
+    except HeunRsjError as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
     print(f"n = {cfg.n}, mu = {fmt_float(cfg.mu)}, "
           f"{cfg.periods} periods, steps/period {list(cfg.steps)}")
 
@@ -99,6 +107,9 @@ def main(argv: list[str] | None = None) -> int:
         except ZeroOnUnitCircle:
             print(f"root {i}: lambda = {fmt_float(lam)}  "
                   "(skipped: polynomial zero on the unit circle)")
+        except HeunRsjError as exc:
+            print(f"root {i}: lambda = {fmt_float(lam)}  "
+                  f"(skipped: {type(exc).__name__}: {exc})")
 
     width = max(12, *(len(fmt_float(r.lam)) for r in reports)) if reports else 12
     head = "root  " + "lambda".ljust(width) + "".join(

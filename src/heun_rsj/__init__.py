@@ -5,8 +5,9 @@ The package follows the exact reduction of the overdamped junction equation
 closed-form polynomial solutions, their spectral constraints, and numerical
 oracles cross-checking every closed-form object.
 
-The names below are the ones the quick start and the scripts use; everything
-else is imported from its module (``heun_rsj.structure``, ...).
+The names below are the ones the quick start and the scripts use, plus the
+base error class and the triplet type; everything else is imported from its
+module (``heun_rsj.structure``, ...).
 """
 
 from .errors import HeunRsjError, ZeroOnUnitCircle

@@ -208,17 +208,21 @@ def cmd_ortho(args) -> tuple[str, int]:
     return json_dumps(report), 0
 
 
-def cmd_sweep(args) -> tuple[str, int]:
-    # sum of (n + 1) over the degrees, times the mu points: counted before
-    # anything of that size is allocated.
-    rows = args.mu_points * (
-        (args.n_max + 1) * (args.n_max + 2) - args.n_min * (args.n_min + 1)
-    ) // 2
+def _check_grid_rows(n_min: int, n_max: int, mu_points: int) -> None:
+    """``InvalidParams`` where a sweep grid has more than
+    ``dynamics._MAX_SAMPLES`` rows: the sum of (n + 1) over the degrees,
+    times the mu points, counted before anything of that size is
+    allocated."""
+    rows = mu_points * ((n_max + 1) * (n_max + 2) - n_min * (n_min + 1)) // 2
     if rows > dynamics._MAX_SAMPLES:
         raise InvalidParams(
-            f"sweep grid of n in [{args.n_min}, {args.n_max}] at {args.mu_points} "
+            f"sweep grid of n in [{n_min}, {n_max}] at {mu_points} "
             f"mu points has {rows} rows, over {dynamics._MAX_SAMPLES}"
         )
+
+
+def cmd_sweep(args) -> tuple[str, int]:
+    _check_grid_rows(args.n_min, args.n_max, args.mu_points)
     mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
     if not np.all(np.isfinite(mus)):
         raise InvalidParams(

@@ -12,8 +12,6 @@ once, and writes each row with a single ``%`` format, in the bytes that
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -28,7 +26,6 @@ __all__ = [
     "SCHEMA",
     "fmt_float",
     "json_dumps",
-    "write_csv",
     "table_rows",
     "write_table",
     "trajectory_to_csv",
@@ -85,21 +82,6 @@ def json_dumps(obj) -> str:
     return "".join(out) + "\n"
 
 
-def write_csv(header: list[str], rows: list[list]) -> str:
-    """CSV text with mandatory header; floats at 17 significant digits."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [
-                fmt_float(c) if isinstance(c, (float, np.floating)) else c
-                for c in row
-            ]
-        )
-    return buf.getvalue()
-
-
 def _field(column: np.ndarray, present=None) -> str:
     """Conversion of one column: ``%d`` for ints, ``%.17g`` for floats.
 
@@ -145,8 +127,8 @@ def table_rows(
 
 
 def write_table(header: list[str], columns, optional=(), present=None) -> str:
-    """CSV text of a table given as whole columns (:func:`table_rows`); the
-    bytes :func:`write_csv` gives for the same header and cells."""
+    """CSV text of a table given as whole columns (:func:`table_rows`): a
+    header line, then one line a row."""
     return "\n".join([",".join(header), *table_rows(columns, optional, present)]) + "\n"
 
 

@@ -19,8 +19,9 @@ The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 overall factor of -1 in its transposed orientation -- re-derived by brute
 force on small n in the test-suite -- so the determinant splits into two
 factors and every spectral lambda kills one of them.  The sign of the factor
-it kills names the root together with lambda: ``root_params`` reads it from
-the eigenvalues of the symmetric Jacobi form of the reflection relations.
+it kills names the root together with lambda.  The signs alternate along
+the ascending spectrum, so ``root_params`` reads a root's sign from its
+index alone (the proof is in its docstring).
 """
 
 from __future__ import annotations
@@ -33,13 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, IndexOutOfRange, InvalidParams
-from .heun_poly import (
-    _by_degree,
-    _det_scan,
-    _reflection_jacobi,
-    _take,
-    coefficient_matrix,
-)
+from .dynamics import _MAX_SAMPLES
+from .heun_poly import _by_degree, _det_scan, _take, coefficient_matrix
 from .model import (
     DcheParams,
     finite_real,
@@ -158,9 +154,16 @@ def lambda_spectra(problems) -> list[SpectralSet]:
 
 def _checked_mu(n: int, mu: float) -> float:
     """``float(mu)`` of the problem ``(n, mu)``, or ``InvalidParams`` unless n
-    is a non-negative int and mu a finite real."""
+    is a non-negative int and mu a finite real.  A degree whose dense
+    (n+1) x (n+1) seed matrix (:func:`_eigen_seeds`) would hold more than
+    ``dynamics._MAX_SAMPLES`` doubles is refused before it is allocated."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"degree n must be a non-negative int, got {n!r}")
+    if (n + 1) ** 2 > _MAX_SAMPLES:
+        raise InvalidParams(
+            f"degree n = {n} needs a {n + 1} x {n + 1} eigenproblem, over "
+            f"{_MAX_SAMPLES} doubles"
+        )
     return finite_real("mu", mu)
 
 
@@ -338,33 +341,38 @@ def factorization(d: DcheParams) -> tuple[float, int, float, float]:
         return dev / scale, sign, float(np.linalg.det(gp)), float(np.linalg.det(gm))
 
 
-def _root_signs(n: int, mu: float, lambdas) -> list[int]:
-    """Reflection sign of every root, for the ascending spectrum ``lambdas``.
-
-    A root is the pair (lambda, epsilon): the two members of a
-    near-degenerate pair carry opposite signs and can round to one double
-    lambda.  The eigenvalues kappa of the Jacobi form of the reflection
-    relations (``heun_poly._reflection_jacobi``) give
-    ``lambda = kappa**2 - mu**2`` and ``epsilon = -sign(kappa)`` (+1 at 0).
-    Ranked by ``(kappa**2 - mu**2, epsilon)`` they match ``lambdas`` in
-    order; a pair whose ``lambdas`` are one double is ordered by epsilon.
-    """
-    mu2 = mu_squared(mu)
-    kappa = np.linalg.eigvalsh(_reflection_jacobi(n, mu)[0])
-    signs = np.where(kappa > 0, -1, 1).tolist()
-    ranked = sorted(zip((kappa * kappa - mu2).tolist(), signs))
-    return [eps for _, eps in sorted(zip(lambdas, (eps for _, eps in ranked)))]
-
-
 def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     """Triplet and reflection sign ``(d, epsilon)`` of one spectral root.
 
-    The triplet carries the polished lambda of :func:`lambda_spectrum` and
-    the sign comes from :func:`_root_signs`; the root need not be physical.
-    Both are read from :func:`_signed_spectrum`, so the roots of one problem
-    share one computation.  ``InvalidParams`` for an invalid ``(n, mu)`` or a
-    root index that is not an int, before any spectral work; a drive whose
-    square overflows a double raises it too, before any polynomial work.
+    The triplet carries the polished lambda of :func:`lambda_spectrum`, read
+    from :func:`_cached_lambdas` so that the roots of one problem share one
+    computation; the root need not be physical.  ``InvalidParams`` for an
+    invalid ``(n, mu)`` or a root index that is not an int, before any
+    spectral work; a drive whose square overflows a double raises it too,
+    before any polynomial work.
+
+    The sign is the parity of the index: ``epsilon_i = -sigma*(-1)**i`` along
+    the ascending spectrum, with ``sigma = -1`` where n is even and mu < 0,
+    and +1 otherwise.  Proof sketch: a root is an eigenvalue kappa of the
+    Jacobi form J of the reflection relations (``heun_poly._reflection_jacobi``),
+    with ``lambda = kappa**2 - mu**2`` and ``epsilon = -sign(kappa)``, so
+    ascending lambda is ascending |kappa|.  J is a zero-diagonal path matrix
+    plus one entry d at its last diagonal position (mu for even n, -(n+1)/2
+    for odd n), so ``char(J)(+-t) = p0(t) -+ d*q0(t)``: p0 is the
+    characteristic polynomial of the zero-diagonal path, q0 that of the path
+    without its last row and column, and p0/q0 is odd.  Where mu != 0 the
+    zeros of q0 interlace those of p0, and between them p0/q0 rises
+    monotonically from -inf to +inf; for even n it starts at 0 from t = 0.
+    On t > 0 each branch thus meets the levels d (kappa = t, epsilon = -1) and
+    -d (kappa = -t, epsilon = +1) once each, the lower level first, and the
+    first branch for even n meets only the positive level.  So the signs
+    alternate, starting at -1 unless n is even and d = mu < 0; kappa = 0 is
+    never a root.
+
+    At mu = 0 every root of degree n >= 1 is double, and
+    ``build_polynomial`` refuses it; at n = 0 the root is lambda = 0 with
+    c = 0, where both signs hold.  The rule takes sigma = -1 for even n at
+    mu <= 0 there, which -0.0 shares with 0.0.
     """
     mu = _checked_mu(n, mu)
     if not isinstance(root_index, (int, np.integer)) or isinstance(root_index, bool):
@@ -372,22 +380,23 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     if not 0 <= root_index <= n:
         lambda_spectrum(n, mu)  # a spectrum that cannot be computed raises first
         raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
-    lambdas, signs = _signed_spectrum(n, mu)
-    return DcheParams(n=n, mu=mu, lam=lambdas[root_index]), signs[root_index]
+    lam = _cached_lambdas(n, mu)[root_index]
+    mu_squared(mu)  # raises where the square overflows
+    sigma = -1 if n % 2 == 0 and mu <= 0 else 1
+    return DcheParams(n=n, mu=mu, lam=lam), -sigma if root_index % 2 == 0 else sigma
 
 
 # Sized from the traffic of the certify benchmark: one cycle verifies every
 # root of n <= 40 with 943 lookups of 236-240 distinct (n, mu), and a problem
 # comes back after at most 232 other problems (about 69 in the median), so at
-# 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas and
-# 401 signs, about 16 KB (sys.getsizeof), so a full cache of those is 4 MB.
+# 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas,
+# about 13 KB (sys.getsizeof), so a full cache of those is 3.3 MB.
 @functools.lru_cache(maxsize=256)
-def _signed_spectrum(n: int, mu: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """The lambdas of :func:`lambda_spectrum` and their :func:`_root_signs`
-    at a validated ``(n, float(mu))``.  An error is raised, not kept.
+def _cached_lambdas(n: int, mu: float) -> tuple[float, ...]:
+    """The lambdas of :func:`lambda_spectrum` at a validated
+    ``(n, float(mu))``.  An error is raised, not kept.
 
-    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas and
-    signs are the same.
+    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas are
+    the same.
     """
-    lambdas = lambda_spectrum(n, mu).lambdas
-    return lambdas, tuple(_root_signs(n, mu, lambdas))
+    return lambda_spectrum(n, mu).lambdas

@@ -21,16 +21,9 @@ def deriv2(P: HeunPolynomial, z):
 
 
 def spectral_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:
-    """All spectral roots at (n, mu): root index, triplet and reflection sign.
-
-    Same pairs as ``spectral.root_params`` at every index, from one spectrum.
-    """
-    lams = spectral.lambda_spectrum(n, mu).lambdas
-    signs = spectral._root_signs(n, mu, lams)
-    return [
-        (i, DcheParams(n=n, mu=mu, lam=lam), eps)
-        for i, (lam, eps) in enumerate(zip(lams, signs))
-    ]
+    """All spectral roots at (n, mu): root index, triplet and reflection sign,
+    from ``spectral.root_params`` at every index (one spectrum)."""
+    return [(i, *spectral.root_params(n, mu, i)) for i in range(n + 1)]
 
 
 def solution(n: int, mu: float, index: int) -> HeunPolynomial:

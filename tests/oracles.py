@@ -21,11 +21,13 @@ arithmetic one entry at a time, and the array forms must match them bit for
 bit.
 
 A polynomial carries the reflection sign of its root, which
-``spectral.root_params`` reads from the Jacobi form of the reflection
-relations.  ``sign_at_one`` reads it again from the relation at the one
-point z = 1.  ``root_params`` reads each (n, mu) spectrum and its signs from
-a memo; ``signed_spectrum`` computes them afresh, and the two must match
-bit for bit.
+``spectral.root_params`` reads from the parity of the root's index.
+``reflection_signs`` reads the signs from an mpmath eigensolve of the Jacobi
+form of the reflection relations, at a precision raised until every root is
+told apart from its neighbours; ``sign_at_one`` reads a polynomial's sign
+again from the relation at the one point z = 1.  ``root_params`` reads each
+(n, mu) spectrum from a memo; ``signed_spectrum`` computes it afresh, with
+the mpmath signs, and the two must match bit for bit.
 
 ``structure.residuals`` and ``structure.symmetry_residual`` read one table
 of P and its derivatives on the sample set, evaluated by a Python Horner
@@ -39,7 +41,9 @@ point at a time that way, and the table readers must match them bit for bit.
 ``spectral.lambda_spectra`` call, maps it to the drive in one array pass
 and writes it through the columnar emitter; ``sweep_loop`` is the sweep as
 one ``lambda_spectrum`` call per grid point, one ``dche_to_params`` call per
-row and ``write_csv``, and the CSV bytes must match.
+row and ``write_csv``, and the CSV bytes must match.  ``write_csv`` is the
+emitter's cell-by-cell reference: ``csv.writer`` with one ``fmt_float`` call
+per float cell.
 
 The trajectory routes below are the straightforward forms of the fast paths
 in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
@@ -52,9 +56,13 @@ its older ratio form, which evaluates P at both z and 1/z
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from heun_rsj.dynamics import _grid
@@ -66,8 +74,8 @@ from heun_rsj.model import (
     dche_to_params,
     frequency_scale,
 )
-from heun_rsj.serialize import write_csv
-from heun_rsj.spectral import _root_signs, lambda_spectrum
+from heun_rsj.serialize import fmt_float
+from heun_rsj.spectral import lambda_spectrum
 from heun_rsj.structure import SAMPLE_POINTS
 
 from helpers import deriv2
@@ -237,10 +245,44 @@ def sign_at_one(P: HeunPolynomial) -> int:
     return 1 if (float(P.deriv1(1.0)) - P.params.mu * p1) / (c * p1) > 0 else -1
 
 
+class UnresolvedSpectrum(HeunRsjError):
+    """Two roots of the Jacobi form stay unresolved at the highest precision."""
+
+
+@functools.lru_cache(maxsize=None)
+def reflection_signs(n: int, mu: float) -> tuple[int, ...]:
+    """Reflection sign of every root at (n, mu), ordered by exact lambda.
+
+    The eigenvalues kappa of the Jacobi form J of the reflection relations
+    (``heun_poly._reflection_jacobi``, rebuilt here entry by entry from the
+    exact mu) give ``lambda = kappa**2 - mu**2`` and ``epsilon = -sign(kappa)``,
+    so sorting kappa by magnitude orders the roots by exact lambda.  The
+    eigensolve runs at 30, 60, 120 and 240 digits in turn, until every gap
+    between neighbouring |kappa| and |kappa| itself clear 1e-6 of the working
+    precision relative to the largest |kappa|; the pairs of a small |mu| can
+    lie 1e-89 apart.  ``UnresolvedSpectrum`` where even 240 digits do not
+    suffice, as at mu = 0, where every root of degree n >= 1 is double.
+    """
+    for dps in (30, 60, 120, 240):
+        with mpmath.workdps(dps):
+            m = mpmath.mpf(mu)
+            jac = mpmath.zeros(n + 1, n + 1)
+            for p in range(n):
+                i = p // 2
+                off = -mpmath.sqrt((i + 1) * (n - i)) if p % 2 else m
+                jac[p, p + 1] = jac[p + 1, p] = off
+            jac[n, n] = mpmath.mpf(-(n + 1)) / 2 if n % 2 else m
+            kappa = sorted(mpmath.eigsy(jac, eigvals_only=True), key=abs)
+            tol = mpmath.mpf(10) ** (6 - dps) * max(1, abs(kappa[-1]))
+            gaps = [abs(kappa[0])] + [abs(b) - abs(a) for a, b in zip(kappa, kappa[1:])]
+            if min(gaps) > tol:
+                return tuple(-1 if k > 0 else 1 for k in kappa)
+    raise UnresolvedSpectrum(f"roots of J at (n={n}, mu={mu}) closer than 1e-234")
+
+
 def signed_spectrum(n: int, mu: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """The lambdas at (n, mu) and the reflection sign of each, unmemoised."""
-    lambdas = lambda_spectrum(n, mu).lambdas
-    return lambdas, tuple(_root_signs(n, float(mu), lambdas))
+    """The lambdas at (n, mu), unmemoised, and the :func:`reflection_signs`."""
+    return lambda_spectrum(n, mu).lambdas, reflection_signs(n, float(mu))
 
 
 def samples_polyval(P: HeunPolynomial) -> tuple[tuple, ...]:
@@ -346,6 +388,21 @@ def _refine_ratio(
     if x > 1023.0:
         return math.inf
     return 2.0**x
+
+
+def write_csv(header: list[str], rows: list[list]) -> str:
+    """CSV text with mandatory header; floats at 17 significant digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [
+                fmt_float(c) if isinstance(c, (float, np.floating)) else c
+                for c in row
+            ]
+        )
+    return buf.getvalue()
 
 
 def sweep_loop(

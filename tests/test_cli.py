@@ -15,7 +15,7 @@ from heun_rsj.cli import build_parser, main
 from heun_rsj.model import HeunPolynomial
 from heun_rsj.serialize import SCHEMA
 
-from oracles import sweep_loop
+from oracles import reflection_signs, sweep_loop
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +109,26 @@ class TestSpectrum:
         assert code == 1 and out == ""
         assert err.startswith("error: InvalidParams: ")
 
+    def test_oversized_eigenproblem_is_one_line(self, capsys, monkeypatch):
+        # A degree whose dense seed matrix passes 2**27 doubles is refused
+        # before the matrix exists.
+        def refuse(a):
+            raise AssertionError("the eigenproblem was allocated")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        argv = ["spectrum", "--n", "1000000", "--mu", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: InvalidParams: degree n = 1000000 needs a 1000001 x 1000001 "
+            "eigenproblem, over 134217728 doubles\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "heun_rsj.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
+
 
 class TestPoly:
     def test_report(self, capsys):
@@ -126,7 +146,8 @@ class TestPoly:
 
     def test_equal_lambda_pair_prints_two_polynomials(self, capsys):
         # Roots 1 and 2 of (20, 0.25) round to one double lambda; the
-        # reflection sign names each of them.
+        # reflection sign names each of them, in the order of exact lambda
+        # that the mpmath eigensolve of J gives.
         docs = []
         for root in ("1", "2"):
             code, out, _ = run_cli(
@@ -135,7 +156,8 @@ class TestPoly:
             assert code == 0
             docs.append(parse_json(out))
         assert docs[0]["lambda"] == docs[1]["lambda"]
-        assert (docs[0]["epsilon"], docs[1]["epsilon"]) == (-1, 1)
+        assert (docs[0]["epsilon"], docs[1]["epsilon"]) == (1, -1)
+        assert reflection_signs(20, 0.25)[1:3] == (1, -1)
         assert docs[0]["coeffs"] != docs[1]["coeffs"]
 
     def test_bad_root_index_is_computational_error(self, capsys):

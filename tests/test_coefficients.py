@@ -15,7 +15,13 @@ from heun_rsj.model import DcheParams
 from heun_rsj.spectral import lambda_spectrum, root_params, symmetry_matrix
 
 import helpers
-from oracles import ZeroRatioDivision, coeffs_from_ratios, sign_at_one
+from oracles import (
+    ZeroRatioDivision,
+    coeffs_from_ratios,
+    reflection_signs,
+    sign_at_one,
+    signed_spectrum,
+)
 
 # The drive strengths of the certified degree range n <= 40.
 RANGE_MUS = (0.25, 1.0, 1.82, 2.5, -0.7)
@@ -49,16 +55,19 @@ class TestJacobiForm:
 class TestRootSigns:
     def test_equal_lambda_pairs_get_opposite_signs(self):
         # Both members of a pair can round to one double lambda; the sign
-        # tells them apart, and each gets its own polynomial.
+        # tells them apart, and each gets its own polynomial.  Up to n = 24
+        # the pair carries the mpmath signs, in the order of exact lambda.
         pairs = 0
         for mu in RANGE_MUS:
             for n in range(41):
                 points = helpers.spectral_points(n, mu)
-                for (_, d1, e1), (_, d2, e2) in zip(points, points[1:]):
+                for (i, d1, e1), (_, d2, e2) in zip(points, points[1:]):
                     if d1.lam != d2.lam:
                         continue
                     pairs += 1
-                    assert (e1, e2) == (-1, 1)
+                    assert e1 == -e2
+                    if n <= 24:
+                        assert (e1, e2) == reflection_signs(n, mu)[i:i + 2]
                     p1, p2 = build_polynomial(d1, e1), build_polynomial(d2, e2)
                     assert p1.coeffs != p2.coeffs
         assert pairs >= 100
@@ -74,8 +83,10 @@ class TestRootSigns:
                     assert sign_at_one(poly) == eps
 
     def test_root_params_matches_the_spectral_points(self):
+        lambdas, signs = signed_spectrum(9, 1.82)
         for i, d, eps in helpers.spectral_points(9, 1.82):
             assert root_params(9, 1.82, i) == (d, eps)
+            assert (d, eps) == (DcheParams(n=9, mu=1.82, lam=lambdas[i]), signs[i])
 
 
 def _mp_null_vector(d: DcheParams, epsilon: int) -> np.ndarray:

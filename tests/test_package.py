@@ -44,7 +44,8 @@ def test_readme_quick_start_runs():
 
 def test_package_exports_what_is_imported():
     # The namespace holds what the quick start and the scripts import from
-    # it, each name resolving, plus the base error class.
+    # it, each name resolving, plus the base error class and the triplet
+    # type that root_params returns and build_polynomial takes.
     used = _names_from_package(_quick_start())
     for script in SCRIPTS:
         names = _names_from_package((ROOT / "scripts" / script).read_text())
@@ -52,7 +53,7 @@ def test_package_exports_what_is_imported():
         used |= names
     for name in sorted(used):
         getattr(heun_rsj, name)
-    assert sorted(heun_rsj.__all__) == sorted(used | {"HeunRsjError"})
+    assert sorted(heun_rsj.__all__) == sorted(used | {"HeunRsjError", "DcheParams"})
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -19,9 +19,10 @@ from heun_rsj.serialize import (
     table_rows,
     trajectory_to_csv,
     trajectory_to_json,
-    write_csv,
     write_table,
 )
+
+from oracles import write_csv
 
 
 class TestFloatFormatting:

@@ -78,9 +78,9 @@ def fresh_memo():
     """An empty ``root_params`` memo on entry and on exit, for a test that
     patches spectral internals: it reads no spectrum that another test left,
     and leaves none computed under its patch."""
-    spectral._signed_spectrum.cache_clear()
+    spectral._cached_lambdas.cache_clear()
     yield
-    spectral._signed_spectrum.cache_clear()
+    spectral._cached_lambdas.cache_clear()
 
 
 class TestSpectrum:
@@ -715,28 +715,71 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
+# The grid of the sign oracle: every root of n <= 24 at small, moderate and
+# large |mu| of both signs, and degree 40 at |mu| = 0.25, where the two
+# members of a pair lie down to 1e-67 apart in kappa.
+_SIGN_GRID = [
+    (n, sign * m)
+    for m in (0.001, 0.25, 1.0, 2.5, 10.0)
+    for sign in (1, -1)
+    for n in range(25)
+] + [(40, 0.25), (40, -0.25)]
+
+
 class TestRootParams:
     @pytest.mark.usefixtures("fresh_memo")
     def test_matches_uncached_oracle(self):
-        # Bit for bit at every root: the memo hands out what a fresh
-        # computation of the spectrum and its signs gives.
-        for n in range(41):
-            for mu in (0.25, 1.0, 1.82, 2.5, -0.7):
-                lambdas, signs = signed_spectrum(n, mu)
-                for i in range(n + 1):
-                    d, eps = root_params(n, mu, i)
-                    assert (d.n, d.mu.hex(), d.lam.hex(), eps) == (
-                        n, mu.hex(), lambdas[i].hex(), signs[i]
-                    ), (n, mu, i)
+        # Bit for bit at every root: the memo hands out the lambdas of a
+        # fresh spectrum, and the parity rule the signs of the mpmath
+        # eigensolve of J ordered by exact lambda.
+        for n, mu in _SIGN_GRID:
+            lambdas, signs = signed_spectrum(n, mu)
+            for i in range(n + 1):
+                d, eps = root_params(n, mu, i)
+                assert (d.n, d.mu.hex(), d.lam.hex(), eps) == (
+                    n, mu.hex(), lambdas[i].hex(), signs[i]
+                ), (n, mu, i)
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_verifying_every_root_computes_one_spectrum(self, monkeypatch, capsys):
+        # One eigensolve for the 13 roots: the seeds of T; the signs need
+        # none.
         seeds = _spy(monkeypatch, "_eigen_seeds")
-        signs = _spy(monkeypatch, "_root_signs")
+        solves, eigvalsh = [], np.linalg.eigvalsh
+
+        def spy(a):
+            solves.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         for root in range(13):
             cli.main(["verify", "--n", "12", "--mu", "1.82", "--root", str(root)])
         assert capsys.readouterr().out.count('"checks"') == 13
-        assert (len(seeds), len(signs)) == (1, 1)
+        assert (len(seeds), solves) == (1, [(13, 13)])
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_degree_past_the_sample_bound_is_refused_before_allocating(
+        self, monkeypatch
+    ):
+        # The dense seed matrix of degree n holds (n + 1)**2 doubles: 11585
+        # is the first degree past 2**27 of them.
+        eigvalsh = np.linalg.eigvalsh
+
+        def refuse(a):
+            assert len(a) <= 3, "the eigenproblem was allocated"
+            return eigvalsh(a)
+
+        assert 11585**2 <= 2**27 < 11586**2
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        msg = "degree n = 11585 needs a 11586 x 11586 eigenproblem, over 134217728"
+        with pytest.raises(InvalidParams, match=msg):
+            lambda_spectrum(11585, 1.0)
+        with pytest.raises(InvalidParams, match=msg):
+            lambda_spectra([(2, 1.0), (11585, 1.0)])
+        with pytest.raises(InvalidParams, match=msg):
+            root_params(11585, 1.0, 0)
+        with pytest.raises(InvalidParams, match="degree n = 1000000 "):
+            root_params(1000000, 1.0, 0)
 
     @pytest.mark.usefixtures("fresh_memo")
     @pytest.mark.parametrize(
@@ -768,7 +811,7 @@ class TestRootParams:
             with pytest.raises(ConvergenceFailure):
                 root_params(40, 1e10, 0)
         assert len(seeds) == 2
-        assert spectral._signed_spectrum.cache_info().currsize == 0
+        assert spectral._cached_lambdas.cache_info().currsize == 0
 
     def test_numpy_index_and_range(self):
         assert root_params(3, 1.0, np.int64(2)) == root_params(3, 1.0, 2)
@@ -792,17 +835,20 @@ class TestRootParams:
     @pytest.mark.usefixtures("fresh_memo")
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_signed_zero_mu(self, first):
-        # mu = -0.0 and 0.0 share one memo entry, whichever comes first: a
-        # fresh computation gives both the same lambdas and signs, and each
-        # triplet keeps the caller's mu.
+        # mu = -0.0 and 0.0 share one memo entry, whichever comes first: each
+        # triplet keeps the caller's mu and the lambdas of a fresh spectrum.
+        # The roots of n >= 1 are double here, so no oracle orders their
+        # signs; both zeros take the mu <= 0 convention, which alternates
+        # from +1 at even n and from -1 at odd n.
         for n in (1, 2, 3, 6):
+            lambdas = lambda_spectrum(n, 0.0).lambdas
             for mu in (first, -first):
-                lambdas, signs = signed_spectrum(n, mu)
                 for i in range(n + 1):
                     d, eps = root_params(n, mu, i)
                     assert (d.mu.hex(), d.lam.hex(), eps) == (
-                        mu.hex(), lambdas[i].hex(), signs[i]
+                        mu.hex(), lambdas[i].hex(), (-1) ** (i + n % 2)
                     ), (n, mu, i)
+        assert spectral._cached_lambdas.cache_info().currsize == 4
 
 
 def test_disc_margin_value():
