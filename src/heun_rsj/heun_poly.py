@@ -144,9 +144,16 @@ def spectral_det(d: DcheParams) -> tuple[float, float]:
     very large n; :func:`_det_scan` keeps the mantissas and the exponent.
     """
     det, _, smax, e = _det_scan(d.n, d.mu, np.array([d.lam], dtype=float))
+    det, scale = _det_and_scale(det, smax, e)
+    return det.item(), scale.item()
+
+
+def _det_and_scale(det, smax, e) -> tuple[np.ndarray, np.ndarray]:
+    """The determinants and scales of :func:`spectral_det` from the arrays
+    ``det``, ``summand_max`` and ``e`` of a :func:`_det_scan`, per element:
+    ``det * 2**e`` and ``summand_max * 2**e`` floored at 1."""
     with np.errstate(over="ignore"):  # saturates to +-inf; signed zeros stay
-        det, smax = np.ldexp(np.concatenate([det, smax]), e).tolist()
-    return det, max(1.0, smax)
+        return np.ldexp(det, e), np.fmax(np.ldexp(smax, e), 1.0)
 
 
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:

@@ -26,16 +26,18 @@ index alone (the proof is in its docstring).
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, IndexOutOfRange, InvalidParams
 from .dynamics import _MAX_SAMPLES
-from .heun_poly import _by_degree, _det_scan, _take, coefficient_matrix
+from . import heun_poly
+from .heun_poly import _by_degree, _det_and_scale, _det_scan, _take, coefficient_matrix
 from .model import (
     DcheParams,
     finite_real,
@@ -145,11 +147,11 @@ def lambda_spectra(problems) -> list[SpectralSet]:
             _polish_and_gate(run)  # an earlier problem's failure wins
             raise
         if run and width + seeds.size > _BATCH:
-            out += _polish_and_gate(run)
+            out += _polish_and_gate(run)[0]
             run, width = [], 0
         run.append((n, mu, seeds))
         width += seeds.size
-    return out + _polish_and_gate(run)
+    return out + _polish_and_gate(run)[0]
 
 
 def _checked_mu(n: int, mu: float) -> float:
@@ -167,15 +169,17 @@ def _checked_mu(n: int, mu: float) -> float:
     return finite_real("mu", mu)
 
 
-def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
+def _polish_and_gate(run: list[tuple]) -> tuple[list[SpectralSet], np.ndarray, tuple]:
     """Polish and gate the seeded problems ``(n, mu, seeds)`` of one run.
 
     The recurrences take the run stably sorted by degree, descending
     (:func:`heun_poly._by_degree`); the spectra come back, and the first
-    failing problem raises, in the run's own order.
+    failing problem raises, in the run's own order.  Returns the spectra,
+    and the polished roots with the gate's scan of them
+    (:func:`heun_poly._det_scan`) in the recurrences' order.
     """
     if not run:
-        return []
+        return [], None, None
     order = sorted(range(len(run)), key=lambda p: -run[p][0])
     sizes = [run[p][2].size for p in order]
     degrees = [run[p][0] for p in order]
@@ -188,7 +192,8 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
     lams = _polish_extended(n, mu, seeds)
     # A root whose scan overflows misses the gate: no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = _relative_dets(lams, *_det_scan(n, mu, lams))
+        scan = _det_scan(n, mu, lams)
+        ratios = _relative_dets(lams, *scan)
     start = dict(zip(order, itertools.accumulate(sizes, initial=0)))
     spectra = []
     for p, (n_, mu_, seeds) in enumerate(run):
@@ -206,7 +211,7 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
         spectra.append(
             SpectralSet(n=n_, mu=mu_, lambdas=tuple(sorted(lams[roots].tolist())))
         )
-    return spectra
+    return spectra, lams, scan
 
 
 def _eigen_seeds(n: int, mu: float) -> np.ndarray:
@@ -389,14 +394,63 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
 # Sized from the traffic of the certify benchmark: one cycle verifies every
 # root of n <= 40 with 943 lookups of 236-240 distinct (n, mu), and a problem
 # comes back after at most 232 other problems (about 69 in the median), so at
-# 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas,
-# about 13 KB (sys.getsizeof), so a full cache of those is 3.3 MB.
-@functools.lru_cache(maxsize=256)
+# 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas
+# (about 13 KB, sys.getsizeof) and the 401 x 2 array of their determinants
+# and scales (6.5 KB), so a full memo of those is about 5 MB.  The dict keeps
+# its entries in order of last use; the lock makes each lookup or insertion,
+# with its reordering or eviction, one step, and no spectrum is computed
+# under it.
+_MEMO_SIZE = 256
+_memo: dict[tuple[int, float], tuple[tuple[float, ...], np.ndarray]] = {}
+_memo_lock = threading.Lock()
+
+
 def _cached_lambdas(n: int, mu: float) -> tuple[float, ...]:
     """The lambdas of :func:`lambda_spectrum` at a validated
-    ``(n, float(mu))``.  An error is raised, not kept.
+    ``(n, float(mu))``, from the memo.  An entry also keeps, in the order of
+    the lambdas, the determinant and scale of the gate's scan at each
+    (:func:`heun_poly._det_and_scale`), which :func:`_gate_det` reads.  An
+    error is raised, not kept.
 
-    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas are
-    the same.
+    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas and
+    determinants are the same (mu enters the recurrences squared).
     """
-    return lambda_spectrum(n, mu).lambdas
+    key = (n, mu)
+    with _memo_lock:
+        entry = _memo.pop(key, None)
+        if entry is not None:
+            _memo[key] = entry
+            return entry[0]
+    (spectrum,), lams, (det, _, smax, e) = _polish_and_gate(
+        [(n, mu, _eigen_seeds(n, mu))]
+    )
+    # The order of sorted(lams): both sorts are stable and take -0.0 == 0.0.
+    order = np.argsort(lams, kind="stable")
+    dets = np.stack(_det_and_scale(det[order], smax[order], e[order]), axis=1)
+    with _memo_lock:
+        _memo[key] = spectrum.lambdas, dets
+        if len(_memo) > _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    return spectrum.lambdas
+
+
+def _gate_det(d: DcheParams) -> tuple[float, float]:
+    """``heun_poly.spectral_det(d)``, bit for bit.  Where d is a root in the
+    memo of :func:`root_params` (its n, its float mu and its lambda, zeros
+    by sign) the gate's determinant and scale are read from there; any other
+    triplet is scanned.  No spectrum is computed.
+
+    An int mu is scanned: its square is exact where the float's rounds.
+    """
+    entry = _memo.get((d.n, d.mu)) if isinstance(d.mu, float) else None
+    if entry is not None:
+        lambdas, dets = entry
+        i = bisect.bisect_left(lambdas, d.lam)
+        if (
+            i < len(lambdas)
+            and lambdas[i] == d.lam
+            and math.copysign(1.0, lambdas[i]) == math.copysign(1.0, d.lam)
+        ):
+            det, scale = dets[i].tolist()
+            return det, scale
+    return heun_poly.spectral_det(d)

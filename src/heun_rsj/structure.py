@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -114,13 +115,22 @@ def _on_samples(P: HeunPolynomial) -> tuple[tuple, ...]:
     complex arithmetic can differ from the scalar one in the last bit.  1/z
     stays in the point's own type: Python's complex division differs from
     numpy's at some of the points."""
-    der = np.polynomial.polynomial.polyder
     a = np.asarray(P.coeffs)
-    p, dp, d2p = ([complex(x) for x in c.tolist()] for c in (a, der(a), der(a, 2)))
+    p, dp, d2p = ([complex(x) for x in c.tolist()] for c in (a, *_derivatives(a)))
     return tuple(
         (z, _horner(p, z), _horner(dp, z), _horner(d2p, z), _horner(p, 1.0 / z))
         for z in SAMPLE_POINTS
     )
+
+
+def _derivatives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of P' and P'' from P's ascending ``a``: the products
+    ``k*a_k`` that numpy's ``polyder(a)`` and ``polyder(a, 2)`` form, bit for
+    bit, without their per-call overhead.  Like ``polyder``, a derivative
+    past the degree is ``a_0*0`` (a signed zero)."""
+    k = np.arange(1.0, a.size)
+    dp = a[1:] * k if a.size > 1 else a[:1] * 0
+    return dp, dp[1:] * k[:-1] if a.size > 2 else a[:1] * 0
 
 
 def _horner(c: list[complex], z) -> np.complex128:
@@ -232,7 +242,7 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     rel_dev, sign, det_p, det_m = spectral.factorization(d)
     add("factorization_rel", rel_dev, TOL["factorization"])
     add("factorization_sign", sign, -1)  # sign is +-1: passes only at -1
-    delta, scale = heun_poly.spectral_det(d)
+    delta, scale = spectral._gate_det(d)  # no second scan of a memoised root
     det_product = abs(abs(det_p * det_m) - abs(delta)) / scale
     det_min = min(abs(det_p), abs(det_m)) / scale
     if not all(map(math.isfinite, (scale, det_product, det_min))):
@@ -380,7 +390,9 @@ def orthogonality_integral(
     on a truncated symmetric interval.  For different degrees and mu > 0 the
     value vanishes; ``scale`` is the same integral of the absolute integrand.
     ``QuadratureFailure`` where the sums on the grid and on every other point
-    of it differ by more than ``1e-10 * scale``.
+    of it differ by more than ``1e-10 * scale``, and, for different degrees,
+    where ``scale`` is zero or subnormal: the integrand has underflowed, and
+    a ratio against it would pass or fail on rounding alone.
     """
     mu = _shared_mu(P1, P2)
     if mu <= 0:
@@ -395,6 +407,11 @@ def orthogonality_integral(
         * z_grid
     )
     scale = float(np.trapezoid(np.abs(dense), grid))
+    if P1.n != P2.n and scale < sys.float_info.min:
+        raise QuadratureFailure(
+            f"the absolute integral {scale:.3g} is below the normal double "
+            f"range at mu = {mu}: the integrand underflows"
+        )
     value = float(np.trapezoid(dense, grid))
     # Halving the grid estimates the error for free; a NaN fails here too.
     gap = abs(value - float(np.trapezoid(dense[::2], grid[::2])))

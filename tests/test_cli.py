@@ -354,6 +354,38 @@ class TestOrtho:
         assert doc["ratio"] <= 1e-8
         assert doc["pass"] is True
 
+    @pytest.mark.parametrize("mu", ["360", "370", "700", "1e5"])
+    def test_underflowed_integrand_is_one_line(self, capsys, mu):
+        # From mu = 360 the absolute integral is subnormal or 0, and a ratio
+        # against it would read 0 and pass: the pair is refused in one line.
+        argv = ["ortho", "--n1", "1", "--n2", "2", "--root1", "0", "--root2", "0",
+                "--mu", mu]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: QuadratureFailure: the absolute integral ")
+        result = subprocess.run(
+            [sys.executable, "-m", "heun_rsj.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
+
+    def test_zero_or_tiny_integrals_that_still_report(self, capsys):
+        # Same degree: the zero integral is reported, not asserted.
+        code, out, _ = run_cli(
+            capsys, "ortho", "--n1", "1", "--n2", "1", "--root1", "0",
+            "--root2", "0", "--mu", "700",
+        )
+        assert code == 0
+        assert '"value": 0, "scale": 0, "ratio": 0' in out and '"pass": null' in out
+        # The absolute integral is 5.3e-262 here, still a normal double.
+        code, out, _ = run_cli(
+            capsys, "ortho", "--n1", "1", "--n2", "2", "--root1", "0",
+            "--root2", "0", "--mu", "300",
+        )
+        doc = parse_json(out)
+        assert code == 0 and 0 < doc["scale"] < 1e-250 and doc["pass"] is True
+
     def test_unconverged_quadrature_is_one_line(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from heun_rsj import cli, spectral
+from heun_rsj import cli, heun_poly, spectral, structure
 from heun_rsj.errors import (
     ConvergenceFailure,
     IndexOutOfRange,
@@ -78,9 +78,9 @@ def fresh_memo():
     """An empty ``root_params`` memo on entry and on exit, for a test that
     patches spectral internals: it reads no spectrum that another test left,
     and leaves none computed under its patch."""
-    spectral._cached_lambdas.cache_clear()
+    spectral._memo.clear()
     yield
-    spectral._cached_lambdas.cache_clear()
+    spectral._memo.clear()
 
 
 class TestSpectrum:
@@ -715,6 +715,35 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
+def _spy_solves(monkeypatch) -> list:
+    """Record the shape of each ``np.linalg.eigvalsh`` call."""
+    solves, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        solves.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return solves
+
+
+def _spy_scans(monkeypatch) -> list:
+    """Record the size of each determinant scan, the gate's
+    (``spectral._det_scan``) and ``spectral_det``'s (``heun_poly._det_scan``)."""
+    scans, scan = [], heun_poly._det_scan
+
+    def spy(n, mu, lam):
+        scans.append(lam.size)
+        return scan(n, mu, lam)
+
+    monkeypatch.setattr(spectral, "_det_scan", spy)
+    monkeypatch.setattr(heun_poly, "_det_scan", spy)
+    return scans
+
+
+# The drives of the bit-for-bit certification checks.
+_MEMO_MUS = (0.25, 1.0, 1.82, 2.5, -0.7, 0.0, -0.0)
+
 # The grid of the sign oracle: every root of n <= 24 at small, moderate and
 # large |mu| of both signs, and degree 40 at |mu| = 0.25, where the two
 # members of a pair lie down to 1e-67 apart in kappa.
@@ -742,20 +771,89 @@ class TestRootParams:
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_verifying_every_root_computes_one_spectrum(self, monkeypatch, capsys):
-        # One eigensolve for the 13 roots: the seeds of T; the signs need
-        # none.
+        # One eigensolve for the 13 roots, the seeds of T, and one
+        # determinant scan, the gate's, which certify reads back; the signs
+        # need none.
         seeds = _spy(monkeypatch, "_eigen_seeds")
-        solves, eigvalsh = [], np.linalg.eigvalsh
-
-        def spy(a):
-            solves.append(a.shape)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        solves, scans = _spy_solves(monkeypatch), _spy_scans(monkeypatch)
         for root in range(13):
             cli.main(["verify", "--n", "12", "--mu", "1.82", "--root", str(root)])
-        assert capsys.readouterr().out.count('"checks"') == 13
-        assert (len(seeds), solves) == (1, [(13, 13)])
+        out = capsys.readouterr().out
+        assert out.count('"checks"') == 13 and out.count('"det_min_rel"') == 13
+        assert (len(seeds), solves, scans) == (1, [(13, 13)], [13])
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_memo_keeps_the_gate_determinants(self):
+        # Each entry holds, in the order of its lambdas, the determinant and
+        # scale that spectral_det gives at each, bit for bit; -0.0 reads the
+        # entry of 0.0.  From n = 103 the scale saturates to inf at root 1.
+        grid = [(n, mu) for mu in _MEMO_MUS for n in range(41)]
+        grid += [(n, mu) for n in (103, 104) for mu in (1.82, 1.0)]
+        for n, mu in grid:
+            for i in range(n + 1):
+                d, _ = root_params(n, mu, i)
+                lambdas, dets = spectral._memo[(n, mu)]
+                want = spectral_det(DcheParams(n=n, mu=mu, lam=lambdas[i]))
+                for got in (tuple(dets[i].tolist()), spectral._gate_det(d)):
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (n, mu, i)
+        assert spectral._memo[(104, 1.0)][1][1, 1] == math.inf
+        # The root of n = 0 is lambda = 0.0; at -0.0 the determinant is -0.0.
+        d = DcheParams(n=0, mu=0.25, lam=-0.0)
+        assert [x.hex() for x in spectral._gate_det(d)] == ["-0x0.0p+0", "0x1.0000000000000p+0"]
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_certify_scans_a_triplet_off_the_memo(self, monkeypatch):
+        # A lambda one ulp off a root, and an int mu, are no memoised root:
+        # certify scans them as spectral_det does, computes no spectrum, and
+        # gives the record of a scan, with the memo cold or warm.
+        for n, mu, root, t_mu, nudge in ((12, 1.82, 5, 1.82, 1), (1, 1.0, 1, 1, 0)):
+            d, eps = root_params(n, mu, root)
+            lam = math.nextafter(d.lam, math.inf) if nudge else d.lam
+            poly = heun_poly.build_polynomial(DcheParams(n=n, mu=t_mu, lam=lam), eps)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_gate_det", heun_poly.spectral_det)
+                want = structure.certify(poly)
+            assert (n, mu) in spectral._memo
+            for clear in (False, True):
+                if clear:
+                    spectral._memo.clear()
+                with monkeypatch.context() as m:
+                    solves, scans = _spy_solves(m), _spy_scans(m)
+                    assert structure.certify(poly) == want
+                assert (solves, scans) == ([], [1])
+            assert want[1] == [] and want[0][-1]["name"] == "det_min_rel"
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_memo_holds_the_last_used_problems(self, monkeypatch):
+        # 256 problems; a hit makes its problem the last used, and the least
+        # recently used one goes first.
+        for k in range(256):
+            root_params(1, 1.0 + k, 0)
+        root_params(1, 1.0, 1)  # a hit
+        seeds = _spy(monkeypatch, "_eigen_seeds")
+        root_params(1, 1000.0, 0)
+        assert len(spectral._memo) == 256 and len(seeds) == 1
+        assert (1, 2.0) not in spectral._memo
+        assert list(spectral._memo)[-2:] == [(1, 1.0), (1, 1000.0)]
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_verify_bytes_do_not_depend_on_the_memo(self, capsys):
+        # Cold (memo cleared) and warm, and each signed zero after the other.
+        def verify(n, mu, root):
+            code = cli.main(["verify", "--n", str(n), "--mu", mu, "--root", str(root)])
+            return code, *capsys.readouterr()
+
+        for n, mu in ((12, "1.82"), (7, "-0.7"), (0, "0.25")):
+            for root in range(n + 1):
+                spectral._memo.clear()
+                assert verify(n, mu, root) == verify(n, mu, root), (n, mu, root)
+        for n in (0, 1, 2):
+            for first, other in (("0.0", "-0.0"), ("-0.0", "0.0")):
+                spectral._memo.clear()
+                cold = verify(n, other, 0)
+                spectral._memo.clear()
+                verify(n, first, 0)
+                assert verify(n, other, 0) == cold, (n, first)
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_degree_past_the_sample_bound_is_refused_before_allocating(
@@ -811,7 +909,7 @@ class TestRootParams:
             with pytest.raises(ConvergenceFailure):
                 root_params(40, 1e10, 0)
         assert len(seeds) == 2
-        assert spectral._cached_lambdas.cache_info().currsize == 0
+        assert spectral._memo == {}
 
     def test_numpy_index_and_range(self):
         assert root_params(3, 1.0, np.int64(2)) == root_params(3, 1.0, 2)
@@ -848,7 +946,7 @@ class TestRootParams:
                     assert (d.mu.hex(), d.lam.hex(), eps) == (
                         mu.hex(), lambdas[i].hex(), (-1) ** (i + n % 2)
                     ), (n, mu, i)
-        assert spectral._cached_lambdas.cache_info().currsize == 4
+        assert len(spectral._memo) == 4
 
 
 def test_disc_margin_value():

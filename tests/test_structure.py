@@ -252,20 +252,36 @@ class TestSampleTable:
 
     def test_certify_samples_p_once(self, monkeypatch):
         poly = helpers.solution(8, 1.82, 4)
-        polyder = np.polynomial.polynomial.polyder
-        orders = []
+        horner, calls = structure._horner, []
 
-        def spy(c, m=1, *args):
-            orders.append(m)
-            return polyder(c, m, *args)
+        def spy(c, z):
+            calls.append(len(c))
+            return horner(c, z)
 
-        monkeypatch.setattr(np.polynomial.polynomial, "polyder", spy)
+        monkeypatch.setattr(structure, "_horner", spy)
         structure._on_samples.cache_clear()
         _, skipped = structure.certify(poly)
         assert skipped == []  # both sampled checks ran
         info = structure._on_samples.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert orders == [1, 2]
+        # P, P', P'' and P(1/z) once at each point.
+        assert calls == [9, 8, 7, 9] * len(structure.SAMPLE_POINTS)
+
+    @pytest.mark.parametrize("kind", ["random", "spectral"])
+    def test_derivative_coefficients_are_polyder(self, kind):
+        # Bit for bit, signed zeros included, down to constant and linear P.
+        polyder = np.polynomial.polynomial.polyder
+        rng = np.random.default_rng(20)
+        for n in range(61):
+            if kind == "random":
+                a = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-30, 30, n + 1)
+                a[rng.random(n + 1) < 0.2] = -0.0
+            else:
+                a = np.asarray(helpers.solution(n, 1.82, n // 2).coeffs)
+            for got, want in zip(structure._derivatives(a), (polyder(a), polyder(a, 2))):
+                assert [x.hex() for x in got.tolist()] == [
+                    x.hex() for x in want.tolist()
+                ], (kind, n)
 
 
 class TestPhase:
