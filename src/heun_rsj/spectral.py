@@ -7,12 +7,14 @@ off-diagonal pair products ``mu**2*(j+1)*(n-j)``; since those products are
 non-negative, ``T`` is similar to a real symmetric tridiagonal matrix and the
 whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem with
 numpy's dense symmetric eigensolver (the same LAPACK eigenvalue iteration as
-a dedicated tridiagonal solver) and then
-polishes all n + 1 roots together in extended precision: the determinant
-recurrence runs on the whole array of roots, so a spectrum costs O(n) numpy
-calls per Newton pass.  Each root keeps its own Newton state, and a root whose
-step goes wrong falls back to its eigenvalue seed without disturbing the
-others; one array scan of the determinant then gates every returned root.
+a dedicated tridiagonal solver) and then polishes all n + 1 roots together
+in extended precision, each recurrence on the whole array of roots, so a
+spectrum costs O(n) numpy calls per Newton pass.  A root that two passes on
+the determinant leave moving, nearly always half of a near-degenerate pair,
+steps on its own reflection factor instead (below).  Each root keeps its own
+Newton state, and a root whose step goes wrong falls back without disturbing
+the others; one array scan of the determinant then gates every returned
+root.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 (one per sign) whose product reproduces the coefficient matrix up to an
@@ -21,7 +23,9 @@ force on small n in the test-suite -- so the determinant splits into two
 factors and every spectral lambda kills one of them.  The sign of the factor
 it kills names the root together with lambda.  The signs alternate along
 the ascending spectrum, so ``root_params`` reads a root's sign from its
-index alone (the proof is in its docstring).
+index alone (the proof is in its docstring), and the two roots of a
+near-degenerate pair kill different factors: on its own factor, a pair root
+is a simple zero, and Newton converges quadratically.
 """
 
 from __future__ import annotations
@@ -270,39 +274,142 @@ def _det_newton_extended(n, mu, lam: np.ndarray):
     return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 
 
+def _factor_newton_extended(n, mu, kappa: np.ndarray):
+    """Reflection factor ``det(J - kappa*I)`` and its kappa-derivative in
+    extended precision, per kappa.
+
+    J is the Jacobi form of the reflection relations
+    (:func:`heun_poly._reflection_jacobi`): its diagonal is zero but for the
+    last entry (mu for even n, -(n+1)/2 for odd n), and its squared
+    off-diagonals are mu**2 and (i+1)*(n-i) in turn.  The continuant runs
+    with a zero diagonal, and the last entry enters once at each element's
+    end: ``det = p_n + a_n * p_{n-1}``.  ``n`` and ``mu`` are scalars or
+    per-element arrays laid out as in :func:`_det_newton_extended`.
+    """
+    ld = np.longdouble
+    runs = _by_degree(n, kappa.size)
+    m = ld(mu)
+    n1, mu2 = n + 1, m * m
+    last = np.where(n % 2 == 1, -n1 / 2, m)[()]
+    minus = -kappa
+    prev2, prev = np.ones_like(kappa), minus  # p_{-1}, p_0
+    dprev2, dprev = np.zeros_like(kappa), np.full_like(kappa, -1)
+    done, step = [], 0
+    for d, k, c in runs:
+        if k < kappa.size:
+            minus, prev2, prev, dprev2, dprev, n1, mu2, last = _take(
+                slice(k), minus, prev2, prev, dprev2, dprev, n1, mu2, last
+            )
+        for j in range(step + 1, d + 1):
+            # The squared off-diagonal b_{j-1}**2, an exact integer for even j.
+            b2 = mu2 if j % 2 else (j // 2) * (n1 - j // 2)
+            cur = minus * prev - b2 * prev2
+            dcur = minus * dprev - prev - b2 * dprev2
+            prev2, prev = prev, cur
+            dprev2, dprev = dprev, dcur
+        ending = slice(k - c, k)
+        (a,) = _take(ending, last)
+        done.append(
+            (prev[ending] + a * prev2[ending], dprev[ending] + a * dprev2[ending])
+        )
+        step = d
+    if len(done) == 1:
+        return done[0]
+    return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
+
+
+def _root_signs(n, mu, index):
+    """Reflection sign of root ``index`` (ascending) of ``(n, mu)`` by the
+    parity rule of :func:`root_params`; scalars or arrays that broadcast."""
+    sigma = np.where((n % 2 == 0) & (mu <= 0), -1, 1)
+    return np.where(index % 2 == 0, -sigma, sigma)
+
+
+# Newton passes of the polish, and how many of them every root takes on the
+# determinant before a pair root moves to its own factor.
+_PASSES = 8
+_DET_PASSES = 2
+
+
 def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
-    """Newton steps on the determinant in extended precision, all roots at once.
+    """Newton steps in extended precision from the eigenvalue seeds, all
+    roots at once.
 
     Cancellation noise in the double recurrence near a root can misplace it
-    by tens of ulps, which downstream coefficient relations amplify.  A few
-    extended-precision steps from the eigenvalue seeds land within an ulp of
-    the true zeros.  ``n`` and ``mu`` are scalars or per-seed arrays with
-    the degrees descending, so the roots of many problems polish together.
-    Every pass evaluates :func:`_det_newton_extended` on the roots still
-    moving, and each root keeps its own state: it stops once its step no
-    longer changes it, and falls back to its own seed on any sign of trouble
-    (non-finite values, a zero derivative, or a correction larger than the
-    seed's error could explain) while the others go on.  The caller's
-    ``ROOT_TOL`` gate then decides.
+    by tens of ulps, which downstream coefficient relations amplify, so the
+    roots are polished in long double.  ``n`` and ``mu`` are scalars or
+    per-seed arrays with the degrees descending, and each problem's seeds
+    come whole and ascending, so the roots of many problems polish together
+    and a seed's index in its problem is its place in its degree's block
+    modulo n + 1.
+
+    The first two passes take Newton steps on the determinant
+    (:func:`_det_newton_extended`); a root stops once its step no longer
+    changes it, and most roots stop there.  A root still moving is nearly
+    always half of a near-degenerate pair, two roots closer than the seed's
+    error: the determinant has a double zero to working precision there,
+    and Newton on it converges only linearly, halving its step each pass.
+    The determinant is -det G+ * det G-, and each root kills exactly the
+    factor of its own sign (:func:`root_params`), which the partner does not
+    kill.  So from the third pass a root still moving with lambda >= mu**2
+    steps on its own factor (:func:`_factor_newton_extended`) at
+    ``kappa = -epsilon*sqrt(lambda + mu**2)``, where Newton converges
+    quadratically, and stops once a step is at most 1/256 of a double ulp;
+    rounding lambda + mu**2 in long double moves lambda by at most
+    2**-62 * lambda there.  A root below mu**2 stays on the determinant.
+    At most ``_PASSES`` passes run.
+
+    Each root keeps its own state: on any sign of trouble (non-finite
+    values, a zero derivative, or a correction larger than the seed's error
+    could explain) it falls back to its seed, or on its factor to its last
+    determinant iterate, while the others go on.  The caller's ``ROOT_TOL``
+    gate then decides.
     """
+    ld = np.longdouble
     cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
-    cur = seeds.astype(np.longdouble)
-    live = np.arange(seeds.size)  # indices of the roots still stepping
-    for _ in range(8):
-        if live.size == 0:
+    cur = seeds.astype(ld)
+    fallback = cur.copy()
+    live = np.arange(seeds.size)  # roots still stepping on the determinant
+    pair = live[:0]  # roots stepping on their own factor
+    for p in range(_PASSES):
+        if p == _DET_PASSES and live.size:
+            m2 = ld(_take(live, mu)[0]) ** 2
+            onto = cur[live] >= m2
+            (mu2,) = _take(onto, m2)
+            pair, live = live[onto], live[~onto]
+            fallback[pair] = cur[pair]
+            n_, mu_ = _take(pair, n, mu)
+            # Each degree's block starts where its first seed sits.
+            first = np.searchsorted(-n, -n_) if isinstance(n, np.ndarray) else 0
+            eps = _root_signs(n_, mu_, (pair - first) % (n_ + 1))
+        if live.size == 0 and pair.size == 0:
             break
-        at = cur[live]
-        # A root whose recurrence overflows falls back to its seed: no
-        # warning is due.
-        with np.errstate(over="ignore", invalid="ignore"):
-            det, ddet = _det_newton_extended(*_take(live, n, mu), at)
-            ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
-            nxt = at - det / np.where(ok, ddet, 1)
-            ok &= np.abs(nxt.astype(float) - seeds[live]) <= cap[live]
-        cur[live[~ok]] = seeds[live[~ok]]
-        moving = ok & (nxt != at)
-        cur[live[moving]] = nxt[moving]
-        live = live[moving]
+        # A root whose recurrence overflows falls back: no warning is due.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if live.size:
+                at = cur[live]
+                det, ddet = _det_newton_extended(*_take(live, n, mu), at)
+                ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
+                nxt = at - det / np.where(ok, ddet, 1)
+                ok &= np.abs(nxt.astype(float) - seeds[live]) <= cap[live]
+                cur[live[~ok]] = fallback[live[~ok]]
+                moving = ok & (nxt != at)
+                cur[live[moving]] = nxt[moving]
+                live = live[moving]
+            if pair.size:
+                at = cur[pair]
+                kappa = -eps * np.sqrt(at + mu2)
+                g, dg = _factor_newton_extended(*_take(pair, n, mu), kappa)
+                # d(kappa)/d(lambda) = kappa / (2*(lambda + mu**2)), so the
+                # Newton step in lambda is 2*kappa*g/g'.
+                step = 2 * kappa * g / dg
+                ok = np.isfinite(step)
+                nxt = at - np.where(ok, step, 0)
+                ok &= np.abs(nxt.astype(float) - seeds[pair]) <= cap[pair]
+                cur[pair[~ok]] = fallback[pair[~ok]]
+                cur[pair[ok]] = nxt[ok]
+                moving = ok & (np.abs(step) > np.spacing(at.astype(float)) / 256)
+                pair, eps, mu2 = _take(moving, pair, eps, mu2)
     return cur.astype(float)
 
 
@@ -387,8 +494,7 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
         raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
     lam = _cached_lambdas(n, mu)[root_index]
     mu_squared(mu)  # raises where the square overflows
-    sigma = -1 if n % 2 == 0 and mu <= 0 else 1
-    return DcheParams(n=n, mu=mu, lam=lam), -sigma if root_index % 2 == 0 else sigma
+    return DcheParams(n=n, mu=mu, lam=lam), int(_root_signs(n, mu, root_index))
 
 
 # Sized from the traffic of the certify benchmark: one cycle verifies every

@@ -29,6 +29,13 @@ again from the relation at the one point z = 1.  ``root_params`` reads each
 (n, mu) spectrum from a memo; ``signed_spectrum`` computes it afresh, with
 the mpmath signs, and the two must match bit for bit.
 
+``spectral.lambda_spectra`` gates each root on the determinant, which does
+not say which root it is.  ``sturm_counts`` counts the eigenvalues of the
+symmetrised tridiagonal matrix below each of an array of points (the
+negative pivots of its LDL^T), so root i must lie between the counts i and
+i + 1; ``mpmath_root`` bisects on the same counts in mpmath alone, in
+60-digit arithmetic, to give root i to 30 digits.
+
 ``structure.residuals`` and ``structure.symmetry_residual`` read one table
 of P and its derivatives on the sample set, evaluated by a Python Horner
 loop; ``samples_polyval`` builds the same table with one numpy ``polyval``
@@ -278,6 +285,48 @@ def reflection_signs(n: int, mu: float) -> tuple[int, ...]:
             if min(gaps) > tol:
                 return tuple(-1 if k > 0 else 1 for k in kappa)
     raise UnresolvedSpectrum(f"roots of J at (n={n}, mu={mu}) closer than 1e-234")
+
+
+def sturm_counts(n: int, mu: float, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetrised T at (n, mu) below each x, in one
+    array pass: the negative pivots of the LDL^T of ``T - x*I`` (diagonal
+    j*(n+1-j), squared off-diagonals mu**2*(j+1)*(n-j)).  An exactly zero
+    pivot is nudged to the smallest normal double."""
+    d = -x
+    count = (d < 0).astype(int)
+    for j in range(1, n + 1):
+        d = np.where(d == 0, np.finfo(float).tiny, d)
+        d = j * (n + 1.0 - j) - x - mu * mu * j * (n + 1.0 - j) / d
+        count += d < 0
+    return count
+
+
+def mpmath_root(n: int, mu: float, i: int, near: float, dps: int = 60):
+    """Root i (ascending, from 0) of the determinant at (n, mu), in mpmath
+    alone: bisection on Sturm counts of the symmetrised T in ``dps``-digit
+    arithmetic to dps/2 digits, from a bracket around ``near`` widened
+    until it holds the root."""
+    with mpmath.workdps(dps):
+        m2 = mpmath.mpf(mu) ** 2
+
+        def below(x):
+            count, d = 0, -x
+            for j in range(1, n + 2):
+                count += d < 0
+                if j <= n:
+                    q = j * (n + 1 - j)
+                    d = q - x - m2 * q / (d or mpmath.mpf(10) ** (-2 * dps))
+            return count
+
+        x = mpmath.mpf(near)
+        w = 16 * mpmath.mpf(math.ulp(near))
+        while not below(x - w) <= i < below(x + w):
+            w *= 16
+        lo, hi = x - w, x + w
+        while hi - lo > mpmath.mpf(10) ** (-dps // 2) * max(1, abs(x)):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) <= i else (lo, mid)
+        return (lo + hi) / 2
 
 
 def signed_spectrum(n: int, mu: float) -> tuple[tuple[float, ...], tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """The scripts at tiny sizes, as subprocesses: typed errors, never a
 traceback."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +113,38 @@ def test_counts_out_of_range_are_usage_errors():
     result = _script("spectral_sweep.py", "--mu-count", "-1")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.endswith("error: argument --mu-count: must be >= 0, got -1\n")
+
+
+def test_polish_report_on_a_tiny_grid(tmp_path):
+    saved = tmp_path / "roots.json"
+    argv = ["--n-max", "6", "--mu", "1.37", "0.25"]
+    result = _script("polish_report.py", *argv, "--save", str(saved))
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert lines[:3] == [
+        "grid: n <= 6 x mu in [1.37, 0.25]: 56 roots",
+        "pass  on_det  on_factor  last_pass",
+        "   1      56          0          2",
+    ]
+    table = [list(map(int, line.split())) for line in lines[2:-1]]
+    assert sum(row[3] for row in table) == 56  # each root's last pass once
+    det, factor = sum(row[1] for row in table), sum(row[2] for row in table)
+    assert lines[-1] == f"evaluations: {det} det + {factor} factor"
+    assert factor > 0
+
+    # A saved root one ulp off reads as the one moved root, about an ulp
+    # farther from the mpmath root than the polished one.
+    data = json.loads(saved.read_text())
+    n, mu = data["grid"][11]
+    lam = data["lambdas"][11][2]
+    data["lambdas"][11][2] = float(np.nextafter(lam, np.inf))
+    saved.write_text(json.dumps(data))
+    result = _script("polish_report.py", *argv, "--against", str(saved))
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    at = lines.index("moved: 1 of 56 roots")
+    row = lines[at + 2].split(",")
+    assert row[:5] == [str(n), repr(mu), "2", repr(data["lambdas"][11][2]), repr(lam)]
+    old_ulps, new_ulps = float(row[5]), float(row[6])
+    assert new_ulps <= 0.5 and abs(old_ulps - new_ulps - 1) <= 1e-3
+    assert lines[at + 3].startswith("closer: 1, farther: 0; over 0.5 ulp: 1 -> 0;")

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,13 @@ from heun_rsj.spectral import (
     symmetry_matrix,
 )
 
-from oracles import _refine_ratio, signed_spectrum, symmetry_matrix_loop
+from oracles import (
+    _refine_ratio,
+    mpmath_root,
+    signed_spectrum,
+    sturm_counts,
+    symmetry_matrix_loop,
+)
 
 
 def _eigen_oracle(n: int, mu: float) -> np.ndarray:
@@ -55,22 +62,47 @@ def _scipy_seeds(n: int, mu: float) -> np.ndarray:
 _ORACLE_DEGREES = list(range(61)) + list(range(67, 250, 7))
 
 
-def _polish_loop(n: int, mu: float, seed: float) -> float:
-    """One-root reference for :func:`spectral._polish_extended`."""
+def _polish_loop(n: int, mu: float, seed: float, eps: int) -> float:
+    """One-root reference for :func:`spectral._polish_extended`, for the root
+    of sign ``eps``: two Newton passes on the determinant, then, where the
+    root still moves and lambda >= mu**2, passes on its own factor."""
+    ld = np.longdouble
     cap = 1e-8 * max(1.0, abs(seed))
-    cur = np.longdouble(seed)
-    for _ in range(8):
-        det, ddet = spectral._det_newton_extended(n, mu, np.array([cur]))
-        det, ddet = det[0], ddet[0]
-        if not (np.isfinite(det) and np.isfinite(ddet)) or ddet == 0:
-            return seed
-        nxt = cur - det / ddet
-        if abs(float(nxt) - seed) > cap:
-            return seed
-        if nxt == cur:
-            break
+    cur = ld(seed)
+    on_factor = False
+    for p in range(8):
+        if p == 2 and cur >= ld(mu) ** 2:
+            on_factor, last_det_iterate = True, cur
+        if not on_factor:
+            det, ddet = spectral._det_newton_extended(n, mu, np.array([cur]))
+            det, ddet = det[0], ddet[0]
+            if not (np.isfinite(det) and np.isfinite(ddet)) or ddet == 0:
+                return seed
+            nxt = cur - det / ddet
+            if abs(float(nxt) - seed) > cap:
+                return seed
+            if nxt == cur:
+                break
+            cur = nxt
+            continue
+        kappa = -eps * np.sqrt(cur + ld(mu) ** 2)
+        g, dg = spectral._factor_newton_extended(n, mu, np.array([kappa]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = 2 * kappa * g[0] / dg[0]
+        nxt = cur - step
+        if not np.isfinite(step) or abs(float(nxt) - seed) > cap:
+            return float(last_det_iterate)
+        if abs(step) <= np.spacing(float(cur)) / 256:
+            return float(nxt)
         cur = nxt
     return float(cur)
+
+
+def _parity_signs(n: int, mu: float, size: int) -> list[int]:
+    """Signs of ``size`` seeds laid out as whole ascending spectra of (n, mu):
+    the parity rule of ``root_params`` at each seed's index mod n + 1."""
+    sigma = -1 if n % 2 == 0 and mu <= 0 else 1
+    return [-sigma if i % (n + 1) % 2 == 0 else sigma for i in range(size)]
 
 
 @pytest.fixture
@@ -220,7 +252,9 @@ class TestSpectrum:
         roots = np.array(lambda_spectrum(n, mu).lambdas)
         seeds = np.concatenate([roots * (1.0 + 1e-12), (roots[1:] + roots[:-1]) / 2.0])
         got = spectral._polish_extended(n, mu, seeds)
-        assert got.tolist() == [_polish_loop(n, mu, x) for x in seeds.tolist()]
+        signs = _parity_signs(n, mu, seeds.size)
+        want = [_polish_loop(n, mu, x, e) for x, e in zip(seeds.tolist(), signs)]
+        assert got.tolist() == want
         assert np.all(got[: n + 1] != seeds[: n + 1])
         assert np.any(got[n + 1:] == seeds[n + 1:])
 
@@ -408,6 +442,39 @@ class TestSpectra:
             for g, w in zip(got, want):
                 assert _same(g[i:i + 1], w), i
 
+    def test_factor_takes_per_element_arrays(self):
+        n, mu, kappa = self._per_element(np.longdouble)
+        got = spectral._factor_newton_extended(n, mu, kappa)
+        for i in range(kappa.size):
+            want = spectral._factor_newton_extended(
+                int(n[i]), float(mu[i]), kappa[i:i + 1]
+            )
+            for g, w in zip(got, want):
+                assert _same(g[i:i + 1], w), i
+
+    @pytest.mark.parametrize("mu", [0.7, -1.3, 0.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+    def test_factor_is_the_jacobi_determinant(self, n, mu):
+        # det(J - kappa*I) and its kappa-derivative against mpmath on the
+        # Jacobi form, to rounding of the terms (each below prod(1+|e|+|k|)
+        # over the eigenvalues e of J).
+        jac, _, _ = heun_poly._reflection_jacobi(n, mu)
+        kappa = [-2.3, -0.4, 0.0, 0.9, 3.7]
+        g, dg = spectral._factor_newton_extended(
+            n, mu, np.array(kappa, dtype=np.longdouble)
+        )
+        e = np.abs(np.linalg.eigvalsh(jac))
+        with mpmath.workdps(40):
+            m = mpmath.matrix(jac.tolist())
+
+            def det(k):
+                return mpmath.det(m - k * mpmath.eye(n + 1))
+
+            for k, gk, dgk in zip(kappa, g, dg):
+                scale = float(np.prod(1.0 + e + abs(k)))
+                assert abs(float(det(k)) - float(gk)) <= 1e-15 * scale
+                assert abs(float(mpmath.diff(det, k)) - float(dgk)) <= 1e-15 * scale
+
     def test_polish_takes_per_element_arrays(self):
         grid = sorted((p for p in _MIXED_GRID if p[0] < 100), key=lambda p: -p[0])
         seeds = [spectral._eigen_seeds(d, m) for d, m in grid]
@@ -431,10 +498,8 @@ class TestSpectra:
                 return kernel(n, mu, lam)
             return call
 
-        monkeypatch.setattr(spectral, "_det_scan", spy(spectral._det_scan))
-        monkeypatch.setattr(
-            spectral, "_det_newton_extended", spy(spectral._det_newton_extended)
-        )
+        for name in ("_det_scan", "_det_newton_extended", "_factor_newton_extended"):
+            monkeypatch.setattr(spectral, name, spy(getattr(spectral, name)))
         assert _bits(lambda_spectra(_MIXED_GRID)) == want
         assert len(seen) > 1
         assert all(np.all(np.diff(n) <= 0) for n in seen)
@@ -531,6 +596,84 @@ class TestSpectra:
         with pytest.raises(InvalidParams, match="overflows the eigenproblem"):
             lambda_spectra([(1, 0.5), (2, 0.3), (2, 1.7e308), (2, 1e10)])
         assert [n for run in solved for n in run] == [1, 2]
+
+
+# Roots of near-degenerate pairs, which the polish takes onto their own
+# reflection factor.  The determinant-only polish left the last six 4.218,
+# 2.875, 2.523, 2.073, 1.842 and 1.350 ulps off.
+_PAIR_ROOTS = [
+    *[(60, 1.37, i) for i in (1, 2)],
+    *[(n, 0.25, i) for n in range(16, 24) for i in (1, 2)],
+    (40, -0.7, 20), (28, 1.37, 5), (23, 1.0, 4),
+    (39, 0.25, 23), (39, 1.82, 12), (21, 0.25, 7),
+]
+
+# Problems whose polished roots leave seed order, each at one pair (i, i+1):
+# the pair's two roots agree to over 25 digits and lie within 1/256 ulp of
+# the midpoint between two doubles, closer than the factor polish resolves,
+# so its long-double rounding noise decides which double each one returns.
+_MIDPOINT_PAIRS = [
+    (67, 0.01, 39), (83, 0.01, 57), (87, 0.25, 59), (91, 0.25, 7), (102, 2.5, 21),
+]
+
+_RANK_GRID = [(n, mu) for n in range(41) for mu in (0.25, 1.0, 1.82, 2.5, -0.7)]
+
+
+def _ulps(lam: float, ref) -> float:
+    return float(abs(ref - lam)) / math.ulp(float(ref))
+
+
+class TestPairPolish:
+    @pytest.mark.parametrize("n,mu,i", _PAIR_ROOTS)
+    def test_pair_root_against_mpmath(self, n, mu, i):
+        lam = lambda_spectrum(n, mu).lambdas[i]
+        assert _ulps(lam, mpmath_root(n, mu, i, lam)) <= 0.5
+
+    def test_roots_hold_their_rank(self):
+        # Root i has at most i eigenvalues below it and more than i below
+        # it plus a hair, so no root sits on a neighbour farther off.
+        for n, mu in _RANK_GRID:
+            lam = np.array(lambda_spectrum(n, mu).lambdas)
+            delta = 1e-13 * np.maximum(1.0, np.abs(lam))
+            i = np.arange(n + 1)
+            assert np.all(sturm_counts(n, mu, lam - delta) <= i), (n, mu)
+            assert np.all(i < sturm_counts(n, mu, lam + delta)), (n, mu)
+
+    def test_polish_keeps_seed_order(self):
+        for n, mu in _RANK_GRID:
+            roots = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
+            assert np.all(np.diff(roots) >= 0), (n, mu)
+
+    @pytest.mark.parametrize("n,mu,i", _MIDPOINT_PAIRS)
+    def test_order_breaks_only_on_a_rounding_midpoint(self, n, mu, i):
+        roots = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
+        assert np.flatnonzero(np.diff(roots) < 0).tolist() == [i]
+        lo, hi = roots[i + 1], roots[i]
+        assert np.nextafter(lo, np.inf) == hi
+        for k in (i, i + 1):
+            ref = mpmath_root(n, mu, k, roots[k])
+            assert abs(_ulps(lo, ref) - 0.5) <= 1 / 256
+            assert abs(_ulps(hi, ref) - 0.5) <= 1 / 256
+
+    def test_factor_trouble_keeps_the_last_determinant_iterate(self, monkeypatch):
+        # A factor that turns non-finite leaves its root where the two
+        # determinant passes put it, not at its seed; every other root is
+        # polished as before.
+        n, mu = 60, 1.37
+        seeds = spectral._eigen_seeds(n, mu)
+        clean = spectral._polish_extended(n, mu, seeds)
+        factor = spectral._factor_newton_extended
+
+        def poisoned(n_, mu_, kappa):
+            g, dg = factor(n_, mu_, kappa)
+            return np.full_like(g, np.nan), dg
+
+        monkeypatch.setattr(spectral, "_factor_newton_extended", poisoned)
+        got = spectral._polish_extended(n, mu, seeds)
+        signs = _parity_signs(n, mu, seeds.size)
+        assert got.tolist() == [_polish_loop(n, mu, x, e) for x, e in zip(seeds, signs)]
+        hit = got != clean
+        assert np.any(hit) and np.any(got[hit] != seeds[hit])
 
 
 def _agrees_with_oracle(got: np.ndarray, lam, det, ddet, smax, e) -> None:

@@ -170,8 +170,9 @@ class TestSymmetryResiduals:
         [
             (119, 0.25, 59), (120, 1.3, 60), (7, 1e100, 3), (300, 1e10, 150),
             # Only the scale saturates: det_product_rel and det_min_rel
-            # would be an exact 0 that certifies nothing.
-            (103, 1.82, 1), (104, 1.0, 1),
+            # would be an exact 0 that certifies nothing.  At the correctly
+            # rounded root 1 of (103, 1.82) the scale is 1.4e308, still finite.
+            (104, 1.82, 1), (104, 1.0, 1),
         ],
     )
     def test_determinant_overflow_is_typed(self, n, mu, index):
@@ -187,7 +188,9 @@ class TestSymmetryResiduals:
         checks, _ = structure.certify(helpers.solution(118, 0.25, 59))
         assert all(math.isfinite(c["value"]) for c in checks)
 
-    @pytest.mark.parametrize("n,mu", [(102, 1.82), (103, 1.0)])
+    # At mu = 1.82 the scale of root 1 stays finite up to n = 103, where it
+    # is 1.4e308 at the correctly rounded root.
+    @pytest.mark.parametrize("n,mu", [(102, 1.82), (103, 1.82), (103, 1.0)])
     def test_last_degree_before_the_scale_saturates(self, n, mu):
         poly = helpers.solution(n, mu, 1)
         assert math.isfinite(heun_poly.spectral_det(poly.params)[1])
