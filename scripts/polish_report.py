@@ -11,10 +11,9 @@ checkout has it, a root's own reflection factor
   determinant and on their own factor, and the roots whose last pass it is;
 * with --against, every root whose lambda differs from a list saved by
   --save (of another checkout, say), with both lambdas and the error of each
-  in ulps against a root of the same index from mpmath (bisection on Sturm
-  counts of the symmetric tridiagonal matrix in --dps digits, to half as
-  many; it shares no code with the package); a summary counts the roots
-  that came closer, went farther, or lie more than half an ulp off;
+  in ulps against a root of the same index from mpmath (:func:`mpmath_root`,
+  which shares no code with the package); a summary counts the roots that
+  came closer, went farther, or lie more than half an ulp off;
 * with --errors, the same mpmath error at every root of the grid.
 
 The kernels are wrapped only for the one call this script makes; nothing
@@ -41,6 +40,8 @@ from heun_rsj.cli import _non_negative_int
 
 _KERNELS = {"det": "_det_newton_extended", "factor": "_factor_newton_extended"}
 _MUS = [0.25, 1.0, 1.37, 1.82, 2.5, -0.7, 0.01, 7.3]
+# Working digits of the mpmath root; it is bisected to half as many.
+_DPS = 60
 
 
 def counted_spectra(grid):
@@ -97,18 +98,19 @@ def pass_table(calls) -> list[list[int]]:
     return table
 
 
-def sturm_root(n: int, mu: float, i: int, near: float, dps: int):
-    """Root i (ascending, from 0) of the determinant at (n, mu), bisected in
-    ``dps``-digit arithmetic to dps/2 digits on the count of eigenvalues
-    below x of the symmetric tridiagonal matrix (diagonal j*(n+1-j), squared
-    off-diagonals mu**2*(j+1)*(n-j)), bracketed from ``near``."""
+def mpmath_root(n: int, mu: float, i: int, near: float):
+    """Root i (ascending, from 0) of the determinant at (n, mu), in mpmath
+    alone: bisection in ``_DPS``-digit arithmetic, to half as many digits,
+    on the count of eigenvalues below x of the symmetric tridiagonal matrix
+    (diagonal j*(n+1-j), squared off-diagonals mu**2*(j+1)*(n-j)), from a
+    bracket around ``near`` widened until it holds the root."""
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_DPS):
         m2 = mpmath.mpf(mu) ** 2
         diag = [mpmath.mpf(j * (n + 1 - j)) for j in range(n + 1)]
         off2 = [m2 * (j + 1) * (n - j) for j in range(n)]
-        tiny = mpmath.mpf(10) ** (-2 * dps)
+        tiny = mpmath.mpf(10) ** (-2 * _DPS)
 
         def below(x):
             count, d = 0, diag[0] - x
@@ -121,11 +123,11 @@ def sturm_root(n: int, mu: float, i: int, near: float, dps: int):
             return count
 
         x = mpmath.mpf(near)
-        w = 16 * mpmath.mpf(math.ulp(near) or 2.0**-1074)
+        w = 16 * mpmath.mpf(math.ulp(near))
         while not below(x - w) <= i < below(x + w):
             w *= 16
         lo, hi = x - w, x + w
-        stop = mpmath.mpf(10) ** (-dps // 2) * max(1, abs(x))
+        stop = mpmath.mpf(10) ** (-_DPS // 2) * max(1, abs(x))
         while hi - lo > stop:
             mid = (lo + hi) / 2
             if below(mid) <= i:
@@ -148,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", type=Path, help="a list written by --save")
     parser.add_argument("--errors", action="store_true",
                         help="mpmath error at every root of the grid")
-    parser.add_argument("--dps", type=_non_negative_int, default=60)
     args = parser.parse_args(argv)
     grid = [(n, mu) for n in range(args.n_max + 1) for mu in args.mu]
     try:
@@ -186,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         closer = farther = half_old = half_new = 0
         worst_old = worst_new = 0.0
         for n, mu, i, old, new in moved:
-            ref = sturm_root(n, mu, i, new, args.dps)
+            ref = mpmath_root(n, mu, i, new)
             e_old, e_new = ulp_error(old, ref), ulp_error(new, ref)
             print(f"{n},{mu!r},{i},{old!r},{new!r},{e_old:.3f},{e_new:.3f}")
             closer += e_new < e_old
@@ -198,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{half_old} -> {half_new}; worst: {worst_old:.3f} -> {worst_new:.3f} ulps")
     if args.errors:
         errors = [
-            ulp_error(lam, sturm_root(n, mu, i, lam, args.dps))
+            ulp_error(lam, mpmath_root(n, mu, i, lam))
             for (n, mu), roots in zip(grid, lams)
             for i, lam in enumerate(roots)
         ]

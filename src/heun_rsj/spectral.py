@@ -330,6 +330,11 @@ def _root_signs(n, mu, index):
 _PASSES = 8
 _DET_PASSES = 2
 
+# A factor step stops once it is at most this fraction of a double ulp:
+# 1/256 with the 64-bit mantissa of x87 extended precision, and one ulp
+# where long double is plain double, since no smaller step can be taken.
+_FACTOR_STOP = max(2.0**-8, float(np.finfo(np.longdouble).eps / np.finfo(float).eps))
+
 
 def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     """Newton steps in extended precision from the eigenvalue seeds, all
@@ -354,10 +359,15 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     kill.  So from the third pass a root still moving with lambda >= mu**2
     steps on its own factor (:func:`_factor_newton_extended`) at
     ``kappa = -epsilon*sqrt(lambda + mu**2)``, where Newton converges
-    quadratically, and stops once a step is at most 1/256 of a double ulp;
-    rounding lambda + mu**2 in long double moves lambda by at most
-    2**-62 * lambda there.  A root below mu**2 stays on the determinant.
-    At most ``_PASSES`` passes run.
+    quadratically, and stops once a step is at most 1/256 of a double ulp
+    (``_FACTOR_STOP``); rounding lambda + mu**2 in long double moves lambda
+    by at most 2**-62 * lambda there.  A root below mu**2 stays on the
+    determinant.  At most ``_PASSES`` passes run.
+
+    Both figures assume the 64-bit mantissa of x87 extended precision, which
+    ``numpy.longdouble`` has on x86-64 Linux.  Where long double is plain
+    double, the polish runs in double, a factor step stops at one ulp, and
+    the roots are no more accurate than the determinant leaves them.
 
     Each root keeps its own state: on any sign of trouble (non-finite
     values, a zero derivative, or a correction larger than the seed's error
@@ -408,7 +418,8 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
                 ok &= np.abs(nxt.astype(float) - seeds[pair]) <= cap[pair]
                 cur[pair[~ok]] = fallback[pair[~ok]]
                 cur[pair[ok]] = nxt[ok]
-                moving = ok & (np.abs(step) > np.spacing(at.astype(float)) / 256)
+                stop = np.spacing(at.astype(float)) * _FACTOR_STOP
+                moving = ok & (np.abs(step) > stop)
                 pair, eps, mu2 = _take(moving, pair, eps, mu2)
     return cur.astype(float)
 

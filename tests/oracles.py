@@ -34,7 +34,8 @@ not say which root it is.  ``sturm_counts`` counts the eigenvalues of the
 symmetrised tridiagonal matrix below each of an array of points (the
 negative pivots of its LDL^T), so root i must lie between the counts i and
 i + 1; ``mpmath_root`` bisects on the same counts in mpmath alone, in
-60-digit arithmetic, to give root i to 30 digits.
+60-digit arithmetic, to give root i to 30 digits.  It is the one that
+``scripts/polish_report.py`` reports errors against, loaded from there.
 
 ``structure.residuals`` and ``structure.symmetry_residual`` read one table
 of P and its derivatives on the sample set, evaluated by a Python Horner
@@ -65,9 +66,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import importlib.util
 import io
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -301,32 +304,16 @@ def sturm_counts(n: int, mu: float, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def mpmath_root(n: int, mu: float, i: int, near: float, dps: int = 60):
-    """Root i (ascending, from 0) of the determinant at (n, mu), in mpmath
-    alone: bisection on Sturm counts of the symmetrised T in ``dps``-digit
-    arithmetic to dps/2 digits, from a bracket around ``near`` widened
-    until it holds the root."""
-    with mpmath.workdps(dps):
-        m2 = mpmath.mpf(mu) ** 2
+def _script(name: str):
+    """The module of ``scripts/<name>.py``, which is not a package."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-        def below(x):
-            count, d = 0, -x
-            for j in range(1, n + 2):
-                count += d < 0
-                if j <= n:
-                    q = j * (n + 1 - j)
-                    d = q - x - m2 * q / (d or mpmath.mpf(10) ** (-2 * dps))
-            return count
 
-        x = mpmath.mpf(near)
-        w = 16 * mpmath.mpf(math.ulp(near))
-        while not below(x - w) <= i < below(x + w):
-            w *= 16
-        lo, hi = x - w, x + w
-        while hi - lo > mpmath.mpf(10) ** (-dps // 2) * max(1, abs(x)):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if below(mid) <= i else (lo, mid)
-        return (lo + hi) / 2
+mpmath_root = _script("polish_report").mpmath_root
 
 
 def signed_spectrum(n: int, mu: float) -> tuple[tuple[float, ...], tuple[int, ...]]:

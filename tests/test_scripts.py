@@ -133,13 +133,14 @@ def test_polish_report_on_a_tiny_grid(tmp_path):
     assert factor > 0
 
     # A saved root one ulp off reads as the one moved root, about an ulp
-    # farther from the mpmath root than the polished one.
+    # farther from the mpmath root than the polished one; --errors finds
+    # every polished root of the grid within half an ulp.
     data = json.loads(saved.read_text())
     n, mu = data["grid"][11]
     lam = data["lambdas"][11][2]
     data["lambdas"][11][2] = float(np.nextafter(lam, np.inf))
     saved.write_text(json.dumps(data))
-    result = _script("polish_report.py", *argv, "--against", str(saved))
+    result = _script("polish_report.py", *argv, "--against", str(saved), "--errors")
     assert (result.returncode, result.stderr) == (0, "")
     lines = result.stdout.splitlines()
     at = lines.index("moved: 1 of 56 roots")
@@ -148,3 +149,6 @@ def test_polish_report_on_a_tiny_grid(tmp_path):
     old_ulps, new_ulps = float(row[5]), float(row[6])
     assert new_ulps <= 0.5 and abs(old_ulps - new_ulps - 1) <= 1e-3
     assert lines[at + 3].startswith("closer: 1, farther: 0; over 0.5 ulp: 1 -> 0;")
+    head, worst = lines[at + 4].rsplit(" ", 2)[:2]
+    assert head == "all roots: 0 over 0.5 ulp, worst" and float(worst) <= 0.5
+    assert len(lines) == at + 5
