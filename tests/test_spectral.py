@@ -612,6 +612,8 @@ _PAIR_ROOTS = [
 # the pair's two roots agree to over 25 digits and lie within 1/256 ulp of
 # the midpoint between two doubles, closer than the factor polish resolves,
 # so its long-double rounding noise decides which double each one returns.
+# These pairs, and the half-ulp bound on the roots above, are figures of
+# the 64-bit mantissa of x87 long double, which numpy has on x86-64 Linux.
 _MIDPOINT_PAIRS = [
     (67, 0.01, 39), (83, 0.01, 57), (87, 0.25, 59), (91, 0.25, 7), (102, 2.5, 21),
 ]
