@@ -80,16 +80,16 @@ def counted_spectra(grid):
 
 def pass_table(calls) -> list[list[int]]:
     """Roots on the determinant and on their factor, per pass (1-based),
-    summed over the runs.  In a pass the determinant goes first, so a
-    determinant call, a factor call after a factor call, or a factor call
-    after one of the first two passes opens a new pass."""
+    summed over the runs.  A pass steps the determinant's roots first and
+    then the factor's, so a factor call opens a new pass unless it comes
+    right after a determinant call."""
     table: list[list[int]] = []
     p, prev = -1, None
     for kind, roots in calls:
         if kind == "run":
             p, prev = -1, None
             continue
-        if kind == "det" or prev == "factor" or p < 2:
+        if kind == "det" or prev != "det":
             p += 1
         while len(table) <= p:
             table.append([0, 0])

@@ -9,10 +9,10 @@ whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem with
 numpy's dense symmetric eigensolver (the same LAPACK eigenvalue iteration as
 a dedicated tridiagonal solver) and then polishes all n + 1 roots together
 in extended precision, each recurrence on the whole array of roots, so a
-spectrum costs O(n) numpy calls per Newton pass.  A root that two passes on
-the determinant leave moving, nearly always half of a near-degenerate pair,
-steps on its own reflection factor instead (below).  Each root keeps its own
-Newton state, and a root whose step goes wrong falls back without disturbing
+spectrum costs O(n) numpy calls per Newton pass.  A root whose seed is at
+least mu**2 steps on its own reflection factor (below) from the first pass,
+every other root on the determinant.  Each root keeps its own Newton state,
+and a root whose step goes wrong falls back to its seed without disturbing
 the others; one array scan of the determinant then gates every returned
 root.
 
@@ -325,13 +325,11 @@ def _root_signs(n, mu, index):
     return np.where(index % 2 == 0, -sigma, sigma)
 
 
-# Newton passes of the polish, and how many of them every root takes on the
-# determinant before a pair root moves to its own factor.
+# Newton passes of the polish.
 _PASSES = 8
-_DET_PASSES = 2
 
-# A factor step stops once it is at most this fraction of a double ulp:
-# 1/256 with the 64-bit mantissa of x87 extended precision, and one ulp
+# A Newton step stops its root once it is at most this fraction of a double
+# ulp: 1/256 with the 64-bit mantissa of x87 extended precision, and one ulp
 # where long double is plain double, since no smaller step can be taken.
 _FACTOR_STOP = max(2.0**-8, float(np.finfo(np.longdouble).eps / np.finfo(float).eps))
 
@@ -348,64 +346,57 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     and a seed's index in its problem is its place in its degree's block
     modulo n + 1.
 
-    The first two passes take Newton steps on the determinant
-    (:func:`_det_newton_extended`); a root stops once its step no longer
-    changes it, and most roots stop there.  A root still moving is nearly
-    always half of a near-degenerate pair, two roots closer than the seed's
-    error: the determinant has a double zero to working precision there,
-    and Newton on it converges only linearly, halving its step each pass.
-    The determinant is -det G+ * det G-, and each root kills exactly the
-    factor of its own sign (:func:`root_params`), which the partner does not
-    kill.  So from the third pass a root still moving with lambda >= mu**2
-    steps on its own factor (:func:`_factor_newton_extended`) at
-    ``kappa = -epsilon*sqrt(lambda + mu**2)``, where Newton converges
-    quadratically, and stops once a step is at most 1/256 of a double ulp
-    (``_FACTOR_STOP``); rounding lambda + mu**2 in long double moves lambda
-    by at most 2**-62 * lambda there.  A root below mu**2 stays on the
-    determinant.  At most ``_PASSES`` passes run.
+    The roots split once, by seed.  The determinant is -det G+ * det G-, and
+    each root kills exactly the factor of its own sign (:func:`root_params`).
+    Where two roots are closer than the seed's error, a near-degenerate
+    pair, the determinant has a double zero to working precision and Newton
+    on it converges only linearly, but each root is still a simple zero of
+    its own factor.  So a root whose seed is at least mu**2 steps on its
+    own factor (:func:`_factor_newton_extended`) at ``kappa =
+    -epsilon*sqrt(lambda + mu**2)``, where Newton converges quadratically;
+    rounding lambda + mu**2 in long double moves lambda by at most
+    2**-62 * lambda there.  Every other root steps on the determinant
+    (:func:`_det_newton_extended`).  A root stops once its step is at most
+    ``_FACTOR_STOP`` of a double ulp, 1/256; at most ``_PASSES`` passes run.
 
     Both figures assume the 64-bit mantissa of x87 extended precision, which
     ``numpy.longdouble`` has on x86-64 Linux.  Where long double is plain
-    double, the polish runs in double, a factor step stops at one ulp, and
-    the roots are no more accurate than the determinant leaves them.
+    double, the polish runs in double, a step stops at one ulp, and the
+    roots are no more accurate than double Newton leaves them.
 
     Each root keeps its own state: on any sign of trouble (non-finite
     values, a zero derivative, or a correction larger than the seed's error
-    could explain) it falls back to its seed, or on its factor to its last
-    determinant iterate, while the others go on.  The caller's ``ROOT_TOL``
-    gate then decides.
+    could explain) it falls back to its seed while the others go on.  The
+    caller's ``ROOT_TOL`` gate then decides.
     """
     ld = np.longdouble
     cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
     cur = seeds.astype(ld)
-    fallback = cur.copy()
-    live = np.arange(seeds.size)  # roots still stepping on the determinant
-    pair = live[:0]  # roots stepping on their own factor
-    for p in range(_PASSES):
-        if p == _DET_PASSES and live.size:
-            m2 = ld(_take(live, mu)[0]) ** 2
-            onto = cur[live] >= m2
-            (mu2,) = _take(onto, m2)
-            pair, live = live[onto], live[~onto]
-            fallback[pair] = cur[pair]
-            n_, mu_ = _take(pair, n, mu)
-            # Each degree's block starts where its first seed sits.
-            first = np.searchsorted(-n, -n_) if isinstance(n, np.ndarray) else 0
-            eps = _root_signs(n_, mu_, (pair - first) % (n_ + 1))
-        if live.size == 0 and pair.size == 0:
-            break
-        # A root whose recurrence overflows falls back: no warning is due.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    m2 = ld(mu) ** 2
+    onto = cur >= m2
+    live, pair = np.flatnonzero(~onto), np.flatnonzero(onto)
+    (mu2,) = _take(onto, m2)
+    n_, mu_ = _take(pair, n, mu)
+    # Each degree's block starts where its first seed sits.
+    first = np.searchsorted(-n, -n_) if isinstance(n, np.ndarray) else 0
+    eps = _root_signs(n_, mu_, (pair - first) % (n_ + 1))
+
+    def advance(roots, at, step, ok):
+        """Take each root's step, or its seed where it is in trouble; the
+        mask of the roots still moving."""
+        nxt = at - np.where(ok, step, 0)
+        ok &= np.abs(nxt.astype(float) - seeds[roots]) <= cap[roots]
+        cur[roots] = np.where(ok, nxt, seeds[roots])
+        return ok & (np.abs(step) > np.abs(np.spacing(at.astype(float))) * _FACTOR_STOP)
+
+    # A root whose recurrence overflows falls back: no warning is due.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_PASSES):
             if live.size:
                 at = cur[live]
                 det, ddet = _det_newton_extended(*_take(live, n, mu), at)
                 ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
-                nxt = at - det / np.where(ok, ddet, 1)
-                ok &= np.abs(nxt.astype(float) - seeds[live]) <= cap[live]
-                cur[live[~ok]] = fallback[live[~ok]]
-                moving = ok & (nxt != at)
-                cur[live[moving]] = nxt[moving]
-                live = live[moving]
+                live = live[advance(live, at, det / np.where(ok, ddet, 1), ok)]
             if pair.size:
                 at = cur[pair]
                 kappa = -eps * np.sqrt(at + mu2)
@@ -413,13 +404,7 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
                 # d(kappa)/d(lambda) = kappa / (2*(lambda + mu**2)), so the
                 # Newton step in lambda is 2*kappa*g/g'.
                 step = 2 * kappa * g / dg
-                ok = np.isfinite(step)
-                nxt = at - np.where(ok, step, 0)
-                ok &= np.abs(nxt.astype(float) - seeds[pair]) <= cap[pair]
-                cur[pair[~ok]] = fallback[pair[~ok]]
-                cur[pair[ok]] = nxt[ok]
-                stop = np.spacing(at.astype(float)) * _FACTOR_STOP
-                moving = ok & (np.abs(step) > stop)
+                moving = advance(pair, at, step, np.isfinite(step))
                 pair, eps, mu2 = _take(moving, pair, eps, mu2)
     return cur.astype(float)
 

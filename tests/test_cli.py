@@ -493,8 +493,10 @@ class TestSweep:
     def test_golden_grid(self, capsys):
         # SHA-256 of this sweep's stdout when every (n, mu) of the grid was
         # computed by its own lambda_spectrum call.  It moved when pair roots
-        # began to polish on their own reflection factor; CHANGES.md lists
-        # the 518 roots that moved, each with its error against mpmath.
+        # began to polish on their own reflection factor, and again when
+        # every root with lambda >= mu**2 began to polish on it from its
+        # seed; CHANGES.md lists the roots that moved, 518 and then 9, each
+        # with its error against mpmath.
         code, out, err = run_cli(
             capsys,
             "sweep", "--n-min", "0", "--n-max", "120",
@@ -502,7 +504,7 @@ class TestSweep:
         )
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "13399ac8bd641c6ee9a5c0eb54c7984fde6493b5bf1804310bf3fd27286df615"
+            "25e98d4b607df340b8903f039fa18a37884d6714693168174f8ffe160c283005"
         )
 
     def test_matches_per_point_loop(self, capsys):
