@@ -82,11 +82,20 @@ def _det_scan(n, mu, lam: np.ndarray):
     times ``2**e`` of its own element.  ``n`` and ``mu`` are scalars or
     per-element arrays with the degrees descending: each element runs its
     own degree's recurrence (:func:`_by_degree`) with exactly the arithmetic
-    of a scalar call.
-    Whenever the binary exponent of an element's largest magnitude passes
-    +-300, that element's four recurrence values and its summand maximum are
-    scaled by the same power of two (the others by exactly 1), which keeps
-    Newton ratios exact and prevents overflow for large n.
+    of a scalar call, up to its frame.
+    Whenever a frame test finds the binary exponent of an element's largest
+    magnitude past +-300, that element's four recurrence values and its
+    summand maximum are scaled by the same power of two (the others by
+    exactly 1), which keeps Newton ratios exact and prevents overflow for
+    large n.  A step multiplies that largest magnitude by at most
+    ``g = max|lam| + (1 + max mu**2) * (max n + 1)**2 / 4 + 1``, and it is
+    below 2**301 at the start (where g bounds it) and after every test, so
+    the test runs only every ``(1023 - 301 - 2) / log2(g)`` steps, and at
+    each degree's last step: in between no element can pass 2**1021.
+    Frames are exact, so ``det * 2**e``, ``ddet * 2**e`` and
+    ``summand_max * 2**e`` are bit for bit those of a test at every step,
+    which the scan still makes where g is 2**300 or more, or not finite, and
+    where mu**2 is below 2**-300 (see below).
     """
     runs = _by_degree(n, lam.size)
     prev2, prev = np.ones_like(lam), lam  # D_{-1}, D_0
@@ -94,6 +103,17 @@ def _det_scan(n, mu, lam: np.ndarray):
     smax = np.abs(lam)
     e = np.zeros(lam.shape, dtype=np.int64)
     n1, mu2 = n + 1, mu * mu
+    # The growth bound g of the docstring.  Where some mu**2 is below
+    # 2**-300 (mu = 0 among them) the frame is tested at every step: as
+    # mu**2 -> 0 the roots pair up and the recurrence carries values 2**-600
+    # and more below its largest, which frames set a few steps apart can
+    # round to different subnormals.
+    top = max((d for d, _, _ in runs), default=0)  # the largest degree
+    g = float(np.max(smax, initial=0.0)) + 1.0
+    g += (1.0 + float(np.max(mu2))) * (top + 1) ** 2 / 4
+    every = 1
+    if g < 2.0**300 and float(np.min(mu2)) >= 2.0**-300:  # a NaN g fails too
+        every = int((1023 - 301 - 2) / math.log2(g))
     done, step = [], 0
     for d, k, c in runs:
         if k < lam.size:
@@ -111,6 +131,8 @@ def _det_scan(n, mu, lam: np.ndarray):
             smax = np.fmax(np.fmax(smax, np.abs(t1)), np.abs(t2))
             prev2, prev = prev, cur
             dprev2, dprev = dprev, dcur
+            if (j - step) % every and j < d:
+                continue
             m = np.maximum(
                 np.maximum(np.abs(prev), np.abs(prev2)),
                 np.maximum(np.maximum(np.abs(dprev), np.abs(dprev2)), smax),

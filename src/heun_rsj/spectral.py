@@ -331,7 +331,54 @@ _PASSES = 8
 # A Newton step stops its root once it is at most this fraction of a double
 # ulp: 1/256 with the 64-bit mantissa of x87 extended precision, and one ulp
 # where long double is plain double, since no smaller step can be taken.
-_FACTOR_STOP = max(2.0**-8, float(np.finfo(np.longdouble).eps / np.finfo(float).eps))
+_STEP_STOP = max(2.0**-8, float(np.finfo(np.longdouble).eps / np.finfo(float).eps))
+
+# Rounding noise of a long-double Newton step on a reflection factor at its
+# root, in double ulps: seven long-double ulps.  Once a factor root has
+# converged, its next step is that noise, at most 6.94 long-double ulps over
+# n <= 110 at the eight mu of scripts/polish_report.py.  Where long double
+# is plain double this exceeds _STEP_STOP, and no root stops on
+# :func:`_step_bound`.
+_STEP_NOISE = 7 * float(np.finfo(np.longdouble).eps / np.finfo(float).eps)
+
+
+def _kappa_gaps(seeds, mu, cap, signs, start) -> np.ndarray:
+    """Per seed, the distance from its kappa, ``-sign * sqrt(seed +
+    mu**2)``, to the nearest other seed's kappa of its problem (``start``
+    names the problem), less the ``slack`` of both: how far in kappa a value
+    within ``cap`` of the seed in lambda can lie.  Where every root lies
+    within the cap of its seed, no kappa within the cap of a seed comes
+    nearer than that to another root.  One lexsort over the run finds the
+    neighbours; a problem of one root gives inf.
+    """
+    a = np.maximum(seeds + mu * mu, 0.0)
+    root = np.sqrt(a)
+    kappa = -signs * root
+    slack = root - np.sqrt(np.maximum(a - cap, 0.0))
+    order = np.lexsort((kappa, start))
+    kappa, slack, same = kappa[order], slack[order], np.diff(start[order]) == 0
+    apart = np.diff(kappa)
+    near = np.full(seeds.size, np.inf)
+    near[:-1] = np.where(same, apart - slack[1:], np.inf)
+    near[1:] = np.minimum(near[1:], np.where(same, apart - slack[:-1], np.inf))
+    gaps = np.empty(seeds.size)
+    gaps[order] = near - slack
+    return gaps
+
+
+def _step_bound(step, kappa, n, gap):
+    """Bound on the next Newton step in lambda on a reflection factor after
+    the step ``step`` at ``kappa``, rounding noise aside.
+
+    The factor is a polynomial in kappa with n + 1 simple real roots, and
+    Newton from x leaves the error ``e**2 * R / (1 + e*R)``, ``R = sum_{i !=
+    k} 1/(x - kappa_i)``, ``|R| <= n / gap`` (:func:`_kappa_gaps`).  In
+    lambda = kappa**2 - mu**2 the error constant is ``R/(2*kappa) -
+    1/(4*kappa**2)``; twice its magnitude covers the higher-order terms.  A
+    gap that is not positive gives inf or NaN.
+    """
+    s, k = np.abs(step.astype(float)), np.abs(kappa.astype(float))
+    return s * s * (n / (np.fmax(gap, 0.0) * k) + 0.5 / (k * k))
 
 
 def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
@@ -357,12 +404,18 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     rounding lambda + mu**2 in long double moves lambda by at most
     2**-62 * lambda there.  Every other root steps on the determinant
     (:func:`_det_newton_extended`).  A root stops once its step is at most
-    ``_FACTOR_STOP`` of a double ulp, 1/256; at most ``_PASSES`` passes run.
+    ``_STEP_STOP`` of a double ulp, 1/256; at most ``_PASSES`` passes run.
+    A factor root also stops once its step proves the next one that small:
+    :func:`_step_bound`, with the distance to its neighbours from
+    :func:`_kappa_gaps`, plus ``_STEP_NOISE``, is at most ``_STEP_STOP``.
+    Nearly every factor root thus takes one pass.  A determinant root has
+    no such proof: its steps can sit at the determinant's noise floor.
 
-    Both figures assume the 64-bit mantissa of x87 extended precision, which
-    ``numpy.longdouble`` has on x86-64 Linux.  Where long double is plain
-    double, the polish runs in double, a step stops at one ulp, and the
-    roots are no more accurate than double Newton leaves them.
+    These figures assume the 64-bit mantissa of x87 extended precision,
+    which ``numpy.longdouble`` has on x86-64 Linux.  Where long double is
+    plain double, the polish runs in double, a step stops at one ulp, no
+    root stops on the bound, and the roots are no more accurate than double
+    Newton leaves them.
 
     Each root keeps its own state: on any sign of trouble (non-finite
     values, a zero derivative, or a correction larger than the seed's error
@@ -376,36 +429,45 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     onto = cur >= m2
     live, pair = np.flatnonzero(~onto), np.flatnonzero(onto)
     (mu2,) = _take(onto, m2)
-    n_, mu_ = _take(pair, n, mu)
     # Each degree's block starts where its first seed sits.
-    first = np.searchsorted(-n, -n_) if isinstance(n, np.ndarray) else 0
-    eps = _root_signs(n_, mu_, (pair - first) % (n_ + 1))
+    place = np.arange(seeds.size)
+    first = np.searchsorted(-n, -n) if isinstance(n, np.ndarray) else 0
+    index = (place - first) % (n + 1)
+    signs = _root_signs(n, mu, index)
 
-    def advance(roots, at, step, ok):
+    def advance(roots, at, step, ok, bound):
         """Take each root's step, or its seed where it is in trouble; the
-        mask of the roots still moving."""
+        mask of the roots still moving: neither the step nor the ``bound``
+        on the next one has met the stop."""
         nxt = at - np.where(ok, step, 0)
         ok &= np.abs(nxt.astype(float) - seeds[roots]) <= cap[roots]
         cur[roots] = np.where(ok, nxt, seeds[roots])
-        return ok & (np.abs(step) > np.abs(np.spacing(at.astype(float))) * _FACTOR_STOP)
+        ulp = np.abs(np.spacing(at.astype(float)))
+        proved = bound <= ulp * (_STEP_STOP - _STEP_NOISE)  # a NaN bound proves nothing
+        return ok & (np.abs(step) > ulp * _STEP_STOP) & ~proved
 
     # A root whose recurrence overflows falls back: no warning is due.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if pair.size:
+            eps = signs[pair]
+            gap = _kappa_gaps(seeds, mu, cap, signs, place - index)[pair]
         for _ in range(_PASSES):
             if live.size:
                 at = cur[live]
                 det, ddet = _det_newton_extended(*_take(live, n, mu), at)
                 ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
-                live = live[advance(live, at, det / np.where(ok, ddet, 1), ok)]
+                live = live[advance(live, at, det / np.where(ok, ddet, 1), ok, np.inf)]
             if pair.size:
                 at = cur[pair]
                 kappa = -eps * np.sqrt(at + mu2)
-                g, dg = _factor_newton_extended(*_take(pair, n, mu), kappa)
+                n_, mu_ = _take(pair, n, mu)
+                g, dg = _factor_newton_extended(n_, mu_, kappa)
                 # d(kappa)/d(lambda) = kappa / (2*(lambda + mu**2)), so the
                 # Newton step in lambda is 2*kappa*g/g'.
                 step = 2 * kappa * g / dg
-                moving = advance(pair, at, step, np.isfinite(step))
-                pair, eps, mu2 = _take(moving, pair, eps, mu2)
+                bound = _step_bound(step, kappa, n_, gap)
+                moving = advance(pair, at, step, np.isfinite(step), bound)
+                pair, eps, mu2, gap = _take(moving, pair, eps, mu2, gap)
     return cur.astype(float)
 
 

@@ -115,3 +115,12 @@ def master_jet_residual(
         (mu * n * z + lam) * q,
     )
     return abs(sum(terms)), max(abs(t) for t in terms)
+
+
+def scaled_scan(scan) -> tuple:
+    """``det``, ``ddet`` and ``summand_max`` of a determinant scan
+    (``heun_poly._det_scan``), each times ``2**e``: what no choice of
+    power-of-two frames can change."""
+    det, ddet, smax, e = scan
+    with np.errstate(over="ignore"):
+        return tuple(np.ldexp(x, np.asarray(e, dtype=np.int64)) for x in (det, ddet, smax))

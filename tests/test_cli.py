@@ -493,10 +493,11 @@ class TestSweep:
     def test_golden_grid(self, capsys):
         # SHA-256 of this sweep's stdout when every (n, mu) of the grid was
         # computed by its own lambda_spectrum call.  It moved when pair roots
-        # began to polish on their own reflection factor, and again when
-        # every root with lambda >= mu**2 began to polish on it from its
-        # seed; CHANGES.md lists the roots that moved, 518 and then 9, each
-        # with its error against mpmath.
+        # began to polish on their own reflection factor, again when every
+        # root with lambda >= mu**2 began to polish on it from its seed, and
+        # again when such a root began to stop on the bound of its first
+        # step; CHANGES.md lists the roots that moved, 518, 9 and then 12,
+        # each with its error against mpmath.
         code, out, err = run_cli(
             capsys,
             "sweep", "--n-min", "0", "--n-max", "120",
@@ -504,7 +505,7 @@ class TestSweep:
         )
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "25e98d4b607df340b8903f039fa18a37884d6714693168174f8ffe160c283005"
+            "981a84a713d378da096acf25287d017a8c40d2506c8b7eda0fa3f64c30cea0f4"
         )
 
     def test_matches_per_point_loop(self, capsys):

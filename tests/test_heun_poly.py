@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heun_rsj import heun_poly
+from heun_rsj import heun_poly, spectral
 from heun_rsj.errors import IndexOutOfRange, InvalidParams, NotSpectral
 from heun_rsj.heun_poly import (
     _det_scan,
@@ -18,7 +18,7 @@ from heun_rsj.heun_poly import (
     spectral_det,
 )
 from heun_rsj.model import DcheParams, HeunPolynomial
-from heun_rsj.spectral import lambda_spectrum, root_params
+from heun_rsj.spectral import ROOT_TOL, lambda_spectrum, root_params
 from heun_rsj.structure import SAMPLE_POINTS
 
 import helpers
@@ -83,7 +83,9 @@ class TestCoefficientMatrix:
 
 
 def _det_scan_loop(n, mu, lam):
-    """One-lambda reference for :func:`heun_poly._det_scan`, in Python floats."""
+    """One-lambda reference for :func:`heun_poly._det_scan`, in Python floats,
+    with a frame test at every step.  Its maxima treat NaN as numpy's
+    ``fmax`` (the summand maximum) and ``maximum`` (the frame's magnitude) do."""
     mu2 = mu * mu
     prev2, prev = 1.0, lam
     dprev2, dprev = 0.0, 1.0
@@ -96,10 +98,15 @@ def _det_scan_loop(n, mu, lam):
         t2 = cj * prev2
         cur = t1 - t2
         dcur = dj * dprev + prev - cj * dprev2
-        smax = max(smax, abs(t1), abs(t2))
+        for x in (abs(t1), abs(t2)):
+            if x > smax or smax != smax:  # fmax: a NaN loses
+                smax = x
         prev2, prev = prev, cur
         dprev2, dprev = dprev, dcur
-        m = max(abs(prev), abs(prev2), abs(dprev), abs(dprev2), smax)
+        values = (abs(prev), abs(prev2), abs(dprev), abs(dprev2), smax)
+        m = max(values)
+        if sum(values) != sum(values):  # maximum: a NaN wins
+            m = math.nan
         ex = max(math.frexp(m)[1], -1022)
         if m > 0.0 and abs(ex) > 300:
             s = math.ldexp(1.0, -ex)
@@ -246,21 +253,33 @@ class TestDeterminant:
     def test_scale_floor(self):
         assert spectral_det(DcheParams(n=2, mu=1.0, lam=0.5))[1] >= 1.0
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 60, 150, 300])
-    @pytest.mark.parametrize("mu", [0.2, 1.82, -1.3, 0.0])
+    @pytest.mark.parametrize("n", [0, 1, 7, 60, 150, 300, 400])
+    @pytest.mark.parametrize(
+        "mu", [0.2, 1.82, -1.3, 0.0, -0.0, 1e-300, 1e-8, 1e10, 1e50, 1e200]
+    )
     def test_array_scan_matches_scalar_loop(self, n, mu):
-        # The array recurrence must do, element by element, exactly the
-        # arithmetic of the one-lambda loop below -- renormalisation frames
-        # included, which n >= 60 exercises -- at the roots and between them.
-        # mu = 0 has double roots, where the frame of an exact zero is set by
-        # a subnormal summand maximum from n = 136 on.
+        # The array recurrence tests its renormalisation frame only every
+        # few steps, as its growth bound allows, where the loop below tests
+        # it at every step.  Frames are powers of two, so each element's
+        # det, ddet and summand maximum times 2**e, and the gate's decision
+        # on them, must be bit for bit the loop's, at the roots and between
+        # them; the roots are polished but not gated, as the gate refuses
+        # some at mu = 1e10 and past it.  mu = 0 and mu = 1e-300 (mu**2 = 0)
+        # have double roots, where the frame of an exact zero is set by a
+        # subnormal summand maximum from n = 136 on; at mu = 1e200 mu**2
+        # overflows and the scan is not finite.
+        roots = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
         lams = np.concatenate([
-            lambda_spectrum(n, mu).lambdas,
-            np.linspace(-mu * mu - 1.0, n * n / 4.0 + 3.0, 9),
+            roots, np.linspace(-min(mu * mu, 1e300) - 1.0, n * n / 4.0 + 3.0, 9)
         ])
-        got = zip(*(a.tolist() for a in _det_scan(n, mu, lams)))
-        for lam, scan in zip(lams.tolist(), got):
-            assert scan == _det_scan_loop(n, mu, lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _det_scan(n, mu, lams)
+            want = [_det_scan_loop(n, mu, lam) for lam in lams.tolist()]
+            want = tuple(np.array(col) for col in zip(*want))
+            for g, w in zip(helpers.scaled_scan(got), helpers.scaled_scan(want)):
+                assert g.tobytes() == w.tobytes()
+            gate = [spectral._relative_dets(lams, *scan) <= ROOT_TOL for scan in (got, want)]
+        assert np.array_equal(*gate)
 
 
 class TestTransferObjects:

@@ -124,11 +124,12 @@ def test_polish_report_on_a_tiny_grid(tmp_path):
     assert lines[:3] == [
         "grid: n <= 6 x mu in [1.37, 0.25]: 56 roots",
         "pass  on_det  on_factor  last_pass",
-        "   1      18         38          2",
+        "   1      18         38         40",
     ]
     table = [list(map(int, line.split())) for line in lines[2:-1]]
     assert sum(row[3] for row in table) == 56  # each root's last pass once
     assert all(min(row) >= 0 for row in table)
+    assert all(row[2] == 0 for row in table[1:])  # a factor root takes one pass
     det, factor = sum(row[1] for row in table), sum(row[2] for row in table)
     assert lines[-1] == f"evaluations: {det} det + {factor} factor"
     assert det > 0 and factor > 0
