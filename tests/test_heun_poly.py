@@ -45,6 +45,27 @@ def _magnitude_recurrence(n: int, mu: float, lam: float) -> float:
     return prev
 
 
+_TINY = 5e-324  # 2**-1074: below 2**-1022 a product is off by up to half of it
+
+
+def _underflow_recurrence(n: int, mu: float, lam: float) -> float:
+    """Bound on the absolute error that gradual underflow adds to the double
+    leading-minor recurrence: ``_TINY / 2`` in ``mu*mu``, in the two products
+    of ``c_j = mu**2 * j * (n+1-j)`` and in each summand of a step, carried
+    through the recurrence on magnitudes.  It is counted in units of
+    ``_TINY``, which itself would round each of those halves to zero."""
+    mu2 = mu * mu
+    prev2, prev = 1.0, abs(lam)
+    err2, err = 0.0, 0.0
+    for j in range(1, n + 1):
+        r = n + 1 - j
+        q = j * r
+        dc = (q + r + 1) / 2  # the error of c_j
+        err2, err = err, abs(lam - q) * err + mu2 * q * err2 + dc * prev2 + 1.0
+        prev2, prev = prev, abs(lam - q) * prev + mu2 * q * prev2
+    return math.ldexp(math.ceil(err), -1074)
+
+
 moderate_mu = st.floats(min_value=-4.0, max_value=4.0)
 moderate_lam = st.floats(min_value=-10.0, max_value=20.0)
 
@@ -169,13 +190,17 @@ class TestDeterminant:
     @settings(max_examples=300)
     @example(n=12, mu=1.0, lam=-1.0)  # lambda = -mu**2: float product lost it
     @example(n=3, mu=2.0, lam=5.960464477539063e-08)  # |det| = 5.5e-8 * scale
+    @example(n=2, mu=2.9934346169690283e-156, lam=0.0)  # det = 4*mu**2, subnormal
     def test_minor_and_transfer_routes_agree(self, n, mu, lam):
         # The transfer route is exact, rounded once.  Each step of the double
         # minor recurrence rounds about six times, so its forward error is
         # at most 6*(n+1) ulps of the same recurrence run on magnitudes:
         # relative to |det| that is the recurrence's condition number times
         # those ulps.  Where that reaches 1 the recurrence keeps no digit
-        # of det and there is nothing to compare.
+        # of det and there is nothing to compare.  Below 2**-1022 rounding
+        # is absolute, not relative: the products that underflow add
+        # _underflow_recurrence, and rounding the exact det once adds up to
+        # _TINY / 2, counted as _TINY.
         d = DcheParams(n=n, mu=mu, lam=lam)
         a, _ = spectral_det(d)
         b = spectral_det_transfer(d)
@@ -183,7 +208,7 @@ class TestDeterminant:
         rel = 6 * (n + 1) * np.finfo(float).eps * cond
         if rel >= 1:
             return
-        assert abs(a - b) <= rel * abs(b)
+        assert abs(a - b) <= rel * abs(b) + _underflow_recurrence(n, mu, lam) + _TINY
 
     @given(n=st.integers(min_value=0, max_value=7), mu=moderate_mu)
     @settings(max_examples=100)
