@@ -12,10 +12,13 @@ two routes stay independent of each other and of any closed-form machinery
 they are later used to cross-check.  The default step is period/2000.
 
 The drive is precomputed per block of steps: one numpy pass gives q(t),
-q(t + dt/2) and q(t + dt) for every step of the block, and the step loop
-reads them from lists.  The stage arithmetic is unchanged and in the same
-order, so the samples are bit for bit those of a loop that evaluates the
-drive at each stage.  Memory beyond the output stays one block's worth.
+q(t + dt/2) and q(t + dt) for every step of the block.  ``integrate_phase``
+reads them from lists in its step loop; its stage arithmetic is unchanged
+and in the same order, so its samples are bit for bit those of a loop that
+evaluates the drive at each stage.  ``integrate_xy`` turns them into the
+closed-form RK4 map of each step and applies the maps in array passes; it
+rounds differently from a stage loop, by a few ulps per step.  Memory
+beyond the output stays one block's worth.
 
 ``unwrap`` is the package's one branch-unwrapping routine; the closed-form
 phase in ``structure`` uses it too.
@@ -37,6 +40,13 @@ DEFAULT_STEPS_PER_PERIOD = 2000
 # Steps per precomputed drive block: a few lists of this length stay small
 # however long the run.
 _BLOCK = 4096
+
+# Steps per block of companion step maps, and steps per lane of the scan that
+# applies them (``integrate_xy``), sized by timing: at 20,000 steps blocks of
+# 2**12 to 2**14 ran within noise of each other, and this one peaks near
+# 1 MB, half of 2**14; lanes of 32 ran faster than lanes of 16 or 64.
+_XY_BLOCK = 2**13
+_LANE = 32
 
 # Most samples in one time grid, here and in the closed-form phase: 1 GiB of
 # float64 for a phase trajectory.
@@ -70,20 +80,16 @@ def _grid(p: RsjParams, t_end: float, h: float | None) -> tuple[int, float]:
     return n_steps, t_end / n_steps
 
 
-def _drive(p: RsjParams, dt: float, start: int, stop: int) -> tuple[list, list, list]:
-    """Drive at t, t + dt/2 and t + dt for the steps t = i*dt, start <= i < stop.
+def _drive(p: RsjParams, dt: float, i: np.ndarray) -> tuple:
+    """Drive at t, t + dt/2 and t + dt for the steps t = i*dt of an index array.
 
     Each sample is the double the step loop would compute from the same
     times, so moving the drive out of the loop leaves the stages unchanged.
     """
-    t = np.arange(start, stop) * dt
+    t = i * dt
     # An overflowing drive is reported once, as NonFiniteState after the loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            bias(p, t).tolist(),
-            bias(p, t + 0.5 * dt).tolist(),
-            bias(p, t + dt).tolist(),
-        )
+        return bias(p, t), bias(p, t + 0.5 * dt), bias(p, t + dt)
 
 
 def integrate_phase(
@@ -101,7 +107,8 @@ def integrate_phase(
         for start in range(0, n_steps, _BLOCK):
             stop = min(start + _BLOCK, n_steps)
             block = []
-            for q1, qm, q4 in zip(*_drive(p, dt, start, stop)):
+            drive = _drive(p, dt, np.arange(start, stop))
+            for q1, qm, q4 in zip(*(q.tolist() for q in drive)):
                 k1 = q1 - sin(phi)
                 k2 = qm - sin(phi + hdt * k1)
                 k3 = qm - sin(phi + hdt * k2)
@@ -118,41 +125,85 @@ def integrate_phase(
     return Trajectory(times=times, values=out)
 
 
+def _step_maps(q1, qm, q4, dt: float) -> tuple:
+    """Entries (r00, r01, r10, r11) of the RK4 step maps of the companion pair.
+
+    Takes the drive at t, t + dt/2 and t + dt of each step, as floats or as
+    arrays of one shape.  See ``integrate_xy`` for the derivation.
+    """
+    h2 = dt * dt
+    e2, e3, e4 = h2 / 24.0, h2 * dt / 96.0, h2 * h2 / 384.0
+    s = 1.0 - qm * qm
+    u = q1 + q4
+    a = e2 * (3.0 - qm * (u + qm)) + e4 * s * (1.0 - q1 * q4)
+    b = 0.5 * dt + 2.0 * e3 * s
+    c = dt / 12.0 * (u + 4.0 * qm) + e3 * s * u
+    d = (q1 - q4) * (e2 + e4 * s)
+    return 1.0 + (a + b), c + d, d - c, 1.0 + (a - b)
+
+
 def integrate_xy(
     p: RsjParams, x0: float, y0: float, t_end: float, h: float | None = None
 ) -> Trajectory:
-    """Integrate the companion system 2x' = x + q*y, 2y' = -(q*x + y)."""
+    """Integrate the companion system 2x' = x + q*y, 2y' = -(q*x + y).
+
+    The system is z' = M(q)z with M(q) = N(q)/2, N(q) = [[1, q], [-q, -1]],
+    and RK4 on a linear system is a linear map per step, z_{k+1} = R_k z_k.
+    With q1, qm, q4 the drive at t, t + h/2 and t + h and the stages
+    K1 = M1 z, K2 = Mm(z + h/2 K1), K3 = Mm(z + h/2 K2), K4 = M4(z + h K3),
+
+        R = I + h/6 (M1 + 4Mm + M4) + h^2/6 (Mm M1 + Mm^2 + M4 Mm)
+              + h^3/12 (Mm^2 M1 + M4 Mm^2) + h^4/24 M4 Mm^2 M1.
+
+    In the basis I, Z = diag(1, -1), J = [[0, 1], [-1, 0]],
+    X = [[0, 1], [1, 0]] one has N(q) = Z + qJ, ZJ = X = -JZ and J^2 = -I,
+    so N(q)N(r) = (1 - qr)I + (r - q)X and Mm^2 = s/4 I with s = 1 - qm^2.
+    Hence R = (1 + a)I + bZ + cJ + dX, with u = q1 + q4 and
+
+        a = h^2/24 (3 - qm(u + qm)) + h^4/384 s (1 - q1 q4),
+        b = h/2 + h^3/48 s,
+        c = h/12 (u + 4 qm) + h^3/96 s u,
+        d = (q1 - q4)(h^2/24 + h^4/384 s),
+
+    that is R = [[1 + (a + b), c + d], [d - c, 1 + (a - b)]] (``_step_maps``).
+    The maps do not depend on the state, so a block of steps builds all of
+    its maps in one numpy pass.  They are applied by a lane scan: the block
+    is cut into lanes of ``_LANE`` steps; the running products
+    P_j = R_j P_{j-1} of every lane are formed at once, one array pass per
+    j; a scalar loop carries the state from each lane's end to the next
+    lane; one more pass forms every sample as P_j times its lane's start.
+    A block is a whole number of lanes, so the samples do not depend on the
+    block size.  Only real float64 products and sums are used, so the bits
+    do not depend on the CPU kernel numpy picks.
+    """
     n_steps, dt = _grid(p, t_end, h)
-    hdt = 0.5 * dt
+    in_lane = np.arange(_LANE)[:, None]
 
     x, y = float(x0), float(y0)
     out = np.empty((n_steps + 1, 2))
     out[0] = (x, y)
-    for start in range(0, n_steps, _BLOCK):
-        stop = min(start + _BLOCK, n_steps)
-        xs, ys = [], []
-        for q1, qm, q4 in zip(*_drive(p, dt, start, stop)):
-            kx1 = 0.5 * (x + q1 * y)
-            ky1 = -0.5 * (q1 * x + y)
-            x2 = x + hdt * kx1
-            y2 = y + hdt * ky1
-            kx2 = 0.5 * (x2 + qm * y2)
-            ky2 = -0.5 * (qm * x2 + y2)
-            x3 = x + hdt * kx2
-            y3 = y + hdt * ky2
-            kx3 = 0.5 * (x3 + qm * y3)
-            ky3 = -0.5 * (qm * x3 + y3)
-            x4 = x + dt * kx3
-            y4 = y + dt * ky3
-            kx4 = 0.5 * (x4 + q4 * y4)
-            ky4 = -0.5 * (q4 * x4 + y4)
-
-            x += dt * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4) / 6.0
-            y += dt * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4) / 6.0
-            xs.append(x)
-            ys.append(y)
-        out[start + 1 : stop + 1, 0] = xs
-        out[start + 1 : stop + 1, 1] = ys
+    # An overflowing state is reported once, as NonFiniteState after the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, _XY_BLOCK):
+            n = min(_XY_BLOCK, n_steps - start)
+            lanes = -(-n // _LANE)
+            # Step start + j + _LANE*l sits at [j, ..., l]: a lane is a column.
+            # The last lane may run past the block; its extra samples are dropped.
+            prod = np.empty((_LANE, 2, 2, lanes))
+            prod[:, 0, 0], prod[:, 0, 1], prod[:, 1, 0], prod[:, 1, 1] = _step_maps(
+                *_drive(p, dt, start + in_lane + _LANE * np.arange(lanes)), dt
+            )
+            for j in range(1, _LANE):
+                r, prev = prod[j], prod[j - 1]
+                prod[j] = r[:, 0, None] * prev[0] + r[:, 1, None] * prev[1]
+            xs, ys = [x], [y]
+            for p00, p01, p10, p11 in zip(*prod[-1].reshape(4, lanes).tolist()):
+                x, y = p00 * x + p01 * y, p10 * x + p11 * y
+                xs.append(x)
+                ys.append(y)
+            z = prod[:, :, 0] * np.array(xs[:-1]) + prod[:, :, 1] * np.array(ys[:-1])
+            out[start + 1 : start + n + 1] = z.transpose(2, 0, 1).reshape(-1, 2)[:n]
+            x, y = out[start + n].tolist()
 
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("companion integration produced a non-finite sample")

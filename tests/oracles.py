@@ -57,9 +57,15 @@ The trajectory routes below are the straightforward forms of the fast paths
 in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
 ``math.cos`` at every stage, the closed-form phase over the whole grid at
 once with ``np.unwrap``, and a refinement grid built one interval at a
-time.  The fast paths must reproduce them bit for bit.  The phase also has
-its older ratio form, which evaluates P at both z and 1/z
-(``phase_on_grid_ratio``); it must agree modulo 2*pi.
+time.  The fast paths must reproduce them bit for bit, except the companion
+pair: ``dynamics.integrate_xy`` applies closed-form step maps in array
+passes and rounds differently from the stage loop (``integrate_xy_loop``).
+``integrate_xy_maps_loop`` applies the same maps (``_step_maps`` on scalar
+floats) one step at a time in the library's association, which it must
+match bit for bit; each map must match one stage step (``xy_stage_step``)
+to a few ulps, and the stage loop's samples must lie within a propagated
+rounding bound.  The phase also has its older ratio form, which evaluates P
+at both z and 1/z (``phase_on_grid_ratio``); it must agree modulo 2*pi.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from heun_rsj.dynamics import _grid
+from heun_rsj.dynamics import _grid, _step_maps
 from heun_rsj.errors import HeunRsjError, IndexOutOfRange, InvalidParams
 from heun_rsj.model import (
     DcheParams,
@@ -482,41 +488,83 @@ def integrate_phase_loop(
     return out
 
 
+def xy_stage_step(
+    q1: float, qm: float, q4: float, dt: float, x: float, y: float
+) -> tuple[float, float]:
+    """One classical RK4 step of the companion pair, stage by stage."""
+    kx1 = 0.5 * (x + q1 * y)
+    ky1 = -0.5 * (q1 * x + y)
+    x2 = x + 0.5 * dt * kx1
+    y2 = y + 0.5 * dt * ky1
+    kx2 = 0.5 * (x2 + qm * y2)
+    ky2 = -0.5 * (qm * x2 + y2)
+    x3 = x + 0.5 * dt * kx2
+    y3 = y + 0.5 * dt * ky2
+    kx3 = 0.5 * (x3 + qm * y3)
+    ky3 = -0.5 * (qm * x3 + y3)
+    x4 = x + dt * kx3
+    y4 = y + dt * ky3
+    kx4 = 0.5 * (x4 + q4 * y4)
+    ky4 = -0.5 * (q4 * x4 + y4)
+
+    x += dt * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4) / 6.0
+    y += dt * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4) / 6.0
+    return x, y
+
+
+def _drive_at(p: RsjParams, dt: float, i: int) -> tuple[float, float, float]:
+    """Drive at t, t + dt/2 and t + dt for the step t = i*dt, by ``math.cos``."""
+    A, B, w = p.A, p.B, p.omega
+    t = i * dt
+    return (
+        B + A * math.cos(w * t),
+        B + A * math.cos(w * (t + 0.5 * dt)),
+        B + A * math.cos(w * (t + dt)),
+    )
+
+
 def integrate_xy_loop(
     p: RsjParams, x0: float, y0: float, t_end: float, h: float | None = None
 ) -> np.ndarray:
     """Companion (x, y) samples of classical RK4 with the drive in the loop."""
     n_steps, dt = _grid(p, t_end, h)
-    A, B, w = p.A, p.B, p.omega
-    cos = math.cos
-
     x, y = float(x0), float(y0)
     out = np.empty((n_steps + 1, 2))
     out[0] = (x, y)
     for i in range(n_steps):
-        t = i * dt
-        q1 = B + A * cos(w * t)
-        qm = B + A * cos(w * (t + 0.5 * dt))
-        q4 = B + A * cos(w * (t + dt))
-
-        kx1 = 0.5 * (x + q1 * y)
-        ky1 = -0.5 * (q1 * x + y)
-        x2 = x + 0.5 * dt * kx1
-        y2 = y + 0.5 * dt * ky1
-        kx2 = 0.5 * (x2 + qm * y2)
-        ky2 = -0.5 * (qm * x2 + y2)
-        x3 = x + 0.5 * dt * kx2
-        y3 = y + 0.5 * dt * ky2
-        kx3 = 0.5 * (x3 + qm * y3)
-        ky3 = -0.5 * (qm * x3 + y3)
-        x4 = x + dt * kx3
-        y4 = y + dt * ky3
-        kx4 = 0.5 * (x4 + q4 * y4)
-        ky4 = -0.5 * (q4 * x4 + y4)
-
-        x += dt * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4) / 6.0
-        y += dt * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4) / 6.0
+        x, y = xy_stage_step(*_drive_at(p, dt, i), dt, x, y)
         out[i + 1] = (x, y)
+    return out
+
+
+def integrate_xy_maps_loop(
+    p: RsjParams, x0: float, y0: float, t_end: float, h: float | None, lane: int
+) -> np.ndarray:
+    """Companion samples from the step maps, one step at a time.
+
+    The grid is cut into lanes of ``lane`` steps.  Within a lane the running
+    product P = R_k P of the maps is taken step by step and every sample is
+    P times the lane's start state; the next lane starts from the lane's
+    last sample.  The library's blocks are whole lanes, so they do not show.
+    """
+    n_steps, dt = _grid(p, t_end, h)
+    x, y = float(x0), float(y0)
+    out = np.empty((n_steps + 1, 2))
+    out[0] = (x, y)
+    for first in range(0, n_steps, lane):
+        P = None
+        for i in range(first, min(first + lane, n_steps)):
+            r00, r01, r10, r11 = _step_maps(*_drive_at(p, dt, i), dt)
+            if P is None:
+                P = [[r00, r01], [r10, r11]]
+            else:
+                (p00, p01), (p10, p11) = P
+                P = [
+                    [r00 * p00 + r01 * p10, r00 * p01 + r01 * p11],
+                    [r10 * p00 + r11 * p10, r10 * p01 + r11 * p11],
+                ]
+            out[i + 1] = (P[0][0] * x + P[0][1] * y, P[1][0] * x + P[1][1] * y)
+        x, y = out[i + 1].tolist()
     return out
 
 

@@ -808,7 +808,9 @@ def _digest(capsys, calls):
 
 
 # SHA-256 of "<exit code>\n<stdout>" over each set of calls, recorded when
-# every cell was formatted one at a time.
+# every cell was formatted one at a time.  The xy digests were re-recorded
+# when the companion pair moved from its stage loop to its step maps, which
+# round differently (samples moved by at most 2.1e-14 relative).
 class TestGoldenTables:
     @pytest.mark.parametrize(
         "system,fmt,digest",
@@ -818,9 +820,9 @@ class TestGoldenTables:
             ("phase", "json",
              "e541c577b3ffde14e2c702e105a592b58e4397b5fd9d6456b27a38d4f843a153"),
             ("xy", "csv",
-             "08ec4d7c5593b7ca74c7ca4a4e4801b4a12d9e220445fb0e947fb86d59e4c644"),
+             "8a7835e5184e32cb28055ba4324b05bdb321484c491c4cf40f9a635fb8b71cea"),
             ("xy", "json",
-             "93f7e5ee2e4ab26b230753412b8f08b2130645d7026c0900f6525d1dbf51e7ae"),
+             "c0afe89c64166c70e6d40e1d654532ffe5c5124c64fc24df3ef9ace35688f612"),
         ],
     )
     def test_simulate(self, capsys, system, fmt, digest):

@@ -1,6 +1,7 @@
 """Fixed-step integrators cross-checked against an adaptive oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from scipy.integrate import solve_ivp
 from heun_rsj import dynamics
 from heun_rsj.dynamics import (
     _BLOCK,
+    _LANE,
+    _XY_BLOCK,
+    _drive,
+    _grid,
+    _step_maps,
     bias,
     integrate_phase,
     integrate_xy,
@@ -18,7 +24,12 @@ from heun_rsj.dynamics import (
 from heun_rsj.errors import InvalidParams, NonFiniteState, OriginUndefined
 from heun_rsj.model import RsjParams, Trajectory
 
-from oracles import integrate_phase_loop, integrate_xy_loop
+from oracles import (
+    integrate_phase_loop,
+    integrate_xy_loop,
+    integrate_xy_maps_loop,
+    xy_stage_step,
+)
 
 P = RsjParams(A=1.3, B=0.4, omega=1.1)
 
@@ -170,33 +181,114 @@ class TestCompanionStructure:
 
 # Step counts of one step, below a block, at and around a block boundary.
 _STEP_COUNTS = (1, 2, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
+# The same for the companion's map blocks, and around the lanes of a block.
+_XY_STEP_COUNTS = (
+    1, 2, _LANE - 1, _LANE, _LANE + 1, 999,
+    _XY_BLOCK - 1, _XY_BLOCK, _XY_BLOCK + 1, 2 * _XY_BLOCK + 7,
+)
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _seeded(seed):
+    """Drive, step, phase start and unit companion start of one seed."""
+    rng = np.random.default_rng(seed)
+    p = RsjParams(
+        A=rng.uniform(-3.0, 3.0), B=rng.uniform(-3.0, 3.0),
+        omega=rng.uniform(0.2, 4.0),
+    )
+    h = rng.uniform(1e-3, 5e-2)
+    phi0, theta = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 2.0 * np.pi)
+    return p, h, phi0, math.cos(theta), math.sin(theta)
+
+
+def _seeded_xy(seed):
+    """Drive, step, run length and start of one seed's companion run.
+
+    The run is cut to t_end <= 40: the state grows at most like exp(t/2).
+    """
+    p, h, _, x0, y0 = _seeded(seed)
+    n_steps = _XY_STEP_COUNTS[seed % len(_XY_STEP_COUNTS)]
+    h = min(h, 40.0 / n_steps)
+    return p, h, n_steps * h, x0, y0
 
 
 class TestAgainstLoopOracle:
-    """The block-drive loops reproduce the per-stage-drive loops bit for bit."""
+    """The fast paths against the step loops they replace.
+
+    ``integrate_phase`` reproduces the per-stage-drive loop bit for bit.
+    ``integrate_xy`` applies the closed-form step maps by a lane scan, so it
+    equals the stage loop only up to rounding: it matches bit for bit a
+    scalar loop that applies the same maps in the same association, each
+    map matches one stage-form step, and every sample stays within the
+    propagated rounding bound of the stage loop.
+    """
 
     @pytest.mark.parametrize("seed", range(56))
     def test_seeded_drive(self, seed):
-        rng = np.random.default_rng(seed)
-        p = RsjParams(
-            A=rng.uniform(-3.0, 3.0), B=rng.uniform(-3.0, 3.0),
-            omega=rng.uniform(0.2, 4.0),
-        )
+        p, h, phi0, x0, y0 = _seeded(seed)
         n_steps = _STEP_COUNTS[seed % len(_STEP_COUNTS)]
-        h = rng.uniform(1e-3, 5e-2)
-        t_end = n_steps * h
-        phi0, theta = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 2.0 * np.pi)
-        x0, y0 = math.cos(theta), math.sin(theta)
+        direct = integrate_phase(p, phi0, n_steps * h, h)
+        assert len(direct) == n_steps + 1
+        assert np.array_equal(
+            direct.values[:, 0], integrate_phase_loop(p, phi0, n_steps * h, h)
+        )
 
-        direct = integrate_phase(p, phi0, t_end, h)
+        p, h, t_end, x0, y0 = _seeded_xy(seed)
         companion = integrate_xy(p, x0, y0, t_end, h)
-        assert len(direct) == len(companion) == n_steps + 1
+        assert len(companion) == _XY_STEP_COUNTS[seed % len(_XY_STEP_COUNTS)] + 1
         assert np.array_equal(
-            direct.values[:, 0], integrate_phase_loop(p, phi0, t_end, h)
+            companion.values,
+            integrate_xy_maps_loop(p, x0, y0, t_end, h, _LANE),
         )
-        assert np.array_equal(
-            companion.values, integrate_xy_loop(p, x0, y0, t_end, h)
-        )
+
+    @pytest.mark.parametrize("seed", range(56))
+    def test_step_map_is_one_stage_step(self, seed):
+        # The columns of R are one step from (1, 0) and from (0, 1).  Every
+        # entry is 1 + O(h) or O(h|q|) with h|q| < 0.3, and each route rounds
+        # a handful of terms of that size, so they agree to a few ulps of 1:
+        # the worst over these seeds is one.
+        p, h, t_end, _, _ = _seeded_xy(seed)
+        n_steps, dt = _grid(p, t_end, h)
+        q1, qm, q4 = _drive(p, dt, np.arange(n_steps))
+        maps = np.array(_step_maps(q1, qm, q4, dt))
+        stage = np.array([
+            xy_stage_step(a, b, c, dt, 1.0, 0.0) + xy_stage_step(a, b, c, dt, 0.0, 1.0)
+            for a, b, c in zip(q1.tolist(), qm.tolist(), q4.tolist())
+        ]).T  # x and y from (1, 0), then from (0, 1): r00, r10, r01, r11
+        assert np.max(np.abs(maps[[0, 2, 1, 3]] - stage)) <= 2 * 2.0**-52
+
+    @pytest.mark.parametrize("seed", range(56))
+    def test_companion_within_propagated_rounding(self, seed):
+        # Let each route commit an error of at most gamma*|z_m| in step m.
+        # The library rounds each map entry once near 1 (u) and each running
+        # product entry as a two-term sum (2u); the stage loop rounds its
+        # update once (u); the O(h(1 + |q|)) terms of both, at h <= 0.05 and
+        # |q| <= 6, add at most as much again: gamma = 8u.  (A lane applies
+        # its product to the lane's start, which is counted here as if every
+        # product were well conditioned.)
+        # Split an error made at z_m along z_m and along Jz_m, J the quarter
+        # turn.  Along z_m it travels with the solution: relative error
+        # gamma at every later sample.  Across, it starts a solution v with
+        # Wronskian det(z, v) = w, |w| <= gamma*|z_m|^2, which stays fixed.
+        # Writing v = c z + (w/|z|^2) Jz, the system gives
+        # c' = -2 w x y / |z|^4, so |c| <= |w| * integral of 1/|z|^2.  To
+        # first order, at sample N,
+        #   |dz_N| / |z_N| <= gamma * (N + S_N / |z_N|^2 + K_N) + 2u,
+        # with S_N the sum of |z_m|^2 over m <= N, K_N the sum of
+        # |z_m|^2 * integral from t_m to t_N of 1/|z|^2 (a sum of positive
+        # terms, K_{N+1} = K_N + S_N * integral over step N), and 2u for
+        # forming the sample from its lane's start.
+        p, h, t_end, x0, y0 = _seeded_xy(seed)
+        n_steps, dt = _grid(p, t_end, h)
+        got = integrate_xy(p, x0, y0, t_end, h).values
+        z = integrate_xy_loop(p, x0, y0, t_end, h)
+        size2 = z[:, 0] ** 2 + z[:, 1] ** 2
+        S = np.cumsum(size2) - size2[0]
+        step_integral = dt / np.minimum(size2[1:], size2[:-1])
+        K = np.concatenate(([0.0], np.cumsum(step_integral * S[:-1])))
+        bound = 8.0 * _U * (np.arange(n_steps + 1) + S / size2 + K) + 2.0 * _U
+        rel = np.hypot(*(got - z).T) / np.sqrt(size2)
+        assert np.all(rel <= bound)
 
 
 class TestUnwrap:
@@ -246,6 +338,16 @@ class TestErrors:
         p = RsjParams(A=5.0, B=5.0, omega=1.0)
         with pytest.raises(NonFiniteState):
             integrate_xy(p, 1.0, 0.0, 4000.0, 50.0)
+
+    def test_overflowing_state_without_warnings(self):
+        # At q = 0.01 the state grows like exp(t/2) and leaves the double
+        # range near t = 1420, in the middle of the run: the overflow is a
+        # typed error, and no numpy warning is raised on the way.
+        p = RsjParams(A=0.01, B=0.0, omega=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                integrate_xy(p, 1.0, 0.0, 2000.0)
 
     @pytest.mark.parametrize("route", ["phase", "xy"])
     @pytest.mark.parametrize(
