@@ -150,14 +150,10 @@ def cmd_phase_compare(args) -> tuple[str, int]:
 
     # The closed form starts at -eps*pi/2, to the bit.
     traj = dynamics.integrate_phase(p, -epsilon * (0.5 * np.pi), t_end, h)
-    closed = structure.phase_series(poly, traj.times)
+    closed, rate = structure.phase_and_rate(poly, traj.times)
     diff = closed - traj.values[:, 0]
     dev = float(np.max(np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi)))
-    resid = (
-        structure.phase_rate(poly, traj.times)
-        + np.sin(closed)
-        - dynamics.bias(p, traj.times)
-    )
+    resid = rate + np.sin(closed) - dynamics.bias(p, traj.times)
     ode_max = float(np.max(np.abs(resid)))
 
     ok = dev <= structure.TOL["phase"] and ode_max <= structure.TOL["phase"]

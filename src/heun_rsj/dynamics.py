@@ -11,14 +11,16 @@ Both integrators are hand-written fixed-step classical Runge-Kutta, so the
 two routes stay independent of each other and of any closed-form machinery
 they are later used to cross-check.  The default step is period/2000.
 
-The drive is precomputed per block of steps: one numpy pass gives q(t),
-q(t + dt/2) and q(t + dt) for every step of the block.  ``integrate_phase``
-reads them from lists in its step loop; its stage arithmetic is unchanged
-and in the same order, so its samples are bit for bit those of a loop that
-evaluates the drive at each stage.  ``integrate_xy`` turns them into the
-closed-form RK4 map of each step and applies the maps in array passes; it
-rounds differently from a stage loop, by a few ulps per step.  Memory
-beyond the output stays one block's worth.
+The drive is precomputed per block of steps: one numpy pass gives q at the
+block's grid nodes i*dt, its end node included, and another at the step
+midpoints i*dt + dt/2.  A node's sample serves as q(t + dt) of one step and
+q(t) of the next, and is ``bias`` at the time the trajectory reports for it.
+``integrate_phase`` reads the samples from lists in its step loop, with the
+stage arithmetic of a loop that evaluates the drive at each stage at those
+times, so its samples are bit for bit that loop's.  ``integrate_xy`` turns
+them into the closed-form RK4 map of each step and applies the maps in array
+passes; it rounds differently from a stage loop, by a few ulps per step.
+Memory beyond the output stays one block's worth.
 
 ``unwrap`` is the package's one branch-unwrapping routine; the closed-form
 phase in ``structure`` uses it too.
@@ -80,16 +82,18 @@ def _grid(p: RsjParams, t_end: float, h: float | None) -> tuple[int, float]:
     return n_steps, t_end / n_steps
 
 
-def _drive(p: RsjParams, dt: float, i: np.ndarray) -> tuple:
-    """Drive at t, t + dt/2 and t + dt for the steps t = i*dt of an index array.
+def _drive(p: RsjParams, dt: float, start: int, stop: int) -> tuple:
+    """Drive at the nodes and midpoints of steps ``start`` to ``stop - 1``.
 
-    Each sample is the double the step loop would compute from the same
-    times, so moving the drive out of the loop leaves the stages unchanged.
+    Returns q at the nodes i*dt for i = start, ..., stop (one more than the
+    steps: step i runs from node i to node i + 1) and q at the midpoints
+    i*dt + dt/2 for i = start, ..., stop - 1.  A node's sample does not
+    depend on the block it is computed in.
     """
-    t = i * dt
+    t = np.arange(start, stop + 1) * dt
     # An overflowing drive is reported once, as NonFiniteState after the loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        return bias(p, t), bias(p, t + 0.5 * dt), bias(p, t + dt)
+        return bias(p, t), bias(p, t[:-1] + 0.5 * dt)
 
 
 def integrate_phase(
@@ -107,8 +111,9 @@ def integrate_phase(
         for start in range(0, n_steps, _BLOCK):
             stop = min(start + _BLOCK, n_steps)
             block = []
-            drive = _drive(p, dt, np.arange(start, stop))
-            for q1, qm, q4 in zip(*(q.tolist() for q in drive)):
+            nodes, mids = _drive(p, dt, start, stop)
+            q = nodes.tolist()
+            for q1, qm, q4 in zip(q, mids.tolist(), q[1:]):
                 k1 = q1 - sin(phi)
                 k2 = qm - sin(phi + hdt * k1)
                 k3 = qm - sin(phi + hdt * k2)
@@ -149,7 +154,8 @@ def integrate_xy(
 
     The system is z' = M(q)z with M(q) = N(q)/2, N(q) = [[1, q], [-q, -1]],
     and RK4 on a linear system is a linear map per step, z_{k+1} = R_k z_k.
-    With q1, qm, q4 the drive at t, t + h/2 and t + h and the stages
+    With q1, qm, q4 the drive at the step's start node t, its midpoint
+    t + h/2 and its end node, the next step's start, and the stages
     K1 = M1 z, K2 = Mm(z + h/2 K1), K3 = Mm(z + h/2 K2), K4 = M4(z + h K3),
 
         R = I + h/6 (M1 + 4Mm + M4) + h^2/6 (Mm M1 + Mm^2 + M4 Mm)
@@ -167,7 +173,8 @@ def integrate_xy(
 
     that is R = [[1 + (a + b), c + d], [d - c, 1 + (a - b)]] (``_step_maps``).
     The maps do not depend on the state, so a block of steps builds all of
-    its maps in one numpy pass.  They are applied by a lane scan: the block
+    its maps in one numpy pass, from one drive sample per node and one per
+    midpoint laid out lane by lane.  They are applied by a lane scan: the block
     is cut into lanes of ``_LANE`` steps; the running products
     P_j = R_j P_{j-1} of every lane are formed at once, one array pass per
     j; a scalar loop carries the state from each lane's end to the next
@@ -177,7 +184,6 @@ def integrate_xy(
     do not depend on the CPU kernel numpy picks.
     """
     n_steps, dt = _grid(p, t_end, h)
-    in_lane = np.arange(_LANE)[:, None]
 
     x, y = float(x0), float(y0)
     out = np.empty((n_steps + 1, 2))
@@ -190,8 +196,9 @@ def integrate_xy(
             # Step start + j + _LANE*l sits at [j, ..., l]: a lane is a column.
             # The last lane may run past the block; its extra samples are dropped.
             prod = np.empty((_LANE, 2, 2, lanes))
+            nodes, mids = _drive(p, dt, start, start + _LANE * lanes)
             prod[:, 0, 0], prod[:, 0, 1], prod[:, 1, 0], prod[:, 1, 1] = _step_maps(
-                *_drive(p, dt, start + in_lane + _LANE * np.arange(lanes)), dt
+                *(q.reshape(lanes, _LANE).T for q in (nodes[:-1], mids, nodes[1:])), dt
             )
             for j in range(1, _LANE):
                 r, prev = prod[j], prod[j - 1]
@@ -222,7 +229,7 @@ def phase_from_xy(traj: Trajectory) -> Trajectory:
         raise InvalidParams("phase_from_xy needs an 'xy' trajectory")
     x = traj.values[:, 0]
     y = traj.values[:, 1]
-    if np.any(np.hypot(x, y) == 0.0):
+    if np.any((x == 0.0) & (y == 0.0)):
         raise OriginUndefined("companion state reached x = y = 0")
     phi = unwrap(2.0 * np.arctan2(-y, x))
     return Trajectory(times=traj.times, values=phi)

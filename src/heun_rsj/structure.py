@@ -53,6 +53,7 @@ __all__ = [
     "coeff_relations_residual",
     "phase_series",
     "phase_rate",
+    "phase_and_rate",
     "orthogonality_weight",
     "orthogonality_integral",
 ]
@@ -286,20 +287,32 @@ def _check_grid_size(samples: int) -> None:
         )
 
 
-def _on_circle(P: HeunPolynomial, omega: float, times: np.ndarray, f) -> np.ndarray:
-    """``f(z, P(z))`` at ``z = exp(i*omega*t)``, one block of samples at a time."""
-    out = np.empty(len(times))
+def _on_circle(P: HeunPolynomial, omega: float, times: np.ndarray, *readers) -> tuple:
+    """``f(z, P(z))`` for each reader f at ``z = exp(i*omega*t)``.
+
+    z and P(z) are computed once per block of samples, whatever the number
+    of readers; each reader's samples are those of a pass of its own.
+    """
+    outs = tuple(np.empty(len(times)) for _ in readers)
     for start in range(0, len(times), _PHASE_BLOCK):
         block = slice(start, start + _PHASE_BLOCK)
         z = np.exp(1j * omega * times[block])
-        out[block] = f(z, P.value(z))
-    return out
+        v = P.value(z)
+        for out, f in zip(outs, readers):
+            out[block] = f(z, v)
+    return outs
 
 
-def _phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
-    omega = dche_to_params(P.params).omega
-    arg = unwrap(_on_circle(P, omega, times, lambda z, v: np.angle(v)))
-    raw = 2.0 * arg - (P.n + 1) * omega * times
+def _arg_reader(z, v):
+    return np.angle(v)
+
+
+def _rate_reader(P: HeunPolynomial, omega: float):
+    return lambda z, v: 2.0 * omega * (z * P.deriv1(z) / v).real - (P.n + 1) * omega
+
+
+def _phase_from_arg(P: HeunPolynomial, omega: float, times, arg) -> np.ndarray:
+    raw = 2.0 * unwrap(arg) - (P.n + 1) * omega * times
     # Start on the principal branch [-pi, pi): at t = 0 an arg P(1) of +-pi
     # is taken off exactly, so the phase there is -eps*pi/2 to the bit.
     half = P.epsilon * (0.5 * np.pi)
@@ -307,12 +320,11 @@ def _phase_on_grid(P: HeunPolynomial, times: np.ndarray) -> np.ndarray:
     return (raw - 2.0 * np.pi * turns) - half
 
 
-def phase_series(P: HeunPolynomial, times) -> np.ndarray:
-    """Closed-form phase at the given increasing times, branch-continuous.
+def _closed_form(P: HeunPolynomial, times, rate: bool) -> tuple:
+    """The phase at increasing ``times``, and its rate there if ``rate``.
 
-    Internally refines the grid so that no step advances the phase by more
-    than a small fraction of pi before unwrapping; ``InvalidParams`` where
-    that grid exceeds 2**27 samples.
+    Without refinement both come from one pass over the circle; on a
+    refined grid the rate is ``phase_rate``, a pass over ``times`` of its own.
     """
     times = _times(times)
     if np.any(np.diff(times) <= 0):
@@ -326,10 +338,25 @@ def phase_series(P: HeunPolynomial, times) -> np.ndarray:
         factor = max(1, math.ceil(widest / max_step))
     _check_grid_size(1 + (len(times) - 1) * factor)
     if factor == 1:
-        return _phase_on_grid(P, times)
+        readers = (_rate_reader(P, p.omega),) if rate else ()
+        arg, *rates = _on_circle(P, p.omega, times, _arg_reader, *readers)
+        return _phase_from_arg(P, p.omega, times, arg), *rates
     inner = np.linspace(times[:-1], times[1:], factor + 1, axis=1)[:, 1:]
     grid = np.concatenate([times[:1], inner.ravel()])
-    return _phase_on_grid(P, grid)[::factor].copy()
+    (arg,) = _on_circle(P, p.omega, grid, _arg_reader)
+    phase = _phase_from_arg(P, p.omega, grid, arg)[::factor].copy()
+    return (phase, phase_rate(P, times)) if rate else (phase,)
+
+
+def phase_series(P: HeunPolynomial, times) -> np.ndarray:
+    """Closed-form phase at the given increasing times, branch-continuous.
+
+    Internally refines the grid so that no step advances the phase by more
+    than a small fraction of pi before unwrapping; ``InvalidParams`` where
+    that grid exceeds 2**27 samples.
+    """
+    (phase,) = _closed_form(P, times, rate=False)
+    return phase
 
 
 def phase_rate(P: HeunPolynomial, times) -> np.ndarray:
@@ -341,8 +368,15 @@ def phase_rate(P: HeunPolynomial, times) -> np.ndarray:
     times = _times(times)
     _unit_circle_clear(P)
     omega = dche_to_params(P.params).omega
-    ratio = _on_circle(P, omega, times, lambda z, v: (z * P.deriv1(z) / v).real)
-    return 2.0 * omega * ratio - (P.n + 1) * omega
+    (rate,) = _on_circle(P, omega, times, _rate_reader(P, omega))
+    return rate
+
+
+def phase_and_rate(P: HeunPolynomial, times) -> tuple[np.ndarray, np.ndarray]:
+    """``phase_series`` and ``phase_rate`` at the same increasing times, bit
+    for bit, from one evaluation of P per sample where the phase grid needs
+    no refinement."""
+    return _closed_form(P, times, rate=True)
 
 
 def _shared_mu(P1: HeunPolynomial, P2: HeunPolynomial) -> float:

@@ -468,7 +468,8 @@ def sweep_loop(
 def integrate_phase_loop(
     p: RsjParams, phi0: float, t_end: float, h: float | None = None
 ) -> np.ndarray:
-    """Phase samples of classical RK4 with the drive evaluated in the loop."""
+    """Phase samples of classical RK4 with the drive evaluated in the loop,
+    at the grid nodes i*dt and (i + 1)*dt and at the midpoint i*dt + dt/2."""
     n_steps, dt = _grid(p, t_end, h)
     A, B, w = p.A, p.B, p.omega
     cos, sin = math.cos, math.sin
@@ -482,7 +483,7 @@ def integrate_phase_loop(
         q_mid = B + A * cos(w * (t + 0.5 * dt))
         k2 = q_mid - sin(phi + 0.5 * dt * k1)
         k3 = q_mid - sin(phi + 0.5 * dt * k2)
-        k4 = B + A * cos(w * (t + dt)) - sin(phi + dt * k3)
+        k4 = B + A * cos(w * ((i + 1) * dt)) - sin(phi + dt * k3)
         phi += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         out[i + 1] = phi
     return out
@@ -513,13 +514,14 @@ def xy_stage_step(
 
 
 def _drive_at(p: RsjParams, dt: float, i: int) -> tuple[float, float, float]:
-    """Drive at t, t + dt/2 and t + dt for the step t = i*dt, by ``math.cos``."""
+    """Drive of step i by ``math.cos``: at its nodes i*dt and (i + 1)*dt and
+    at its midpoint i*dt + dt/2."""
     A, B, w = p.A, p.B, p.omega
     t = i * dt
     return (
         B + A * math.cos(w * t),
         B + A * math.cos(w * (t + 0.5 * dt)),
-        B + A * math.cos(w * (t + dt)),
+        B + A * math.cos(w * ((i + 1) * dt)),
     )
 
 

@@ -15,6 +15,7 @@ from heun_rsj.cli import build_parser, main
 from heun_rsj.model import HeunPolynomial
 from heun_rsj.serialize import SCHEMA
 
+import helpers
 from oracles import reflection_signs, sweep_loop
 
 
@@ -287,9 +288,9 @@ class TestPhaseCompare:
         assert doc["ode_residual_max"] <= 1e-6
         assert (code == 0) == doc["pass"]
 
-    def test_unit_circle_guard_runs_twice(self, capsys, monkeypatch):
-        # One guard in phase_series and one in phase_rate, on the same P:
-        # the second reads the first's verdict, so the circle is sampled once.
+    @staticmethod
+    def _spy_on_values(monkeypatch):
+        """Sizes of the argument of every ``HeunPolynomial.value`` call."""
         sizes = []
         value = HeunPolynomial.value
 
@@ -299,14 +300,33 @@ class TestPhaseCompare:
 
         monkeypatch.setattr(HeunPolynomial, "value", spy)
         structure._unit_circle_clear.cache_clear()
+        return sizes
+
+    def test_unit_circle_guard_runs_twice(self, monkeypatch):
+        # One guard in phase_series and one in phase_rate, on the same P:
+        # the second reads the first's verdict, so the circle is sampled once.
+        sizes = self._spy_on_values(monkeypatch)
+        poly = helpers.solution(1, 0.5, 1)
+        times = np.linspace(0.0, 1.0, 9)
+        structure.phase_series(poly, times)
+        structure.phase_rate(poly, times)
+        info = structure._unit_circle_clear.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert sizes.count(4096) == 1
+
+    def test_one_circle_pass_per_grid(self, capsys, monkeypatch):
+        # phase-compare at the default step needs no refined grid: the guard
+        # runs once, and P is evaluated once per sample for the phase and
+        # the rate together.
+        sizes = self._spy_on_values(monkeypatch)
         code, _, _ = run_cli(
             capsys, "phase-compare", "--n", "1", "--mu", "0.5", "--root", "1",
             "--periods", "1",
         )
         assert code == 0
         info = structure._unit_circle_clear.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        assert sizes.count(4096) == 1
+        assert (info.hits, info.misses) == (0, 1)
+        assert sizes == [4096, 2001]
 
 
 class TestOrtho:
@@ -677,15 +697,19 @@ def _root_calls(command):
 
 
 # SHA-256 of "<exit code>\n<stdout>" over each set of calls.  The verify and
-# poly digests date from before the records carried their sign; the
-# phase-compare digest from when its ODE residual became the exact rate.
+# poly digests date from before the records carried their sign.  The
+# phase-compare digest was re-recorded when RK4 took q(t + dt) of a step
+# from the next grid node, (i + 1)*dt, instead of i*dt + dt: only
+# max_phase_dev_mod_2pi moved, at the (5, 1.7, 3) call, whose RK4 run
+# drifts off a repelling solution and amplifies the rounding (7.55248e-05
+# -> 7.55262e-05); the closed form and every exit code stayed the same.
 @pytest.mark.parametrize(
     "command,digest",
     [
         ("verify", "653c20fa7f6ba0afd8c8368a0b31c35e7295d39841bd0ce65d4b4240b5c3a762"),
         ("poly", "dfa47e53d855f7ed8e4888bc5d7174baf3f200ab4020dc6f4911b28f6dd96812"),
         ("phase-compare",
-         "5421052c214f1e97e8b26a46e6d154dda332a14a15ec121cba9b435bdd52d41d"),
+         "7e7a31128ccb85ee585f454eb7045874b696ff3433e7c5d3b0bfef0ed8ddfd35"),
     ],
 )
 def test_golden_root_commands(capsys, command, digest):
@@ -810,19 +834,24 @@ def _digest(capsys, calls):
 # SHA-256 of "<exit code>\n<stdout>" over each set of calls, recorded when
 # every cell was formatted one at a time.  The xy digests were re-recorded
 # when the companion pair moved from its stage loop to its step maps, which
-# round differently (samples moved by at most 2.1e-14 relative).
+# round differently (samples moved by at most 2.1e-14 relative).  All four
+# were re-recorded when both integrators took q(t + dt) of a step from the
+# next grid node, (i + 1)*dt, instead of i*dt + dt, a time that differs in
+# its last bit at some steps: phase samples moved by at most 3.6e-15
+# (4.5e-14 and 3.9e-13 relative, the latter near a zero of phi), (x, y)
+# samples by at most 1.3e-15 relative.
 class TestGoldenTables:
     @pytest.mark.parametrize(
         "system,fmt,digest",
         [
             ("phase", "csv",
-             "c800556fa036aa6cf3201e838f143a507236dea6143ef49b8eac89e1f175d3eb"),
+             "8610c0219f24367b980985e028ecdbd8dfc6a6db213fc4ad8daa5d9e4ad25c01"),
             ("phase", "json",
-             "e541c577b3ffde14e2c702e105a592b58e4397b5fd9d6456b27a38d4f843a153"),
+             "119c957167f074bc16f124a414c53dbda3095a1b75b8b75f08b4aa4873a29416"),
             ("xy", "csv",
-             "8a7835e5184e32cb28055ba4324b05bdb321484c491c4cf40f9a635fb8b71cea"),
+             "820e9bf4a13f58122f65c6561d992e64455dcee7071ea4ec49fe3711044cb918"),
             ("xy", "json",
-             "c0afe89c64166c70e6d40e1d654532ffe5c5124c64fc24df3ef9ace35688f612"),
+             "f2a7f7a65dc85f494a3e9e5918e9e55a70871ebed4fa27302307526b11936198"),
         ],
     )
     def test_simulate(self, capsys, system, fmt, digest):

@@ -249,13 +249,30 @@ class TestAgainstLoopOracle:
         # the worst over these seeds is one.
         p, h, t_end, _, _ = _seeded_xy(seed)
         n_steps, dt = _grid(p, t_end, h)
-        q1, qm, q4 = _drive(p, dt, np.arange(n_steps))
+        nodes, qm = _drive(p, dt, 0, n_steps)
+        q1, q4 = nodes[:-1], nodes[1:]
         maps = np.array(_step_maps(q1, qm, q4, dt))
         stage = np.array([
             xy_stage_step(a, b, c, dt, 1.0, 0.0) + xy_stage_step(a, b, c, dt, 0.0, 1.0)
             for a, b, c in zip(q1.tolist(), qm.tolist(), q4.tolist())
         ]).T  # x and y from (1, 0), then from (0, 1): r00, r10, r01, r11
         assert np.max(np.abs(maps[[0, 2, 1, 3]] - stage)) <= 2 * 2.0**-52
+
+    @pytest.mark.parametrize("seed", range(56))
+    def test_drive_is_bias_at_the_reported_times(self, seed):
+        # Each node is sampled once, in the block of either integrator that
+        # holds it, and is the drive at the time the trajectory reports.
+        p, h, phi0, _, _ = _seeded(seed)
+        n_steps = _STEP_COUNTS[seed % len(_STEP_COUNTS)]
+        times = integrate_phase(p, phi0, n_steps * h, h).times
+        dt = times[1]
+        q = bias(p, times)
+        for block in (_BLOCK, _XY_BLOCK):
+            for start in range(0, n_steps, block):
+                stop = min(start + block, n_steps)
+                nodes, mids = _drive(p, dt, start, stop)
+                assert nodes.tobytes() == q[start : stop + 1].tobytes()
+                assert mids.tobytes() == bias(p, times[start:stop] + 0.5 * dt).tobytes()
 
     @pytest.mark.parametrize("seed", range(56))
     def test_companion_within_propagated_rounding(self, seed):
@@ -333,6 +350,14 @@ class TestErrors:
         traj = Trajectory(times=[0.0, 1.0], values=[[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(OriginUndefined):
             phase_from_xy(traj)
+        # Only the origin itself is undefined, whatever the signs of its
+        # zeros: the smallest subnormal state still has a direction.
+        for state in ([-0.0, 0.0], [0.0, -0.0]):
+            with pytest.raises(OriginUndefined):
+                phase_from_xy(Trajectory(times=[0.0], values=[state]))
+        for state in ([5e-324, 0.0], [0.0, 5e-324], [-5e-324, -0.0]):
+            phi = phase_from_xy(Trajectory(times=[0.0], values=[state]))
+            assert phi.values[0, 0] == 2.0 * math.atan2(-state[1], state[0])
 
     def test_unstable_step_detected(self):
         p = RsjParams(A=5.0, B=5.0, omega=1.0)

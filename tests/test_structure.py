@@ -419,6 +419,24 @@ class TestPhase:
         times = np.arange(20001) * (10.0 * p.period / 20000)
         assert np.array_equal(phase_series(poly, times), phase_series_loop(poly, times))
 
+    @pytest.mark.parametrize(
+        "n,mu,index,steps,factor",
+        [(2, 1.1, 1, 30000, 1), (8, 1.7, 5, 2000, 1), (30, 1.1, 7, 2000, 2),
+         (31, 1.1, 2, 500, 5)],
+    )
+    def test_joint_pass_is_series_and_rate(self, n, mu, index, steps, factor):
+        # The phase and its rate from one pass are, bit for bit, the two
+        # public functions, on a grid of several evaluation blocks, on one
+        # block, and on grids the phase refines 2- and 5-fold (the phase
+        # step bound is T/(64(n + 2))).
+        poly = helpers.solution(n, mu, index)
+        p = dche_to_params(poly.params)
+        times = np.arange(3 * steps + 1) * (p.period / steps)
+        assert math.ceil(64 * (n + 2) / steps) == factor
+        phase, rate = structure.phase_and_rate(poly, times)
+        assert phase.tobytes() == phase_series(poly, times).tobytes()
+        assert rate.tobytes() == phase_rate(poly, times).tobytes()
+
     def test_oversized_grid_is_typed(self):
         # Root 0 at (7, 0.3) has lambda + mu**2 = 1.7e-16: the period is
         # 1.6e-7, so one time unit needs a grid of 3.6e9 samples.
