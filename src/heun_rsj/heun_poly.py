@@ -30,7 +30,6 @@ from .model import DcheParams, HeunPolynomial, mu_squared
 
 __all__ = [
     "SPECTRAL_TOL",
-    "coefficient_matrix",
     "spectral_det",
     "residual_linear_system",
     "build_polynomial",
@@ -39,18 +38,6 @@ __all__ = [
 #: Largest relative eigen-residual ``||(J - kappa*I) v|| / ||J||`` (infinity
 #: norms, ``||v|| = 1``) at which :func:`build_polynomial` accepts a root.
 SPECTRAL_TOL = 1e-8
-
-
-def coefficient_matrix(d: DcheParams) -> np.ndarray:
-    """Dense matrix of the coefficient system at (n, mu, lambda), by rows as
-    in the module docstring (the literature also writes its transpose)."""
-    n, mu, lam = d.n, d.mu, d.lam
-    j = np.arange(n + 1)
-    return (
-        np.diag(lam - j * (n + 1 - j))
-        + np.diag(mu * (j[:-1] + 1), 1)
-        + np.diag(mu * (n - j[:-1]), -1)
-    )
 
 
 def _by_degree(n, size: int) -> list[tuple[int, int, int]]:
@@ -179,15 +166,24 @@ def _det_and_scale(det, smax, e) -> tuple[np.ndarray, np.ndarray]:
 
 
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:
-    """Row residuals of the coefficient system applied to P's coefficients."""
-    return coefficient_matrix(P.params) @ np.asarray(P.coeffs)
+    """Row residuals of the coefficient system applied to P's coefficients,
+    each summed from the three bands of the module docstring as
+    ``(diagonal + lower) + upper``."""
+    n, mu, lam = P.params.n, P.params.mu, P.params.lam
+    a = np.asarray(P.coeffs, dtype=float)
+    k = np.arange(n + 1)
+    rows = (lam - k * (n + 1 - k)) * a
+    rows[1:] += mu * (n + 1 - k[1:]) * a[:-1]
+    rows[:-1] += mu * k[1:] * a[1:]
+    return rows
 
 
 def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric Jacobi form of the reflection relations at (n, mu).
 
     A solution with sign eps has ``K^T a = kappa*a``, ``kappa = -eps*c``, for
-    ``K = G_eps - eps*c*I`` (``spectral.symmetry_matrix``).  In the
+    ``K = G_eps - eps*c*I``, G_eps the matrix of the reflection relations
+    (``eps*c*delta(j,k) + mu*delta(j,n-k) - j*delta(j,n+1-k)``).  In the
     interleaved index order ``(0, n, 1, n-1, ...)`` K^T is tridiagonal:
     (i, n-i) couple through ``mu`` both ways, (n-i, i+1) through ``-(i+1)``
     and ``-(n-i)``, and the last position holds ``mu`` (n even) or

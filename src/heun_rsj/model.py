@@ -38,8 +38,8 @@ __all__ = [
 
 def finite_real(name: str, value) -> float:
     """``value`` as a float, or ``InvalidParams`` unless it is a finite real
-    (an int too large for a double included)."""
-    if isinstance(value, (int, float)):
+    (an int too large for a double included) other than a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:

@@ -1,4 +1,4 @@
-"""Spectrum of the determinant gate and its symmetry-matrix factorisation.
+"""Spectrum of the determinant gate and its reflection factors.
 
 For fixed degree n and drive strength mu the determinant of the coefficient
 system is a monic polynomial of degree n + 1 in lambda.  Its roots are the
@@ -17,15 +17,18 @@ the others; one array scan of the determinant then gates every returned
 root.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
-(one per sign) whose product reproduces the coefficient matrix up to an
-overall factor of -1 in its transposed orientation -- re-derived by brute
-force on small n in the test-suite -- so the determinant splits into two
-factors and every spectral lambda kills one of them.  The sign of the factor
-it kills names the root together with lambda.  The signs alternate along
-the ascending spectrum, so ``root_params`` reads a root's sign from its
-index alone (the proof is in its docstring), and the two roots of a
-near-degenerate pair kill different factors: on its own factor, a pair root
-is a simple zero, and Newton converges quadratically.
+G+ and G- (one per sign) with ``G+ G- = -Phi^T`` for the coefficient matrix
+Phi at every lambda (checked in the test-suite, where both live as
+oracles), so the determinant splits into the two factors det G+ and det G-,
+and every spectral lambda kills one of them.  Each factor is a continuant
+of the Jacobi form J of the reflection relations, ``det G_eps = det(J +
+eps*c*I)``: :func:`_factor_newton_extended` evaluates it in extended
+precision for the polish and for ``structure.certify``.  The sign of the
+factor that a root kills names the root together with lambda.  The signs
+alternate along the ascending spectrum, so ``root_params`` reads a root's
+sign from its index alone (the proof is in its docstring), and the two
+roots of a near-degenerate pair kill different factors: on its own factor,
+a pair root is a simple zero, and Newton converges quadratically.
 """
 
 from __future__ import annotations
@@ -41,13 +44,8 @@ import numpy as np
 from .errors import ConvergenceFailure, IndexOutOfRange, InvalidParams
 from .dynamics import _MAX_SAMPLES
 from . import heun_poly
-from .heun_poly import _by_degree, _det_and_scale, _det_scan, _take, coefficient_matrix
-from .model import (
-    DcheParams,
-    finite_real,
-    frequency_scale,
-    mu_squared,
-)
+from .heun_poly import _by_degree, _det_and_scale, _det_scan, _take
+from .model import DcheParams, finite_real, mu_squared
 
 __all__ = [
     "DISC_MARGIN",
@@ -55,8 +53,6 @@ __all__ = [
     "SpectralSet",
     "lambda_spectrum",
     "lambda_spectra",
-    "symmetry_matrix",
-    "factorization",
     "root_params",
 ]
 
@@ -469,46 +465,6 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
                 moving = advance(pair, at, step, np.isfinite(step), bound)
                 pair, eps, mu2, gap = _take(moving, pair, eps, mu2, gap)
     return cur.astype(float)
-
-
-def symmetry_matrix(epsilon: int, d: DcheParams) -> np.ndarray:
-    """Matrix of the reflection-symmetry relations for epsilon in {+1, -1}.
-
-    Entries ``eps*c*delta(j,k) + mu*delta(j,n-k) - j*delta(j,n+1-k)`` with
-    ``c = sqrt(lambda + mu**2)`` (:func:`model.frequency_scale`).
-    """
-    if epsilon not in (1, -1):
-        raise InvalidParams(f"epsilon must be +1 or -1, got {epsilon!r}")
-    n = d.n
-    j = np.arange(n + 1)
-    g = epsilon * frequency_scale(d) * np.eye(n + 1)
-    g[j, n - j] += d.mu
-    g[j[1:], n + 1 - j[1:]] -= j[1:]  # column n+1-j exists only for j >= 1
-    return g
-
-
-def factorization(d: DcheParams) -> tuple[float, int, float, float]:
-    """The factorization of the system matrix by the two symmetry matrices.
-
-    Returns ``(rel_dev, sign, det_plus, det_minus)``.  ``sign`` in {+1, -1}
-    marks the better of ``G+ G- = +Phi`` / ``G+ G- = -Phi`` in the
-    transposed orientation (the consistent outcome is sign = -1), and
-    ``rel_dev`` is its largest entry deviation divided by
-    ``max(1, max|G+ G-|)``.  ``det_plus`` and ``det_minus`` are the
-    determinants of G+ and G-: their product matches the gate determinant in
-    magnitude, so lambda is spectral iff one of the pair (numerically)
-    vanishes.
-    """
-    gp = symmetry_matrix(1, d)
-    gm = symmetry_matrix(-1, d)
-    prod = gp @ gm
-    phi_t = coefficient_matrix(d).T
-    dev_minus = float(np.max(np.abs(prod + phi_t)))
-    dev_plus = float(np.max(np.abs(prod - phi_t)))
-    dev, sign = (dev_minus, -1) if dev_minus <= dev_plus else (dev_plus, 1)
-    scale = max(1.0, float(np.max(np.abs(prod))))
-    with np.errstate(over="ignore", invalid="ignore"):  # certify types overflow
-        return dev / scale, sign, float(np.linalg.det(gp)), float(np.linalg.det(gm))
 
 
 def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:

@@ -42,7 +42,7 @@ from .errors import (
 )
 from . import heun_poly, spectral
 from .dynamics import _MAX_SAMPLES, unwrap
-from .model import HeunPolynomial, dche_to_params, frequency_scale, mu_squared
+from .model import DcheParams, HeunPolynomial, dche_to_params, frequency_scale, mu_squared
 
 __all__ = [
     "SAMPLE_POINTS",
@@ -65,7 +65,6 @@ TOL = {
     "linear_system": 1e-10,
     "symmetry": 1e-9,
     "coeff_relations": 1e-10,
-    "factorization": 1e-10,
     "det_product": 1e-9,
     "det_min": 1e-10,
     "phase": 1e-6,
@@ -89,8 +88,6 @@ _PHASE_BLOCK = 8192
 _C_CHECKS = (
     "reflection_symmetry",
     "coeff_relations_rel",
-    "factorization_rel",
-    "factorization_sign",
     "det_product_rel",
     "det_min_rel",
 )
@@ -214,9 +211,8 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     checks that need c run only when lambda + mu**2 clears
     ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped`` as
     ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a
-    double, and where the gate determinant, its scale or det G+ * det G-
-    overflows: a determinant check would be NaN, infinite, or a 0 that only
-    the infinite scale makes.
+    double, and where a determinant check cannot be formed
+    (:func:`_det_checks`).
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
@@ -239,20 +235,34 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     add("reflection_symmetry", float(symmetry_residual(P)), TOL["symmetry"])
     rel = coeff_relations_residual(P)
     add("coeff_relations_rel", float(np.max(np.abs(rel))) / amax, TOL["coeff_relations"])
+    det_product, det_min = _det_checks(d)
+    add("det_product_rel", det_product, TOL["det_product"])
+    add("det_min_rel", det_min, TOL["det_min"])
+    return checks, []
 
-    rel_dev, sign, det_p, det_m = spectral.factorization(d)
-    add("factorization_rel", rel_dev, TOL["factorization"])
-    add("factorization_sign", sign, -1)  # sign is +-1: passes only at -1
+
+def _det_checks(d: DcheParams) -> tuple[float, float]:
+    """``||det G+ * det G-| - |Delta|| / scale`` and ``min(|det G+|,
+    |det G-|) / scale`` at d, in long double, each rounded once to a double.
+
+    Delta and its scale are the gate's (``spectral._gate_det``); det G+- are
+    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``, with c
+    formed in long double as the root polish forms it.  ``InvalidParams``
+    where the scale or a check is not finite: a check would be NaN,
+    infinite, or a 0 that only an infinite scale makes.
+    """
+    ld = np.longdouble
+    c = np.sqrt(ld(d.lam) + ld(d.mu) ** 2)
     delta, scale = spectral._gate_det(d)  # no second scan of a memoised root
-    det_product = abs(abs(det_p * det_m) - abs(delta)) / scale
-    det_min = min(abs(det_p), abs(det_m)) / scale
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed below
+        (det_p, det_m), _ = spectral._factor_newton_extended(d.n, d.mu, np.array([-c, c]))
+        det_product = float(abs(abs(det_p * det_m) - abs(delta)) / scale)
+        det_min = float(min(abs(det_p), abs(det_m)) / scale)
     if not all(map(math.isfinite, (scale, det_product, det_min))):
         raise InvalidParams(
             f"the determinants overflow a double at (n={d.n}, mu={d.mu})"
         )
-    add("det_product_rel", det_product, TOL["det_product"])
-    add("det_min_rel", det_min, TOL["det_min"])
-    return checks, []
+    return det_product, det_min
 
 
 # phase_series and phase_rate guard the same P in turn: the verdict on the

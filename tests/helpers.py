@@ -124,3 +124,12 @@ def scaled_scan(scan) -> tuple:
     det, ddet, smax, e = scan
     with np.errstate(over="ignore"):
         return tuple(np.ldexp(x, np.asarray(e, dtype=np.int64)) for x in (det, ddet, smax))
+
+
+def reflection_dets(d: DcheParams) -> np.ndarray:
+    """det G+ and det G- of d in long double: the package's reflection-factor
+    kernel ``det(J - kappa*I)`` at ``kappa = -c`` and ``+c``, with c formed
+    as ``structure.certify`` forms it."""
+    ld = np.longdouble
+    c = np.sqrt(ld(d.lam) + ld(d.mu) ** 2)
+    return spectral._factor_newton_extended(d.n, d.mu, np.array([-c, c]))[0]

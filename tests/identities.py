@@ -11,6 +11,11 @@ evaluators here check further identities of the paper against that code:
   double confluent Heun form (``alpha = i``), each with a residual
   evaluator acting on a value/derivative jet supplied by the caller;
 - the reflection image of a polynomial (``reflected_polynomial``);
+- the factorization ``G+ G- = -Phi^T`` of the coefficient matrix by the two
+  reflection-relation matrices, an identity in lambda
+  (``factorization``, over the dense ``symmetry_matrix`` and
+  ``coefficient_matrix``), whose determinants the package evaluates as
+  continuants;
 - the second, non-polynomial solution by quadrature, with its exact
   Wronskian (``second_solution_jet``);
 - the pointwise divergence identity behind the orthogonality relation and
@@ -38,7 +43,13 @@ from heun_rsj.errors import (
     OriginUndefined,
     QuadratureFailure,
 )
-from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, Trajectory
+from heun_rsj.model import (
+    DcheParams,
+    HeunPolynomial,
+    RsjParams,
+    Trajectory,
+    frequency_scale,
+)
 from heun_rsj.structure import (
     _decay_halfwidth,
     _reflection_parts,
@@ -280,6 +291,60 @@ def canonical_dche_params(p: RsjParams) -> tuple[CanonicalDche, CanonicalDche]:
         lam=complex(1.0 / (4.0 * w**2)),
     )
     return first, second
+
+
+# --- reflection matrices and the factorization of the determinant ---------
+
+
+def coefficient_matrix(d: DcheParams) -> np.ndarray:
+    """Dense matrix Phi of the coefficient system at (n, mu, lambda), by rows
+    as in the ``heun_poly`` module docstring (the literature also writes its
+    transpose)."""
+    n, mu, lam = d.n, d.mu, d.lam
+    j = np.arange(n + 1)
+    return (
+        np.diag(lam - j * (n + 1 - j))
+        + np.diag(mu * (j[:-1] + 1), 1)
+        + np.diag(mu * (n - j[:-1]), -1)
+    )
+
+
+def symmetry_matrix(epsilon: int, d: DcheParams) -> np.ndarray:
+    """Matrix G_eps of the reflection-symmetry relations, eps in {+1, -1}.
+
+    Entries ``eps*c*delta(j,k) + mu*delta(j,n-k) - j*delta(j,n+1-k)`` with
+    ``c = sqrt(lambda + mu**2)`` (``model.frequency_scale``).
+    """
+    if epsilon not in (1, -1):
+        raise InvalidParams(f"epsilon must be +1 or -1, got {epsilon!r}")
+    n = d.n
+    j = np.arange(n + 1)
+    g = epsilon * frequency_scale(d) * np.eye(n + 1)
+    g[j, n - j] += d.mu
+    g[j[1:], n + 1 - j[1:]] -= j[1:]  # column n+1-j exists only for j >= 1
+    return g
+
+
+def factorization(d: DcheParams) -> tuple[float, int, float, float]:
+    """The factorization of the system matrix by the two symmetry matrices.
+
+    Returns ``(rel_dev, sign, det_plus, det_minus)``.  ``sign`` in {+1, -1}
+    marks the better of ``G+ G- = +Phi^T`` / ``G+ G- = -Phi^T`` (the identity
+    holds with sign = -1 at every lambda: the off-diagonals cancel exactly,
+    and the diagonal is ``c**2 - (lambda + mu**2)``), and ``rel_dev`` is its
+    largest entry deviation divided by ``max(1, max|G+ G-|)``.
+    ``det_plus`` and ``det_minus`` are the LU determinants of G+ and G-:
+    their product matches the gate determinant in magnitude.
+    """
+    gp = symmetry_matrix(1, d)
+    gm = symmetry_matrix(-1, d)
+    prod = gp @ gm
+    phi_t = coefficient_matrix(d).T
+    dev_minus = float(np.max(np.abs(prod + phi_t)))
+    dev_plus = float(np.max(np.abs(prod - phi_t)))
+    dev, sign = (dev_minus, -1) if dev_minus <= dev_plus else (dev_plus, 1)
+    scale = max(1.0, float(np.max(np.abs(prod))))
+    return dev / scale, sign, float(np.linalg.det(gp)), float(np.linalg.det(gm))
 
 
 # --- reflection image, second solution, orthogonality identities ----------

@@ -15,10 +15,12 @@ expression over the determinant scan; ``_refine_ratio`` is the same test one
 root at a time, with a Python branch for each term that drops out.  Their
 gate decisions must agree, and their values up to a last-bit difference.
 
-``spectral.symmetry_matrix`` and the reflection shuffle in ``structure``
-fill their arrays by index assignment; the row loops below do the same
-arithmetic one entry at a time, and the array forms must match them bit for
-bit.
+The dense reflection matrix ``identities.symmetry_matrix`` and the
+reflection shuffle in ``structure`` fill their arrays by index assignment;
+the row loops below do the same arithmetic one entry at a time, and the
+array forms must match them bit for bit.  ``linear_rows_loop`` sums the
+rows of the coefficient system one term at a time in the order of
+``heun_poly.residual_linear_system``, which must match it bit for bit.
 
 A polynomial carries the reflection sign of its root, which
 ``spectral.root_params`` reads from the parity of the root's index.
@@ -238,6 +240,23 @@ def symmetry_matrix_loop(epsilon: int, d: DcheParams) -> np.ndarray:
     return g
 
 
+def linear_rows_loop(P: HeunPolynomial) -> list[float]:
+    """Rows of the coefficient system at P's coefficients, one row at a time:
+    the dense matrix-vector product in column order without its zero terms,
+    ``(lower*a_{k-1} + diagonal*a_k) + upper*a_{k+1}``, each band entry
+    formed as in the module docstring of ``heun_poly``."""
+    n, mu, lam, a = P.n, P.params.mu, P.params.lam, P.coeffs
+    rows = []
+    for k in range(n + 1):
+        val = (lam - k * (n + 1 - k)) * a[k]
+        if k >= 1:
+            val += mu * (n + 1 - k) * a[k - 1]
+        if k < n:
+            val += mu * (k + 1) * a[k + 1]
+        rows.append(val)
+    return rows
+
+
 def reflected_coeffs_loop(P: HeunPolynomial) -> list[float]:
     """Coefficients ``(n+1-k)*a_{n+1-k} - mu*a_{n-k}`` of the reflection image."""
     n, mu, a = P.n, P.params.mu, P.coeffs
@@ -294,6 +313,32 @@ def reflection_signs(n: int, mu: float) -> tuple[int, ...]:
             if min(gaps) > tol:
                 return tuple(-1 if k > 0 else 1 for k in kappa)
     raise UnresolvedSpectrum(f"roots of J at (n={n}, mu={mu}) closer than 1e-234")
+
+
+def reflection_factor_mp(n: int, mu: float, kappa, dps: int = 60) -> tuple:
+    """``det(J - kappa*I)`` for the Jacobi form J of the reflection relations,
+    its kappa-derivative and the largest summand of the three-term
+    recurrence, in mpmath at ``dps`` digits, at the exact value of ``kappa``
+    (a float or a ``numpy.longdouble``).  J is the band that
+    :func:`reflection_signs` fills: a zero diagonal but for its last entry
+    (mu for even n, -(n+1)/2 for odd n), and squared off-diagonals mu**2
+    and (i+1)*(n-i) in turn."""
+    num, den = kappa.as_integer_ratio()
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(num) / den
+        m = mpmath.mpf(mu)
+        diag = [mpmath.mpf(0)] * (n + 1)
+        diag[n] = mpmath.mpf(-(n + 1)) / 2 if n % 2 else m
+        off2 = [(p // 2 + 1) * (n - p // 2) if p % 2 else m * m for p in range(n)]
+        prev2, prev = mpmath.mpf(1), diag[0] - k
+        dprev2, dprev = mpmath.mpf(0), mpmath.mpf(-1)
+        top = abs(prev)
+        for j in range(1, n + 1):
+            t1, t2 = (diag[j] - k) * prev, off2[j - 1] * prev2
+            top = max(top, abs(t1), abs(t2))
+            cur, dcur = t1 - t2, (diag[j] - k) * dprev - prev - off2[j - 1] * dprev2
+            prev2, prev, dprev2, dprev = prev, cur, dprev, dcur
+        return +prev, +dprev, +top
 
 
 def sturm_counts(n: int, mu: float, x: np.ndarray) -> np.ndarray:

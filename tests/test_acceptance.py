@@ -15,7 +15,7 @@ from heun_rsj.dynamics import bias, integrate_phase, integrate_xy, phase_from_xy
 from heun_rsj.errors import ZeroOnUnitCircle
 from heun_rsj.heun_poly import build_polynomial, spectral_det
 from heun_rsj.model import DcheParams, RsjParams, dche_to_params
-from heun_rsj.spectral import factorization, lambda_spectrum
+from heun_rsj.spectral import lambda_spectrum
 
 import helpers
 import identities
@@ -163,18 +163,15 @@ def test_criterion_5_factorization():
                 if lam + mu**2 > spectral.DISC_MARGIN
             ]
             for d in generic + roots:
-                rel_dev, sign, det_p, det_m = factorization(d)
+                # The matrix identity on the dense oracles; the determinants
+                # as certify takes them, from the reflection-factor kernel.
+                rel_dev, sign, _, _ = identities.factorization(d)
                 signs.add(sign)
                 worst_dev = max(worst_dev, rel_dev)
-                delta, det_scale = spectral_det(d)
-                scale = max(det_scale, abs(delta))
-                worst_prod = max(
-                    worst_prod, abs(abs(det_p * det_m) - abs(delta)) / scale
-                )
+                det_product, det_min = structure._det_checks(d)
+                worst_prod = max(worst_prod, det_product)
                 if d in roots:
-                    worst_min = max(
-                        worst_min, min(abs(det_p), abs(det_m)) / det_scale
-                    )
+                    worst_min = max(worst_min, det_min)
     ok = (
         signs == {-1}
         and worst_dev <= 1e-10

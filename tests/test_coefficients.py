@@ -12,9 +12,10 @@ from heun_rsj import spectral, structure
 from heun_rsj.errors import NotSpectral
 from heun_rsj.heun_poly import SPECTRAL_TOL, _reflection_jacobi, build_polynomial
 from heun_rsj.model import DcheParams
-from heun_rsj.spectral import lambda_spectrum, root_params, symmetry_matrix
+from heun_rsj.spectral import lambda_spectrum, root_params
 
 import helpers
+from identities import symmetry_matrix
 from oracles import (
     ZeroRatioDivision,
     coeffs_from_ratios,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from heun_rsj.errors import IndexOutOfRange, InvalidParams, NotSpectral
 from heun_rsj.heun_poly import (
     _det_scan,
     build_polynomial,
-    coefficient_matrix,
     residual_linear_system,
     spectral_det,
 )
@@ -22,6 +22,7 @@ from heun_rsj.spectral import ROOT_TOL, lambda_spectrum, root_params
 from heun_rsj.structure import SAMPLE_POINTS
 
 import helpers
+from identities import coefficient_matrix
 from oracles import (
     DegreeZeroUnsupported,
     LambdaZero,
@@ -29,6 +30,7 @@ from oracles import (
     coeff_transfer,
     coefficient_ratios,
     coeffs_from_ratios,
+    linear_rows_loop,
     necessary_condition,
     residual_master,
     spectral_det_transfer,
@@ -450,10 +452,27 @@ class TestResidualEvaluators:
         assert worst >= 1e-6
 
     def test_linear_system_rows_match_dense_product(self):
-        poly = self._solution(n=3, mu=0.5)
-        rows = residual_linear_system(poly)
-        dense = coefficient_matrix(poly.params) @ np.asarray(poly.coeffs)
-        np.testing.assert_array_equal(rows, dense)
+        # The product of the dense matrix with the coefficients, summed in
+        # column order with its zero terms left out (the loop oracle), not
+        # BLAS's product, which each kernel rounds differently.
+        for n, mu, index in ((3, 0.5, 3), (12, 1.82, 5), (40, -0.7, 21)):
+            poly = helpers.solution(n, mu, index)
+            rows = residual_linear_system(poly)
+            assert rows.tolist() == linear_rows_loop(poly)
+            # Each row is within 5 units of roundoff of the exact sum of its
+            # terms (two products and up to two sums on every band term, one
+            # subtraction on the diagonal).
+            lam, m = Fraction(poly.params.lam), Fraction(mu)
+            a = [Fraction(x) for x in poly.coeffs]
+            u = Fraction(1, 2**53)
+            for k, row in enumerate(rows.tolist()):
+                terms = [(lam - k * (n + 1 - k)) * a[k]]
+                if k >= 1:
+                    terms.append(m * (n + 1 - k) * a[k - 1])
+                if k < n:
+                    terms.append(m * (k + 1) * a[k + 1])
+                bound = 5 * u * sum(abs(t) for t in terms) / (1 - 5 * u)
+                assert abs(Fraction(row) - sum(terms)) <= bound, (n, k, row)
 
     def test_linear_system_flags_perturbation(self):
         poly = self._solution()

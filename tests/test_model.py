@@ -36,6 +36,9 @@ class TestRsjParams:
             dict(A=math.nan, B=1.0, omega=1.0),
             dict(A=1.0, B=math.inf, omega=1.0),
             dict(A=1.0, B=1.0, omega=math.nan),
+            dict(A=True, B=1.0, omega=1.0),
+            dict(A=1.0, B=False, omega=1.0),
+            dict(A=1.0, B=1.0, omega=True),
         ],
     )
     def test_rejects_degenerate_bias(self, kwargs):
@@ -60,6 +63,8 @@ class TestDcheParams:
             dict(n=1.5, mu=1.0, lam=0.0),
             dict(n=1, mu=math.nan, lam=0.0),
             dict(n=1, mu=1.0, lam=math.inf),
+            dict(n=1, mu=True, lam=0.0),
+            dict(n=1, mu=1.0, lam=False),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

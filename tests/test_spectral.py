@@ -17,20 +17,19 @@ from heun_rsj.errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from heun_rsj.heun_poly import _det_scan, coefficient_matrix, spectral_det
+from heun_rsj.heun_poly import _det_scan, spectral_det
 from heun_rsj.model import DcheParams, dche_to_params
 from heun_rsj.spectral import (
     DISC_MARGIN,
     ROOT_TOL,
     SpectralSet,
-    factorization,
     lambda_spectra,
     lambda_spectrum,
     root_params,
-    symmetry_matrix,
 )
 
-from helpers import scaled_scan
+from helpers import reflection_dets, scaled_scan
+from identities import coefficient_matrix, factorization, symmetry_matrix
 from oracles import (
     _refine_ratio,
     mpmath_root,
@@ -624,6 +623,14 @@ class TestSpectra:
         with pytest.raises(InvalidParams, match="mu is a 1329-bit int"):
             lambda_spectrum(2, 10**400)
 
+    def test_bool_mu_is_refused(self):
+        # An int subclass, but no drive: refused as a bool degree is.
+        for mu in (True, False):
+            with pytest.raises(InvalidParams, match="mu must be a finite real"):
+                lambda_spectrum(1, mu)
+            with pytest.raises(InvalidParams, match="mu must be a finite real"):
+                lambda_spectra([(1, 0.5), (2, mu)])
+
     @pytest.mark.parametrize("cap", [1, 3, 4, 5])
     @pytest.mark.usefixtures("fresh_memo")
     def test_error_order_across_runs(self, monkeypatch, cap):
@@ -913,6 +920,8 @@ class TestSymmetryMatrices:
         "lam,mu", [(0.73, 1.1), (2.4, 0.6), (5.9, 2.3), (0.9, 0.8)]
     )
     def test_factorization_generic(self, n, lam, mu):
+        # The identity on the dense oracles, and the package's continuant
+        # determinants against their LU determinants.
         d = DcheParams(n=n, mu=mu, lam=lam)
         rel_dev, sign, det_p, det_m = factorization(d)
         gp = symmetry_matrix(1, d)
@@ -924,13 +933,13 @@ class TestSymmetryMatrices:
         assert dev < float(np.max(np.abs(prod - phi_t)))
         assert rel_dev == dev / max(1.0, float(np.max(np.abs(prod))))
         assert rel_dev <= 1e-12
-        assert det_p == float(np.linalg.det(gp))
-        assert det_m == float(np.linalg.det(gm))
+        got = [float(x) for x in reflection_dets(d)]
+        np.testing.assert_allclose(got, [det_p, det_m], rtol=1e-11)
 
     def test_condition_splits_determinant(self):
         d = DcheParams(n=3, mu=1.2, lam=1.9)
-        _, _, det_p, det_m = factorization(d)
-        assert abs(det_p * det_m) == pytest.approx(
+        det_p, det_m = reflection_dets(d)
+        assert abs(float(det_p * det_m)) == pytest.approx(
             abs(spectral_det(d)[0]), rel=1e-10
         )
 
@@ -940,7 +949,7 @@ class TestSymmetryMatrices:
             d = DcheParams(n=n, mu=mu, lam=lam)
             if d.lam + mu**2 <= DISC_MARGIN:
                 continue
-            _, _, det_p, det_m = factorization(d)
+            det_p, det_m = reflection_dets(d)
             assert min(abs(det_p), abs(det_m)) <= 1e-10 * spectral_det(d)[1]
 
 
@@ -1159,6 +1168,8 @@ class TestRootParams:
             (1, np.array([1.0]), 0, "mu must be a finite real"),
             (True, 1.0, 0, "degree n must be"),
             (2, math.nan, 0, "mu must be a finite real"),
+            (2, True, 0, "mu must be a finite real"),
+            (2, False, 0, "mu must be a finite real"),
             (2, 1.0, 1.0, "root index must be an int"),
             (2, 1.0, "1", "root index must be an int"),
             (2, 1.0, None, "root index must be an int"),
