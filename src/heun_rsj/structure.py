@@ -107,18 +107,21 @@ def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
 
 # residuals and symmetry_residual read the same P in turn within certify.
 @functools.lru_cache(maxsize=1)
-def _on_samples(P: HeunPolynomial) -> tuple[tuple, ...]:
-    """``(z, P(z), P'(z), P''(z), P(1/z))`` at each z of ``SAMPLE_POINTS``,
-    each value by a scalar Horner loop (:func:`_horner`); numpy's array
-    complex arithmetic can differ from the scalar one in the last bit.  1/z
-    stays in the point's own type: Python's complex division differs from
-    numpy's at some of the points."""
-    a = np.asarray(P.coeffs)
-    p, dp, d2p = ([complex(x) for x in c.tolist()] for c in (a, *_derivatives(a)))
-    return tuple(
-        (z, _horner(p, z), _horner(dp, z), _horner(d2p, z), _horner(p, 1.0 / z))
-        for z in SAMPLE_POINTS
-    )
+def _on_samples(P: HeunPolynomial) -> np.ndarray:
+    """P(z), P(1/z), P'(z) and P''(z) at each z of ``SAMPLE_POINTS``, in
+    that order: ``table[k]`` is the real and imaginary parts of value k,
+    one column per point.
+
+    All 80 values come from one pass (:func:`_lane_values`), bit for bit the
+    scalar ``polyval`` of each, signed zeros included.  The table is read
+    only.
+    """
+    a = np.asarray(P.coeffs, dtype=float)
+    # Python's complex arithmetic overflowed without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _lane_values((a, a, *_derivatives(a)))
+    table.flags.writeable = False
+    return table
 
 
 def _derivatives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,18 +134,105 @@ def _derivatives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dp, dp[1:] * k[:-1] if a.size > 2 else a[:1] * 0
 
 
-def _horner(c: list[complex], z) -> np.complex128:
-    """``polyval(z, c)`` bit for bit, without its per-call overhead: numpy's
-    scalar recurrence ``v = c[-1] + z*0j``, then ``v = a + v*z`` for each
-    lower coefficient, in Python complex arithmetic.  With complex
-    coefficients every step is complex by complex, as in numpy, and the
-    result is the numpy scalar that ``polyval`` returns, so its readers
-    compute as before."""
-    z = complex(z)
-    v = c[-1] + z * 0j
-    for a in c[-2::-1]:
-        v = a + v * z
-    return np.complex128(v)
+def _pairs(points) -> np.ndarray:
+    """Real and imaginary parts of complex ``points``, as rows."""
+    return np.array([[x.real for x in points], [x.imag for x in points]])
+
+
+_POINTS = _pairs(SAMPLE_POINTS)
+# The point of each lane of the sample table, row by row: z, 1/z, z and z.
+# 1/z stays in the point's own type: Python's complex division differs from
+# numpy's at some of the points.
+_LANE_POINTS = np.concatenate(
+    [_POINTS, _pairs([1.0 / z for z in SAMPLE_POINTS]), _POINTS, _POINTS], axis=1
+)
+# Each lane point x and i*x, as pairs: v*x = Re(v)*x + Im(v)*(i*x).
+_LANE_MAPS = np.array([_LANE_POINTS, [-_LANE_POINTS[1], _LANE_POINTS[0]]])
+# The points held as Python complex, not numpy complex128: at these a term
+# of symmetry_residual that involves z was a Python complex value.
+_PY_POINTS = np.array([type(z) is complex for z in SAMPLE_POINTS])
+
+
+def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each polynomial of ``polys`` (ascending real coefficients, no longer
+    than the one before) at the lane points of its row: for each, the real
+    and imaginary parts, one column per point.
+
+    Every lane runs numpy's scalar ``polyval`` recurrence, ``v = c[-1] +
+    x*0`` and then ``v = a + v*x`` for each lower coefficient, as numpy
+    forms each complex product and sum, on real pairs and with ``+`` and
+    ``*`` alone: ``v*x`` is ``Re(v)*x + Im(v)*(i*x)``, and a product by
+    ``-Im(x)`` added is one by ``Im(x)`` subtracted, bit for bit.  A lane
+    starts at its own degree, from ``v = 0``: its first step is ``c[-1] +
+    0*x``, which is ``c[-1] + x*0`` bit for bit.  The lanes that have
+    started are a prefix, so each step runs on one slice.
+    """
+    points = len(SAMPLE_POINTS)
+    sizes = [c.size for c in polys]
+    coef = np.zeros((sizes[0], 2, len(polys) * points))
+    for row, c in enumerate(polys):
+        coef[: c.size, 0, row * points : (row + 1) * points] = c[:, None]
+    v, t = np.zeros((2, coef.shape[2])), np.empty((2, coef.shape[2]))
+    parts = np.empty((2, 2, coef.shape[2]))
+    # The first `rows` polynomials run down to coefficient `stop`, where the
+    # next one starts.
+    for rows, stop in enumerate([*sizes[1:], 0], start=1):
+        lanes = slice(rows * points)
+        v_, t_, c_ = v[:, lanes], t[:, lanes], coef[:, :, lanes]
+        parts_, maps = parts[:, :, lanes], _LANE_MAPS[:, :, lanes]
+        (re_x, im_ix), v_col = parts_, v_[:, None]
+        for k in range(sizes[rows - 1] - 1, stop - 1, -1):
+            np.multiply(v_col, maps, out=parts_)  # Re(v)*x and Im(v)*(i*x)
+            np.add(re_x, im_ix, out=t_)
+            np.add(c_[k], t_, out=v_)
+    return v.reshape(2, len(polys), points).transpose(1, 0, 2)
+
+
+# Complex arithmetic on arrays of complex values held as real pairs, a
+# (2, N) array of real and imaginary parts: numpy's and Python's formulas,
+# operation for operation.  A real operand is the pair (x, 0.0), as both
+# promote it.
+def _real(x) -> np.ndarray:
+    return np.array([[x], [0.0]])
+
+
+_SWAP_SIGNS = np.array([[-1.0], [1.0]])
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a0*b0 - a1*b1, a0*b1 + a1*b0)``: the product by ``-a1`` added is
+    the one by ``a1`` subtracted, bit for bit."""
+    return a[0] * b + (a[1] * _SWAP_SIGNS) * b[::-1]
+
+
+def _abs(a: np.ndarray, python=True) -> np.ndarray:
+    """``abs`` of complex values: ``hypot``, and, where ``python`` marks
+    them as Python complex values, ``OverflowError`` where the modulus of a
+    finite value overflows, as Python's ``abs`` raises (numpy's gives inf).
+    """
+    r = np.hypot(a[0], a[1])
+    if np.isinf(r).any():
+        finite = np.isfinite(a).all(axis=0)
+        if np.any(np.isinf(r) & finite & python):
+            raise OverflowError("absolute value too large")
+    return r
+
+
+def _py_max(x: np.ndarray) -> np.ndarray:
+    """Python's ``max`` over the first axis of x: the first entry where that
+    is NaN, else the largest entry, NaNs skipped (``max`` keeps its running
+    value unless an entry is greater)."""
+    return np.where(np.isnan(x[0]), x[0], np.fmax.reduce(x))
+
+
+@functools.lru_cache(maxsize=1024)
+def _powers(n: int) -> np.ndarray:
+    """``z**n`` at each sample point, as real pairs: each point's own power,
+    Python's for a complex and numpy's for a complex128 (from n = 100 on
+    they differ), taken once per degree."""
+    powers = _pairs([z**n for z in SAMPLE_POINTS])
+    powers.flags.writeable = False
+    return powers
 
 
 def symmetry_residual(P: HeunPolynomial) -> float:
@@ -150,20 +240,19 @@ def symmetry_residual(P: HeunPolynomial) -> float:
 
     Each point contributes ``|P'(z) - mu*P(z) - eps*c*z**n*P(1/z)|`` divided
     by the largest of its three summand magnitudes, with P's own sign eps.
+    A point whose summands all vanish is skipped.
     """
     eps = P.epsilon
     c = frequency_scale(P.params)
     n, mu = P.n, P.params.mu
-    worst = 0.0
-    for z, v, dv, _, v_inv in _on_samples(P):
-        t1 = complex(dv)
-        t2 = -mu * complex(v)
-        t3 = -eps * c * z**n * complex(v_inv)
-        scale = max(abs(t1), abs(t2), abs(t3))
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(t1 + t2 + t3) / scale)
-    return worst
+    v, v_inv, dv, _ = _on_samples(P)
+    # The terms as Python's complex arithmetic formed them: it raises no flag.
+    with np.errstate(all="ignore"):
+        t2 = _mul(_real(-mu), v)
+        t3 = _mul(_mul(_real(-eps * c), _powers(n)), v_inv)
+        scale = _py_max(np.array([_abs(dv), _abs(t2), _abs(t3, _PY_POINTS)]))
+        ratio = _abs(dv + t2 + t3, _PY_POINTS) / scale
+    return float(np.fmax.reduce(ratio[scale != 0.0], initial=0.0))
 
 
 def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
@@ -187,17 +276,17 @@ def residuals(P: HeunPolynomial) -> tuple[float, float]:
     system divided by max |a_k|.
     """
     n, mu, lam = P.params.n, P.params.mu, P.params.lam
-
-    def master_rel(z, v, dv, d2v, _) -> float:
-        terms = (
-            z * ((1.0 - n) * dv + z * d2v),
-            -mu * z * (z * dv - n * v),
-            (mu - z) * dv,
-            lam * v,
-        )
-        return abs(sum(terms)) / max(float(max(abs(t) for t in terms)), 1e-300)
-
-    master = max(master_rel(*row) for row in _on_samples(P))
+    v, _, dv, d2v = _on_samples(P)
+    z = _POINTS
+    terms = np.array([
+        _mul(z, _mul(_real(1.0 - n), dv) + _mul(z, d2v)),
+        _mul(_mul(_real(-mu), z), _mul(z, dv) - _mul(_real(n), v)),
+        _mul(_real(mu) - z, dv),
+        _mul(_real(lam), v),
+    ])
+    total = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]  # as sum() adds
+    scale = np.maximum(_py_max(np.hypot(terms[:, 0], terms[:, 1])), 1e-300)
+    master = _py_max(np.hypot(total[0], total[1]) / scale)
     rows = heun_poly.residual_linear_system(P)
     amax = max(abs(c) for c in P.coeffs)
     return float(master), float(np.max(np.abs(rows))) / amax
@@ -246,8 +335,9 @@ def _det_checks(d: DcheParams) -> tuple[float, float]:
     |det G-|) / scale`` at d, in long double, each rounded once to a double.
 
     Delta and its scale are the gate's (``spectral._gate_det``); det G+- are
-    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``, with c
-    formed in long double as the root polish forms it.  ``InvalidParams``
+    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
+    (``spectral._reflection_dets``), with c formed in long double as the
+    root polish forms it.  ``InvalidParams``
     where the scale or a check is not finite: a check would be NaN,
     infinite, or a 0 that only an infinite scale makes.
     """
@@ -255,7 +345,7 @@ def _det_checks(d: DcheParams) -> tuple[float, float]:
     c = np.sqrt(ld(d.lam) + ld(d.mu) ** 2)
     delta, scale = spectral._gate_det(d)  # no second scan of a memoised root
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed below
-        (det_p, det_m), _ = spectral._factor_newton_extended(d.n, d.mu, np.array([-c, c]))
+        det_p, det_m = spectral._reflection_dets(d.n, d.mu, c)
         det_product = float(abs(abs(det_p * det_m) - abs(delta)) / scale)
         det_min = float(min(abs(det_p), abs(det_m)) / scale)
     if not all(map(math.isfinite, (scale, det_product, det_min))):

@@ -724,6 +724,25 @@ def test_golden_root_commands(capsys, command, digest):
     assert h.hexdigest() == digest
 
 
+# SHA-256 of "<exit code>\n<stdout><stderr>" of verify at every root of
+# n <= 16 at three mu (459 calls), recorded before the sample table of
+# certify became one array pass and det G+- a scalar continuant.  A change
+# that only makes certify faster must leave every byte, and this digest, as
+# it is.
+def test_verify_bytes_over_a_grid(capsys):
+    h = hashlib.sha256()
+    for mu in ("0.25", "1.82", "-0.7"):
+        for n in range(17):
+            for root in range(n + 1):
+                code, out, err = run_cli(
+                    capsys, "verify", "--n", str(n), "--mu", mu, "--root", str(root)
+                )
+                h.update(f"{code}\n{out}{err}".encode())
+    assert h.hexdigest() == (
+        "46613b127ea03afe29877dbdf00a6f560fe675ad494017dac4617123f1aa3eb5"
+    )
+
+
 # From about |mu| = 1e153 up to sqrt(DBL_MAX) the double determinant scan
 # overflows to NaN at the polished roots; a NaN relative determinant must
 # fail the root gate.

@@ -7,6 +7,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heun_rsj import cli, heun_poly, spectral, structure
 from heun_rsj.dynamics import bias, integrate_phase
@@ -276,18 +278,90 @@ class TestDeterminantChecks:
                 assert code in (0, 1) and err == "" and '"det_min_rel"' in out
 
 
+def _same_ld(got, want) -> bool:
+    """Bit identity of two long doubles, which have no ``hex``: the same
+    value and sign bit, or both NaN."""
+    if np.isnan(want):
+        return bool(np.isnan(got))
+    return bool(got == want and np.signbit(got) == np.signbit(want))
+
+
+def _assert_scalar_dets(n, mu, c) -> None:
+    """``spectral._reflection_dets`` against the array kernel at ``kappa =
+    [-c, c]``, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = spectral._reflection_dets(n, mu, c)
+        want = spectral._factor_newton_extended(n, mu, np.array([-c, c]))[0]
+    assert all(isinstance(g, np.longdouble) for g in got)
+    assert all(map(_same_ld, got, want)), (n, mu, c, got, want)
+
+
+class TestReflectionDets:
+    @pytest.mark.parametrize("mu", (0.25, 1.0, 1.82, 2.5, -0.7))
+    def test_scalar_kernel_is_the_array_kernel(self, mu):
+        # det G+- of every root of n <= 60 above DISC_MARGIN, at the c that
+        # certify forms: the scalar values are the array kernel's.
+        for n in range(61):
+            for i in range(n + 1):
+                d, _ = spectral.root_params(n, mu, i)
+                if d.lam + mu * mu <= spectral.DISC_MARGIN:
+                    continue
+                got = spectral._reflection_dets(n, mu, _long_c(d))
+                assert all(map(_same_ld, got, helpers.reflection_dets(d))), (n, mu, i)
+
+    @given(
+        n=st.integers(min_value=0, max_value=80),
+        mu=st.one_of(
+            st.floats(min_value=-1e200, max_value=1e200),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+        ),
+        c=st.floats(min_value=-1e300, max_value=1e300),
+    )
+    @settings(max_examples=300)
+    @example(n=20, mu=1.0, c=1e236)  # (+inf, -inf)
+    @example(n=21, mu=-0.7, c=1e230)  # (+inf, +inf)
+    @example(n=21, mu=-0.7, c=1e236)  # (NaN, +inf)
+    @example(n=40, mu=1e200, c=1e300)  # inf - inf: NaN
+    @example(n=7, mu=5e-324, c=0.0)
+    @example(n=0, mu=-0.0, c=-0.0)
+    def test_scalar_kernel_at_drawn_kappa(self, n, mu, c):
+        _assert_scalar_dets(n, mu, np.longdouble(c))
+
+    @pytest.mark.parametrize(
+        "n,mu,c,signs",
+        [(20, 1.0, 1e236, (1, -1)), (21, -0.7, 1e230, (1, 1)), (40, 1e200, 1e300, None)],
+    )
+    def test_overflow_to_inf(self, n, mu, c, signs):
+        # Where the continuant overflows, both kernels give the same
+        # infinities, or the same NaN where two of them meet.
+        c = np.longdouble(c)
+        _assert_scalar_dets(n, mu, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_p, det_m = spectral._reflection_dets(n, mu, c)
+        if signs is None:
+            assert np.isnan(det_p) and np.isnan(det_m)
+        else:
+            assert (det_p, det_m) == (signs[0] * np.inf, signs[1] * np.inf)
+
+
+def _long_c(d: DcheParams) -> np.longdouble:
+    """c of d in long double, as certify forms it."""
+    return np.sqrt(np.longdouble(d.lam) + np.longdouble(d.mu) ** 2)
+
+
 def _assert_same_table(poly: HeunPolynomial) -> None:
     """``structure._on_samples`` against the per-value ``polyval`` oracle:
-    both parts by ``float.hex`` (signed zeros included), and the numpy scalar
-    type that ``polyval`` returns."""
-
-    def bits(row):
-        return [
-            (type(v), complex(v).real.hex(), complex(v).imag.hex()) for v in row
-        ]
-
-    got, want = structure._on_samples(poly), samples_polyval(poly)
-    assert [bits(row) for row in got] == [bits(row) for row in want], poly
+    the real and imaginary part of every lane by ``float.hex`` (signed zeros
+    included), in a read-only float64 table of P(z), P(1/z), P'(z) and
+    P''(z)."""
+    table, want = structure._on_samples(poly), samples_polyval(poly)
+    assert table.dtype == np.float64 and not table.flags.writeable
+    assert table.shape == (4, 2, len(structure.SAMPLE_POINTS))
+    # The oracle's rows are (z, P(z), P'(z), P''(z), P(1/z)).
+    for row, col in enumerate((1, 4, 2, 3)):
+        got = [(re.hex(), im.hex()) for re, im in zip(*table[row].tolist())]
+        exp = [(complex(p[col]).real.hex(), complex(p[col]).imag.hex()) for p in want]
+        assert got == exp, (poly, row)
 
 
 class TestSampleTable:
@@ -333,20 +407,21 @@ class TestSampleTable:
 
     def test_certify_samples_p_once(self, monkeypatch):
         poly = helpers.solution(8, 1.82, 4)
-        horner, calls = structure._horner, []
+        lane_values, calls = structure._lane_values, []
 
-        def spy(c, z):
-            calls.append(len(c))
-            return horner(c, z)
+        def spy(polys):
+            calls.append([c.size for c in polys])
+            return lane_values(polys)
 
-        monkeypatch.setattr(structure, "_horner", spy)
+        monkeypatch.setattr(structure, "_lane_values", spy)
         structure._on_samples.cache_clear()
         _, skipped = structure.certify(poly)
         assert skipped == []  # both sampled checks ran
         info = structure._on_samples.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        # P, P', P'' and P(1/z) once at each point.
-        assert calls == [9, 8, 7, 9] * len(structure.SAMPLE_POINTS)
+        # One pass: P (at z and at 1/z), P' and P'', each once at each point.
+        assert calls == [[9, 9, 8, 7]]
+        assert structure._on_samples(poly).shape == (4, 2, len(structure.SAMPLE_POINTS))
 
     @pytest.mark.parametrize("kind", ["random", "spectral"])
     def test_derivative_coefficients_are_polyder(self, kind):
