@@ -148,9 +148,11 @@ _LANE_POINTS = np.concatenate(
 )
 # Each lane point x and i*x, as pairs: v*x = Re(v)*x + Im(v)*(i*x).
 _LANE_MAPS = np.array([_LANE_POINTS, [-_LANE_POINTS[1], _LANE_POINTS[0]]])
-# The points held as Python complex, not numpy complex128: at these a term
-# of symmetry_residual that involves z was a Python complex value.
+# The points held as Python complex, not numpy complex128: at these the
+# terms of symmetry_residual that involve z were Python complex values, and
+# at every point the two others.
 _PY_POINTS = np.array([type(z) is complex for z in SAMPLE_POINTS])
+_PY_TERMS = np.array([[True], [True], [False]]) | _PY_POINTS
 
 
 def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -188,21 +190,31 @@ def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
     return v.reshape(2, len(polys), points).transpose(1, 0, 2)
 
 
-# Complex arithmetic on arrays of complex values held as real pairs, a
-# (2, N) array of real and imaginary parts: numpy's and Python's formulas,
-# operation for operation.  A real operand is the pair (x, 0.0), as both
-# promote it.
-def _real(x) -> np.ndarray:
-    return np.array([[x], [0.0]])
-
-
+# Complex products on arrays of complex values held as real pairs, a (2, N)
+# array of real and imaginary parts, as numpy and Python form them.  The
+# left factor a is held as ``(Re a, Im a * (-1, 1))``: then a*b is
+# ``Re(a)*b + (Im(a)*(-1, 1))*b[::-1]``, and the product by -Im(a) added is
+# the one by Im(a) subtracted, bit for bit.  A real left factor x is the
+# pair (x, 0.0), as both promote it.
 _SWAP_SIGNS = np.array([[-1.0], [1.0]])
+_ZERO_SWAP = 0.0 * _SWAP_SIGNS
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(a0*b0 - a1*b1, a0*b1 + a1*b0)``: the product by ``-a1`` added is
-    the one by ``a1`` subtracted, bit for bit."""
-    return a[0] * b + (a[1] * _SWAP_SIGNS) * b[::-1]
+def _left(a: np.ndarray) -> tuple:
+    return a[0], a[1] * _SWAP_SIGNS
+
+
+def _real(x) -> tuple:
+    return x, _ZERO_SWAP
+
+
+def _mul(left: tuple, b: np.ndarray) -> np.ndarray:
+    return left[0] * b + left[1] * b[::-1]
+
+
+# z and the imaginary part of mu - z, (0.0 - Im z), as left factors.
+_Z_LEFT = _left(_POINTS)
+_MINUS_Z_LEFT = (0.0 - _POINTS[1]) * _SWAP_SIGNS
 
 
 def _abs(a: np.ndarray, python=True) -> np.ndarray:
@@ -210,19 +222,19 @@ def _abs(a: np.ndarray, python=True) -> np.ndarray:
     them as Python complex values, ``OverflowError`` where the modulus of a
     finite value overflows, as Python's ``abs`` raises (numpy's gives inf).
     """
-    r = np.hypot(a[0], a[1])
+    r = np.hypot(a[..., 0, :], a[..., 1, :])
     if np.isinf(r).any():
-        finite = np.isfinite(a).all(axis=0)
+        finite = np.isfinite(a).all(axis=-2)
         if np.any(np.isinf(r) & finite & python):
             raise OverflowError("absolute value too large")
     return r
 
 
 def _py_max(x: np.ndarray) -> np.ndarray:
-    """Python's ``max`` over the first axis of x: the first entry where that
-    is NaN, else the largest entry, NaNs skipped (``max`` keeps its running
-    value unless an entry is greater)."""
-    return np.where(np.isnan(x[0]), x[0], np.fmax.reduce(x))
+    """Python's ``max`` over the first axis of x (no -inf in it): the first
+    entry where that is NaN, else the largest entry, NaNs skipped (``max``
+    keeps its running value unless an entry is greater)."""
+    return np.maximum(x[0], np.fmax.reduce(x[1:], initial=-np.inf))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -249,9 +261,10 @@ def symmetry_residual(P: HeunPolynomial) -> float:
     # The terms as Python's complex arithmetic formed them: it raises no flag.
     with np.errstate(all="ignore"):
         t2 = _mul(_real(-mu), v)
-        t3 = _mul(_mul(_real(-eps * c), _powers(n)), v_inv)
-        scale = _py_max(np.array([_abs(dv), _abs(t2), _abs(t3, _PY_POINTS)]))
-        ratio = _abs(dv + t2 + t3, _PY_POINTS) / scale
+        t3 = _mul(_left(_mul(_real(-eps * c), _powers(n))), v_inv)
+        terms = np.array([dv, t2, t3])
+        scale = _py_max(_abs(terms, _PY_TERMS))
+        ratio = _abs(np.add.reduce(terms), _PY_POINTS) / scale
     return float(np.fmax.reduce(ratio[scale != 0.0], initial=0.0))
 
 
@@ -277,18 +290,18 @@ def residuals(P: HeunPolynomial) -> tuple[float, float]:
     """
     n, mu, lam = P.params.n, P.params.mu, P.params.lam
     v, _, dv, d2v = _on_samples(P)
-    z = _POINTS
+    z = _Z_LEFT
     terms = np.array([
         _mul(z, _mul(_real(1.0 - n), dv) + _mul(z, d2v)),
-        _mul(_mul(_real(-mu), z), _mul(z, dv) - _mul(_real(n), v)),
-        _mul(_real(mu) - z, dv),
+        _mul(_left(_mul(_real(-mu), _POINTS)), _mul(z, dv) - _mul(_real(n), v)),
+        _mul((mu - _POINTS[0], _MINUS_Z_LEFT), dv),  # (mu - z)*dv
         _mul(_real(lam), v),
     ])
-    total = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]  # as sum() adds
+    total = np.add.reduce(terms, initial=0.0)  # in order, from 0, as sum() adds
     scale = np.maximum(_py_max(np.hypot(terms[:, 0], terms[:, 1])), 1e-300)
     master = _py_max(np.hypot(total[0], total[1]) / scale)
     rows = heun_poly.residual_linear_system(P)
-    amax = max(abs(c) for c in P.coeffs)
+    amax = max(map(abs, P.coeffs))
     return float(master), float(np.max(np.abs(rows))) / amax
 
 
@@ -320,7 +333,7 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
         reason = "NonPositiveDiscriminant" if disc <= 0 else "DiscriminantBelowMargin"
         return checks, [{"name": name, "reason": reason} for name in _C_CHECKS]
 
-    amax = max(abs(c) for c in P.coeffs)
+    amax = max(map(abs, P.coeffs))
     add("reflection_symmetry", float(symmetry_residual(P)), TOL["symmetry"])
     rel = coeff_relations_residual(P)
     add("coeff_relations_rel", float(np.max(np.abs(rel))) / amax, TOL["coeff_relations"])
