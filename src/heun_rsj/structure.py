@@ -350,9 +350,9 @@ def _det_checks(d: DcheParams) -> tuple[float, float]:
     Delta and its scale are the gate's (``spectral._gate_det``); det G+- are
     the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
     (``spectral._reflection_dets``), with c formed in long double as the
-    root polish forms it.  ``InvalidParams``
-    where the scale or a check is not finite: a check would be NaN,
-    infinite, or a 0 that only an infinite scale makes.
+    root polish forms it.  ``InvalidParams`` where the scale or a check is
+    not finite: a check would be NaN, infinite, or a 0 that only an infinite
+    scale makes.
     """
     ld = np.longdouble
     c = np.sqrt(ld(d.lam) + ld(d.mu) ** 2)

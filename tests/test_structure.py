@@ -296,18 +296,21 @@ def _assert_scalar_dets(n, mu, c) -> None:
     assert all(map(_same_ld, got, want)), (n, mu, c, got, want)
 
 
+def _long_c(d: DcheParams) -> np.longdouble:
+    """c of d in long double, as certify forms it."""
+    return np.sqrt(np.longdouble(d.lam) + np.longdouble(d.mu) ** 2)
+
+
 class TestReflectionDets:
     @pytest.mark.parametrize("mu", (0.25, 1.0, 1.82, 2.5, -0.7))
     def test_scalar_kernel_is_the_array_kernel(self, mu):
         # det G+- of every root of n <= 60 above DISC_MARGIN, at the c that
-        # certify forms: the scalar values are the array kernel's.
+        # certify forms.
         for n in range(61):
             for i in range(n + 1):
                 d, _ = spectral.root_params(n, mu, i)
-                if d.lam + mu * mu <= spectral.DISC_MARGIN:
-                    continue
-                got = spectral._reflection_dets(n, mu, _long_c(d))
-                assert all(map(_same_ld, got, helpers.reflection_dets(d))), (n, mu, i)
+                if d.lam + mu * mu > spectral.DISC_MARGIN:
+                    _assert_scalar_dets(n, mu, _long_c(d))
 
     @given(
         n=st.integers(min_value=0, max_value=80),
@@ -318,35 +321,28 @@ class TestReflectionDets:
         c=st.floats(min_value=-1e300, max_value=1e300),
     )
     @settings(max_examples=300)
-    @example(n=20, mu=1.0, c=1e236)  # (+inf, -inf)
-    @example(n=21, mu=-0.7, c=1e230)  # (+inf, +inf)
-    @example(n=21, mu=-0.7, c=1e236)  # (NaN, +inf)
-    @example(n=40, mu=1e200, c=1e300)  # inf - inf: NaN
     @example(n=7, mu=5e-324, c=0.0)
     @example(n=0, mu=-0.0, c=-0.0)
     def test_scalar_kernel_at_drawn_kappa(self, n, mu, c):
         _assert_scalar_dets(n, mu, np.longdouble(c))
 
     @pytest.mark.parametrize(
-        "n,mu,c,signs",
-        [(20, 1.0, 1e236, (1, -1)), (21, -0.7, 1e230, (1, 1)), (40, 1e200, 1e300, None)],
+        "n,mu,c,want",
+        [
+            (20, 1.0, 1e236, (np.inf, -np.inf)),
+            (21, -0.7, 1e230, (np.inf, np.inf)),
+            (21, -0.7, 1e236, (np.nan, np.inf)),  # inf - inf in det G+ alone
+            (40, 1e200, 1e300, (np.nan, np.nan)),
+        ],
     )
-    def test_overflow_to_inf(self, n, mu, c, signs):
+    def test_overflow(self, n, mu, c, want):
         # Where the continuant overflows, both kernels give the same
         # infinities, or the same NaN where two of them meet.
         c = np.longdouble(c)
         _assert_scalar_dets(n, mu, c)
         with np.errstate(over="ignore", invalid="ignore"):
-            det_p, det_m = spectral._reflection_dets(n, mu, c)
-        if signs is None:
-            assert np.isnan(det_p) and np.isnan(det_m)
-        else:
-            assert (det_p, det_m) == (signs[0] * np.inf, signs[1] * np.inf)
-
-
-def _long_c(d: DcheParams) -> np.longdouble:
-    """c of d in long double, as certify forms it."""
-    return np.sqrt(np.longdouble(d.lam) + np.longdouble(d.mu) ** 2)
+            got = spectral._reflection_dets(n, mu, c)
+        assert all(map(_same_ld, got, map(np.longdouble, want)))
 
 
 def _assert_same_table(poly: HeunPolynomial) -> None:
