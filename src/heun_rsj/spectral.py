@@ -10,11 +10,13 @@ numpy's dense symmetric eigensolver (the same LAPACK eigenvalue iteration as
 a dedicated tridiagonal solver) and then polishes all n + 1 roots together
 in extended precision, each recurrence on the whole array of roots, so a
 spectrum costs O(n) numpy calls per Newton pass.  A root whose seed is at
-least mu**2 steps on its own reflection factor (below) from the first pass,
-every other root on the determinant.  Each root keeps its own Newton state,
-and a root whose step goes wrong falls back to its seed without disturbing
-the others; one array scan of the determinant then gates every returned
-root.
+least mu**2 steps in lambda on its own reflection factor (below) from the
+first pass, a root below mu**2 in kappa on that factor where a long-double
+rounding bound on lambda = kappa**2 - mu**2 covers it, and every other
+root, near lambda = 0, on the determinant.  Each root keeps its own Newton
+state, and a root whose step goes wrong falls back to its seed without
+disturbing the others; one array scan of the determinant then gates every
+returned root.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 G+ and G- (one per sign) with ``G+ G- = -Phi^T`` for the coefficient matrix
@@ -353,10 +355,16 @@ _STEP_STOP = max(2.0**-8, float(np.finfo(np.longdouble).eps / np.finfo(float).ep
 # Rounding noise of a long-double Newton step on a reflection factor at its
 # root, in double ulps: seven long-double ulps.  Once a factor root has
 # converged, its next step is that noise, at most 6.94 long-double ulps over
-# n <= 110 at the eight mu of scripts/polish_report.py.  Where long double
-# is plain double this exceeds _STEP_STOP, and no root stops on
-# :func:`_step_bound`.
+# n <= 110 at the eight mu of scripts/polish_report.py; a kappa step moves
+# lambda by at most three long-double ulps of the larger of |lambda| and
+# lambda + mu**2 there.  Where long double is plain double this exceeds
+# _STEP_STOP, and no root stops on :func:`_step_bound` or
+# :func:`_kappa_step_bound`.
 _STEP_NOISE = 7 * float(np.finfo(np.longdouble).eps / np.finfo(float).eps)
+
+# A seed below mu**2 steps in kappa where |seed| is at least this fraction
+# of mu**2, which the rounding bound of :func:`_polish_extended` covers.
+_KAPPA_COVER = 2.0**-7
 
 
 def _kappa_gaps(seeds, mu, cap, signs, start) -> np.ndarray:
@@ -371,7 +379,8 @@ def _kappa_gaps(seeds, mu, cap, signs, start) -> np.ndarray:
     a = np.maximum(seeds + mu * mu, 0.0)
     root = np.sqrt(a)
     kappa = -signs * root
-    slack = root - np.sqrt(np.maximum(a - cap, 0.0))
+    # Where a < cap the value may lie at kappa of either sign.
+    slack = np.where(a < cap, root + np.sqrt(a + cap), root - np.sqrt(np.maximum(a - cap, 0.0)))
     order = np.lexsort((kappa, start))
     kappa, slack, same = kappa[order], slack[order], np.diff(start[order]) == 0
     apart = np.diff(kappa)
@@ -398,6 +407,26 @@ def _step_bound(step, kappa, n, gap):
     return s * s * (n / (np.fmax(gap, 0.0) * k) + 0.5 / (k * k))
 
 
+def _kappa_step_bound(step, kappa, n, gap):
+    """Bound on how far the next Newton step in kappa on a reflection factor
+    moves lambda = kappa**2 - mu**2, after the step ``step`` to ``kappa``,
+    rounding noise aside.
+
+    With R as in :func:`_step_bound`, a step d from x with error e is ``d =
+    e / (1 + e*R)``, so it leaves the error ``e' = e - d = d**2 * R / (1 -
+    d*R)``, and the next step is ``d' = e' / (1 + e'*R')``.  Where ``4 * |d|
+    * n <= gap``, ``|d*R| <= 1/4``, so ``|e'| <= 4/3 * d**2 * n / gap``,
+    ``|e'*R'| <= 1/12`` and ``|d'| <= 16/11 * d**2 * n / gap``, below ``b =
+    2 * d**2 * n / gap``.  Through the new kappa, d' moves lambda by
+    ``|2*kappa*d' - d'**2| <= b * (2*|kappa| + b)``, the value returned.  A
+    step too long for the proof gives inf, a gap that is not positive inf or
+    NaN.
+    """
+    s, k = np.abs(step.astype(float)), np.abs(kappa.astype(float))
+    b = 2 * s * s * n / np.fmax(gap, 0.0)
+    return np.where(4 * s * n <= gap, b * (2 * k + b), np.inf)
+
+
 def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     """Newton steps in extended precision from the eigenvalue seeds, all
     roots at once.
@@ -410,23 +439,43 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     and a seed's index in its problem is its place in its degree's block
     modulo n + 1.
 
-    The roots split once, by seed.  The determinant is -det G+ * det G-, and
-    each root kills exactly the factor of its own sign (:func:`root_params`).
-    Where two roots are closer than the seed's error, a near-degenerate
-    pair, the determinant has a double zero to working precision and Newton
-    on it converges only linearly, but each root is still a simple zero of
-    its own factor.  So a root whose seed is at least mu**2 steps on its
-    own factor (:func:`_factor_newton_extended`) at ``kappa =
-    -epsilon*sqrt(lambda + mu**2)``, where Newton converges quadratically;
-    rounding lambda + mu**2 in long double moves lambda by at most
-    2**-62 * lambda there.  Every other root steps on the determinant
-    (:func:`_det_newton_extended`).  A root stops once its step is at most
-    ``_STEP_STOP`` of a double ulp, 1/256; at most ``_PASSES`` passes run.
-    A factor root also stops once its step proves the next one that small:
-    :func:`_step_bound`, with the distance to its neighbours from
-    :func:`_kappa_gaps`, plus ``_STEP_NOISE``, is at most ``_STEP_STOP``.
-    Nearly every factor root thus takes one pass.  A determinant root has
-    no such proof: its steps can sit at the determinant's noise floor.
+    The roots split once, by seed, onto three routes.  The determinant is
+    -det G+ * det G-, and each root kills exactly the factor of its own sign
+    (:func:`root_params`).  Where two roots are closer than the seed's
+    error, a near-degenerate pair, the determinant has a double zero to
+    working precision and Newton on it converges only linearly, but each
+    root is still a simple zero of its own factor
+    (:func:`_factor_newton_extended`), where Newton converges
+    quadratically.  So:
+
+    * a root whose seed is at least mu**2 steps in lambda on its own factor
+      at ``kappa = -epsilon*sqrt(lambda + mu**2)``; rounding lambda + mu**2
+      in long double moves lambda by at most 2**-62 * lambda there;
+    * a root whose seed is below mu**2 and at least mu**2/128
+      (``_KAPPA_COVER``) in magnitude steps in kappa on its own factor, from ``kappa = -epsilon*sqrt(max(seed + mu**2, 0))``, and lambda =
+      kappa**2 - mu**2 is formed in long double.  There kappa**2 <= mu**2
+      + |lambda| <= 129*|lambda|, so rounding kappa**2 and the difference
+      costs at most 130 * 2**-64 * |lambda|, under 1/15 of a double ulp,
+      and each long-double ulp by which kappa misses its root at most
+      kappa**2 * 2**-62, about 1/4 ulp.  A converged kappa lies within
+      about one long-double ulp of its root, so near the cover's edge a
+      kappa root may land about 0.3 ulp farther from lambda than a
+      correctly rounded one;
+    * every other root steps on the determinant
+      (:func:`_det_newton_extended`): a seed within mu**2/128 of lambda =
+      0, where kappa**2 - mu**2 would cancel more than seven bits.  Once
+      |mu| is large against n that is every root, as |lambda| is then at
+      most about n*|mu|.
+
+    A root stops once its step is at most ``_STEP_STOP`` of a double ulp,
+    1/256; at most ``_PASSES`` passes run.  A factor root also stops once
+    its step proves the next one that small: the bound
+    (:func:`_step_bound` for a lambda step, :func:`_kappa_step_bound` for a
+    kappa step, mapped to lambda through the new kappa), with the distance
+    to its neighbours from :func:`_kappa_gaps`, plus ``_STEP_NOISE``, is at
+    most ``_STEP_STOP``.  Nearly every factor root thus takes one pass.  A
+    determinant root has no such proof: its steps can sit at the
+    determinant's noise floor.
 
     These figures assume the 64-bit mantissa of x87 extended precision,
     which ``numpy.longdouble`` has on x86-64 Linux.  Where long double is
@@ -443,48 +492,61 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
     cur = seeds.astype(ld)
     m2 = ld(mu) ** 2
-    onto = cur >= m2
-    live, pair = np.flatnonzero(~onto), np.flatnonzero(onto)
-    (mu2,) = _take(onto, m2)
+    in_kappa = (cur < m2) & (np.abs(cur) >= m2 * _KAPPA_COVER)
+    on_factor = (cur >= m2) | in_kappa
+    live, factor = np.flatnonzero(~on_factor), np.flatnonzero(on_factor)
     # Each degree's block starts where its first seed sits.
     place = np.arange(seeds.size)
     first = np.searchsorted(-n, -n) if isinstance(n, np.ndarray) else 0
     index = (place - first) % (n + 1)
     signs = _root_signs(n, mu, index)
 
-    def advance(roots, at, step, ok, bound):
-        """Take each root's step, or its seed where it is in trouble; the
-        mask of the roots still moving: neither the step nor the ``bound``
-        on the next one has met the stop."""
-        nxt = at - np.where(ok, step, 0)
+    def advance(roots, at, nxt, moved, ok, bound):
+        """Take each root's step to ``nxt``, or its seed where it is in
+        trouble; the mask of the roots still moving: neither the step,
+        ``moved`` in lambda, nor the ``bound`` on the next one has met the
+        stop."""
         ok &= np.abs(nxt.astype(float) - seeds[roots]) <= cap[roots]
         cur[roots] = np.where(ok, nxt, seeds[roots])
         ulp = np.abs(np.spacing(at.astype(float)))
         proved = bound <= ulp * (_STEP_STOP - _STEP_NOISE)  # a NaN bound proves nothing
-        return ok & (np.abs(step) > ulp * _STEP_STOP) & ~proved
+        return ok & (moved > ulp * _STEP_STOP) & ~proved
 
     # A root whose recurrence overflows falls back: no warning is due.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if pair.size:
-            eps = signs[pair]
-            gap = _kappa_gaps(seeds, mu, cap, signs, place - index)[pair]
+        if factor.size:
+            eps, mu2, in_k = _take(factor, signs, m2, in_kappa)
+            gap = _kappa_gaps(seeds, mu, cap, signs, place - index)[factor]
+            kap = -eps * np.sqrt(np.maximum(cur[factor] + mu2, 0))
         for _ in range(_PASSES):
             if live.size:
                 at = cur[live]
                 det, ddet = _det_newton_extended(*_take(live, n, mu), at)
                 ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
-                live = live[advance(live, at, det / np.where(ok, ddet, 1), ok, np.inf)]
-            if pair.size:
-                at = cur[pair]
-                kappa = -eps * np.sqrt(at + mu2)
-                n_, mu_ = _take(pair, n, mu)
+                step = det / np.where(ok, ddet, 1)
+                live = live[advance(live, at, at - step, np.abs(step), ok, np.inf)]
+            if factor.size:
+                at = cur[factor]
+                kappa = np.where(in_k, kap, -eps * np.sqrt(at + mu2))
+                n_, mu_ = _take(factor, n, mu)
                 g, dg = _factor_newton_extended(n_, mu_, kappa)
-                # d(kappa)/d(lambda) = kappa / (2*(lambda + mu**2)), so the
-                # Newton step in lambda is 2*kappa*g/g'.
+                # A kappa-step root steps by g/g' in kappa; every other root
+                # in lambda, where d(kappa)/d(lambda) = kappa / (2*(lambda +
+                # mu**2)) makes the Newton step 2*kappa*g/g'.
+                kstep = g / dg
                 step = 2 * kappa * g / dg
-                bound = _step_bound(step, kappa, n_, gap)
-                moving = advance(pair, at, step, np.isfinite(step), bound)
-                pair, eps, mu2, gap = _take(moving, pair, eps, mu2, gap)
+                kap = kappa - kstep
+                nxt = np.where(in_k, kap * kap - mu2, at - step)
+                moved = np.abs(np.where(in_k, nxt - at, step))
+                bound = np.where(
+                    in_k,
+                    _kappa_step_bound(kstep, kap, n_, gap),
+                    _step_bound(step, kappa, n_, gap),
+                )
+                moving = advance(factor, at, nxt, moved, np.isfinite(nxt), bound)
+                factor, eps, mu2, gap, in_k, kap = _take(
+                    moving, factor, eps, mu2, gap, in_k, kap
+                )
     return cur.astype(float)
 
 

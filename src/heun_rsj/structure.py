@@ -252,19 +252,26 @@ def symmetry_residual(P: HeunPolynomial) -> float:
 
     Each point contributes ``|P'(z) - mu*P(z) - eps*c*z**n*P(1/z)|`` divided
     by the largest of its three summand magnitudes, with P's own sign eps.
-    A point whose summands all vanish is skipped.
+    A point whose summands all vanish is skipped.  ``InvalidParams`` where
+    Python's complex arithmetic would overflow: z**n at z = 2 from n = 1024
+    on, or the modulus of a finite term.
     """
     eps = P.epsilon
     c = frequency_scale(P.params)
     n, mu = P.n, P.params.mu
     v, v_inv, dv, _ = _on_samples(P)
     # The terms as Python's complex arithmetic formed them: it raises no flag.
-    with np.errstate(all="ignore"):
-        t2 = _mul(_real(-mu), v)
-        t3 = _mul(_left(_mul(_real(-eps * c), _powers(n))), v_inv)
-        terms = np.array([dv, t2, t3])
-        scale = _py_max(_abs(terms, _PY_TERMS))
-        ratio = _abs(np.add.reduce(terms), _PY_POINTS) / scale
+    try:
+        with np.errstate(all="ignore"):
+            t2 = _mul(_real(-mu), v)
+            t3 = _mul(_left(_mul(_real(-eps * c), _powers(n))), v_inv)
+            terms = np.array([dv, t2, t3])
+            scale = _py_max(_abs(terms, _PY_TERMS))
+            ratio = _abs(np.add.reduce(terms), _PY_POINTS) / scale
+    except OverflowError as exc:
+        raise InvalidParams(
+            f"the reflection relation overflows a double at (n={n}, mu={mu}): {exc}"
+        ) from None
     return float(np.fmax.reduce(ratio[scale != 0.0], initial=0.0))
 
 
@@ -313,8 +320,9 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     checks that need c run only when lambda + mu**2 clears
     ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped`` as
     ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a
-    double, and where a determinant check cannot be formed
-    (:func:`_det_checks`).
+    double, where the reflection relation overflows
+    (:func:`symmetry_residual`), and where a determinant check cannot be
+    formed (:func:`_det_checks`).
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)

@@ -66,14 +66,18 @@ def _kappa_gaps_loop(n: int, mu: float, seeds) -> list[float]:
     """Reference for :func:`spectral._kappa_gaps` on seeds laid out as whole
     ascending spectra of (n, mu), over every pair of a problem: per seed,
     the least distance from its kappa to another seed's kappa, less the
-    kappa slack of both that the polish cap allows."""
+    kappa slack of both that the polish cap allows.  Where seed + mu**2 is
+    below the cap, the value may lie at kappa of either sign."""
     signs = _parity_signs(n, mu, len(seeds))
     kappa, slack = [], []
     for x, eps in zip(seeds, signs):
         a = max(x + mu * mu, 0.0)
         cap = 1e-8 * max(1.0, abs(x))
         kappa.append(-eps * math.sqrt(a))
-        slack.append(math.sqrt(a) - math.sqrt(max(a - cap, 0.0)))
+        if a < cap:
+            slack.append(math.sqrt(a) + math.sqrt(a + cap))
+        else:
+            slack.append(math.sqrt(a) - math.sqrt(a - cap))
     gaps = []
     for k in range(len(seeds)):
         block = range(k - k % (n + 1), min(k - k % (n + 1) + n + 1, len(seeds)))
@@ -85,39 +89,65 @@ def _kappa_gaps_loop(n: int, mu: float, seeds) -> list[float]:
     return gaps
 
 
+def _route(n: int, mu: float, seed: float) -> str:
+    """The polish route of a seed: ``"lambda"`` (Newton in lambda on its own
+    factor) where the seed is at least mu**2, ``"kappa"`` (Newton in kappa on
+    its own factor) where |seed| is at least mu**2/128, the determinant
+    (``"det"``) otherwise; compared in long double."""
+    ld = np.longdouble
+    if ld(seed) >= ld(mu) ** 2:
+        return "lambda"
+    return "kappa" if abs(ld(seed)) * 128 >= ld(mu) ** 2 else "det"
+
+
 def _polish_loop(n: int, mu: float, seed: float, eps: int, gap: float) -> float:
     """One-root reference for :func:`spectral._polish_extended`, for the root
-    of sign ``eps``: Newton passes on its own factor where the seed is at
-    least mu**2, on the determinant otherwise, until a step is at most 1/256
-    of a double ulp.  A factor step also stops its root where the bound it
-    gives on the next step, ``step**2 * (n/(gap*|kappa|) + 1/(2*kappa**2))``
-    with ``gap`` from :func:`_kappa_gaps_loop`, is at most 1/256 less seven
-    long-double ulps (1/2048 each) of a double ulp.  In trouble the root
-    falls back to its seed."""
+    of sign ``eps`` on its :func:`_route`, until a step is at most 1/256 of
+    a double ulp.  A lambda step on the factor also stops its root where the
+    bound it gives on the next step, ``step**2 * (n/(gap*|kappa|) +
+    1/(2*kappa**2))`` with ``gap`` from :func:`_kappa_gaps_loop`, is at most
+    1/256 less seven long-double ulps (1/2048 each) of a double ulp.  A
+    kappa step d to kappa' stops it where ``4*|d|*n <= gap`` and ``b *
+    (2*|kappa'| + b)``, ``b = 2*d**2*n/gap``, is that small.  In trouble the
+    root falls back to its seed."""
     ld = np.longdouble
     cap = 1e-8 * max(1.0, abs(seed))
-    cur = ld(seed)
-    on_factor = cur >= ld(mu) ** 2
+    cur, m2 = ld(seed), ld(mu) ** 2
+    route = _route(n, mu, seed)
+    kappa = -eps * np.sqrt(max(cur + m2, ld(0)))
     for _ in range(8):
+        ulp = abs(np.spacing(float(cur)))
         proved = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if on_factor:
-                kappa = -eps * np.sqrt(cur + ld(mu) ** 2)
+            if route == "lambda":
+                kappa = -eps * np.sqrt(cur + m2)
                 g, dg = spectral._factor_newton_extended(n, mu, np.array([kappa]))
                 step = 2 * kappa * g[0] / dg[0]
+                nxt = cur - step
                 ok = np.isfinite(step)
                 s, k = abs(float(step)), abs(float(kappa))
                 if ok and gap > 0 and k > 0:
                     bound = s * s * (n / (gap * k) + 0.5 / (k * k))
-                    proved = bound <= abs(np.spacing(float(cur))) * (2**-8 - 7 * 2**-11)
+                    proved = bound <= ulp * (2**-8 - 7 * 2**-11)
+            elif route == "kappa":
+                g, dg = spectral._factor_newton_extended(n, mu, np.array([kappa]))
+                d = g[0] / dg[0]
+                kappa = kappa - d
+                nxt = kappa * kappa - m2
+                step = nxt - cur
+                ok = np.isfinite(nxt)
+                s, k = abs(float(d)), abs(float(kappa))
+                if ok and gap > 0 and 4 * s * n <= gap:
+                    b = 2 * s * s * n / gap
+                    proved = b * (2 * k + b) <= ulp * (2**-8 - 7 * 2**-11)
             else:
                 det, ddet = spectral._det_newton_extended(n, mu, np.array([cur]))
                 step = det[0] / ddet[0]
+                nxt = cur - step
                 ok = np.isfinite(det[0]) and np.isfinite(ddet[0]) and ddet[0] != 0
-        nxt = cur - step
         if not ok or abs(float(nxt) - seed) > cap:
             return seed
-        if proved or abs(step) <= abs(np.spacing(float(cur))) / 256:
+        if proved or abs(step) <= ulp / 256:
             return float(nxt)
         cur = nxt
     return float(cur)
@@ -270,7 +300,10 @@ class TestSpectrum:
             lambda_spectrum(5, 1.0)
         assert err.value.root_index == 0
 
-    @pytest.mark.parametrize("n,mu", [(1, 0.5), (5, 1.0), (30, -2.2), (60, 1.82)])
+    # (22, 7.3) has roots on all three routes: root 6 on the determinant.
+    @pytest.mark.parametrize(
+        "n,mu", [(1, 0.5), (5, 1.0), (30, -2.2), (60, 1.82), (22, 7.3)]
+    )
     def test_array_polish_matches_one_root_loop(self, n, mu):
         # Seeds a hair off the roots converge; most seeds halfway between
         # two roots step past the cap and fall back to themselves.
@@ -284,7 +317,9 @@ class TestSpectrum:
         assert np.all(got[: n + 1] != seeds[: n + 1])
         assert np.any(got[n + 1:] == seeds[n + 1:])
 
-    @pytest.mark.parametrize("n,mu,k", [(5, 1.0, 2), (12, 1.3, 0), (40, -0.7, 40)])
+    @pytest.mark.parametrize(
+        "n,mu,k", [(5, 1.0, 2), (12, 1.3, 0), (40, -0.7, 40), (14, 7.3, 5)]
+    )
     @pytest.mark.parametrize("moved", [False, True])
     @pytest.mark.usefixtures("fresh_memo")
     def test_fallback_stays_in_its_own_root(self, monkeypatch, n, mu, k, moved):
@@ -292,10 +327,10 @@ class TestSpectrum:
         # whose kernel turns non-finite -- at its seed, or once its first
         # step has moved it -- must fall back to its own seed and leave
         # every other root exactly as the clean run polishes it.  Root k
-        # steps on its own factor where its seed is at least mu**2, and on
-        # the determinant otherwise: (12, 1.3, 0) takes the determinant.
-        # A factor root stops on the bound of its first step, so its
-        # kernel never sees it moved, and it polishes as in the clean run.
+        # steps on its own factor, in lambda or in kappa (_route), or on the
+        # determinant.  A factor root stops on the bound of its first step,
+        # so its kernel never sees it moved, and it polishes as in the clean
+        # run; the determinant root of (14, 7.3) takes five passes.
         polish = spectral._polish_extended
         polished = []
 
@@ -309,8 +344,9 @@ class TestSpectrum:
         assert clean_roots[k] != seeds[k]  # the clean polish moves root k
 
         ld = np.longdouble
-        on_factor = ld(seeds[k]) >= ld(mu) ** 2
-        assert on_factor == (k != 0)
+        route = {(12, 1.3, 0): "kappa", (14, 7.3, 5): "det"}.get((n, mu, k), "lambda")
+        assert _route(n, mu, seeds[k]) == route
+        on_factor = route != "det"
         if on_factor:
             name = "_factor_newton_extended"
             eps = _parity_signs(n, mu, n + 1)[k]
@@ -579,7 +615,8 @@ class TestSpectra:
         grid = [(0, 0.5), (4, 1.82), (40, -0.7), (110, 2.5)]
         want = [_bits(lambda_spectra([p, (p[0] + 1, 0.25)]))[0] for p in grid]
         seen, joins = [], []
-        for name in ("_polish_extended", "_det_newton_extended", "_det_scan"):
+        kernels = ("_det_newton_extended", "_factor_newton_extended")
+        for name in ("_polish_extended", *kernels, "_det_scan"):
             def spy(n, mu, lam, kernel=getattr(spectral, name)):
                 seen.append((type(n), type(mu)))
                 return kernel(n, mu, lam)
@@ -592,6 +629,7 @@ class TestSpectra:
 
         monkeypatch.setattr(np, "concatenate", counted)
         assert [_bits([lambda_spectrum(*p)])[0] for p in grid] == want
+        # Each problem calls the polish, the scan and at least one kernel.
         assert len(seen) >= 3 * len(grid) and set(seen) == {(int, float)}
         assert joins == []
 
@@ -675,18 +713,26 @@ _MIDPOINT_PAIRS = [(79, 0.01, 49), (83, 0.01, 57)]
 
 _RANK_GRID = [(n, mu) for n in range(41) for mu in (0.25, 1.0, 1.82, 2.5, -0.7)]
 
-# The problems of _RANK_GRID whose polish runs more than two passes on the
-# determinant, with their passes.  In each, root 1, a simple root below
-# mu**2, lands at the determinant's long-double noise floor with its first
-# step; its later steps, 1/780 to 1/18 of a double ulp, come from rounding
-# noise, and those above the 1/256 stop keep it stepping.  Like
-# _MIDPOINT_PAIRS, these are figures of the x87 mantissa.
+# The problems of _PASS_GRID whose polish runs more than two passes on the
+# determinant, with their passes.  All are at mu = 7.3, where a root near
+# lambda = 0, below mu**2/128, stays on the determinant (_route).  It lands
+# at the determinant's long-double noise floor with its first step; its
+# later steps, 1/190 to 0.94 of a double ulp, come from rounding noise, and
+# those above the 1/256 stop keep it stepping.  Like _MIDPOINT_PAIRS, these
+# are figures of the x87 mantissa.
+_PASS_GRID = _RANK_GRID + [(n, 7.3) for n in range(41)]
 _NOISY_DET_PROBLEMS = {
-    (4, 1.82): (8, "root 1 alternates by 1/128 ulp and never stops"),
-    (5, 1.82): (4, "root 1 steps twice by 1/103 ulp, then by 0"),
-    (8, 2.5): (3, "root 1 steps by 1/248 ulp, then by 1/780 ulp"),
-    (9, 2.5): (6, "root 1 steps by 1/18 ulp, three times by 1/105 ulp, then by 0"),
+    (14, 7.3): (5, "root 5 steps by 1/30 ulp, twice by 1/59 ulp, then by 0"),
+    (21, 7.3): (5, "root 6 steps three times by 1/190 ulp, then by 0"),
+    (22, 7.3): (8, "root 6 steps by 1/9 to 1/5 ulp and never stops"),
+    (23, 7.3): (8, "root 6 steps by 1/117 to 1/27 ulp and never stops"),
+    (32, 7.3): (8, "roots 3 and 4 step by 1/9 to 0.94 ulp and never stop"),
 }
+
+# Roots below mu**2 that step in kappa on their own factor, with their
+# errors against mpmath on the determinant before: 5.830, 1.441 and 1.652
+# ulps.
+_KAPPA_ROOTS = [(56, 7.3, 1), (91, 7.3, 1), (73, 7.3, 2)]
 
 
 def _ulps(lam: float, ref) -> float:
@@ -714,12 +760,19 @@ class TestPairPolish:
             roots = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
             assert np.all(np.diff(roots) >= 0), (n, mu)
 
+    @pytest.mark.parametrize("n,mu,i", _KAPPA_ROOTS)
+    def test_kappa_root_against_mpmath(self, n, mu, i):
+        seed = spectral._eigen_seeds(n, mu)[i]
+        assert _route(n, mu, seed) == "kappa"
+        lam = lambda_spectrum(n, mu).lambdas[i]
+        assert _ulps(lam, mpmath_root(n, mu, i, lam)) <= 0.5
+
     def test_passes_per_kernel(self, monkeypatch):
-        # A root on its own factor converges quadratically, and the bound
-        # of its first step stops it after one pass.  A simple root on the
-        # determinant stops within two passes, but where rounding noise
-        # keeps its steps above the stop: the problems of
-        # _NOISY_DET_PROBLEMS, and no others.
+        # A root on its own factor, stepping in lambda or in kappa,
+        # converges quadratically, and the bound of its first step stops it
+        # after one pass.  A simple root on the determinant stops within two
+        # passes, but where rounding noise keeps its steps above the stop:
+        # the problems of _NOISY_DET_PROBLEMS, and no others.
         calls = []
         for name in ("_det_newton_extended", "_factor_newton_extended"):
             def spy(n, mu, lam, name=name, kernel=getattr(spectral, name)):
@@ -727,7 +780,7 @@ class TestPairPolish:
                 return kernel(n, mu, lam)
             monkeypatch.setattr(spectral, name, spy)
         noisy = {}
-        for n, mu in _RANK_GRID:
+        for n, mu in _PASS_GRID:
             calls.clear()
             spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
             assert calls.count("_factor_newton_extended") <= 1, (n, mu)
@@ -745,8 +798,8 @@ class TestPairPolish:
             assert got.tolist() == _kappa_gaps_loop(n, mu, seeds.tolist()), (n, mu)
 
     def test_certificate_bounds_the_skipped_pass(self):
-        # Every factor root of the grid stops after one pass, on the bound
-        # its step gives on the next one (spectral._step_bound).  That next
+        # Every lambda-step root of the grid stops after one pass, on the
+        # bound its step gives on the next one (spectral._step_bound).  That next
         # pass, rerun here from the long-double iterate, must step by at
         # most the bound plus the long-double rounding noise, and by at
         # most the 1/256-ulp stop, so it would have stopped the root.
@@ -775,6 +828,49 @@ class TestPairPolish:
             assert np.all(skipped <= bound + ulp * noise), (n, mu)
             assert np.all(skipped <= ulp * stop), (n, mu)
 
+    def test_kappa_certificate_bounds_the_skipped_pass(self):
+        # Every kappa-step root of the grid stops after one pass, on the
+        # bound its kappa step gives on how far the next one moves lambda
+        # (spectral._kappa_step_bound).  That next pass, rerun here from the
+        # long-double kappa, must move lambda = kappa**2 - mu**2 by at most
+        # the bound plus the rounding noise, and by at most the 1/256-ulp
+        # stop.  The noise and the stop are taken in double ulps of the
+        # larger of |lambda| and kappa**2 = lambda + mu**2, the two numbers
+        # whose long-double rounding a kappa step carries; on that scale the
+        # rerun moves lambda by at most three long-double ulps.
+        ld = np.longdouble
+        stop, noise = spectral._STEP_STOP, spectral._STEP_NOISE
+        seen = 0
+        for n, mu in _RANK_GRID:
+            seeds = spectral._eigen_seeds(n, mu)
+            on = np.flatnonzero([_route(n, mu, x) == "kappa" for x in seeds])
+            if not on.size:
+                continue
+            seen += on.size
+            m2 = ld(mu) ** 2
+            eps = np.array(_parity_signs(n, mu, n + 1))[on]
+            gaps = np.array(_kappa_gaps_loop(n, mu, seeds.tolist()))[on]
+
+            def step(kappa):
+                g, dg = spectral._factor_newton_extended(n, mu, kappa)
+                return g / dg
+
+            kappa = -eps * np.sqrt(np.maximum(seeds[on].astype(ld) + m2, 0))
+            first = step(kappa)
+            kappa = kappa - first
+            lam = kappa * kappa - m2
+            bound = spectral._kappa_step_bound(first, kappa, n, gaps)
+            ulp = np.abs(np.spacing(lam.astype(float)))
+            assert np.all(bound <= ulp * (stop - noise)), (n, mu)
+            roots = spectral._polish_extended(n, mu, seeds)
+            assert np.array_equal(roots[on], lam.astype(float)), (n, mu)
+            nxt = kappa - step(kappa)
+            skipped = np.abs(nxt * nxt - m2 - lam).astype(float)
+            ulp = np.maximum(ulp, np.abs(np.spacing((kappa * kappa).astype(float))))
+            assert np.all(skipped <= bound + ulp * noise), (n, mu)
+            assert np.all(skipped <= ulp * stop), (n, mu)
+        assert seen > 200
+
     @pytest.mark.parametrize("n,mu,i", _MIDPOINT_PAIRS)
     def test_order_breaks_only_on_a_rounding_midpoint(self, n, mu, i):
         roots = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
@@ -787,11 +883,13 @@ class TestPairPolish:
             assert abs(_ulps(hi, ref) - 0.5) <= 1 / 256
 
     def test_factor_trouble_falls_back_to_the_seed(self, monkeypatch):
-        # A factor that turns non-finite sends each root that steps on it
-        # back to its seed; every root on the determinant is polished as
-        # before.
-        n, mu = 60, 1.37
+        # A factor that turns non-finite sends each root that steps on it,
+        # in lambda or in kappa, back to its seed; the root on the
+        # determinant, root 5 of (14, 7.3), is polished as before.
+        n, mu = 14, 7.3
         seeds = spectral._eigen_seeds(n, mu)
+        routes = np.array([_route(n, mu, x) for x in seeds])
+        assert set(routes) == {"lambda", "kappa", "det"}
         clean = spectral._polish_extended(n, mu, seeds)
         factor = spectral._factor_newton_extended
 
@@ -805,9 +903,10 @@ class TestPairPolish:
         gaps = _kappa_gaps_loop(n, mu, seeds.tolist())
         want = [_polish_loop(n, mu, *root) for root in zip(seeds.tolist(), signs, gaps)]
         assert got.tolist() == want
-        on_factor = seeds.astype(np.longdouble) >= np.longdouble(mu) ** 2
+        on_factor = routes != "det"
         assert np.array_equal(got[on_factor], seeds[on_factor])
-        assert np.any(clean[on_factor] != seeds[on_factor])
+        for route in ("lambda", "kappa"):
+            assert np.any(clean[routes == route] != seeds[routes == route])
         assert np.array_equal(got[~on_factor], clean[~on_factor])
         assert np.any(got[~on_factor] != seeds[~on_factor])
 

@@ -163,6 +163,15 @@ class TestSymmetryResiduals:
         with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows"):
             check(fake)
 
+    @pytest.mark.parametrize("check", [structure.certify, symmetry_residual])
+    def test_overflowing_power_is_typed(self, check):
+        # From n = 1024, z**n at the sample point 2 overflows Python's
+        # complex power: a typed error, not its OverflowError.
+        d = DcheParams(n=1030, mu=3.0, lam=1.0)
+        fake = HeunPolynomial(coeffs=(0.0,) * 1030 + (1.0,), params=d, epsilon=1)
+        with pytest.raises(InvalidParams, match=r"relation overflows a double at \(n=1030"):
+            check(fake)
+
 
     # Middle roots: from n = 119 the gate determinant and its scale pass the
     # double range; det G+ and det G- are long double and stay finite even
