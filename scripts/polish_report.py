@@ -62,10 +62,12 @@ def counted_spectra(grid):
             continue
 
         def spy(n, mu, lam, kernel=kernel, kind=kind):
-            calls.append((kind, lam.size))
-            if kind == "factor":
+            if kind == "det":
+                calls.append(("det", lam.size))
+            else:
                 m2 = np.asarray(mu, dtype=np.longdouble) ** 2
-                calls.append(("kappa", int(np.count_nonzero(lam * lam < 2 * m2))))
+                k = int(np.count_nonzero(lam * lam < 2 * m2))
+                calls.extend([("lambda", lam.size - k), ("kappa", k)])
             return kernel(n, mu, lam)
 
         saved[name] = kernel
@@ -92,21 +94,19 @@ def pass_table(calls) -> list[list[int]]:
     """Roots on the determinant, and on their factor stepping in lambda and
     in kappa, per pass (1-based), summed over the runs.  A pass steps the
     determinant's roots first and then the factor's, so a factor call opens
-    a new pass unless it comes right after a determinant call; the count of
-    its kappa-step roots follows it."""
+    a new pass unless it comes right after a determinant call; it is
+    counted as its lambda-step roots, then its kappa-step roots."""
     table: list[list[int]] = []
     p, prev = -1, None
     for kind, roots in calls:
         if kind == "run":
             p, prev = -1, None
             continue
-        if kind == "det" or (kind == "factor" and prev != "det"):
+        if kind == "det" or (kind == "lambda" and prev != "det"):
             p += 1
         while len(table) <= p:
             table.append([0, 0, 0])
-        if kind == "kappa":
-            table[p][1] -= roots
-        table[p][("det", "factor", "kappa").index(kind)] += roots
+        table[p][("det", "lambda", "kappa").index(kind)] += roots
         prev = kind
     return table
 

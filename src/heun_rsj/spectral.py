@@ -380,7 +380,8 @@ def _kappa_gaps(seeds, mu, cap, signs, start) -> np.ndarray:
     root = np.sqrt(a)
     kappa = -signs * root
     # Where a < cap the value may lie at kappa of either sign.
-    slack = np.where(a < cap, root + np.sqrt(a + cap), root - np.sqrt(np.maximum(a - cap, 0.0)))
+    below = root - np.sqrt(np.maximum(a - cap, 0.0))
+    slack = np.where(a < cap, root + np.sqrt(a + cap), below)
     order = np.lexsort((kappa, start))
     kappa, slack, same = kappa[order], slack[order], np.diff(start[order]) == 0
     apart = np.diff(kappa)
@@ -452,7 +453,8 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
       at ``kappa = -epsilon*sqrt(lambda + mu**2)``; rounding lambda + mu**2
       in long double moves lambda by at most 2**-62 * lambda there;
     * a root whose seed is below mu**2 and at least mu**2/128
-      (``_KAPPA_COVER``) in magnitude steps in kappa on its own factor, from ``kappa = -epsilon*sqrt(max(seed + mu**2, 0))``, and lambda =
+      (``_KAPPA_COVER``) in magnitude steps in kappa on its own factor,
+      from ``kappa = -epsilon*sqrt(max(seed + mu**2, 0))``, and lambda =
       kappa**2 - mu**2 is formed in long double.  There kappa**2 <= mu**2
       + |lambda| <= 129*|lambda|, so rounding kappa**2 and the difference
       costs at most 130 * 2**-64 * |lambda|, under 1/15 of a double ulp,
