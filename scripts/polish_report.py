@@ -3,8 +3,9 @@
 
 Every degree n in [0, --n-max] at every --mu goes through one
 ``lambda_spectra`` call, with the polish's Newton kernels counted from
-outside: the determinant (``spectral._det_newton_extended``) and, where the
-checkout has it, a root's own reflection factor
+outside: the determinant (``spectral._det_scan``, counted only where it
+scans long doubles, as the polish does; the gate scans doubles) and, where
+the checkout has it, a root's own reflection factor
 (``spectral._factor_newton_extended``).  A factor root steps in lambda
 where lambda is at least mu**2 and in kappa below it; the report tells them
 apart by the kernel's argument, kappa**2 = lambda + mu**2 against 2*mu**2,
@@ -45,7 +46,7 @@ import numpy as np
 from heun_rsj import HeunRsjError, lambda_spectra, spectral
 from heun_rsj.cli import _non_negative_int
 
-_KERNELS = {"det": "_det_newton_extended", "factor": "_factor_newton_extended"}
+_KERNELS = {"det": "_det_scan", "factor": "_factor_newton_extended"}
 _MUS = [0.25, 1.0, 1.37, 1.82, 2.5, -0.7, 0.01, 7.3]
 # Working digits of the mpmath root; it is bisected to half as many.
 _DPS = 60
@@ -62,18 +63,18 @@ def counted_spectra(grid):
             continue
 
         def spy(n, mu, lam, kernel=kernel, kind=kind):
-            if kind == "det":
-                calls.append(("det", lam.size))
-            else:
+            if kind == "factor":
                 m2 = np.asarray(mu, dtype=np.longdouble) ** 2
                 k = int(np.count_nonzero(lam * lam < 2 * m2))
                 calls.extend([("lambda", lam.size - k), ("kappa", k)])
+            elif lam.dtype == np.longdouble:
+                calls.append(("det", lam.size))
             return kernel(n, mu, lam)
 
         saved[name] = kernel
         setattr(spectral, name, spy)
-    # The gate's scan never calls the long-double kernels, so every counted
-    # call is a polish pass; runs of lambda_spectra start over at pass 1.
+    # The gate's double scan is not counted, so every counted call is a
+    # polish pass; runs of lambda_spectra start over at pass 1.
     polish = spectral._polish_extended
 
     def marked(n, mu, seeds):

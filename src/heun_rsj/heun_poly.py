@@ -64,12 +64,15 @@ def _take(index, *values) -> tuple:
 def _det_scan(n, mu, lam: np.ndarray):
     """Leading-minor recurrence with power-of-two renormalisation, per lambda.
 
-    Runs the recurrence on a 1-D array of lambda at once and returns arrays
-    ``(det, ddet_dlambda, summand_max, e)``; the true values are each entry
-    times ``2**e`` of its own element.  ``n`` and ``mu`` are scalars or
-    per-element arrays with the degrees descending: each element runs its
-    own degree's recurrence (:func:`_by_degree`) with exactly the arithmetic
-    of a scalar call, up to its frame.
+    Runs the recurrence on a 1-D array of lambda at once, in lambda's dtype,
+    and returns arrays ``(det, ddet_dlambda, summand_max, e)``; the true
+    values are each entry times ``2**e`` of its own element.  The gate scans
+    doubles; ``spectral``'s root polish scans long doubles, with mu passed as
+    a long double so that mu**2 is formed, and cannot overflow, there.
+    ``n`` and ``mu`` are scalars or per-element arrays with the degrees
+    descending: each element runs its own degree's recurrence
+    (:func:`_by_degree`) with exactly the arithmetic of a scalar call, up to
+    its frame.
     Whenever a frame test finds the binary exponent of an element's largest
     magnitude past +-300, that element's four recurrence values and its
     summand maximum are scaled by the same power of two (the others by
@@ -89,6 +92,7 @@ def _det_scan(n, mu, lam: np.ndarray):
     dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)  # their lambda-derivatives
     smax = np.abs(lam)
     e = np.zeros(lam.shape, dtype=np.int64)
+    one = lam.dtype.type(1)
     n1, mu2 = n + 1, mu * mu
     # The growth bound g of the docstring.  Where some mu**2 is below
     # 2**-300 (mu = 0 among them) the frame is tested at every step: as
@@ -129,9 +133,11 @@ def _det_scan(n, mu, lam: np.ndarray):
             if far.any():
                 # At a double root (mu = 0) the recurrence values all reach
                 # exactly zero while earlier frames shrank the summand maximum
-                # to a subnormal; a shift of 2**-ex past 2**1022 would be inf.
-                ex = np.maximum(ex, -1022)
-                s = np.where(far, np.ldexp(1.0, -ex), 1.0)
+                # to a subnormal; a shift of 2**-ex past the smallest normal
+                # exponent could overflow.  The shift is taken in lambda's
+                # dtype: a long-double exponent passes the double range.
+                ex = np.maximum(ex, np.finfo(lam.dtype).minexp)
+                s = np.where(far, np.ldexp(one, -ex), one)
                 prev2, prev, dprev2, dprev = prev2 * s, prev * s, dprev2 * s, dprev * s
                 smax = smax * s
                 e += np.where(far, ex, 0)

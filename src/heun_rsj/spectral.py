@@ -13,10 +13,11 @@ spectrum costs O(n) numpy calls per Newton pass.  A root whose seed is at
 least mu**2 steps in lambda on its own reflection factor (below) from the
 first pass, a root below mu**2 in kappa on that factor where a long-double
 rounding bound on lambda = kappa**2 - mu**2 covers it, and every other
-root, near lambda = 0, on the determinant.  Each root keeps its own Newton
-state, and a root whose step goes wrong falls back to its seed without
-disturbing the others; one array scan of the determinant then gates every
-returned root.
+root, near lambda = 0, on the determinant, by the gate's own framed scan
+(:func:`heun_poly._det_scan`) run in long double.  Each root keeps its own
+Newton state, and a root whose step goes wrong falls back to its seed
+without disturbing the others; one array scan of the determinant in double
+then gates every returned root.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 G+ and G- (one per sign) with ``G+ G- = -Phi^T`` for the coefficient matrix
@@ -236,44 +237,6 @@ def _eigen_seeds(n: int, mu: float) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
 
 
-def _det_newton_extended(n, mu, lam: np.ndarray):
-    """Determinant and its lambda-derivative in extended precision, per lambda.
-
-    Same leading-minor recurrence as :func:`heun_poly._det_scan`, run on a
-    1-D ``numpy.longdouble`` array of lambda at once and without
-    renormalisation (the extended exponent range covers every degree this
-    library targets).  ``n`` and ``mu`` are scalars or per-element arrays
-    with the degrees descending, laid out by :func:`heun_poly._by_degree`.
-    Used to place spectral roots closer than the double recurrence's own
-    cancellation noise allows.
-    """
-    ld = np.longdouble
-    runs = _by_degree(n, lam.size)
-    m = ld(mu)
-    n1, mu2 = n + 1, m * m
-    prev2, prev = np.ones_like(lam), lam
-    dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)
-    done, step = [], 0
-    for d, k, c in runs:
-        if k < lam.size:
-            lam, prev2, prev, dprev2, dprev, n1, mu2 = _take(
-                slice(k), lam, prev2, prev, dprev2, dprev, n1, mu2
-            )
-        for j in range(step + 1, d + 1):
-            q = j * (n1 - j)  # j*(n+1-j) = j*(n-j+1), an exact integer
-            dj = lam - q
-            cj = mu2 * q
-            cur = dj * prev - cj * prev2
-            dcur = dj * dprev + prev - cj * dprev2
-            prev2, prev = prev, cur
-            dprev2, dprev = dprev, dcur
-        done.append((prev[k - c:], dprev[k - c:]))
-        step = d
-    if len(done) == 1:
-        return done[0]
-    return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
-
-
 def _factor_newton_extended(n, mu, kappa: np.ndarray):
     """Reflection factor ``det(J - kappa*I)`` and its kappa-derivative in
     extended precision, per kappa.
@@ -284,7 +247,8 @@ def _factor_newton_extended(n, mu, kappa: np.ndarray):
     off-diagonals are mu**2 and (i+1)*(n-i) in turn.  The continuant runs
     with a zero diagonal, and the last entry enters once at each element's
     end: ``det = p_n + a_n * p_{n-1}``.  ``n`` and ``mu`` are scalars or
-    per-element arrays laid out as in :func:`_det_newton_extended`.
+    per-element arrays with the degrees descending, laid out by
+    :func:`heun_poly._by_degree` as in :func:`heun_poly._det_scan`.
     """
     ld = np.longdouble
     runs = _by_degree(n, kappa.size)
@@ -463,11 +427,14 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
       about one long-double ulp of its root, so near the cover's edge a
       kappa root may land about 0.3 ulp farther from lambda than a
       correctly rounded one;
-    * every other root steps on the determinant
-      (:func:`_det_newton_extended`): a seed within mu**2/128 of lambda =
-      0, where kappa**2 - mu**2 would cancel more than seven bits.  Once
-      |mu| is large against n that is every root, as |lambda| is then at
-      most about n*|mu|.
+    * every other root steps on the determinant: a seed within mu**2/128
+      of lambda = 0, where kappa**2 - mu**2 would cancel more than seven
+      bits.  Once |mu| is large against n that is every root, as |lambda|
+      is then at most about n*|mu|.  The kernel is the gate's scan
+      (:func:`heun_poly._det_scan`) on long-double lambda and mu; its
+      power-of-two frames hold a determinant whose powers of mu**2 pass
+      the long-double range, and det and its derivative share a frame, so
+      the Newton step is frame-free.
 
     A root stops once its step is at most ``_STEP_STOP`` of a double ulp,
     1/256; at most ``_PASSES`` passes run.  A factor root also stops once
@@ -523,7 +490,8 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
         for _ in range(_PASSES):
             if live.size:
                 at = cur[live]
-                det, ddet = _det_newton_extended(*_take(live, n, mu), at)
+                n_, mu_ = _take(live, n, mu)
+                det, ddet, _, _ = _det_scan(n_, ld(mu_), at)
                 ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
                 step = det / np.where(ok, ddet, 1)
                 live = live[advance(live, at, at - step, np.abs(step), ok, np.inf)]

@@ -100,6 +100,18 @@ class TestSpectrum:
         assert code == 0
         assert all(line.endswith(",,,") for line in out.splitlines()[1:])
 
+    def test_top_root_past_the_long_double_range(self, capsys):
+        # At (30, 1e300) the determinant's powers of mu**2 pass the
+        # long-double range; the polish's framed scan places the top root on
+        # the double nearest 3e301, not at its seed 3.0000000000000024e+301.
+        argv = ("spectrum", "--n", "30", "--mu", "1e300")
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split(",")[:2] == ["30", "3e+301"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert parse_json(out)["roots"][-1]["lambda"] == 3e301
+
     def test_negative_exponent_value(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "1", "--mu", "-1e3")
         assert code == 0 and err == ""

@@ -140,6 +140,25 @@ def _det_scan_loop(n, mu, lam):
     return prev, dprev, smax, e
 
 
+def _unframed_scan(n, mu, lam):
+    """det, ddet and summand maximum of the recurrence of
+    :func:`heun_poly._det_scan` on an array of lambda, in its dtype and with
+    its arithmetic, but with no frame at all."""
+    mu2 = mu * mu
+    prev2, prev = np.ones_like(lam), lam
+    dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)
+    smax = np.abs(lam)
+    for j in range(1, n + 1):
+        r = n + 1 - j
+        dj = lam - j * r
+        cj = mu2 * j * r
+        t1, t2 = dj * prev, cj * prev2
+        smax = np.fmax(np.fmax(smax, np.abs(t1)), np.abs(t2))
+        prev2, prev = prev, t1 - t2
+        dprev2, dprev = dprev, dj * dprev + prev2 - cj * dprev2
+    return prev, dprev, smax
+
+
 def _ldexp_clamped(m: float, e: int) -> float:
     """m * 2**e by ``math.ldexp``, saturating to +-inf past the double range."""
     if m == 0.0:
@@ -307,6 +326,32 @@ class TestDeterminant:
                 assert g.tobytes() == w.tobytes()
             gate = [spectral._relative_dets(lams, *scan) <= ROOT_TOL for scan in (got, want)]
         assert np.array_equal(*gate)
+
+
+    @pytest.mark.parametrize("n", [7, 60, 300, 400])
+    @pytest.mark.parametrize("mu", [1.82, -1.3, 1e10, 1e200, 1e300])
+    def test_long_double_scan_matches_unframed_loop(self, n, mu):
+        # The polish scans long-double lambda with a long-double mu.  Its
+        # frames are powers of two in that dtype, so each det, ddet and
+        # summand maximum times 2**e must equal the unframed recurrence
+        # wherever that stays finite.  It does at every lambda here where
+        # n*log10|mu| <= 3000, frames or not (n = 7 at mu = 1e300 takes
+        # them), and from n = 60 at mu = 1e200 at none: the powers of mu**2
+        # pass the long-double range, and only the framed scan has a value.
+        ld = np.longdouble
+        roots = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
+        top = float(np.max(np.abs(roots)))
+        lams = np.concatenate([roots, np.linspace(-top - 1.0, top + 1.0, 9)]).astype(ld)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _det_scan(n, ld(mu), lams)
+            want = _unframed_scan(n, ld(mu), lams)
+        finite = np.all([np.isfinite(w) for w in want], axis=0)
+        if n * math.log10(abs(mu)) <= 3000:
+            assert finite.all()
+        assert np.all(np.isfinite(got[:3]))
+        for g, w in zip(helpers.scaled_scan(got), want):
+            assert g.dtype == ld and np.array_equal(g[finite], w[finite])
+        assert np.any(got[3] != 0) == (n >= 60 or abs(mu) >= 1e200)
 
 
 class TestTransferObjects:

@@ -121,14 +121,17 @@ def test_polish_report_on_a_tiny_grid(tmp_path):
     result = _script("polish_report.py", *argv, "--save", str(saved))
     assert (result.returncode, result.stderr) == (0, "")
     lines = result.stdout.splitlines()
-    # Roots 0 of degree 0 stay on the determinant; every other root below
-    # mu**2 steps in kappa on its own factor.
+    # Roots 0 of degree 0 stay on the determinant, which the polish scans in
+    # long double; every other root below mu**2 steps in kappa on its own
+    # factor.  All stop after one pass, and the gate's double scan of every
+    # root is counted as no pass.
     assert lines[:3] == [
         "grid: n <= 6 x mu in [1.37, 0.25]: 56 roots",
         "pass  on_det  in_lambda  in_kappa  last_pass",
         "   1       2         38        16         56",
     ]
     table = [list(map(int, line.split())) for line in lines[2:-1]]
+    assert len(table) == 1
     assert sum(row[4] for row in table) == 56  # each root's last pass once
     assert all(min(row) >= 0 for row in table)
     # A factor root takes one pass.

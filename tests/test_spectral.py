@@ -141,7 +141,7 @@ def _polish_loop(n: int, mu: float, seed: float, eps: int, gap: float) -> float:
                     b = 2 * s * s * n / gap
                     proved = b * (2 * k + b) <= ulp * (2**-8 - 7 * 2**-11)
             else:
-                det, ddet = spectral._det_newton_extended(n, mu, np.array([cur]))
+                det, ddet, _, _ = _det_scan(n, ld(mu), np.array([cur]))
                 step = det[0] / ddet[0]
                 nxt = cur - step
                 ok = np.isfinite(det[0]) and np.isfinite(ddet[0]) and ddet[0] != 0
@@ -328,9 +328,10 @@ class TestSpectrum:
         # step has moved it -- must fall back to its own seed and leave
         # every other root exactly as the clean run polishes it.  Root k
         # steps on its own factor, in lambda or in kappa (_route), or on the
-        # determinant.  A factor root stops on the bound of its first step,
-        # so its kernel never sees it moved, and it polishes as in the clean
-        # run; the determinant root of (14, 7.3) takes five passes.
+        # determinant, whose long-double scans are poisoned and the gate's
+        # double scan is not.  A factor root stops on the bound of its first
+        # step, so its kernel never sees it moved, and it polishes as in the
+        # clean run; the determinant root of (14, 7.3) takes eight passes.
         polish = spectral._polish_extended
         polished = []
 
@@ -352,15 +353,16 @@ class TestSpectrum:
             eps = _parity_signs(n, mu, n + 1)[k]
             at = -eps * np.sqrt(ld(seeds[k]) + ld(mu) ** 2)  # kappa at the seed
         else:
-            name, at = "_det_newton_extended", ld(seeds[k])
+            name, at = "_det_scan", ld(seeds[k])
         kernel = getattr(spectral, name)
 
         def poisoned(n_, mu_, x):
-            value, slope = kernel(n_, mu_, x)
+            value, *rest = kernel(n_, mu_, x)
             hit = np.abs(x - at) <= 1e-9 * max(1.0, abs(at))
+            hit &= x.dtype == ld
             if moved:
                 hit &= x != at
-            return np.where(hit, np.nan, value), slope
+            return np.where(hit, np.nan, value), *rest
 
         monkeypatch.setattr(spectral, name, poisoned)
         try:
@@ -503,22 +505,18 @@ class TestSpectra:
 
     def test_scan_takes_per_element_arrays(self):
         # Each element's frame depends on the run it scans in (how often
-        # the run tests its frames), its values times 2**e do not.
-        n, mu, lam = self._per_element(float)
-        got = scaled_scan(_det_scan(n, mu, lam))
-        for i in range(lam.size):
-            want = scaled_scan(_det_scan(int(n[i]), float(mu[i]), lam[i:i + 1]))
-            for g, w in zip(got, want):
-                assert g[i:i + 1].tobytes() == w.tobytes(), i
-        assert np.any(_det_scan(n, mu, lam)[3] != 0)
-
-    def test_newton_takes_per_element_arrays(self):
-        n, mu, lam = self._per_element(np.longdouble)
-        got = spectral._det_newton_extended(n, mu, lam)
-        for i in range(lam.size):
-            want = spectral._det_newton_extended(int(n[i]), float(mu[i]), lam[i:i + 1])
-            for g, w in zip(got, want):
-                assert _same(g[i:i + 1], w), i
+        # the run tests its frames), its values times 2**e do not: on the
+        # gate's doubles, and on long doubles with mu in long double, as the
+        # polish scans.
+        for dtype in (float, np.longdouble):
+            n, mu, lam = self._per_element(dtype)
+            mu = mu.astype(dtype)
+            got = scaled_scan(_det_scan(n, mu, lam))
+            for i in range(lam.size):
+                want = scaled_scan(_det_scan(int(n[i]), mu[i], lam[i:i + 1]))
+                for g, w in zip(got, want):
+                    assert _same(g[i:i + 1], w), (dtype, i)
+            assert np.any(_det_scan(n, mu, lam)[3] != 0)
 
     def test_factor_takes_per_element_arrays(self):
         n, mu, kappa = self._per_element(np.longdouble)
@@ -567,24 +565,25 @@ class TestSpectra:
     def test_kernels_take_descending_degrees(self, monkeypatch):
         # Each run reaches every recurrence stably sorted by degree,
         # descending, and its spectra come back in grid order.  The first
-        # pass of the polish steps every root once, on the determinant or on
-        # its own factor.
+        # pass of the polish steps every root once, on the determinant (a
+        # long-double scan) or on its own factor; the gate scans doubles.
         want = _bits(lambda_spectra(_MIXED_GRID))
         seen = []
 
         def spy(name, kernel):
             def call(n, mu, lam):
-                seen.append((name, n))
+                seen.append(((name, lam.dtype), n))
                 return kernel(n, mu, lam)
             return call
 
-        for name in ("_det_scan", "_det_newton_extended", "_factor_newton_extended"):
+        for name in ("_det_scan", "_factor_newton_extended"):
             monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
         assert _bits(lambda_spectra(_MIXED_GRID)) == want
         assert all(np.all(np.diff(n) <= 0) for _, n in seen)
         names = [name for name, _ in seen]
-        assert names[:2] == ["_det_newton_extended", "_factor_newton_extended"]
-        assert names[-1] == "_det_scan" and names.count("_det_scan") == 1
+        ld, gate = np.dtype(np.longdouble), ("_det_scan", np.dtype(float))
+        assert names[:2] == [("_det_scan", ld), ("_factor_newton_extended", ld)]
+        assert names[-1] == gate and names.count(gate) == 1
         degrees = np.array(sorted((n for n, _ in _MIXED_GRID), reverse=True))
         first_pass = np.sort(np.concatenate([seen[0][1], seen[1][1]]))[::-1]
         assert np.array_equal(first_pass, np.repeat(degrees, degrees + 1))
@@ -600,25 +599,45 @@ class TestSpectra:
             assert len(lambda_spectra(_MIXED_GRID)) == len(_MIXED_GRID)
 
     def test_overflowing_polish_raises_no_warning(self):
-        # From n = 24 at mu = 1e200 the long-double recurrence overflows at
-        # some roots; they fall back to their seeds, with no numpy warning.
+        # From n = 24 at mu = 1e200 the determinant's powers of mu**2 pass
+        # the long-double range; the polish's framed scan keeps them, with
+        # no numpy warning.  The middle root of each even n still falls back
+        # to its seed, as its Newton correction passes the polish's cap.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (24, 40, 110):
                 assert len(lambda_spectrum(n, 1e200).lambdas) == n + 1
 
+    @pytest.mark.parametrize("n,mu", [(24, 1e200), (30, 1e300)])
+    def test_roots_past_the_long_double_range(self, n, mu):
+        # Here the determinant's powers of mu**2 pass the long-double range,
+        # and the polish's framed scan still places each root within half
+        # an ulp of mpmath; an unframed scan overflows, and its roots keep
+        # their seeds, up to 21 ulps off.  Many roots lie at a hair from
+        # a rounding midpoint, which the reference, bisected to 1e-30
+        # relative, reads as 0.5 plus up to 2**52 * 1e-30 ulp.  The middle
+        # root of an even n is left out: it lies some 45 orders of magnitude
+        # below its neighbours, within its seed's error, and its Newton
+        # correction passes the polish's cap, so it falls back to its seed.
+        lams = lambda_spectrum(n, mu).lambdas
+        for i, lam in enumerate(lams):
+            if n % 2 == 0 and i == n // 2:
+                continue
+            assert _ulps(lam, mpmath_root(n, mu, i, lam)) <= 0.5 + 2.0**52 * 1e-30, i
+
     @pytest.mark.usefixtures("fresh_memo")
     def test_lone_problem_runs_on_scalars(self, monkeypatch):
         # A run of one problem gives the kernels Python scalars for n and mu,
         # and each kernel returns its one block without a concatenate; the
-        # spectrum is bit for bit the one computed in a mixed run.
+        # spectrum is bit for bit the one computed in a mixed run.  The
+        # polish's long-double scans take mu as a long-double scalar.
         grid = [(0, 0.5), (4, 1.82), (40, -0.7), (110, 2.5)]
         want = [_bits(lambda_spectra([p, (p[0] + 1, 0.25)]))[0] for p in grid]
         seen, joins = [], []
-        kernels = ("_det_newton_extended", "_factor_newton_extended")
-        for name in ("_polish_extended", *kernels, "_det_scan"):
-            def spy(n, mu, lam, kernel=getattr(spectral, name)):
-                seen.append((type(n), type(mu)))
+        for name in ("_polish_extended", "_factor_newton_extended", "_det_scan"):
+            def spy(n, mu, lam, kernel=getattr(spectral, name), name=name):
+                on_det = name == "_det_scan" and lam.dtype == np.longdouble
+                seen.append((type(n), type(mu), on_det))
                 return kernel(n, mu, lam)
             monkeypatch.setattr(spectral, name, spy)
         join = np.concatenate
@@ -629,8 +648,10 @@ class TestSpectra:
 
         monkeypatch.setattr(np, "concatenate", counted)
         assert [_bits([lambda_spectrum(*p)])[0] for p in grid] == want
-        # Each problem calls the polish, the scan and at least one kernel.
-        assert len(seen) >= 3 * len(grid) and set(seen) == {(int, float)}
+        # Each problem calls the polish, the gate's scan and at least one
+        # kernel; root 0 of (0, 0.5), at lambda = 0, steps on the determinant.
+        assert len(seen) >= 3 * len(grid)
+        assert set(seen) == {(int, float, False), (int, np.longdouble, True)}
         assert joins == []
 
     def test_first_failure_in_order_raises(self):
@@ -717,16 +738,16 @@ _RANK_GRID = [(n, mu) for n in range(41) for mu in (0.25, 1.0, 1.82, 2.5, -0.7)]
 # determinant, with their passes.  All are at mu = 7.3, where a root near
 # lambda = 0, below mu**2/128, stays on the determinant (_route).  It lands
 # at the determinant's long-double noise floor with its first step; its
-# later steps, 1/190 to 0.94 of a double ulp, come from rounding noise, and
+# later steps, 1/190 to 1.14 of a double ulp, come from rounding noise, and
 # those above the 1/256 stop keep it stepping.  Like _MIDPOINT_PAIRS, these
 # are figures of the x87 mantissa.
 _PASS_GRID = _RANK_GRID + [(n, 7.3) for n in range(41)]
 _NOISY_DET_PROBLEMS = {
-    (14, 7.3): (5, "root 5 steps by 1/30 ulp, twice by 1/59 ulp, then by 0"),
-    (21, 7.3): (5, "root 6 steps three times by 1/190 ulp, then by 0"),
-    (22, 7.3): (8, "root 6 steps by 1/9 to 1/5 ulp and never stops"),
-    (23, 7.3): (8, "root 6 steps by 1/117 to 1/27 ulp and never stops"),
-    (32, 7.3): (8, "roots 3 and 4 step by 1/9 to 0.94 ulp and never stop"),
+    (14, 7.3): (8, "root 5 steps by 1/59 to 1/20 ulp, and by 0 at pass 8"),
+    (21, 7.3): (8, "root 6 steps by 1/190 to 1/38 ulp and never stops"),
+    (22, 7.3): (8, "root 6 steps by 1/8 to 1/5 ulp and never stops"),
+    (23, 7.3): (8, "root 6 steps by 1/39 to 1/29 ulp and never stops"),
+    (32, 7.3): (8, "roots 3 and 4 step by 1/13 to 1.14 ulp and never stop"),
 }
 
 # Roots below mu**2 that step in kappa on their own factor, with their
@@ -773,18 +794,20 @@ class TestPairPolish:
         # after one pass.  A simple root on the determinant stops within two
         # passes, but where rounding noise keeps its steps above the stop:
         # the problems of _NOISY_DET_PROBLEMS, and no others.
+        # The polish scans the determinant in long double.
         calls = []
-        for name in ("_det_newton_extended", "_factor_newton_extended"):
+        for name in ("_det_scan", "_factor_newton_extended"):
             def spy(n, mu, lam, name=name, kernel=getattr(spectral, name)):
-                calls.append(name)
+                calls.append((name, lam.dtype))
                 return kernel(n, mu, lam)
             monkeypatch.setattr(spectral, name, spy)
+        ld = np.dtype(np.longdouble)
         noisy = {}
         for n, mu in _PASS_GRID:
             calls.clear()
             spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
-            assert calls.count("_factor_newton_extended") <= 1, (n, mu)
-            passes = calls.count("_det_newton_extended")
+            assert calls.count(("_factor_newton_extended", ld)) <= 1, (n, mu)
+            passes = calls.count(("_det_scan", ld))
             if passes > 2:
                 noisy[n, mu] = passes
         assert noisy == {p: passes for p, (passes, _) in _NOISY_DET_PROBLEMS.items()}
@@ -1108,8 +1131,9 @@ def _spy_solves(monkeypatch) -> list:
 
 
 def _spy_scans(monkeypatch) -> list:
-    """Record the size of each determinant scan, the gate's
-    (``spectral._det_scan``) and ``spectral_det``'s (``heun_poly._det_scan``)."""
+    """Record the size of each determinant scan: the polish's long-double
+    scans and the gate's (``spectral._det_scan``), and ``spectral_det``'s
+    (``heun_poly._det_scan``)."""
     scans, scan = [], heun_poly._det_scan
 
     def spy(n, mu, lam):
