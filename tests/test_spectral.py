@@ -505,18 +505,30 @@ class TestSpectra:
 
     def test_scan_takes_per_element_arrays(self):
         # Each element's frame depends on the run it scans in (how often
-        # the run tests its frames), its values times 2**e do not: on the
-        # gate's doubles, and on long doubles with mu in long double, as the
-        # polish scans.
-        for dtype in (float, np.longdouble):
-            n, mu, lam = self._per_element(dtype)
-            mu = mu.astype(dtype)
-            got = scaled_scan(_det_scan(n, mu, lam))
-            for i in range(lam.size):
-                want = scaled_scan(_det_scan(int(n[i]), mu[i], lam[i:i + 1]))
-                for g, w in zip(got, want):
-                    assert _same(g[i:i + 1], w), (dtype, i)
-            assert np.any(_det_scan(n, mu, lam)[3] != 0)
+        # the run tests its frames), its values times 2**e do not.
+        n, mu, lam = self._per_element(float)
+        got = scaled_scan(_det_scan(n, mu, lam))
+        for i in range(lam.size):
+            want = scaled_scan(_det_scan(int(n[i]), float(mu[i]), lam[i:i + 1]))
+            for g, w in zip(got, want):
+                assert g[i:i + 1].tobytes() == w.tobytes(), i
+        assert np.any(_det_scan(n, mu, lam)[3] != 0)
+
+    def test_newton_takes_per_element_arrays(self):
+        # The polish's Newton scan: long-double lambda with mu in long
+        # double.  Per element, the values times 2**e and the step
+        # det/ddet are those of a scalar call.
+        n, mu, lam = self._per_element(np.longdouble)
+        mu = mu.astype(np.longdouble)
+        scan = _det_scan(n, mu, lam)
+        got = scaled_scan(scan)
+        for i in range(lam.size):
+            one = _det_scan(int(n[i]), mu[i], lam[i:i + 1])
+            for g, w in zip(got, scaled_scan(one)):
+                assert _same(g[i:i + 1], w), i
+            with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 reads NaN on both
+                assert _same(scan[0][i:i + 1] / scan[1][i:i + 1], one[0] / one[1]), i
+        assert np.any(scan[3] != 0)
 
     def test_factor_takes_per_element_arrays(self):
         n, mu, kappa = self._per_element(np.longdouble)
