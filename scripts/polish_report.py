@@ -6,15 +6,11 @@ Every degree n in [0, --n-max] at every --mu goes through one
 outside: the determinant (``spectral._det_scan``, counted only where it
 scans long doubles, as the polish does; the gate scans doubles) and, where
 the checkout has it, a root's own reflection factor
-(``spectral._factor_newton_extended``).  A factor root steps in lambda
-where lambda is at least mu**2 and in kappa below it; the report tells them
-apart by the kernel's argument, kappa**2 = lambda + mu**2 against 2*mu**2,
-which misreads only a root within the polish's cap (1e-8 relative) of
-lambda = mu**2.  The report prints
+(``spectral._factor_newton_extended``).  The report prints
 
 * the pass histogram: for each Newton pass, the roots that step on the
-  determinant (``on_det``), on their own factor in lambda (``in_lambda``)
-  and in kappa (``in_kappa``), and the roots whose last pass it is;
+  determinant (``on_det``) and on their own factor (``on_factor``), and the
+  roots whose last pass it is;
 * with --against, every root whose lambda differs from a list saved by
   --save (of another checkout, say), with both lambdas and the error of each
   in ulps against a root of the same index from mpmath (:func:`mpmath_root`,
@@ -63,12 +59,8 @@ def counted_spectra(grid):
             continue
 
         def spy(n, mu, lam, kernel=kernel, kind=kind):
-            if kind == "factor":
-                m2 = np.asarray(mu, dtype=np.longdouble) ** 2
-                k = int(np.count_nonzero(lam * lam < 2 * m2))
-                calls.extend([("lambda", lam.size - k), ("kappa", k)])
-            elif lam.dtype == np.longdouble:
-                calls.append(("det", lam.size))
+            if kind == "factor" or lam.dtype == np.longdouble:
+                calls.append((kind, lam.size))
             return kernel(n, mu, lam)
 
         saved[name] = kernel
@@ -92,22 +84,21 @@ def counted_spectra(grid):
 
 
 def pass_table(calls) -> list[list[int]]:
-    """Roots on the determinant, and on their factor stepping in lambda and
-    in kappa, per pass (1-based), summed over the runs.  A pass steps the
-    determinant's roots first and then the factor's, so a factor call opens
-    a new pass unless it comes right after a determinant call; it is
-    counted as its lambda-step roots, then its kappa-step roots."""
+    """Roots on the determinant and on their own factor per pass (1-based),
+    summed over the runs.  A pass steps the determinant's roots first and
+    then the factor's, so a factor call opens a new pass unless it comes
+    right after a determinant call."""
     table: list[list[int]] = []
     p, prev = -1, None
     for kind, roots in calls:
         if kind == "run":
             p, prev = -1, None
             continue
-        if kind == "det" or (kind == "lambda" and prev != "det"):
+        if kind == "det" or prev != "det":
             p += 1
         while len(table) <= p:
-            table.append([0, 0, 0])
-        table[p][("det", "lambda", "kappa").index(kind)] += roots
+            table.append([0, 0])
+        table[p][kind == "factor"] += roots
         prev = kind
     return table
 
@@ -176,14 +167,13 @@ def main(argv: list[str] | None = None) -> int:
 
     table = pass_table(calls)
     print(f"grid: n <= {args.n_max} x mu in {args.mu}: {total} roots")
-    print("pass  on_det  in_lambda  in_kappa  last_pass")
+    print("pass  on_det  on_factor  last_pass")
     for p, row in enumerate(table):
         after = sum(table[p + 1]) if p + 1 < len(table) else 0
-        det, lam, kappa = row
-        print(f"{p + 1:4d}  {det:6d}  {lam:9d}  {kappa:8d}  {sum(row) - after:9d}")
-    evals = [sum(row[k] for row in table) for k in (0, 1, 2)]
-    print(f"evaluations: {evals[0]} det + {evals[1]} factor in lambda + "
-          f"{evals[2]} factor in kappa")
+        det, factor = row
+        print(f"{p + 1:4d}  {det:6d}  {factor:9d}  {sum(row) - after:9d}")
+    det, factor = (sum(row[k] for row in table) for k in (0, 1))
+    print(f"evaluations: {det} det + {factor} factor")
 
     if args.save:
         args.save.write_text(json.dumps({"grid": grid, "lambdas": lams}) + "\n")

@@ -9,15 +9,14 @@ whole spectrum is real.  ``lambda_spectrum`` solves the symmetric problem with
 numpy's dense symmetric eigensolver (the same LAPACK eigenvalue iteration as
 a dedicated tridiagonal solver) and then polishes all n + 1 roots together
 in extended precision, each recurrence on the whole array of roots, so a
-spectrum costs O(n) numpy calls per Newton pass.  A root whose seed is at
-least mu**2 steps in lambda on its own reflection factor (below) from the
-first pass, a root below mu**2 in kappa on that factor where a long-double
-rounding bound on lambda = kappa**2 - mu**2 covers it, and every other
-root, near lambda = 0, on the determinant, by the gate's own framed scan
-(:func:`heun_poly._det_scan`) run in long double.  Each root keeps its own
-Newton state, and a root whose step goes wrong falls back to its seed
-without disturbing the others; one array scan of the determinant in double
-then gates every returned root.
+spectrum costs O(n) numpy calls per Newton pass.  A root whose |seed| is
+at least mu**2/128 steps in kappa on its own reflection factor (below) from
+the first pass, with lambda = kappa**2 - mu**2 carried beside kappa, and
+every other root, near lambda = 0, on the determinant, by the gate's own
+framed scan (:func:`heun_poly._det_scan`) run in long double.  Each root
+keeps its own Newton state, and a root whose step goes wrong falls back to
+its seed without disturbing the others; one array scan of the determinant
+in double then gates every returned root.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 G+ and G- (one per sign) with ``G+ G- = -Phi^T`` for the coefficient matrix
@@ -322,11 +321,10 @@ _STEP_STOP = max(2.0**-8, float(np.finfo(np.longdouble).eps / np.finfo(float).ep
 # n <= 110 at the eight mu of scripts/polish_report.py; a kappa step moves
 # lambda by at most three long-double ulps of the larger of |lambda| and
 # lambda + mu**2 there.  Where long double is plain double this exceeds
-# _STEP_STOP, and no root stops on :func:`_step_bound` or
-# :func:`_kappa_step_bound`.
+# _STEP_STOP, and no root stops on :func:`_kappa_step_bound`.
 _STEP_NOISE = 7 * float(np.finfo(np.longdouble).eps / np.finfo(float).eps)
 
-# A seed below mu**2 steps in kappa where |seed| is at least this fraction
+# A seed steps in kappa on its factor where |seed| is at least this fraction
 # of mu**2, which the rounding bound of :func:`_polish_extended` covers.
 _KAPPA_COVER = 2.0**-7
 
@@ -357,35 +355,22 @@ def _kappa_gaps(seeds, mu, cap, signs, start) -> np.ndarray:
     return gaps
 
 
-def _step_bound(step, kappa, n, gap):
-    """Bound on the next Newton step in lambda on a reflection factor after
-    the step ``step`` at ``kappa``, rounding noise aside.
-
-    The factor is a polynomial in kappa with n + 1 simple real roots, and
-    Newton from x leaves the error ``e**2 * R / (1 + e*R)``, ``R = sum_{i !=
-    k} 1/(x - kappa_i)``, ``|R| <= n / gap`` (:func:`_kappa_gaps`).  In
-    lambda = kappa**2 - mu**2 the error constant is ``R/(2*kappa) -
-    1/(4*kappa**2)``; twice its magnitude covers the higher-order terms.  A
-    gap that is not positive gives inf or NaN.
-    """
-    s, k = np.abs(step.astype(float)), np.abs(kappa.astype(float))
-    return s * s * (n / (np.fmax(gap, 0.0) * k) + 0.5 / (k * k))
-
-
 def _kappa_step_bound(step, kappa, n, gap):
     """Bound on how far the next Newton step in kappa on a reflection factor
     moves lambda = kappa**2 - mu**2, after the step ``step`` to ``kappa``,
     rounding noise aside.
 
-    With R as in :func:`_step_bound`, a step d from x with error e is ``d =
-    e / (1 + e*R)``, so it leaves the error ``e' = e - d = d**2 * R / (1 -
-    d*R)``, and the next step is ``d' = e' / (1 + e'*R')``.  Where ``4 * |d|
-    * n <= gap``, ``|d*R| <= 1/4``, so ``|e'| <= 4/3 * d**2 * n / gap``,
-    ``|e'*R'| <= 1/12`` and ``|d'| <= 16/11 * d**2 * n / gap``, below ``b =
-    2 * d**2 * n / gap``.  Through the new kappa, d' moves lambda by
-    ``|2*kappa*d' - d'**2| <= b * (2*|kappa| + b)``, the value returned.  A
-    step too long for the proof gives inf, a gap that is not positive inf or
-    NaN.
+    The factor is a polynomial in kappa with n + 1 simple real roots; at x,
+    ``R = sum_{i != k} 1/(x - kappa_i)`` over the roots other than the one
+    sought, and ``|R| <= n / gap`` (:func:`_kappa_gaps`).  A step d from x
+    with error e is ``d = e / (1 + e*R)``, so it leaves the error ``e' = e -
+    d = d**2 * R / (1 - d*R)``, and the next step is ``d' = e' / (1 +
+    e'*R')``.  Where ``4 * |d| * n <= gap``, ``|d*R| <= 1/4``, so ``|e'| <=
+    4/3 * d**2 * n / gap``, ``|e'*R'| <= 1/12`` and ``|d'| <= 16/11 * d**2 *
+    n / gap``, below ``b = 2 * d**2 * n / gap``.  Through the new kappa, d'
+    moves lambda by ``|2*kappa*d' - d'**2| <= b * (2*|kappa| + b)``, the
+    value returned.  A step too long for the proof gives inf, a gap that is
+    not positive inf or NaN.
     """
     s, k = np.abs(step.astype(float)), np.abs(kappa.astype(float))
     b = 2 * s * s * n / np.fmax(gap, 0.0)
@@ -404,7 +389,7 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     and a seed's index in its problem is its place in its degree's block
     modulo n + 1.
 
-    The roots split once, by seed, onto three routes.  The determinant is
+    The roots split once, by seed, onto two kernels.  The determinant is
     -det G+ * det G-, and each root kills exactly the factor of its own sign
     (:func:`root_params`).  Where two roots are closer than the seed's
     error, a near-degenerate pair, the determinant has a double zero to
@@ -413,20 +398,17 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     (:func:`_factor_newton_extended`), where Newton converges
     quadratically.  So:
 
-    * a root whose seed is at least mu**2 steps in lambda on its own factor
-      at ``kappa = -epsilon*sqrt(lambda + mu**2)``; rounding lambda + mu**2
-      in long double moves lambda by at most 2**-62 * lambda there;
-    * a root whose seed is below mu**2 and at least mu**2/128
-      (``_KAPPA_COVER``) in magnitude steps in kappa on its own factor,
-      from ``kappa = -epsilon*sqrt(max(seed + mu**2, 0))``, and lambda =
-      kappa**2 - mu**2 is formed in long double.  There kappa**2 <= mu**2
-      + |lambda| <= 129*|lambda|, so rounding kappa**2 and the difference
-      costs at most 130 * 2**-64 * |lambda|, under 1/15 of a double ulp,
-      and each long-double ulp by which kappa misses its root at most
-      kappa**2 * 2**-62, about 1/4 ulp.  A converged kappa lies within
-      about one long-double ulp of its root, so near the cover's edge a
-      kappa root may land about 0.3 ulp farther from lambda than a
-      correctly rounded one;
+    * a root whose |seed| is at least mu**2/128 (``_KAPPA_COVER``) steps
+      in kappa on its own factor, from ``kappa = -epsilon*sqrt(max(seed +
+      mu**2, 0))``, with lambda = kappa**2 - mu**2 formed from it in long
+      double and then carried beside kappa: a step d in kappa moves lambda
+      by exactly d*(2*kappa - d), and lambda takes that step.  kappa**2 is
+      at most 129*|lambda| below mu**2 and 2*lambda above it, so forming
+      lambda costs at most 130 * 2**-64 * |lambda|, under 1/15 of a double
+      ulp, and each step only the rounding of a correction far below
+      lambda.  The rounding of kappa itself never reaches lambda; read
+      back as kappa**2 - mu**2, each long-double ulp of kappa would move
+      lambda by up to kappa**2 * 2**-62, about 1/4 ulp at the cover's edge;
     * every other root steps on the determinant: a seed within mu**2/128
       of lambda = 0, where kappa**2 - mu**2 would cancel more than seven
       bits.  Once |mu| is large against n that is every root, as |lambda|
@@ -438,13 +420,12 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
 
     A root stops once its step is at most ``_STEP_STOP`` of a double ulp,
     1/256; at most ``_PASSES`` passes run.  A factor root also stops once
-    its step proves the next one that small: the bound
-    (:func:`_step_bound` for a lambda step, :func:`_kappa_step_bound` for a
-    kappa step, mapped to lambda through the new kappa), with the distance
-    to its neighbours from :func:`_kappa_gaps`, plus ``_STEP_NOISE``, is at
-    most ``_STEP_STOP``.  Nearly every factor root thus takes one pass.  A
-    determinant root has no such proof: its steps can sit at the
-    determinant's noise floor.
+    its step proves the next one that small: the bound of
+    :func:`_kappa_step_bound`, mapped to lambda through the new kappa, with
+    the distance to its neighbours from :func:`_kappa_gaps`, plus
+    ``_STEP_NOISE``, is at most ``_STEP_STOP``.  Nearly every factor root
+    thus takes one pass.  A determinant root has no such proof: its steps
+    can sit at the determinant's noise floor.
 
     These figures assume the 64-bit mantissa of x87 extended precision,
     which ``numpy.longdouble`` has on x86-64 Linux.  Where long double is
@@ -461,8 +442,7 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
     cur = seeds.astype(ld)
     m2 = ld(mu) ** 2
-    in_kappa = (cur < m2) & (np.abs(cur) >= m2 * _KAPPA_COVER)
-    on_factor = (cur >= m2) | in_kappa
+    on_factor = np.abs(cur) >= m2 * _KAPPA_COVER
     live, factor = np.flatnonzero(~on_factor), np.flatnonzero(on_factor)
     # Each degree's block starts where its first seed sits.
     place = np.arange(seeds.size)
@@ -484,9 +464,10 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     # A root whose recurrence overflows falls back: no warning is due.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if factor.size:
-            eps, mu2, in_k = _take(factor, signs, m2, in_kappa)
+            eps, mu2 = _take(factor, signs, m2)
             gap = _kappa_gaps(seeds, mu, cap, signs, place - index)[factor]
-            kap = -eps * np.sqrt(np.maximum(cur[factor] + mu2, 0))
+            kappa = -eps * np.sqrt(np.maximum(cur[factor] + mu2, 0))
+            cur[factor] = kappa * kappa - mu2
         for _ in range(_PASSES):
             if live.size:
                 at = cur[live]
@@ -497,26 +478,19 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
                 live = live[advance(live, at, at - step, np.abs(step), ok, np.inf)]
             if factor.size:
                 at = cur[factor]
-                kappa = np.where(in_k, kap, -eps * np.sqrt(at + mu2))
                 n_, mu_ = _take(factor, n, mu)
                 g, dg = _factor_newton_extended(n_, mu_, kappa)
-                # A kappa-step root steps by g/g' in kappa; every other root
-                # in lambda, where d(kappa)/d(lambda) = kappa / (2*(lambda +
-                # mu**2)) makes the Newton step 2*kappa*g/g'.
-                kstep = g / dg
-                step = 2 * kappa * g / dg
-                kap = kappa - kstep
-                nxt = np.where(in_k, kap * kap - mu2, at - step)
-                moved = np.abs(np.where(in_k, nxt - at, step))
-                bound = np.where(
-                    in_k,
-                    _kappa_step_bound(kstep, kap, n_, gap),
-                    _step_bound(step, kappa, n_, gap),
-                )
-                moving = advance(factor, at, nxt, moved, np.isfinite(nxt), bound)
-                factor, eps, mu2, gap, in_k, kap = _take(
-                    moving, factor, eps, mu2, gap, in_k, kap
-                )
+                # The step d in kappa moves lambda = kappa**2 - mu**2 by
+                # d*(2*kappa - d), exactly; lambda takes that step beside
+                # kappa rather than being formed from the rounded kappa.
+                d = g / dg
+                step = d * (2 * kappa - d)
+                kappa = kappa - d
+                nxt = at - step
+                bound = _kappa_step_bound(d, kappa, n_, gap)
+                ok = np.isfinite(nxt)
+                moving = advance(factor, at, nxt, np.abs(step), ok, bound)
+                factor, gap, kappa = _take(moving, factor, gap, kappa)
     return cur.astype(float)
 
 

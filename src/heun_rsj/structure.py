@@ -455,8 +455,10 @@ def _closed_form(P: HeunPolynomial, times, rate: bool) -> tuple:
     max_step = p.period / (64.0 * (P.n + 2))
     factor = 1
     if len(times) > 1:
-        widest = float(np.max(np.diff(times)))
-        factor = max(1, math.ceil(widest / max_step))
+        ratio = float(np.max(np.diff(times))) / max_step
+        if not ratio < math.inf:  # an overflowing ratio has no int ceiling
+            raise InvalidParams(f"phase grid needs over {_MAX_SAMPLES} samples")
+        factor = max(1, math.ceil(ratio))
     _check_grid_size(1 + (len(times) - 1) * factor)
     if factor == 1:
         readers = (_rate_reader(P, p.omega),) if rate else ()

@@ -527,7 +527,20 @@ class TestSweep:
         # root with lambda >= mu**2 began to polish on it from its seed, and
         # again when such a root began to stop on the bound of its first
         # step; CHANGES.md lists the roots that moved, 518, 9 and then 12,
-        # each with its error against mpmath.
+        # each with its error against mpmath.  It moved again when every
+        # factor root began to step in kappa with lambda carried beside it:
+        # 7 roots, each a rounding midpoint, (n, mu, root) old -> new with
+        # their mpmath errors in ulps:
+        #   (33, -2.5, 33) 367.0734295491216 -> 367.07342954912156, 0.500 both;
+        #   (59, 3.0, 19) 485.28663877035575 -> 485.2866387703557, 0.500 both;
+        #   (60, 1.1666666666666665, 8) 226.41770244333281 ->
+        #     226.41770244333284, 0.501 -> 0.499;
+        #   (91, -2.5, 60) 1829.2740611753838 -> 1829.2740611753836, 0.500 both;
+        #   (96, -2.5, 1) 89.61692403547038 -> 89.61692403547036, 0.500 both;
+        #   (98, -0.6666666666666667, 52) 1896.7906458511634 ->
+        #     1896.7906458511632, 0.501 -> 0.499;
+        #   (100, 1.1666666666666665, 26) 1142.084879942705 ->
+        #     1142.0848799427047, 0.501 -> 0.499.
         code, out, err = run_cli(
             capsys,
             "sweep", "--n-min", "0", "--n-max", "120",
@@ -535,7 +548,7 @@ class TestSweep:
         )
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "981a84a713d378da096acf25287d017a8c40d2506c8b7eda0fa3f64c30cea0f4"
+            "f53032849982842188a9d4c63b24145c439b10c43493fc5db109453614fe9156"
         )
 
     def test_matches_per_point_loop(self, capsys):

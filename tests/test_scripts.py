@@ -122,25 +122,23 @@ def test_polish_report_on_a_tiny_grid(tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
     lines = result.stdout.splitlines()
     # Roots 0 of degree 0 stay on the determinant, which the polish scans in
-    # long double; every other root below mu**2 steps in kappa on its own
-    # factor.  All stop after one pass, and the gate's double scan of every
-    # root is counted as no pass.
+    # long double; every other root steps on its own factor.  All stop after
+    # one pass, and the gate's double scan of every root is counted as no
+    # pass.
     assert lines[:3] == [
         "grid: n <= 6 x mu in [1.37, 0.25]: 56 roots",
-        "pass  on_det  in_lambda  in_kappa  last_pass",
-        "   1       2         38        16         56",
+        "pass  on_det  on_factor  last_pass",
+        "   1       2         54         56",
     ]
     table = [list(map(int, line.split())) for line in lines[2:-1]]
     assert len(table) == 1
-    assert sum(row[4] for row in table) == 56  # each root's last pass once
+    assert sum(row[3] for row in table) == 56  # each root's last pass once
     assert all(min(row) >= 0 for row in table)
     # A factor root takes one pass.
-    assert all(row[2] == row[3] == 0 for row in table[1:])
-    det, lam, kappa = (sum(row[k] for row in table) for k in (1, 2, 3))
-    assert lines[-1] == (
-        f"evaluations: {det} det + {lam} factor in lambda + {kappa} factor in kappa"
-    )
-    assert det > 0 and lam > 0 and kappa > 0
+    assert all(row[2] == 0 for row in table[1:])
+    det, factor = (sum(row[k] for row in table) for k in (1, 2))
+    assert lines[-1] == f"evaluations: {det} det + {factor} factor"
+    assert det > 0 and factor > 0
 
     # A saved root one ulp off reads as the one moved root, about an ulp
     # farther from the mpmath root than the polished one; --errors finds

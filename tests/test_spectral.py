@@ -90,51 +90,40 @@ def _kappa_gaps_loop(n: int, mu: float, seeds) -> list[float]:
 
 
 def _route(n: int, mu: float, seed: float) -> str:
-    """The polish route of a seed: ``"lambda"`` (Newton in lambda on its own
-    factor) where the seed is at least mu**2, ``"kappa"`` (Newton in kappa on
-    its own factor) where |seed| is at least mu**2/128, the determinant
-    (``"det"``) otherwise; compared in long double."""
+    """The polish kernel of a seed: its own factor (``"factor"``, Newton in
+    kappa) where |seed| is at least mu**2/128, the determinant (``"det"``)
+    otherwise; compared in long double."""
     ld = np.longdouble
-    if ld(seed) >= ld(mu) ** 2:
-        return "lambda"
-    return "kappa" if abs(ld(seed)) * 128 >= ld(mu) ** 2 else "det"
+    return "factor" if abs(ld(seed)) * 128 >= ld(mu) ** 2 else "det"
 
 
 def _polish_loop(n: int, mu: float, seed: float, eps: int, gap: float) -> float:
     """One-root reference for :func:`spectral._polish_extended`, for the root
     of sign ``eps`` on its :func:`_route`, until a step is at most 1/256 of
-    a double ulp.  A lambda step on the factor also stops its root where the
-    bound it gives on the next step, ``step**2 * (n/(gap*|kappa|) +
-    1/(2*kappa**2))`` with ``gap`` from :func:`_kappa_gaps_loop`, is at most
-    1/256 less seven long-double ulps (1/2048 each) of a double ulp.  A
-    kappa step d to kappa' stops it where ``4*|d|*n <= gap`` and ``b *
-    (2*|kappa'| + b)``, ``b = 2*d**2*n/gap``, is that small.  In trouble the
-    root falls back to its seed."""
+    a double ulp.  A factor root starts at ``kappa = -eps*sqrt(max(seed +
+    mu**2, 0))`` and ``lambda = kappa**2 - mu**2``; a step d in kappa moves
+    lambda by ``d*(2*kappa - d)``.  It also stops its root where ``4*|d|*n
+    <= gap``, with ``gap`` from :func:`_kappa_gaps_loop`, and ``b *
+    (2*|kappa'| + b)``, ``b = 2*d**2*n/gap`` at the new kappa', is at most
+    1/256 less seven long-double ulps (1/2048 each) of a double ulp.  In
+    trouble the root falls back to its seed."""
     ld = np.longdouble
     cap = 1e-8 * max(1.0, abs(seed))
     cur, m2 = ld(seed), ld(mu) ** 2
     route = _route(n, mu, seed)
-    kappa = -eps * np.sqrt(max(cur + m2, ld(0)))
+    if route == "factor":
+        kappa = -eps * np.sqrt(max(cur + m2, ld(0)))
+        cur = kappa * kappa - m2
     for _ in range(8):
         ulp = abs(np.spacing(float(cur)))
         proved = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if route == "lambda":
-                kappa = -eps * np.sqrt(cur + m2)
-                g, dg = spectral._factor_newton_extended(n, mu, np.array([kappa]))
-                step = 2 * kappa * g[0] / dg[0]
-                nxt = cur - step
-                ok = np.isfinite(step)
-                s, k = abs(float(step)), abs(float(kappa))
-                if ok and gap > 0 and k > 0:
-                    bound = s * s * (n / (gap * k) + 0.5 / (k * k))
-                    proved = bound <= ulp * (2**-8 - 7 * 2**-11)
-            elif route == "kappa":
+            if route == "factor":
                 g, dg = spectral._factor_newton_extended(n, mu, np.array([kappa]))
                 d = g[0] / dg[0]
+                step = d * (2 * kappa - d)
                 kappa = kappa - d
-                nxt = kappa * kappa - m2
-                step = nxt - cur
+                nxt = cur - step
                 ok = np.isfinite(nxt)
                 s, k = abs(float(d)), abs(float(kappa))
                 if ok and gap > 0 and 4 * s * n <= gap:
@@ -300,7 +289,7 @@ class TestSpectrum:
             lambda_spectrum(5, 1.0)
         assert err.value.root_index == 0
 
-    # (22, 7.3) has roots on all three routes: root 6 on the determinant.
+    # (22, 7.3) has roots on both kernels: root 6 on the determinant.
     @pytest.mark.parametrize(
         "n,mu", [(1, 0.5), (5, 1.0), (30, -2.2), (60, 1.82), (22, 7.3)]
     )
@@ -327,8 +316,8 @@ class TestSpectrum:
         # whose kernel turns non-finite -- at its seed, or once its first
         # step has moved it -- must fall back to its own seed and leave
         # every other root exactly as the clean run polishes it.  Root k
-        # steps on its own factor, in lambda or in kappa (_route), or on the
-        # determinant, whose long-double scans are poisoned and the gate's
+        # steps on its own factor, above mu**2 or below it (_route), or on
+        # the determinant, whose long-double scans are poisoned and the gate's
         # double scan is not.  A factor root stops on the bound of its first
         # step, so its kernel never sees it moved, and it polishes as in the
         # clean run; the determinant root of (14, 7.3) takes eight passes.
@@ -345,7 +334,7 @@ class TestSpectrum:
         assert clean_roots[k] != seeds[k]  # the clean polish moves root k
 
         ld = np.longdouble
-        route = {(12, 1.3, 0): "kappa", (14, 7.3, 5): "det"}.get((n, mu, k), "lambda")
+        route = "det" if (n, mu, k) == (14, 7.3, 5) else "factor"
         assert _route(n, mu, seeds[k]) == route
         on_factor = route != "det"
         if on_factor:
@@ -742,7 +731,7 @@ _PAIR_ROOTS = [
 # so its long-double rounding noise decides which double each one returns.
 # These pairs, and the half-ulp bound on the roots above, are figures of
 # the 64-bit mantissa of x87 long double, which numpy has on x86-64 Linux.
-_MIDPOINT_PAIRS = [(79, 0.01, 49), (83, 0.01, 57)]
+_MIDPOINT_PAIRS = [(83, 0.01, 57)]
 
 _RANK_GRID = [(n, mu) for n in range(41) for mu in (0.25, 1.0, 1.82, 2.5, -0.7)]
 
@@ -762,10 +751,15 @@ _NOISY_DET_PROBLEMS = {
     (32, 7.3): (8, "roots 3 and 4 step by 1/13 to 1.14 ulp and never stop"),
 }
 
-# Roots below mu**2 that step in kappa on their own factor, with their
-# errors against mpmath on the determinant before: 5.830, 1.441 and 1.652
-# ulps.
-_KAPPA_ROOTS = [(56, 7.3, 1), (91, 7.3, 1), (73, 7.3, 2)]
+# Roots below mu**2 that step in kappa on their own factor.  The first
+# three were 5.830, 1.441 and 1.652 ulps off on the determinant.  The last
+# three were 0.566, 0.553 and 0.520 ulp off with lambda formed as kappa**2 -
+# mu**2 from the rounded kappa, and are 0.434, 0.447 and 0.480 with lambda
+# carried beside kappa.
+_KAPPA_ROOTS = [
+    (56, 7.3, 1), (91, 7.3, 1), (73, 7.3, 2),
+    (13, 300.0, 5), (25, 300.0, 14), (38, 300.0, 21),
+]
 
 
 def _ulps(lam: float, ref) -> float:
@@ -796,16 +790,16 @@ class TestPairPolish:
     @pytest.mark.parametrize("n,mu,i", _KAPPA_ROOTS)
     def test_kappa_root_against_mpmath(self, n, mu, i):
         seed = spectral._eigen_seeds(n, mu)[i]
-        assert _route(n, mu, seed) == "kappa"
+        assert _route(n, mu, seed) == "factor" and seed < mu * mu
         lam = lambda_spectrum(n, mu).lambdas[i]
         assert _ulps(lam, mpmath_root(n, mu, i, lam)) <= 0.5
 
     def test_passes_per_kernel(self, monkeypatch):
-        # A root on its own factor, stepping in lambda or in kappa,
-        # converges quadratically, and the bound of its first step stops it
-        # after one pass.  A simple root on the determinant stops within two
-        # passes, but where rounding noise keeps its steps above the stop:
-        # the problems of _NOISY_DET_PROBLEMS, and no others.
+        # A root on its own factor converges quadratically, and the bound
+        # of its first step stops it after one pass.  A simple root on the
+        # determinant stops within two passes, but where rounding noise
+        # keeps its steps above the stop: the problems of
+        # _NOISY_DET_PROBLEMS, and no others.
         # The polish scans the determinant in long double.
         calls = []
         for name in ("_det_scan", "_factor_newton_extended"):
@@ -832,57 +826,28 @@ class TestPairPolish:
             got = spectral._kappa_gaps(seeds, mu, cap, signs, np.zeros(n + 1, dtype=int))
             assert got.tolist() == _kappa_gaps_loop(n, mu, seeds.tolist()), (n, mu)
 
-    def test_certificate_bounds_the_skipped_pass(self):
-        # Every lambda-step root of the grid stops after one pass, on the
-        # bound its step gives on the next one (spectral._step_bound).  That next
-        # pass, rerun here from the long-double iterate, must step by at
-        # most the bound plus the long-double rounding noise, and by at
-        # most the 1/256-ulp stop, so it would have stopped the root.
-        ld = np.longdouble
-        stop, noise = spectral._STEP_STOP, spectral._STEP_NOISE
-        for n, mu in _RANK_GRID:
-            seeds = spectral._eigen_seeds(n, mu)
-            on = np.flatnonzero(seeds.astype(ld) >= ld(mu) ** 2)
-            eps = np.array(_parity_signs(n, mu, n + 1))[on]
-            gaps = np.array(_kappa_gaps_loop(n, mu, seeds.tolist()))[on]
-
-            def step(lam):
-                kappa = -eps * np.sqrt(lam + ld(mu) ** 2)
-                g, dg = spectral._factor_newton_extended(n, mu, kappa)
-                return 2 * kappa * g / dg, kappa
-
-            first, kappa = step(seeds[on].astype(ld))
-            bound = spectral._step_bound(first, kappa, n, gaps)
-            ulp = np.abs(np.spacing(seeds[on]))
-            assert np.all(bound <= ulp * (stop - noise)), (n, mu)
-            lam = seeds[on] - first
-            roots = spectral._polish_extended(n, mu, seeds)
-            assert np.array_equal(roots[on], lam.astype(float)), (n, mu)
-            skipped = np.abs(step(lam)[0]).astype(float)
-            ulp = np.abs(np.spacing(lam.astype(float)))
-            assert np.all(skipped <= bound + ulp * noise), (n, mu)
-            assert np.all(skipped <= ulp * stop), (n, mu)
-
     def test_kappa_certificate_bounds_the_skipped_pass(self):
-        # Every kappa-step root of the grid stops after one pass, on the
-        # bound its kappa step gives on how far the next one moves lambda
-        # (spectral._kappa_step_bound).  That next pass, rerun here from the
-        # long-double kappa, must move lambda = kappa**2 - mu**2 by at most
-        # the bound plus the rounding noise, and by at most the 1/256-ulp
-        # stop.  The noise and the stop are taken in double ulps of the
-        # larger of |lambda| and kappa**2 = lambda + mu**2, the two numbers
-        # whose long-double rounding a kappa step carries; on that scale the
-        # rerun moves lambda by at most three long-double ulps.
+        # Every factor root of the grid, above mu**2 or below it, stops
+        # after one pass, on the bound its kappa step gives on how far the
+        # next one moves lambda (spectral._kappa_step_bound).  It returns
+        # lambda_0 - d*(2*kappa_0 - d), from kappa_0 = -eps*sqrt(seed +
+        # mu**2) and lambda_0 = kappa_0**2 - mu**2 in long double.  The next
+        # pass, rerun here from the long-double kappa, must move lambda by
+        # at most the bound plus the rounding noise, and by at most the
+        # 1/256-ulp stop.  The noise and the stop are taken in double ulps of
+        # the larger of |lambda| and kappa**2 = lambda + mu**2, the two
+        # numbers whose long-double rounding a kappa step carries.
         ld = np.longdouble
         stop, noise = spectral._STEP_STOP, spectral._STEP_NOISE
-        seen = 0
+        seen = above = 0
         for n, mu in _RANK_GRID:
             seeds = spectral._eigen_seeds(n, mu)
-            on = np.flatnonzero([_route(n, mu, x) == "kappa" for x in seeds])
+            on = np.flatnonzero([_route(n, mu, x) == "factor" for x in seeds])
             if not on.size:
                 continue
             seen += on.size
             m2 = ld(mu) ** 2
+            above += np.count_nonzero(seeds[on].astype(ld) >= m2)
             eps = np.array(_parity_signs(n, mu, n + 1))[on]
             gaps = np.array(_kappa_gaps_loop(n, mu, seeds.tolist()))[on]
 
@@ -892,19 +857,19 @@ class TestPairPolish:
 
             kappa = -eps * np.sqrt(np.maximum(seeds[on].astype(ld) + m2, 0))
             first = step(kappa)
+            lam = kappa * kappa - m2 - first * (2 * kappa - first)
             kappa = kappa - first
-            lam = kappa * kappa - m2
             bound = spectral._kappa_step_bound(first, kappa, n, gaps)
             ulp = np.abs(np.spacing(lam.astype(float)))
             assert np.all(bound <= ulp * (stop - noise)), (n, mu)
             roots = spectral._polish_extended(n, mu, seeds)
             assert np.array_equal(roots[on], lam.astype(float)), (n, mu)
-            nxt = kappa - step(kappa)
-            skipped = np.abs(nxt * nxt - m2 - lam).astype(float)
+            nxt = step(kappa)
+            skipped = np.abs(nxt * (2 * kappa - nxt)).astype(float)
             ulp = np.maximum(ulp, np.abs(np.spacing((kappa * kappa).astype(float))))
             assert np.all(skipped <= bound + ulp * noise), (n, mu)
             assert np.all(skipped <= ulp * stop), (n, mu)
-        assert seen > 200
+        assert seen > 4000 and 200 < seen - above < above
 
     @pytest.mark.parametrize("n,mu,i", _MIDPOINT_PAIRS)
     def test_order_breaks_only_on_a_rounding_midpoint(self, n, mu, i):
@@ -919,12 +884,14 @@ class TestPairPolish:
 
     def test_factor_trouble_falls_back_to_the_seed(self, monkeypatch):
         # A factor that turns non-finite sends each root that steps on it,
-        # in lambda or in kappa, back to its seed; the root on the
+        # above mu**2 or below it, back to its seed; the root on the
         # determinant, root 5 of (14, 7.3), is polished as before.
         n, mu = 14, 7.3
         seeds = spectral._eigen_seeds(n, mu)
         routes = np.array([_route(n, mu, x) for x in seeds])
-        assert set(routes) == {"lambda", "kappa", "det"}
+        assert set(routes) == {"factor", "det"}
+        above = seeds.astype(np.longdouble) >= np.longdouble(mu) ** 2
+        assert 0 < np.count_nonzero(above) < np.count_nonzero(routes == "factor")
         clean = spectral._polish_extended(n, mu, seeds)
         factor = spectral._factor_newton_extended
 
@@ -940,8 +907,8 @@ class TestPairPolish:
         assert got.tolist() == want
         on_factor = routes != "det"
         assert np.array_equal(got[on_factor], seeds[on_factor])
-        for route in ("lambda", "kappa"):
-            assert np.any(clean[routes == route] != seeds[routes == route])
+        for part in (above, (routes == "factor") & ~above):
+            assert np.any(clean[part] != seeds[part])
         assert np.array_equal(got[~on_factor], clean[~on_factor])
         assert np.any(got[~on_factor] != seeds[~on_factor])
 

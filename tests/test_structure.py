@@ -601,6 +601,11 @@ class TestPhase:
         poly = helpers.solution(7, 0.3, 0)
         with pytest.raises(InvalidParams, match=r"needs \d+ samples"):
             phase_series(poly, np.linspace(0.0, 1.0, 5))
+        # A step whose refined count overflows a double is refused before
+        # the count is rounded up to an int.
+        poly = helpers.solution(2, 1.0, 1)
+        with pytest.raises(InvalidParams, match=r"needs over \d+ samples"):
+            phase_series(poly, [0.0, 1e308])
 
     def test_grid_cap_counts_samples(self, monkeypatch):
         poly = helpers.solution(2, 1.0, 2)
