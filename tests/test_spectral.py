@@ -826,28 +826,33 @@ class TestPairPolish:
             got = spectral._kappa_gaps(seeds, mu, cap, signs, np.zeros(n + 1, dtype=int))
             assert got.tolist() == _kappa_gaps_loop(n, mu, seeds.tolist()), (n, mu)
 
-    def test_kappa_certificate_bounds_the_skipped_pass(self):
-        # Every factor root of the grid, above mu**2 or below it, stops
-        # after one pass, on the bound its kappa step gives on how far the
-        # next one moves lambda (spectral._kappa_step_bound).  It returns
-        # lambda_0 - d*(2*kappa_0 - d), from kappa_0 = -eps*sqrt(seed +
-        # mu**2) and lambda_0 = kappa_0**2 - mu**2 in long double.  The next
-        # pass, rerun here from the long-double kappa, must move lambda by
-        # at most the bound plus the rounding noise, and by at most the
-        # 1/256-ulp stop.  The noise and the stop are taken in double ulps of
-        # the larger of |lambda| and kappa**2 = lambda + mu**2, the two
-        # numbers whose long-double rounding a kappa step carries.
+    @staticmethod
+    def _certify_factor_roots(above: bool) -> tuple[int, int]:
+        # Every factor root of the grid on one side of mu**2 (seed >= mu**2
+        # where ``above``, below it otherwise) stops after one pass, on the
+        # bound its kappa step gives on how far the next one moves lambda
+        # (spectral._kappa_step_bound).  It returns lambda_0 - d*(2*kappa_0
+        # - d), from kappa_0 = -eps*sqrt(seed + mu**2) and lambda_0 =
+        # kappa_0**2 - mu**2 in long double.  The next pass, rerun here from
+        # the long-double kappa, must move lambda by at most the bound plus
+        # the rounding noise, and by at most the 1/256-ulp stop.  The noise
+        # and the stop are taken in double ulps of the larger of |lambda|
+        # and kappa**2 = lambda + mu**2, the two numbers whose long-double
+        # rounding a kappa step carries.  Returns the factor roots of the
+        # grid at or above mu**2 and below it; only one side is checked.
         ld = np.longdouble
         stop, noise = spectral._STEP_STOP, spectral._STEP_NOISE
-        seen = above = 0
+        counts = [0, 0]
         for n, mu in _RANK_GRID:
             seeds = spectral._eigen_seeds(n, mu)
-            on = np.flatnonzero([_route(n, mu, x) == "factor" for x in seeds])
+            m2 = ld(mu) ** 2
+            factor = np.array([_route(n, mu, x) == "factor" for x in seeds])
+            up = seeds.astype(ld) >= m2
+            counts[0] += np.count_nonzero(factor & up)
+            counts[1] += np.count_nonzero(factor & ~up)
+            on = np.flatnonzero(factor & (up if above else ~up))
             if not on.size:
                 continue
-            seen += on.size
-            m2 = ld(mu) ** 2
-            above += np.count_nonzero(seeds[on].astype(ld) >= m2)
             eps = np.array(_parity_signs(n, mu, n + 1))[on]
             gaps = np.array(_kappa_gaps_loop(n, mu, seeds.tolist()))[on]
 
@@ -869,7 +874,18 @@ class TestPairPolish:
             ulp = np.maximum(ulp, np.abs(np.spacing((kappa * kappa).astype(float))))
             assert np.all(skipped <= bound + ulp * noise), (n, mu)
             assert np.all(skipped <= ulp * stop), (n, mu)
-        assert seen > 4000 and 200 < seen - above < above
+        return counts[0], counts[1]
+
+    def test_certificate_bounds_the_skipped_pass(self):
+        # The roots at or above mu**2, which once stepped in lambda, stop on
+        # the kappa certificate too.
+        above, below = self._certify_factor_roots(above=True)
+        assert above + below > 4000 and 200 < below < above
+
+    def test_kappa_certificate_bounds_the_skipped_pass(self):
+        # The factor roots below mu**2, down to mu**2/128 from 0.
+        above, below = self._certify_factor_roots(above=False)
+        assert above + below > 4000 and 200 < below < above
 
     @pytest.mark.parametrize("n,mu,i", _MIDPOINT_PAIRS)
     def test_order_breaks_only_on_a_rounding_midpoint(self, n, mu, i):
