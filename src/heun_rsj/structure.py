@@ -113,11 +113,11 @@ def _on_samples(P: HeunPolynomial) -> np.ndarray:
     one column per point.
 
     All 80 values come from one pass (:func:`_lane_values`), bit for bit the
-    scalar ``polyval`` of each, signed zeros included.  The table is read
-    only.
+    scalar ``polyval`` of each, signed zeros included.  A value that
+    overflows stays infinite or NaN, for the readers to type.  The table is
+    read only.
     """
     a = np.asarray(P.coeffs, dtype=float)
-    # Python's complex arithmetic overflowed without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         table = _lane_values((a, a, *_derivatives(a)))
     table.flags.writeable = False
@@ -141,18 +141,11 @@ def _pairs(points) -> np.ndarray:
 
 _POINTS = _pairs(SAMPLE_POINTS)
 # The point of each lane of the sample table, row by row: z, 1/z, z and z.
-# 1/z stays in the point's own type: Python's complex division differs from
-# numpy's at some of the points.
 _LANE_POINTS = np.concatenate(
-    [_POINTS, _pairs([1.0 / z for z in SAMPLE_POINTS]), _POINTS, _POINTS], axis=1
+    [_POINTS, _pairs(1.0 / np.array(SAMPLE_POINTS)), _POINTS, _POINTS], axis=1
 )
 # Each lane point x and i*x, as pairs: v*x = Re(v)*x + Im(v)*(i*x).
 _LANE_MAPS = np.array([_LANE_POINTS, [-_LANE_POINTS[1], _LANE_POINTS[0]]])
-# The points held as Python complex, not numpy complex128: at these the
-# terms of symmetry_residual that involve z were Python complex values, and
-# at every point the two others.
-_PY_POINTS = np.array([type(z) is complex for z in SAMPLE_POINTS])
-_PY_TERMS = np.array([[True], [True], [False]]) | _PY_POINTS
 
 
 def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -191,88 +184,77 @@ def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 # Complex products on arrays of complex values held as real pairs, a (2, N)
-# array of real and imaginary parts, as numpy and Python form them.  The
-# left factor a is held as ``(Re a, Im a * (-1, 1))``: then a*b is
+# array of real and imaginary parts, each formed as (ac - bd, ad + bc).
+# The left factor a is held as ``(Re a, Im a * (-1, 1))``: then a*b is
 # ``Re(a)*b + (Im(a)*(-1, 1))*b[::-1]``, and the product by -Im(a) added is
-# the one by Im(a) subtracted, bit for bit.  A real left factor x is the
-# pair (x, 0.0), as both promote it.
+# the one by Im(a) subtracted, bit for bit.  A real factor multiplies a
+# pair directly.
 _SWAP_SIGNS = np.array([[-1.0], [1.0]])
-_ZERO_SWAP = 0.0 * _SWAP_SIGNS
 
 
 def _left(a: np.ndarray) -> tuple:
     return a[0], a[1] * _SWAP_SIGNS
 
 
-def _real(x) -> tuple:
-    return x, _ZERO_SWAP
-
-
 def _mul(left: tuple, b: np.ndarray) -> np.ndarray:
     return left[0] * b + left[1] * b[::-1]
 
 
-# z and the imaginary part of mu - z, (0.0 - Im z), as left factors.
+# z as a left factor.
 _Z_LEFT = _left(_POINTS)
-_MINUS_Z_LEFT = (0.0 - _POINTS[1]) * _SWAP_SIGNS
-
-
-def _abs(a: np.ndarray, python=True) -> np.ndarray:
-    """``abs`` of complex values: ``hypot``, and, where ``python`` marks
-    them as Python complex values, ``OverflowError`` where the modulus of a
-    finite value overflows, as Python's ``abs`` raises (numpy's gives inf).
-    """
-    r = np.hypot(a[..., 0, :], a[..., 1, :])
-    if np.isinf(r).any():
-        finite = np.isfinite(a).all(axis=-2)
-        if np.any(np.isinf(r) & finite & python):
-            raise OverflowError("absolute value too large")
-    return r
-
-
-def _py_max(x: np.ndarray) -> np.ndarray:
-    """Python's ``max`` over the first axis of x (no -inf in it): the first
-    entry where that is NaN, else the largest entry, NaNs skipped (``max``
-    keeps its running value unless an entry is greater)."""
-    return np.maximum(x[0], np.fmax.reduce(x[1:], initial=-np.inf))
 
 
 @functools.lru_cache(maxsize=1024)
 def _powers(n: int) -> np.ndarray:
-    """``z**n`` at each sample point, as real pairs: each point's own power,
-    Python's for a complex and numpy's for a complex128 (from n = 100 on
-    they differ), taken once per degree."""
-    powers = _pairs([z**n for z in SAMPLE_POINTS])
-    powers.flags.writeable = False
-    return powers
+    """``z**n`` at each sample point, as real pairs, taken once per degree:
+    square and multiply with :func:`_mul`, low bit first from 1.  Exact at
+    the real points while in range; elsewhere within (n - 1)*sqrt(5)*2**-53
+    of the power of the double z, relative, to first order (each product
+    after 1*z adds at most sqrt(5)*2**-53).  From n = 1024 the power at
+    z = 2 overflows.
+    """
+    r = np.zeros_like(_POINTS)
+    r[0] = 1.0
+    p = _POINTS
+    while n:
+        if n & 1:
+            r = _mul(_left(r), p)
+        n >>= 1
+        if n:
+            p = _mul(_left(p), p)
+    r.flags.writeable = False
+    return r
+
+
+def _largest_summand(terms: np.ndarray, relation: str, n: int, mu: float) -> np.ndarray:
+    """The largest modulus among ``terms`` (summands as real pairs) at each
+    point, or ``InvalidParams`` where one is not finite: ``relation``
+    overflows a double there."""
+    scale = np.hypot(terms[:, 0], terms[:, 1]).max(axis=0)
+    if not math.isfinite(scale.max()):  # max keeps a NaN
+        raise InvalidParams(f"the {relation} overflows a double at (n={n}, mu={mu})")
+    return scale
 
 
 def symmetry_residual(P: HeunPolynomial) -> float:
     """Worst relative defect of the reflection relation over the sample set.
 
     Each point contributes ``|P'(z) - mu*P(z) - eps*c*z**n*P(1/z)|`` divided
-    by the largest of its three summand magnitudes, with P's own sign eps.
-    A point whose summands all vanish is skipped.  ``InvalidParams`` where
-    Python's complex arithmetic would overflow: z**n at z = 2 from n = 1024
-    on, or the modulus of a finite term.
+    by the largest of its three summand moduli, with P's own sign eps and
+    z**n from :func:`_powers`.  A point whose summands all vanish is
+    skipped.  ``InvalidParams`` where a summand is not finite: z**n at
+    z = 2 from n = 1024 on, or an overflowing value of P.
     """
     eps = P.epsilon
     c = frequency_scale(P.params)
     n, mu = P.n, P.params.mu
     v, v_inv, dv, _ = _on_samples(P)
-    # The terms as Python's complex arithmetic formed them: it raises no flag.
-    try:
-        with np.errstate(all="ignore"):
-            t2 = _mul(_real(-mu), v)
-            t3 = _mul(_left(_mul(_real(-eps * c), _powers(n))), v_inv)
-            terms = np.array([dv, t2, t3])
-            scale = _py_max(_abs(terms, _PY_TERMS))
-            ratio = _abs(np.add.reduce(terms), _PY_POINTS) / scale
-    except OverflowError as exc:
-        raise InvalidParams(
-            f"the reflection relation overflows a double at (n={n}, mu={mu}): {exc}"
-        ) from None
-    return float(np.fmax.reduce(ratio[scale != 0.0], initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # typed; 0/0 is skipped
+        terms = np.array([dv, -mu * v, _mul(_left(-eps * c * _powers(n)), v_inv)])
+        scale = _largest_summand(terms, "reflection relation", n, mu)
+        total = np.add.reduce(terms)
+        ratio = np.hypot(total[0], total[1]) / scale
+    return float(ratio[scale != 0.0].max(initial=0.0))
 
 
 def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
@@ -292,21 +274,24 @@ def residuals(P: HeunPolynomial) -> tuple[float, float]:
 
     ``master_rel`` is the residual of the polynomial-form equation (see
     ``heun_poly``) over the sample set, each point divided by its largest
-    summand; ``linear_rel`` is the largest row residual of the coefficient
-    system divided by max |a_k|.
+    summand modulus (at least 1e-300); ``linear_rel`` is the largest row
+    residual of the coefficient system divided by max |a_k|.
+    ``InvalidParams`` where a summand is not finite: from n = 1024 on,
+    P(2) can overflow.
     """
     n, mu, lam = P.params.n, P.params.mu, P.params.lam
     v, _, dv, d2v = _on_samples(P)
     z = _Z_LEFT
-    terms = np.array([
-        _mul(z, _mul(_real(1.0 - n), dv) + _mul(z, d2v)),
-        _mul(_left(_mul(_real(-mu), _POINTS)), _mul(z, dv) - _mul(_real(n), v)),
-        _mul((mu - _POINTS[0], _MINUS_Z_LEFT), dv),  # (mu - z)*dv
-        _mul(_real(lam), v),
-    ])
-    total = np.add.reduce(terms, initial=0.0)  # in order, from 0, as sum() adds
-    scale = np.maximum(_py_max(np.hypot(terms[:, 0], terms[:, 1])), 1e-300)
-    master = _py_max(np.hypot(total[0], total[1]) / scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
+        terms = np.array([
+            _mul(z, (1.0 - n) * dv + _mul(z, d2v)),
+            _mul(_left(-mu * _POINTS), _mul(z, dv) - n * v),
+            _mul(_left(np.array([[mu], [0.0]]) - _POINTS), dv),  # (mu - z)*dv
+            lam * v,
+        ])
+        scale = np.maximum(_largest_summand(terms, "master equation", n, mu), 1e-300)
+        total = np.add.reduce(terms)
+        master = (np.hypot(total[0], total[1]) / scale).max()
     rows = heun_poly.residual_linear_system(P)
     amax = max(map(abs, P.coeffs))
     return float(master), float(np.max(np.abs(rows))) / amax

@@ -414,9 +414,23 @@ def master_rel_points(P: HeunPolynomial) -> float:
     )
 
 
+def power_by_squaring(z: complex, n: int) -> complex:
+    """``z**n`` by square and multiply on Python complex, low bit first from
+    1: the order of Python's own ``**`` for integer n up to 100."""
+    r, p = 1 + 0j, z
+    while n:
+        if n & 1:
+            r *= p
+        n >>= 1
+        if n:
+            p *= p
+    return r
+
+
 def symmetry_residual_points(P: HeunPolynomial) -> float:
     """Worst relative defect of ``P' - mu*P = eps*c*z**n*P(1/z)`` over the
-    samples, each point divided by its largest summand."""
+    samples, each point divided by its largest summand, with z**n from
+    :func:`power_by_squaring` at every degree."""
     eps = P.epsilon
     c = frequency_scale(P.params)
     n, mu = P.n, P.params.mu
@@ -424,7 +438,7 @@ def symmetry_residual_points(P: HeunPolynomial) -> float:
     for z in SAMPLE_POINTS:
         t1 = complex(P.deriv1(z))
         t2 = -mu * complex(P.value(z))
-        t3 = -eps * c * z**n * complex(P.value(1.0 / z))
+        t3 = -eps * c * power_by_squaring(complex(z), n) * complex(P.value(1.0 / z))
         scale = max(abs(t1), abs(t2), abs(t3))
         if scale == 0.0:
             continue

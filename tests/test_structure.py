@@ -165,12 +165,27 @@ class TestSymmetryResiduals:
 
     @pytest.mark.parametrize("check", [structure.certify, symmetry_residual])
     def test_overflowing_power_is_typed(self, check):
-        # From n = 1024, z**n at the sample point 2 overflows Python's
-        # complex power: a typed error, not its OverflowError.
+        # From n = 1024, z**n at the sample point 2 overflows a double: a
+        # typed error.  P = 1e-300 * z**1030 keeps P(2), P'(2) and P''(2)
+        # finite, so the master equation passes and only the power overflows.
         d = DcheParams(n=1030, mu=3.0, lam=1.0)
-        fake = HeunPolynomial(coeffs=(0.0,) * 1030 + (1.0,), params=d, epsilon=1)
+        fake = HeunPolynomial(coeffs=(0.0,) * 1030 + (1e-300,), params=d, epsilon=1)
         with pytest.raises(InvalidParams, match=r"relation overflows a double at \(n=1030"):
             check(fake)
+
+    @pytest.mark.parametrize("check", [structure.certify, structure.residuals])
+    def test_overflowing_value_is_typed(self, check):
+        # P = z**1030 overflows at the sample point 2, and so do the master
+        # summands there: a typed error, not a residual read from the 19
+        # other points alone.
+        d = DcheParams(n=1030, mu=3.0, lam=1.0)
+        fake = HeunPolynomial(coeffs=(0.0,) * 1030 + (1.0,), params=d, epsilon=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidParams, match=r"master equation overflows a double at \(n=1030, "
+            ):
+                check(fake)
 
 
     # Middle roots: from n = 119 the gate determinant and its scale pass the
@@ -372,12 +387,19 @@ def _assert_same_table(poly: HeunPolynomial) -> None:
 class TestSampleTable:
     @pytest.mark.parametrize(
         "degrees,mu",
-        [(range(13), 0.25), (range(13), 1.82), (range(13), -0.7), ((40, 100), 1.82)],
-        ids=["n<=12-0.25", "n<=12-1.82", "n<=12--0.7", "n=40,100-1.82"],
+        [
+            (range(13), 0.25),
+            (range(13), 1.82),
+            (range(13), -0.7),
+            ((40, 100), 1.82),
+            ((99, 101, 102), 1.82),
+        ],
+        ids=["n<=12-0.25", "n<=12-1.82", "n<=12--0.7", "n=40,100-1.82", "n=99,101,102-1.82"],
     )
     def test_readers_match_per_point_oracle(self, degrees, mu):
         # Bit for bit: the table holds the same scalar polyval values that a
-        # per-point evaluation computes.
+        # per-point evaluation computes, and z**n is the same square and
+        # multiply, also past n = 100, where Python's own ** changes method.
         for n in degrees:
             for _, d, eps in helpers.spectral_points(n, mu):
                 poly = heun_poly.build_polynomial(d, eps)
@@ -443,6 +465,32 @@ class TestSampleTable:
                 assert [x.hex() for x in got.tolist()] == [
                     x.hex() for x in want.tolist()
                 ], (kind, n)
+
+    def test_powers_match_mpmath(self):
+        """``_powers`` against mpmath's power of each double sample point.
+
+        Square and multiply: the first product, 1*z, is exact, and each later
+        one is a complex product formed as (ac - bd, ad + bc), within
+        sqrt(5)*u of the exact product of its factors, normwise relative,
+        u = 2**-53 (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).
+        If 1 + e(m) bounds 1 + the relative error of z**m, then e(1) = 0,
+        1 + e(2m) <= (1 + e(m))**2 * (1 + sqrt(5)*u) for a square and
+        1 + e(j + k) <= (1 + e(j)) * (1 + e(k)) * (1 + sqrt(5)*u) for a
+        product, so by induction e(n) <= (1 + sqrt(5)*u)**(n - 1) - 1, about
+        2.24*(n - 1)*u.  At the real points every product is exact: 0.5**n,
+        1, 2**n and (-1)**n, with a zero imaginary part, up to n = 1023.
+        """
+        gamma = math.sqrt(5.0) * 2.0**-53
+        for n in sorted({*range(0, 1024, 7), 99, 100, 101, 102, 1023}):
+            bound = math.expm1(max(n - 1, 0) * math.log1p(gamma))
+            for z, (re, im) in zip(structure.SAMPLE_POINTS, structure._powers(n).T.tolist()):
+                with mpmath.workprec(256):
+                    want = mpmath.mpc(z.real, z.imag) ** n
+                    if z.imag == 0.0:
+                        assert im == 0.0 and re == want.real, (n, z)
+                    else:
+                        err = abs(mpmath.mpc(re, im) - want) / abs(want)
+                        assert err <= bound, (n, z, float(err / bound))
 
 
 class TestPhase:
