@@ -108,7 +108,7 @@ def cmd_poly(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     d, epsilon = spectral.root_params(args.n, args.mu, args.root)
-    checks, skipped = structure.certify(heun_poly.build_polynomial(d, epsilon))
+    checks, skipped = structure.certify_root(args.n, args.mu, args.root)
     ok = all(c["pass"] for c in checks)
     report = {
         "schema": SCHEMA,

@@ -174,13 +174,18 @@ def _det_and_scale(det, smax, e) -> tuple[np.ndarray, np.ndarray]:
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:
     """Row residuals of the coefficient system applied to P's coefficients,
     each summed from the three bands of the module docstring as
-    ``(diagonal + lower) + upper``."""
-    n, mu, lam = P.params.n, P.params.mu, P.params.lam
+    ``(diagonal + lower) + upper``: :func:`_linear_rows` of P alone."""
     a = np.asarray(P.coeffs, dtype=float)
+    return _linear_rows(P.params.n, P.params.mu, np.array([P.params.lam]), a[None])[0]
+
+
+def _linear_rows(n: int, mu: float, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """:func:`residual_linear_system` of each row of coefficients ``a`` of
+    degree n at mu, with the lambda of its row."""
     k = np.arange(n + 1)
-    rows = (lam - k * (n + 1 - k)) * a
-    rows[1:] += mu * (n + 1 - k[1:]) * a[:-1]
-    rows[:-1] += mu * k[1:] * a[1:]
+    rows = (lam[:, None] - k * (n + 1 - k)) * a
+    rows[:, 1:] += mu * (n + 1 - k[1:]) * a[:, :-1]
+    rows[:, :-1] += mu * k[1:] * a[:, 1:]
     return rows
 
 
@@ -214,6 +219,46 @@ def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.nd
     return jac, order, log_d
 
 
+def _build_rows(n: int, mu: float, kappa: np.ndarray) -> tuple:
+    """Coefficient rows of the eigenvectors of J at the spectral shifts
+    ``kappa`` of one (n, mu), a_n = 1 in each: :func:`build_polynomial` on
+    a stack, each row bit for bit that of a stack of one.
+
+    Returns ``(coeffs, resid, norm, shift)``: the ascending coefficients,
+    one row per kappa, each row's eigen-residual, ``||J||`` and the nudged
+    shifts.  A row whose a_n = 1 overflows holds non-finite coefficients,
+    for the caller to type.  LAPACK refuses a stack as a whole where one
+    shift makes its solve singular: ``coeffs`` and ``resid`` are then None.
+    """
+    jac, order, log_d = _reflection_jacobi(n, mu)
+    # Infinity norms throughout: no square of an entry of J can overflow.
+    norm = float(np.linalg.norm(jac, np.inf))
+    # A shift on an exact eigenvalue would make the solve singular; moving
+    # it a few ulps of ||J|| changes the convergence rate, not the limit.
+    shift = kappa + 4.0 * np.finfo(float).eps * max(norm, 1.0)
+    # jac - shift*I, bit for bit: off the diagonal each entry less shift*0.0
+    # is itself, as J holds no -0.0.
+    shifted = np.repeat(jac[None], kappa.size, axis=0)
+    diagonal = np.arange(n + 1)
+    shifted[:, diagonal, diagonal] -= shift[:, None]
+    v = np.ones((kappa.size, n + 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            for _ in range(2):
+                # numpy reads a 2-d right-hand side as one matrix for the
+                # whole stack: each row goes as a column of its own.
+                v = np.linalg.solve(shifted, v[..., None])[..., 0]
+                v /= np.max(np.abs(v), axis=1, keepdims=True)
+        except np.linalg.LinAlgError:
+            return None, None, norm, shift
+        resid = np.max(np.abs((jac @ v[..., None])[..., 0] - kappa[:, None] * v), axis=1)
+        lead = min(n, 1)  # position of a_n in the interleaved order
+        a = np.exp(log_d - log_d[lead]) * (v / v[:, lead : lead + 1])
+    coeffs = np.empty_like(a)
+    coeffs[:, order] = a
+    return coeffs, resid, norm, shift
+
+
 def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     """The polynomial of the spectral root (lambda, epsilon), with a_n = 1.
 
@@ -222,7 +267,8 @@ def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     eigenvector of J (:func:`_reflection_jacobi`) at
     ``kappa = -epsilon*sqrt(lambda + mu**2)`` (0 where lambda + mu**2 <= 0):
     two inverse-iteration solves of ``J - kappa*I`` from the all-ones
-    vector, mapped back through the similarity.  ``NotSpectral`` is raised
+    vector, mapped back through the similarity, by :func:`_build_rows` on a
+    stack of one.  ``NotSpectral`` is raised
     unless the solve vector v, scaled to ``max|v_k| = 1``, has
     ``max|((J - kappa*I) v)_k| <= SPECTRAL_TOL * ||J||`` (largest row sum),
     and where the nudged shift makes the solve exactly singular;
@@ -235,36 +281,19 @@ def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     if mu == 0 and n >= 1:
         raise InvalidParams("mu must be nonzero: at mu = 0 every root is double")
     kappa = -epsilon * math.sqrt(max(d.lam + mu_squared(mu), 0.0))
-    jac, order, log_d = _reflection_jacobi(n, mu)
-    # Infinity norms throughout: no square of an entry of J can overflow.
-    norm = float(np.linalg.norm(jac, np.inf))
-    # A shift on an exact eigenvalue would make the solve singular; moving
-    # it a few ulps of ||J|| changes the convergence rate, not the limit.
-    shift = float(kappa + 4.0 * np.finfo(float).eps * max(norm, 1.0))
-    shifted = jac - shift * np.eye(n + 1)
-    v = np.ones(n + 1)
-    try:
-        for _ in range(2):
-            v = np.linalg.solve(shifted, v)
-            v /= np.max(np.abs(v))
-    except np.linalg.LinAlgError:
+    coeffs, resid, norm, shift = _build_rows(n, mu, np.array([kappa]))
+    if coeffs is None:
         raise NotSpectral(
-            f"J - shift*I is singular at shift {shift} (n={n}, mu={mu}, "
+            f"J - shift*I is singular at shift {float(shift[0])} (n={n}, mu={mu}, "
             f"lambda={d.lam}, epsilon={epsilon})"
-        ) from None
-    resid = float(np.max(np.abs(jac @ v - kappa * v)))
-    if not resid <= SPECTRAL_TOL * norm:  # a NaN residual fails too
+        )
+    if not resid[0] <= SPECTRAL_TOL * norm:  # a NaN residual fails too
         raise NotSpectral(
-            f"eigen-residual {resid:.3e} exceeds {SPECTRAL_TOL:g} * ||J|| "
+            f"eigen-residual {float(resid[0]):.3e} exceeds {SPECTRAL_TOL:g} * ||J|| "
             f"({norm:.3e}) at (n={n}, mu={mu}, lambda={d.lam}, epsilon={epsilon})"
         )
-    lead = min(n, 1)  # position of a_n in the interleaved order
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a = np.exp(log_d - log_d[lead]) * (v / v[lead])
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(coeffs)):
         raise InvalidParams(
             f"a_n = 1 overflows the other coefficients at (n={n}, mu={mu})"
         )
-    coeffs = np.empty(n + 1)
-    coeffs[order] = a
-    return HeunPolynomial(coeffs=tuple(coeffs.tolist()), params=d, epsilon=epsilon)
+    return HeunPolynomial(coeffs=tuple(coeffs[0].tolist()), params=d, epsilon=epsilon)

@@ -498,7 +498,7 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     """Triplet and reflection sign ``(d, epsilon)`` of one spectral root.
 
     The triplet carries the polished lambda of :func:`lambda_spectrum`, read
-    from :func:`_cached_lambdas` so that the roots of one problem share one
+    from :func:`_cached_entry` so that the roots of one problem share one
     computation; the root need not be physical.  ``InvalidParams`` for an
     invalid ``(n, mu)`` or a root index that is not an int, before any
     spectral work; a drive whose square overflows a double raises it too,
@@ -533,7 +533,7 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     if not 0 <= root_index <= n:
         lambda_spectrum(n, mu)  # a spectrum that cannot be computed raises first
         raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
-    lam = _cached_lambdas(n, mu)[root_index]
+    lam = _cached_entry(n, mu)[0][root_index]
     mu_squared(mu)  # raises where the square overflows
     return DcheParams(n=n, mu=mu, lam=lam), int(_root_signs(n, mu, root_index))
 
@@ -542,22 +542,24 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
 # root of n <= 40 with 943 lookups of 236-240 distinct (n, mu), and a problem
 # comes back after at most 232 other problems (about 69 in the median), so at
 # 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas
-# (about 13 KB, sys.getsizeof) and the 401 x 2 array of their determinants
-# and scales (6.5 KB), so a full memo of those is about 5 MB.  The dict keeps
-# its entries in order of last use; the lock makes each lookup or insertion,
-# with its reordering or eviction, one step, and no spectrum is computed
-# under it.
+# (about 13 KB, sys.getsizeof), the 401 x 2 array of their determinants and
+# scales (6.5 KB) and, once every root is certified, 401 x 6 check values
+# (19 KB), so a full memo of those is about 10 MB.  The dict keeps its
+# entries in order of last use; the lock makes each lookup or insertion,
+# with its reordering or eviction, one step, and no spectrum and no check
+# is computed under it.
 _MEMO_SIZE = 256
-_memo: dict[tuple[int, float], tuple[tuple[float, ...], np.ndarray]] = {}
+_memo: dict[tuple[int, float], tuple[tuple[float, ...], np.ndarray, dict]] = {}
 _memo_lock = threading.Lock()
 
 
-def _cached_lambdas(n: int, mu: float) -> tuple[float, ...]:
-    """The lambdas of :func:`lambda_spectrum` at a validated
-    ``(n, float(mu))``, from the memo.  An entry also keeps, in the order of
-    the lambdas, the determinant and scale of the gate's scan at each
-    (:func:`heun_poly._det_and_scale`), which :func:`_gate_det` reads.  An
-    error is raised, not kept.
+def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], np.ndarray, dict]:
+    """The memo entry of a validated ``(n, float(mu))``: the lambdas of
+    :func:`lambda_spectrum`; in their order, the determinant and scale of
+    the gate's scan at each (:func:`heun_poly._det_and_scale`), which
+    :func:`_gate_det` reads; and the rows that :func:`_memo_rows` keeps.  A
+    spectrum that is not in the memo is computed and kept.  An error is
+    raised, not kept.
 
     The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas and
     determinants are the same (mu enters the recurrences squared).
@@ -567,18 +569,35 @@ def _cached_lambdas(n: int, mu: float) -> tuple[float, ...]:
         entry = _memo.pop(key, None)
         if entry is not None:
             _memo[key] = entry
-            return entry[0]
+            return entry
     (spectrum,), lams, (det, _, smax, e) = _polish_and_gate(
         [(n, mu, _eigen_seeds(n, mu))]
     )
     # The order of sorted(lams): both sorts are stable and take -0.0 == 0.0.
     order = np.argsort(lams, kind="stable")
     dets = np.stack(_det_and_scale(det[order], smax[order], e[order]), axis=1)
+    entry = spectrum.lambdas, dets, {}
     with _memo_lock:
-        _memo[key] = spectrum.lambdas, dets
+        _memo[key] = entry
         if len(_memo) > _MEMO_SIZE:
             del _memo[next(iter(_memo))]
-    return spectrum.lambdas
+    return entry
+
+
+def _memo_rows(n: int, mu: float, start: int, form):
+    """The rows kept under ``start`` in the memo entry of a validated
+    ``(n, float(mu))`` (:func:`_cached_entry`), or ``form(lambdas, dets)``
+    of the entry where there are none, formed outside the lock and then
+    kept.  An evicted entry takes its rows with it.
+    """
+    lambdas, dets, kept = _cached_entry(n, mu)
+    with _memo_lock:
+        rows = kept.get(start)
+    if rows is None:
+        rows = form(lambdas, dets)
+        with _memo_lock:
+            rows = kept.setdefault(start, rows)
+    return rows
 
 
 def _gate_det(d: DcheParams) -> tuple[float, float]:
@@ -591,7 +610,7 @@ def _gate_det(d: DcheParams) -> tuple[float, float]:
     """
     entry = _memo.get((d.n, d.mu)) if isinstance(d.mu, float) else None
     if entry is not None:
-        lambdas, dets = entry
+        lambdas, dets, _ = entry
         i = bisect.bisect_left(lambdas, d.lam)
         if (
             i < len(lambdas)

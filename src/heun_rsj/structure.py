@@ -49,6 +49,7 @@ __all__ = [
     "TOL",
     "residuals",
     "certify",
+    "certify_root",
     "symmetry_residual",
     "coeff_relations_residual",
     "phase_series",
@@ -84,40 +85,61 @@ SAMPLE_POINTS: tuple[complex, ...] = (
 # stay in cache.
 _PHASE_BLOCK = 8192
 
-# Checks that need c = sqrt(lambda + mu**2), in report order.
-_C_CHECKS = (
-    "reflection_symmetry",
-    "coeff_relations_rel",
-    "det_product_rel",
-    "det_min_rel",
+# The checks of a certification record, in report order, each with its key
+# in ``TOL``; all but the first two need c = sqrt(lambda + mu**2).
+_CHECKS = (
+    ("master_equation_rel", "master"),
+    ("linear_system_rel", "linear_system"),
+    ("reflection_symmetry", "symmetry"),
+    ("coeff_relations_rel", "coeff_relations"),
+    ("det_product_rel", "det_product"),
+    ("det_min_rel", "det_min"),
 )
 
+# Doubles that one certification chunk may hold: (n + 1)**2 per root for its
+# matrix J - kappa*I in the stacked solve, and 8*(n + 1) for its
+# coefficients in the lane table.  The dense solves cost O(n**3) per root,
+# so a chunk spends that on every root it holds where one root may be all
+# that is asked for: at n = 100 a cold verify of one root took about 1.7
+# times as long as the root alone with a chunk of 7, and would take about
+# 2.4 times with 13 and 14 times with all 101 roots.  This budget is the
+# least round one that keeps every n <= 40 one chunk (41 roots at n = 40,
+# 82,369 doubles: each spectrum of the certify benchmark); n = 100 takes 7
+# roots at a time.
+_CHUNK_DOUBLES = 84_000
 
-def _reflection_parts(P: HeunPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """The two parts of the reflection shuffle of P's coefficients.
+
+def _chunk(n: int, root: int) -> slice:
+    """The roots of (n, .) certified together with ``root``: consecutive
+    indices, as many as ``_CHUNK_DOUBLES`` holds, and at least one."""
+    size = max(1, _CHUNK_DOUBLES // ((n + 1) * (n + 9)))
+    start = root - root % size
+    return slice(start, min(start + size, n + 1))
+
+
+def _reflection_parts(mu: float, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of the reflection shuffle of each row of ascending
+    coefficients ``a`` (or of one 1-d row).
 
     Entry k of the first is ``mu*a_{n-k}`` and of the second
     ``(n+1-k)*a_{n+1-k}`` (0 at k = 0), for k = 0..n.
     """
-    a = np.asarray(P.coeffs, dtype=float)
     up = np.zeros_like(a)
-    up[1:] = np.arange(P.n, 0, -1.0) * a[:0:-1]
-    return P.params.mu * a[::-1], up
+    up[..., 1:] = np.arange(a.shape[-1] - 1, 0, -1.0) * a[..., :0:-1]
+    return mu * a[..., ::-1], up
 
 
-# residuals and symmetry_residual read the same P in turn within certify.
-@functools.lru_cache(maxsize=1)
-def _on_samples(P: HeunPolynomial) -> np.ndarray:
+def _on_samples(a: np.ndarray) -> np.ndarray:
     """P(z), P(1/z), P'(z) and P''(z) at each z of ``SAMPLE_POINTS``, in
-    that order: ``table[k]`` is the real and imaginary parts of value k,
-    one column per point.
+    that order, for the polynomial P of each row of ascending coefficients
+    ``a``: ``table[k]`` is the real and imaginary parts of value k, one
+    column per point, the points of one row after another.
 
-    All 80 values come from one pass (:func:`_lane_values`), bit for bit the
-    scalar ``polyval`` of each, signed zeros included.  A value that
-    overflows stays infinite or NaN, for the readers to type.  The table is
-    read only.
+    All values come from one pass (:func:`_lane_values`), bit for bit the
+    scalar ``polyval`` of each, signed zeros included, whatever the rows
+    beside it.  A value that overflows stays infinite or NaN, for the
+    readers to type.  The table is read only.
     """
-    a = np.asarray(P.coeffs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         table = _lane_values((a, a, *_derivatives(a)))
     table.flags.writeable = False
@@ -125,13 +147,15 @@ def _on_samples(P: HeunPolynomial) -> np.ndarray:
 
 
 def _derivatives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of P' and P'' from P's ascending ``a``: the products
-    ``k*a_k`` that numpy's ``polyder(a)`` and ``polyder(a, 2)`` form, bit for
-    bit, without their per-call overhead.  Like ``polyder``, a derivative
-    past the degree is ``a_0*0`` (a signed zero)."""
-    k = np.arange(1.0, a.size)
-    dp = a[1:] * k if a.size > 1 else a[:1] * 0
-    return dp, dp[1:] * k[:-1] if a.size > 2 else a[:1] * 0
+    """Coefficients of P' and P'' from P's ascending ``a`` (each row, or one
+    1-d row): the products ``k*a_k`` that numpy's ``polyder(a)`` and
+    ``polyder(a, 2)`` form, bit for bit, without their per-call overhead.
+    Like ``polyder``, a derivative past the degree is ``a_0*0`` (a signed
+    zero)."""
+    size = a.shape[-1]
+    k = np.arange(1.0, size)
+    dp = a[..., 1:] * k if size > 1 else a[..., :1] * 0
+    return dp, dp[..., 1:] * k[:-1] if size > 2 else a[..., :1] * 0
 
 
 def _pairs(points) -> np.ndarray:
@@ -149,9 +173,10 @@ _LANE_MAPS = np.array([_LANE_POINTS, [-_LANE_POINTS[1], _LANE_POINTS[0]]])
 
 
 def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Each polynomial of ``polys`` (ascending real coefficients, no longer
-    than the one before) at the lane points of its row: for each, the real
-    and imaginary parts, one column per point.
+    """Each polynomial of ``polys`` (rows of ascending real coefficients,
+    the same number of rows in each, no longer than the one before) at the
+    lane points of its kind, for each row: the real and imaginary parts, one
+    column per point, the points of one row after another.
 
     Every lane runs numpy's scalar ``polyval`` recurrence, ``v = c[-1] +
     x*0`` and then ``v = a + v*x`` for each lower coefficient, as numpy
@@ -159,28 +184,30 @@ def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
     ``*`` alone: ``v*x`` is ``Re(v)*x + Im(v)*(i*x)``, and a product by
     ``-Im(x)`` added is one by ``Im(x)`` subtracted, bit for bit.  A lane
     starts at its own degree, from ``v = 0``: its first step is ``c[-1] +
-    0*x``, which is ``c[-1] + x*0`` bit for bit.  The lanes that have
+    0*x``, which is ``c[-1] + x*0`` bit for bit.  The kinds that have
     started are a prefix, so each step runs on one slice.
     """
-    points = len(SAMPLE_POINTS)
-    sizes = [c.size for c in polys]
-    coef = np.zeros((sizes[0], 2, len(polys) * points))
-    for row, c in enumerate(polys):
-        coef[: c.size, 0, row * points : (row + 1) * points] = c[:, None]
-    v, t = np.zeros((2, coef.shape[2])), np.empty((2, coef.shape[2]))
-    parts = np.empty((2, 2, coef.shape[2]))
-    # The first `rows` polynomials run down to coefficient `stop`, where the
-    # next one starts.
+    points, kinds, roots = len(SAMPLE_POINTS), len(polys), polys[0].shape[0]
+    sizes = [c.shape[-1] for c in polys]
+    # Each coefficient once per row, with a zero imaginary part, added to
+    # the lanes of every point of its row by broadcasting.
+    coef = np.zeros((sizes[0], 2, kinds, roots, 1))
+    for kind, c in enumerate(polys):
+        coef[: c.shape[-1], 0, kind, :, 0] = c.T
+    lane_maps = np.repeat(_LANE_MAPS.reshape(2, 2, kinds, 1, points), roots, axis=3)
+    v, t = np.zeros((2, kinds, roots, points)), np.empty((2, kinds, roots, points))
+    parts = np.empty((2, 2, kinds, roots, points))
+    # The first `rows` kinds run down to coefficient `stop`, where the next
+    # one starts.
     for rows, stop in enumerate([*sizes[1:], 0], start=1):
-        lanes = slice(rows * points)
-        v_, t_, c_ = v[:, lanes], t[:, lanes], coef[:, :, lanes]
-        parts_, maps = parts[:, :, lanes], _LANE_MAPS[:, :, lanes]
+        v_, t_, c_ = v[:, :rows], t[:, :rows], coef[:, :, :rows]
+        parts_, maps = parts[:, :, :rows], lane_maps[:, :, :rows]
         (re_x, im_ix), v_col = parts_, v_[:, None]
         for k in range(sizes[rows - 1] - 1, stop - 1, -1):
             np.multiply(v_col, maps, out=parts_)  # Re(v)*x and Im(v)*(i*x)
             np.add(re_x, im_ix, out=t_)
             np.add(c_[k], t_, out=v_)
-    return v.reshape(2, len(polys), points).transpose(1, 0, 2)
+    return v.reshape(2, kinds, roots * points).transpose(1, 0, 2)
 
 
 # Complex products on arrays of complex values held as real pairs, a (2, N)
@@ -198,10 +225,6 @@ def _left(a: np.ndarray) -> tuple:
 
 def _mul(left: tuple, b: np.ndarray) -> np.ndarray:
     return left[0] * b + left[1] * b[::-1]
-
-
-# z as a left factor.
-_Z_LEFT = _left(_POINTS)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -226,35 +249,63 @@ def _powers(n: int) -> np.ndarray:
     return r
 
 
-def _largest_summand(terms: np.ndarray, relation: str, n: int, mu: float) -> np.ndarray:
-    """The largest modulus among ``terms`` (summands as real pairs) at each
-    point, or ``InvalidParams`` where one is not finite: ``relation``
-    overflows a double there."""
-    scale = np.hypot(terms[:, 0], terms[:, 1]).max(axis=0)
+def _largest_summands(terms: np.ndarray, roots: int) -> np.ndarray:
+    """The largest modulus among ``terms`` (summands as real pairs, the
+    points of one row after another) at each point, one row per root.  A
+    row with a summand that is not finite has an infinite or NaN largest."""
+    return np.hypot(terms[:, 0], terms[:, 1]).max(axis=0).reshape(roots, -1)
+
+
+def _refuse_overflow(scale: np.ndarray, relation: str, n: int, mu: float) -> None:
+    """``InvalidParams`` unless every largest summand in ``scale`` is finite:
+    ``relation`` overflows a double."""
     if not math.isfinite(scale.max()):  # max keeps a NaN
         raise InvalidParams(f"the {relation} overflows a double at (n={n}, mu={mu})")
-    return scale
 
 
-def symmetry_residual(P: HeunPolynomial) -> float:
+def _rel_max(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The largest modulus of each row of ``rows`` over that of its row of
+    coefficients ``a``."""
+    return np.abs(rows).max(axis=1) / np.abs(a).max(axis=1)
+
+
+def _coeff_rows(P: HeunPolynomial) -> np.ndarray:
+    """P's coefficients as the one row of a batch."""
+    return np.asarray(P.coeffs, dtype=float)[None]
+
+
+def _symmetry_rows(n: int, mu: float, eps_c: np.ndarray, table: np.ndarray) -> tuple:
+    """:func:`symmetry_residual` of each row of the sample ``table`` of
+    degree n at mu, with its row's eps*c, and the largest summands
+    (:func:`_largest_summands`), for the caller to type."""
+    v, v_inv, dv, _ = table
+    roots = eps_c.size
+    with np.errstate(over="ignore", invalid="ignore"):  # typed; 0/0 is skipped
+        image = np.repeat(-eps_c, len(SAMPLE_POINTS)) * np.tile(_powers(n), roots)
+        terms = np.array([dv, -mu * v, _mul(_left(image), v_inv)])
+        scale = _largest_summands(terms, roots)
+        total = np.add.reduce(terms)
+        ratio = np.hypot(total[0], total[1]).reshape(roots, -1) / scale
+    return np.where(scale != 0.0, ratio, 0.0).max(axis=1), scale
+
+
+def symmetry_residual(P: HeunPolynomial, table: np.ndarray | None = None) -> float:
     """Worst relative defect of the reflection relation over the sample set.
 
     Each point contributes ``|P'(z) - mu*P(z) - eps*c*z**n*P(1/z)|`` divided
     by the largest of its three summand moduli, with P's own sign eps and
     z**n from :func:`_powers`.  A point whose summands all vanish is
     skipped.  ``InvalidParams`` where a summand is not finite: z**n at
-    z = 2 from n = 1024 on, or an overflowing value of P.
+    z = 2 from n = 1024 on, or an overflowing value of P.  ``table`` is P's
+    sample table (:func:`_on_samples`) where the caller has formed it.
     """
-    eps = P.epsilon
     c = frequency_scale(P.params)
+    if table is None:
+        table = _on_samples(_coeff_rows(P))
     n, mu = P.n, P.params.mu
-    v, v_inv, dv, _ = _on_samples(P)
-    with np.errstate(over="ignore", invalid="ignore"):  # typed; 0/0 is skipped
-        terms = np.array([dv, -mu * v, _mul(_left(-eps * c * _powers(n)), v_inv)])
-        scale = _largest_summand(terms, "reflection relation", n, mu)
-        total = np.add.reduce(terms)
-        ratio = np.hypot(total[0], total[1]) / scale
-    return float(ratio[scale != 0.0].max(initial=0.0))
+    value, scale = _symmetry_rows(n, mu, np.array([P.epsilon * c]), table)
+    _refuse_overflow(scale, "reflection relation", n, mu)
+    return float(value[0])
 
 
 def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
@@ -264,12 +315,39 @@ def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
     (the k = 0 entry degenerates to ``eps*c*a_0 + mu*a_n``), with P's own
     sign eps.
     """
-    c = frequency_scale(P.params)
-    rev, up = _reflection_parts(P)
-    return (P.epsilon * c * np.asarray(P.coeffs, dtype=float) + rev) - up
+    eps_c = np.array([P.epsilon * frequency_scale(P.params)])
+    return _coeff_relations(P.params.mu, eps_c, _coeff_rows(P))[0]
 
 
-def residuals(P: HeunPolynomial) -> tuple[float, float]:
+def _coeff_relations(mu: float, eps_c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """:func:`coeff_relations_residual` of each row of coefficients ``a``,
+    with its row's eps*c."""
+    rev, up = _reflection_parts(mu, a)
+    return (eps_c[:, None] * a + rev) - up
+
+
+def _master_rows(n: int, mu: float, lam: np.ndarray, table: np.ndarray) -> tuple:
+    """The master residual of :func:`residuals` for each row of the sample
+    ``table`` of degree n at mu, with its row's lambda, and the largest
+    summands (:func:`_largest_summands`), for the caller to type."""
+    v, _, dv, d2v = table
+    roots = lam.size
+    points = np.tile(_POINTS, roots)
+    z = _left(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
+        terms = np.array([
+            _mul(z, (1.0 - n) * dv + _mul(z, d2v)),
+            _mul(_left(-mu * points), _mul(z, dv) - n * v),
+            _mul(_left(np.array([[mu], [0.0]]) - points), dv),  # (mu - z)*dv
+            np.repeat(lam, len(SAMPLE_POINTS)) * v,
+        ])
+        scale = _largest_summands(terms, roots)
+        total = np.add.reduce(terms)
+        ratio = np.hypot(total[0], total[1]).reshape(roots, -1) / np.maximum(scale, 1e-300)
+    return ratio.max(axis=1), scale
+
+
+def residuals(P: HeunPolynomial, table: np.ndarray | None = None) -> tuple[float, float]:
     """Worst relative residuals ``(master_rel, linear_rel)`` of P.
 
     ``master_rel`` is the residual of the polynomial-form equation (see
@@ -277,24 +355,31 @@ def residuals(P: HeunPolynomial) -> tuple[float, float]:
     summand modulus (at least 1e-300); ``linear_rel`` is the largest row
     residual of the coefficient system divided by max |a_k|.
     ``InvalidParams`` where a summand is not finite: from n = 1024 on,
-    P(2) can overflow.
+    P(2) can overflow.  ``table`` is P's sample table (:func:`_on_samples`)
+    where the caller has formed it.
     """
-    n, mu, lam = P.params.n, P.params.mu, P.params.lam
-    v, _, dv, d2v = _on_samples(P)
-    z = _Z_LEFT
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
-        terms = np.array([
-            _mul(z, (1.0 - n) * dv + _mul(z, d2v)),
-            _mul(_left(-mu * _POINTS), _mul(z, dv) - n * v),
-            _mul(_left(np.array([[mu], [0.0]]) - _POINTS), dv),  # (mu - z)*dv
-            lam * v,
-        ])
-        scale = np.maximum(_largest_summand(terms, "master equation", n, mu), 1e-300)
-        total = np.add.reduce(terms)
-        master = (np.hypot(total[0], total[1]) / scale).max()
-    rows = heun_poly.residual_linear_system(P)
-    amax = max(map(abs, P.coeffs))
-    return float(master), float(np.max(np.abs(rows))) / amax
+    n, mu = P.params.n, P.params.mu
+    a = _coeff_rows(P)
+    if table is None:
+        table = _on_samples(a)
+    master, scale = _master_rows(n, mu, np.array([P.params.lam]), table)
+    _refuse_overflow(scale, "master equation", n, mu)
+    linear = _rel_max(heun_poly.residual_linear_system(P)[None], a)
+    return float(master[0]), float(linear[0])
+
+
+def _record(values, disc: float) -> tuple[list[dict], list[dict]]:
+    """The record of :func:`certify` from its check values in report order,
+    of which only the first two are read where ``disc`` = lambda + mu**2
+    does not clear ``spectral.DISC_MARGIN``."""
+    checks = [
+        {"name": name, "value": value, "tolerance": TOL[key], "pass": value <= TOL[key]}
+        for (name, key), value in zip(_CHECKS, values)
+    ]
+    if disc > spectral.DISC_MARGIN:
+        return checks, []
+    reason = "NonPositiveDiscriminant" if disc <= 0 else "DiscriminantBelowMargin"
+    return checks[:2], [{"name": name, "reason": reason} for name, _ in _CHECKS[2:]]
 
 
 def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
@@ -307,38 +392,120 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a
     double, where the reflection relation overflows
     (:func:`symmetry_residual`), and where a determinant check cannot be
-    formed (:func:`_det_checks`).
+    formed (:func:`_det_checks`).  P is sampled once, for both readers.
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
-    checks: list[dict] = []
-
-    def add(name: str, value: float, tol: float) -> None:
-        checks.append(
-            {"name": name, "value": value, "tolerance": tol, "pass": value <= tol}
-        )
-
-    master, linear = residuals(P)
-    add("master_equation_rel", master, TOL["master"])
-    add("linear_system_rel", linear, TOL["linear_system"])
-
+    a = _coeff_rows(P)
+    table = _on_samples(a)
+    master, linear = residuals(P, table)
     if disc <= spectral.DISC_MARGIN:
-        reason = "NonPositiveDiscriminant" if disc <= 0 else "DiscriminantBelowMargin"
-        return checks, [{"name": name, "reason": reason} for name in _C_CHECKS]
+        return _record((master, linear), disc)
+    symmetry = symmetry_residual(P, table)
+    rel = _rel_max(coeff_relations_residual(P)[None], a)
+    return _record((master, linear, symmetry, float(rel[0]), *_det_checks(d)), disc)
 
-    amax = max(map(abs, P.coeffs))
-    add("reflection_symmetry", float(symmetry_residual(P)), TOL["symmetry"])
-    rel = coeff_relations_residual(P)
-    add("coeff_relations_rel", float(np.max(np.abs(rel))) / amax, TOL["coeff_relations"])
-    det_product, det_min = _det_checks(d)
-    add("det_product_rel", det_product, TOL["det_product"])
-    add("det_min_rel", det_min, TOL["det_min"])
-    return checks, []
+
+def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
+    """``certify(build_polynomial(*spectral.root_params(n, mu, root)))``,
+    bit for bit, its typed errors included.
+
+    The roots of (n, mu) are certified in chunks of consecutive indices
+    (:func:`_chunk`), each in one array pass (:func:`_certify_rows`), and
+    the six check values of each root are kept beside its spectrum in the
+    memo of :func:`spectral.root_params`: a later root of the chunk reads
+    its row.  A root that the pass could not form is certified alone.
+    """
+    d, epsilon = spectral.root_params(n, mu, root)
+    chunk = _chunk(d.n, root)
+
+    def form(lambdas, dets):
+        signs = spectral._root_signs(d.n, d.mu, np.arange(chunk.start, chunk.stop))
+        lam = np.array(lambdas[chunk])
+        return _certify_rows(d.n, d.mu, lam, signs.astype(float), dets[chunk])
+
+    values = spectral._memo_rows(d.n, d.mu, chunk.start, form)[root - chunk.start]
+    if math.isnan(values[0]):
+        return certify(heun_poly.build_polynomial(d, epsilon))
+    return _record(values.tolist(), d.lam + mu_squared(d.mu))
+
+
+def _certify_rows(
+    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, dets: np.ndarray
+) -> np.ndarray:
+    """The check values of :func:`certify` at the roots ``lam`` with signs
+    ``eps`` of one validated (n, float mu), one row of six per root, from
+    one stacked build (``heun_poly._build_rows``) and one pass of each
+    reader; ``dets`` holds the gate's determinant and scale at each root.
+
+    Each row is bit for bit that of the root alone: the reflection factors
+    come from ``spectral._factor_newton_extended``, whose values at
+    ``kappa = -+c`` are those of ``spectral._reflection_dets``.  The four
+    values that need c are NaN where lambda + mu**2 does not clear
+    ``spectral.DISC_MARGIN``.  A root that build_polynomial or certify
+    would refuse, or whose values are not all finite, has a NaN row: so has
+    every root where LAPACK refuses the stacked solve.
+    """
+    values = np.full((lam.size, len(_CHECKS)), np.nan)
+    if mu == 0 and n >= 1:
+        return values  # every root is double: build_polynomial refuses it
+    disc = lam + mu_squared(mu)
+    kappa = -eps * np.sqrt(np.maximum(disc, 0.0))
+    a, resid, norm, _ = heun_poly._build_rows(n, mu, kappa)
+    if a is None:
+        return values
+    ok = (resid <= heun_poly.SPECTRAL_TOL * norm) & np.isfinite(a).all(axis=1)
+    if not ok.any():
+        return values
+    a, lam, eps, disc, dets = a[ok], lam[ok], eps[ok], disc[ok], dets[ok]
+    table = _on_samples(a)
+    ld = np.longdouble
+    # c has no value below the margin, and a row that overflows is not
+    # formed: the root alone types it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eps_c = eps * np.sqrt(disc)
+        c = np.sqrt(lam.astype(ld) + ld(mu) ** 2)
+        factors = spectral._factor_newton_extended(n, mu, np.concatenate([-c, c]))[0]
+        master, master_scale = _master_rows(n, mu, lam, table)
+        symmetry, symmetry_scale = _symmetry_rows(n, mu, eps_c, table)
+        det_product, det_min = _det_rows(factors[: lam.size], factors[lam.size :], dets)
+        rows = np.stack([
+            master,
+            _rel_max(heun_poly._linear_rows(n, mu, lam, a), a),
+            symmetry,
+            _rel_max(_coeff_relations(mu, eps_c, a), a),
+            det_product,
+            det_min,
+        ], axis=1)
+    full = disc > spectral.DISC_MARGIN
+    rows[~full, 2:] = np.nan
+    formed = np.isfinite(master_scale.max(axis=1)) & np.isfinite(rows[:, :2]).all(axis=1)
+    formed &= ~full | (
+        np.isfinite(symmetry_scale.max(axis=1))
+        & np.isfinite(dets[:, 1])
+        & np.isfinite(rows[:, 2:]).all(axis=1)
+    )
+    rows[~formed] = np.nan
+    values[ok] = rows
+    return values
+
+
+def _det_rows(det_p: np.ndarray, det_m: np.ndarray, dets: np.ndarray) -> tuple:
+    """``||det G+ * det G-| - |Delta|| / scale`` and ``min(|det G+|,
+    |det G-|) / scale`` of each row, from long-double det G+- and the
+    gate's determinant Delta and scale (``dets``, one pair per row), each
+    rounded once to a double."""
+    delta, scale = dets[:, 0], dets[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
+        det_product = (abs(abs(det_p * det_m) - abs(delta)) / scale).astype(float)
+        det_min = (np.minimum(abs(det_p), abs(det_m)) / scale).astype(float)
+    return det_product, det_min
 
 
 def _det_checks(d: DcheParams) -> tuple[float, float]:
     """``||det G+ * det G-| - |Delta|| / scale`` and ``min(|det G+|,
-    |det G-|) / scale`` at d, in long double, each rounded once to a double.
+    |det G-|) / scale`` at d, in long double, each rounded once to a double
+    (:func:`_det_rows` of one row).
 
     Delta and its scale are the gate's (``spectral._gate_det``); det G+- are
     the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
@@ -349,16 +516,15 @@ def _det_checks(d: DcheParams) -> tuple[float, float]:
     """
     ld = np.longdouble
     c = np.sqrt(ld(d.lam) + ld(d.mu) ** 2)
-    delta, scale = spectral._gate_det(d)  # no second scan of a memoised root
+    dets = np.array([spectral._gate_det(d)])  # no second scan of a memoised root
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed below
         det_p, det_m = spectral._reflection_dets(d.n, d.mu, c)
-        det_product = float(abs(abs(det_p * det_m) - abs(delta)) / scale)
-        det_min = float(min(abs(det_p), abs(det_m)) / scale)
-    if not all(map(math.isfinite, (scale, det_product, det_min))):
+    det_product, det_min = _det_rows(np.array([det_p]), np.array([det_m]), dets)
+    if not np.isfinite([dets[0, 1], det_product[0], det_min[0]]).all():
         raise InvalidParams(
             f"the determinants overflow a double at (n={d.n}, mu={d.mu})"
         )
-    return det_product, det_min
+    return float(det_product[0]), float(det_min[0])
 
 
 # phase_series and phase_rate guard the same P in turn: the verdict on the

@@ -358,7 +358,7 @@ def reflected_polynomial(P: HeunPolynomial) -> HeunPolynomial:
     spectral point it is proportional to P itself (by ``epsilon*c``), and it
     carries P's epsilon.
     """
-    rev, up = _reflection_parts(P)
+    rev, up = _reflection_parts(P.params.mu, np.asarray(P.coeffs, dtype=float))
     c = -rev + up
     if c[-1] == 0:
         raise InvalidParams("reflection dropped the degree (leading coefficient 0)")

@@ -1,6 +1,9 @@
 """Spectral roots, reflection matrices, and physical-point recovery."""
 
 import math
+import random
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -1191,7 +1194,7 @@ class TestRootParams:
         for n, mu in grid:
             for i in range(n + 1):
                 d, _ = root_params(n, mu, i)
-                lambdas, dets = spectral._memo[(n, mu)]
+                lambdas, dets, _ = spectral._memo[(n, mu)]
                 want = spectral_det(DcheParams(n=n, mu=mu, lam=lambdas[i]))
                 for got in (tuple(dets[i].tolist()), spectral._gate_det(d)):
                     assert [x.hex() for x in got] == [x.hex() for x in want], (n, mu, i)
@@ -1253,6 +1256,90 @@ class TestRootParams:
                 spectral._memo.clear()
                 verify(n, first, 0)
                 assert verify(n, other, 0) == cold, (n, first)
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_verify_bytes_do_not_depend_on_the_order(self, capsys):
+        # From a cold memo, every root in ascending, descending and shuffled
+        # order gives the bytes of its own cold call: at (60, 1.37) the
+        # spectrum spans four chunks, each certified when a root of it
+        # first comes.
+        def verify(n, mu, root):
+            code = cli.main(["verify", "--n", str(n), "--mu", mu, "--root", str(root)])
+            return code, *capsys.readouterr()
+
+        for n, mu in ((12, "1.82"), (60, "1.37")):
+            cold = {}
+            for root in range(n + 1):
+                spectral._memo.clear()
+                cold[root] = verify(n, mu, root)
+            shuffled = list(range(n + 1))
+            random.Random(n).shuffle(shuffled)
+            for order in (range(n + 1), range(n, -1, -1), shuffled):
+                spectral._memo.clear()
+                for root in order:
+                    assert verify(n, mu, root) == cold[root], (n, mu, root)
+            assert len(spectral._memo[(n, float(mu))][2]) == len(
+                {structure._chunk(n, root).start for root in range(n + 1)}
+            )
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_an_evicted_spectrum_leaves_no_row(self, capsys):
+        # The rows of a spectrum go with its entry: once the entry is
+        # evicted, verify of its key certifies afresh, and reads nothing of
+        # the old rows (poisoned here).
+        def verify():
+            code = cli.main(["verify", "--n", "60", "--mu", "1.37", "--root", "30"])
+            return code, *capsys.readouterr()
+
+        cold = verify()
+        old = spectral._memo[(60, 1.37)]
+        (rows,) = old[2].values()
+        rows[:] = 0.0
+        for k in range(256):
+            root_params(1, 1.0 + k, 0)
+        assert (60, 1.37) not in spectral._memo
+        assert verify() == cold
+        assert spectral._memo[(60, 1.37)] is not old
+
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_threads_share_the_memo(self, monkeypatch):
+        # Four threads on two cores certify every root of three spectra, each
+        # in its own order, through a memo of two entries, so that entries
+        # and their rows are evicted and formed again while others read
+        # them, with the interpreter switching threads every microsecond:
+        # every record is that of its root alone.
+        problems = [(12, 1.82), (30, -0.7), (60, 1.37)]
+        calls = [(n, mu, root) for n, mu in problems for root in range(n + 1)]
+        want = {
+            call: structure.certify(heun_poly.build_polynomial(*root_params(*call)))
+            for call in calls
+        }
+        spectral._memo.clear()
+        monkeypatch.setattr(spectral, "_MEMO_SIZE", 2)
+        got, errors = [], []
+
+        def work(seed):
+            order = random.Random(seed).sample(calls, len(calls))
+            try:
+                for call in order:
+                    got.append((call, structure.certify_root(*call)))
+            except Exception as exc:  # noqa: BLE001 -- asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 4 * len(calls) and len(spectral._memo) <= 2
+        for call, record in got:
+            assert record == want[call], call
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_degree_past_the_sample_bound_is_refused_before_allocating(

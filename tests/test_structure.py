@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from heun_rsj import cli, heun_poly, spectral, structure
 from heun_rsj.dynamics import bias, integrate_phase
 from heun_rsj.errors import (
+    HeunRsjError,
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
@@ -374,7 +375,8 @@ def _assert_same_table(poly: HeunPolynomial) -> None:
     the real and imaginary part of every lane by ``float.hex`` (signed zeros
     included), in a read-only float64 table of P(z), P(1/z), P'(z) and
     P''(z)."""
-    table, want = structure._on_samples(poly), samples_polyval(poly)
+    table = structure._on_samples(np.asarray(poly.coeffs, dtype=float)[None])
+    want = samples_polyval(poly)
     assert table.dtype == np.float64 and not table.flags.writeable
     assert table.shape == (4, 2, len(structure.SAMPLE_POINTS))
     # The oracle's rows are (z, P(z), P'(z), P''(z), P(1/z)).
@@ -429,7 +431,6 @@ class TestSampleTable:
     def test_table_keeps_signed_zeros(self, coeffs):
         # polyder of (-1.0,) is (-0.0,): P' and P'' are signed zeros.
         d = DcheParams(n=len(coeffs) - 1, mu=0.6, lam=0.9)
-        structure._on_samples.cache_clear()  # -0.0 == 0.0: equal P, other bits
         _assert_same_table(HeunPolynomial(coeffs=coeffs, params=d, epsilon=1))
 
     def test_certify_samples_p_once(self, monkeypatch):
@@ -441,14 +442,12 @@ class TestSampleTable:
             return lane_values(polys)
 
         monkeypatch.setattr(structure, "_lane_values", spy)
-        structure._on_samples.cache_clear()
         _, skipped = structure.certify(poly)
         assert skipped == []  # both sampled checks ran
-        info = structure._on_samples.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
         # One pass: P (at z and at 1/z), P' and P'', each once at each point.
         assert calls == [[9, 9, 8, 7]]
-        assert structure._on_samples(poly).shape == (4, 2, len(structure.SAMPLE_POINTS))
+        table = structure._on_samples(np.asarray(poly.coeffs, dtype=float)[None])
+        assert table.shape == (4, 2, len(structure.SAMPLE_POINTS))
 
     @pytest.mark.parametrize("kind", ["random", "spectral"])
     def test_derivative_coefficients_are_polyder(self, kind):
@@ -491,6 +490,133 @@ class TestSampleTable:
                     else:
                         err = abs(mpmath.mpc(re, im) - want) / abs(want)
                         assert err <= bound, (n, z, float(err / bound))
+
+
+def _outcome(call) -> tuple:
+    """The record of ``call()`` with every value by ``float.hex``, or the
+    type and message of the typed error it raises."""
+    try:
+        checks, skipped = call()
+    except HeunRsjError as exc:
+        return type(exc).__name__, str(exc)
+    return [(c["name"], c["value"].hex(), c["tolerance"], c["pass"]) for c in checks], skipped
+
+
+def _alone(n, mu, root) -> tuple:
+    """The outcome of certify on root ``root`` of (n, mu) alone."""
+    return _outcome(
+        lambda: structure.certify(heun_poly.build_polynomial(*spectral.root_params(n, mu, root)))
+    )
+
+
+def _row(n, mu, root) -> np.ndarray:
+    """The check values of a root in the memo entry of its spectrum."""
+    chunk = structure._chunk(n, root)
+    return spectral._memo[(n, mu)][2][chunk.start][root - chunk.start]
+
+
+def _refuse_stacks(monkeypatch) -> None:
+    """LAPACK's verdict on a singular matrix for every stacked solve of
+    more than one matrix; a stack of one solves as before."""
+    solve = np.linalg.solve
+
+    def refuse(a, b):
+        if a.ndim == 3 and a.shape[0] > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+
+
+class TestCertifyRoot:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        spectral._memo.clear()
+        yield
+        spectral._memo.clear()
+
+    @pytest.mark.parametrize("mu", _LEDGER_MUS)
+    def test_rows_are_the_single_root_records(self, mu):
+        # Every root of n <= 40, one chunk each, and of n = 60 and 100,
+        # four and fifteen chunks: the record read from the root's row is
+        # certify's on the root alone, value by value, and every row is
+        # formed, so none of them was answered alone.
+        degrees = [*range(41), 60, 100]
+        for n in degrees:
+            for root in range(n + 1):
+                want = _alone(n, mu, root)
+                got = _outcome(lambda: structure.certify_root(n, mu, root))
+                assert got == want, (n, mu, root)
+                assert not math.isnan(_row(n, mu, root)[0]), (n, mu, root)
+        assert len({structure._chunk(100, root).start for root in range(101)}) == 15
+
+    @pytest.mark.parametrize(
+        "n,mu,roots",
+        [
+            (104, 1.0, range(7)),  # the scale of root 1 saturates
+            (104, 1.82, range(7)),
+            (2, 0.0, range(3)),  # every root is double
+            (2, -0.0, range(3)),
+            (0, -0.0, range(1)),
+            (1030, 3.0, [1030]),  # P(2) overflows the master equation
+        ],
+    )
+    def test_refused_roots_raise_as_alone(self, n, mu, roots):
+        # A root that certify refuses alone has no row, and raises the same
+        # typed error with the same message.
+        for root in roots:
+            want = _alone(n, mu, root)
+            assert _outcome(lambda: structure.certify_root(n, mu, root)) == want
+            if isinstance(want[0], str):
+                assert math.isnan(_row(n, mu, root)[0]), (n, mu, root)
+        if n == 104:
+            assert _alone(n, mu, 1)[0] == "InvalidParams"
+
+    def test_eigen_residual_over_the_bound_raises_as_alone(self, monkeypatch):
+        # With the eigen-residual bound pulled down into the rounding of the
+        # solve, some rows of a chunk are not formed (5 of 13 here): each of
+        # those roots raises NotSpectral with its own residual, as
+        # build_polynomial does, and the others read their rows.
+        monkeypatch.setattr(heun_poly, "SPECTRAL_TOL", 1.5e-16)
+        refused = 0
+        for root in range(13):
+            want = _alone(12, 1.82, root)
+            assert _outcome(lambda: structure.certify_root(12, 1.82, root)) == want
+            if want[0] == "NotSpectral":
+                refused += 1
+                assert math.isnan(_row(12, 1.82, root)[0])
+                assert want[1].startswith("eigen-residual ")
+            else:
+                assert not math.isnan(_row(12, 1.82, root)[0])
+        assert 0 < refused < 13
+        # A chunk where no row is formed.
+        monkeypatch.setattr(heun_poly, "SPECTRAL_TOL", 1e-18)
+        for root in range(7):
+            want = _alone(6, 2.5, root)
+            assert want[0] == "NotSpectral"
+            assert _outcome(lambda: structure.certify_root(6, 2.5, root)) == want
+
+    def test_a_refused_stack_falls_back_root_by_root(self, monkeypatch, capsys):
+        # LAPACK refuses a stacked solve as a whole: every root of that chunk
+        # is certified alone, with the bytes of a cold verify.
+        def verify(root):
+            code = cli.main(["verify", "--n", "60", "--mu", "1.37", "--root", str(root)])
+            return code, *capsys.readouterr()
+
+        chunk = structure._chunk(60, 30)
+        assert (chunk.start, chunk.stop) == (19, 38)
+        cold = {}
+        for root in range(chunk.start, chunk.stop):
+            spectral._memo.clear()
+            cold[root] = verify(root)
+        spectral._memo.clear()
+        verify(0)  # the first chunk is formed as before
+        with monkeypatch.context() as m:
+            _refuse_stacks(m)
+            for root in range(chunk.start, chunk.stop):
+                assert verify(root) == cold[root], root
+        assert all(math.isnan(_row(60, 1.37, root)[0]) for root in cold)
+        assert not math.isnan(_row(60, 1.37, 0)[0])
 
 
 class TestPhase:
