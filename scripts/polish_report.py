@@ -105,10 +105,22 @@ def pass_table(calls) -> list[list[int]]:
 
 def mpmath_root(n: int, mu: float, i: int, near: float):
     """Root i (ascending, from 0) of the determinant at (n, mu), in mpmath
-    alone: bisection in ``_DPS``-digit arithmetic, to half as many digits,
-    on the count of eigenvalues below x of the symmetric tridiagonal matrix
-    (diagonal j*(n+1-j), squared off-diagonals mu**2*(j+1)*(n-j)), from a
-    bracket around ``near`` widened until it holds the root."""
+    alone: bisection in ``_DPS``-digit arithmetic on the count of
+    eigenvalues below x of the symmetric tridiagonal matrix (diagonal
+    j*(n+1-j), squared off-diagonals mu**2*(j+1)*(n-j)), from a bracket
+    around ``near`` widened until it holds the root.  The bisection stops
+    once the bracket is at most 10**-(_DPS/2) of the least magnitude it
+    holds, or of 1 where that is smaller, so ``near`` sets only where it
+    starts.
+
+    The count resolves roots to that stop over every |mu| a double holds.
+    Where |mu| is large against n**2, a pivot of size mu**2/|x| swamps the
+    O(n**2) diagonal, but the next pivot divides mu**2 by it, so the lost
+    digits reach the count only at their own relative size, 10**-_DPS.
+    Measured with ``_DPS = 60`` against 200 digits: every root of n in
+    {6, 24, 31} at mu in {1e8, 1e30, 1e100, 1e200, 1e300} agrees to
+    5e-31 of max(1, |root|); the middle root of (24, 1e200) is 78 and that
+    of (30, 1e300) is 120, within 5e-31 of a 600-digit run."""
     import mpmath
 
     with mpmath.workdps(_DPS):
@@ -132,8 +144,13 @@ def mpmath_root(n: int, mu: float, i: int, near: float):
         while not below(x - w) <= i < below(x + w):
             w *= 16
         lo, hi = x - w, x + w
-        stop = mpmath.mpf(10) ** (-_DPS // 2) * max(1, abs(x))
-        while hi - lo > stop:
+        tol = mpmath.mpf(10) ** (-_DPS // 2)
+        while True:
+            # Relative to the least magnitude in the bracket (0 where it
+            # holds 0), and absolute below 1.
+            least = min(abs(lo), abs(hi)) if lo * hi > 0 else 0
+            if hi - lo <= tol * max(1, least):
+                break
             mid = (lo + hi) / 2
             if below(mid) <= i:
                 lo = mid

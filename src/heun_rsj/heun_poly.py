@@ -80,8 +80,10 @@ def _det_scan(n, mu, lam: np.ndarray):
     large n.  A step multiplies that largest magnitude by at most
     ``g = max|lam| + (1 + max mu**2) * (max n + 1)**2 / 4 + 1``, and it is
     below 2**301 at the start (where g bounds it) and after every test, so
-    the test runs only every ``(1023 - 301 - 2) / log2(g)`` steps, and at
-    each degree's last step: in between no element can pass 2**1021.
+    the test runs only every ``(emax - 301 - 2) / log2(g)`` steps, and at
+    each degree's last step, with emax the largest binary exponent of
+    lambda's dtype (1023 for a double, 16383 for x87 long double): in
+    between no element can pass 2**(emax - 2).
     Frames are exact, so ``det * 2**e``, ``ddet * 2**e`` and
     ``summand_max * 2**e`` are bit for bit those of a test at every step,
     which the scan still makes where g is 2**300 or more, or not finite, and
@@ -104,7 +106,7 @@ def _det_scan(n, mu, lam: np.ndarray):
     g += (1.0 + float(np.max(mu2))) * (top + 1) ** 2 / 4
     every = 1
     if g < 2.0**300 and float(np.min(mu2)) >= 2.0**-300:  # a NaN g fails too
-        every = int((1023 - 301 - 2) / math.log2(g))
+        every = int((np.finfo(lam.dtype).maxexp - 1 - 301 - 2) / math.log2(g))
     done, step = [], 0
     for d, k, c in runs:
         if k < lam.size:

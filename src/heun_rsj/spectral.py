@@ -24,15 +24,14 @@ Phi at every lambda (checked in the test-suite, where both live as
 oracles), so the determinant splits into the two factors det G+ and det G-,
 and every spectral lambda kills one of them.  Each factor is a continuant
 of the Jacobi form J of the reflection relations, ``det G_eps = det(J +
-eps*c*I)``, evaluated in extended precision: with its derivative on
-arrays by :func:`_factor_newton_extended`, which the polish reads, and as
-the two values at one c by :func:`_reflection_dets`, which
-``structure.certify`` reads.  The sign of the factor that a root kills
-names the root together with lambda.  The signs
-alternate along the ascending spectrum, so ``root_params`` reads a root's
-sign from its index alone (the proof is in its docstring), and the two
-roots of a near-degenerate pair kill different factors: on its own factor,
-a pair root is a simple zero, and Newton converges quadratically.
+eps*c*I)``, evaluated in extended precision with its derivative on
+arrays by :func:`_factor_newton_extended`.  The polish reads it, and so
+does ``structure``'s certification pass, at ``kappa = -+c``.  The sign of
+the factor that a root kills names the root together with lambda.  The
+signs alternate along the ascending spectrum, so ``root_params`` reads a
+root's sign from its index alone (the proof is in its docstring), and the
+two roots of a near-degenerate pair kill different factors: on its own
+factor, a pair root is a simple zero, and Newton converges quadratically.
 """
 
 from __future__ import annotations
@@ -279,25 +278,6 @@ def _factor_newton_extended(n, mu, kappa: np.ndarray):
     if len(done) == 1:
         return done[0]
     return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
-
-
-def _reflection_dets(n: int, mu: float, c: np.longdouble) -> tuple:
-    """``det(J + c*I)`` and ``det(J - c*I)``, the factors det G+ and det G-,
-    at one degree n and a long-double c: the values of
-    :func:`_factor_newton_extended` at ``kappa = [-c, c]``, bit for bit, by
-    its operations on long-double scalars and without its derivatives.
-    """
-    ld = np.longdouble
-    m = ld(mu)
-    n1, mu2 = n + 1, m * m
-    last = ld(-n1 / 2) if n % 2 == 1 else m
-    minus_p, minus_m = c, -c  # -kappa
-    prev2_p, prev_p, prev2_m, prev_m = ld(1), minus_p, ld(1), minus_m
-    for j in range(1, n + 1):
-        b2 = mu2 if j % 2 else (j // 2) * (n1 - j // 2)
-        prev2_p, prev_p = prev_p, minus_p * prev_p - b2 * prev2_p
-        prev2_m, prev_m = prev_m, minus_m * prev_m - b2 * prev2_m
-    return prev_p + last * prev2_p, prev_m + last * prev2_m
 
 
 def _root_signs(n, mu, index):

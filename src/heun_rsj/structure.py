@@ -42,7 +42,7 @@ from .errors import (
 )
 from . import heun_poly, spectral
 from .dynamics import _MAX_SAMPLES, unwrap
-from .model import DcheParams, HeunPolynomial, dche_to_params, frequency_scale, mu_squared
+from .model import HeunPolynomial, dche_to_params, mu_squared
 
 __all__ = [
     "SAMPLE_POINTS",
@@ -50,8 +50,6 @@ __all__ = [
     "residuals",
     "certify",
     "certify_root",
-    "symmetry_residual",
-    "coeff_relations_residual",
     "phase_series",
     "phase_rate",
     "phase_and_rate",
@@ -275,9 +273,16 @@ def _coeff_rows(P: HeunPolynomial) -> np.ndarray:
 
 
 def _symmetry_rows(n: int, mu: float, eps_c: np.ndarray, table: np.ndarray) -> tuple:
-    """:func:`symmetry_residual` of each row of the sample ``table`` of
-    degree n at mu, with its row's eps*c, and the largest summands
-    (:func:`_largest_summands`), for the caller to type."""
+    """Worst relative defect of the reflection relation for each row of the
+    sample ``table`` of degree n at mu, with its row's eps*c, and the
+    largest summands (:func:`_largest_summands`), for the caller to type.
+
+    Each point contributes ``|P'(z) - mu*P(z) - eps*c*z**n*P(1/z)|`` divided
+    by the largest of its three summand moduli, with z**n from
+    :func:`_powers`; a point whose summands all vanish is skipped.  A
+    summand is not finite where z**n at z = 2 overflows (from n = 1024 on)
+    or a value of P does.
+    """
     v, v_inv, dv, _ = table
     roots = eps_c.size
     with np.errstate(over="ignore", invalid="ignore"):  # typed; 0/0 is skipped
@@ -289,39 +294,11 @@ def _symmetry_rows(n: int, mu: float, eps_c: np.ndarray, table: np.ndarray) -> t
     return np.where(scale != 0.0, ratio, 0.0).max(axis=1), scale
 
 
-def symmetry_residual(P: HeunPolynomial, table: np.ndarray | None = None) -> float:
-    """Worst relative defect of the reflection relation over the sample set.
-
-    Each point contributes ``|P'(z) - mu*P(z) - eps*c*z**n*P(1/z)|`` divided
-    by the largest of its three summand moduli, with P's own sign eps and
-    z**n from :func:`_powers`.  A point whose summands all vanish is
-    skipped.  ``InvalidParams`` where a summand is not finite: z**n at
-    z = 2 from n = 1024 on, or an overflowing value of P.  ``table`` is P's
-    sample table (:func:`_on_samples`) where the caller has formed it.
-    """
-    c = frequency_scale(P.params)
-    if table is None:
-        table = _on_samples(_coeff_rows(P))
-    n, mu = P.n, P.params.mu
-    value, scale = _symmetry_rows(n, mu, np.array([P.epsilon * c]), table)
-    _refuse_overflow(scale, "reflection relation", n, mu)
-    return float(value[0])
-
-
-def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
-    """Residuals of the coefficient form of the reflection relation.
-
-    Entry k is ``eps*c*a_k - (n+1-k)*a_{n+1-k} + mu*a_{n-k}`` for k = 0..n
-    (the k = 0 entry degenerates to ``eps*c*a_0 + mu*a_n``), with P's own
-    sign eps.
-    """
-    eps_c = np.array([P.epsilon * frequency_scale(P.params)])
-    return _coeff_relations(P.params.mu, eps_c, _coeff_rows(P))[0]
-
-
 def _coeff_relations(mu: float, eps_c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """:func:`coeff_relations_residual` of each row of coefficients ``a``,
-    with its row's eps*c."""
+    """Residuals of the coefficient form of the reflection relation for each
+    row of coefficients ``a``, with its row's eps*c: entry k is
+    ``eps*c*a_k - (n+1-k)*a_{n+1-k} + mu*a_{n-k}`` for k = 0..n (the k = 0
+    entry degenerates to ``eps*c*a_0 + mu*a_n``)."""
     rev, up = _reflection_parts(mu, a)
     return (eps_c[:, None] * a + rev) - up
 
@@ -347,7 +324,7 @@ def _master_rows(n: int, mu: float, lam: np.ndarray, table: np.ndarray) -> tuple
     return ratio.max(axis=1), scale
 
 
-def residuals(P: HeunPolynomial, table: np.ndarray | None = None) -> tuple[float, float]:
+def residuals(P: HeunPolynomial) -> tuple[float, float]:
     """Worst relative residuals ``(master_rel, linear_rel)`` of P.
 
     ``master_rel`` is the residual of the polynomial-form equation (see
@@ -355,14 +332,11 @@ def residuals(P: HeunPolynomial, table: np.ndarray | None = None) -> tuple[float
     summand modulus (at least 1e-300); ``linear_rel`` is the largest row
     residual of the coefficient system divided by max |a_k|.
     ``InvalidParams`` where a summand is not finite: from n = 1024 on,
-    P(2) can overflow.  ``table`` is P's sample table (:func:`_on_samples`)
-    where the caller has formed it.
+    P(2) can overflow.
     """
     n, mu = P.params.n, P.params.mu
     a = _coeff_rows(P)
-    if table is None:
-        table = _on_samples(a)
-    master, scale = _master_rows(n, mu, np.array([P.params.lam]), table)
+    master, scale = _master_rows(n, mu, np.array([P.params.lam]), _on_samples(a))
     _refuse_overflow(scale, "master equation", n, mu)
     linear = _rel_max(heun_poly.residual_linear_system(P)[None], a)
     return float(master[0]), float(linear[0])
@@ -386,24 +360,34 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     """Certification record of P: ``(checks, skipped)``.
 
     Each check is ``{"name", "value", "tolerance", "pass"}`` with its bound
-    from ``TOL``.  The master and linear-system residuals always run.  The
-    checks that need c run only when lambda + mu**2 clears
-    ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped`` as
-    ``{"name", "reason"}``.  ``InvalidParams`` where mu**2 overflows a
-    double, where the reflection relation overflows
-    (:func:`symmetry_residual`), and where a determinant check cannot be
-    formed (:func:`_det_checks`).  P is sampled once, for both readers.
+    from ``TOL``.  The master and linear-system residuals are always
+    reported.  The checks that need c are reported only when lambda + mu**2
+    clears ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped``
+    as ``{"name", "reason"}``.  The values come from the check pass of a
+    certification chunk (:func:`_check_rows`) run on P's one row, with the
+    gate's determinant and scale at P's triplet (``spectral._gate_det``),
+    and the typed errors from that pass's scales and values:
+    ``InvalidParams`` where mu**2 overflows a double, where the master
+    equation overflows (:func:`residuals`), where the reflection relation
+    overflows (z**n at z = 2 from n = 1024 on, or a value of P), and where
+    a determinant check cannot be formed: the gate's scale or a check would
+    be NaN, infinite, or a 0 that only an infinite scale makes.
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
-    a = _coeff_rows(P)
-    table = _on_samples(a)
-    master, linear = residuals(P, table)
-    if disc <= spectral.DISC_MARGIN:
-        return _record((master, linear), disc)
-    symmetry = symmetry_residual(P, table)
-    rel = _rel_max(coeff_relations_residual(P)[None], a)
-    return _record((master, linear, symmetry, float(rel[0]), *_det_checks(d)), disc)
+    full = disc > spectral.DISC_MARGIN
+    dets = np.array([spectral._gate_det(d) if full else (math.nan, math.nan)])
+    values, master_scale, symmetry_scale = _check_rows(
+        d.n, d.mu, np.array([d.lam]), np.array([P.epsilon]), _coeff_rows(P), dets
+    )
+    _refuse_overflow(master_scale, "master equation", d.n, d.mu)
+    if full:
+        _refuse_overflow(symmetry_scale, "reflection relation", d.n, d.mu)
+        if not np.isfinite([dets[0, 1], *values[0, 4:]]).all():
+            raise InvalidParams(
+                f"the determinants overflow a double at (n={d.n}, mu={d.mu})"
+            )
+    return _record(values[0].tolist(), disc)
 
 
 def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
@@ -411,10 +395,11 @@ def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
     bit for bit, its typed errors included.
 
     The roots of (n, mu) are certified in chunks of consecutive indices
-    (:func:`_chunk`), each in one array pass (:func:`_certify_rows`), and
-    the six check values of each root are kept beside its spectrum in the
-    memo of :func:`spectral.root_params`: a later root of the chunk reads
-    its row.  A root that the pass could not form is certified alone.
+    (:func:`_chunk`), each by one stacked build and one check pass
+    (:func:`_certify_rows`), and the six check values of each root are
+    kept beside its spectrum in the memo of :func:`spectral.root_params`: a
+    later root of the chunk reads its row.  A root that the chunk could not
+    form is built and certified alone, by the same pass on its one row.
     """
     d, epsilon = spectral.root_params(n, mu, root)
     chunk = _chunk(d.n, root)
@@ -435,13 +420,12 @@ def _certify_rows(
 ) -> np.ndarray:
     """The check values of :func:`certify` at the roots ``lam`` with signs
     ``eps`` of one validated (n, float mu), one row of six per root, from
-    one stacked build (``heun_poly._build_rows``) and one pass of each
-    reader; ``dets`` holds the gate's determinant and scale at each root.
+    one stacked build (``heun_poly._build_rows``) and one check pass
+    (:func:`_check_rows`); ``dets`` holds the gate's determinant and scale
+    at each root.
 
-    Each row is bit for bit that of the root alone: the reflection factors
-    come from ``spectral._factor_newton_extended``, whose values at
-    ``kappa = -+c`` are those of ``spectral._reflection_dets``.  The four
-    values that need c are NaN where lambda + mu**2 does not clear
+    Each row is bit for bit that of the root alone.  The four values that
+    need c are NaN where lambda + mu**2 does not clear
     ``spectral.DISC_MARGIN``.  A root that build_polynomial or certify
     would refuse, or whose values are not all finite, has a NaN row: so has
     every root where LAPACK refuses the stacked solve.
@@ -457,32 +441,14 @@ def _certify_rows(
     ok = (resid <= heun_poly.SPECTRAL_TOL * norm) & np.isfinite(a).all(axis=1)
     if not ok.any():
         return values
-    a, lam, eps, disc, dets = a[ok], lam[ok], eps[ok], disc[ok], dets[ok]
-    table = _on_samples(a)
-    ld = np.longdouble
-    # c has no value below the margin, and a row that overflows is not
-    # formed: the root alone types it.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps_c = eps * np.sqrt(disc)
-        c = np.sqrt(lam.astype(ld) + ld(mu) ** 2)
-        factors = spectral._factor_newton_extended(n, mu, np.concatenate([-c, c]))[0]
-        master, master_scale = _master_rows(n, mu, lam, table)
-        symmetry, symmetry_scale = _symmetry_rows(n, mu, eps_c, table)
-        det_product, det_min = _det_rows(factors[: lam.size], factors[lam.size :], dets)
-        rows = np.stack([
-            master,
-            _rel_max(heun_poly._linear_rows(n, mu, lam, a), a),
-            symmetry,
-            _rel_max(_coeff_relations(mu, eps_c, a), a),
-            det_product,
-            det_min,
-        ], axis=1)
-    full = disc > spectral.DISC_MARGIN
-    rows[~full, 2:] = np.nan
-    formed = np.isfinite(master_scale.max(axis=1)) & np.isfinite(rows[:, :2]).all(axis=1)
-    formed &= ~full | (
-        np.isfinite(symmetry_scale.max(axis=1))
-        & np.isfinite(dets[:, 1])
+    rows, master_scale, symmetry_scale = _check_rows(
+        n, mu, lam[ok], eps[ok], a[ok], dets[ok]
+    )
+    # A row that overflows is not formed: the root alone types it.
+    formed = np.isfinite(master_scale) & np.isfinite(rows[:, :2]).all(axis=1)
+    formed &= (disc[ok] <= spectral.DISC_MARGIN) | (
+        np.isfinite(symmetry_scale)
+        & np.isfinite(dets[ok, 1])
         & np.isfinite(rows[:, 2:]).all(axis=1)
     )
     rows[~formed] = np.nan
@@ -490,41 +456,45 @@ def _certify_rows(
     return values
 
 
-def _det_rows(det_p: np.ndarray, det_m: np.ndarray, dets: np.ndarray) -> tuple:
-    """``||det G+ * det G-| - |Delta|| / scale`` and ``min(|det G+|,
-    |det G-|) / scale`` of each row, from long-double det G+- and the
-    gate's determinant Delta and scale (``dets``, one pair per row), each
-    rounded once to a double."""
-    delta, scale = dets[:, 0], dets[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
-        det_product = (abs(abs(det_p * det_m) - abs(delta)) / scale).astype(float)
-        det_min = (np.minimum(abs(det_p), abs(det_m)) / scale).astype(float)
-    return det_product, det_min
+def _check_rows(
+    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, a: np.ndarray, dets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The check pass of a certification record, on each row of ascending
+    coefficients ``a`` of degree n at mu, with its row's lambda, sign and
+    gate determinant and scale (``dets``, one pair per row).
 
-
-def _det_checks(d: DcheParams) -> tuple[float, float]:
-    """``||det G+ * det G-| - |Delta|| / scale`` and ``min(|det G+|,
-    |det G-|) / scale`` at d, in long double, each rounded once to a double
-    (:func:`_det_rows` of one row).
-
-    Delta and its scale are the gate's (``spectral._gate_det``); det G+- are
-    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
-    (``spectral._reflection_dets``), with c formed in long double as the
-    root polish forms it.  ``InvalidParams`` where the scale or a check is
-    not finite: a check would be NaN, infinite, or a 0 that only an infinite
-    scale makes.
+    One sample table (:func:`_on_samples`) feeds both readers, and det G+-
+    are the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
+    (``spectral._factor_newton_extended``), with c formed in long double as
+    the root polish forms it.  The two determinant checks are
+    ``||det G+ * det G-| - |Delta|| / scale`` and ``min(|det G+|, |det
+    G-|) / scale``, in long double, each rounded once to a double.  Returns
+    the six check values of each row in report order, NaN in the four that
+    need c where lambda + mu**2 does not clear ``spectral.DISC_MARGIN``,
+    and the largest master and reflection summand of each row.  Nothing is
+    typed here: a value or scale that overflows stays infinite or NaN.
     """
+    table = _on_samples(a)
     ld = np.longdouble
-    c = np.sqrt(ld(d.lam) + ld(d.mu) ** 2)
-    dets = np.array([spectral._gate_det(d)])  # no second scan of a memoised root
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed below
-        det_p, det_m = spectral._reflection_dets(d.n, d.mu, c)
-    det_product, det_min = _det_rows(np.array([det_p]), np.array([det_m]), dets)
-    if not np.isfinite([dets[0, 1], det_product[0], det_min[0]]).all():
-        raise InvalidParams(
-            f"the determinants overflow a double at (n={d.n}, mu={d.mu})"
-        )
-    return float(det_product[0]), float(det_min[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        disc = lam + mu_squared(mu)
+        eps_c = eps * np.sqrt(disc)
+        c = np.sqrt(lam.astype(ld) + ld(mu) ** 2)
+        factors = spectral._factor_newton_extended(n, mu, np.concatenate([-c, c]))[0]
+        master, master_scale = _master_rows(n, mu, lam, table)
+        symmetry, symmetry_scale = _symmetry_rows(n, mu, eps_c, table)
+        det_p, det_m = factors[: lam.size], factors[lam.size :]
+        delta, scale = dets[:, 0], dets[:, 1]
+        rows = np.stack([
+            master,
+            _rel_max(heun_poly._linear_rows(n, mu, lam, a), a),
+            symmetry,
+            _rel_max(_coeff_relations(mu, eps_c, a), a),
+            (abs(abs(det_p * det_m) - abs(delta)) / scale).astype(float),
+            (np.minimum(abs(det_p), abs(det_m)) / scale).astype(float),
+        ], axis=1)
+    rows[disc <= spectral.DISC_MARGIN, 2:] = np.nan
+    return rows, master_scale.max(axis=1), symmetry_scale.max(axis=1)
 
 
 # phase_series and phase_rate guard the same P in turn: the verdict on the

@@ -10,7 +10,10 @@ evaluators here check further identities of the paper against that code:
   second order equation into a symmetric form (``alpha = 1``) and into the
   double confluent Heun form (``alpha = i``), each with a residual
   evaluator acting on a value/derivative jet supplied by the caller;
-- the reflection image of a polynomial (``reflected_polynomial``);
+- the reflection image of a polynomial (``reflected_polynomial``), and the
+  reflection relation of P alone on the sample set and in its coefficient
+  form (``symmetry_residual``, ``coeff_relations_residual``): the
+  certification pass's readers on P's one row, with their typed errors;
 - the factorization ``G+ G- = -Phi^T`` of the coefficient matrix by the two
   reflection-relation matrices, an identity in lambda
   (``factorization``, over the dense ``symmetry_matrix`` and
@@ -51,9 +54,14 @@ from heun_rsj.model import (
     frequency_scale,
 )
 from heun_rsj.structure import (
+    _coeff_relations,
+    _coeff_rows,
     _decay_halfwidth,
+    _on_samples,
     _reflection_parts,
+    _refuse_overflow,
     _shared_mu,
+    _symmetry_rows,
     orthogonality_weight,
 )
 
@@ -363,6 +371,31 @@ def reflected_polynomial(P: HeunPolynomial) -> HeunPolynomial:
     if c[-1] == 0:
         raise InvalidParams("reflection dropped the degree (leading coefficient 0)")
     return HeunPolynomial(coeffs=tuple(c.tolist()), params=P.params, epsilon=P.epsilon)
+
+
+def symmetry_residual(P: HeunPolynomial) -> float:
+    """Worst relative defect of the reflection relation over the sample set,
+    at P's own sign: the certification pass's ``reflection_symmetry`` reader
+    (``structure._symmetry_rows``) on P's one row.
+
+    ``NonPositiveDiscriminant`` where lambda + mu**2 <= 0 (no c), and
+    ``InvalidParams`` where mu**2 or a summand is not finite: z**n at z = 2
+    from n = 1024 on, or an overflowing value of P.
+    """
+    c = frequency_scale(P.params)
+    n, mu = P.n, P.params.mu
+    table = _on_samples(_coeff_rows(P))
+    value, scale = _symmetry_rows(n, mu, np.array([P.epsilon * c]), table)
+    _refuse_overflow(scale, "reflection relation", n, mu)
+    return float(value[0])
+
+
+def coeff_relations_residual(P: HeunPolynomial) -> np.ndarray:
+    """Residuals of the coefficient form of the reflection relation at P's
+    own sign (``structure._coeff_relations`` on P's one row): entry k is
+    ``eps*c*a_k - (n+1-k)*a_{n+1-k} + mu*a_{n-k}`` for k = 0..n."""
+    eps_c = np.array([P.epsilon * frequency_scale(P.params)])
+    return _coeff_relations(P.params.mu, eps_c, _coeff_rows(P))[0]
 
 
 def _quad(f, a: float, b: float, abserr_ok: float | None = None) -> float:

@@ -31,6 +31,13 @@ again from the relation at the one point z = 1.  ``root_params`` reads each
 (n, mu) spectrum from a memo; ``signed_spectrum`` computes it afresh, with
 the mpmath signs, and the two must match bit for bit.
 
+``spectral._factor_newton_extended`` evaluates both reflection factors
+det G+- on arrays of kappa, with their kappa-derivatives, for the polish and
+the certification pass alike; ``reflection_dets_loop`` is the same
+continuant on long-double scalars, without derivatives, and the two must
+match bit for bit, overflows included.  ``reflection_factor_mp`` is the
+continuant in mpmath, at the exact kappa.
+
 ``spectral.lambda_spectra`` gates each root on the determinant, which does
 not say which root it is.  ``sturm_counts`` counts the eigenvalues of the
 symmetrised tridiagonal matrix below each of an array of points (the
@@ -39,10 +46,11 @@ i + 1; ``mpmath_root`` bisects on the same counts in mpmath alone, in
 60-digit arithmetic, to give root i to 30 digits.  It is the one that
 ``scripts/polish_report.py`` reports errors against, loaded from there.
 
-``structure.residuals`` and ``structure.symmetry_residual`` read one table
-of P and its derivatives on the sample set, evaluated by a Python Horner
-loop; ``samples_polyval`` builds the same table with one numpy ``polyval``
-call per value, and the two must match bit for bit.  ``residual_master`` is
+``structure.residuals`` and ``identities.symmetry_residual`` (the
+certification pass's readers on one row) read one table of P and its
+derivatives on the sample set, from one lane pass; ``samples_polyval``
+builds the same table with one numpy ``polyval`` call per value, and the
+two must match bit for bit.  ``residual_master`` is
 the master equation at one point, evaluating P, P' and P'' afresh;
 ``master_rel_points`` and ``symmetry_residual_points`` run both checks one
 point at a time that way, and the table readers must match them bit for bit.
@@ -339,6 +347,25 @@ def reflection_factor_mp(n: int, mu: float, kappa, dps: int = 60) -> tuple:
             cur, dcur = t1 - t2, (diag[j] - k) * dprev - prev - off2[j - 1] * dprev2
             prev2, prev, dprev2, dprev = prev, cur, dprev, dcur
         return +prev, +dprev, +top
+
+
+def reflection_dets_loop(n: int, mu: float, c: np.longdouble) -> tuple:
+    """``det(J + c*I)`` and ``det(J - c*I)``, the factors det G+ and det G-,
+    at one degree n and a long-double c: the values of
+    ``spectral._factor_newton_extended`` at ``kappa = [-c, c]``, bit for
+    bit, by its operations on long-double scalars and without its
+    derivatives."""
+    ld = np.longdouble
+    m = ld(mu)
+    n1, mu2 = n + 1, m * m
+    last = ld(-n1 / 2) if n % 2 == 1 else m
+    minus_p, minus_m = c, -c  # -kappa
+    prev2_p, prev_p, prev2_m, prev_m = ld(1), minus_p, ld(1), minus_m
+    for j in range(1, n + 1):
+        b2 = mu2 if j % 2 else (j // 2) * (n1 - j // 2)
+        prev2_p, prev_p = prev_p, minus_p * prev_p - b2 * prev2_p
+        prev2_m, prev_m = prev_m, minus_m * prev_m - b2 * prev2_m
+    return prev_p + last * prev2_p, prev_m + last * prev2_m
 
 
 def sturm_counts(n: int, mu: float, x: np.ndarray) -> np.ndarray:

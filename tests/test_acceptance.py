@@ -14,7 +14,7 @@ from heun_rsj import heun_poly, spectral, structure
 from heun_rsj.dynamics import bias, integrate_phase, integrate_xy, phase_from_xy
 from heun_rsj.errors import ZeroOnUnitCircle
 from heun_rsj.heun_poly import build_polynomial, spectral_det
-from heun_rsj.model import DcheParams, RsjParams, dche_to_params
+from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
 from heun_rsj.spectral import lambda_spectrum
 
 import helpers
@@ -124,11 +124,11 @@ def test_criterion_4_polynomial_certification():
                 worst["master"] = max(worst["master"], master)
                 worst["linear"] = max(worst["linear"], linear)
                 worst["symmetry"] = max(
-                    worst["symmetry"], structure.symmetry_residual(poly)
+                    worst["symmetry"], identities.symmetry_residual(poly)
                 )
                 worst["relations"] = max(
                     worst["relations"],
-                    float(np.max(np.abs(structure.coeff_relations_residual(poly))))
+                    float(np.max(np.abs(identities.coeff_relations_residual(poly))))
                     / amax,
                 )
     ok = (
@@ -150,28 +150,39 @@ def test_criterion_4_polynomial_certification():
     )
 
 
+def _det_checks(record) -> tuple[float, float]:
+    """det_product_rel and det_min_rel of a certification record."""
+    values = {c["name"]: c["value"] for c in record[0]}
+    return values["det_product_rel"], values["det_min_rel"]
+
+
 def test_criterion_5_factorization():
     signs = set()
     worst_dev = worst_prod = worst_min = 0.0
     generic_lams = (0.37, 2.9)
     for n in range(11):
         for mu in (0.5, 1.0, 2.0):
-            roots = [d for _, d, _ in helpers.admissible_points(n, mu)]
-            generic = [
-                DcheParams(n=n, mu=mu, lam=lam)
-                for lam in generic_lams
-                if lam + mu**2 > spectral.DISC_MARGIN
+            # The matrix identity on the dense oracles; the determinants
+            # from the certification records: certify_root's at the roots,
+            # and at a generic lambda certify's of a stand-in P, since the
+            # determinant checks read only P's triplet.
+            roots = [
+                (d, structure.certify_root(n, mu, i))
+                for i, d, _ in helpers.admissible_points(n, mu)
             ]
-            for d in generic + roots:
-                # The matrix identity on the dense oracles; the determinants
-                # as certify takes them, from the reflection-factor kernel.
+            generic = [
+                (d, structure.certify(HeunPolynomial((1.0,) * (n + 1), d, 1)))
+                for d in (DcheParams(n=n, mu=mu, lam=lam) for lam in generic_lams)
+                if d.lam + mu**2 > spectral.DISC_MARGIN
+            ]
+            for d, record in generic + roots:
                 rel_dev, sign, _, _ = identities.factorization(d)
                 signs.add(sign)
                 worst_dev = max(worst_dev, rel_dev)
-                det_product, det_min = structure._det_checks(d)
+                det_product, det_min = _det_checks(record)
                 worst_prod = max(worst_prod, det_product)
-                if d in roots:
-                    worst_min = max(worst_min, det_min)
+            for _, record in roots:
+                worst_min = max(worst_min, _det_checks(record)[1])
     ok = (
         signs == {-1}
         and worst_dev <= 1e-10

@@ -12,7 +12,7 @@ from heun_rsj.errors import HeunRsjError
 from heun_rsj.model import DcheParams, dche_to_params
 from heun_rsj.spectral import DISC_MARGIN, lambda_spectrum
 
-from oracles import write_csv
+from oracles import mpmath_root, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -160,3 +160,17 @@ def test_polish_report_on_a_tiny_grid(tmp_path):
     head, worst = lines[at + 4].rsplit(" ", 2)[:2]
     assert head == "all roots: 0 over 0.5 ulp, worst" and float(worst) <= 0.5
     assert len(lines) == at + 5
+
+
+def test_mpmath_root_stops_on_its_own_bracket():
+    # The bisection stops at 1e-30 of the least magnitude its bracket holds,
+    # wherever it starts.  A stop relative to the start would end it early
+    # from a far start: at 4294967296.0 for root 2 of (4, 1), about 3.49,
+    # from 1e40, and 1.5e-11 off from 1e20.
+    ref = mpmath_root(4, 1.0, 2, 3.49)
+    assert abs(float(ref) - lambda_spectrum(4, 1.0).lambdas[2]) <= 4.5e-16
+    for near in (1e40, 1e20, -1e40):
+        assert abs(mpmath_root(4, 1.0, 2, near) - ref) <= 1e-29 * ref, near
+    # The middle root of (24, 1e200) from the seed that lambda_spectrum
+    # returns there: the Sylvester-Kac limit n*(n + 2)/8 = 78, not 5.4e154.
+    assert abs(mpmath_root(24, 1e200, 12, 1.2216884564198477e185) - 78) <= 1e-28

@@ -23,27 +23,28 @@ from heun_rsj.errors import (
 )
 from heun_rsj.model import DcheParams, HeunPolynomial, dche_to_params
 from heun_rsj.structure import (
-    coeff_relations_residual,
     orthogonality_integral,
     orthogonality_weight,
     phase_rate,
     phase_series,
-    symmetry_residual,
 )
 
 import helpers
 import identities
 from identities import (
     PolynomialZeroOnPath,
+    coeff_relations_residual,
     norm_integral,
     reflected_polynomial,
     second_solution,
     second_solution_jet,
+    symmetry_residual,
     weight_divergence_residual,
 )
 from oracles import (
     coeff_relations_loop,
     master_rel_points,
+    reflection_dets_loop,
     reflection_factor_mp,
     phase_on_grid_ratio,
     phase_series_loop,
@@ -233,21 +234,22 @@ _LEDGER_MUS = (0.25, 1.0, 1.82, 2.5, -0.7)
 class TestDeterminantChecks:
     def test_determinant_ledger(self):
         # The det_product_rel and det_min_rel failures over the 4,145 roots
-        # of n <= 40 above DISC_MARGIN, from the function certify calls.
-        # det G+- come from the long-double reflection-factor kernel, so
-        # these counts do not depend on the BLAS or LAPACK kernel; the CI
-        # reruns this test under other OpenBLAS core types.
+        # of n <= 40 above DISC_MARGIN, read from the records of the one
+        # certification pass.  det G+- come from the long-double
+        # reflection-factor kernel, so these counts do not depend on the
+        # BLAS or LAPACK kernel; the CI reruns this test under other
+        # OpenBLAS core types.
         roots = product = least = 0
         for mu in _LEDGER_MUS:
             for n in range(41):
                 for i in range(n + 1):
-                    d, _ = spectral.root_params(n, mu, i)
-                    if d.lam + mu * mu <= spectral.DISC_MARGIN:
+                    checks, skipped = structure.certify_root(n, mu, i)
+                    if skipped:
                         continue
-                    det_product, det_min = structure._det_checks(d)
+                    passed = {c["name"]: c["pass"] for c in checks}
                     roots += 1
-                    product += not det_product <= structure.TOL["det_product"]
-                    least += not det_min <= structure.TOL["det_min"]
+                    product += not passed["det_product_rel"]
+                    least += not passed["det_min_rel"]
         assert (roots, product, least) == (4145, 1756, 1)
 
     # Every root of n <= 12 and of three larger degrees: 1,870 factor values.
@@ -290,6 +292,27 @@ class TestDeterminantChecks:
         assert abs(float(det_p) - float(f)) < 1e-3 and mpmath.sign(f) == -1
 
 
+    def test_certify_runs_one_check_pass(self, monkeypatch):
+        # certify(P) is the chunk's check pass on one row: one sample table
+        # and one call of the array kernel, for det G+ and det G- together.
+        poly = helpers.solution(8, 1.82, 4)
+        lane_values, factors = structure._lane_values, spectral._factor_newton_extended
+        calls = []
+
+        def spy_lanes(polys):
+            calls.append(("lanes", len(polys)))
+            return lane_values(polys)
+
+        def spy_factors(n, mu, kappa):
+            calls.append(("factors", kappa.size))
+            return factors(n, mu, kappa)
+
+        monkeypatch.setattr(structure, "_lane_values", spy_lanes)
+        monkeypatch.setattr(spectral, "_factor_newton_extended", spy_factors)
+        _, skipped = structure.certify(poly)
+        assert skipped == []
+        assert sorted(calls) == [("factors", 2), ("lanes", 4)]
+
     def test_certify_calls_no_determinant(self, monkeypatch, capsys):
         # Every root of two problems verifies with LAPACK's det unreachable.
         def refuse(*args, **kwargs):
@@ -312,10 +335,10 @@ def _same_ld(got, want) -> bool:
 
 
 def _assert_scalar_dets(n, mu, c) -> None:
-    """``spectral._reflection_dets`` against the array kernel at ``kappa =
-    [-c, c]``, bit for bit."""
+    """The array kernel at ``kappa = [-c, c]`` against its scalar oracle
+    ``reflection_dets_loop``, bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got = spectral._reflection_dets(n, mu, c)
+        got = reflection_dets_loop(n, mu, c)
         want = spectral._factor_newton_extended(n, mu, np.array([-c, c]))[0]
     assert all(isinstance(g, np.longdouble) for g in got)
     assert all(map(_same_ld, got, want)), (n, mu, c, got, want)
@@ -366,7 +389,7 @@ class TestReflectionDets:
         c = np.longdouble(c)
         _assert_scalar_dets(n, mu, c)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = spectral._reflection_dets(n, mu, c)
+            got = reflection_dets_loop(n, mu, c)
         assert all(map(_same_ld, got, map(np.longdouble, want)))
 
 
