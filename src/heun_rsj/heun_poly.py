@@ -11,12 +11,14 @@ closes into a homogeneous tridiagonal linear system for the coefficients:
     row n:  mu*a_{n-1} + (lambda - n)*a_n
 
 A nontrivial solution exists iff the determinant of that system vanishes;
-``spectral_det`` evaluates it, with its scale, by the classic three-term
-minor recurrence.  The coefficients themselves come from the reflection
-relation of the solution (``build_polynomial``): an eigenvector of a
-symmetric Jacobi matrix whose eigenvalue fixes both lambda and the
-reflection sign.  The exact-rational transfer-matrix product that
-cross-checks the determinant lives with the tests, in ``tests/oracles.py``.
+``_det_scan`` evaluates it, with its largest summand, by the classic
+three-term minor recurrence on an array of lambda, for the spectral gate and
+polish and for the certification pass.  The coefficients themselves come
+from the reflection relation of the solution (``build_polynomial``): an
+eigenvector of a symmetric Jacobi matrix whose eigenvalue fixes both lambda
+and the reflection sign.  The double determinant of one triplet and the
+exact-rational transfer-matrix product that cross-checks it live with the
+tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .model import DcheParams, HeunPolynomial, mu_squared
 
 __all__ = [
     "SPECTRAL_TOL",
-    "spectral_det",
     "residual_linear_system",
     "build_polynomial",
 ]
@@ -67,8 +68,9 @@ def _det_scan(n, mu, lam: np.ndarray):
     Runs the recurrence on a 1-D array of lambda at once, in lambda's dtype,
     and returns arrays ``(det, ddet_dlambda, summand_max, e)``; the true
     values are each entry times ``2**e`` of its own element.  The gate scans
-    doubles; ``spectral``'s root polish scans long doubles, with mu passed as
-    a long double so that mu**2 is formed, and cannot overflow, there.
+    doubles; ``spectral``'s root polish and ``structure``'s check pass scan
+    long doubles, with mu passed as a long double so that mu**2 is formed,
+    and cannot overflow, there.
     ``n`` and ``mu`` are scalars or per-element arrays with the degrees
     descending: each element runs its own degree's recurrence
     (:func:`_by_degree`) with exactly the arithmetic of a scalar call, up to
@@ -149,28 +151,6 @@ def _det_scan(n, mu, lam: np.ndarray):
         return done[0]
     # The runs end in ascending degree, so their blocks come in reverse order.
     return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
-
-
-def spectral_det(d: DcheParams) -> tuple[float, float]:
-    """Determinant of the coefficient system and its scale, from one scan.
-
-    The determinant is zero iff a polynomial exists; it is a polynomial of
-    exact degree n + 1 in lambda (monic).  The scale is the largest absolute
-    summand met in the recurrence, floored at 1: the natural yardstick for
-    'is this determinant numerically zero'.  Both may saturate to +-inf for
-    very large n; :func:`_det_scan` keeps the mantissas and the exponent.
-    """
-    det, _, smax, e = _det_scan(d.n, d.mu, np.array([d.lam], dtype=float))
-    det, scale = _det_and_scale(det, smax, e)
-    return det.item(), scale.item()
-
-
-def _det_and_scale(det, smax, e) -> tuple[np.ndarray, np.ndarray]:
-    """The determinants and scales of :func:`spectral_det` from the arrays
-    ``det``, ``summand_max`` and ``e`` of a :func:`_det_scan`, per element:
-    ``det * 2**e`` and ``summand_max * 2**e`` floored at 1."""
-    with np.errstate(over="ignore"):  # saturates to +-inf; signed zeros stay
-        return np.ldexp(det, e), np.fmax(np.ldexp(smax, e), 1.0)
 
 
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:

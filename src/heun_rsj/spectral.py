@@ -26,7 +26,8 @@ and every spectral lambda kills one of them.  Each factor is a continuant
 of the Jacobi form J of the reflection relations, ``det G_eps = det(J +
 eps*c*I)``, evaluated in extended precision with its derivative on
 arrays by :func:`_factor_newton_extended`.  The polish reads it, and so
-does ``structure``'s certification pass, at ``kappa = -+c``.  The sign of
+does ``structure``'s certification pass, at ``kappa = -+c``, beside the
+determinant of its own long-double scan.  The sign of
 the factor that a root kills names the root together with lambda.  The
 signs alternate along the ascending spectrum, so ``root_params`` reads a
 root's sign from its index alone (the proof is in its docstring), and the
@@ -36,7 +37,6 @@ factor, a pair root is a simple zero, and Newton converges quadratically.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import threading
@@ -46,8 +46,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, IndexOutOfRange, InvalidParams
 from .dynamics import _MAX_SAMPLES
-from . import heun_poly
-from .heun_poly import _by_degree, _det_and_scale, _det_scan, _take
+from .heun_poly import _by_degree, _det_scan, _take
 from .model import DcheParams, finite_real, mu_squared
 
 __all__ = [
@@ -150,11 +149,11 @@ def lambda_spectra(problems) -> list[SpectralSet]:
             _polish_and_gate(run)  # an earlier problem's failure wins
             raise
         if run and width + seeds.size > _BATCH:
-            out += _polish_and_gate(run)[0]
+            out += _polish_and_gate(run)
             run, width = [], 0
         run.append((n, mu, seeds))
         width += seeds.size
-    return out + _polish_and_gate(run)[0]
+    return out + _polish_and_gate(run)
 
 
 def _checked_mu(n: int, mu: float) -> float:
@@ -172,17 +171,15 @@ def _checked_mu(n: int, mu: float) -> float:
     return finite_real("mu", mu)
 
 
-def _polish_and_gate(run: list[tuple]) -> tuple[list[SpectralSet], np.ndarray, tuple]:
+def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
     """Polish and gate the seeded problems ``(n, mu, seeds)`` of one run.
 
     The recurrences take the run stably sorted by degree, descending
     (:func:`heun_poly._by_degree`); the spectra come back, and the first
-    failing problem raises, in the run's own order.  Returns the spectra,
-    and the polished roots with the gate's scan of them
-    (:func:`heun_poly._det_scan`) in the recurrences' order.
+    failing problem raises, in the run's own order.
     """
     if not run:
-        return [], None, None
+        return []
     order = sorted(range(len(run)), key=lambda p: -run[p][0])
     sizes = [run[p][2].size for p in order]
     degrees = [run[p][0] for p in order]
@@ -195,8 +192,7 @@ def _polish_and_gate(run: list[tuple]) -> tuple[list[SpectralSet], np.ndarray, t
     lams = _polish_extended(n, mu, seeds)
     # A root whose scan overflows misses the gate: no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):
-        scan = _det_scan(n, mu, lams)
-        ratios = _relative_dets(lams, *scan)
+        ratios = _relative_dets(lams, *_det_scan(n, mu, lams))
     start = dict(zip(order, itertools.accumulate(sizes, initial=0)))
     spectra = []
     for p, (n_, mu_, seeds) in enumerate(run):
@@ -214,7 +210,7 @@ def _polish_and_gate(run: list[tuple]) -> tuple[list[SpectralSet], np.ndarray, t
         spectra.append(
             SpectralSet(n=n_, mu=mu_, lambdas=tuple(sorted(lams[roots].tolist())))
         )
-    return spectra, lams, scan
+    return spectra
 
 
 def _eigen_seeds(n: int, mu: float) -> np.ndarray:
@@ -522,27 +518,24 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
 # root of n <= 40 with 943 lookups of 236-240 distinct (n, mu), and a problem
 # comes back after at most 232 other problems (about 69 in the median), so at
 # 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas
-# (about 13 KB, sys.getsizeof), the 401 x 2 array of their determinants and
-# scales (6.5 KB) and, once every root is certified, 401 x 6 check values
-# (19 KB), so a full memo of those is about 10 MB.  The dict keeps its
-# entries in order of last use; the lock makes each lookup or insertion,
-# with its reordering or eviction, one step, and no spectrum and no check
-# is computed under it.
+# (about 13 KB, sys.getsizeof) and, once every root is certified, 401 x 6
+# check values (19 KB), so a full memo of those is about 8 MB.  The dict
+# keeps its entries in order of last use; the lock makes each lookup or
+# insertion, with its reordering or eviction, one step, and no spectrum and
+# no check is computed under it.
 _MEMO_SIZE = 256
-_memo: dict[tuple[int, float], tuple[tuple[float, ...], np.ndarray, dict]] = {}
+_memo: dict[tuple[int, float], tuple[tuple[float, ...], dict]] = {}
 _memo_lock = threading.Lock()
 
 
-def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], np.ndarray, dict]:
+def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], dict]:
     """The memo entry of a validated ``(n, float(mu))``: the lambdas of
-    :func:`lambda_spectrum`; in their order, the determinant and scale of
-    the gate's scan at each (:func:`heun_poly._det_and_scale`), which
-    :func:`_gate_det` reads; and the rows that :func:`_memo_rows` keeps.  A
+    :func:`lambda_spectrum` and the rows that :func:`_memo_rows` keeps.  A
     spectrum that is not in the memo is computed and kept.  An error is
     raised, not kept.
 
-    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas and
-    determinants are the same (mu enters the recurrences squared).
+    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas
+    are the same (mu enters the recurrences squared).
     """
     key = (n, mu)
     with _memo_lock:
@@ -550,13 +543,7 @@ def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], np.ndarray, dic
         if entry is not None:
             _memo[key] = entry
             return entry
-    (spectrum,), lams, (det, _, smax, e) = _polish_and_gate(
-        [(n, mu, _eigen_seeds(n, mu))]
-    )
-    # The order of sorted(lams): both sorts are stable and take -0.0 == 0.0.
-    order = np.argsort(lams, kind="stable")
-    dets = np.stack(_det_and_scale(det[order], smax[order], e[order]), axis=1)
-    entry = spectrum.lambdas, dets, {}
+    entry = lambda_spectrum(n, mu).lambdas, {}
     with _memo_lock:
         _memo[key] = entry
         if len(_memo) > _MEMO_SIZE:
@@ -566,37 +553,15 @@ def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], np.ndarray, dic
 
 def _memo_rows(n: int, mu: float, start: int, form):
     """The rows kept under ``start`` in the memo entry of a validated
-    ``(n, float(mu))`` (:func:`_cached_entry`), or ``form(lambdas, dets)``
-    of the entry where there are none, formed outside the lock and then
-    kept.  An evicted entry takes its rows with it.
+    ``(n, float(mu))`` (:func:`_cached_entry`), or ``form(lambdas)`` of the
+    entry where there are none, formed outside the lock and then kept.  An
+    evicted entry takes its rows with it.
     """
-    lambdas, dets, kept = _cached_entry(n, mu)
+    lambdas, kept = _cached_entry(n, mu)
     with _memo_lock:
         rows = kept.get(start)
     if rows is None:
-        rows = form(lambdas, dets)
+        rows = form(lambdas)
         with _memo_lock:
             rows = kept.setdefault(start, rows)
     return rows
-
-
-def _gate_det(d: DcheParams) -> tuple[float, float]:
-    """``heun_poly.spectral_det(d)``, bit for bit.  Where d is a root in the
-    memo of :func:`root_params` (its n, its float mu and its lambda, zeros
-    by sign) the gate's determinant and scale are read from there; any other
-    triplet is scanned.  No spectrum is computed.
-
-    An int mu is scanned: its square is exact where the float's rounds.
-    """
-    entry = _memo.get((d.n, d.mu)) if isinstance(d.mu, float) else None
-    if entry is not None:
-        lambdas, dets, _ = entry
-        i = bisect.bisect_left(lambdas, d.lam)
-        if (
-            i < len(lambdas)
-            and lambdas[i] == d.lam
-            and math.copysign(1.0, lambdas[i]) == math.copysign(1.0, d.lam)
-        ):
-            det, scale = dets[i].tolist()
-            return det, scale
-    return heun_poly.spectral_det(d)

@@ -22,7 +22,11 @@ Solutions of different degree sharing the same mu are orthogonal on
 decays doubly exponentially, and the trapezoid rule converges exponentially.
 
 ``certify`` collects every residual that vouches for a polynomial solution
-into one record of checks run and checks skipped.
+into one record of checks run and checks skipped.  Two of them compare the
+reflection factors det G+ and det G- (``spectral``) with the determinant
+Delta of the coefficient system (``heun_poly``), whose vanishing is the
+spectral condition: all three in long double, Delta from a framed scan,
+compared in that scan's power-of-two frame.
 """
 
 from __future__ import annotations
@@ -364,28 +368,25 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     reported.  The checks that need c are reported only when lambda + mu**2
     clears ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped``
     as ``{"name", "reason"}``.  The values come from the check pass of a
-    certification chunk (:func:`_check_rows`) run on P's one row, with the
-    gate's determinant and scale at P's triplet (``spectral._gate_det``),
-    and the typed errors from that pass's scales and values:
-    ``InvalidParams`` where mu**2 overflows a double, where the master
-    equation overflows (:func:`residuals`), where the reflection relation
-    overflows (z**n at z = 2 from n = 1024 on, or a value of P), and where
-    a determinant check cannot be formed: the gate's scale or a check would
-    be NaN, infinite, or a 0 that only an infinite scale makes.
+    certification chunk (:func:`_check_rows`) run on P's one row, and the
+    typed errors from that pass's scales and values: ``InvalidParams``
+    where mu**2 overflows a double, where the master equation overflows
+    (:func:`residuals`), where the reflection relation overflows (z**n at
+    z = 2 from n = 1024 on, or a value of P), and where a determinant check
+    is NaN or infinite, as where det G+ or det G- passes the long-double
+    range.
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
-    full = disc > spectral.DISC_MARGIN
-    dets = np.array([spectral._gate_det(d) if full else (math.nan, math.nan)])
     values, master_scale, symmetry_scale = _check_rows(
-        d.n, d.mu, np.array([d.lam]), np.array([P.epsilon]), _coeff_rows(P), dets
+        d.n, d.mu, np.array([d.lam]), np.array([P.epsilon]), _coeff_rows(P)
     )
     _refuse_overflow(master_scale, "master equation", d.n, d.mu)
-    if full:
+    if disc > spectral.DISC_MARGIN:
         _refuse_overflow(symmetry_scale, "reflection relation", d.n, d.mu)
-        if not np.isfinite([dets[0, 1], *values[0, 4:]]).all():
+        if not np.isfinite(values[0, 4:]).all():
             raise InvalidParams(
-                f"the determinants overflow a double at (n={d.n}, mu={d.mu})"
+                f"the determinants overflow a long double at (n={d.n}, mu={d.mu})"
             )
     return _record(values[0].tolist(), disc)
 
@@ -404,10 +405,10 @@ def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
     d, epsilon = spectral.root_params(n, mu, root)
     chunk = _chunk(d.n, root)
 
-    def form(lambdas, dets):
+    def form(lambdas):
         signs = spectral._root_signs(d.n, d.mu, np.arange(chunk.start, chunk.stop))
         lam = np.array(lambdas[chunk])
-        return _certify_rows(d.n, d.mu, lam, signs.astype(float), dets[chunk])
+        return _certify_rows(d.n, d.mu, lam, signs.astype(float))
 
     values = spectral._memo_rows(d.n, d.mu, chunk.start, form)[root - chunk.start]
     if math.isnan(values[0]):
@@ -415,14 +416,11 @@ def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
     return _record(values.tolist(), d.lam + mu_squared(d.mu))
 
 
-def _certify_rows(
-    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, dets: np.ndarray
-) -> np.ndarray:
+def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """The check values of :func:`certify` at the roots ``lam`` with signs
     ``eps`` of one validated (n, float mu), one row of six per root, from
     one stacked build (``heun_poly._build_rows``) and one check pass
-    (:func:`_check_rows`); ``dets`` holds the gate's determinant and scale
-    at each root.
+    (:func:`_check_rows`).
 
     Each row is bit for bit that of the root alone.  The four values that
     need c are NaN where lambda + mu**2 does not clear
@@ -441,15 +439,11 @@ def _certify_rows(
     ok = (resid <= heun_poly.SPECTRAL_TOL * norm) & np.isfinite(a).all(axis=1)
     if not ok.any():
         return values
-    rows, master_scale, symmetry_scale = _check_rows(
-        n, mu, lam[ok], eps[ok], a[ok], dets[ok]
-    )
+    rows, master_scale, symmetry_scale = _check_rows(n, mu, lam[ok], eps[ok], a[ok])
     # A row that overflows is not formed: the root alone types it.
     formed = np.isfinite(master_scale) & np.isfinite(rows[:, :2]).all(axis=1)
     formed &= (disc[ok] <= spectral.DISC_MARGIN) | (
-        np.isfinite(symmetry_scale)
-        & np.isfinite(dets[ok, 1])
-        & np.isfinite(rows[:, 2:]).all(axis=1)
+        np.isfinite(symmetry_scale) & np.isfinite(rows[:, 2:]).all(axis=1)
     )
     rows[~formed] = np.nan
     values[ok] = rows
@@ -457,41 +451,51 @@ def _certify_rows(
 
 
 def _check_rows(
-    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, a: np.ndarray, dets: np.ndarray
+    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The check pass of a certification record, on each row of ascending
-    coefficients ``a`` of degree n at mu, with its row's lambda, sign and
-    gate determinant and scale (``dets``, one pair per row).
+    coefficients ``a`` of degree n at mu, with its row's lambda and sign.
 
-    One sample table (:func:`_on_samples`) feeds both readers, and det G+-
-    are the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
+    One sample table (:func:`_on_samples`) feeds both readers.  det G+- are
+    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
     (``spectral._factor_newton_extended``), with c formed in long double as
-    the root polish forms it.  The two determinant checks are
-    ``||det G+ * det G-| - |Delta|| / scale`` and ``min(|det G+|, |det
-    G-|) / scale``, in long double, each rounded once to a double.  Returns
-    the six check values of each row in report order, NaN in the four that
-    need c where lambda + mu**2 does not clear ``spectral.DISC_MARGIN``,
-    and the largest master and reflection summand of each row.  Nothing is
-    typed here: a value or scale that overflows stays infinite or NaN.
+    the root polish forms it, and Delta, with its largest summand, comes
+    from one long-double determinant scan over the rows' lambda
+    (``heun_poly._det_scan``, mu a long double, as the polish runs it).
+    The two determinant checks are ``||det G+ * det G-| - |Delta|| /
+    scale`` and ``min(|det G+|, |det G-|) / scale``, the scale that largest
+    summand floored at 1.  They are formed in the scan's power-of-two
+    frame, each factor taken to its mantissa before the product, so no
+    product leaves the long-double range first, and each is rounded once to
+    a double.  Returns the six check values of each row in report order,
+    NaN in the four that need c where lambda + mu**2 does not clear
+    ``spectral.DISC_MARGIN``, and the largest master and reflection summand
+    of each row.  Nothing is typed here: a value or scale that overflows
+    stays infinite or NaN.
     """
     table = _on_samples(a)
     ld = np.longdouble
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         disc = lam + mu_squared(mu)
         eps_c = eps * np.sqrt(disc)
-        c = np.sqrt(lam.astype(ld) + ld(mu) ** 2)
+        lam_ld, mu_ld = lam.astype(ld), ld(mu)
+        c = np.sqrt(lam_ld + mu_ld**2)
         factors = spectral._factor_newton_extended(n, mu, np.concatenate([-c, c]))[0]
+        det_p, det_m = np.split(factors, 2)
+        delta, _, top, e = heun_poly._det_scan(n, mu_ld, lam_ld)
+        (m_p, e_p), (m_m, e_m) = np.frexp(det_p), np.frexp(det_m)
+        product = np.ldexp(m_p * m_m, e_p + e_m - e)
+        least = np.ldexp(np.minimum(abs(det_p), abs(det_m)), -e)
+        scale = np.fmax(top, np.ldexp(ld(1), -e))
         master, master_scale = _master_rows(n, mu, lam, table)
         symmetry, symmetry_scale = _symmetry_rows(n, mu, eps_c, table)
-        det_p, det_m = factors[: lam.size], factors[lam.size :]
-        delta, scale = dets[:, 0], dets[:, 1]
         rows = np.stack([
             master,
             _rel_max(heun_poly._linear_rows(n, mu, lam, a), a),
             symmetry,
             _rel_max(_coeff_relations(mu, eps_c, a), a),
-            (abs(abs(det_p * det_m) - abs(delta)) / scale).astype(float),
-            (np.minimum(abs(det_p), abs(det_m)) / scale).astype(float),
+            (abs(abs(product) - abs(delta)) / scale).astype(float),
+            (least / scale).astype(float),
         ], axis=1)
     rows[disc <= spectral.DISC_MARGIN, 2:] = np.nan
     return rows, master_scale.max(axis=1), symmetry_scale.max(axis=1)

@@ -5,10 +5,12 @@ the reflection relations.  Two routes below build them from the coefficient
 system alone -- a downward ratio chain and per-coefficient transfer-matrix
 products -- so the tests can cross-check all three.
 
-``heun_poly.spectral_det`` evaluates the determinant by the minor
-recurrence.  The ordered product of 2x2 transfer matrices gives it
-independently (``spectral_det_transfer``, in exact rationals) and, up to a
-nonzero factor, as the scalar ``necessary_condition``.
+``spectral_det`` is the determinant of one triplet and its scale in
+double, read from one minor recurrence (``heun_poly._det_scan``), the scan
+that the spectral gate runs on doubles and the certification pass on long
+doubles.  The ordered product of 2x2 transfer matrices gives the
+determinant independently (``spectral_det_transfer``, in exact rationals)
+and, up to a nonzero factor, as the scalar ``necessary_condition``.
 
 ``spectral._relative_dets`` gates every spectral root in one array
 expression over the determinant scan; ``_refine_ratio`` is the same test one
@@ -93,6 +95,7 @@ import numpy as np
 
 from heun_rsj.dynamics import _grid, _step_maps
 from heun_rsj.errors import HeunRsjError, IndexOutOfRange, InvalidParams
+from heun_rsj.heun_poly import _det_scan
 from heun_rsj.model import (
     DcheParams,
     HeunPolynomial,
@@ -173,10 +176,24 @@ def _transfer_product_times(col: np.ndarray, d: DcheParams, lo: int) -> np.ndarr
     return out
 
 
+def spectral_det(d: DcheParams) -> tuple[float, float]:
+    """Determinant of the coefficient system at d and its scale, in double.
+
+    The determinant is zero iff a polynomial exists; it is a polynomial of
+    exact degree n + 1 in lambda (monic).  The scale is the largest absolute
+    summand met in the recurrence, floored at 1: the natural yardstick for
+    'is this determinant numerically zero'.  Both are the scan's mantissas
+    times ``2**e`` and may saturate to +-inf for large n; signed zeros stay.
+    """
+    det, _, smax, e = _det_scan(d.n, d.mu, np.array([d.lam], dtype=float))
+    with np.errstate(over="ignore"):
+        return np.ldexp(det, e).item(), np.fmax(np.ldexp(smax, e), 1.0).item()
+
+
 def spectral_det_transfer(d: DcheParams) -> float:
     """Determinant through the ordered 2x2 transfer-matrix product.
 
-    Independent of ``heun_poly.spectral_det``: no minor recurrence is shared.
+    Independent of ``spectral_det``: no minor recurrence is shared.
     The product runs in exact rational arithmetic on the float inputs,
     because its entries grow far beyond the determinant and cancel down to
     it: in floating point, (n, mu, lambda) = (12, 1, -1) came out as -32

@@ -13,13 +13,13 @@ import pytest
 from heun_rsj import heun_poly, spectral, structure
 from heun_rsj.dynamics import bias, integrate_phase, integrate_xy, phase_from_xy
 from heun_rsj.errors import ZeroOnUnitCircle
-from heun_rsj.heun_poly import build_polynomial, spectral_det
+from heun_rsj.heun_poly import build_polynomial
 from heun_rsj.model import DcheParams, HeunPolynomial, RsjParams, dche_to_params
 from heun_rsj.spectral import lambda_spectrum
 
 import helpers
 import identities
-from oracles import spectral_det_transfer
+from oracles import spectral_det, spectral_det_transfer
 
 SEED = 20240814
 

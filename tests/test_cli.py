@@ -203,29 +203,19 @@ class TestVerify:
         assert all(c["pass"] for c in doc["checks"])
         assert doc["skipped"] == []
 
-    def test_determinant_overflow_is_typed(self, capsys):
-        # At n = 120 the gate determinant and its scale pass the double
-        # range while det G+ and det G- are about 2e156 each.
-        code, out, err = run_cli(
-            capsys, "verify", "--n", "120", "--mu", "1.3", "--root", "60"
-        )
-        assert code == 1 and out == ""
-        assert err == (
-            "error: InvalidParams: the determinants overflow a double at "
-            "(n=120, mu=1.3)\n"
-        )
-
-    def test_saturated_determinant_scale_is_typed(self, capsys):
-        # At root 1 of (104, 1) the gate determinant is 1.5e297 but its
-        # scale passes the double range: no determinant check is reported.
-        code, out, err = run_cli(
-            capsys, "verify", "--n", "104", "--mu", "1", "--root", "1"
-        )
-        assert code == 1 and out == ""
-        assert err == (
-            "error: InvalidParams: the determinants overflow a double at "
-            "(n=104, mu=1.0)\n"
-        )
+    # At root 60 of (120, 1.3) the double determinant and its scale pass the
+    # double range, and at root 1 of (104, 1) its scale alone: the check
+    # pass scans Delta in long double, so verify reports every check, finite
+    # and bit for bit certify's on the root alone, with the exit code of
+    # its verdict.
+    @pytest.mark.parametrize("n,mu,root", [("120", "1.3", "60"), ("104", "1", "1")])
+    def test_determinant_checks_form(self, capsys, n, mu, root):
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--mu", mu, "--root", root)
+        doc = parse_json(out)
+        assert err == "" and code == (0 if doc["pass"] else 1) and doc["skipped"] == []
+        want, _ = structure.certify(helpers.solution(int(n), float(mu), int(root)))
+        assert [c["value"].hex() for c in doc["checks"]] == [c["value"].hex() for c in want]
+        assert all(math.isfinite(c["value"]) for c in doc["checks"])
 
     def test_low_discriminant_checks_are_skipped(self, capsys):
         # The lowest root at (6, 0.25) sits within 1e-9 of -mu^2, so every
@@ -727,15 +717,20 @@ def _root_calls(command):
 # (det_product_rel and det_min_rel moved at 254 calls) and the
 # factorization_rel and factorization_sign checks left the record; every
 # exit code, every check verdict, lambda and the coefficients stayed the
-# same.  The phase-compare digest was re-recorded when RK4 took q(t + dt) of
-# a step from the next grid node, (i + 1)*dt, instead of i*dt + dt: only
+# same.  The verify digest was re-recorded again when the certification
+# pass took Delta and its scale from a long-double scan instead of the
+# gate's double one: det_product_rel and det_min_rel moved at 254 of the
+# 273 calls, and one verdict flipped, det_product_rel at root 0 of
+# (10, 1.82) from fail to pass (exit 1 -> 0); nothing else moved.  The
+# phase-compare digest was re-recorded when RK4 took q(t + dt) of a step
+# from the next grid node, (i + 1)*dt, instead of i*dt + dt: only
 # max_phase_dev_mod_2pi moved, at the (5, 1.7, 3) call, whose RK4 run
 # drifts off a repelling solution and amplifies the rounding (7.55248e-05
 # -> 7.55262e-05); the closed form and every exit code stayed the same.
 @pytest.mark.parametrize(
     "command,digest",
     [
-        ("verify", "a8314c2e7b4757e57c5137332c7a7a0b4152085dae1d8ffb7bd68548f7f7dc0c"),
+        ("verify", "56a05f1a0224a119f8cb333dbb3149d2cdbbf86fdb367038d83fbc59d7b3edeb"),
         ("poly", "2d69cc9294a94ad295190e607ab323979b331e9efb1114c0de88690807d23782"),
         ("phase-compare",
          "7e7a31128ccb85ee585f454eb7045874b696ff3433e7c5d3b0bfef0ed8ddfd35"),
@@ -753,7 +748,12 @@ def test_golden_root_commands(capsys, command, digest):
 # n <= 16 at three mu (459 calls), recorded before the sample table of
 # certify became one array pass and det G+- a scalar continuant.  A change
 # that only makes certify faster must leave every byte, and this digest, as
-# it is.
+# it is.  Re-recorded once, when the certification pass took Delta and its
+# scale from a long-double scan instead of the gate's double one:
+# det_product_rel and det_min_rel moved at 428 calls, and det_product_rel
+# flipped from fail to pass (exit 1 -> 0) at six roots, (14, 0.25, 14),
+# (15, 0.25, 15), (16, 0.25, 15), (10, 1.82, 0), (15, -0.7, 15) and
+# (16, -0.7, 16); nothing else moved.
 def test_verify_bytes_over_a_grid(capsys):
     h = hashlib.sha256()
     for mu in ("0.25", "1.82", "-0.7"):
@@ -764,7 +764,7 @@ def test_verify_bytes_over_a_grid(capsys):
                 )
                 h.update(f"{code}\n{out}{err}".encode())
     assert h.hexdigest() == (
-        "46613b127ea03afe29877dbdf00a6f560fe675ad494017dac4617123f1aa3eb5"
+        "93f3b7e815560781acfd36aa1fdf456f7d0eb1df7f0f3ef90cfa60e3b4d221eb"
     )
 
 

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from heun_rsj import heun_poly, spectral
 from heun_rsj.errors import IndexOutOfRange, InvalidParams, NotSpectral
-from heun_rsj.heun_poly import (
-    _det_scan,
-    build_polynomial,
-    residual_linear_system,
-    spectral_det,
-)
+from heun_rsj.heun_poly import _det_scan, build_polynomial, residual_linear_system
 from heun_rsj.model import DcheParams, HeunPolynomial
 from heun_rsj.spectral import ROOT_TOL, lambda_spectrum, root_params
 from heun_rsj.structure import SAMPLE_POINTS
@@ -33,6 +28,7 @@ from oracles import (
     linear_rows_loop,
     necessary_condition,
     residual_master,
+    spectral_det,
     spectral_det_transfer,
     transfer_matrix,
 )
@@ -170,7 +166,7 @@ def _ldexp_clamped(m: float, e: int) -> float:
 
 
 def _spectral_det_ldexp(d: DcheParams) -> tuple[float, float]:
-    """:func:`heun_poly.spectral_det` read from the scan one float at a time."""
+    """``oracles.spectral_det`` read from the scan one float at a time."""
     det, _, smax, e = (a[0].item() for a in _det_scan(d.n, d.mu, np.array([d.lam])))
     return _ldexp_clamped(det, e), max(1.0, _ldexp_clamped(smax, e))
 

@@ -20,7 +20,7 @@ from heun_rsj.errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from heun_rsj.heun_poly import _det_scan, spectral_det
+from heun_rsj.heun_poly import _det_scan
 from heun_rsj.model import DcheParams, dche_to_params
 from heun_rsj.spectral import (
     DISC_MARGIN,
@@ -37,6 +37,7 @@ from oracles import (
     _refine_ratio,
     mpmath_root,
     signed_spectrum,
+    spectral_det,
     sturm_counts,
     symmetry_matrix_loop,
 )
@@ -1130,8 +1131,8 @@ def _spy_solves(monkeypatch) -> list:
 
 def _spy_scans(monkeypatch) -> list:
     """Record the size of each determinant scan: the polish's long-double
-    scans and the gate's (``spectral._det_scan``), and ``spectral_det``'s
-    (``heun_poly._det_scan``)."""
+    scans and the gate's (``spectral._det_scan``), and the certification
+    pass's (``heun_poly._det_scan``)."""
     scans, scan = [], heun_poly._det_scan
 
     def spy(n, mu, lam):
@@ -1173,57 +1174,16 @@ class TestRootParams:
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_verifying_every_root_computes_one_spectrum(self, monkeypatch, capsys):
-        # One eigensolve for the 13 roots, the seeds of T, and one
-        # determinant scan, the gate's, which certify reads back; the signs
-        # need none.
+        # One eigensolve for the 13 roots, the seeds of T, and two
+        # determinant scans: the gate's, and the long-double one of the
+        # certification pass over the roots' one chunk; the signs need none.
         seeds = _spy(monkeypatch, "_eigen_seeds")
         solves, scans = _spy_solves(monkeypatch), _spy_scans(monkeypatch)
         for root in range(13):
             cli.main(["verify", "--n", "12", "--mu", "1.82", "--root", str(root)])
         out = capsys.readouterr().out
         assert out.count('"checks"') == 13 and out.count('"det_min_rel"') == 13
-        assert (len(seeds), solves, scans) == (1, [(13, 13)], [13])
-
-    @pytest.mark.usefixtures("fresh_memo")
-    def test_memo_keeps_the_gate_determinants(self):
-        # Each entry holds, in the order of its lambdas, the determinant and
-        # scale that spectral_det gives at each, bit for bit; -0.0 reads the
-        # entry of 0.0.  From n = 103 the scale saturates to inf at root 1.
-        grid = [(n, mu) for mu in _MEMO_MUS for n in range(41)]
-        grid += [(n, mu) for n in (103, 104) for mu in (1.82, 1.0)]
-        for n, mu in grid:
-            for i in range(n + 1):
-                d, _ = root_params(n, mu, i)
-                lambdas, dets, _ = spectral._memo[(n, mu)]
-                want = spectral_det(DcheParams(n=n, mu=mu, lam=lambdas[i]))
-                for got in (tuple(dets[i].tolist()), spectral._gate_det(d)):
-                    assert [x.hex() for x in got] == [x.hex() for x in want], (n, mu, i)
-        assert spectral._memo[(104, 1.0)][1][1, 1] == math.inf
-        # The root of n = 0 is lambda = 0.0; at -0.0 the determinant is -0.0.
-        d = DcheParams(n=0, mu=0.25, lam=-0.0)
-        assert [x.hex() for x in spectral._gate_det(d)] == ["-0x0.0p+0", "0x1.0000000000000p+0"]
-
-    @pytest.mark.usefixtures("fresh_memo")
-    def test_certify_scans_a_triplet_off_the_memo(self, monkeypatch):
-        # A lambda one ulp off a root, and an int mu, are no memoised root:
-        # certify scans them as spectral_det does, computes no spectrum, and
-        # gives the record of a scan, with the memo cold or warm.
-        for n, mu, root, t_mu, nudge in ((12, 1.82, 5, 1.82, 1), (1, 1.0, 1, 1, 0)):
-            d, eps = root_params(n, mu, root)
-            lam = math.nextafter(d.lam, math.inf) if nudge else d.lam
-            poly = heun_poly.build_polynomial(DcheParams(n=n, mu=t_mu, lam=lam), eps)
-            with monkeypatch.context() as m:
-                m.setattr(spectral, "_gate_det", heun_poly.spectral_det)
-                want = structure.certify(poly)
-            assert (n, mu) in spectral._memo
-            for clear in (False, True):
-                if clear:
-                    spectral._memo.clear()
-                with monkeypatch.context() as m:
-                    solves, scans = _spy_solves(m), _spy_scans(m)
-                    assert structure.certify(poly) == want
-                assert (solves, scans) == ([], [1])
-            assert want[1] == [] and want[0][-1]["name"] == "det_min_rel"
+        assert (len(seeds), solves, scans) == (1, [(13, 13)], [13, 13])
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_memo_holds_the_last_used_problems(self, monkeypatch):
@@ -1278,7 +1238,7 @@ class TestRootParams:
                 spectral._memo.clear()
                 for root in order:
                     assert verify(n, mu, root) == cold[root], (n, mu, root)
-            assert len(spectral._memo[(n, float(mu))][2]) == len(
+            assert len(spectral._memo[(n, float(mu))][1]) == len(
                 {structure._chunk(n, root).start for root in range(n + 1)}
             )
 
@@ -1293,7 +1253,7 @@ class TestRootParams:
 
         cold = verify()
         old = spectral._memo[(60, 1.37)]
-        (rows,) = old[2].values()
+        (rows,) = old[1].values()
         rows[:] = 0.0
         for k in range(256):
             root_params(1, 1.0 + k, 0)

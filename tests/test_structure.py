@@ -1,6 +1,7 @@
 """Reflection symmetry, phase recovery, second solutions, orthogonality."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -51,6 +52,7 @@ from oracles import (
     reflected_coeffs_loop,
     residual_master,
     samples_polyval,
+    spectral_det,
     symmetry_residual_points,
 )
 
@@ -190,39 +192,53 @@ class TestSymmetryResiduals:
                 check(fake)
 
 
-    # Middle roots: from n = 119 the gate determinant and its scale pass the
-    # double range; det G+ and det G- are long double and stay finite even
-    # at huge mu (1e402 at (7, 1e100, 3)), where the gate determinant fails
-    # first.
+    # Where the double determinant or its scale passes the double range
+    # (oracles.spectral_det): at the middle roots from n = 119, at root 1
+    # from n = 104, where only the scale saturates, and at huge mu.  The
+    # check pass scans Delta in long double and compares in the scan's
+    # frame, so every check is finite, and certify_root's record is
+    # certify's on the root alone.
     @pytest.mark.parametrize(
         "n,mu,index",
         [
             (119, 0.25, 59), (120, 1.3, 60), (7, 1e100, 3), (300, 1e10, 150),
-            # Only the scale saturates: det_product_rel and det_min_rel
-            # would be an exact 0 that certifies nothing.  At the correctly
-            # rounded root 1 of (103, 1.82) the scale is 1.4e308, still finite.
             (104, 1.82, 1), (104, 1.0, 1),
         ],
     )
-    def test_determinant_overflow_is_typed(self, n, mu, index):
+    def test_determinant_checks_form(self, n, mu, index):
         poly = helpers.solution(n, mu, index)
+        assert spectral_det(poly.params)[1] == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks, skipped = structure.certify(poly)
+        assert skipped == [] and all(math.isfinite(c["value"]) for c in checks)
+        assert _outcome(lambda: structure.certify_root(n, mu, index)) == _alone(n, mu, index)
+
+    def test_long_double_determinant_overflow_is_typed(self):
+        # A hand-made P at (64, 1e150): det G+ and det G- pass the
+        # long-double range (the continuant grows as mu**(n/2), and meets
+        # inf - inf here), while Delta's framed scan and the master and
+        # reflection summands stay finite.
+        d = DcheParams(n=64, mu=1e150, lam=1.0)
+        fake = HeunPolynomial(coeffs=(1.0,) * 65, params=d, epsilon=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
-                InvalidParams, match=rf"determinants overflow a double at \(n={n}, "
+                InvalidParams, match=r"determinants overflow a long double at \(n=64, "
             ):
-                structure.certify(poly)
+                structure.certify(fake)
 
     def test_last_degree_before_the_overflow(self):
         checks, _ = structure.certify(helpers.solution(118, 0.25, 59))
         assert all(math.isfinite(c["value"]) for c in checks)
 
-    # At mu = 1.82 the scale of root 1 stays finite up to n = 103, where it
-    # is 1.4e308 at the correctly rounded root.
+    # At mu = 1.82 the double scale of root 1 (oracles.spectral_det) stays
+    # finite up to n = 103, where it is 1.4e308 at the correctly rounded
+    # root; the checks form on either side of it.
     @pytest.mark.parametrize("n,mu", [(102, 1.82), (103, 1.82), (103, 1.0)])
     def test_last_degree_before_the_scale_saturates(self, n, mu):
         poly = helpers.solution(n, mu, 1)
-        assert math.isfinite(heun_poly.spectral_det(poly.params)[1])
+        assert math.isfinite(spectral_det(poly.params)[1])
         checks, _ = structure.certify(poly)
         assert all(math.isfinite(c["value"]) for c in checks)
 
@@ -250,7 +266,7 @@ class TestDeterminantChecks:
                     roots += 1
                     product += not passed["det_product_rel"]
                     least += not passed["det_min_rel"]
-        assert (roots, product, least) == (4145, 1756, 1)
+        assert (roots, product, least) == (4145, 1484, 1)
 
     # Every root of n <= 12 and of three larger degrees: 1,870 factor values.
     # Over all 8,290 of n <= 40 the largest ratio of error to bound is 0.28.
@@ -293,10 +309,12 @@ class TestDeterminantChecks:
 
 
     def test_certify_runs_one_check_pass(self, monkeypatch):
-        # certify(P) is the chunk's check pass on one row: one sample table
-        # and one call of the array kernel, for det G+ and det G- together.
+        # certify(P) is the chunk's check pass on one row: one sample table,
+        # one call of the array kernel, for det G+ and det G- together, and
+        # one long-double determinant scan, for Delta; no spectrum.
         poly = helpers.solution(8, 1.82, 4)
         lane_values, factors = structure._lane_values, spectral._factor_newton_extended
+        scan, seeds = heun_poly._det_scan, spectral._eigen_seeds
         calls = []
 
         def spy_lanes(polys):
@@ -307,11 +325,23 @@ class TestDeterminantChecks:
             calls.append(("factors", kappa.size))
             return factors(n, mu, kappa)
 
+        def spy_scan(n, mu, lam):
+            calls.append(("scan", lam.size, lam.dtype == np.longdouble))
+            return scan(n, mu, lam)
+
+        def spy_seeds(n, mu):
+            calls.append(("spectrum", n))
+            return seeds(n, mu)
+
         monkeypatch.setattr(structure, "_lane_values", spy_lanes)
         monkeypatch.setattr(spectral, "_factor_newton_extended", spy_factors)
+        monkeypatch.setattr(heun_poly, "_det_scan", spy_scan)
+        monkeypatch.setattr(spectral, "_det_scan", spy_scan)
+        monkeypatch.setattr(spectral, "_eigen_seeds", spy_seeds)
+        spectral._memo.clear()
         _, skipped = structure.certify(poly)
         assert skipped == []
-        assert sorted(calls) == [("factors", 2), ("lanes", 4)]
+        assert sorted(calls) == [("factors", 2), ("lanes", 4), ("scan", 1, True)]
 
     def test_certify_calls_no_determinant(self, monkeypatch, capsys):
         # Every root of two problems verifies with LAPACK's det unreachable.
@@ -535,7 +565,7 @@ def _alone(n, mu, root) -> tuple:
 def _row(n, mu, root) -> np.ndarray:
     """The check values of a root in the memo entry of its spectrum."""
     chunk = structure._chunk(n, root)
-    return spectral._memo[(n, mu)][2][chunk.start][root - chunk.start]
+    return spectral._memo[(n, mu)][1][chunk.start][root - chunk.start]
 
 
 def _refuse_stacks(monkeypatch) -> None:
@@ -576,7 +606,7 @@ class TestCertifyRoot:
     @pytest.mark.parametrize(
         "n,mu,roots",
         [
-            (104, 1.0, range(7)),  # the scale of root 1 saturates
+            (104, 1.0, range(7)),  # the double scale of root 1 saturates
             (104, 1.82, range(7)),
             (2, 0.0, range(3)),  # every root is double
             (2, -0.0, range(3)),
@@ -586,14 +616,34 @@ class TestCertifyRoot:
     )
     def test_refused_roots_raise_as_alone(self, n, mu, roots):
         # A root that certify refuses alone has no row, and raises the same
-        # typed error with the same message.
+        # typed error with the same message.  At n = 104, where the double
+        # determinant's scale refused root 1, every root now forms its row.
         for root in roots:
             want = _alone(n, mu, root)
             assert _outcome(lambda: structure.certify_root(n, mu, root)) == want
-            if isinstance(want[0], str):
-                assert math.isnan(_row(n, mu, root)[0]), (n, mu, root)
-        if n == 104:
-            assert _alone(n, mu, 1)[0] == "InvalidParams"
+            refused = isinstance(want[0], str)
+            assert math.isnan(_row(n, mu, root)[0]) == refused, (n, mu, root)
+            assert not (refused and n == 104), (n, mu, root)
+
+    @pytest.mark.parametrize("n,mu", [(110, 1.82), (130, -0.7)])
+    def test_records_form_past_the_double_determinant(self, n, mu, capsys):
+        # Past n = 103 the double determinant's scale saturated and certify
+        # refused most roots; in long double every 10th root here gives a
+        # record of finite values, from its chunk's row and through verify,
+        # each bit for bit that of certify on the root alone.
+        for root in range(0, n + 1, 10):
+            want = _alone(n, mu, root)
+            assert not isinstance(want[0], str), (n, mu, root, want)
+            assert all(math.isfinite(float.fromhex(v)) for _, v, _, _ in want[0])
+            assert _outcome(lambda: structure.certify_root(n, mu, root)) == want
+            assert not math.isnan(_row(n, mu, root)[0]), (n, mu, root)
+            argv = ["verify", "--n", str(n), "--mu", str(mu), "--root", str(root)]
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            doc = json.loads(out)
+            assert err == "" and code == (0 if doc["pass"] else 1)
+            got = [(c["name"], c["value"].hex(), c["tolerance"], c["pass"]) for c in doc["checks"]]
+            assert got == want[0], (n, mu, root)
 
     def test_eigen_residual_over_the_bound_raises_as_alone(self, monkeypatch):
         # With the eigen-residual bound pulled down into the rounding of the
