@@ -2,11 +2,14 @@
 """Report what the long-double root polish of ``lambda_spectra`` does on a grid.
 
 Every degree n in [0, --n-max] at every --mu goes through one
-``lambda_spectra`` call, with the polish's Newton kernels counted from
-outside: the determinant (``spectral._det_scan``, counted only where it
-scans long doubles, as the polish does; the gate scans doubles) and, where
-the checkout has it, a root's own reflection factor
-(``spectral._factor_newton_extended``).  The report prints
+``lambda_spectra`` call, with the polish's Newton passes counted from
+outside, on the one recurrence ``spectral._continuant``: its matrix
+argument names the determinant (``"T"``, counted only where it scans long
+doubles, as the polish does; the gate scans doubles) or a root's own
+reflection factor (``"J"``).  An older checkout has a kernel of its own
+for each, ``_det_scan`` and ``_factor_newton_extended``, and is counted
+through whichever of the three names it has, so --save works from it.
+The report prints
 
 * the pass histogram: for each Newton pass, the roots that step on the
   determinant (``on_det``) and on their own factor (``on_factor``), and the
@@ -42,7 +45,9 @@ import numpy as np
 from heun_rsj import HeunRsjError, lambda_spectra, spectral
 from heun_rsj.cli import _non_negative_int
 
-_KERNELS = {"det": "_det_scan", "factor": "_factor_newton_extended"}
+# The kernels by name, each with the kind of pass it makes, or None where
+# its first argument, the matrix, names it.
+_KERNELS = {"_continuant": None, "_det_scan": "det", "_factor_newton_extended": "factor"}
 _MUS = [0.25, 1.0, 1.37, 1.82, 2.5, -0.7, 0.01, 7.3]
 # Working digits of the mpmath root; it is bisected to half as many.
 _DPS = 60
@@ -53,15 +58,17 @@ def counted_spectra(grid):
     ``(kind, roots)`` in call order."""
     calls = []
     saved = {}
-    for kind, name in _KERNELS.items():
+    for name, fixed in _KERNELS.items():
         kernel = getattr(spectral, name, None)
         if kernel is None:
             continue
 
-        def spy(n, mu, lam, kernel=kernel, kind=kind):
-            if kind == "factor" or lam.dtype == np.longdouble:
-                calls.append((kind, lam.size))
-            return kernel(n, mu, lam)
+        def spy(*args, kernel=kernel, fixed=fixed, **flags):
+            kind = fixed or ("factor" if args[0] == "J" else "det")
+            x = args[-1]
+            if kind == "factor" or x.dtype == np.longdouble:
+                calls.append((kind, x.size))
+            return kernel(*args, **flags)
 
         saved[name] = kernel
         setattr(spectral, name, spy)

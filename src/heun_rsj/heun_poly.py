@@ -10,15 +10,17 @@ closes into a homogeneous tridiagonal linear system for the coefficients:
     row k:  mu*(n-k+1)*a_{k-1} + (lambda - k*(n+1-k))*a_k + mu*(k+1)*a_{k+1}
     row n:  mu*a_{n-1} + (lambda - n)*a_n
 
-A nontrivial solution exists iff the determinant of that system vanishes;
-``_det_scan`` evaluates it, with its largest summand, by the classic
-three-term minor recurrence on an array of lambda, for the spectral gate and
-polish and for the certification pass.  The coefficients themselves come
-from the reflection relation of the solution (``build_polynomial``): an
-eigenvector of a symmetric Jacobi matrix whose eigenvalue fixes both lambda
-and the reflection sign.  The double determinant of one triplet and the
-exact-rational transfer-matrix product that cross-checks it live with the
-tests, in ``tests/oracles.py``.
+A nontrivial solution exists iff the determinant of that system vanishes.
+The coefficients themselves come from the reflection relation of the
+solution (``build_polynomial``): an eigenvector of a symmetric Jacobi matrix
+J whose eigenvalue fixes both lambda and the reflection sign.  The
+determinant and the two reflection factors det(J -+ c*I) that it splits
+into are continuants, and one framed three-term recurrence,
+``_continuant``, evaluates either on an array of lambda or kappa, with its
+derivative and its largest summand where the caller asks for them: for the
+spectral gate and polish and for the certification pass.  The double
+determinant of one triplet and the exact-rational transfer-matrix product
+that cross-checks it live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -60,97 +62,6 @@ def _by_degree(n, size: int) -> list[tuple[int, int, int]]:
 def _take(index, *values) -> tuple:
     """Each per-element array at ``index``; a shared scalar stays as it is."""
     return tuple(x[index] if isinstance(x, np.ndarray) else x for x in values)
-
-
-def _det_scan(n, mu, lam: np.ndarray):
-    """Leading-minor recurrence with power-of-two renormalisation, per lambda.
-
-    Runs the recurrence on a 1-D array of lambda at once, in lambda's dtype,
-    and returns arrays ``(det, ddet_dlambda, summand_max, e)``; the true
-    values are each entry times ``2**e`` of its own element.  The gate scans
-    doubles; ``spectral``'s root polish and ``structure``'s check pass scan
-    long doubles, with mu passed as a long double so that mu**2 is formed,
-    and cannot overflow, there.
-    ``n`` and ``mu`` are scalars or per-element arrays with the degrees
-    descending: each element runs its own degree's recurrence
-    (:func:`_by_degree`) with exactly the arithmetic of a scalar call, up to
-    its frame.
-    Whenever a frame test finds the binary exponent of an element's largest
-    magnitude past +-300, that element's four recurrence values and its
-    summand maximum are scaled by the same power of two (the others by
-    exactly 1), which keeps Newton ratios exact and prevents overflow for
-    large n.  A step multiplies that largest magnitude by at most
-    ``g = max|lam| + (1 + max mu**2) * (max n + 1)**2 / 4 + 1``, and it is
-    below 2**301 at the start (where g bounds it) and after every test, so
-    the test runs only every ``(emax - 301 - 2) / log2(g)`` steps, and at
-    each degree's last step, with emax the largest binary exponent of
-    lambda's dtype (1023 for a double, 16383 for x87 long double): in
-    between no element can pass 2**(emax - 2).
-    Frames are exact, so ``det * 2**e``, ``ddet * 2**e`` and
-    ``summand_max * 2**e`` are bit for bit those of a test at every step,
-    which the scan still makes where g is 2**300 or more, or not finite, and
-    where mu**2 is below 2**-300 (see below).
-    """
-    runs = _by_degree(n, lam.size)
-    prev2, prev = np.ones_like(lam), lam  # D_{-1}, D_0
-    dprev2, dprev = np.zeros_like(lam), np.ones_like(lam)  # their lambda-derivatives
-    smax = np.abs(lam)
-    e = np.zeros(lam.shape, dtype=np.int64)
-    one = lam.dtype.type(1)
-    n1, mu2 = n + 1, mu * mu
-    # The growth bound g of the docstring.  Where some mu**2 is below
-    # 2**-300 (mu = 0 among them) the frame is tested at every step: as
-    # mu**2 -> 0 the roots pair up and the recurrence carries values 2**-600
-    # and more below its largest, which frames set a few steps apart can
-    # round to different subnormals.
-    top = max((d for d, _, _ in runs), default=0)  # the largest degree
-    g = float(np.max(smax, initial=0.0)) + 1.0
-    g += (1.0 + float(np.max(mu2))) * (top + 1) ** 2 / 4
-    every = 1
-    if g < 2.0**300 and float(np.min(mu2)) >= 2.0**-300:  # a NaN g fails too
-        every = int((np.finfo(lam.dtype).maxexp - 1 - 301 - 2) / math.log2(g))
-    done, step = [], 0
-    for d, k, c in runs:
-        if k < lam.size:
-            lam, prev2, prev, dprev2, dprev, smax, e, n1, mu2 = _take(
-                slice(k), lam, prev2, prev, dprev2, dprev, smax, e, n1, mu2
-            )
-        for j in range(step + 1, d + 1):
-            r = n1 - j  # dj, cj: j*(n+1-j) and mu2*j*(n-j+1), as in a scalar call
-            dj = lam - j * r
-            cj = mu2 * j * r
-            t1 = dj * prev
-            t2 = cj * prev2
-            cur = t1 - t2
-            dcur = dj * dprev + prev - cj * dprev2
-            smax = np.fmax(np.fmax(smax, np.abs(t1)), np.abs(t2))
-            prev2, prev = prev, cur
-            dprev2, dprev = dprev, dcur
-            if (j - step) % every and j < d:
-                continue
-            m = np.maximum(
-                np.maximum(np.abs(prev), np.abs(prev2)),
-                np.maximum(np.maximum(np.abs(dprev), np.abs(dprev2)), smax),
-            )
-            ex = np.frexp(m)[1]
-            far = np.abs(ex) > 300
-            if far.any():
-                # At a double root (mu = 0) the recurrence values all reach
-                # exactly zero while earlier frames shrank the summand maximum
-                # to a subnormal; a shift of 2**-ex past the smallest normal
-                # exponent could overflow.  The shift is taken in lambda's
-                # dtype: a long-double exponent passes the double range.
-                ex = np.maximum(ex, np.finfo(lam.dtype).minexp)
-                s = np.where(far, np.ldexp(one, -ex), one)
-                prev2, prev, dprev2, dprev = prev2 * s, prev * s, dprev2 * s, dprev * s
-                smax = smax * s
-                e += np.where(far, ex, 0)
-        done.append((prev[k - c:], dprev[k - c:], smax[k - c:], e[k - c:]))
-        step = d
-    if len(done) == 1:
-        return done[0]
-    # The runs end in ascending degree, so their blocks come in reverse order.
-    return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 
 
 def residual_linear_system(P: HeunPolynomial) -> np.ndarray:
@@ -199,6 +110,133 @@ def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.nd
     diag[-1] = -(n + 1) / 2 if n % 2 else mu
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return jac, order, log_d
+
+
+def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=False):
+    """Determinant of T or J by its three-term recurrence, with power-of-two
+    frames, per x, in x's dtype.
+
+    ``matrix="T"`` is the coefficient system, ``det(x*I - T)`` at x =
+    lambda, by the leading minors ``p_j = alpha_j*p_{j-1} - beta_j*p_{j-2}``
+    with ``alpha_j = x - j*(n+1-j)`` and ``beta_j = mu**2*j*(n+1-j)``.
+    ``"J"`` is a reflection factor, ``det(J - x*I)`` at x = kappa
+    (:func:`_reflection_jacobi`): ``alpha_j = -x``, beta_j the squared
+    off-diagonals (mu**2 and (i+1)*(n-i) in turn), and the last diagonal
+    entry a_n (mu for even n, -(n+1)/2 for odd n) closes each degree as
+    ``p_n + a_n*p_{n-1}``.  mu is taken to x's dtype, so mu**2 is formed,
+    and cannot overflow, in long double.  ``n`` and ``mu`` are scalars or
+    per-element arrays with the degrees descending: each element runs its
+    own degree's recurrence (:func:`_by_degree`) with the arithmetic of a
+    scalar call, up to its frame.
+    Returns arrays ``(det, ddet_dx, summand_max, e)``, each entry times
+    ``2**e`` of its element.  The derivative is formed with ``derivative``,
+    the largest |x|, |alpha_j*p_{j-1}|, |beta_j*p_{j-2}| (and |a_n*p_{n-1}|)
+    with ``summand``, and each is None otherwise.  The gate scans T in
+    double with both; the polish T and J in long double with the
+    derivative; the certification pass T with the summand maximum and J
+    with neither.
+    A step multiplies the largest magnitude of an element's formed values
+    by at most ``g = max|x| + (1 + max mu**2)*(max n + 1)**2/4 + 1``, plus
+    max|a_n| for J.  After a frame test (:func:`_framed`) it is below
+    2**301, so every element is tested every ``(emax - 301 - 2)/log2(g)``
+    steps, emax the largest binary exponent of x's dtype (1023 for a double,
+    16383 for x87 long double), and no element passes 2**(emax - 2) in
+    between; each degree's elements are also tested at its last step.
+    Frames are exact, so each value times ``2**e`` is bit for bit that of a
+    test at every step, which the recurrence still makes where g is 2**300
+    or more, or not finite, and where mu**2 is below 2**-300 (see below).
+    """
+    jacobi = matrix == "J"
+    runs = _by_degree(n, x.size)
+    mu = x.dtype.type(mu)
+    n1, mu2, last = n + 1, mu * mu, None
+    # The growth bound g of the docstring.  Where some mu**2 is below
+    # 2**-300 (mu = 0 among them) the frame is tested at every step: as
+    # mu**2 -> 0 the roots pair up and the recurrence carries values 2**-600
+    # and more below its largest, which frames set a few steps apart can
+    # round to different subnormals.
+    top = max((d for d, _, _ in runs), default=0)  # the largest degree
+    g = float(np.max(np.abs(x), initial=0.0)) + 1.0
+    g += (1.0 + float(np.max(mu2))) * (top + 1) ** 2 / 4
+    if jacobi:
+        last = np.where(n % 2 == 1, -n1 / 2, mu)[()]
+        g += float(np.max(np.abs(last)))
+        x = -x  # alpha_j up to the closing entry
+    every = 1
+    if g < 2.0**300 and float(np.min(mu2)) >= 2.0**-300:  # a NaN g fails too
+        every = int((np.finfo(x.dtype).maxexp - 1 - 301 - 2) / math.log2(g))
+    prev2, prev = np.ones_like(x), x  # p_{-1}, p_0
+    dprev2 = dprev = None  # their x-derivatives
+    if derivative:
+        dprev2, dprev = np.zeros_like(x), np.full_like(x, -1 if jacobi else 1)
+    smax = np.abs(x) if summand else None
+    e = np.zeros(x.shape, dtype=np.int64)
+    done, step = [], 0
+    for d, k, c in runs:
+        if k < x.size:
+            x, prev2, prev, dprev2, dprev, smax, e, n1, mu2, last = _take(
+                slice(k), x, prev2, prev, dprev2, dprev, smax, e, n1, mu2, last
+            )
+        for j in range(step + 1, d + 1):
+            if jacobi:  # b_{j-1}**2, an exact integer for even j
+                alpha, beta = x, mu2 if j % 2 else (j // 2) * (n1 - j // 2)
+            else:  # as in a scalar call
+                r = n1 - j
+                alpha, beta = x - j * r, mu2 * j * r
+            t1 = alpha * prev
+            t2 = beta * prev2
+            if derivative:
+                da = alpha * dprev
+                dcur = (da - prev if jacobi else da + prev) - beta * dprev2
+                dprev2, dprev = dprev, dcur
+            if summand:
+                smax = np.fmax(np.fmax(smax, np.abs(t1)), np.abs(t2))
+            prev2, prev = prev, t1 - t2
+            if j % every == 0:
+                (prev2, prev, dprev2, dprev, smax), e = _framed(
+                    (prev2, prev, dprev2, dprev, smax), e
+                )
+        end = slice(k - c, k)  # the elements of degree d
+        (p2, p, dp2, dp, sm), frame = _framed(
+            _take(end, prev2, prev, dprev2, dprev, smax), e[end]
+        )
+        if jacobi:  # the closing entry
+            (a,) = _take(end, last)
+            closing = a * p2
+            p = p + closing
+            if derivative:
+                dp = dp + a * dp2
+            if summand:
+                sm = np.fmax(sm, np.abs(closing))
+        done.append((p, dp, sm, frame))
+        step = d
+    if len(done) == 1:
+        return done[0]
+    # The runs end in ascending degree, so their blocks come in reverse order.
+    return tuple(None if b[0] is None else np.concatenate(b[::-1]) for b in zip(*done))
+
+
+def _framed(values: tuple, e: np.ndarray) -> tuple:
+    """A frame test of :func:`_continuant`: each element whose largest
+    magnitude among ``values`` (None stays None) has a binary exponent past
+    +-300 has them scaled by the power of two that brings it to [1/2, 1),
+    which its frame ``e`` takes up."""
+    m = None
+    for v in values:
+        if v is not None:
+            m = np.abs(v) if m is None else np.maximum(m, np.abs(v))
+    ex = np.frexp(m)[1]  # 0 for a NaN or an infinity
+    far = np.abs(ex) > 300
+    if not far.any():
+        return values, e
+    # At a double root (mu = 0) the values all reach exactly zero while
+    # earlier frames shrank the summand maximum to a subnormal: a shift past
+    # the smallest normal exponent could overflow.  It is taken in the
+    # values' dtype, as a long-double exponent passes the double range.
+    one = m.dtype.type(1)
+    ex = np.maximum(ex, np.finfo(m.dtype).minexp)
+    s = np.where(far, np.ldexp(one, -ex), one)
+    return tuple(v if v is None else v * s for v in values), e + np.where(far, ex, 0)
 
 
 def _build_rows(n: int, mu: float, kappa: np.ndarray) -> tuple:

@@ -13,10 +13,10 @@ spectrum costs O(n) numpy calls per Newton pass.  A root whose |seed| is
 at least mu**2/128 steps in kappa on its own reflection factor (below) from
 the first pass, with lambda = kappa**2 - mu**2 carried beside kappa, and
 every other root, near lambda = 0, on the determinant, by the gate's own
-framed scan (:func:`heun_poly._det_scan`) run in long double.  Each root
-keeps its own Newton state, and a root whose step goes wrong falls back to
-its seed without disturbing the others; one array scan of the determinant
-in double then gates every returned root.
+framed recurrence (:func:`heun_poly._continuant` on T) in long double.
+Each root keeps its own Newton state, and a root whose step goes wrong
+falls back to its seed without disturbing the others; one array scan of
+the determinant in double then gates every returned root.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 G+ and G- (one per sign) with ``G+ G- = -Phi^T`` for the coefficient matrix
@@ -25,14 +25,15 @@ oracles), so the determinant splits into the two factors det G+ and det G-,
 and every spectral lambda kills one of them.  Each factor is a continuant
 of the Jacobi form J of the reflection relations, ``det G_eps = det(J +
 eps*c*I)``, evaluated in extended precision with its derivative on
-arrays by :func:`_factor_newton_extended`.  The polish reads it, and so
-does ``structure``'s certification pass, at ``kappa = -+c``, beside the
-determinant of its own long-double scan.  The sign of
-the factor that a root kills names the root together with lambda.  The
-signs alternate along the ascending spectrum, so ``root_params`` reads a
-root's sign from its index alone (the proof is in its docstring), and the
-two roots of a near-degenerate pair kill different factors: on its own
-factor, a pair root is a simple zero, and Newton converges quadratically.
+arrays by the same framed recurrence (:func:`heun_poly._continuant` on J).
+The polish reads it, and so does ``structure``'s certification pass, value
+only, at ``kappa = -+c``, beside the determinant of its own long-double
+scan.  The sign of the factor that a root kills names the root together
+with lambda.  The signs alternate along the ascending spectrum, so
+``root_params`` reads a root's sign from its index alone (the proof is in
+its docstring), and the two roots of a near-degenerate pair kill different
+factors: on its own factor, a pair root is a simple zero, and Newton
+converges quadratically.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, IndexOutOfRange, InvalidParams
 from .dynamics import _MAX_SAMPLES
-from .heun_poly import _by_degree, _det_scan, _take
+from .heun_poly import _continuant, _take
 from .model import DcheParams, finite_real, mu_squared
 
 __all__ = [
@@ -92,9 +93,9 @@ class SpectralSet:
 def _relative_dets(lam, det, ddet, smax, e) -> np.ndarray:
     """|det| over the local determinant scale of every root, in log2 space.
 
-    The arguments are per-root arrays: the roots and their scan
-    (:func:`heun_poly._det_scan`).  The scale is the largest of 1, the
-    recurrence's largest summand, and the first-variation magnitude
+    The arguments are per-root arrays: the roots and their full scan
+    (:func:`heun_poly._continuant` on T).  The scale is the largest of 1,
+    the recurrence's largest summand, and the first-variation magnitude
     |lam * d(det)/d(lam)|.  The variation term makes the criterion a
     *relative root-location* test: at a polished simple root the smallest
     representable |det| is about |ddet| * ulp(lam), which can dwarf
@@ -192,7 +193,8 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
     lams = _polish_extended(n, mu, seeds)
     # A root whose scan overflows misses the gate: no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = _relative_dets(lams, *_det_scan(n, mu, lams))
+        scan = _continuant("T", n, mu, lams, derivative=True, summand=True)
+        ratios = _relative_dets(lams, *scan)
     start = dict(zip(order, itertools.accumulate(sizes, initial=0)))
     spectra = []
     for p, (n_, mu_, seeds) in enumerate(run):
@@ -229,51 +231,6 @@ def _eigen_seeds(n: int, mu: float) -> np.ndarray:
     if not math.isfinite(max(off, default=0.0)):
         raise InvalidParams(f"mu = {mu!r} overflows the eigenproblem at n = {n}")
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
-
-
-def _factor_newton_extended(n, mu, kappa: np.ndarray):
-    """Reflection factor ``det(J - kappa*I)`` and its kappa-derivative in
-    extended precision, per kappa.
-
-    J is the Jacobi form of the reflection relations
-    (:func:`heun_poly._reflection_jacobi`): its diagonal is zero but for the
-    last entry (mu for even n, -(n+1)/2 for odd n), and its squared
-    off-diagonals are mu**2 and (i+1)*(n-i) in turn.  The continuant runs
-    with a zero diagonal, and the last entry enters once at each element's
-    end: ``det = p_n + a_n * p_{n-1}``.  ``n`` and ``mu`` are scalars or
-    per-element arrays with the degrees descending, laid out by
-    :func:`heun_poly._by_degree` as in :func:`heun_poly._det_scan`.
-    """
-    ld = np.longdouble
-    runs = _by_degree(n, kappa.size)
-    m = ld(mu)
-    n1, mu2 = n + 1, m * m
-    last = np.where(n % 2 == 1, -n1 / 2, m)[()]
-    minus = -kappa
-    prev2, prev = np.ones_like(kappa), minus  # p_{-1}, p_0
-    dprev2, dprev = np.zeros_like(kappa), np.full_like(kappa, -1)
-    done, step = [], 0
-    for d, k, c in runs:
-        if k < kappa.size:
-            minus, prev2, prev, dprev2, dprev, n1, mu2, last = _take(
-                slice(k), minus, prev2, prev, dprev2, dprev, n1, mu2, last
-            )
-        for j in range(step + 1, d + 1):
-            # The squared off-diagonal b_{j-1}**2, an exact integer for even j.
-            b2 = mu2 if j % 2 else (j // 2) * (n1 - j // 2)
-            cur = minus * prev - b2 * prev2
-            dcur = minus * dprev - prev - b2 * dprev2
-            prev2, prev = prev, cur
-            dprev2, dprev = dprev, dcur
-        ending = slice(k - c, k)
-        (a,) = _take(ending, last)
-        done.append(
-            (prev[ending] + a * prev2[ending], dprev[ending] + a * dprev2[ending])
-        )
-        step = d
-    if len(done) == 1:
-        return done[0]
-    return tuple(np.concatenate(blocks[::-1]) for blocks in zip(*done))
 
 
 def _root_signs(n, mu, index):
@@ -370,9 +327,9 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     (:func:`root_params`).  Where two roots are closer than the seed's
     error, a near-degenerate pair, the determinant has a double zero to
     working precision and Newton on it converges only linearly, but each
-    root is still a simple zero of its own factor
-    (:func:`_factor_newton_extended`), where Newton converges
-    quadratically.  So:
+    root is still a simple zero of its own factor det(J - kappa*I), where
+    Newton converges quadratically.  Both are :func:`heun_poly._continuant`
+    with its derivative, on T and on J.  So:
 
     * a root whose |seed| is at least mu**2/128 (``_KAPPA_COVER``) steps
       in kappa on its own factor, from ``kappa = -epsilon*sqrt(max(seed +
@@ -388,11 +345,11 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     * every other root steps on the determinant: a seed within mu**2/128
       of lambda = 0, where kappa**2 - mu**2 would cancel more than seven
       bits.  Once |mu| is large against n that is every root, as |lambda|
-      is then at most about n*|mu|.  The kernel is the gate's scan
-      (:func:`heun_poly._det_scan`) on long-double lambda and mu; its
-      power-of-two frames hold a determinant whose powers of mu**2 pass
-      the long-double range, and det and its derivative share a frame, so
-      the Newton step is frame-free.
+      is then at most about n*|mu|.  The kernel is the gate's recurrence
+      on long-double lambda; its power-of-two frames hold a determinant
+      whose powers of mu**2 pass the long-double range, and det and its
+      derivative share a frame, so the Newton step is frame-free, as is
+      the factor's.
 
     A root stops once its step is at most ``_STEP_STOP`` of a double ulp,
     1/256; at most ``_PASSES`` passes run.  A factor root also stops once
@@ -448,14 +405,14 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
             if live.size:
                 at = cur[live]
                 n_, mu_ = _take(live, n, mu)
-                det, ddet, _, _ = _det_scan(n_, ld(mu_), at)
+                det, ddet, _, _ = _continuant("T", n_, mu_, at, derivative=True)
                 ok = np.isfinite(det) & np.isfinite(ddet) & (ddet != 0)
                 step = det / np.where(ok, ddet, 1)
                 live = live[advance(live, at, at - step, np.abs(step), ok, np.inf)]
             if factor.size:
                 at = cur[factor]
                 n_, mu_ = _take(factor, n, mu)
-                g, dg = _factor_newton_extended(n_, mu_, kappa)
+                g, dg, _, _ = _continuant("J", n_, mu_, kappa, derivative=True)
                 # The step d in kappa moves lambda = kappa**2 - mu**2 by
                 # d*(2*kappa - d), exactly; lambda takes that step beside
                 # kappa rather than being formed from the rounded kappa.

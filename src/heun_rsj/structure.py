@@ -23,10 +23,10 @@ decays doubly exponentially, and the trapezoid rule converges exponentially.
 
 ``certify`` collects every residual that vouches for a polynomial solution
 into one record of checks run and checks skipped.  Two of them compare the
-reflection factors det G+ and det G- (``spectral``) with the determinant
-Delta of the coefficient system (``heun_poly``), whose vanishing is the
-spectral condition: all three in long double, Delta from a framed scan,
-compared in that scan's power-of-two frame.
+reflection factors det G+ and det G- with the determinant Delta of the
+coefficient system, whose vanishing is the spectral condition: all three
+in long double, from the one framed recurrence of ``heun_poly``, compared
+in Delta's power-of-two frame.
 """
 
 from __future__ import annotations
@@ -373,8 +373,9 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     where mu**2 overflows a double, where the master equation overflows
     (:func:`residuals`), where the reflection relation overflows (z**n at
     z = 2 from n = 1024 on, or a value of P), and where a determinant check
-    is NaN or infinite, as where det G+ or det G- passes the long-double
-    range.
+    is NaN or infinite: where the product of det G+ and det G- passes
+    Delta's frame by more than the double range, or where long double is
+    plain double and a framed value overflows within one step.
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
@@ -385,9 +386,7 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     if disc > spectral.DISC_MARGIN:
         _refuse_overflow(symmetry_scale, "reflection relation", d.n, d.mu)
         if not np.isfinite(values[0, 4:]).all():
-            raise InvalidParams(
-                f"the determinants overflow a long double at (n={d.n}, mu={d.mu})"
-            )
+            raise InvalidParams(f"a determinant check overflows at (n={d.n}, mu={d.mu})")
     return _record(values[0].tolist(), disc)
 
 
@@ -457,18 +456,17 @@ def _check_rows(
     coefficients ``a`` of degree n at mu, with its row's lambda and sign.
 
     One sample table (:func:`_on_samples`) feeds both readers.  det G+- are
-    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``
-    (``spectral._factor_newton_extended``), with c formed in long double as
-    the root polish forms it, and Delta, with its largest summand, comes
-    from one long-double determinant scan over the rows' lambda
-    (``heun_poly._det_scan``, mu a long double, as the polish runs it).
+    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``, with c
+    formed in long double as the root polish forms it, and Delta, with its
+    largest summand, is the determinant over the rows' lambda: each from
+    one long-double call of ``heun_poly._continuant``, with no derivative.
     The two determinant checks are ``||det G+ * det G-| - |Delta|| /
     scale`` and ``min(|det G+|, |det G-|) / scale``, the scale that largest
-    summand floored at 1.  They are formed in the scan's power-of-two
-    frame, each factor taken to its mantissa before the product, so no
-    product leaves the long-double range first, and each is rounded once to
-    a double.  Returns the six check values of each row in report order,
-    NaN in the four that need c where lambda + mu**2 does not clear
+    summand floored at 1.  They are formed in Delta's power-of-two frame,
+    each factor taken to its mantissa and its own frame before the product,
+    so no product leaves the long-double range first, and each is rounded
+    once to a double.  Returns the six check values of each row in report
+    order, NaN in the four that need c where lambda + mu**2 does not clear
     ``spectral.DISC_MARGIN``, and the largest master and reflection summand
     of each row.  Nothing is typed here: a value or scale that overflows
     stays infinite or NaN.
@@ -478,14 +476,14 @@ def _check_rows(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         disc = lam + mu_squared(mu)
         eps_c = eps * np.sqrt(disc)
-        lam_ld, mu_ld = lam.astype(ld), ld(mu)
-        c = np.sqrt(lam_ld + mu_ld**2)
-        factors = spectral._factor_newton_extended(n, mu, np.concatenate([-c, c]))[0]
-        det_p, det_m = np.split(factors, 2)
-        delta, _, top, e = heun_poly._det_scan(n, mu_ld, lam_ld)
-        (m_p, e_p), (m_m, e_m) = np.frexp(det_p), np.frexp(det_m)
+        lam_ld = lam.astype(ld)
+        c = np.sqrt(lam_ld + ld(mu) ** 2)
+        factors, _, _, frames = heun_poly._continuant("J", n, mu, np.concatenate([-c, c]))
+        mantissas, exponents = np.frexp(factors)
+        (m_p, m_m), (e_p, e_m) = np.split(mantissas, 2), np.split(exponents + frames, 2)
+        delta, _, top, e = heun_poly._continuant("T", n, mu, lam_ld, summand=True)
         product = np.ldexp(m_p * m_m, e_p + e_m - e)
-        least = np.ldexp(np.minimum(abs(det_p), abs(det_m)), -e)
+        least = np.minimum(np.ldexp(abs(m_p), e_p - e), np.ldexp(abs(m_m), e_m - e))
         scale = np.fmax(top, np.ldexp(ld(1), -e))
         master, master_scale = _master_rows(n, mu, lam, table)
         symmetry, symmetry_scale = _symmetry_rows(n, mu, eps_c, table)

@@ -117,19 +117,45 @@ def master_jet_residual(
     return abs(sum(terms)), max(abs(t) for t in terms)
 
 
+def gate_scan(n, mu, lam: np.ndarray) -> tuple:
+    """The determinant recurrence (``heun_poly._continuant`` on T) with its
+    derivative and its summand maximum, as the spectral gate runs it."""
+    return heun_poly._continuant("T", n, mu, lam, derivative=True, summand=True)
+
+
 def scaled_scan(scan) -> tuple:
-    """``det``, ``ddet`` and ``summand_max`` of a determinant scan
-    (``heun_poly._det_scan``), each times ``2**e``: what no choice of
-    power-of-two frames can change."""
-    det, ddet, smax, e = scan
+    """The value, derivative and summand maximum of a framed recurrence
+    (``heun_poly._continuant``), each times ``2**e``: what no choice of
+    power-of-two frames can change.  A value that the mode does not form
+    stays None."""
+    *values, e = scan
     with np.errstate(over="ignore"):
-        return tuple(np.ldexp(x, np.asarray(e, dtype=np.int64)) for x in (det, ddet, smax))
+        return tuple(
+            None if x is None else np.ldexp(x, np.asarray(e, dtype=np.int64))
+            for x in values
+        )
 
 
 def reflection_dets(d: DcheParams) -> np.ndarray:
     """det G+ and det G- of d in long double: the package's reflection-factor
-    kernel ``det(J - kappa*I)`` at ``kappa = -c`` and ``+c``, with c formed
-    as ``structure.certify`` forms it."""
+    recurrence ``det(J - kappa*I)`` at ``kappa = -c`` and ``+c``, with c
+    formed as ``structure.certify`` forms it, times its frame."""
     ld = np.longdouble
     c = np.sqrt(ld(d.lam) + ld(d.mu) ** 2)
-    return spectral._factor_newton_extended(d.n, d.mu, np.array([-c, c]))[0]
+    return scaled_scan(heun_poly._continuant("J", d.n, d.mu, np.array([-c, c])))[0]
+
+
+def same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape, values, signs of zero and NaN positions.
+
+    For float64 this is bit identity up to NaN payloads; for longdouble it
+    also skips the padding bytes that ``tobytes`` would compare.
+    """
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and bool(np.all(
+            ((a == b) & (np.signbit(a) == np.signbit(b)))
+            | (np.isnan(a) & np.isnan(b))
+        ))
+    )

@@ -6,11 +6,12 @@ system alone -- a downward ratio chain and per-coefficient transfer-matrix
 products -- so the tests can cross-check all three.
 
 ``spectral_det`` is the determinant of one triplet and its scale in
-double, read from one minor recurrence (``heun_poly._det_scan``), the scan
-that the spectral gate runs on doubles and the certification pass on long
-doubles.  The ordered product of 2x2 transfer matrices gives the
-determinant independently (``spectral_det_transfer``, in exact rationals)
-and, up to a nonzero factor, as the scalar ``necessary_condition``.
+double, read from one minor recurrence (``heun_poly._continuant`` on T,
+with the derivative and the summand maximum), the scan that the spectral
+gate runs on doubles; the certification pass runs it on long doubles.
+The ordered product of 2x2 transfer matrices gives the determinant
+independently (``spectral_det_transfer``, in exact rationals) and, up to a
+nonzero factor, as the scalar ``necessary_condition``.
 
 ``spectral._relative_dets`` gates every spectral root in one array
 expression over the determinant scan; ``_refine_ratio`` is the same test one
@@ -33,12 +34,14 @@ again from the relation at the one point z = 1.  ``root_params`` reads each
 (n, mu) spectrum from a memo; ``signed_spectrum`` computes it afresh, with
 the mpmath signs, and the two must match bit for bit.
 
-``spectral._factor_newton_extended`` evaluates both reflection factors
-det G+- on arrays of kappa, with their kappa-derivatives, for the polish and
-the certification pass alike; ``reflection_dets_loop`` is the same
-continuant on long-double scalars, without derivatives, and the two must
-match bit for bit, overflows included.  ``reflection_factor_mp`` is the
-continuant in mpmath, at the exact kappa.
+``heun_poly._continuant`` on J evaluates both reflection factors det G+-
+on arrays of kappa, with power-of-two frames, with their kappa-derivatives
+for the polish and without for the certification pass;
+``reflection_dets_loop`` is the same continuant on long-double scalars,
+without derivatives and with a frame test at every step, and the two must
+match bit for bit once each applies its frame, overflows and underflows
+included.  ``reflection_factor_mp`` is the continuant in mpmath, at the
+exact kappa.
 
 ``spectral.lambda_spectra`` gates each root on the determinant, which does
 not say which root it is.  ``sturm_counts`` counts the eigenvalues of the
@@ -95,7 +98,6 @@ import numpy as np
 
 from heun_rsj.dynamics import _grid, _step_maps
 from heun_rsj.errors import HeunRsjError, IndexOutOfRange, InvalidParams
-from heun_rsj.heun_poly import _det_scan
 from heun_rsj.model import (
     DcheParams,
     HeunPolynomial,
@@ -107,7 +109,7 @@ from heun_rsj.serialize import fmt_float
 from heun_rsj.spectral import lambda_spectrum
 from heun_rsj.structure import SAMPLE_POINTS
 
-from helpers import deriv2
+from helpers import deriv2, gate_scan
 
 
 class DegreeZeroUnsupported(HeunRsjError):
@@ -185,7 +187,7 @@ def spectral_det(d: DcheParams) -> tuple[float, float]:
     'is this determinant numerically zero'.  Both are the scan's mantissas
     times ``2**e`` and may saturate to +-inf for large n; signed zeros stay.
     """
-    det, _, smax, e = _det_scan(d.n, d.mu, np.array([d.lam], dtype=float))
+    det, _, smax, e = gate_scan(d.n, d.mu, np.array([d.lam], dtype=float))
     with np.errstate(over="ignore"):
         return np.ldexp(det, e).item(), np.fmax(np.ldexp(smax, e), 1.0).item()
 
@@ -369,20 +371,28 @@ def reflection_factor_mp(n: int, mu: float, kappa, dps: int = 60) -> tuple:
 def reflection_dets_loop(n: int, mu: float, c: np.longdouble) -> tuple:
     """``det(J + c*I)`` and ``det(J - c*I)``, the factors det G+ and det G-,
     at one degree n and a long-double c: the values of
-    ``spectral._factor_newton_extended`` at ``kappa = [-c, c]``, bit for
-    bit, by its operations on long-double scalars and without its
-    derivatives."""
+    ``heun_poly._continuant("J", n, mu, [-c, c])`` times its frame, bit for
+    bit, by its operations on long-double scalars, with a frame test at
+    every step as in ``tests/test_heun_poly.py``'s loop for T, and without
+    its derivatives.  Each value is formed as a long-double mantissa and a
+    power of two, which saturates to a signed infinity, or to a signed
+    zero, only once the two are joined."""
     ld = np.longdouble
     m = ld(mu)
     n1, mu2 = n + 1, m * m
     last = ld(-n1 / 2) if n % 2 == 1 else m
-    minus_p, minus_m = c, -c  # -kappa
-    prev2_p, prev_p, prev2_m, prev_m = ld(1), minus_p, ld(1), minus_m
-    for j in range(1, n + 1):
-        b2 = mu2 if j % 2 else (j // 2) * (n1 - j // 2)
-        prev2_p, prev_p = prev_p, minus_p * prev_p - b2 * prev2_p
-        prev2_m, prev_m = prev_m, minus_m * prev_m - b2 * prev2_m
-    return prev_p + last * prev2_p, prev_m + last * prev2_m
+    dets = []
+    for minus in (c, -c):  # -kappa
+        prev2, prev, e = ld(1), minus, 0
+        for j in range(1, n + 1):
+            b2 = mu2 if j % 2 else (j // 2) * (n1 - j // 2)
+            prev2, prev = prev, minus * prev - b2 * prev2
+            ex = max(int(np.frexp(max(abs(prev), abs(prev2)))[1]), np.finfo(ld).minexp)
+            if abs(ex) > 300:
+                s = np.ldexp(ld(1), -ex)
+                prev2, prev, e = prev2 * s, prev * s, e + ex
+        dets.append(np.ldexp(prev + last * prev2, e))
+    return tuple(dets)
 
 
 def sturm_counts(n: int, mu: float, x: np.ndarray) -> np.ndarray:

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from heun_rsj import heun_poly, spectral
 from heun_rsj.errors import IndexOutOfRange, InvalidParams, NotSpectral
-from heun_rsj.heun_poly import _det_scan, build_polynomial, residual_linear_system
+from heun_rsj.heun_poly import _continuant, build_polynomial, residual_linear_system
 from heun_rsj.model import DcheParams, HeunPolynomial
 from heun_rsj.spectral import ROOT_TOL, lambda_spectrum, root_params
 from heun_rsj.structure import SAMPLE_POINTS
 
 import helpers
+from helpers import gate_scan, same_values
 from identities import coefficient_matrix
 from oracles import (
     DegreeZeroUnsupported,
@@ -101,9 +102,9 @@ class TestCoefficientMatrix:
         )
 
 
-def _det_scan_loop(n, mu, lam):
-    """One-lambda reference for :func:`heun_poly._det_scan`, in Python floats,
-    with a frame test at every step.  Its maxima treat NaN as numpy's
+def _gate_scan_loop(n, mu, lam):
+    """One-lambda reference for the gate's scan (:func:`helpers.gate_scan`),
+    in Python floats, with a frame test at every step.  Its maxima treat NaN as numpy's
     ``fmax`` (the summand maximum) and ``maximum`` (the frame's magnitude) do."""
     mu2 = mu * mu
     prev2, prev = 1.0, lam
@@ -137,8 +138,8 @@ def _det_scan_loop(n, mu, lam):
 
 
 def _unframed_scan(n, mu, lam):
-    """det, ddet and summand maximum of the recurrence of
-    :func:`heun_poly._det_scan` on an array of lambda, in its dtype and with
+    """det, ddet and summand maximum of the gate's recurrence
+    (:func:`helpers.gate_scan`) on an array of lambda, in its dtype and with
     its arithmetic, but with no frame at all."""
     mu2 = mu * mu
     prev2, prev = np.ones_like(lam), lam
@@ -167,7 +168,7 @@ def _ldexp_clamped(m: float, e: int) -> float:
 
 def _spectral_det_ldexp(d: DcheParams) -> tuple[float, float]:
     """``oracles.spectral_det`` read from the scan one float at a time."""
-    det, _, smax, e = (a[0].item() for a in _det_scan(d.n, d.mu, np.array([d.lam])))
+    det, _, smax, e = (a[0].item() for a in gate_scan(d.n, d.mu, np.array([d.lam])))
     return _ldexp_clamped(det, e), max(1.0, _ldexp_clamped(smax, e))
 
 
@@ -269,7 +270,7 @@ class TestDeterminant:
 
     def test_scaled_form_consistent(self):
         d = DcheParams(n=6, mu=2.0, lam=3.7)
-        m, _, _, e = _det_scan(d.n, d.mu, np.array([d.lam]))
+        m, _, _, e = gate_scan(d.n, d.mu, np.array([d.lam]))
         assert math.ldexp(m[0], int(e[0])) == spectral_det(d)[0]
 
     def test_finite_determinant_over_a_saturated_scale(self):
@@ -315,8 +316,8 @@ class TestDeterminant:
             roots, np.linspace(-min(mu * mu, 1e300) - 1.0, n * n / 4.0 + 3.0, 9)
         ])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _det_scan(n, mu, lams)
-            want = [_det_scan_loop(n, mu, lam) for lam in lams.tolist()]
+            got = gate_scan(n, mu, lams)
+            want = [_gate_scan_loop(n, mu, lam) for lam in lams.tolist()]
             want = tuple(np.array(col) for col in zip(*want))
             for g, w in zip(helpers.scaled_scan(got), helpers.scaled_scan(want)):
                 assert g.tobytes() == w.tobytes()
@@ -327,19 +328,20 @@ class TestDeterminant:
     @pytest.mark.parametrize("n", [7, 60, 300, 400])
     @pytest.mark.parametrize("mu", [1.82, -1.3, 1e10, 1e200, 1e300])
     def test_long_double_scan_matches_unframed_loop(self, n, mu):
-        # The polish scans long-double lambda with a long-double mu.  Its
-        # frames are powers of two in that dtype, so each det, ddet and
-        # summand maximum times 2**e must equal the unframed recurrence
-        # wherever that stays finite.  It does at every lambda here where
-        # n*log10|mu| <= 3000, frames or not (n = 7 at mu = 1e300 takes
-        # them), and from n = 60 at mu = 1e200 at none: the powers of mu**2
-        # pass the long-double range, and only the framed scan has a value.
+        # The polish and the certification pass scan long-double lambda,
+        # with mu taken to long double.  The frames are powers of two in
+        # that dtype, so each det, ddet and summand maximum times 2**e must
+        # equal the unframed recurrence wherever that stays finite.  It
+        # does at every lambda here where n*log10|mu| <= 3000, frames or
+        # not (n = 7 at mu = 1e300 takes them), and from n = 60 at mu =
+        # 1e200 at none: the powers of mu**2 pass the long-double range,
+        # and only the framed scan has a value.
         ld = np.longdouble
         roots = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
         top = float(np.max(np.abs(roots)))
         lams = np.concatenate([roots, np.linspace(-top - 1.0, top + 1.0, 9)]).astype(ld)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _det_scan(n, ld(mu), lams)
+            got = gate_scan(n, ld(mu), lams)
             want = _unframed_scan(n, ld(mu), lams)
         finite = np.all([np.isfinite(w) for w in want], axis=0)
         if n * math.log10(abs(mu)) <= 3000:
@@ -348,6 +350,82 @@ class TestDeterminant:
         for g, w in zip(helpers.scaled_scan(got), want):
             assert g.dtype == ld and np.array_equal(g[finite], w[finite])
         assert np.any(got[3] != 0) == (n >= 60 or abs(mu) >= 1e200)
+
+
+# Problems of the mode tests: frames from n = 60 on, and at every step
+# where the growth bound passes 2**300 (mu = 1e50) or mu**2 is below
+# 2**-300 (mu = 1e-100).
+_MODE_GRID = [
+    (0, 0.5), (1, -1.3), (7, 1.82), (60, 0.2), (150, 1.82), (300, -1.3),
+    (40, 1e10), (40, 1e50), (20, 1e-100),
+]
+
+
+def _per_element(dtype, matrix: str) -> tuple:
+    """Elements of every problem of ``_MODE_GRID``, at its eigenvalue seeds
+    and five points across and beyond them: lambda for T, and kappa = -+
+    sqrt(lambda + mu**2) for J where lambda + mu**2 > 0.  They are
+    shuffled, then stably sorted by degree, descending, as the recurrence
+    takes them.  kappa = 0 stays out: there the double derivative of
+    (300, -1.3) passes the factor by more than the double range, so the
+    full mode's frame leaves the factor 0, which a mode without the
+    derivative keeps (as ``test_value_mode_keeps_the_summand_maximum``
+    shows for T)."""
+    n, mu, x = [], [], []
+    for d, m in _MODE_GRID:
+        lam = np.concatenate([
+            spectral._eigen_seeds(d, m), np.linspace(-m * m - 1.0, d * d / 4.0 + 3.0, 5)
+        ])
+        if matrix == "J":
+            kappa = np.sqrt(lam[lam + m * m > 0] + m * m)
+            lam = np.concatenate([-kappa, kappa])
+        n += [d] * lam.size
+        mu += [m] * lam.size
+        x += lam.tolist()
+    order = np.random.default_rng(5).permutation(len(x))
+    order = order[np.argsort(-np.array(n)[order], kind="stable")]
+    return np.array(n)[order], np.array(mu)[order], np.array(x, dtype=dtype)[order]
+
+
+class TestContinuant:
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    @pytest.mark.parametrize("matrix", ["T", "J"])
+    def test_modes_match_the_full_mode(self, matrix, dtype):
+        # A mode frames only the values it forms, so its frames differ from
+        # those of the full mode (derivative and summand maximum).  Frames
+        # are powers of two, so each value it forms, times 2**e, must be bit
+        # for bit the full mode's; a value it does not form is None.
+        n, mu, x = _per_element(dtype, matrix)
+        full = helpers.scaled_scan(
+            _continuant(matrix, n, mu, x, derivative=True, summand=True)
+        )
+        for derivative, summand in ((False, False), (True, False), (False, True)):
+            scan = _continuant(matrix, n, mu, x, derivative=derivative, summand=summand)
+            got = helpers.scaled_scan(scan)
+            for g, w, formed in zip(got, full, (True, derivative, summand)):
+                assert (g is not None) == formed
+                assert g is None or (g.dtype == x.dtype and same_values(g, w))
+            assert np.any(scan[3] != 0)
+
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_value_mode_keeps_the_summand_maximum(self, dtype):
+        # At (150, 0, 1668), a double root (1668 = 12*139), the determinant
+        # is exactly zero from step 12 on while its derivative passes
+        # 2**1230 on the way.  The scan without the derivative frames by the
+        # values and the summand maximum alone, so it keeps that maximum:
+        # the largest |alpha_j * D_{j-1}|, of exact integers here, 1.5289e34.
+        prev, summands = 1668, [1668]
+        for j in range(1, 151):
+            alpha = 1668 - j * (151 - j)
+            summands.append(abs(alpha * prev))
+            prev *= alpha
+        exact = max(summands)
+        det, ddet, smax, e = _continuant(
+            "T", 150, 0.0, np.array([1668.0], dtype=dtype), summand=True
+        )
+        assert ddet is None and det[0] == 0
+        assert float(np.ldexp(smax, e)[0]) == pytest.approx(exact, rel=1e-14)
+        assert f"{exact:.4e}" == "1.5289e+34"
 
 
 class TestTransferObjects:

@@ -20,7 +20,7 @@ from heun_rsj.errors import (
     InvalidParams,
     NonPositiveDiscriminant,
 )
-from heun_rsj.heun_poly import _det_scan
+from heun_rsj.heun_poly import _continuant
 from heun_rsj.model import DcheParams, dche_to_params
 from heun_rsj.spectral import (
     DISC_MARGIN,
@@ -31,7 +31,7 @@ from heun_rsj.spectral import (
     root_params,
 )
 
-from helpers import reflection_dets, scaled_scan
+from helpers import gate_scan, reflection_dets, same_values, scaled_scan
 from identities import coefficient_matrix, factorization, symmetry_matrix
 from oracles import (
     _refine_ratio,
@@ -123,7 +123,9 @@ def _polish_loop(n: int, mu: float, seed: float, eps: int, gap: float) -> float:
         proved = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if route == "factor":
-                g, dg = spectral._factor_newton_extended(n, mu, np.array([kappa]))
+                g, dg, _, _ = spectral._continuant(
+                    "J", n, mu, np.array([kappa]), derivative=True
+                )
                 d = g[0] / dg[0]
                 step = d * (2 * kappa - d)
                 kappa = kappa - d
@@ -134,7 +136,9 @@ def _polish_loop(n: int, mu: float, seed: float, eps: int, gap: float) -> float:
                     b = 2 * s * s * n / gap
                     proved = b * (2 * k + b) <= ulp * (2**-8 - 7 * 2**-11)
             else:
-                det, ddet, _, _ = _det_scan(n, ld(mu), np.array([cur]))
+                det, ddet, _, _ = spectral._continuant(
+                    "T", n, mu, np.array([cur]), derivative=True
+                )
                 step = det[0] / ddet[0]
                 nxt = cur - step
                 ok = np.isfinite(det[0]) and np.isfinite(ddet[0]) and ddet[0] != 0
@@ -276,7 +280,7 @@ class TestSpectrum:
         lams = lambda_spectrum(n, 0.0).lambdas
         assert lams == tuple(sorted(float(j * (n + 1 - j)) for j in range(n + 1)))
         lams = np.array(lams)
-        det, ddet, smax, e = _det_scan(n, 0.0, lams)
+        det, ddet, smax, e = gate_scan(n, 0.0, lams)
         assert np.all(np.isfinite(det) & np.isfinite(ddet) & np.isfinite(smax))
         assert np.all(spectral._relative_dets(lams, det, ddet, smax, e) <= ROOT_TOL)
 
@@ -342,22 +346,22 @@ class TestSpectrum:
         assert _route(n, mu, seeds[k]) == route
         on_factor = route != "det"
         if on_factor:
-            name = "_factor_newton_extended"
+            matrix = "J"
             eps = _parity_signs(n, mu, n + 1)[k]
             at = -eps * np.sqrt(ld(seeds[k]) + ld(mu) ** 2)  # kappa at the seed
         else:
-            name, at = "_det_scan", ld(seeds[k])
-        kernel = getattr(spectral, name)
+            matrix, at = "T", ld(seeds[k])
+        kernel = spectral._continuant
 
-        def poisoned(n_, mu_, x):
-            value, *rest = kernel(n_, mu_, x)
+        def poisoned(matrix_, n_, mu_, x, **modes):
+            value, *rest = kernel(matrix_, n_, mu_, x, **modes)
             hit = np.abs(x - at) <= 1e-9 * max(1.0, abs(at))
-            hit &= x.dtype == ld
+            hit &= (x.dtype == ld) & (matrix_ == matrix)
             if moved:
                 hit &= x != at
             return np.where(hit, np.nan, value), *rest
 
-        monkeypatch.setattr(spectral, name, poisoned)
+        monkeypatch.setattr(spectral, "_continuant", poisoned)
         try:
             got = lambda_spectrum(n, mu).lambdas
         except ConvergenceFailure as err:
@@ -400,7 +404,7 @@ class TestSpectrum:
         assert abs(math.fsum(lams) - s1) <= 1e-12 * s1
         assert abs(math.fsum(x * x for x in lams) - s2) <= 1e-12 * s2
         lams = np.array(lams)
-        ratios = spectral._relative_dets(lams, *_det_scan(n, mu, lams))
+        ratios = spectral._relative_dets(lams, *gate_scan(n, mu, lams))
         assert np.all(ratios <= ROOT_TOL)
 
     @pytest.mark.xfail(strict=True, raises=ConvergenceFailure)
@@ -422,22 +426,6 @@ _MIXED_GRID = [
 ]
 
 
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal dtype, shape, values, signs of zero and NaN positions.
-
-    For float64 this is bit identity up to NaN payloads; for longdouble it
-    also skips the padding bytes that ``tobytes`` would compare.
-    """
-    return (
-        a.dtype == b.dtype
-        and a.shape == b.shape
-        and bool(np.all(
-            ((a == b) & (np.signbit(a) == np.signbit(b)))
-            | (np.isnan(a) & np.isnan(b))
-        ))
-    )
-
-
 def _bits(spectra) -> list:
     return [(s.n, s.mu, np.array(s.lambdas).tobytes()) for s in spectra]
 
@@ -453,7 +441,7 @@ class TestSpectra:
         # The n = 300 point of the mixed grid exercises the scan's
         # +-300 frame shift, and the mu = 1e200 point skips the gate.
         lams = np.array(lambda_spectrum(300, 1.3).lambdas)
-        assert np.all(_det_scan(300, 1.3, lams)[3] != 0)
+        assert np.all(gate_scan(300, 1.3, lams)[3] != 0)
         assert len(lambda_spectrum(5, 1e200).lambdas) == 6
 
     # At cap 9 the first two problems (8 + 1 roots) fill a run exactly.
@@ -500,38 +488,44 @@ class TestSpectra:
         # Each element's frame depends on the run it scans in (how often
         # the run tests its frames), its values times 2**e do not.
         n, mu, lam = self._per_element(float)
-        got = scaled_scan(_det_scan(n, mu, lam))
+        got = scaled_scan(gate_scan(n, mu, lam))
         for i in range(lam.size):
-            want = scaled_scan(_det_scan(int(n[i]), float(mu[i]), lam[i:i + 1]))
+            want = scaled_scan(gate_scan(int(n[i]), float(mu[i]), lam[i:i + 1]))
             for g, w in zip(got, want):
                 assert g[i:i + 1].tobytes() == w.tobytes(), i
-        assert np.any(_det_scan(n, mu, lam)[3] != 0)
+        assert np.any(gate_scan(n, mu, lam)[3] != 0)
 
     def test_newton_takes_per_element_arrays(self):
-        # The polish's Newton scan: long-double lambda with mu in long
-        # double.  Per element, the values times 2**e and the step
-        # det/ddet are those of a scalar call.
-        n, mu, lam = self._per_element(np.longdouble)
-        mu = mu.astype(np.longdouble)
-        scan = _det_scan(n, mu, lam)
-        got = scaled_scan(scan)
-        for i in range(lam.size):
-            one = _det_scan(int(n[i]), mu[i], lam[i:i + 1])
-            for g, w in zip(got, scaled_scan(one)):
-                assert _same(g[i:i + 1], w), i
-            with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 reads NaN on both
-                assert _same(scan[0][i:i + 1] / scan[1][i:i + 1], one[0] / one[1]), i
-        assert np.any(scan[3] != 0)
+        # The polish's Newton steps: the determinant (T) at long-double
+        # lambda, and the reflection factor (J) at long-double kappa, each
+        # with mu taken to long double and with its derivative.  Per
+        # element, the values times 2**e and the step value/derivative are
+        # those of a scalar call.
+        n, mu, x = self._per_element(np.longdouble)
+        for matrix in ("T", "J"):
+            scan = _continuant(matrix, n, mu, x, derivative=True)
+            got = scaled_scan(scan)
+            for i in range(x.size):
+                one = _continuant(
+                    matrix, int(n[i]), float(mu[i]), x[i:i + 1], derivative=True
+                )
+                for g, w in zip(got[:2], scaled_scan(one)[:2]):
+                    assert same_values(g[i:i + 1], w), (matrix, i)
+                with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 is NaN on both
+                    step = scan[0][i:i + 1] / scan[1][i:i + 1]
+                    assert same_values(step, one[0] / one[1]), (matrix, i)
+            assert np.any(scan[3] != 0)
 
     def test_factor_takes_per_element_arrays(self):
+        # The certification pass's factors: J at long-double kappa, value
+        # only.  Per element, the value times 2**e is that of a scalar call.
         n, mu, kappa = self._per_element(np.longdouble)
-        got = spectral._factor_newton_extended(n, mu, kappa)
+        scan = _continuant("J", n, mu, kappa)
+        assert scan[1] is None and scan[2] is None and np.any(scan[3] != 0)
+        got = scaled_scan(scan)[0]
         for i in range(kappa.size):
-            want = spectral._factor_newton_extended(
-                int(n[i]), float(mu[i]), kappa[i:i + 1]
-            )
-            for g, w in zip(got, want):
-                assert _same(g[i:i + 1], w), i
+            want = scaled_scan(_continuant("J", int(n[i]), float(mu[i]), kappa[i:i + 1]))
+            assert same_values(got[i:i + 1], want[0]), i
 
     @pytest.mark.parametrize("mu", [0.7, -1.3, 0.0])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
@@ -541,8 +535,8 @@ class TestSpectra:
         # over the eigenvalues e of J).
         jac, _, _ = heun_poly._reflection_jacobi(n, mu)
         kappa = [-2.3, -0.4, 0.0, 0.9, 3.7]
-        g, dg = spectral._factor_newton_extended(
-            n, mu, np.array(kappa, dtype=np.longdouble)
+        g, dg, _ = scaled_scan(
+            _continuant("J", n, mu, np.array(kappa, dtype=np.longdouble), derivative=True)
         )
         e = np.abs(np.linalg.eigvalsh(jac))
         with mpmath.workdps(40):
@@ -570,25 +564,28 @@ class TestSpectra:
     def test_kernels_take_descending_degrees(self, monkeypatch):
         # Each run reaches every recurrence stably sorted by degree,
         # descending, and its spectra come back in grid order.  The first
-        # pass of the polish steps every root once, on the determinant (a
-        # long-double scan) or on its own factor; the gate scans doubles.
+        # pass of the polish steps every root once, on the determinant (T,
+        # in long double) or on its own factor (J), each with its
+        # derivative; the gate scans T in double, with the derivative and
+        # the summand maximum.
         want = _bits(lambda_spectra(_MIXED_GRID))
-        seen = []
+        seen, modes = [], []
+        kernel = spectral._continuant
 
-        def spy(name, kernel):
-            def call(n, mu, lam):
-                seen.append(((name, lam.dtype), n))
-                return kernel(n, mu, lam)
-            return call
+        def spy(matrix, n, mu, x, **flags):
+            seen.append(((matrix, x.dtype), n))
+            modes.append(flags)
+            return kernel(matrix, n, mu, x, **flags)
 
-        for name in ("_det_scan", "_factor_newton_extended"):
-            monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
+        monkeypatch.setattr(spectral, "_continuant", spy)
         assert _bits(lambda_spectra(_MIXED_GRID)) == want
         assert all(np.all(np.diff(n) <= 0) for _, n in seen)
         names = [name for name, _ in seen]
-        ld, gate = np.dtype(np.longdouble), ("_det_scan", np.dtype(float))
-        assert names[:2] == [("_det_scan", ld), ("_factor_newton_extended", ld)]
+        ld, gate = np.dtype(np.longdouble), ("T", np.dtype(float))
+        assert names[:2] == [("T", ld), ("J", ld)]
         assert names[-1] == gate and names.count(gate) == 1
+        assert modes[-1] == {"derivative": True, "summand": True}
+        assert all(flags == {"derivative": True} for flags in modes[:-1])
         degrees = np.array(sorted((n for n, _ in _MIXED_GRID), reverse=True))
         first_pass = np.sort(np.concatenate([seen[0][1], seen[1][1]]))[::-1]
         assert np.array_equal(first_pass, np.repeat(degrees, degrees + 1))
@@ -635,15 +632,17 @@ class TestSpectra:
         # A run of one problem gives the kernels Python scalars for n and mu,
         # and each kernel returns its one block without a concatenate; the
         # spectrum is bit for bit the one computed in a mixed run.  The
-        # polish's long-double scans take mu as a long-double scalar.
+        # polish's long-double scans take mu as a float too: the recurrence
+        # takes it to long double itself.
         grid = [(0, 0.5), (4, 1.82), (40, -0.7), (110, 2.5)]
         want = [_bits(lambda_spectra([p, (p[0] + 1, 0.25)]))[0] for p in grid]
         seen, joins = [], []
-        for name in ("_polish_extended", "_factor_newton_extended", "_det_scan"):
-            def spy(n, mu, lam, kernel=getattr(spectral, name), name=name):
-                on_det = name == "_det_scan" and lam.dtype == np.longdouble
+        for name in ("_polish_extended", "_continuant"):
+            def spy(*args, kernel=getattr(spectral, name), **flags):
+                *_, n, mu, x = args
+                on_det = args[0] == "T" and x.dtype == np.longdouble
                 seen.append((type(n), type(mu), on_det))
-                return kernel(n, mu, lam)
+                return kernel(*args, **flags)
             monkeypatch.setattr(spectral, name, spy)
         join = np.concatenate
 
@@ -656,7 +655,7 @@ class TestSpectra:
         # Each problem calls the polish, the gate's scan and at least one
         # kernel; root 0 of (0, 0.5), at lambda = 0, steps on the determinant.
         assert len(seen) >= 3 * len(grid)
-        assert set(seen) == {(int, float, False), (int, np.longdouble, True)}
+        assert set(seen) == {(int, float, False), (int, float, True)}
         assert joins == []
 
     def test_first_failure_in_order_raises(self):
@@ -806,18 +805,20 @@ class TestPairPolish:
         # _NOISY_DET_PROBLEMS, and no others.
         # The polish scans the determinant in long double.
         calls = []
-        for name in ("_det_scan", "_factor_newton_extended"):
-            def spy(n, mu, lam, name=name, kernel=getattr(spectral, name)):
-                calls.append((name, lam.dtype))
-                return kernel(n, mu, lam)
-            monkeypatch.setattr(spectral, name, spy)
+        kernel = spectral._continuant
+
+        def spy(matrix, n, mu, x, **flags):
+            calls.append((matrix, x.dtype))
+            return kernel(matrix, n, mu, x, **flags)
+
+        monkeypatch.setattr(spectral, "_continuant", spy)
         ld = np.dtype(np.longdouble)
         noisy = {}
         for n, mu in _PASS_GRID:
             calls.clear()
             spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
-            assert calls.count(("_factor_newton_extended", ld)) <= 1, (n, mu)
-            passes = calls.count(("_det_scan", ld))
+            assert calls.count(("J", ld)) <= 1, (n, mu)
+            passes = calls.count(("T", ld))
             if passes > 2:
                 noisy[n, mu] = passes
         assert noisy == {p: passes for p, (passes, _) in _NOISY_DET_PROBLEMS.items()}
@@ -861,7 +862,7 @@ class TestPairPolish:
             gaps = np.array(_kappa_gaps_loop(n, mu, seeds.tolist()))[on]
 
             def step(kappa):
-                g, dg = spectral._factor_newton_extended(n, mu, kappa)
+                g, dg, _, _ = _continuant("J", n, mu, kappa, derivative=True)
                 return g / dg
 
             kappa = -eps * np.sqrt(np.maximum(seeds[on].astype(ld) + m2, 0))
@@ -913,13 +914,13 @@ class TestPairPolish:
         above = seeds.astype(np.longdouble) >= np.longdouble(mu) ** 2
         assert 0 < np.count_nonzero(above) < np.count_nonzero(routes == "factor")
         clean = spectral._polish_extended(n, mu, seeds)
-        factor = spectral._factor_newton_extended
+        kernel = spectral._continuant
 
-        def poisoned(n_, mu_, kappa):
-            g, dg = factor(n_, mu_, kappa)
-            return np.full_like(g, np.nan), dg
+        def poisoned(matrix, n_, mu_, x, **flags):
+            value, *rest = kernel(matrix, n_, mu_, x, **flags)
+            return (np.full_like(value, np.nan) if matrix == "J" else value), *rest
 
-        monkeypatch.setattr(spectral, "_factor_newton_extended", poisoned)
+        monkeypatch.setattr(spectral, "_continuant", poisoned)
         got = spectral._polish_extended(n, mu, seeds)
         signs = _parity_signs(n, mu, seeds.size)
         gaps = _kappa_gaps_loop(n, mu, seeds.tolist())
@@ -954,7 +955,7 @@ class TestGate:
             for lam in (spectral._eigen_seeds(n, mu), roots):
                 lam = lam + moved * np.maximum(1.0, np.abs(lam))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    scan = _det_scan(n, mu, lam)
+                    scan = gate_scan(n, mu, lam)
                 _agrees_with_oracle(spectral._relative_dets(lam, *scan), lam, *scan)
 
     def test_matches_one_root_oracle_on_edge_rows(self):
@@ -1130,17 +1131,18 @@ def _spy_solves(monkeypatch) -> list:
 
 
 def _spy_scans(monkeypatch) -> list:
-    """Record the size of each determinant scan: the polish's long-double
-    scans and the gate's (``spectral._det_scan``), and the certification
-    pass's (``heun_poly._det_scan``)."""
-    scans, scan = [], heun_poly._det_scan
+    """Record the size of each determinant scan (``heun_poly._continuant`` on
+    T): the polish's long-double scans and the gate's, through ``spectral``,
+    and the certification pass's, through ``heun_poly``."""
+    scans, kernel = [], heun_poly._continuant
 
-    def spy(n, mu, lam):
-        scans.append(lam.size)
-        return scan(n, mu, lam)
+    def spy(matrix, n, mu, x, **flags):
+        if matrix == "T":
+            scans.append(x.size)
+        return kernel(matrix, n, mu, x, **flags)
 
-    monkeypatch.setattr(spectral, "_det_scan", spy)
-    monkeypatch.setattr(heun_poly, "_det_scan", spy)
+    monkeypatch.setattr(spectral, "_continuant", spy)
+    monkeypatch.setattr(heun_poly, "_continuant", spy)
     return scans
 
 

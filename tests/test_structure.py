@@ -215,18 +215,23 @@ class TestSymmetryResiduals:
         assert _outcome(lambda: structure.certify_root(n, mu, index)) == _alone(n, mu, index)
 
     def test_long_double_determinant_overflow_is_typed(self):
-        # A hand-made P at (64, 1e150): det G+ and det G- pass the
-        # long-double range (the continuant grows as mu**(n/2), and meets
-        # inf - inf here), while Delta's framed scan and the master and
-        # reflection summands stay finite.
-        d = DcheParams(n=64, mu=1e150, lam=1.0)
-        fake = HeunPolynomial(coeffs=(1.0,) * 65, params=d, epsilon=1)
+        # A hand-made P at (200, 1e150), lambda = 1: kappa**2 - mu**2 = 1
+        # cancels 300 digits, so det G+ and det G- are rounding noise of
+        # their summands, some 2**55000, which only their frames keep in
+        # range.  Their product passes Delta's frame by about 2**9400, and
+        # det_product_rel the double range, while the master and reflection
+        # summands stay finite: certify types it.
+        d = DcheParams(n=200, mu=1e150, lam=1.0)
+        fake = HeunPolynomial(coeffs=(1.0,) * 201, params=d, epsilon=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
-                InvalidParams, match=r"determinants overflow a long double at \(n=64, "
+                InvalidParams, match=r"a determinant check overflows at \(n=200, "
             ):
                 structure.certify(fake)
+            c = _long_c(d)
+            values, _, _, e = heun_poly._continuant("J", 200, 1e150, np.array([-c, c]))
+        assert np.isfinite(values).all() and np.all(e > 16384)
 
     def test_last_degree_before_the_overflow(self):
         checks, _ = structure.certify(helpers.solution(118, 0.25, 59))
@@ -272,28 +277,19 @@ class TestDeterminantChecks:
     # Over all 8,290 of n <= 40 the largest ratio of error to bound is 0.28.
     @pytest.mark.parametrize("mu", _LEDGER_MUS)
     def test_factors_match_mpmath(self, mu):
-        # Against a 60-digit continuant of J at the same long-double kappa:
-        # |kernel - f| <= S * ((n+1) * eps * (|kappa f'| + largest summand)
-        # + ulp(kernel)), with eps the long-double epsilon and S = 2.
-        ld = np.longdouble
-        eps = float(np.finfo(ld).eps)
+        # The factors of the certification pass, value only, against a
+        # 60-digit continuant of J at the same long-double kappa
+        # (:func:`_factor_error`).
         for n in [*range(13), 22, 31, 40]:
             for i in range(n + 1):
                 d, _ = spectral.root_params(n, mu, i)
                 if d.lam + mu * mu <= spectral.DISC_MARGIN:
                     continue
-                c = np.sqrt(ld(d.lam) + ld(mu) ** 2)
-                kappa = np.array([-c, c])
-                got = spectral._factor_newton_extended(n, mu, kappa)[0]
-                for k, g in zip(kappa, got):
-                    f, df, top = reflection_factor_mp(n, mu, k)
-                    with mpmath.workdps(60):
-                        num, den = g.as_integer_ratio()
-                        err = abs(mpmath.mpf(num) / den - f)
-                        num, den = k.as_integer_ratio()
-                        scale = abs(mpmath.mpf(num) / den * df) + top
-                        bound = (n + 1) * eps * scale + float(np.spacing(abs(g)))
-                        assert err <= 2 * bound, (n, mu, i, float(k))
+                kappa = np.array([-_long_c(d), _long_c(d)])
+                got, _, _, e = heun_poly._continuant("J", n, mu, kappa)
+                for k, g, frame in zip(kappa, got, e):
+                    err, bound = _factor_error(n, mu, k, g, frame)
+                    assert err <= bound, (n, mu, i, float(k))
 
     def test_small_factor_sign_at_a_near_pair(self):
         # Root 14 of (22, -0.7) kills det G+, about -2.1 against a scale of
@@ -310,38 +306,37 @@ class TestDeterminantChecks:
 
     def test_certify_runs_one_check_pass(self, monkeypatch):
         # certify(P) is the chunk's check pass on one row: one sample table,
-        # one call of the array kernel, for det G+ and det G- together, and
-        # one long-double determinant scan, for Delta; no spectrum.
+        # one long-double call of the framed recurrence on J, for det G+ and
+        # det G- together, and one on T, for Delta with its summand
+        # maximum; neither forms a derivative, and no spectrum is computed.
         poly = helpers.solution(8, 1.82, 4)
-        lane_values, factors = structure._lane_values, spectral._factor_newton_extended
-        scan, seeds = heun_poly._det_scan, spectral._eigen_seeds
+        lane_values, kernel = structure._lane_values, heun_poly._continuant
+        seeds = spectral._eigen_seeds
         calls = []
 
         def spy_lanes(polys):
             calls.append(("lanes", len(polys)))
             return lane_values(polys)
 
-        def spy_factors(n, mu, kappa):
-            calls.append(("factors", kappa.size))
-            return factors(n, mu, kappa)
-
-        def spy_scan(n, mu, lam):
-            calls.append(("scan", lam.size, lam.dtype == np.longdouble))
-            return scan(n, mu, lam)
+        def spy_kernel(matrix, n, mu, x, **flags):
+            flagged = tuple(sorted(flag for flag, on in flags.items() if on))
+            calls.append((matrix, x.size, x.dtype == np.longdouble, flagged))
+            return kernel(matrix, n, mu, x, **flags)
 
         def spy_seeds(n, mu):
             calls.append(("spectrum", n))
             return seeds(n, mu)
 
         monkeypatch.setattr(structure, "_lane_values", spy_lanes)
-        monkeypatch.setattr(spectral, "_factor_newton_extended", spy_factors)
-        monkeypatch.setattr(heun_poly, "_det_scan", spy_scan)
-        monkeypatch.setattr(spectral, "_det_scan", spy_scan)
+        monkeypatch.setattr(heun_poly, "_continuant", spy_kernel)
+        monkeypatch.setattr(spectral, "_continuant", spy_kernel)
         monkeypatch.setattr(spectral, "_eigen_seeds", spy_seeds)
         spectral._memo.clear()
         _, skipped = structure.certify(poly)
         assert skipped == []
-        assert sorted(calls) == [("factors", 2), ("lanes", 4), ("scan", 1, True)]
+        assert sorted(calls) == [
+            ("J", 2, True, ()), ("T", 1, True, ("summand",)), ("lanes", 4)
+        ]
 
     def test_certify_calls_no_determinant(self, monkeypatch, capsys):
         # Every root of two problems verifies with LAPACK's det unreachable.
@@ -365,13 +360,36 @@ def _same_ld(got, want) -> bool:
 
 
 def _assert_scalar_dets(n, mu, c) -> None:
-    """The array kernel at ``kappa = [-c, c]`` against its scalar oracle
-    ``reflection_dets_loop``, bit for bit."""
+    """The array kernel at ``kappa = [-c, c]``, value only, against its
+    scalar oracle ``reflection_dets_loop``, each times its frame, bit for
+    bit."""
     with np.errstate(over="ignore", invalid="ignore"):
         got = reflection_dets_loop(n, mu, c)
-        want = spectral._factor_newton_extended(n, mu, np.array([-c, c]))[0]
+        scan = heun_poly._continuant("J", n, mu, np.array([-c, c]))
+        want = helpers.scaled_scan(scan)[0]
     assert all(isinstance(g, np.longdouble) for g in got)
     assert all(map(_same_ld, got, want)), (n, mu, c, got, want)
+
+
+def _mp(x) -> mpmath.mpf:
+    """The exact value of a float or ``numpy.longdouble`` in mpmath."""
+    num, den = x.as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+def _factor_error(n: int, mu: float, kappa, value, e) -> tuple:
+    """``(err, bound)`` of a framed reflection factor ``value * 2**e`` of
+    the recurrence at long-double kappa, against the 60-digit continuant f
+    of J at the same kappa: ``err = |value * 2**e - f|`` and ``bound = S *
+    ((n+1) * eps * (|kappa f'| + largest summand) + ulp(value) * 2**e)``,
+    with eps the long-double epsilon and S = 2."""
+    eps = float(np.finfo(np.longdouble).eps)
+    f, df, top = reflection_factor_mp(n, mu, kappa)
+    with mpmath.workdps(60):
+        frame = mpmath.mpf(2) ** int(e)
+        err = abs(_mp(value) * frame - f)
+        ulp = _mp(np.spacing(abs(value))) * frame
+        return err, 2 * ((n + 1) * eps * (abs(_mp(kappa) * df) + top) + ulp)
 
 
 def _long_c(d: DcheParams) -> np.longdouble:
@@ -409,18 +427,27 @@ class TestReflectionDets:
         [
             (20, 1.0, 1e236, (np.inf, -np.inf)),
             (21, -0.7, 1e230, (np.inf, np.inf)),
-            (21, -0.7, 1e236, (np.nan, np.inf)),  # inf - inf in det G+ alone
-            (40, 1e200, 1e300, (np.nan, np.nan)),
+            (21, -0.7, 1e236, (np.inf, np.inf)),
+            (40, 1e200, 1e300, (np.inf, -np.inf)),
         ],
     )
     def test_overflow(self, n, mu, c, want):
-        # Where the continuant overflows, both kernels give the same
-        # infinities, or the same NaN where two of them meet.
+        # Where the continuant passes the long-double range, the frames of
+        # both kernels hold it, and each value saturates to the infinity of
+        # its sign only once it is joined with its frame.  The unframed
+        # continuant overflows here on the way, and met inf - inf in det G+
+        # at (21, -0.7, 1e236) and in both at (40, 1e200, 1e300).  Each
+        # framed value agrees with mpmath within the bound of
+        # test_factors_match_mpmath.
         c = np.longdouble(c)
         _assert_scalar_dets(n, mu, c)
         with np.errstate(over="ignore", invalid="ignore"):
             got = reflection_dets_loop(n, mu, c)
         assert all(map(_same_ld, got, map(np.longdouble, want)))
+        values, _, _, e = heun_poly._continuant("J", n, mu, np.array([-c, c]))
+        for kappa, value, frame in zip((-c, c), values, e):
+            err, bound = _factor_error(n, mu, kappa, value, frame)
+            assert np.isfinite(value) and err <= bound
 
 
 def _assert_same_table(poly: HeunPolynomial) -> None:
