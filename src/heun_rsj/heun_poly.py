@@ -13,12 +13,13 @@ closes into a homogeneous tridiagonal linear system for the coefficients:
 A nontrivial solution exists iff the determinant of that system vanishes.
 The coefficients themselves come from the reflection relation of the
 solution (``build_polynomial``): an eigenvector of a symmetric Jacobi matrix
-J whose eigenvalue fixes both lambda and the reflection sign.  The
+J whose eigenvalue fixes both lambda and the reflection sign, by a
+long-double twisted factorization, O(n) per root (``_build_rows``).  The
 determinant and the two reflection factors det(J -+ c*I) that it splits
 into are continuants, and one framed three-term recurrence,
 ``_continuant``, evaluates either on an array of lambda or kappa, with its
 derivative and its largest summand where the caller asks for them: for the
-spectral gate and polish and for the certification pass.  The double
+spectral gate and polish, the build and the certification pass.  The double
 determinant of one triplet and the exact-rational transfer-matrix product
 that cross-checks it live with the tests, in ``tests/oracles.py``.
 """
@@ -82,8 +83,9 @@ def _linear_rows(n: int, mu: float, lam: np.ndarray, a: np.ndarray) -> np.ndarra
     return rows
 
 
-def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric Jacobi form of the reflection relations at (n, mu).
+def _reflection_jacobi(n: int, mu: float) -> tuple:
+    """Symmetric Jacobi form of the reflection relations at (n, mu), by its
+    bands, in long double.
 
     A solution with sign eps has ``K^T a = kappa*a``, ``kappa = -eps*c``, for
     ``K = G_eps - eps*c*I``, G_eps the matrix of the reflection relations
@@ -93,23 +95,20 @@ def _reflection_jacobi(n: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.nd
     and ``-(n-i)``, and the last position holds ``mu`` (n even) or
     ``-(n+1)/2`` (n odd).  Every pair product is positive, so
     ``J = D^-1 K^T D`` is symmetric for a diagonal D.  Returns
-    ``(jac, order, log_d)``: an eigenvector v of J gives the coefficients
-    ``a[order] = exp(log_d) * v``.
+    ``(diag, off, order, scale)``: J's diagonal and off-diagonal, the order,
+    and D as running products of ``sqrt((n-i)/(i+1))`` from 1: an
+    eigenvector v of J gives the coefficients ``a[order] = scale * v``.
     """
-    m = n + 1
-    order = np.empty(m, dtype=np.intp)
-    order[0::2] = np.arange((m + 1) // 2)
-    order[1::2] = n - np.arange(m // 2)
-    i = np.arange(n) // 2
-    odd = np.arange(n) % 2 == 1
-    off = np.where(odd, -np.sqrt((i + 1.0) * (n - i)), mu)
+    ld, p = np.longdouble, np.arange(n + 1)
+    order = np.where(p % 2 == 1, n - p // 2, p // 2)
+    i, odd = p[:-1] // 2, p[:-1] % 2 == 1
+    off = np.where(odd, -np.sqrt(((i + 1) * (n - i)).astype(ld)), ld(mu))
     # d_{p+1} / d_p = sqrt(lower / upper) of each pair; 1 where both are mu.
-    ratio = np.where(odd, 0.5 * np.log((n - i) / (i + 1.0)), 0.0)
-    log_d = np.concatenate(([0.0], np.cumsum(ratio)))
-    diag = np.zeros(m)
+    ratio = np.where(odd, np.sqrt((n - i).astype(ld) / (i + 1)), ld(1))
+    scale = np.cumprod(np.concatenate(([ld(1)], ratio)))
+    diag = np.zeros(n + 1, dtype=ld)
     diag[-1] = -(n + 1) / 2 if n % 2 else mu
-    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return jac, order, log_d
+    return diag, off, order, scale
 
 
 def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=False):
@@ -133,8 +132,8 @@ def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=
     the largest |x|, |alpha_j*p_{j-1}|, |beta_j*p_{j-2}| (and |a_n*p_{n-1}|)
     with ``summand``, and each is None otherwise.  The gate scans T in
     double with both; the polish T and J in long double with the
-    derivative; the certification pass T with the summand maximum and J
-    with neither.
+    derivative, and the build J; the certification pass T with the summand
+    maximum and J with neither.
     A step multiplies the largest magnitude of an element's formed values
     by at most ``g = max|x| + (1 + max mu**2)*(max n + 1)**2/4 + 1``, plus
     max|a_n| for J.  After a frame test (:func:`_framed`) it is below
@@ -239,74 +238,94 @@ def _framed(values: tuple, e: np.ndarray) -> tuple:
     return tuple(v if v is None else v * s for v in values), e + np.where(far, ex, 0)
 
 
-def _build_rows(n: int, mu: float, kappa: np.ndarray) -> tuple:
-    """Coefficient rows of the eigenvectors of J at the spectral shifts
-    ``kappa`` of one (n, mu), a_n = 1 in each: :func:`build_polynomial` on
-    a stack, each row bit for bit that of a stack of one.
+def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
+    """Coefficient rows of the eigenvectors of J at the roots ``lam`` with
+    signs ``eps`` of one (n, mu), a_n = 1 in each: :func:`build_polynomial`
+    on a stack, in long double, each row bit for bit that of a stack of one.
 
-    Returns ``(coeffs, resid, norm, shift)``: the ascending coefficients,
-    one row per kappa, each row's eigen-residual, ``||J||`` and the nudged
-    shifts.  A row whose a_n = 1 overflows holds non-finite coefficients,
-    for the caller to type.  LAPACK refuses a stack as a whole where one
-    shift makes its solve singular: ``coeffs`` and ``resid`` are then None.
+    ``kappa = -eps*sqrt(lambda + mu**2)``, formed as the check pass forms c
+    (0 where lambda + mu**2 <= 0), takes Newton steps on its own factor
+    (:func:`_continuant` on J) until a step is at most 2**-40 of kappa, when
+    the next would be rounding: one for most roots, up to 8 for root 0 just
+    above -mu**2.  The twisted factorization of J - kappa*I (Parlett and
+    Dhillon, LAA 1997) gives the eigenvector: pivots D+ and D- of its
+    top-down and bottom-up LDL^T by ratio recurrences, ``v_r = 1`` at the
+    smallest ``|gamma_r| = |D+_r + D-_r - (J_rr - kappa)|``, and running
+    products of ``-J_{k,k+1}/D-_{k+1}`` below r and ``-J_{k,k+1}/D+_k``
+    above.  As LAPACK's ``dlar1v`` does, a stack with a dividing pivot below
+    ``pivmin`` is factored again with it floored, here to minus its rounding
+    (eps times its two terms, plus pivmin), which keeps v finite where a
+    pivot cancels to 0, as at a huge mu.
+
+    Returns the ascending coefficients (not finite where a_n = 1 overflows
+    a double), each row's ``max|((J - kappa*I) v)_k|`` at the unrefined
+    kappa with ``max|v_k| = 1``, and ``||J||`` (largest row sum).
     """
-    jac, order, log_d = _reflection_jacobi(n, mu)
-    # Infinity norms throughout: no square of an entry of J can overflow.
-    norm = float(np.linalg.norm(jac, np.inf))
-    # A shift on an exact eigenvalue would make the solve singular; moving
-    # it a few ulps of ||J|| changes the convergence rate, not the limit.
-    shift = kappa + 4.0 * np.finfo(float).eps * max(norm, 1.0)
-    # jac - shift*I, bit for bit: off the diagonal each entry less shift*0.0
-    # is itself, as J holds no -0.0.
-    shifted = np.repeat(jac[None], kappa.size, axis=0)
-    diagonal = np.arange(n + 1)
-    shifted[:, diagonal, diagonal] -= shift[:, None]
-    v = np.ones((kappa.size, n + 1))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            for _ in range(2):
-                # numpy reads a 2-d right-hand side as one matrix for the
-                # whole stack: each row goes as a column of its own.
-                v = np.linalg.solve(shifted, v[..., None])[..., 0]
-                v /= np.max(np.abs(v), axis=1, keepdims=True)
-        except np.linalg.LinAlgError:
-            return None, None, norm, shift
-        resid = np.max(np.abs((jac @ v[..., None])[..., 0] - kappa[:, None] * v), axis=1)
-        lead = min(n, 1)  # position of a_n in the interleaved order
-        a = np.exp(log_d - log_d[lead]) * (v / v[:, lead : lead + 1])
-    coeffs = np.empty_like(a)
-    coeffs[:, order] = a
-    return coeffs, resid, norm, shift
+    ld = np.longdouble
+    diag, off, order, scale = _reflection_jacobi(n, mu)
+    band = np.abs(np.concatenate(([0], off, [0])))
+    norm = float(np.max(np.abs(diag) + band[:-1] + band[1:]))
+    beta, eps_ld = off * off, np.finfo(ld).eps
+    pivmin = np.finfo(ld).tiny * beta.max(initial=1)  # LAPACK's
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kappa0 = -eps * np.sqrt(np.maximum(lam.astype(ld) + ld(mu) ** 2, 0))
+        kappa, live = kappa0.copy(), np.arange(kappa0.size)
+        for _ in range(8):  # each pass squares the error of root 0 from 1e-9
+            g, dg, _, _ = _continuant("J", n, mu, kappa[live], derivative=True)
+            step = g / dg
+            ok = np.isfinite(step)
+            kappa[live[ok]] -= step[ok]
+            live = live[ok & (abs(step) > 2.0**-40 * abs(kappa[live]))]
+            if not live.size:
+                break
+        # Step k of lane 0 forms D+_k, of lane 1 D-_{n-k}; one column per root.
+        shifted = diag[:, None] - kappa
+        lanes = np.stack([shifted, shifted[::-1]], axis=1)
+        betas = np.stack([beta, beta[::-1]], axis=1)[:, :, None]
+        pivots = np.empty_like(lanes)
+        for floor in (False, True):
+            ratio = np.zeros_like(lanes[0])
+            for k in range(n + 1):
+                if k:
+                    np.divide(betas[k - 1], pivots[k - 1], out=ratio)
+                np.subtract(lanes[k], ratio, out=pivots[k])
+                if floor and k < n:  # D+_n and D-_0 divide nothing
+                    noise = eps_ld * (abs(lanes[k]) + abs(ratio)) + pivmin
+                    np.copyto(pivots[k], -noise, where=abs(pivots[k]) < pivmin)
+            if floor or not (abs(pivots[:-1]) < pivmin).any():
+                break
+        top, bottom = pivots[:, 0], pivots[::-1, 1]
+        twist = np.argmin(abs(top + bottom - shifted), axis=0)
+        k = np.arange(n)[:, None]
+        down = np.where(k >= twist, -off[:, None] / bottom[1:], 1)
+        up = np.where(k < twist, -off[:, None] / top[:-1], 1)
+        v = np.ones_like(shifted)
+        np.cumprod(down, axis=0, out=v[1:])
+        v[:-1] *= np.cumprod(up[::-1], axis=0)[::-1]
+        v /= np.max(abs(v), axis=0)
+        rows = (diag[:, None] - kappa0) * v
+        rows[1:] += off[:, None] * v[:-1]
+        rows[:-1] += off[:, None] * v[1:]
+        coeffs = np.empty((kappa.size, n + 1))
+        coeffs[:, order] = ((v / v[min(n, 1)]) * scale[:, None]).T  # a_n is v[1]
+    return coeffs, np.max(abs(rows), axis=0), norm
 
 
 def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
-    """The polynomial of the spectral root (lambda, epsilon), with a_n = 1.
-
-    ``spectral.root_params`` gives the pair, and the polynomial carries
-    epsilon.  The coefficients are the
-    eigenvector of J (:func:`_reflection_jacobi`) at
-    ``kappa = -epsilon*sqrt(lambda + mu**2)`` (0 where lambda + mu**2 <= 0):
-    two inverse-iteration solves of ``J - kappa*I`` from the all-ones
-    vector, mapped back through the similarity, by :func:`_build_rows` on a
-    stack of one.  ``NotSpectral`` is raised
-    unless the solve vector v, scaled to ``max|v_k| = 1``, has
-    ``max|((J - kappa*I) v)_k| <= SPECTRAL_TOL * ||J||`` (largest row sum),
-    and where the nudged shift makes the solve exactly singular;
-    ``InvalidParams`` where a_n = 1 overflows the other coefficients, or
-    where mu = 0 makes every root of degree n >= 1 double.
+    """The polynomial of the spectral root (lambda, epsilon) that
+    ``spectral.root_params`` gives, with a_n = 1: :func:`_build_rows` on a
+    stack of one.  ``NotSpectral`` unless its eigen-residual is at most
+    ``SPECTRAL_TOL * ||J||``; ``InvalidParams`` where a_n = 1 overflows the
+    other coefficients, where mu**2 overflows a double, or where mu = 0
+    makes every root of degree n >= 1 double.
     """
     if epsilon not in (1, -1):
         raise InvalidParams(f"epsilon must be +1 or -1, got {epsilon!r}")
     n, mu = d.n, d.mu
     if mu == 0 and n >= 1:
         raise InvalidParams("mu must be nonzero: at mu = 0 every root is double")
-    kappa = -epsilon * math.sqrt(max(d.lam + mu_squared(mu), 0.0))
-    coeffs, resid, norm, shift = _build_rows(n, mu, np.array([kappa]))
-    if coeffs is None:
-        raise NotSpectral(
-            f"J - shift*I is singular at shift {float(shift[0])} (n={n}, mu={mu}, "
-            f"lambda={d.lam}, epsilon={epsilon})"
-        )
+    mu_squared(mu)  # raises where the square overflows
+    coeffs, resid, norm = _build_rows(n, mu, np.array([d.lam]), np.array([epsilon]))
     if not resid[0] <= SPECTRAL_TOL * norm:  # a NaN residual fails too
         raise NotSpectral(
             f"eigen-residual {float(resid[0]):.3e} exceeds {SPECTRAL_TOL:g} * ||J|| "

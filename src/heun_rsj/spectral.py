@@ -26,10 +26,10 @@ and every spectral lambda kills one of them.  Each factor is a continuant
 of the Jacobi form J of the reflection relations, ``det G_eps = det(J +
 eps*c*I)``, evaluated in extended precision with its derivative on
 arrays by the same framed recurrence (:func:`heun_poly._continuant` on J).
-The polish reads it, and so does ``structure``'s certification pass, value
-only, at ``kappa = -+c``, beside the determinant of its own long-double
-scan.  The sign of the factor that a root kills names the root together
-with lambda.  The signs alternate along the ascending spectrum, so
+The polish and the coefficient build step on it; ``structure``'s check pass
+reads it value only, at ``kappa = -+c``.  The sign of the factor that a
+root kills names the root together with lambda.  The signs alternate
+along the ascending spectrum, so
 ``root_params`` reads a root's sign from its index alone (the proof is in
 its docstring), and the two roots of a near-degenerate pair kill different
 factors: on its own factor, a pair root is a simple zero, and Newton
@@ -481,15 +481,15 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
 # insertion, with its reordering or eviction, one step, and no spectrum and
 # no check is computed under it.
 _MEMO_SIZE = 256
-_memo: dict[tuple[int, float], tuple[tuple[float, ...], dict]] = {}
+_memo: dict[tuple[int, float], list] = {}
 _memo_lock = threading.Lock()
 
 
-def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], dict]:
+def _cached_entry(n: int, mu: float) -> list:
     """The memo entry of a validated ``(n, float(mu))``: the lambdas of
-    :func:`lambda_spectrum` and the rows that :func:`_memo_rows` keeps.  A
-    spectrum that is not in the memo is computed and kept.  An error is
-    raised, not kept.
+    :func:`lambda_spectrum` and the rows that :func:`_memo_rows` keeps (None
+    before).  A spectrum that is not in the memo is computed and kept.  An
+    error is raised, not kept.
 
     The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas
     are the same (mu enters the recurrences squared).
@@ -500,7 +500,7 @@ def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], dict]:
         if entry is not None:
             _memo[key] = entry
             return entry
-    entry = lambda_spectrum(n, mu).lambdas, {}
+    entry = [lambda_spectrum(n, mu).lambdas, None]
     with _memo_lock:
         _memo[key] = entry
         if len(_memo) > _MEMO_SIZE:
@@ -508,17 +508,16 @@ def _cached_entry(n: int, mu: float) -> tuple[tuple[float, ...], dict]:
     return entry
 
 
-def _memo_rows(n: int, mu: float, start: int, form):
-    """The rows kept under ``start`` in the memo entry of a validated
-    ``(n, float(mu))`` (:func:`_cached_entry`), or ``form(lambdas)`` of the
-    entry where there are none, formed outside the lock and then kept.  An
-    evicted entry takes its rows with it.
+def _memo_rows(n: int, mu: float, form):
+    """The rows kept in the memo entry of a validated ``(n, float(mu))``
+    (:func:`_cached_entry`), or ``form(lambdas)`` of the entry where there
+    are none, formed outside the lock and then kept.  An evicted entry takes
+    its rows with it.
     """
-    lambdas, kept = _cached_entry(n, mu)
-    with _memo_lock:
-        rows = kept.get(start)
-    if rows is None:
-        rows = form(lambdas)
-        with _memo_lock:
-            rows = kept.setdefault(start, rows)
-    return rows
+    entry = _cached_entry(n, mu)
+    if entry[1] is None:
+        rows = form(entry[0])
+        with _memo_lock:  # the first rows kept are the ones every caller reads
+            if entry[1] is None:
+                entry[1] = rows
+    return entry[1]

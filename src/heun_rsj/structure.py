@@ -98,25 +98,9 @@ _CHECKS = (
     ("det_min_rel", "det_min"),
 )
 
-# Doubles that one certification chunk may hold: (n + 1)**2 per root for its
-# matrix J - kappa*I in the stacked solve, and 8*(n + 1) for its
-# coefficients in the lane table.  The dense solves cost O(n**3) per root,
-# so a chunk spends that on every root it holds where one root may be all
-# that is asked for: at n = 100 a cold verify of one root took about 1.7
-# times as long as the root alone with a chunk of 7, and would take about
-# 2.4 times with 13 and 14 times with all 101 roots.  This budget is the
-# least round one that keeps every n <= 40 one chunk (41 roots at n = 40,
-# 82,369 doubles: each spectrum of the certify benchmark); n = 100 takes 7
-# roots at a time.
-_CHUNK_DOUBLES = 84_000
-
-
-def _chunk(n: int, root: int) -> slice:
-    """The roots of (n, .) certified together with ``root``: consecutive
-    indices, as many as ``_CHUNK_DOUBLES`` holds, and at least one."""
-    size = max(1, _CHUNK_DOUBLES // ((n + 1) * (n + 9)))
-    start = root - root % size
-    return slice(start, min(start + size, n + 1))
+# Values per working array in a batch of :func:`certify_root` (n + 1 per root,
+# 8*(n + 1) in the sample table): a cold verify at n = 1000 peaked at 87 MB.
+_BATCH_VALUES = 2**18
 
 
 def _reflection_parts(mu: float, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,8 +351,8 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     from ``TOL``.  The master and linear-system residuals are always
     reported.  The checks that need c are reported only when lambda + mu**2
     clears ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped``
-    as ``{"name", "reason"}``.  The values come from the check pass of a
-    certification chunk (:func:`_check_rows`) run on P's one row, and the
+    as ``{"name", "reason"}``.  The values come from the check pass of
+    :func:`certify_root` (:func:`_check_rows`) run on P's one row, and the
     typed errors from that pass's scales and values: ``InvalidParams``
     where mu**2 overflows a double, where the master equation overflows
     (:func:`residuals`), where the reflection relation overflows (z**n at
@@ -394,22 +378,23 @@ def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
     """``certify(build_polynomial(*spectral.root_params(n, mu, root)))``,
     bit for bit, its typed errors included.
 
-    The roots of (n, mu) are certified in chunks of consecutive indices
-    (:func:`_chunk`), each by one stacked build and one check pass
-    (:func:`_certify_rows`), and the six check values of each root are
-    kept beside its spectrum in the memo of :func:`spectral.root_params`: a
-    later root of the chunk reads its row.  A root that the chunk could not
-    form is built and certified alone, by the same pass on its one row.
+    The first root of (n, mu) asked for certifies all of them, one build and
+    check pass (:func:`_certify_rows`) per batch of roots, and their check
+    values are kept in the spectrum's memo entry (:func:`spectral._memo_rows`).
+    A root whose row is not formed is built and certified alone.
     """
     d, epsilon = spectral.root_params(n, mu, root)
-    chunk = _chunk(d.n, root)
 
     def form(lambdas):
-        signs = spectral._root_signs(d.n, d.mu, np.arange(chunk.start, chunk.stop))
-        lam = np.array(lambdas[chunk])
-        return _certify_rows(d.n, d.mu, lam, signs.astype(float))
+        lam = np.array(lambdas)
+        eps = spectral._root_signs(d.n, d.mu, np.arange(d.n + 1)).astype(float)
+        size = max(1, _BATCH_VALUES // (d.n + 1))
+        return np.concatenate([
+            _certify_rows(d.n, d.mu, lam[i : i + size], eps[i : i + size])
+            for i in range(0, d.n + 1, size)
+        ])
 
-    values = spectral._memo_rows(d.n, d.mu, chunk.start, form)[root - chunk.start]
+    values = spectral._memo_rows(d.n, d.mu, form)[root]
     if math.isnan(values[0]):
         return certify(heun_poly.build_polynomial(d, epsilon))
     return _record(values.tolist(), d.lam + mu_squared(d.mu))
@@ -418,23 +403,19 @@ def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
 def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """The check values of :func:`certify` at the roots ``lam`` with signs
     ``eps`` of one validated (n, float mu), one row of six per root, from
-    one stacked build (``heun_poly._build_rows``) and one check pass
+    one build (``heun_poly._build_rows``) and one check pass
     (:func:`_check_rows`).
 
     Each row is bit for bit that of the root alone.  The four values that
     need c are NaN where lambda + mu**2 does not clear
     ``spectral.DISC_MARGIN``.  A root that build_polynomial or certify
-    would refuse, or whose values are not all finite, has a NaN row: so has
-    every root where LAPACK refuses the stacked solve.
+    would refuse, or whose values are not all finite, has a NaN row.
     """
     values = np.full((lam.size, len(_CHECKS)), np.nan)
     if mu == 0 and n >= 1:
         return values  # every root is double: build_polynomial refuses it
     disc = lam + mu_squared(mu)
-    kappa = -eps * np.sqrt(np.maximum(disc, 0.0))
-    a, resid, norm, _ = heun_poly._build_rows(n, mu, kappa)
-    if a is None:
-        return values
+    a, resid, norm = heun_poly._build_rows(n, mu, lam, eps)
     ok = (resid <= heun_poly.SPECTRAL_TOL * norm) & np.isfinite(a).all(axis=1)
     if not ok.any():
         return values

@@ -41,7 +41,11 @@ for the polish and without for the certification pass;
 without derivatives and with a frame test at every step, and the two must
 match bit for bit once each applies its frame, overflows and underflows
 included.  ``reflection_factor_mp`` is the continuant in mpmath, at the
-exact kappa.
+exact kappa.  ``reflection_coeffs_mp`` is a root's coefficient vector in
+mpmath, a_n = 1: the eigenvector of J at the root of the root's own factor,
+which the long-double build must match componentwise.
+``reflection_jacobi_dense`` fills the dense J from the build's bands, for
+the tests that read a matrix.
 
 ``spectral.lambda_spectra`` gates each root on the determinant, which does
 not say which root it is.  ``sturm_counts`` counts the eigenvalues of the
@@ -98,6 +102,7 @@ import numpy as np
 
 from heun_rsj.dynamics import _grid, _step_maps
 from heun_rsj.errors import HeunRsjError, IndexOutOfRange, InvalidParams
+from heun_rsj.heun_poly import _reflection_jacobi
 from heun_rsj.model import (
     DcheParams,
     HeunPolynomial,
@@ -346,13 +351,16 @@ def reflection_factor_mp(n: int, mu: float, kappa, dps: int = 60) -> tuple:
     """``det(J - kappa*I)`` for the Jacobi form J of the reflection relations,
     its kappa-derivative and the largest summand of the three-term
     recurrence, in mpmath at ``dps`` digits, at the exact value of ``kappa``
-    (a float or a ``numpy.longdouble``).  J is the band that
+    (a float, a ``numpy.longdouble`` or an mpmath number).  J is the band that
     :func:`reflection_signs` fills: a zero diagonal but for its last entry
     (mu for even n, -(n+1)/2 for odd n), and squared off-diagonals mu**2
     and (i+1)*(n-i) in turn."""
-    num, den = kappa.as_integer_ratio()
     with mpmath.workdps(dps):
-        k = mpmath.mpf(num) / den
+        if isinstance(kappa, mpmath.mpf):
+            k = +kappa
+        else:
+            num, den = kappa.as_integer_ratio()
+            k = mpmath.mpf(num) / den
         m = mpmath.mpf(mu)
         diag = [mpmath.mpf(0)] * (n + 1)
         diag[n] = mpmath.mpf(-(n + 1)) / 2 if n % 2 else m
@@ -366,6 +374,73 @@ def reflection_factor_mp(n: int, mu: float, kappa, dps: int = 60) -> tuple:
             cur, dcur = t1 - t2, (diag[j] - k) * dprev - prev - off2[j - 1] * dprev2
             prev2, prev, dprev2, dprev = prev, cur, dprev, dcur
         return +prev, +dprev, +top
+
+
+def reflection_jacobi_dense(n: int, mu: float) -> np.ndarray:
+    """The Jacobi form J of the reflection relations as a dense double
+    matrix, filled from the bands of ``heun_poly._reflection_jacobi``."""
+    diag, off, _, _ = _reflection_jacobi(n, mu)
+    off = off.astype(float)
+    return np.diag(diag.astype(float)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _jacobi_vector_mp(n: int, mu: float, lam: float, eps: int) -> list:
+    """The coefficients of :func:`reflection_coeffs_mp` at the working
+    precision."""
+    m = mpmath.mpf(mu)
+    k = -eps * mpmath.sqrt(max(mpmath.mpf(lam) + m * m, 0))
+    for _ in range(100):
+        g, dg, _ = reflection_factor_mp(n, mu, k, mpmath.mp.dps)
+        step = g / dg
+        k -= step
+        if abs(step) <= mpmath.mpf(10) ** (10 - mpmath.mp.dps) * max(1, abs(k)):
+            break
+    else:
+        raise UnresolvedSpectrum(f"Newton on the factor did not settle at (n={n}, mu={mu})")
+    off = [m if p % 2 == 0 else -mpmath.sqrt((p // 2 + 1) * (n - p // 2)) for p in range(n)]
+    v = [mpmath.mpf(1)]
+    for p in range(n):  # row p of (J - kappa*I) v = 0 gives v_{p+1}
+        lower = off[p - 1] * v[p - 1] if p else 0
+        v.append(-(lower - k * v[p]) / off[p])
+    scale, d = [], mpmath.mpf(1)
+    for p in range(n + 1):
+        scale.append(d)
+        if p % 2:
+            d *= mpmath.sqrt(mpmath.mpf(n - p // 2) / (p // 2 + 1))
+    lead = min(n, 1)
+    a = [mpmath.mpf(0)] * (n + 1)
+    for p in range(n + 1):
+        i = p // 2 if p % 2 == 0 else n - p // 2
+        a[i] = scale[p] * v[p] / v[lead]
+    return a
+
+
+def reflection_coeffs_mp(n: int, mu: float, lam: float, eps: int, dps: int = 80) -> list:
+    """The coefficients of the root (lam, eps) of (n, mu), a_n = 1, as
+    mpmath numbers: the eigenvector of J at the root's own kappa.
+
+    kappa is the root of the factor ``det(J - kappa*I)``
+    (:func:`reflection_factor_mp`) that Newton reaches from ``-eps*sqrt(lam
+    + mu**2)``, and v solves ``(J - kappa*I) v = 0`` row by row from
+    ``v_0 = 1``; the similarity of ``heun_poly._reflection_jacobi``, rebuilt
+    here from its formula, maps v to the coefficients.  The forward
+    recurrence amplifies the error of kappa, so all of it runs at ``dps``
+    digits and again at twice as many, doubling until two runs agree to
+    1e-30 of each coefficient (of 10**(20 - dps) times the largest, where
+    that is more), and the coefficients of the first of the two are
+    returned; ``UnresolvedSpectrum`` past 1,280 digits.
+    """
+    with mpmath.workdps(dps):
+        prev = _jacobi_vector_mp(n, mu, lam, eps)
+    while dps < 1280:
+        dps *= 2
+        with mpmath.workdps(dps):
+            cur = _jacobi_vector_mp(n, mu, lam, eps)
+            floor = mpmath.mpf(10) ** (20 - dps // 2) * max(abs(x) for x in cur)
+            if all(abs(x - y) <= 1e-30 * max(abs(y), floor) for x, y in zip(prev, cur)):
+                return prev
+        prev = cur
+    raise UnresolvedSpectrum(f"the coefficients at (n={n}, mu={mu}) need over 1280 digits")
 
 
 def reflection_dets_loop(n: int, mu: float, c: np.longdouble) -> tuple:

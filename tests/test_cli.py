@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from heun_rsj.model import HeunPolynomial
 from heun_rsj.serialize import SCHEMA
 
 import helpers
-from oracles import reflection_signs, sweep_loop
+from oracles import reflection_coeffs_mp, reflection_signs, sweep_loop
 
 
 def run_cli(capsys, *argv):
@@ -727,13 +728,25 @@ def _root_calls(command):
 # max_phase_dev_mod_2pi moved, at the (5, 1.7, 3) call, whose RK4 run
 # drifts off a repelling solution and amplifies the rounding (7.55248e-05
 # -> 7.55262e-05); the closed form and every exit code stayed the same.
+# All three were re-recorded when the coefficients came from a twisted
+# factorization of J - kappa*I in long double instead of two stacked LAPACK
+# solves: in poly the coefficients moved at 264 of the 273 calls (by at
+# most 4.5e-10 relative, at root 0 of (10, -0.7)), master_rel_max at 260
+# and linear_system_rel_max at 254; in verify master_equation_rel moved at
+# 260 calls, linear_system_rel at 254, reflection_symmetry at 246 and
+# coeff_relations_rel at 228; in phase-compare only ode_residual_max, at
+# (5, 1.7, 3) and (8, 2.6, 6) (1.503e-13 -> 1.517e-13, 3.493e-13 ->
+# 3.417e-13).  No verdict and no exit code flipped.  The verify and poly
+# digests hold with AVX-512 and AVX2 switched off and under other OpenBLAS
+# core types; phase-compare's (8, 2.6, 6) ode_residual_max moves with AVX2
+# off.
 @pytest.mark.parametrize(
     "command,digest",
     [
-        ("verify", "56a05f1a0224a119f8cb333dbb3149d2cdbbf86fdb367038d83fbc59d7b3edeb"),
-        ("poly", "2d69cc9294a94ad295190e607ab323979b331e9efb1114c0de88690807d23782"),
+        ("verify", "34a77b6cf13bb3979724282a549bd3faf4ff10660ce54f3be03e7cefc10c6511"),
+        ("poly", "6b0b5263773cdd68787a8c1b15c5601ca36567611c57cf1efd04c0288e4c73aa"),
         ("phase-compare",
-         "7e7a31128ccb85ee585f454eb7045874b696ff3433e7c5d3b0bfef0ed8ddfd35"),
+         "d10de0c301d2c8ed86d01805e2dba9b1746d240a14af9dcc68ef6a8a14b77d5c"),
     ],
 )
 def test_golden_root_commands(capsys, command, digest):
@@ -753,7 +766,12 @@ def test_golden_root_commands(capsys, command, digest):
 # det_product_rel and det_min_rel moved at 428 calls, and det_product_rel
 # flipped from fail to pass (exit 1 -> 0) at six roots, (14, 0.25, 14),
 # (15, 0.25, 15), (16, 0.25, 15), (10, 1.82, 0), (15, -0.7, 15) and
-# (16, -0.7, 16); nothing else moved.
+# (16, -0.7, 16); nothing else moved.  Re-recorded again when the
+# coefficients came from a twisted factorization of J - kappa*I in long
+# double instead of two stacked LAPACK solves: master_equation_rel moved at
+# 442 of the 459 calls, linear_system_rel at 439, reflection_symmetry at 420
+# and coeff_relations_rel at 395; no verdict and no exit code flipped, and
+# the determinant checks did not move.
 def test_verify_bytes_over_a_grid(capsys):
     h = hashlib.sha256()
     for mu in ("0.25", "1.82", "-0.7"):
@@ -764,8 +782,22 @@ def test_verify_bytes_over_a_grid(capsys):
                 )
                 h.update(f"{code}\n{out}{err}".encode())
     assert h.hexdigest() == (
-        "93f3b7e815560781acfd36aa1fdf456f7d0eb1df7f0f3ef90cfa60e3b4d221eb"
+        "65740346584cf24a574d1b3602c152c0b205ae3b5b657906175f47e61ea47277"
     )
+
+
+# At (40, 0.25, 40) the coefficients span 1e31 to 1, and a_n = 1 carried no
+# correct digit when it came from two stacked LAPACK solves: poly printed
+# them off by factors from 3e-4 to 138, with the wrong sign at 38 of 41.
+# Every sign must be the mpmath eigenvector's.
+def test_poly_prints_the_reference_signs(capsys):
+    code, out, err = run_cli(capsys, "poly", "--n", "40", "--mu", "0.25", "--root", "40")
+    d, eps = spectral.root_params(40, 0.25, 40)
+    want = reflection_coeffs_mp(40, 0.25, d.lam, eps)
+    assert code == 0 and err == ""
+    assert [math.copysign(1.0, a) for a in json.loads(out)["coeffs"]] == [
+        float(mpmath.sign(w)) for w in want
+    ]
 
 
 # From about |mu| = 1e153 up to sqrt(DBL_MAX) the double determinant scan

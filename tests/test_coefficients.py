@@ -19,6 +19,8 @@ from identities import symmetry_matrix
 from oracles import (
     ZeroRatioDivision,
     coeffs_from_ratios,
+    reflection_coeffs_mp,
+    reflection_jacobi_dense,
     reflection_signs,
     sign_at_one,
     signed_spectrum,
@@ -36,8 +38,9 @@ class TestJacobiForm:
         d = DcheParams(n=n, mu=mu, lam=1.0)
         c = math.sqrt(1.0 + mu**2)
         k_t = (symmetry_matrix(1, d) - c * np.eye(n + 1)).T
-        jac, order, log_d = _reflection_jacobi(n, mu)
-        scale = np.exp(log_d)
+        _, _, order, scale = _reflection_jacobi(n, mu)
+        jac = reflection_jacobi_dense(n, mu)
+        scale = scale.astype(float)
         similar = k_t[np.ix_(order, order)] * scale[None, :] / scale[:, None]
         np.testing.assert_array_equal(jac, jac.T)
         np.testing.assert_allclose(jac, similar, rtol=1e-14, atol=1e-14)
@@ -47,7 +50,7 @@ class TestJacobiForm:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 40])
     @pytest.mark.parametrize("mu", RANGE_MUS)
     def test_kappa_gives_the_spectrum(self, n, mu):
-        kappa = np.linalg.eigvalsh(_reflection_jacobi(n, mu)[0])
+        kappa = np.linalg.eigvalsh(reflection_jacobi_dense(n, mu))
         lams = np.sort(kappa * kappa - mu * mu)
         want = np.array(lambda_spectrum(n, mu).lambdas)
         np.testing.assert_allclose(lams, want, rtol=0.0, atol=1e-13 * max(1.0, n * n))
@@ -132,6 +135,37 @@ def test_coefficients_match_mpmath(n, mu, index):
     # largest coefficient of exactly 1.
     got, want = (a / a[np.argmax(np.abs(a))] for a in (got, want))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# Componentwise against the eigenvector of J at the root's own kappa with
+# a_n = 1 (oracles.reflection_coeffs_mp): the first three, where the stacked
+# LAPACK solves carried no correct digit in a_n and missed every other
+# coefficient by up to a factor 138 (40, 0.25, 40), 7 (100, 1.82, 50) and
+# 68 (200, 1.82, 150); the worst of 652 roots scanned, every root of
+# n in {1, 2, 5, 12, 20, 33, 40} at the five mu and every 7th of (100, 1.82),
+# (100, 0.25) and (150, -0.7) (3.0e-15, 27 ulps); root 0 below DISC_MARGIN,
+# where kappa**2 - mu**2 leaves kappa no correct digit and Newton takes it
+# from 1.5e-9 to -5.4e-55; an equal-lambda pair; and a vanishing interior
+# coefficient, which must come out 0.
+@pytest.mark.parametrize(
+    "n,mu,index",
+    [
+        (40, 0.25, 40),
+        (100, 1.82, 50),
+        (200, 1.82, 150),
+        (40, 2.5, 17),
+        (40, -0.7, 0),
+        (20, 0.25, 1),
+        (20, 0.25, 2),
+        (3, 2.0, 1),
+    ],
+)
+def test_coefficients_are_componentwise_accurate(n, mu, index):
+    d, eps = root_params(n, mu, index)
+    got = build_polynomial(d, eps).coeffs
+    want = reflection_coeffs_mp(n, mu, d.lam, eps)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-14 * abs(w), (k, g, float(w))
 
 
 def test_coefficients_match_the_ratio_chain():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -620,15 +621,45 @@ class TestBuildPolynomial:
                 build_polynomial(DcheParams(n=2, mu=1.0, lam=0.123), epsilon)
 
     def test_singular_shift_is_typed(self):
-        # 8 ulps above root 13 of (16, 0.25), the nudged shift makes the LU
-        # of J - shift*I exactly singular.
+        # 8 ulps above root 13 of (16, 0.25), where the shift that inverse
+        # iteration once nudged off kappa made the LU of J - shift*I exactly
+        # singular.  No solve is left to fail: Newton on the factor takes
+        # kappa to the root's own, and the twisted factorization gives the
+        # polynomial of root 13, bit for bit, with no warning.
+        root, eps = root_params(16, 0.25, 13)
         d = DcheParams(n=16, mu=0.25, lam=68.5838497406936)
-        with pytest.raises(
-            NotSpectral,
-            match=r"singular at shift -8\.28\d* \(n=16, mu=0\.25, "
-            r"lambda=68\.5838497406936, epsilon=1\)$",
-        ):
-            build_polynomial(d, 1)
+        assert eps == 1 and d.lam - root.lam == 8 * math.ulp(root.lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            poly = build_polynomial(d, 1)
+        assert poly.coeffs == build_polynomial(root, 1).coeffs
+
+    def test_floored_pivot_keeps_the_other_rows(self, monkeypatch):
+        # At (5, 1e20) kappa = -+sqrt(lambda + mu**2) rounds to -+mu in long
+        # double at roots 2-5, and a pivot of J - kappa*I cancels to 0: their
+        # builds factor again with the floor, which those of roots 0 and 1
+        # do not.  In the stack of the whole spectrum the floor pass runs
+        # for every root, and every row is still bit for bit its root's
+        # build alone, and finite.
+        n, mu = 5, 1e20
+        lam = np.array(lambda_spectrum(n, mu).lambdas)
+        eps = spectral._root_signs(n, mu, np.arange(n + 1))
+        copyto, floored = np.copyto, []
+
+        def spy(dst, src, **kwargs):
+            floored.append(dst.shape[-1])
+            return copyto(dst, src, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", spy)
+        alone = []
+        for i in range(n + 1):
+            floored.clear()
+            alone.append(heun_poly._build_rows(n, mu, lam[i : i + 1], eps[i : i + 1]))
+            assert bool(floored) == (i >= 2), i
+        coeffs, resid, _ = heun_poly._build_rows(n, mu, lam, eps)
+        assert np.isfinite(coeffs).all()
+        for i, (row, r, _) in enumerate(alone):
+            assert coeffs[i].tolist() == row[0].tolist() and resid[i] == r[0], i
 
     def test_interior_zero_coefficient_case(self):
         # At (n, mu) = (3, 2) one spectral lambda is exactly 0 and the

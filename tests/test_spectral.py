@@ -36,6 +36,7 @@ from identities import coefficient_matrix, factorization, symmetry_matrix
 from oracles import (
     _refine_ratio,
     mpmath_root,
+    reflection_jacobi_dense,
     signed_spectrum,
     spectral_det,
     sturm_counts,
@@ -533,7 +534,7 @@ class TestSpectra:
         # det(J - kappa*I) and its kappa-derivative against mpmath on the
         # Jacobi form, to rounding of the terms (each below prod(1+|e|+|k|)
         # over the eigenvalues e of J).
-        jac, _, _ = heun_poly._reflection_jacobi(n, mu)
+        jac = reflection_jacobi_dense(n, mu)
         kappa = [-2.3, -0.4, 0.0, 0.9, 3.7]
         g, dg, _ = scaled_scan(
             _continuant("J", n, mu, np.array(kappa, dtype=np.longdouble), derivative=True)
@@ -1178,7 +1179,7 @@ class TestRootParams:
     def test_verifying_every_root_computes_one_spectrum(self, monkeypatch, capsys):
         # One eigensolve for the 13 roots, the seeds of T, and two
         # determinant scans: the gate's, and the long-double one of the
-        # certification pass over the roots' one chunk; the signs need none.
+        # certification pass over the whole spectrum; the signs need none.
         seeds = _spy(monkeypatch, "_eigen_seeds")
         solves, scans = _spy_solves(monkeypatch), _spy_scans(monkeypatch)
         for root in range(13):
@@ -1222,9 +1223,9 @@ class TestRootParams:
     @pytest.mark.usefixtures("fresh_memo")
     def test_verify_bytes_do_not_depend_on_the_order(self, capsys):
         # From a cold memo, every root in ascending, descending and shuffled
-        # order gives the bytes of its own cold call: at (60, 1.37) the
-        # spectrum spans four chunks, each certified when a root of it
-        # first comes.
+        # order gives the bytes of its own cold call: the whole spectrum is
+        # certified when its first root comes, and every later root reads
+        # its row.
         def verify(n, mu, root):
             code = cli.main(["verify", "--n", str(n), "--mu", mu, "--root", str(root)])
             return code, *capsys.readouterr()
@@ -1240,9 +1241,7 @@ class TestRootParams:
                 spectral._memo.clear()
                 for root in order:
                     assert verify(n, mu, root) == cold[root], (n, mu, root)
-            assert len(spectral._memo[(n, float(mu))][1]) == len(
-                {structure._chunk(n, root).start for root in range(n + 1)}
-            )
+            assert spectral._memo[(n, float(mu))][1].shape == (n + 1, 6)
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_an_evicted_spectrum_leaves_no_row(self, capsys):
@@ -1255,8 +1254,7 @@ class TestRootParams:
 
         cold = verify()
         old = spectral._memo[(60, 1.37)]
-        (rows,) = old[1].values()
-        rows[:] = 0.0
+        old[1][:] = 0.0
         for k in range(256):
             root_params(1, 1.0 + k, 0)
         assert (60, 1.37) not in spectral._memo
