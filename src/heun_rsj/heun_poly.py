@@ -19,9 +19,15 @@ determinant and the two reflection factors det(J -+ c*I) that it splits
 into are continuants, and one framed three-term recurrence,
 ``_continuant``, evaluates either on an array of lambda or kappa, with its
 derivative and its largest summand where the caller asks for them: for the
-spectral gate and polish, the build and the certification pass.  The double
-determinant of one triplet and the exact-rational transfer-matrix product
-that cross-checks it live with the tests, in ``tests/oracles.py``.
+spectral gate and polish, the build and the certification pass.  One
+element runs on numpy scalars, a fraction of an array's fixed cost per
+step.  Where a batch of roots is certified, the build's first Newton pass
+evaluates both factors of each root at once, its own for the step and the
+other beside it, and hands the pair to the check pass, which evaluates no
+factor again; ``kappa = -eps*sqrt(lambda + mu**2)`` has one formula for
+both (``_reflection_kappa``).  The double determinant of one triplet and
+the exact-rational transfer-matrix product that cross-checks it live with
+the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -126,14 +132,18 @@ def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=
     and cannot overflow, in long double.  ``n`` and ``mu`` are scalars or
     per-element arrays with the degrees descending: each element runs its
     own degree's recurrence (:func:`_by_degree`) with the arithmetic of a
-    scalar call, up to its frame.
+    scalar call, up to its frame.  A one-element x with a scalar n runs on
+    its 0-d view, in numpy scalar arithmetic, with the same bits.
     Returns arrays ``(det, ddet_dx, summand_max, e)``, each entry times
     ``2**e`` of its element.  The derivative is formed with ``derivative``,
     the largest |x|, |alpha_j*p_{j-1}|, |beta_j*p_{j-2}| (and |a_n*p_{n-1}|)
     with ``summand``, and each is None otherwise.  The gate scans T in
     double with both; the polish T and J in long double with the
-    derivative, and the build J; the certification pass T with the summand
-    maximum and J with neither.
+    derivative; the build J with the derivative, its first pass at both
+    signs of each root's kappa, for the factors that the certification
+    pass reads (:func:`_build_rows`); and the certification pass T with
+    the summand maximum, and J with neither for a lone row
+    (:func:`_reflection_factors`).
     A step multiplies the largest magnitude of an element's formed values
     by at most ``g = max|x| + (1 + max mu**2)*(max n + 1)**2/4 + 1``, plus
     max|a_n| for J.  After a frame test (:func:`_framed`) it is below
@@ -143,31 +153,57 @@ def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=
     between; each degree's elements are also tested at its last step.
     Frames are exact, so each value times ``2**e`` is bit for bit that of a
     test at every step, which the recurrence still makes where g is 2**300
-    or more, or not finite, and where mu**2 is below 2**-300 (see below).
+    or more, or not finite, and where mu**2 is below 2**-300 (see below);
+    only where the derivative passes the value by more than the dtype's
+    range does its frame leave the value subnormal, or 0.
     """
+    if x.ndim and x.size == 1 and not isinstance(n, np.ndarray):
+        # One element runs on its 0-d view: each step is numpy scalar
+        # arithmetic, the same operations at a fraction of an array's cost.
+        scan = _recurrence(matrix, n, mu, x.reshape(()), derivative, summand)
+        return tuple(v if v is None else np.reshape(v, x.shape) for v in scan)
+    return _recurrence(matrix, n, mu, x, derivative, summand)
+
+
+def _recurrence(matrix: str, n, mu, x: np.ndarray, derivative: bool, summand: bool):
+    """:func:`_continuant` on ``x`` as it comes: an array, or the 0-d view
+    of one element."""
     jacobi = matrix == "J"
     runs = _by_degree(n, x.size)
     mu = x.dtype.type(mu)
     n1, mu2, last = n + 1, mu * mu, None
+    shared = not isinstance(mu2, np.ndarray)  # one mu**2 for every element
     # The growth bound g of the docstring.  Where some mu**2 is below
     # 2**-300 (mu = 0 among them) the frame is tested at every step: as
     # mu**2 -> 0 the roots pair up and the recurrence carries values 2**-600
     # and more below its largest, which frames set a few steps apart can
     # round to different subnormals.
     top = max((d for d, _, _ in runs), default=0)  # the largest degree
-    g = float(np.max(np.abs(x), initial=0.0)) + 1.0
-    g += (1.0 + float(np.max(mu2))) * (top + 1) ** 2 / 4
+    g = float(np.max(np.abs(x), initial=0.0) if x.ndim else abs(x)) + 1.0
+    if shared:
+        mu2_max = mu2_min = mu2
+    else:
+        mu2_max, mu2_min = np.max(mu2), np.min(mu2)
+    g += (1.0 + float(mu2_max)) * (top + 1) ** 2 / 4
     if jacobi:
-        last = np.where(n % 2 == 1, -n1 / 2, mu)[()]
-        g += float(np.max(np.abs(last)))
+        if shared and not isinstance(n, np.ndarray):
+            last = mu.dtype.type(-n1 / 2) if n % 2 == 1 else mu
+            g += float(abs(last))
+        else:
+            last = np.where(n % 2 == 1, -n1 / 2, mu)[()]
+            g += float(np.max(np.abs(last)))
         x = -x  # alpha_j up to the closing entry
     every = 1
-    if g < 2.0**300 and float(np.min(mu2)) >= 2.0**-300:  # a NaN g fails too
+    if g < 2.0**300 and float(mu2_min) >= 2.0**-300:  # a NaN g fails too
         every = int((np.finfo(x.dtype).maxexp - 1 - 301 - 2) / math.log2(g))
-    prev2, prev = np.ones_like(x), x  # p_{-1}, p_0
+
+    def filled(value):  # like x: an array, or a scalar for a 0-d view
+        return np.full_like(x, value) if x.ndim else x.dtype.type(value)
+
+    prev2, prev = filled(1), x  # p_{-1}, p_0
     dprev2 = dprev = None  # their x-derivatives
     if derivative:
-        dprev2, dprev = np.zeros_like(x), np.full_like(x, -1 if jacobi else 1)
+        dprev2, dprev = filled(0), filled(-1 if jacobi else 1)
     smax = np.abs(x) if summand else None
     e = np.zeros(x.shape, dtype=np.int64)
     done, step = [], 0
@@ -195,12 +231,12 @@ def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=
                 (prev2, prev, dprev2, dprev, smax), e = _framed(
                     (prev2, prev, dprev2, dprev, smax), e
                 )
-        end = slice(k - c, k)  # the elements of degree d
-        (p2, p, dp2, dp, sm), frame = _framed(
-            _take(end, prev2, prev, dprev2, dprev, smax), e[end]
-        )
+        ending = (prev2, prev, dprev2, dprev, smax, e, last)
+        if c < k:  # the elements of degree d
+            ending = _take(slice(k - c, k), *ending)
+        (p2, p, dp2, dp, sm), frame = _framed(ending[:5], ending[5])
         if jacobi:  # the closing entry
-            (a,) = _take(end, last)
+            a = ending[6]
             closing = a * p2
             p = p + closing
             if derivative:
@@ -223,7 +259,7 @@ def _framed(values: tuple, e: np.ndarray) -> tuple:
     m = None
     for v in values:
         if v is not None:
-            m = np.abs(v) if m is None else np.maximum(m, np.abs(v))
+            m = abs(v) if m is None else np.maximum(m, abs(v))
     ex = np.frexp(m)[1]  # 0 for a NaN or an infinity
     far = np.abs(ex) > 300
     if not far.any():
@@ -238,19 +274,51 @@ def _framed(values: tuple, e: np.ndarray) -> tuple:
     return tuple(v if v is None else v * s for v in values), e + np.where(far, ex, 0)
 
 
-def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
+def _reflection_kappa(mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
+    """``kappa = -eps*sqrt(lambda + mu**2)`` of each root with sign eps, in
+    long double, 0 where lambda + mu**2 <= 0, and the mask of the roots
+    where lambda + mu**2 < 0."""
+    ld = np.longdouble
+    disc = lam.astype(ld) + ld(mu) ** 2
+    return -eps * np.sqrt(np.maximum(disc, 0)), disc < 0
+
+
+def _factor_pair(factors: tuple, below: np.ndarray) -> tuple:
+    """The values and frames of ``det(J - x*I)`` at ``x = [kappa, -kappa]``
+    (:func:`_continuant` on J) as two rows, det G_eps and det G_-eps of
+    each root with sign eps, the values NaN at a root whose lambda + mu**2
+    is below 0 in long double, where c has no real value."""
+    values, _, _, frames = factors
+    values, frames = values.reshape(2, -1), frames.reshape(2, -1)
+    values[:, below] = np.nan
+    return values, frames
+
+
+def _reflection_factors(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
+    """The factor values and frames of :func:`_factor_pair` at the roots
+    ``lam`` with signs ``eps`` of one (n, mu), from one value-only call of
+    :func:`_continuant` on J: those that ``_build_rows(..., pair=True)``
+    forms beside its first Newton pass, up to a power-of-two frame."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa, below = _reflection_kappa(mu, lam, eps)
+        return _factor_pair(_continuant("J", n, mu, np.concatenate([kappa, -kappa])), below)
+
+
+def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=False) -> tuple:
     """Coefficient rows of the eigenvectors of J at the roots ``lam`` with
     signs ``eps`` of one (n, mu), a_n = 1 in each: :func:`build_polynomial`
     on a stack, in long double, each row bit for bit that of a stack of one.
 
-    ``kappa = -eps*sqrt(lambda + mu**2)``, formed as the check pass forms c
-    (0 where lambda + mu**2 <= 0), takes Newton steps on its own factor
-    (:func:`_continuant` on J) until a step is at most 2**-40 of kappa, when
-    the next would be rounding: one for most roots, up to 8 for root 0 just
-    above -mu**2.  The twisted factorization of J - kappa*I (Parlett and
-    Dhillon, LAA 1997) gives the eigenvector: pivots D+ and D- of its
-    top-down and bottom-up LDL^T by ratio recurrences, ``v_r = 1`` at the
-    smallest ``|gamma_r| = |D+_r + D-_r - (J_rr - kappa)|``, and running
+    ``kappa = -eps*sqrt(lambda + mu**2)`` (:func:`_reflection_kappa`) takes
+    Newton steps on its own factor (:func:`_continuant` on J) until a step
+    is at most 2**-40 of kappa, when the next would be rounding: one for
+    most roots, up to 8 for root 0 just above -mu**2.  With ``pair`` the
+    first pass runs at ``[kappa, -kappa]``, and the factors of the other
+    sign, formed beside the steps, come back for the check pass
+    (:func:`_factor_pair`).  The twisted factorization of J - kappa*I
+    (Parlett and Dhillon, LAA 1997) gives the eigenvector: pivots D+ and D-
+    of its top-down and bottom-up LDL^T by ratio recurrences, ``v_r = 1`` at
+    the smallest ``|gamma_r| = |D+_r + D-_r - (J_rr - kappa)|``, and running
     products of ``-J_{k,k+1}/D-_{k+1}`` below r and ``-J_{k,k+1}/D+_k``
     above.  As LAPACK's ``dlar1v`` does, a stack with a dividing pivot below
     ``pivmin`` is factored again with it floored, here to minus its rounding
@@ -259,7 +327,9 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
 
     Returns the ascending coefficients (not finite where a_n = 1 overflows
     a double), each row's ``max|((J - kappa*I) v)_k|`` at the unrefined
-    kappa with ``max|v_k| = 1``, and ``||J||`` (largest row sum).
+    kappa with ``max|v_k| = 1``, ``||J||`` (largest row sum), and with
+    ``pair`` the factor values and frames of :func:`_factor_pair` (None
+    without).
     """
     ld = np.longdouble
     diag, off, order, scale = _reflection_jacobi(n, mu)
@@ -268,11 +338,16 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
     beta, eps_ld = off * off, np.finfo(ld).eps
     pivmin = np.finfo(ld).tiny * beta.max(initial=1)  # LAPACK's
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kappa0 = -eps * np.sqrt(np.maximum(lam.astype(ld) + ld(mu) ** 2, 0))
-        kappa, live = kappa0.copy(), np.arange(kappa0.size)
-        for _ in range(8):  # each pass squares the error of root 0 from 1e-9
-            g, dg, _, _ = _continuant("J", n, mu, kappa[live], derivative=True)
-            step = g / dg
+        kappa0, below = _reflection_kappa(mu, lam, eps)
+        kappa, live, factors = kappa0.copy(), np.arange(kappa0.size), None
+        for p in range(8):  # each pass squares the error of root 0 from 1e-9
+            at, both = kappa[live], pair and p == 0  # every root is live at p = 0
+            scan = _continuant(
+                "J", n, mu, np.concatenate([at, -at]) if both else at, derivative=True
+            )
+            step = scan[0][: live.size] / scan[1][: live.size]
+            if both:
+                factors = _factor_pair(scan, below)
             ok = np.isfinite(step)
             kappa[live[ok]] -= step[ok]
             live = live[ok & (abs(step) > 2.0**-40 * abs(kappa[live]))]
@@ -308,7 +383,7 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
         rows[:-1] += off[:, None] * v[1:]
         coeffs = np.empty((kappa.size, n + 1))
         coeffs[:, order] = ((v / v[min(n, 1)]) * scale[:, None]).T  # a_n is v[1]
-    return coeffs, np.max(abs(rows), axis=0), norm
+    return coeffs, np.max(abs(rows), axis=0), norm, factors
 
 
 def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
@@ -325,7 +400,7 @@ def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     if mu == 0 and n >= 1:
         raise InvalidParams("mu must be nonzero: at mu = 0 every root is double")
     mu_squared(mu)  # raises where the square overflows
-    coeffs, resid, norm = _build_rows(n, mu, np.array([d.lam]), np.array([epsilon]))
+    coeffs, resid, norm, _ = _build_rows(n, mu, np.array([d.lam]), np.array([epsilon]))
     if not resid[0] <= SPECTRAL_TOL * norm:  # a NaN residual fails too
         raise NotSpectral(
             f"eigen-residual {float(resid[0]):.3e} exceeds {SPECTRAL_TOL:g} * ||J|| "

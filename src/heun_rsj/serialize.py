@@ -12,8 +12,8 @@ once, and writes each row with a single ``%`` format, in the bytes that
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -41,38 +41,66 @@ def fmt_float(x: float) -> str:
 
 
 def _emit(obj, out: list[str]) -> None:
-    if obj is None:
+    """Append the JSON text of ``obj``: by its exact type first, the common
+    case, then by :func:`_emit_other` for numpy values, subclasses and the
+    typed error, in the same bytes."""
+    kind = type(obj)
+    if kind is float:
+        out.append(fmt_float(obj))
+    elif kind is str:
+        out.append(_string(obj))
+    elif kind is dict:
+        _emit_dict(obj, out)
+    elif kind is list or kind is tuple:
+        _emit_list(obj, out)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif kind is int:
+        out.append(str(obj))
+    else:
+        _emit_other(obj, out)
+
+
+def _emit_other(obj, out: list[str]) -> None:
+    """:func:`_emit` of a value whose type is none of its exact types."""
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_string(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise InvalidParams(f"JSON keys must be strings, got {k!r}")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(k))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
+        _emit_dict(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(list(obj)):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
+        _emit_list(list(obj), out)
     else:
         raise InvalidParams(f"cannot serialise {type(obj).__name__}")
+
+
+def _emit_dict(obj: dict, out: list[str]) -> None:
+    out.append("{")
+    for i, (k, v) in enumerate(obj.items()):
+        if not isinstance(k, str):
+            raise InvalidParams(f"JSON keys must be strings, got {k!r}")
+        if i:
+            out.append(", ")
+        out.append(_string(k))
+        out.append(": ")
+        _emit(v, out)
+    out.append("}")
+
+
+def _emit_list(obj, out: list[str]) -> None:
+    out.append("[")
+    for i, v in enumerate(obj):
+        if i:
+            out.append(", ")
+        _emit(v, out)
+    out.append("]")
 
 
 def json_dumps(obj) -> str:

@@ -236,8 +236,8 @@ def _eigen_seeds(n: int, mu: float) -> np.ndarray:
 def _root_signs(n, mu, index):
     """Reflection sign of root ``index`` (ascending) of ``(n, mu)`` by the
     parity rule of :func:`root_params`; scalars or arrays that broadcast."""
-    sigma = np.where((n % 2 == 0) & (mu <= 0), -1, 1)
-    return np.where(index % 2 == 0, -sigma, sigma)
+    sigma = 1 - 2 * ((n % 2 == 0) & (mu <= 0))  # plain ints for scalars
+    return sigma * (2 * (index % 2) - 1)
 
 
 # Newton passes of the polish.

@@ -352,8 +352,10 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     reported.  The checks that need c are reported only when lambda + mu**2
     clears ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped``
     as ``{"name", "reason"}``.  The values come from the check pass of
-    :func:`certify_root` (:func:`_check_rows`) run on P's one row, and the
-    typed errors from that pass's scales and values: ``InvalidParams``
+    :func:`certify_root` (:func:`_check_rows`) run on P's one row, with
+    det G+- from one value-only call of the reflection-factor recurrence
+    (``heun_poly._reflection_factors``), and the typed errors from that
+    pass's scales and values: ``InvalidParams``
     where mu**2 overflows a double, where the master equation overflows
     (:func:`residuals`), where the reflection relation overflows (z**n at
     z = 2 from n = 1024 on, or a value of P), and where a determinant check
@@ -363,8 +365,10 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
+    lam, eps = np.array([d.lam]), np.array([P.epsilon])
+    factors = heun_poly._reflection_factors(d.n, d.mu, lam, eps)
     values, master_scale, symmetry_scale = _check_rows(
-        d.n, d.mu, np.array([d.lam]), np.array([P.epsilon]), _coeff_rows(P)
+        d.n, d.mu, lam, eps, _coeff_rows(P), factors
     )
     _refuse_overflow(master_scale, "master equation", d.n, d.mu)
     if disc > spectral.DISC_MARGIN:
@@ -404,7 +408,8 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
     """The check values of :func:`certify` at the roots ``lam`` with signs
     ``eps`` of one validated (n, float mu), one row of six per root, from
     one build (``heun_poly._build_rows``) and one check pass
-    (:func:`_check_rows`).
+    (:func:`_check_rows`).  The build's first Newton pass runs at both
+    signs of each root's kappa, and the check pass reads det G+- from it.
 
     Each row is bit for bit that of the root alone.  The four values that
     need c are NaN where lambda + mu**2 does not clear
@@ -415,11 +420,13 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
     if mu == 0 and n >= 1:
         return values  # every root is double: build_polynomial refuses it
     disc = lam + mu_squared(mu)
-    a, resid, norm = heun_poly._build_rows(n, mu, lam, eps)
+    a, resid, norm, (factors, frames) = heun_poly._build_rows(n, mu, lam, eps, pair=True)
     ok = (resid <= heun_poly.SPECTRAL_TOL * norm) & np.isfinite(a).all(axis=1)
     if not ok.any():
         return values
-    rows, master_scale, symmetry_scale = _check_rows(n, mu, lam[ok], eps[ok], a[ok])
+    rows, master_scale, symmetry_scale = _check_rows(
+        n, mu, lam[ok], eps[ok], a[ok], (factors[:, ok], frames[:, ok])
+    )
     # A row that overflows is not formed: the root alone types it.
     formed = np.isfinite(master_scale) & np.isfinite(rows[:, :2]).all(axis=1)
     formed &= (disc[ok] <= spectral.DISC_MARGIN) | (
@@ -431,40 +438,42 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
 
 
 def _check_rows(
-    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, a: np.ndarray
+    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, a: np.ndarray, factors: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The check pass of a certification record, on each row of ascending
     coefficients ``a`` of degree n at mu, with its row's lambda and sign.
 
     One sample table (:func:`_on_samples`) feeds both readers.  det G+- are
-    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``, with c
-    formed in long double as the root polish forms it, and Delta, with its
-    largest summand, is the determinant over the rows' lambda: each from
-    one long-double call of ``heun_poly._continuant``, with no derivative.
+    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``, given
+    in ``factors`` as two rows of values and two of power-of-two frames,
+    the root's own sign first (``heun_poly._factor_pair``): from the build's
+    first Newton pass on a whole batch, from one value-only call on a lone
+    row.  Delta, with its largest summand, is the determinant over the rows'
+    lambda, from one long-double call of ``heun_poly._continuant`` on T.
     The two determinant checks are ``||det G+ * det G-| - |Delta|| /
     scale`` and ``min(|det G+|, |det G-|) / scale``, the scale that largest
-    summand floored at 1.  They are formed in Delta's power-of-two frame,
-    each factor taken to its mantissa and its own frame before the product,
-    so no product leaves the long-double range first, and each is rounded
-    once to a double.  Returns the six check values of each row in report
-    order, NaN in the four that need c where lambda + mu**2 does not clear
-    ``spectral.DISC_MARGIN``, and the largest master and reflection summand
-    of each row.  Nothing is typed here: a value or scale that overflows
-    stays infinite or NaN.
+    summand floored at 1; both are symmetric in det G+ and det G-.  They
+    are formed in Delta's power-of-two frame, each factor taken to its
+    mantissa and its own frame before the product, so no product leaves the
+    long-double range first, and each is rounded once to a double.  Returns
+    the six check values of each row in report order, NaN in the four that
+    need c where lambda + mu**2 does not clear ``spectral.DISC_MARGIN``, and
+    the largest master and reflection summand of each row.  Nothing is
+    typed here: a value or scale that overflows stays infinite or NaN.
     """
     table = _on_samples(a)
     ld = np.longdouble
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         disc = lam + mu_squared(mu)
         eps_c = eps * np.sqrt(disc)
-        lam_ld = lam.astype(ld)
-        c = np.sqrt(lam_ld + ld(mu) ** 2)
-        factors, _, _, frames = heun_poly._continuant("J", n, mu, np.concatenate([-c, c]))
-        mantissas, exponents = np.frexp(factors)
-        (m_p, m_m), (e_p, e_m) = np.split(mantissas, 2), np.split(exponents + frames, 2)
-        delta, _, top, e = heun_poly._continuant("T", n, mu, lam_ld, summand=True)
-        product = np.ldexp(m_p * m_m, e_p + e_m - e)
-        least = np.minimum(np.ldexp(abs(m_p), e_p - e), np.ldexp(abs(m_m), e_m - e))
+        values, frames = factors
+        (m_own, m_other), exponents = np.frexp(values)
+        e_own, e_other = exponents + frames
+        delta, _, top, e = heun_poly._continuant("T", n, mu, lam.astype(ld), summand=True)
+        product = np.ldexp(m_own * m_other, e_own + e_other - e)
+        least = np.minimum(
+            np.ldexp(abs(m_own), e_own - e), np.ldexp(abs(m_other), e_other - e)
+        )
         scale = np.fmax(top, np.ldexp(ld(1), -e))
         master, master_scale = _master_rows(n, mu, lam, table)
         symmetry, symmetry_scale = _symmetry_rows(n, mu, eps_c, table)

@@ -72,6 +72,12 @@ row and ``write_csv``, and the CSV bytes must match.  ``write_csv`` is the
 emitter's cell-by-cell reference: ``csv.writer`` with one ``fmt_float`` call
 per float cell.
 
+``serialize.json_dumps`` dispatches each value on its exact type first and
+falls back on an ``isinstance`` chain for numpy values and subclasses;
+``json_dumps_chain`` runs every value through that one chain, with
+``json.dumps`` for each string, and the two must give the same bytes and
+the same typed errors.
+
 The trajectory routes below are the straightforward forms of the fast paths
 in ``dynamics`` and ``structure``: RK4 loops that evaluate the drive with
 ``math.cos`` at every stage, the closed-form phase over the whole grid at
@@ -93,6 +99,7 @@ import csv
 import functools
 import importlib.util
 import io
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -633,6 +640,49 @@ def write_csv(header: list[str], rows: list[list]) -> str:
             ]
         )
     return buf.getvalue()
+
+
+def _emit_chain(obj, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if not isinstance(k, str):
+                raise InvalidParams(f"JSON keys must be strings, got {k!r}")
+            if i:
+                out.append(", ")
+            out.append(json.dumps(k))
+            out.append(": ")
+            _emit_chain(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        for i, v in enumerate(list(obj)):
+            if i:
+                out.append(", ")
+            _emit_chain(v, out)
+        out.append("]")
+    else:
+        raise InvalidParams(f"cannot serialise {type(obj).__name__}")
+
+
+def json_dumps_chain(obj) -> str:
+    """``serialize.json_dumps`` with every value through one ``isinstance``
+    chain."""
+    out: list[str] = []
+    _emit_chain(obj, out)
+    return "".join(out) + "\n"
 
 
 def sweep_loop(

@@ -388,7 +388,39 @@ def _per_element(dtype, matrix: str) -> tuple:
     return np.array(n)[order], np.array(mu)[order], np.array(x, dtype=dtype)[order]
 
 
+# Problems of the one-element test: every degree to 300 and two large ones,
+# each at one drive, one mode and two of the x below in turn.  The drives
+# run from mu = 0 and mu**2 below 2**-300 (a frame test at every step) to
+# growth bounds past 2**300 (mu = 1e50 and 1e300).
+_ONE_DEGREES = (*range(301), 1000, 3000)
+_ONE_MUS = (0.0, 1e-100, 1e-3, 0.7, -1.82, 25.0, 1e5, 1e50, 1e300)
+_ONE_X = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1.5, -3.25, 1e200, 1e-300)
+_MODES = ((False, False), (True, False), (False, True), (True, True))
+
+
 class TestContinuant:
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    @pytest.mark.parametrize("matrix", ["T", "J"])
+    def test_one_element_matches_its_stacked_element(self, matrix, dtype):
+        # A one-element call runs on numpy scalars, a stack on arrays.  The
+        # stack [x, -x, x/2, 0] has the growth bound of x alone, so it tests
+        # its frames at the same steps, and each output of the one-element
+        # call, frame included, must be bit for bit its first element's,
+        # signed zeros and NaN included.
+        with np.errstate(all="ignore"):
+            for i, n in enumerate(_ONE_DEGREES):
+                mu, (derivative, summand) = _ONE_MUS[i % 9], _MODES[i % 4]
+                seed = spectral._eigen_seeds(min(n, 40), mu)[0] - 0.25
+                for k in range(2):
+                    one = np.array([(*_ONE_X, seed)[(2 * i + k) % 12]], dtype=dtype)
+                    stack = np.concatenate([one, -one, one / 2, [0]])
+                    flags = dict(derivative=derivative, summand=summand)
+                    got = _continuant(matrix, n, mu, one, **flags)
+                    want = _continuant(matrix, n, mu, stack, **flags)
+                    for g, w in zip(got, want):
+                        assert (g is None) == (w is None)
+                        assert g is None or same_values(g, w[:1]), (n, mu, one, flags)
+
     @pytest.mark.parametrize("dtype", [float, np.longdouble])
     @pytest.mark.parametrize("matrix", ["T", "J"])
     def test_modes_match_the_full_mode(self, matrix, dtype):
@@ -638,9 +670,10 @@ class TestBuildPolynomial:
         # At (5, 1e20) kappa = -+sqrt(lambda + mu**2) rounds to -+mu in long
         # double at roots 2-5, and a pivot of J - kappa*I cancels to 0: their
         # builds factor again with the floor, which those of roots 0 and 1
-        # do not.  In the stack of the whole spectrum the floor pass runs
-        # for every root, and every row is still bit for bit its root's
-        # build alone, and finite.
+        # do not.  In the stack of the whole spectrum, built as the
+        # certification pass builds it, with the factor pair of each root,
+        # the floor pass runs for every root, and every row is still bit for
+        # bit its root's build alone, and finite.
         n, mu = 5, 1e20
         lam = np.array(lambda_spectrum(n, mu).lambdas)
         eps = spectral._root_signs(n, mu, np.arange(n + 1))
@@ -656,10 +689,39 @@ class TestBuildPolynomial:
             floored.clear()
             alone.append(heun_poly._build_rows(n, mu, lam[i : i + 1], eps[i : i + 1]))
             assert bool(floored) == (i >= 2), i
-        coeffs, resid, _ = heun_poly._build_rows(n, mu, lam, eps)
-        assert np.isfinite(coeffs).all()
-        for i, (row, r, _) in enumerate(alone):
+        coeffs, resid, _, factors = heun_poly._build_rows(n, mu, lam, eps, pair=True)
+        assert np.isfinite(coeffs).all() and factors[0].shape == (2, n + 1)
+        for i, (row, r, _, pair) in enumerate(alone):
+            assert pair is None
             assert coeffs[i].tolist() == row[0].tolist() and resid[i] == r[0], i
+
+    @pytest.mark.parametrize(
+        "n,mu", [(0, 1.0), (7, 1.82), (22, -0.7), (60, 1.37), (100, 0.25), (30, 1e5)]
+    )
+    def test_factor_pair_is_the_value_only_call(self, n, mu):
+        # The factors that the build's first Newton pass forms at both
+        # signs of every root, with the derivative, are those of one
+        # value-only call: each mantissa, and each exponent with its frame,
+        # the two parts the check pass reads, bit for bit.
+        lam = np.array(lambda_spectrum(n, mu).lambdas)
+        eps = spectral._root_signs(n, mu, np.arange(n + 1)).astype(float)
+        *_, (values, frames) = heun_poly._build_rows(n, mu, lam, eps, pair=True)
+        want, want_frames = heun_poly._reflection_factors(n, mu, lam, eps)
+        assert values.shape == frames.shape == (2, n + 1)
+        (m, e), (m_want, e_want) = np.frexp(values), np.frexp(want)
+        assert same_values(m, m_want)
+        assert np.array_equal(e + frames, e_want + want_frames)
+
+    def test_factor_pair_below_minus_mu_squared(self):
+        # Where lambda + mu**2 < 0 in long double, c has no real value: the
+        # pair is NaN, while the build steps from kappa = 0.  A root at
+        # lambda + mu**2 = 0 has both factors at kappa = 0.
+        lam, eps = np.array([-5.0, -1.0, 3.0]), np.array([1.0, -1.0, 1.0])
+        values, frames = heun_poly._reflection_factors(4, 1.0, lam, eps)
+        assert np.isnan(values[:, 0]).all() and not np.isnan(values[:, 1:]).any()
+        assert values[0, 1] == values[1, 1] and frames[0, 1] == frames[1, 1]
+        *_, (pair, _) = heun_poly._build_rows(4, 1.0, lam, eps, pair=True)
+        assert np.array_equal(np.isnan(pair), np.isnan(values))
 
     def test_interior_zero_coefficient_case(self):
         # At (n, mu) = (3, 2) one spectral lambda is exactly 0 and the

@@ -22,7 +22,7 @@ from heun_rsj.serialize import (
     write_table,
 )
 
-from oracles import write_csv
+from oracles import json_dumps_chain, write_csv
 
 
 class TestFloatFormatting:
@@ -81,6 +81,95 @@ class TestJson:
     def test_deterministic(self):
         payload = {"a": 0.1, "b": [1.0, 2.0], "c": {"d": -0.5}}
         assert json_dumps(payload) == json_dumps(payload)
+
+
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308]
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _JSON_FLOATS,
+    st.text(),  # non-ASCII and control characters included
+    _JSON_FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.lists(_JSON_FLOATS, max_size=4).map(np.array),
+    st.lists(st.integers(-(2**31), 2**31 - 1), max_size=4).map(np.array),
+)
+_JSON_RECORDS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class IntKind(int):
+    pass
+
+
+class FloatKind(float):
+    pass
+
+
+class StrKind(str):
+    pass
+
+
+class DictKind(dict):
+    pass
+
+
+class ListKind(list):
+    pass
+
+
+class TestJsonDispatch:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_RECORDS)
+    def test_bytes_of_the_isinstance_chain(self, record):
+        assert json_dumps(record) == json_dumps_chain(record)
+
+    def test_subclasses_and_numpy_containers(self):
+        record = DictKind(
+            a=IntKind(7), b=FloatKind(-0.0), c=StrKind("\u00e9t\u00e9"),
+            d=ListKind([np.arange(3.0).reshape(3, 1), (np.float64(5e-324),)]),
+            e=[True, False, None, np.int32(-4), 2**70],
+        )
+        text = json_dumps(record)
+        assert text == json_dumps_chain(record)
+        assert text == (
+            '{"a": 7, "b": -0, "c": "\\u00e9t\\u00e9", '
+            '"d": [[[0], [1], [2]], [4.9406564584124654e-324]], '
+            '"e": [true, false, null, -4, 1180591620717411303424]}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {1: "x"},
+            {"a": [{(1, 2): 0.5}]},
+            {"x": math.nan},
+            [math.inf],
+            np.float64(-math.inf),
+            {"x": np.bool_(True)},
+            [np.array([True])],
+            {"x": object()},
+            {1.5},
+        ],
+    )
+    def test_same_typed_errors(self, bad):
+        with pytest.raises(InvalidParams) as fast:
+            json_dumps(bad)
+        with pytest.raises(InvalidParams) as chain:
+            json_dumps_chain(bad)
+        assert str(fast.value) == str(chain.value)
 
 
 class TestCsv:

@@ -645,6 +645,33 @@ class TestCertifyRoot:
                 assert not math.isnan(_row(n, mu, root)[0]), (n, mu, root)
             assert spectral._memo[(n, mu)][1].shape == (n + 1, 6)
 
+    @pytest.mark.parametrize("n,mu", [(0, 1.0), (1, 0.25), (12, 1.82), (22, -0.7), (40, 7.3)])
+    def test_batch_runs_one_factor_pass(self, monkeypatch, n, mu):
+        # The build's first Newton pass runs at [kappa, -kappa] of every
+        # root, with the derivative, and hands both factors to the check
+        # pass: per cold spectrum, one J call on 2(n + 1) lanes, then the
+        # passes of the roots still live, those of the build alone, and one
+        # T call, for Delta with its summand maximum.  The polish's scans go
+        # through spectral, and no call forms what its caller drops.
+        kernel, calls = heun_poly._continuant, []
+
+        def spy(matrix, n, mu, x, **flags):
+            flagged = tuple(sorted(flag for flag, on in flags.items() if on))
+            calls.append((matrix, x.size, x.dtype == np.longdouble, flagged))
+            return kernel(matrix, n, mu, x, **flags)
+
+        monkeypatch.setattr(heun_poly, "_continuant", spy)
+        structure.certify_root(n, mu, n // 2)
+        first, *newton, last = calls
+        assert first == ("J", 2 * (n + 1), True, ("derivative",))
+        assert last == ("T", n + 1, True, ("summand",))
+        calls.clear()
+        lam = np.array(spectral.lambda_spectrum(n, mu).lambdas)
+        eps = spectral._root_signs(n, mu, np.arange(n + 1)).astype(float)
+        heun_poly._build_rows(n, mu, lam, eps)
+        assert calls == [("J", n + 1, True, ("derivative",)), *newton]
+        assert all(0 < size <= n for _, size, _, _ in newton)
+
     @pytest.mark.parametrize(
         "n,mu,roots",
         [
