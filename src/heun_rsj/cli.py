@@ -267,7 +267,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# parse_args leaves the parser as it was, so one build serves every call.
+# Parsing leaves the parsers as they were, so one build serves every call.
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -339,9 +339,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, by name, from :func:`build_parser`'s
+    one build."""
+    (action,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """``parser.parse_args(argv)`` in one pass where ``argv[0]`` names a
+    subcommand: the top-level parser would hand every later token to that
+    subcommand's parser, which is run here alone.  Any other argv, or one
+    with tokens that the subcommand leaves over, goes through
+    ``parse_args``, so every usage error has argparse's own bytes.
+    """
+    sub = _subcommands().get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, sys.argv[1:] if argv is None else argv)
     if args.command == "sweep":
         if args.n_max < args.n_min:
             parser.error("--n-max must be >= --n-min")

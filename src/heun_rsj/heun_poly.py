@@ -32,6 +32,7 @@ the tests, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,6 +49,8 @@ __all__ = [
 #: Largest relative eigen-residual ``||(J - kappa*I) v|| / ||J||`` (infinity
 #: norms, ``||v|| = 1``) at which :func:`build_polynomial` accepts a root.
 SPECTRAL_TOL = 1e-8
+
+_LD = np.finfo(np.longdouble)
 
 
 def _by_degree(n, size: int) -> list[tuple[int, int, int]]:
@@ -105,16 +108,28 @@ def _reflection_jacobi(n: int, mu: float) -> tuple:
     and D as running products of ``sqrt((n-i)/(i+1))`` from 1: an
     eigenvector v of J gives the coefficients ``a[order] = scale * v``.
     """
+    order, odd, paths, scale = _jacobi_pattern(n)
+    diag = np.zeros(n + 1, dtype=np.longdouble)
+    diag[-1] = -(n + 1) / 2 if n % 2 else mu
+    return diag, np.where(odd, paths, np.longdouble(mu)), order, scale
+
+
+@functools.lru_cache(maxsize=64)
+def _jacobi_pattern(n: int) -> tuple:
+    """What :func:`_reflection_jacobi` at degree n takes from n alone, read
+    only: the order, the mask of the off-diagonal entries that are not mu,
+    ``-sqrt((i+1)*(n-i))`` at every position (read where the mask is set),
+    and D.  At most 64 degrees are kept, 41 KB at n = 1000."""
     ld, p = np.longdouble, np.arange(n + 1)
     order = np.where(p % 2 == 1, n - p // 2, p // 2)
     i, odd = p[:-1] // 2, p[:-1] % 2 == 1
-    off = np.where(odd, -np.sqrt(((i + 1) * (n - i)).astype(ld)), ld(mu))
+    paths = -np.sqrt(((i + 1) * (n - i)).astype(ld))
     # d_{p+1} / d_p = sqrt(lower / upper) of each pair; 1 where both are mu.
     ratio = np.where(odd, np.sqrt((n - i).astype(ld) / (i + 1)), ld(1))
     scale = np.cumprod(np.concatenate(([ld(1)], ratio)))
-    diag = np.zeros(n + 1, dtype=ld)
-    diag[-1] = -(n + 1) / 2 if n % 2 else mu
-    return diag, off, order, scale
+    for part in (order, odd, paths, scale):
+        part.flags.writeable = False
+    return order, odd, paths, scale
 
 
 def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=False):
@@ -161,7 +176,7 @@ def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=
         # One element runs on its 0-d view: each step is numpy scalar
         # arithmetic, the same operations at a fraction of an array's cost.
         scan = _recurrence(matrix, n, mu, x.reshape(()), derivative, summand)
-        return tuple(v if v is None else np.reshape(v, x.shape) for v in scan)
+        return tuple(v if v is None else v.reshape(x.shape) for v in scan)
     return _recurrence(matrix, n, mu, x, derivative, summand)
 
 
@@ -179,11 +194,11 @@ def _recurrence(matrix: str, n, mu, x: np.ndarray, derivative: bool, summand: bo
     # and more below its largest, which frames set a few steps apart can
     # round to different subnormals.
     top = max((d for d, _, _ in runs), default=0)  # the largest degree
-    g = float(np.max(np.abs(x), initial=0.0) if x.ndim else abs(x)) + 1.0
+    g = float(np.abs(x).max(initial=0.0) if x.ndim else abs(x)) + 1.0
     if shared:
         mu2_max = mu2_min = mu2
     else:
-        mu2_max, mu2_min = np.max(mu2), np.min(mu2)
+        mu2_max, mu2_min = mu2.max(), mu2.min()
     g += (1.0 + float(mu2_max)) * (top + 1) ** 2 / 4
     if jacobi:
         if shared and not isinstance(n, np.ndarray):
@@ -198,7 +213,11 @@ def _recurrence(matrix: str, n, mu, x: np.ndarray, derivative: bool, summand: bo
         every = int((np.finfo(x.dtype).maxexp - 1 - 301 - 2) / math.log2(g))
 
     def filled(value):  # like x: an array, or a scalar for a 0-d view
-        return np.full_like(x, value) if x.ndim else x.dtype.type(value)
+        if not x.ndim:
+            return x.dtype.type(value)
+        out = np.empty_like(x)
+        out.fill(value)
+        return out
 
     prev2, prev = filled(1), x  # p_{-1}, p_0
     dprev2 = dprev = None  # their x-derivatives
@@ -312,7 +331,9 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=Fal
     ``kappa = -eps*sqrt(lambda + mu**2)`` (:func:`_reflection_kappa`) takes
     Newton steps on its own factor (:func:`_continuant` on J) until a step
     is at most 2**-40 of kappa, when the next would be rounding: one for
-    most roots, up to 8 for root 0 just above -mu**2.  With ``pair`` the
+    most roots, up to 8 for root 0 just above -mu**2.  Once one root alone
+    still steps, its passes run without the stack's bookkeeping
+    (:func:`_newton_one`), with the same steps.  With ``pair`` the
     first pass runs at ``[kappa, -kappa]``, and the factors of the other
     sign, formed beside the steps, come back for the check pass
     (:func:`_factor_pair`).  The twisted factorization of J - kappa*I
@@ -334,13 +355,17 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=Fal
     ld = np.longdouble
     diag, off, order, scale = _reflection_jacobi(n, mu)
     band = np.abs(np.concatenate(([0], off, [0])))
-    norm = float(np.max(np.abs(diag) + band[:-1] + band[1:]))
-    beta, eps_ld = off * off, np.finfo(ld).eps
-    pivmin = np.finfo(ld).tiny * beta.max(initial=1)  # LAPACK's
+    norm = float((np.abs(diag) + band[:-1] + band[1:]).max())
+    beta = off * off
+    pivmin = _LD.tiny * beta.max(initial=1)  # LAPACK's
+    roots = lam.size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         kappa0, below = _reflection_kappa(mu, lam, eps)
-        kappa, live, factors = kappa0.copy(), np.arange(kappa0.size), None
+        kappa, live, factors = kappa0.copy(), np.arange(roots), None
         for p in range(8):  # each pass squares the error of root 0 from 1e-9
+            if p and live.size == 1:  # most often root 0 alone: on numpy scalars
+                _newton_one(n, mu, kappa, live[0], 8 - p)
+                break
             at, both = kappa[live], pair and p == 0  # every root is live at p = 0
             scan = _continuant(
                 "J", n, mu, np.concatenate([at, -at]) if both else at, derivative=True
@@ -354,36 +379,55 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=Fal
             if not live.size:
                 break
         # Step k of lane 0 forms D+_k, of lane 1 D-_{n-k}; one column per root.
-        shifted = diag[:, None] - kappa
-        lanes = np.stack([shifted, shifted[::-1]], axis=1)
-        betas = np.stack([beta, beta[::-1]], axis=1)[:, :, None]
+        lanes = np.empty((n + 1, 2, roots), dtype=ld)
+        shifted = np.subtract(diag[:, None], kappa, out=lanes[:, 0])
+        lanes[:, 1] = shifted[::-1]
+        betas = np.empty((n, 2, 1), dtype=ld)
+        betas[:, 0, 0], betas[:, 1, 0] = beta, beta[::-1]
         pivots = np.empty_like(lanes)
         for floor in (False, True):
-            ratio = np.zeros_like(lanes[0])
+            ratio = np.zeros((2, roots), dtype=ld)
             for k in range(n + 1):
                 if k:
                     np.divide(betas[k - 1], pivots[k - 1], out=ratio)
                 np.subtract(lanes[k], ratio, out=pivots[k])
                 if floor and k < n:  # D+_n and D-_0 divide nothing
-                    noise = eps_ld * (abs(lanes[k]) + abs(ratio)) + pivmin
+                    noise = _LD.eps * (abs(lanes[k]) + abs(ratio)) + pivmin
                     np.copyto(pivots[k], -noise, where=abs(pivots[k]) < pivmin)
             if floor or not (abs(pivots[:-1]) < pivmin).any():
                 break
         top, bottom = pivots[:, 0], pivots[::-1, 1]
         twist = np.argmin(abs(top + bottom - shifted), axis=0)
-        k = np.arange(n)[:, None]
-        down = np.where(k >= twist, -off[:, None] / bottom[1:], 1)
-        up = np.where(k < twist, -off[:, None] / top[:-1], 1)
-        v = np.ones_like(shifted)
+        k, link = np.arange(n)[:, None], -off[:, None]
+        # The factors of the two running products, 1 off their side of r.
+        down, up = np.ones((2, n, roots), dtype=ld)
+        np.divide(link, bottom[1:], out=down, where=k >= twist)
+        np.divide(link, top[:-1], out=up, where=k < twist)
+        v = np.empty((n + 1, roots), dtype=ld)
+        v[0] = 1
         np.cumprod(down, axis=0, out=v[1:])
         v[:-1] *= np.cumprod(up[::-1], axis=0)[::-1]
-        v /= np.max(abs(v), axis=0)
+        v /= abs(v).max(axis=0)
         rows = (diag[:, None] - kappa0) * v
         rows[1:] += off[:, None] * v[:-1]
         rows[:-1] += off[:, None] * v[1:]
-        coeffs = np.empty((kappa.size, n + 1))
+        coeffs = np.empty((roots, n + 1))
         coeffs[:, order] = ((v / v[min(n, 1)]) * scale[:, None]).T  # a_n is v[1]
-    return coeffs, np.max(abs(rows), axis=0), norm, factors
+    return coeffs, abs(rows).max(axis=0), norm, factors
+
+
+def _newton_one(n: int, mu: float, kappa: np.ndarray, i: int, passes: int) -> None:
+    """At most ``passes`` more Newton passes of :func:`_build_rows` on
+    ``kappa[i]`` alone, in place, each on numpy scalars: the same steps and
+    stop as on a stack."""
+    for _ in range(passes):
+        value, slope, _, _ = _continuant("J", n, mu, kappa[i : i + 1], derivative=True)
+        step = value[0] / slope[0]
+        if not np.isfinite(step):
+            return
+        kappa[i] -= step
+        if not abs(step) > 2.0**-40 * abs(kappa[i]):
+            return
 
 
 def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:

@@ -201,7 +201,7 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
         roots = slice(start[p], start[p] + seeds.size)
         # Where mu**2 overflows a double the determinant has no double value
         # to gate; every use of such a triplet raises InvalidParams (mu_squared).
-        missed = np.flatnonzero(~(ratios[roots] <= ROOT_TOL))  # NaN misses too
+        missed = (~(ratios[roots] <= ROOT_TOL)).nonzero()[0]  # NaN misses too
         if missed.size and math.isfinite(mu_ * mu_):
             i = int(missed[0])
             raise ConvergenceFailure(
@@ -230,14 +230,16 @@ def _eigen_seeds(n: int, mu: float) -> np.ndarray:
     off = [abs(mu) * math.sqrt((j + 1.0) * (n - j)) for j in range(n)]
     if not math.isfinite(max(off, default=0.0)):
         raise InvalidParams(f"mu = {mu!r} overflows the eigenproblem at n = {n}")
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    band = np.diag(diag)
+    band.flat[n + 1 :: n + 2] = off  # the subdiagonal
+    return np.linalg.eigvalsh(band)
 
 
 def _root_signs(n, mu, index):
     """Reflection sign of root ``index`` (ascending) of ``(n, mu)`` by the
     parity rule of :func:`root_params`; scalars or arrays that broadcast."""
     sigma = 1 - 2 * ((n % 2 == 0) & (mu <= 0))  # plain ints for scalars
-    return sigma * (2 * (index % 2) - 1)
+    return sigma * (2 * (index & 1) - 1)
 
 
 # Newton passes of the polish.
@@ -278,9 +280,10 @@ def _kappa_gaps(seeds, mu, cap, signs, start) -> np.ndarray:
     below = root - np.sqrt(np.maximum(a - cap, 0.0))
     slack = np.where(a < cap, root + np.sqrt(a + cap), below)
     order = np.lexsort((kappa, start))
-    kappa, slack, same = kappa[order], slack[order], np.diff(start[order]) == 0
-    apart = np.diff(kappa)
-    near = np.full(seeds.size, np.inf)
+    kappa, slack, start = kappa[order], slack[order], start[order]
+    same, apart = start[1:] == start[:-1], kappa[1:] - kappa[:-1]
+    near = np.empty(seeds.size)
+    near[-1] = np.inf
     near[:-1] = np.where(same, apart - slack[1:], np.inf)
     near[1:] = np.minimum(near[1:], np.where(same, apart - slack[:-1], np.inf))
     gaps = np.empty(seeds.size)
@@ -376,7 +379,7 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     cur = seeds.astype(ld)
     m2 = ld(mu) ** 2
     on_factor = np.abs(cur) >= m2 * _KAPPA_COVER
-    live, factor = np.flatnonzero(~on_factor), np.flatnonzero(on_factor)
+    live, factor = (~on_factor).nonzero()[0], on_factor.nonzero()[0]
     # Each degree's block starts where its first seed sits.
     place = np.arange(seeds.size)
     first = np.searchsorted(-n, -n) if isinstance(n, np.ndarray) else 0
@@ -388,8 +391,9 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
         trouble; the mask of the roots still moving: neither the step,
         ``moved`` in lambda, nor the ``bound`` on the next one has met the
         stop."""
-        ok &= np.abs(nxt.astype(float) - seeds[roots]) <= cap[roots]
-        cur[roots] = np.where(ok, nxt, seeds[roots])
+        seed = seeds[roots]
+        ok &= np.abs(nxt.astype(float) - seed) <= cap[roots]
+        cur[roots] = np.where(ok, nxt, seed)
         ulp = np.abs(np.spacing(at.astype(float)))
         proved = bound <= ulp * (_STEP_STOP - _STEP_NOISE)  # a NaN bound proves nothing
         return ok & (moved > ulp * _STEP_STOP) & ~proved
@@ -460,15 +464,23 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     c = 0, where both signs hold.  The rule takes sigma = -1 for even n at
     mu <= 0 there, which -0.0 shares with 0.0.
     """
+    d, epsilon, _ = _root_entry(n, mu, root_index)
+    return d, epsilon
+
+
+def _root_entry(n: int, mu: float, root_index: int) -> tuple[DcheParams, int, list]:
+    """:func:`root_params` and the memo entry (:func:`_cached_entry`) that
+    it read the root from."""
     mu = _checked_mu(n, mu)
     if not isinstance(root_index, (int, np.integer)) or isinstance(root_index, bool):
         raise InvalidParams(f"root index must be an int, got {root_index!r}")
     if not 0 <= root_index <= n:
         lambda_spectrum(n, mu)  # a spectrum that cannot be computed raises first
         raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
-    lam = _cached_entry(n, mu)[0][root_index]
+    entry = _cached_entry(n, mu)
     mu_squared(mu)  # raises where the square overflows
-    return DcheParams(n=n, mu=mu, lam=lam), int(_root_signs(n, mu, root_index))
+    d = DcheParams(n=n, mu=mu, lam=entry[0][root_index])
+    return d, int(_root_signs(n, mu, root_index)), entry
 
 
 # Sized from the traffic of the certify benchmark: one cycle verifies every
@@ -508,13 +520,11 @@ def _cached_entry(n: int, mu: float) -> list:
     return entry
 
 
-def _memo_rows(n: int, mu: float, form):
-    """The rows kept in the memo entry of a validated ``(n, float(mu))``
-    (:func:`_cached_entry`), or ``form(lambdas)`` of the entry where there
-    are none, formed outside the lock and then kept.  An evicted entry takes
-    its rows with it.
+def _memo_rows(entry: list, form):
+    """The rows kept in a memo ``entry`` (:func:`_cached_entry`), or
+    ``form(lambdas)`` of the entry where there are none, formed outside the
+    lock and then kept.  An evicted entry takes its rows with it.
     """
-    entry = _cached_entry(n, mu)
     if entry[1] is None:
         rows = form(entry[0])
         with _memo_lock:  # the first rows kept are the ones every caller reads

@@ -124,10 +124,10 @@ def _on_samples(a: np.ndarray) -> np.ndarray:
     All values come from one pass (:func:`_lane_values`), bit for bit the
     scalar ``polyval`` of each, signed zeros included, whatever the rows
     beside it.  A value that overflows stays infinite or NaN, for the
-    readers to type.  The table is read only.
+    readers to type, under the caller's ``np.errstate``, as in the readers.
+    The table is read only.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = _lane_values((a, a, *_derivatives(a)))
+    table = _lane_values((a, a, *_derivatives(a)))
     table.flags.writeable = False
     return table
 
@@ -180,12 +180,15 @@ def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
     coef = np.zeros((sizes[0], 2, kinds, roots, 1))
     for kind, c in enumerate(polys):
         coef[: c.shape[-1], 0, kind, :, 0] = c.T
-    lane_maps = np.repeat(_LANE_MAPS.reshape(2, 2, kinds, 1, points), roots, axis=3)
+    lane_maps = np.empty((2, 2, kinds, roots, points))
+    lane_maps[...] = _LANE_MAPS.reshape(2, 2, kinds, 1, points)  # each row's points
     v, t = np.zeros((2, kinds, roots, points)), np.empty((2, kinds, roots, points))
     parts = np.empty((2, 2, kinds, roots, points))
     # The first `rows` kinds run down to coefficient `stop`, where the next
     # one starts.
     for rows, stop in enumerate([*sizes[1:], 0], start=1):
+        if stop == sizes[rows - 1]:
+            continue  # the next kind starts at the same coefficient
         v_, t_, c_ = v[:, :rows], t[:, :rows], coef[:, :, :rows]
         parts_, maps = parts[:, :, :rows], lane_maps[:, :, :rows]
         (re_x, im_ix), v_col = parts_, v_[:, None]
@@ -196,17 +199,17 @@ def _lane_values(polys: tuple[np.ndarray, ...]) -> np.ndarray:
     return v.reshape(2, kinds, roots * points).transpose(1, 0, 2)
 
 
-# Complex products on arrays of complex values held as real pairs, a (2, N)
+# Complex products on arrays of complex values held as real pairs, a (2, ...)
 # array of real and imaginary parts, each formed as (ac - bd, ad + bc).
 # The left factor a is held as ``(Re a, Im a * (-1, 1))``: then a*b is
 # ``Re(a)*b + (Im(a)*(-1, 1))*b[::-1]``, and the product by -Im(a) added is
 # the one by Im(a) subtracted, bit for bit.  A real factor multiplies a
 # pair directly.
-_SWAP_SIGNS = np.array([[-1.0], [1.0]])
+_SWAP_SIGNS = np.array([-1.0, 1.0])
 
 
 def _left(a: np.ndarray) -> tuple:
-    return a[0], a[1] * _SWAP_SIGNS
+    return a[0], np.multiply.outer(_SWAP_SIGNS, a[1])
 
 
 def _mul(left: tuple, b: np.ndarray) -> np.ndarray:
@@ -235,11 +238,24 @@ def _powers(n: int) -> np.ndarray:
     return r
 
 
-def _largest_summands(terms: np.ndarray, roots: int) -> np.ndarray:
-    """The largest modulus among ``terms`` (summands as real pairs, the
-    points of one row after another) at each point, one row per root.  A
-    row with a summand that is not finite has an infinite or NaN largest."""
-    return np.hypot(terms[:, 0], terms[:, 1]).max(axis=0).reshape(roots, -1)
+# The sample points as real pairs, (2, 1, points), and as the left factor
+# of a product: they broadcast over the rows of a table read as (2, roots,
+# points) (:func:`_table_rows`).
+_ROW_POINTS = _POINTS[:, None]
+_ROW_Z = _left(_ROW_POINTS)
+
+
+def _table_rows(table: np.ndarray, roots: int) -> np.ndarray:
+    """The sample ``table`` of :func:`_on_samples` with the points of each
+    row on an axis of their own: entry ``[k, part, row, point]``."""
+    return table.reshape(len(table), 2, roots, len(SAMPLE_POINTS))
+
+
+def _largest_summands(terms: np.ndarray) -> np.ndarray:
+    """The largest modulus among ``terms`` (summands as real pairs, each
+    ``(2, roots, points)``) at each point, one row per root.  A row with a
+    summand that is not finite has an infinite or NaN largest."""
+    return np.hypot(terms[:, 0], terms[:, 1]).max(axis=0)
 
 
 def _refuse_overflow(scale: np.ndarray, relation: str, n: int, mu: float) -> None:
@@ -269,16 +285,15 @@ def _symmetry_rows(n: int, mu: float, eps_c: np.ndarray, table: np.ndarray) -> t
     by the largest of its three summand moduli, with z**n from
     :func:`_powers`; a point whose summands all vanish is skipped.  A
     summand is not finite where z**n at z = 2 overflows (from n = 1024 on)
-    or a value of P does.
+    or a value of P does.  The caller ignores overflow and invalid values
+    (``np.errstate``): they are typed, and 0/0 is skipped.
     """
-    v, v_inv, dv, _ = table
-    roots = eps_c.size
-    with np.errstate(over="ignore", invalid="ignore"):  # typed; 0/0 is skipped
-        image = np.repeat(-eps_c, len(SAMPLE_POINTS)) * np.tile(_powers(n), roots)
-        terms = np.array([dv, -mu * v, _mul(_left(image), v_inv)])
-        scale = _largest_summands(terms, roots)
-        total = np.add.reduce(terms)
-        ratio = np.hypot(total[0], total[1]).reshape(roots, -1) / scale
+    v, v_inv, dv, _ = _table_rows(table, eps_c.size)
+    image = -eps_c[:, None] * _powers(n)[:, None]
+    terms = np.array([dv, -mu * v, _mul(_left(image), v_inv)])
+    scale = _largest_summands(terms)
+    total = np.add.reduce(terms)
+    ratio = np.hypot(total[0], total[1]) / scale
     return np.where(scale != 0.0, ratio, 0.0).max(axis=1), scale
 
 
@@ -294,21 +309,19 @@ def _coeff_relations(mu: float, eps_c: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _master_rows(n: int, mu: float, lam: np.ndarray, table: np.ndarray) -> tuple:
     """The master residual of :func:`residuals` for each row of the sample
     ``table`` of degree n at mu, with its row's lambda, and the largest
-    summands (:func:`_largest_summands`), for the caller to type."""
-    v, _, dv, d2v = table
-    roots = lam.size
-    points = np.tile(_POINTS, roots)
-    z = _left(points)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
-        terms = np.array([
-            _mul(z, (1.0 - n) * dv + _mul(z, d2v)),
-            _mul(_left(-mu * points), _mul(z, dv) - n * v),
-            _mul(_left(np.array([[mu], [0.0]]) - points), dv),  # (mu - z)*dv
-            np.repeat(lam, len(SAMPLE_POINTS)) * v,
-        ])
-        scale = _largest_summands(terms, roots)
-        total = np.add.reduce(terms)
-        ratio = np.hypot(total[0], total[1]).reshape(roots, -1) / np.maximum(scale, 1e-300)
+    summands (:func:`_largest_summands`), for the caller to type: it
+    ignores overflow and invalid values (``np.errstate``)."""
+    v, _, dv, d2v = _table_rows(table, lam.size)
+    z = _ROW_Z
+    terms = np.array([
+        _mul(z, (1.0 - n) * dv + _mul(z, d2v)),
+        _mul(_left(-mu * _ROW_POINTS), _mul(z, dv) - n * v),
+        _mul(_left(np.array([mu, 0.0])[:, None, None] - _ROW_POINTS), dv),  # (mu - z)*dv
+        lam[:, None] * v,
+    ])
+    scale = _largest_summands(terms)
+    total = np.add.reduce(terms)
+    ratio = np.hypot(total[0], total[1]) / np.maximum(scale, 1e-300)
     return ratio.max(axis=1), scale
 
 
@@ -324,7 +337,8 @@ def residuals(P: HeunPolynomial) -> tuple[float, float]:
     """
     n, mu = P.params.n, P.params.mu
     a = _coeff_rows(P)
-    master, scale = _master_rows(n, mu, np.array([P.params.lam]), _on_samples(a))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
+        master, scale = _master_rows(n, mu, np.array([P.params.lam]), _on_samples(a))
     _refuse_overflow(scale, "master equation", n, mu)
     linear = _rel_max(heun_poly.residual_linear_system(P)[None], a)
     return float(master[0]), float(linear[0])
@@ -385,9 +399,10 @@ def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
     The first root of (n, mu) asked for certifies all of them, one build and
     check pass (:func:`_certify_rows`) per batch of roots, and their check
     values are kept in the spectrum's memo entry (:func:`spectral._memo_rows`).
-    A root whose row is not formed is built and certified alone.
+    A root whose row is not formed is built and certified alone.  The root
+    and the row come from one lookup of the memo entry.
     """
-    d, epsilon = spectral.root_params(n, mu, root)
+    d, epsilon, entry = spectral._root_entry(n, mu, root)
 
     def form(lambdas):
         lam = np.array(lambdas)
@@ -398,7 +413,7 @@ def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
             for i in range(0, d.n + 1, size)
         ])
 
-    values = spectral._memo_rows(d.n, d.mu, form)[root]
+    values = spectral._memo_rows(entry, form)[root]
     if math.isnan(values[0]):
         return certify(heun_poly.build_polynomial(d, epsilon))
     return _record(values.tolist(), d.lam + mu_squared(d.mu))
@@ -419,18 +434,21 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
     values = np.full((lam.size, len(_CHECKS)), np.nan)
     if mu == 0 and n >= 1:
         return values  # every root is double: build_polynomial refuses it
-    disc = lam + mu_squared(mu)
     a, resid, norm, (factors, frames) = heun_poly._build_rows(n, mu, lam, eps, pair=True)
     ok = (resid <= heun_poly.SPECTRAL_TOL * norm) & np.isfinite(a).all(axis=1)
-    if not ok.any():
+    if ok.all():
+        ok = slice(None)  # every row, without copies
+    elif not ok.any():
         return values
+    lam, eps, a = lam[ok], eps[ok], a[ok]
     rows, master_scale, symmetry_scale = _check_rows(
-        n, mu, lam[ok], eps[ok], a[ok], (factors[:, ok], frames[:, ok])
+        n, mu, lam, eps, a, (factors[:, ok], frames[:, ok])
     )
     # A row that overflows is not formed: the root alone types it.
-    formed = np.isfinite(master_scale) & np.isfinite(rows[:, :2]).all(axis=1)
-    formed &= (disc[ok] <= spectral.DISC_MARGIN) | (
-        np.isfinite(symmetry_scale) & np.isfinite(rows[:, 2:]).all(axis=1)
+    finite = np.isfinite(rows)
+    formed = np.isfinite(master_scale) & finite[:, :2].all(axis=1)
+    formed &= (lam + mu_squared(mu) <= spectral.DISC_MARGIN) | (
+        np.isfinite(symmetry_scale) & finite[:, 2:].all(axis=1)
     )
     rows[~formed] = np.nan
     values[ok] = rows
@@ -461,9 +479,9 @@ def _check_rows(
     the largest master and reflection summand of each row.  Nothing is
     typed here: a value or scale that overflows stays infinite or NaN.
     """
-    table = _on_samples(a)
     ld = np.longdouble
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = _on_samples(a)
         disc = lam + mu_squared(mu)
         eps_c = eps * np.sqrt(disc)
         values, frames = factors
@@ -475,16 +493,13 @@ def _check_rows(
             np.ldexp(abs(m_own), e_own - e), np.ldexp(abs(m_other), e_other - e)
         )
         scale = np.fmax(top, np.ldexp(ld(1), -e))
-        master, master_scale = _master_rows(n, mu, lam, table)
-        symmetry, symmetry_scale = _symmetry_rows(n, mu, eps_c, table)
-        rows = np.stack([
-            master,
-            _rel_max(heun_poly._linear_rows(n, mu, lam, a), a),
-            symmetry,
-            _rel_max(_coeff_relations(mu, eps_c, a), a),
-            (abs(abs(product) - abs(delta)) / scale).astype(float),
-            (least / scale).astype(float),
-        ], axis=1)
+        rows = np.empty((lam.size, len(_CHECKS)))
+        rows[:, 0], master_scale = _master_rows(n, mu, lam, table)
+        rows[:, 1] = _rel_max(heun_poly._linear_rows(n, mu, lam, a), a)
+        rows[:, 2], symmetry_scale = _symmetry_rows(n, mu, eps_c, table)
+        rows[:, 3] = _rel_max(_coeff_relations(mu, eps_c, a), a)
+        rows[:, 4] = abs(abs(product) - abs(delta)) / scale  # each rounded to a double
+        rows[:, 5] = least / scale
     rows[disc <= spectral.DISC_MARGIN, 2:] = np.nan
     return rows, master_scale.max(axis=1), symmetry_scale.max(axis=1)
 

@@ -384,8 +384,9 @@ def symmetry_residual(P: HeunPolynomial) -> float:
     """
     c = frequency_scale(P.params)
     n, mu = P.n, P.params.mu
-    table = _on_samples(_coeff_rows(P))
-    value, scale = _symmetry_rows(n, mu, np.array([P.epsilon * c]), table)
+    with np.errstate(over="ignore", invalid="ignore"):  # typed below
+        table = _on_samples(_coeff_rows(P))
+        value, scale = _symmetry_rows(n, mu, np.array([P.epsilon * c]), table)
     _refuse_overflow(scale, "reflection relation", n, mu)
     return float(value[0])
 

@@ -1,5 +1,7 @@
 """Command line contract: formats, determinism, exit codes."""
 
+import argparse
+import functools
 import hashlib
 import json
 import math
@@ -844,30 +846,94 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
+# Each argv of the parser tests against a fresh process: usage errors that
+# the top-level parser reports, that the subcommand's parser reports, that
+# main reports, and good calls, among them an abbreviated option and a
+# negative value with an exponent.
+_VERIFY = ["verify", "--n", "2", "--mu", "1", "--root", "0"]
+_USAGE = [
+    pytest.param([], 2, id="no-argv"),
+    pytest.param(["-h"], 0, id="help"),
+    pytest.param(["verify", "-h"], 0, id="verify-help"),
+    pytest.param(["veri", *_VERIFY[1:]], 2, id="abbreviated-command"),
+    pytest.param(["--n", "2", "verify"], 2, id="option-first"),
+    pytest.param(_VERIFY[:5], 2, id="missing-root"),
+    pytest.param(["verify", "--n", "x", *_VERIFY[3:]], 2, id="n-not-an-int"),
+    pytest.param(["verify", "--n", "-1", *_VERIFY[3:]], 2, id="negative-n"),
+    pytest.param([*_VERIFY[:3], "--mu", "nan", *_VERIFY[5:]], 2, id="mu-nan"),
+    pytest.param([*_VERIFY, "--bogus"], 2, id="unrecognized-option"),
+    pytest.param([*_VERIFY, "extra"], 2, id="extra-positional"),
+    pytest.param(
+        ["sweep", "--n-min", "3", "--n-max", "2", "--mu-start", "1"], 2, id="n-max-below-n-min"
+    ),
+    pytest.param(
+        ["sweep", "--n-min", "0", "--n-max", "1", "--mu-start", "1", "--mu-points", "2"],
+        2,
+        id="mu-points-without-mu-stop",
+    ),
+    pytest.param([*_VERIFY[:5], "--ro", "0"], 0, id="abbreviated-option"),
+    pytest.param(["spectrum", "--n", "2", "--mu", "-1e3"], 0, id="negative-exponent"),
+]
+
+# One good call of each in-process subcommand that the certify, sweep and
+# trajectory benchmarks run.
+_GOOD = [
+    _VERIFY,
+    ["ortho", "--n1", "1", "--n2", "2", "--root1", "0", "--root2", "0", "--mu", "1"],
+    ["sweep", "--n-min", "0", "--n-max", "2", "--mu-start", "1", "--mu-stop", "2",
+     "--mu-points", "2"],
+    ["phase-compare", "--n", "1", "--mu", "0.5", "--root", "1", "--periods", "1"],
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh(argv: tuple) -> tuple:
+    """Exit code, stdout and stderr of ``python -m heun_rsj.cli argv`` in a
+    fresh process (at the width the caller sets in COLUMNS)."""
+    r = subprocess.run(
+        [sys.executable, "-m", "heun_rsj.cli", *argv], capture_output=True, text=True
+    )
+    return r.returncode, r.stdout, r.stderr
+
+
+def _in_process(capsys, argv) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, a usage exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
+    @pytest.mark.parametrize("argv,code", _USAGE)
     def test_usage_error_leaves_the_parser_as_fresh_processes_see_it(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, argv, code
     ):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the width
-        bad = ["verify", "--n", "2"]
-        good = ["verify", "--n", "2", "--mu", "1", "--root", "0"]
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        first = capsys.readouterr()
-        in_process = [(exc.value.code, first.out, first.err), run_cli(capsys, *good)]
-        fresh = [
-            subprocess.run(
-                [sys.executable, "-m", "heun_rsj.cli", *argv],
-                capture_output=True,
-                text=True,
-            )
-            for argv in (bad, good)
-        ]
-        assert in_process[0][0] == 2 and in_process[0][2].startswith("usage: ")
-        assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+        in_process = [_in_process(capsys, argv), _in_process(capsys, _VERIFY)]
+        assert in_process == [_fresh(tuple(argv)), _fresh(tuple(_VERIFY))]
+        assert in_process[0][0] == code
+        if code:
+            assert in_process[0][1] == "" and in_process[0][2].startswith("usage: heun-rsj")
+
+    @pytest.mark.parametrize("argv", _GOOD, ids=lambda argv: argv[0])
+    def test_one_parse_per_request(self, capsys, monkeypatch, argv):
+        parsers = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert parsers == [f"heun-rsj {argv[0]}"]
 
 
 class TestDeterminism:
