@@ -107,6 +107,7 @@ def _reflection_jacobi(n: int, mu: float) -> tuple:
     ``(diag, off, order, scale)``: J's diagonal and off-diagonal, the order,
     and D as running products of ``sqrt((n-i)/(i+1))`` from 1: an
     eigenvector v of J gives the coefficients ``a[order] = scale * v``.
+    The order and D are shared by every call at degree n, read only.
     """
     order, odd, paths, scale = _jacobi_pattern(n)
     diag = np.zeros(n + 1, dtype=np.longdouble)

@@ -889,7 +889,7 @@ _GOOD = [
 @functools.lru_cache(maxsize=None)
 def _fresh(argv: tuple) -> tuple:
     """Exit code, stdout and stderr of ``python -m heun_rsj.cli argv`` in a
-    fresh process (at the width the caller sets in COLUMNS)."""
+    fresh process, once per argv: every caller sets COLUMNS to 80."""
     r = subprocess.run(
         [sys.executable, "-m", "heun_rsj.cli", *argv], capture_output=True, text=True
     )
