@@ -15,7 +15,7 @@ from .model import DcheParams, dche_to_params
 from .dynamics import integrate_phase
 from .heun_poly import build_polynomial
 from .spectral import lambda_spectra, lambda_spectrum, root_params
-from .structure import phase_series
+from .structure import phase_rate, phase_series
 
 __all__ = [
     "DcheParams",
@@ -26,6 +26,7 @@ __all__ = [
     "integrate_phase",
     "lambda_spectra",
     "lambda_spectrum",
+    "phase_rate",
     "phase_series",
     "root_params",
 ]

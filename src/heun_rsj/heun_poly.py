@@ -21,11 +21,11 @@ into are continuants, and one framed three-term recurrence,
 derivative and its largest summand where the caller asks for them: for the
 spectral gate and polish, the build and the certification pass.  One
 element runs on numpy scalars, a fraction of an array's fixed cost per
-step.  Where a batch of roots is certified, the build's first Newton pass
-evaluates both factors of each root at once, its own for the step and the
-other beside it, and hands the pair to the check pass, which evaluates no
-factor again; ``kappa = -eps*sqrt(lambda + mu**2)`` has one formula for
-both (``_reflection_kappa``).  The double determinant of one triplet and
+step.  The build steps each root's kappa on its own factor; the check pass
+reads both factors of each root from one value-only call
+(``_reflection_factors``), for a lone root and a batch alike, and
+``kappa = -eps*sqrt(lambda + mu**2)`` has one formula for both
+(``_reflection_kappa``).  The double determinant of one triplet and
 the exact-rational transfer-matrix product that cross-checks it live with
 the tests, in ``tests/oracles.py``.
 """
@@ -155,10 +155,8 @@ def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=
     the largest |x|, |alpha_j*p_{j-1}|, |beta_j*p_{j-2}| (and |a_n*p_{n-1}|)
     with ``summand``, and each is None otherwise.  The gate scans T in
     double with both; the polish T and J in long double with the
-    derivative; the build J with the derivative, its first pass at both
-    signs of each root's kappa, for the factors that the certification
-    pass reads (:func:`_build_rows`); and the certification pass T with
-    the summand maximum, and J with neither for a lone row
+    derivative; the build J with the derivative (:func:`_build_rows`); and
+    the certification pass T with the summand maximum, and J with neither
     (:func:`_reflection_factors`).
     A step multiplies the largest magnitude of an element's formed values
     by at most ``g = max|x| + (1 + max mu**2)*(max n + 1)**2/4 + 1``, plus
@@ -303,28 +301,21 @@ def _reflection_kappa(mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
     return -eps * np.sqrt(np.maximum(disc, 0)), disc < 0
 
 
-def _factor_pair(factors: tuple, below: np.ndarray) -> tuple:
-    """The values and frames of ``det(J - x*I)`` at ``x = [kappa, -kappa]``
-    (:func:`_continuant` on J) as two rows, det G_eps and det G_-eps of
-    each root with sign eps, the values NaN at a root whose lambda + mu**2
+def _reflection_factors(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
+    """det G_eps and det G_-eps of each root ``lam`` with sign eps of one
+    (n, mu): the values and power-of-two frames of ``det(J - x*I)`` at
+    ``x = [kappa, -kappa]``, as two rows each, from one value-only call of
+    :func:`_continuant` on J.  A value is NaN at a root whose lambda + mu**2
     is below 0 in long double, where c has no real value."""
-    values, _, _, frames = factors
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa, below = _reflection_kappa(mu, lam, eps)
+        values, _, _, frames = _continuant("J", n, mu, np.concatenate([kappa, -kappa]))
     values, frames = values.reshape(2, -1), frames.reshape(2, -1)
     values[:, below] = np.nan
     return values, frames
 
 
-def _reflection_factors(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
-    """The factor values and frames of :func:`_factor_pair` at the roots
-    ``lam`` with signs ``eps`` of one (n, mu), from one value-only call of
-    :func:`_continuant` on J: those that ``_build_rows(..., pair=True)``
-    forms beside its first Newton pass, up to a power-of-two frame."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        kappa, below = _reflection_kappa(mu, lam, eps)
-        return _factor_pair(_continuant("J", n, mu, np.concatenate([kappa, -kappa])), below)
-
-
-def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=False) -> tuple:
+def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
     """Coefficient rows of the eigenvectors of J at the roots ``lam`` with
     signs ``eps`` of one (n, mu), a_n = 1 in each: :func:`build_polynomial`
     on a stack, in long double, each row bit for bit that of a stack of one.
@@ -332,26 +323,21 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=Fal
     ``kappa = -eps*sqrt(lambda + mu**2)`` (:func:`_reflection_kappa`) takes
     Newton steps on its own factor (:func:`_continuant` on J) until a step
     is at most 2**-40 of kappa, when the next would be rounding: one for
-    most roots, up to 8 for root 0 just above -mu**2.  Once one root alone
-    still steps, its passes run without the stack's bookkeeping
-    (:func:`_newton_one`), with the same steps.  With ``pair`` the
-    first pass runs at ``[kappa, -kappa]``, and the factors of the other
-    sign, formed beside the steps, come back for the check pass
-    (:func:`_factor_pair`).  The twisted factorization of J - kappa*I
-    (Parlett and Dhillon, LAA 1997) gives the eigenvector: pivots D+ and D-
-    of its top-down and bottom-up LDL^T by ratio recurrences, ``v_r = 1`` at
-    the smallest ``|gamma_r| = |D+_r + D-_r - (J_rr - kappa)|``, and running
-    products of ``-J_{k,k+1}/D-_{k+1}`` below r and ``-J_{k,k+1}/D+_k``
-    above.  As LAPACK's ``dlar1v`` does, a stack with a dividing pivot below
-    ``pivmin`` is factored again with it floored, here to minus its rounding
-    (eps times its two terms, plus pivmin), which keeps v finite where a
-    pivot cancels to 0, as at a huge mu.
+    most roots, up to 8 for root 0 just above -mu**2; one root alone steps
+    on numpy scalars (:func:`_continuant`).  The twisted factorization of
+    J - kappa*I (Parlett and Dhillon, LAA 1997) gives the eigenvector:
+    pivots D+ and D- of its top-down and bottom-up LDL^T by ratio
+    recurrences, ``v_r = 1`` at the smallest
+    ``|gamma_r| = |D+_r + D-_r - (J_rr - kappa)|``, and running products of
+    ``-J_{k,k+1}/D-_{k+1}`` below r and ``-J_{k,k+1}/D+_k`` above.  As
+    LAPACK's ``dlar1v`` does, a stack with a dividing pivot below ``pivmin``
+    is factored again with it floored, here to minus its rounding (eps times
+    its two terms, plus pivmin), which keeps v finite where a pivot cancels
+    to 0, as at a huge mu.
 
     Returns the ascending coefficients (not finite where a_n = 1 overflows
     a double), each row's ``max|((J - kappa*I) v)_k|`` at the unrefined
-    kappa with ``max|v_k| = 1``, ``||J||`` (largest row sum), and with
-    ``pair`` the factor values and frames of :func:`_factor_pair` (None
-    without).
+    kappa with ``max|v_k| = 1``, and ``||J||`` (largest row sum).
     """
     ld = np.longdouble
     diag, off, order, scale = _reflection_jacobi(n, mu)
@@ -361,19 +347,11 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=Fal
     pivmin = _LD.tiny * beta.max(initial=1)  # LAPACK's
     roots = lam.size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kappa0, below = _reflection_kappa(mu, lam, eps)
-        kappa, live, factors = kappa0.copy(), np.arange(roots), None
-        for p in range(8):  # each pass squares the error of root 0 from 1e-9
-            if p and live.size == 1:  # most often root 0 alone: on numpy scalars
-                _newton_one(n, mu, kappa, live[0], 8 - p)
-                break
-            at, both = kappa[live], pair and p == 0  # every root is live at p = 0
-            scan = _continuant(
-                "J", n, mu, np.concatenate([at, -at]) if both else at, derivative=True
-            )
-            step = scan[0][: live.size] / scan[1][: live.size]
-            if both:
-                factors = _factor_pair(scan, below)
+        kappa0, _ = _reflection_kappa(mu, lam, eps)
+        kappa, live = kappa0.copy(), np.arange(roots)
+        for _ in range(8):  # each pass squares the error of root 0 from 1e-9
+            value, slope, _, _ = _continuant("J", n, mu, kappa[live], derivative=True)
+            step = value / slope
             ok = np.isfinite(step)
             kappa[live[ok]] -= step[ok]
             live = live[ok & (abs(step) > 2.0**-40 * abs(kappa[live]))]
@@ -414,21 +392,7 @@ def _build_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray, *, pair=Fal
         rows[:-1] += off[:, None] * v[1:]
         coeffs = np.empty((roots, n + 1))
         coeffs[:, order] = ((v / v[min(n, 1)]) * scale[:, None]).T  # a_n is v[1]
-    return coeffs, abs(rows).max(axis=0), norm, factors
-
-
-def _newton_one(n: int, mu: float, kappa: np.ndarray, i: int, passes: int) -> None:
-    """At most ``passes`` more Newton passes of :func:`_build_rows` on
-    ``kappa[i]`` alone, in place, each on numpy scalars: the same steps and
-    stop as on a stack."""
-    for _ in range(passes):
-        value, slope, _, _ = _continuant("J", n, mu, kappa[i : i + 1], derivative=True)
-        step = value[0] / slope[0]
-        if not np.isfinite(step):
-            return
-        kappa[i] -= step
-        if not abs(step) > 2.0**-40 * abs(kappa[i]):
-            return
+    return coeffs, abs(rows).max(axis=0), norm
 
 
 def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
@@ -445,7 +409,7 @@ def build_polynomial(d: DcheParams, epsilon: int) -> HeunPolynomial:
     if mu == 0 and n >= 1:
         raise InvalidParams("mu must be nonzero: at mu = 0 every root is double")
     mu_squared(mu)  # raises where the square overflows
-    coeffs, resid, norm, _ = _build_rows(n, mu, np.array([d.lam]), np.array([epsilon]))
+    coeffs, resid, norm = _build_rows(n, mu, np.array([d.lam]), np.array([epsilon]))
     if not resid[0] <= SPECTRAL_TOL * norm:  # a NaN residual fails too
         raise NotSpectral(
             f"eigen-residual {float(resid[0]):.3e} exceeds {SPECTRAL_TOL:g} * ||J|| "

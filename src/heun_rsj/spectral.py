@@ -224,7 +224,8 @@ def _eigen_seeds(n: int, mu: float) -> np.ndarray:
     tridiagonal form leaves an already tridiagonal matrix unchanged, and the
     eigenvalues then come from the same ``dsterf`` iteration that a dedicated
     tridiagonal solver runs, so the seeds match ``eigh_tridiagonal`` bit for
-    bit (checked in the tests).
+    bit (checked in the tests).  ``InvalidParams`` where an off-diagonal
+    entry or an eigenvalue passes the double range.
     """
     diag = [j * (n + 1.0 - j) for j in range(n + 1)]
     off = [abs(mu) * math.sqrt((j + 1.0) * (n - j)) for j in range(n)]
@@ -232,7 +233,10 @@ def _eigen_seeds(n: int, mu: float) -> np.ndarray:
         raise InvalidParams(f"mu = {mu!r} overflows the eigenproblem at n = {n}")
     band = np.diag(diag)
     band.flat[n + 1 :: n + 2] = off  # the subdiagonal
-    return np.linalg.eigvalsh(band)
+    seeds = np.linalg.eigvalsh(band)
+    if not np.isfinite(seeds).all():  # the extreme ones overflow where no entry does
+        raise InvalidParams(f"mu = {mu!r} overflows the eigenproblem at n = {n}")
+    return seeds
 
 
 def _root_signs(n, mu, index):

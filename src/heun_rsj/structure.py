@@ -366,11 +366,9 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     reported.  The checks that need c are reported only when lambda + mu**2
     clears ``spectral.DISC_MARGIN``; otherwise each is listed in ``skipped``
     as ``{"name", "reason"}``.  The values come from the check pass of
-    :func:`certify_root` (:func:`_check_rows`) run on P's one row, with
-    det G+- from one value-only call of the reflection-factor recurrence
-    (``heun_poly._reflection_factors``), and the typed errors from that
-    pass's scales and values: ``InvalidParams``
-    where mu**2 overflows a double, where the master equation overflows
+    :func:`certify_root` (:func:`_check_rows`) run on P's one row, and the
+    typed errors from that pass's scales and values: ``InvalidParams`` where
+    mu**2 overflows a double, where the master equation overflows
     (:func:`residuals`), where the reflection relation overflows (z**n at
     z = 2 from n = 1024 on, or a value of P), and where a determinant check
     is NaN or infinite: where the product of det G+ and det G- passes
@@ -380,10 +378,7 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     d = P.params
     disc = d.lam + mu_squared(d.mu)
     lam, eps = np.array([d.lam]), np.array([P.epsilon])
-    factors = heun_poly._reflection_factors(d.n, d.mu, lam, eps)
-    values, master_scale, symmetry_scale = _check_rows(
-        d.n, d.mu, lam, eps, _coeff_rows(P), factors
-    )
+    values, master_scale, symmetry_scale = _check_rows(d.n, d.mu, lam, eps, _coeff_rows(P))
     _refuse_overflow(master_scale, "master equation", d.n, d.mu)
     if disc > spectral.DISC_MARGIN:
         _refuse_overflow(symmetry_scale, "reflection relation", d.n, d.mu)
@@ -423,8 +418,7 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
     """The check values of :func:`certify` at the roots ``lam`` with signs
     ``eps`` of one validated (n, float mu), one row of six per root, from
     one build (``heun_poly._build_rows``) and one check pass
-    (:func:`_check_rows`).  The build's first Newton pass runs at both
-    signs of each root's kappa, and the check pass reads det G+- from it.
+    (:func:`_check_rows`), the pass that :func:`certify` runs on one row.
 
     Each row is bit for bit that of the root alone.  The four values that
     need c are NaN where lambda + mu**2 does not clear
@@ -434,16 +428,14 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
     values = np.full((lam.size, len(_CHECKS)), np.nan)
     if mu == 0 and n >= 1:
         return values  # every root is double: build_polynomial refuses it
-    a, resid, norm, (factors, frames) = heun_poly._build_rows(n, mu, lam, eps, pair=True)
+    a, resid, norm = heun_poly._build_rows(n, mu, lam, eps)
     ok = (resid <= heun_poly.SPECTRAL_TOL * norm) & np.isfinite(a).all(axis=1)
     if ok.all():
         ok = slice(None)  # every row, without copies
     elif not ok.any():
         return values
     lam, eps, a = lam[ok], eps[ok], a[ok]
-    rows, master_scale, symmetry_scale = _check_rows(
-        n, mu, lam, eps, a, (factors[:, ok], frames[:, ok])
-    )
+    rows, master_scale, symmetry_scale = _check_rows(n, mu, lam, eps, a)
     # A row that overflows is not formed: the root alone types it.
     finite = np.isfinite(rows)
     formed = np.isfinite(master_scale) & finite[:, :2].all(axis=1)
@@ -456,18 +448,18 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
 
 
 def _check_rows(
-    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, a: np.ndarray, factors: tuple
+    n: int, mu: float, lam: np.ndarray, eps: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The check pass of a certification record, on each row of ascending
     coefficients ``a`` of degree n at mu, with its row's lambda and sign.
 
     One sample table (:func:`_on_samples`) feeds both readers.  det G+- are
-    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``, given
-    in ``factors`` as two rows of values and two of power-of-two frames,
-    the root's own sign first (``heun_poly._factor_pair``): from the build's
-    first Newton pass on a whole batch, from one value-only call on a lone
-    row.  Delta, with its largest summand, is the determinant over the rows'
-    lambda, from one long-double call of ``heun_poly._continuant`` on T.
+    the reflection factors ``det(J - kappa*I)`` at ``kappa = -+c``, the
+    root's own sign first, each with its power-of-two frame, from one
+    value-only long-double call on J over the rows
+    (``heun_poly._reflection_factors``).  Delta, with its largest summand,
+    is the determinant over the rows' lambda, from one long-double call of
+    ``heun_poly._continuant`` on T.
     The two determinant checks are ``||det G+ * det G-| - |Delta|| /
     scale`` and ``min(|det G+|, |det G-|) / scale``, the scale that largest
     summand floored at 1; both are symmetric in det G+ and det G-.  They
@@ -484,7 +476,7 @@ def _check_rows(
         table = _on_samples(a)
         disc = lam + mu_squared(mu)
         eps_c = eps * np.sqrt(disc)
-        values, frames = factors
+        values, frames = heun_poly._reflection_factors(n, mu, lam, eps)
         (m_own, m_other), exponents = np.frexp(values)
         e_own, e_other = exponents + frames
         delta, _, top, e = heun_poly._continuant("T", n, mu, lam.astype(ld), summand=True)
@@ -504,9 +496,6 @@ def _check_rows(
     return rows, master_scale.max(axis=1), symmetry_scale.max(axis=1)
 
 
-# phase_series and phase_rate guard the same P in turn: the verdict on the
-# last P is kept (a raise is not), so the circle is sampled once per P.
-@functools.lru_cache(maxsize=1)
 def _unit_circle_clear(P: HeunPolynomial) -> None:
     angles = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     vals = np.abs(P.value(np.exp(1j * angles)))
@@ -573,7 +562,8 @@ def _closed_form(P: HeunPolynomial, times, rate: bool) -> tuple:
     """The phase at increasing ``times``, and its rate there if ``rate``.
 
     Without refinement both come from one pass over the circle; on a
-    refined grid the rate is ``phase_rate``, a pass over ``times`` of its own.
+    refined grid the rate is that of ``phase_rate``, a pass over ``times``
+    of its own.
     """
     times = _times(times)
     if np.any(np.diff(times) <= 0):
@@ -588,15 +578,15 @@ def _closed_form(P: HeunPolynomial, times, rate: bool) -> tuple:
             raise InvalidParams(f"phase grid needs over {_MAX_SAMPLES} samples")
         factor = max(1, math.ceil(ratio))
     _check_grid_size(1 + (len(times) - 1) * factor)
+    readers = (_rate_reader(P, p.omega),) if rate else ()
     if factor == 1:
-        readers = (_rate_reader(P, p.omega),) if rate else ()
         arg, *rates = _on_circle(P, p.omega, times, _arg_reader, *readers)
         return _phase_from_arg(P, p.omega, times, arg), *rates
     inner = np.linspace(times[:-1], times[1:], factor + 1, axis=1)[:, 1:]
     grid = np.concatenate([times[:1], inner.ravel()])
     (arg,) = _on_circle(P, p.omega, grid, _arg_reader)
     phase = _phase_from_arg(P, p.omega, grid, arg)[::factor].copy()
-    return (phase, phase_rate(P, times)) if rate else (phase,)
+    return (phase, *_on_circle(P, p.omega, times, *readers)) if rate else (phase,)
 
 
 def phase_series(P: HeunPolynomial, times) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 from heun_rsj import spectral, structure
 from heun_rsj.cli import build_parser, main
-from heun_rsj.model import HeunPolynomial
+from heun_rsj.model import HeunPolynomial, dche_to_params
 from heun_rsj.serialize import SCHEMA
 
 import helpers
@@ -302,20 +302,24 @@ class TestPhaseCompare:
             return value(P, z)
 
         monkeypatch.setattr(HeunPolynomial, "value", spy)
-        structure._unit_circle_clear.cache_clear()
         return sizes
 
     def test_unit_circle_guard_runs_twice(self, monkeypatch):
-        # One guard in phase_series and one in phase_rate, on the same P:
-        # the second reads the first's verdict, so the circle is sampled once.
+        # phase_series and phase_rate each guard P, so two calls sample the
+        # circle twice.  phase_and_rate guards it once, also on a grid that
+        # needs refinement: the refined phase pass, then the rate's pass
+        # over the 9 times, bit for bit the two calls.
         sizes = self._spy_on_values(monkeypatch)
         poly = helpers.solution(1, 0.5, 1)
-        times = np.linspace(0.0, 1.0, 9)
-        structure.phase_series(poly, times)
-        structure.phase_rate(poly, times)
-        info = structure._unit_circle_clear.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        assert sizes.count(4096) == 1
+        times = np.linspace(0.0, 3.0 * dche_to_params(poly.params).period, 9)
+        phase = structure.phase_series(poly, times)
+        rate = structure.phase_rate(poly, times)
+        assert sizes.count(4096) == 2
+        sizes.clear()
+        both = structure.phase_and_rate(poly, times)
+        assert sizes[0] == 4096 and sizes.count(4096) == 1
+        assert sizes[1] > 9 and sizes[-1] == 9
+        assert [x.tobytes() for x in both] == [phase.tobytes(), rate.tobytes()]
 
     def test_one_circle_pass_per_grid(self, capsys, monkeypatch):
         # phase-compare at the default step needs no refined grid: the guard
@@ -327,8 +331,6 @@ class TestPhaseCompare:
             "--periods", "1",
         )
         assert code == 0
-        info = structure._unit_circle_clear.cache_info()
-        assert (info.hits, info.misses) == (0, 1)
         assert sizes == [4096, 2001]
 
 
@@ -659,23 +661,40 @@ def test_huge_mu_root_commands_exit_typed(capsys, argv):
 
 
 # A failing call prints its typed error and nothing else: the overflows on
-# the way to it raise no numpy warning that names package source lines.
+# the way to it raise no numpy warning that names package source lines.  At
+# (29, 9.3e306) the extreme eigenvalues of the seed matrix pass the double
+# range, and the eigenproblem is refused.
 @pytest.mark.parametrize(
-    "argv",
+    "argv,error",
     [
-        ["spectrum", "--n", "3", "--mu", "1.3e154"],
-        ["sweep", "--n-min", "1", "--n-max", "4", "--mu-start", "1e152",
-         "--mu-stop", "1.3e154", "--mu-points", "3"],
+        pytest.param(
+            ["spectrum", "--n", "3", "--mu", "1.3e154"], "ConvergenceFailure: ", id="spectrum"
+        ),
+        pytest.param(
+            ["sweep", "--n-min", "1", "--n-max", "4", "--mu-start", "1e152",
+             "--mu-stop", "1.3e154", "--mu-points", "3"],
+            "ConvergenceFailure: ",
+            id="sweep",
+        ),
+        pytest.param(
+            ["spectrum", "--n", "29", "--mu", "9.313945155129463e306"],
+            "InvalidParams: mu = 9.313945155129463e+306 overflows the eigenproblem",
+            id="spectrum-eigenvalues",
+        ),
+        pytest.param(
+            ["sweep", "--n-min", "29", "--n-max", "29", "--mu-start", "9.313945155129463e306"],
+            "InvalidParams: mu = 9.313945155129463e+306 overflows the eigenproblem",
+            id="sweep-eigenvalues",
+        ),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_failing_call_prints_one_stderr_line(argv):
+def test_failing_call_prints_one_stderr_line(argv, error):
     result = subprocess.run(
         [sys.executable, "-m", "heun_rsj.cli", *argv], capture_output=True, text=True
     )
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.count("\n") == 1
-    assert result.stderr.startswith("error: ConvergenceFailure: ")
+    assert result.stderr.startswith("error: " + error)
 
 
 # Time grids past 2**27 samples are refused before anything is allocated.

@@ -39,7 +39,7 @@ def test_readme_quick_start_runs():
     exec(compile(_quick_start(), "README.md", "exec"), namespace)
     assert len(namespace["spectrum"].lambdas) == 3
     assert namespace["P"].coeffs[-1] == 1.0
-    assert len(namespace["phi"]) == 2
+    assert len(namespace["phi"]) == len(namespace["rate"]) == 2
 
 
 def test_package_exports_what_is_imported():

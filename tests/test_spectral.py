@@ -601,6 +601,21 @@ class TestSpectra:
                 lambda_spectrum(3, 1.3e154)
             assert len(lambda_spectra(_MIXED_GRID)) == len(_MIXED_GRID)
 
+    def test_overflowing_eigenvalues_are_refused(self):
+        # At (29, 9.3e306) every off-diagonal entry of the seed matrix is a
+        # double, but its extreme eigenvalues pass the double range: the
+        # eigenproblem is refused, with no numpy warning, alone and in a
+        # batch after a good problem.
+        mu = 9.313945155129463e306
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: lambda_spectrum(29, mu),
+                lambda: lambda_spectra([(3, 1.0), (29, mu)]),
+            ):
+                with pytest.raises(InvalidParams, match="overflows the eigenproblem at n = 29"):
+                    call()
+
     def test_overflowing_polish_raises_no_warning(self):
         # From n = 24 at mu = 1e200 the determinant's powers of mu**2 pass
         # the long-double range; the polish's framed scan keeps them, with

@@ -647,11 +647,11 @@ class TestCertifyRoot:
 
     @pytest.mark.parametrize("n,mu", [(0, 1.0), (1, 0.25), (12, 1.82), (22, -0.7), (40, 7.3)])
     def test_batch_runs_one_factor_pass(self, monkeypatch, n, mu):
-        # The build's first Newton pass runs at [kappa, -kappa] of every
-        # root, with the derivative, and hands both factors to the check
-        # pass: per cold spectrum, one J call on 2(n + 1) lanes, then the
-        # passes of the roots still live, those of the build alone, and one
-        # T call, for Delta with its summand maximum.  The polish's scans go
+        # Per cold spectrum: the build's first Newton pass on every root,
+        # with the derivative, then the passes of the roots still live,
+        # those of the build alone; then the check pass, one value-only J
+        # call at [kappa, -kappa] of every root, for det G+-, and one T
+        # call, for Delta with its summand maximum.  The polish's scans go
         # through spectral, and no call forms what its caller drops.
         kernel, calls = heun_poly._continuant, []
 
@@ -662,15 +662,27 @@ class TestCertifyRoot:
 
         monkeypatch.setattr(heun_poly, "_continuant", spy)
         structure.certify_root(n, mu, n // 2)
-        first, *newton, last = calls
-        assert first == ("J", 2 * (n + 1), True, ("derivative",))
+        first, *newton, factors, last = calls
+        assert first == ("J", n + 1, True, ("derivative",))
+        assert all(0 < size <= n for _, size, _, _ in newton)
+        assert factors == ("J", 2 * (n + 1), True, ())
         assert last == ("T", n + 1, True, ("summand",))
         calls.clear()
         lam = np.array(spectral.lambda_spectrum(n, mu).lambdas)
         eps = spectral._root_signs(n, mu, np.arange(n + 1)).astype(float)
         heun_poly._build_rows(n, mu, lam, eps)
-        assert calls == [("J", n + 1, True, ("derivative",)), *newton]
-        assert all(0 < size <= n for _, size, _, _ in newton)
+        assert calls == [first, *newton]
+
+    @pytest.mark.parametrize("n,mu", [(5, 1e20), (30, 1e5), (60, 1.37)])
+    def test_rows_match_alone_off_the_ledger(self, n, mu):
+        # The records of certify_root against certify on each root alone,
+        # at drives off the ledger's: at (5, 1e20) roots 2-5 take the
+        # build's floored-pivot pass, at (30, 1e5) mu**2 is 1e10, and
+        # (60, 1.37) is full of near-degenerate pairs.  Every row is formed.
+        for root in range(n + 1):
+            want = _alone(n, mu, root)
+            assert _outcome(lambda: structure.certify_root(n, mu, root)) == want, root
+            assert not math.isnan(_row(n, mu, root)[0]), root
 
     @pytest.mark.parametrize(
         "n,mu,roots",
