@@ -153,11 +153,11 @@ def _continuant(matrix: str, n, mu, x: np.ndarray, *, derivative=False, summand=
     Returns arrays ``(det, ddet_dx, summand_max, e)``, each entry times
     ``2**e`` of its element.  The derivative is formed with ``derivative``,
     the largest |x|, |alpha_j*p_{j-1}|, |beta_j*p_{j-2}| (and |a_n*p_{n-1}|)
-    with ``summand``, and each is None otherwise.  The gate scans T in
-    double with both; the polish T and J in long double with the
-    derivative; the build J with the derivative (:func:`_build_rows`); and
-    the certification pass T with the summand maximum, and J with neither
-    (:func:`_reflection_factors`).
+    with ``summand``, and each is None otherwise.  The gate scans T with
+    both, in double unless mu**2 overflows it; the polish T and J in long
+    double with the derivative; the build J with the derivative
+    (:func:`_build_rows`); and the certification pass T with the summand
+    maximum, and J with neither (:func:`_reflection_factors`).
     A step multiplies the largest magnitude of an element's formed values
     by at most ``g = max|x| + (1 + max mu**2)*(max n + 1)**2/4 + 1``, plus
     max|a_n| for J.  After a frame test (:func:`_framed`) it is below

@@ -14,9 +14,9 @@ at least mu**2/128 steps in kappa on its own reflection factor (below) from
 the first pass, with lambda = kappa**2 - mu**2 carried beside kappa, and
 every other root, near lambda = 0, on the determinant, by the gate's own
 framed recurrence (:func:`heun_poly._continuant` on T) in long double.
-Each root keeps its own Newton state, and a root whose step goes wrong
-falls back to its seed without disturbing the others; one array scan of
-the determinant in double then gates every returned root.
+A root whose step goes wrong falls back to its seed alone; one array scan
+of the determinant then gates every returned root, in double, or in long
+double where mu**2 overflows a double.
 
 The reflection symmetry of the solutions induces two (n+1) x (n+1) matrices
 G+ and G- (one per sign) with ``G+ G- = -Phi^T`` for the coefficient matrix
@@ -130,18 +130,19 @@ def lambda_spectra(problems) -> list[SpectralSet]:
     times the local determinant scale (largest recurrence summand or
     first-variation magnitude, whichever is bigger), or
     ``ConvergenceFailure`` names the lowest seed index that missed.  A root
-    whose scan is not finite misses.  Where ``mu**2`` overflows a double no
-    root is gated.
+    whose scan is not finite misses.  The scan runs in long double where
+    ``mu**2`` overflows a double.
 
     The problems are computed in runs of at most ``_BATCH`` roots, a larger
-    problem alone.  The first problem in order that fails -- an invalid
+    problem alone, with a new run wherever the finiteness of ``mu**2``
+    changes.  The first problem in order that fails -- an invalid
     ``(n, mu)`` or a root that misses the gate -- raises, and no run after
     it is computed.  Each mu is taken as a float, so each spectrum is bit for
     bit the one computed alone.
     """
     out: list[SpectralSet] = []
     run: list[tuple] = []
-    width = 0  # roots in the run
+    width, wide = 0, False  # roots in the run; whether its mu**2 overflows
     for n, mu in problems:
         try:
             mu = _checked_mu(n, mu)
@@ -149,11 +150,11 @@ def lambda_spectra(problems) -> list[SpectralSet]:
         except InvalidParams:
             _polish_and_gate(run)  # an earlier problem's failure wins
             raise
-        if run and width + seeds.size > _BATCH:
+        if run and (width + seeds.size > _BATCH or wide != (mu * mu == math.inf)):
             out += _polish_and_gate(run)
             run, width = [], 0
         run.append((n, mu, seeds))
-        width += seeds.size
+        width, wide = width + seeds.size, mu * mu == math.inf
     return out + _polish_and_gate(run)
 
 
@@ -191,18 +192,18 @@ def _polish_and_gate(run: list[tuple]) -> list[SpectralSet]:
     mu = drives[0] if len(set(drives)) == 1 else np.repeat(drives, sizes)
     seeds = run[0][2] if len(run) == 1 else np.concatenate([run[p][2] for p in order])
     lams = _polish_extended(n, mu, seeds)
+    # mu**2 overflows a double at every drive of a run or at none.
+    at = lams.astype(np.longdouble) if drives[0] * drives[0] == math.inf else lams
     # A root whose scan overflows misses the gate: no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):
-        scan = _continuant("T", n, mu, lams, derivative=True, summand=True)
-        ratios = _relative_dets(lams, *scan)
+        scan = _continuant("T", n, mu, at, derivative=True, summand=True)
+        ratios = _relative_dets(at, *scan)
     start = dict(zip(order, itertools.accumulate(sizes, initial=0)))
     spectra = []
     for p, (n_, mu_, seeds) in enumerate(run):
         roots = slice(start[p], start[p] + seeds.size)
-        # Where mu**2 overflows a double the determinant has no double value
-        # to gate; every use of such a triplet raises InvalidParams (mu_squared).
         missed = (~(ratios[roots] <= ROOT_TOL)).nonzero()[0]  # NaN misses too
-        if missed.size and math.isfinite(mu_ * mu_):
+        if missed.size:
             i = int(missed[0])
             raise ConvergenceFailure(
                 i,
@@ -441,9 +442,8 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     The triplet carries the polished lambda of :func:`lambda_spectrum`, read
     from :func:`_cached_entry` so that the roots of one problem share one
     computation; the root need not be physical.  ``InvalidParams`` for an
-    invalid ``(n, mu)`` or a root index that is not an int, before any
-    spectral work; a drive whose square overflows a double raises it too,
-    before any polynomial work.
+    invalid ``(n, mu)``, a drive whose square overflows a double or a root
+    index that is not an int, before any spectral work.
 
     The sign is the parity of the index: ``epsilon_i = -sigma*(-1)**i`` along
     the ascending spectrum, with ``sigma = -1`` where n is even and mu < 0,
@@ -478,11 +478,11 @@ def _root_entry(n: int, mu: float, root_index: int) -> tuple[DcheParams, int, li
     mu = _checked_mu(n, mu)
     if not isinstance(root_index, (int, np.integer)) or isinstance(root_index, bool):
         raise InvalidParams(f"root index must be an int, got {root_index!r}")
+    mu_squared(mu)  # raises where the square overflows
     if not 0 <= root_index <= n:
         lambda_spectrum(n, mu)  # a spectrum that cannot be computed raises first
         raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
     entry = _cached_entry(n, mu)
-    mu_squared(mu)  # raises where the square overflows
     d = DcheParams(n=n, mu=mu, lam=entry[0][root_index])
     return d, int(_root_signs(n, mu, root_index)), entry
 

@@ -54,6 +54,9 @@ negative pivots of its LDL^T), so root i must lie between the counts i and
 i + 1; ``mpmath_root`` bisects on the same counts in mpmath alone, in
 60-digit arithmetic, to give root i to 30 digits.  It is the one that
 ``scripts/polish_report.py`` reports errors against, loaded from there.
+``sturm_count_mp`` is the same count at one point in mpmath, at a precision
+that resolves a bracket of 1e-9 against the norm of T at every double mu;
+the contract test brackets each returned root with it.
 
 ``structure.residuals`` and ``identities.symmetry_residual`` (the
 certification pass's readers on one row) read one table of P and its
@@ -488,6 +491,29 @@ def sturm_counts(n: int, mu: float, x: np.ndarray) -> np.ndarray:
         d = np.where(d == 0, np.finfo(float).tiny, d)
         d = j * (n + 1.0 - j) - x - mu * mu * j * (n + 1.0 - j) / d
         count += d < 0
+    return count
+
+
+def sturm_count_mp(n: int, mu: float, x, dps: int = 750) -> int:
+    """Eigenvalues of T at (n, mu) below x, in mpmath at ``dps`` digits: the
+    negative pivots of the LDL^T of ``T - x*I``, as in :func:`sturm_counts`,
+    an exactly zero pivot nudged to 10**(-2*dps).
+
+    The count is exact for a T whose entries are perturbed by a few units
+    of 10**-dps relative (Kahan 1966, cited from memory), which moves an
+    eigenvalue by at most about 10**-dps * ||T||.  With n <= 40 and |mu| up
+    to the double maximum, ``||T|| <= (n+1)**2/4 + |mu|*(n+1) < 1e310``, so
+    the default 750 digits resolve a bracket of 1e-9 with over 400 to spare.
+    """
+    with mpmath.workdps(dps):
+        x, m2 = mpmath.mpf(x), mpmath.mpf(mu) ** 2
+        tiny = mpmath.mpf(10) ** (-2 * dps)
+        d = -x
+        count = int(d < 0)
+        for j in range(1, n + 1):
+            r = j * (n + 1 - j)
+            d = r - x - m2 * r / (tiny if d == 0 else d)
+            count += int(d < 0)
     return count
 
 

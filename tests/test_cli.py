@@ -104,16 +104,26 @@ class TestSpectrum:
         assert all(line.endswith(",,,") for line in out.splitlines()[1:])
 
     def test_top_root_past_the_long_double_range(self, capsys):
-        # At (30, 1e300) the determinant's powers of mu**2 pass the
+        # At (31, 1e300) the determinant's powers of mu**2 pass the
         # long-double range; the polish's framed scan places the top root on
-        # the double nearest 3e301, not at its seed 3.0000000000000024e+301.
-        argv = ("spectrum", "--n", "30", "--mu", "1e300")
+        # the double nearest 3.1e301, not at its seed 3.100000000000003e+301,
+        # and the long-double gate passes the spectrum.  At (30, 1e300) the
+        # middle root falls back to its seed, 1e300 off the root 120, and the
+        # gate refuses the spectrum with one typed line.
+        argv = ("spectrum", "--n", "31", "--mu", "1e300")
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert (code, err) == (0, "")
-        assert out.splitlines()[-1].split(",")[:2] == ["30", "3e+301"]
+        assert out.splitlines()[-1].split(",")[:2] == ["31", "3.1000000000000001e+301"]
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        assert parse_json(out)["roots"][-1]["lambda"] == 3e301
+        assert parse_json(out)["roots"][-1]["lambda"] == 3.1e301
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(
+                capsys, "spectrum", "--n", "30", "--mu", "1e300", "--format", fmt
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ConvergenceFailure: root 15 of (n=30, mu=1e+300) ")
+            assert err.count("\n") == 1
 
     def test_negative_exponent_value(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "1", "--mu", "-1e3")
@@ -984,7 +994,9 @@ class TestDeterminism:
 # The mu set of the table digests: both zeros, a drive whose square
 # underflows, a negative drive, and one whose square overflows.  mu = 0 and
 # mu = 1e200 give rows with an error name (blank physical cells in CSV), and
-# so do low roots with lambda + mu**2 <= 0.
+# so do low roots with lambda + mu**2 <= 0.  At mu = 1e200 the gate runs in
+# long double and refuses every even n >= 2, whose middle root falls back
+# to its seed: those calls exit 1 with no rows.
 _TABLE_MUS = ("0", "-0.0", "1e-160", "-0.7", "1.82", "1e200")
 
 
@@ -1032,11 +1044,14 @@ class TestGoldenTables:
     @pytest.mark.parametrize(
         "fmt,digest",
         [
-            ("json", "dcc988aeabd4f01d531daa5d33a57e6d6c80abb6c68e6b190168a9c6428d6dfe"),
-            ("csv", "fa90712c50465dd492d083cd1230f54613002522c6149841fa3074079334f12d"),
+            ("json", "105e52c1f93741cde58c93dc38bda9955fdf0281fa3f25876af25be5201affbb"),
+            ("csv", "67e94168b5714e55e0b1a172e7e145488f3ef5fb4d00f7d25058974ed3628fc3"),
         ],
     )
     def test_spectrum(self, capsys, fmt, digest):
+        # Re-recorded when the gate took in drives whose square overflows a
+        # double: the six calls of even n >= 2 at mu = 1e200 went from exit
+        # 0, with a wrong middle root, to exit 1.
         calls = [
             ["spectrum", "--n", str(n), "--mu", mu, "--format", fmt]
             for n in range(13)

@@ -171,6 +171,6 @@ def test_mpmath_root_stops_on_its_own_bracket():
     assert abs(float(ref) - lambda_spectrum(4, 1.0).lambdas[2]) <= 4.5e-16
     for near in (1e40, 1e20, -1e40):
         assert abs(mpmath_root(4, 1.0, 2, near) - ref) <= 1e-29 * ref, near
-    # The middle root of (24, 1e200) from the seed that lambda_spectrum
-    # returns there: the Sylvester-Kac limit n*(n + 2)/8 = 78, not 5.4e154.
+    # The middle root of (24, 1e200) from the seed that the polish falls
+    # back to there: the Sylvester-Kac limit n*(n + 2)/8 = 78, not 5.4e154.
     assert abs(mpmath_root(24, 1e200, 12, 1.2216884564198477e185) - 78) <= 1e-28

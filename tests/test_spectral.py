@@ -419,7 +419,8 @@ class TestSpectrum:
 
 # A mixed grid: degree 0, mu = 0 (double roots), negative and descending
 # mu, a duplicate pair, n = 300 (where the scan renormalises its frames)
-# and mu = 1e200 (mu**2 overflows, so no root is gated).
+# and mu = 1e200 (mu**2 overflows a double, so its run is gated in long
+# double).
 _MIXED_GRID = [
     (7, 2.5), (0, 0.7), (12, 0.0), (12, -2.3), (40, 1.82), (40, 1.82),
     (7, 0.4), (300, 1.3), (5, 1e200), (2, -0.7), (0, 0.0), (60, 0.25),
@@ -440,7 +441,8 @@ class TestSpectra:
 
     def test_large_degree_renormalises(self):
         # The n = 300 point of the mixed grid exercises the scan's
-        # +-300 frame shift, and the mu = 1e200 point skips the gate.
+        # +-300 frame shift, and the mu = 1e200 point takes the long-double
+        # gate.
         lams = np.array(lambda_spectrum(300, 1.3).lambdas)
         assert np.all(gate_scan(300, 1.3, lams)[3] != 0)
         assert len(lambda_spectrum(5, 1e200).lambdas) == 6
@@ -461,11 +463,17 @@ class TestSpectra:
         monkeypatch.setattr(spectral, "_polish_and_gate", spy)
         assert _bits(lambda_spectra(_MIXED_GRID)) == want
         # Whole problems in grid order; a run holds at most cap roots, or
-        # one problem, and ends only where the next problem would not fit.
+        # one problem, and ends only where the next problem would not fit
+        # or where the finiteness of mu**2 changes.
         assert [p for run in runs for p in run] == _MIXED_GRID
         roots = [sum(n + 1 for n, _ in run) for run in runs]
         assert all(r <= cap or len(run) == 1 for r, run in zip(roots, runs))
-        assert all(r + run[0][0] + 1 > cap for r, run in zip(roots, runs[1:]))
+        wide = [[math.isinf(mu * mu) for _, mu in run] for run in runs]
+        assert all(len(set(w)) == 1 for w in wide)
+        assert all(
+            r + run[0][0] + 1 > cap or w[-1] != v[0]
+            for r, run, w, v in zip(roots, runs[1:], wide, wide[1:])
+        )
         assert len(runs) > 1
 
     def _per_element(self, dtype):
@@ -567,30 +575,37 @@ class TestSpectra:
         # descending, and its spectra come back in grid order.  The first
         # pass of the polish steps every root once, on the determinant (T,
         # in long double) or on its own factor (J), each with its
-        # derivative; the gate scans T in double, with the derivative and
-        # the summand maximum.
+        # derivative; the gate scans T with the derivative and the summand
+        # maximum, once per run: in double, or in long double for the run
+        # of mu = 1e200, whose square overflows a double.  The grid's runs
+        # end before and after that problem.
         want = _bits(lambda_spectra(_MIXED_GRID))
-        seen, modes = [], []
+        seen = []
         kernel = spectral._continuant
 
         def spy(matrix, n, mu, x, **flags):
-            seen.append(((matrix, x.dtype), n))
-            modes.append(flags)
+            seen.append(((matrix, x.dtype), np.broadcast_to(n, x.shape), flags))
             return kernel(matrix, n, mu, x, **flags)
 
         monkeypatch.setattr(spectral, "_continuant", spy)
         assert _bits(lambda_spectra(_MIXED_GRID)) == want
-        assert all(np.all(np.diff(n) <= 0) for _, n in seen)
-        names = [name for name, _ in seen]
-        ld, gate = np.dtype(np.longdouble), ("T", np.dtype(float))
-        assert names[:2] == [("T", ld), ("J", ld)]
-        assert names[-1] == gate and names.count(gate) == 1
-        assert modes[-1] == {"derivative": True, "summand": True}
-        assert all(flags == {"derivative": True} for flags in modes[:-1])
-        degrees = np.array(sorted((n for n, _ in _MIXED_GRID), reverse=True))
-        first_pass = np.sort(np.concatenate([seen[0][1], seen[1][1]]))[::-1]
-        assert np.array_equal(first_pass, np.repeat(degrees, degrees + 1))
-        assert np.array_equal(seen[-1][1], np.repeat(degrees, degrees + 1))
+        assert all(np.all(np.diff(n) <= 0) for _, n, _ in seen)
+        ends = [k for k, (_, _, flags) in enumerate(seen) if flags.get("summand")]
+        assert ends[-1] == len(seen) - 1
+        wide = _MIXED_GRID.index((5, 1e200))
+        runs = [_MIXED_GRID[:wide], _MIXED_GRID[wide : wide + 1], _MIXED_GRID[wide + 1 :]]
+        assert len(ends) == len(runs)
+        ld = np.dtype(np.longdouble)
+        for start, end, run in zip([0] + [k + 1 for k in ends], ends, runs):
+            polish, (gate, gate_n, flags) = seen[start:end], seen[end]
+            assert flags == {"derivative": True, "summand": True}
+            assert gate == ("T", ld if run[0][1] == 1e200 else np.dtype(float))
+            assert all(f == {"derivative": True} and name[1] == ld for name, _, f in polish)
+            degrees = np.array(sorted((n for n, _ in run), reverse=True))
+            roots = np.repeat(degrees, degrees + 1)
+            first_pass = {name: n for name, n, _ in reversed(polish)}  # first call of each
+            assert np.array_equal(np.sort(np.concatenate(list(first_pass.values())))[::-1], roots)
+            assert np.array_equal(gate_n, roots)
 
     def test_overflowing_scan_raises_no_warning(self):
         # At mu = 1.3e154 mu**2 is a double but the gate scan overflows: the
@@ -618,13 +633,15 @@ class TestSpectra:
 
     def test_overflowing_polish_raises_no_warning(self):
         # From n = 24 at mu = 1e200 the determinant's powers of mu**2 pass
-        # the long-double range; the polish's framed scan keeps them, with
-        # no numpy warning.  The middle root of each even n still falls back
-        # to its seed, as its Newton correction passes the polish's cap.
+        # the long-double range; the polish's framed scan and the
+        # long-double gate keep them, with no numpy warning.  The middle
+        # root of each even n falls back to its seed, as its Newton
+        # correction passes the polish's cap, and the gate refuses it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (24, 40, 110):
-                assert len(lambda_spectrum(n, 1e200).lambdas) == n + 1
+                with pytest.raises(ConvergenceFailure, match=rf"root {n // 2} of \(n={n}, "):
+                    lambda_spectrum(n, 1e200)
 
     @pytest.mark.parametrize("n,mu", [(24, 1e200), (30, 1e300)])
     def test_roots_past_the_long_double_range(self, n, mu):
@@ -634,14 +651,20 @@ class TestSpectra:
         # their seeds, up to 21 ulps off.  Many roots lie at a hair from
         # a rounding midpoint, which the reference, bisected to 1e-30
         # relative, reads as 0.5 plus up to 2**52 * 1e-30 ulp.  The middle
-        # root of an even n is left out: it lies some 45 orders of magnitude
-        # below its neighbours, within its seed's error, and its Newton
-        # correction passes the polish's cap, so it falls back to its seed.
-        lams = lambda_spectrum(n, mu).lambdas
-        for i, lam in enumerate(lams):
-            if n % 2 == 0 and i == n // 2:
-                continue
-            assert _ulps(lam, mpmath_root(n, mu, i, lam)) <= 0.5 + 2.0**52 * 1e-30, i
+        # root of an even n is the exception: it lies some 45 orders of
+        # magnitude below its neighbours, within its seed's error, and its
+        # Newton correction passes the polish's cap, so it falls back to its
+        # seed, far from mpmath, and the gate refuses the spectrum there.
+        lams = spectral._polish_extended(n, mu, spectral._eigen_seeds(n, mu))
+        middle = n // 2
+        for i, lam in enumerate(lams.tolist()):
+            ref = mpmath_root(n, mu, i, lam)
+            if i == middle:
+                assert abs(lam - ref) > 1e100 * ref
+            else:
+                assert _ulps(lam, ref) <= 0.5 + 2.0**52 * 1e-30, i
+        with pytest.raises(ConvergenceFailure, match=rf"root {middle} of \(n={n}, "):
+            lambda_spectrum(n, mu)
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_lone_problem_runs_on_scalars(self, monkeypatch):
@@ -1381,14 +1404,15 @@ class TestRootParams:
                 root_params(3, 1.0, index)
 
     def test_error_precedence(self):
-        # A spectrum that cannot be computed raises before an out-of-range
-        # index, and an out-of-range index before a drive whose square
-        # overflows a double.
+        # A drive whose square overflows a double raises before any
+        # spectral work, so before an out-of-range index or a spectrum that
+        # cannot be computed; a spectrum that cannot be computed raises
+        # before an out-of-range index.
         with pytest.raises(ConvergenceFailure):
             root_params(40, 1e10, 99)
-        with pytest.raises(InvalidParams, match="overflows the eigenproblem"):
+        with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows"):
             root_params(2, 1.7e308, 5)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows"):
             root_params(2, 1e200, 5)
         with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows"):
             root_params(2, 1e200, 0)
