@@ -6,10 +6,7 @@ Every degree n in [0, --n-max] at every --mu goes through one
 outside, on the one recurrence ``spectral._continuant``: its matrix
 argument names the determinant (``"T"``, counted only where it scans long
 doubles, as the polish does; the gate scans doubles) or a root's own
-reflection factor (``"J"``).  An older checkout has a kernel of its own
-for each, ``_det_scan`` and ``_factor_newton_extended``, and is counted
-through whichever of the three names it has, so --save works from it.
-The report prints
+reflection factor (``"J"``).  The report prints
 
 * the pass histogram: for each Newton pass, the roots that step on the
   determinant (``on_det``) and on their own factor (``on_factor``), and the
@@ -45,9 +42,6 @@ import numpy as np
 from heun_rsj import HeunRsjError, lambda_spectra, spectral
 from heun_rsj.cli import _non_negative_int
 
-# The kernels by name, each with the kind of pass it makes, or None where
-# its first argument, the matrix, names it.
-_KERNELS = {"_continuant": None, "_det_scan": "det", "_factor_newton_extended": "factor"}
 _MUS = [0.25, 1.0, 1.37, 1.82, 2.5, -0.7, 0.01, 7.3]
 # Working digits of the mpmath root; it is bisected to half as many.
 _DPS = 60
@@ -57,21 +51,15 @@ def counted_spectra(grid):
     """The spectra of ``grid`` and the kernel calls of their polish, as
     ``(kind, roots)`` in call order."""
     calls = []
-    saved = {}
-    for name, fixed in _KERNELS.items():
-        kernel = getattr(spectral, name, None)
-        if kernel is None:
-            continue
+    kernel = spectral._continuant
 
-        def spy(*args, kernel=kernel, fixed=fixed, **flags):
-            kind = fixed or ("factor" if args[0] == "J" else "det")
-            x = args[-1]
-            if kind == "factor" or x.dtype == np.longdouble:
-                calls.append((kind, x.size))
-            return kernel(*args, **flags)
+    def spy(matrix, n, mu, x, **flags):
+        kind = "factor" if matrix == "J" else "det"
+        if kind == "factor" or x.dtype == np.longdouble:
+            calls.append((kind, x.size))
+        return kernel(matrix, n, mu, x, **flags)
 
-        saved[name] = kernel
-        setattr(spectral, name, spy)
+    spectral._continuant = spy
     # The gate's double scan is not counted, so every counted call is a
     # polish pass; runs of lambda_spectra start over at pass 1.
     polish = spectral._polish_extended
@@ -85,8 +73,7 @@ def counted_spectra(grid):
         spectra = lambda_spectra(grid)
     finally:
         spectral._polish_extended = polish
-        for name, kernel in saved.items():
-            setattr(spectral, name, kernel)
+        spectral._continuant = kernel
     return spectra, calls
 
 

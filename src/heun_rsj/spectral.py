@@ -38,9 +38,9 @@ converges quadratically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -440,8 +440,8 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     """Triplet and reflection sign ``(d, epsilon)`` of one spectral root.
 
     The triplet carries the polished lambda of :func:`lambda_spectrum`, read
-    from :func:`_cached_entry` so that the roots of one problem share one
-    computation; the root need not be physical.  ``InvalidParams`` for an
+    from the cache :func:`_lambdas` so that the roots of one problem share
+    one computation; the root need not be physical.  ``InvalidParams`` for an
     invalid ``(n, mu)``, a drive whose square overflows a double or a root
     index that is not an int, before any spectral work.
 
@@ -468,13 +468,6 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     c = 0, where both signs hold.  The rule takes sigma = -1 for even n at
     mu <= 0 there, which -0.0 shares with 0.0.
     """
-    d, epsilon, _ = _root_entry(n, mu, root_index)
-    return d, epsilon
-
-
-def _root_entry(n: int, mu: float, root_index: int) -> tuple[DcheParams, int, list]:
-    """:func:`root_params` and the memo entry (:func:`_cached_entry`) that
-    it read the root from."""
     mu = _checked_mu(n, mu)
     if not isinstance(root_index, (int, np.integer)) or isinstance(root_index, bool):
         raise InvalidParams(f"root index must be an int, got {root_index!r}")
@@ -482,56 +475,19 @@ def _root_entry(n: int, mu: float, root_index: int) -> tuple[DcheParams, int, li
     if not 0 <= root_index <= n:
         lambda_spectrum(n, mu)  # a spectrum that cannot be computed raises first
         raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
-    entry = _cached_entry(n, mu)
-    d = DcheParams(n=n, mu=mu, lam=entry[0][root_index])
-    return d, int(_root_signs(n, mu, root_index)), entry
+    d = DcheParams(n=n, mu=mu, lam=_lambdas(n, mu)[root_index])
+    return d, int(_root_signs(n, mu, root_index))
 
 
 # Sized from the traffic of the certify benchmark: one cycle verifies every
-# root of n <= 40 with 943 lookups of 236-240 distinct (n, mu), and a problem
-# comes back after at most 232 other problems (about 69 in the median), so at
-# 256 every repeat is a hit.  An entry at n = 400 holds 401 float lambdas
-# (about 13 KB, sys.getsizeof) and, once every root is certified, 401 x 6
-# check values (19 KB), so a full memo of those is about 8 MB.  The dict
-# keeps its entries in order of last use; the lock makes each lookup or
-# insertion, with its reordering or eviction, one step, and no spectrum and
-# no check is computed under it.
-_MEMO_SIZE = 256
-_memo: dict[tuple[int, float], list] = {}
-_memo_lock = threading.Lock()
-
-
-def _cached_entry(n: int, mu: float) -> list:
-    """The memo entry of a validated ``(n, float(mu))``: the lambdas of
-    :func:`lambda_spectrum` and the rows that :func:`_memo_rows` keeps (None
-    before).  A spectrum that is not in the memo is computed and kept.  An
-    error is raised, not kept.
-
-    The key is the float: mu = -0.0 reads the entry of 0.0, whose lambdas
-    are the same (mu enters the recurrences squared).
-    """
-    key = (n, mu)
-    with _memo_lock:
-        entry = _memo.pop(key, None)
-        if entry is not None:
-            _memo[key] = entry
-            return entry
-    entry = [lambda_spectrum(n, mu).lambdas, None]
-    with _memo_lock:
-        _memo[key] = entry
-        if len(_memo) > _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    return entry
-
-
-def _memo_rows(entry: list, form):
-    """The rows kept in a memo ``entry`` (:func:`_cached_entry`), or
-    ``form(lambdas)`` of the entry where there are none, formed outside the
-    lock and then kept.  An evicted entry takes its rows with it.
-    """
-    if entry[1] is None:
-        rows = form(entry[0])
-        with _memo_lock:  # the first rows kept are the ones every caller reads
-            if entry[1] is None:
-                entry[1] = rows
-    return entry[1]
+# root of n <= 40 and misses this cache 236 times in 1,962 calls, and a
+# problem comes back after at most 215 other problems (70 in the median), so
+# at 256 every repeat is a hit.  An entry at n = 400 holds 401
+# float lambdas, about 13 KB (sys.getsizeof).  An error is raised, not kept.
+@functools.lru_cache(maxsize=256)
+def _lambdas(n: int, mu: float) -> tuple[float, ...]:
+    """The lambdas of :func:`lambda_spectrum` at a validated ``(n,
+    float(mu))``, cached so that the roots of one problem share one
+    computation.  The key is the float: mu = -0.0 reads the entry of 0.0,
+    whose lambdas are the same (mu enters the recurrences squared)."""
+    return lambda_spectrum(n, mu).lambdas

@@ -389,29 +389,37 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
 
 def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
     """``certify(build_polynomial(*spectral.root_params(n, mu, root)))``,
-    bit for bit, its typed errors included.
-
-    The first root of (n, mu) asked for certifies all of them, one build and
-    check pass (:func:`_certify_rows`) per batch of roots, and their check
-    values are kept in the spectrum's memo entry (:func:`spectral._memo_rows`).
-    A root whose row is not formed is built and certified alone.  The root
-    and the row come from one lookup of the memo entry.
+    bit for bit, its typed errors included, read from the row of ``root``
+    in its spectrum's check-row table (:func:`_spectrum_rows`).  A root
+    whose row is not formed is built and certified alone.
     """
-    d, epsilon, entry = spectral._root_entry(n, mu, root)
-
-    def form(lambdas):
-        lam = np.array(lambdas)
-        eps = spectral._root_signs(d.n, d.mu, np.arange(d.n + 1)).astype(float)
-        size = max(1, _BATCH_VALUES // (d.n + 1))
-        return np.concatenate([
-            _certify_rows(d.n, d.mu, lam[i : i + size], eps[i : i + size])
-            for i in range(0, d.n + 1, size)
-        ])
-
-    values = spectral._memo_rows(entry, form)[root]
+    d, epsilon = spectral.root_params(n, mu, root)
+    values = _spectrum_rows(d.n, d.mu)[root]
     if math.isnan(values[0]):
         return certify(heun_poly.build_polynomial(d, epsilon))
     return _record(values.tolist(), d.lam + mu_squared(d.mu))
+
+
+# The certify benchmark's traffic: one cycle misses this cache 158 times in
+# 861 calls, each miss one certification of a whole spectrum; each cycle
+# draws new mu, so at 256 every repeat is a hit.  A table holds 48 bytes a
+# root, about 19 KB at n = 400.
+@functools.lru_cache(maxsize=256)
+def _spectrum_rows(n: int, mu: float) -> np.ndarray:
+    """The check values of every root of a validated ``(n, float(mu))``,
+    one read-only row of six per root (:func:`_certify_rows`), from one
+    build and check pass per batch of consecutive roots of at most
+    ``_BATCH_VALUES`` values per working array.  The lambdas come from the
+    spectrum cache of :func:`spectral.root_params`."""
+    lam = np.array(spectral._lambdas(n, mu))
+    eps = spectral._root_signs(n, mu, np.arange(n + 1)).astype(float)
+    size = max(1, _BATCH_VALUES // (n + 1))
+    rows = np.concatenate([
+        _certify_rows(n, mu, lam[i : i + size], eps[i : i + size])
+        for i in range(0, n + 1, size)
+    ])
+    rows.flags.writeable = False
+    return rows
 
 
 def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from heun_rsj import heun_poly, spectral
+from heun_rsj import HeunRsjError, heun_poly, spectral, structure
 from heun_rsj.model import DcheParams, HeunPolynomial
 
 
@@ -18,6 +18,23 @@ def deriv2(P: HeunPolynomial, z):
     """Evaluate P''(z) exactly from the coefficients."""
     c = np.polynomial.polynomial.polyder(np.asarray(P.coeffs), 2)
     return np.polynomial.polynomial.polyval(z, c)
+
+
+def outcome(call) -> tuple:
+    """The record of ``call()`` with every value by ``float.hex``, or the
+    type and message of the typed error it raises."""
+    try:
+        checks, skipped = call()
+    except HeunRsjError as exc:
+        return type(exc).__name__, str(exc)
+    return [(c["name"], c["value"].hex(), c["tolerance"], c["pass"]) for c in checks], skipped
+
+
+def clear_caches() -> None:
+    """Empty the spectrum cache of ``spectral.root_params`` and the
+    check-row cache of ``structure.certify_root``."""
+    spectral._lambdas.cache_clear()
+    structure._spectrum_rows.cache_clear()
 
 
 def spectral_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:

@@ -31,7 +31,7 @@ A polynomial carries the reflection sign of its root, which
 form of the reflection relations, at a precision raised until every root is
 told apart from its neighbours; ``sign_at_one`` reads a polynomial's sign
 again from the relation at the one point z = 1.  ``root_params`` reads each
-(n, mu) spectrum from a memo; ``signed_spectrum`` computes it afresh, with
+(n, mu) spectrum from a cache; ``signed_spectrum`` computes it afresh, with
 the mpmath signs, and the two must match bit for bit.
 
 ``heun_poly._continuant`` on J evaluates both reflection factors det G+-

@@ -1,5 +1,6 @@
 """Spectral roots, reflection matrices, and physical-point recovery."""
 
+import functools
 import math
 import random
 import sys
@@ -31,7 +32,7 @@ from heun_rsj.spectral import (
     root_params,
 )
 
-from helpers import gate_scan, reflection_dets, same_values, scaled_scan
+from helpers import clear_caches, gate_scan, reflection_dets, same_values, scaled_scan
 from identities import coefficient_matrix, factorization, symmetry_matrix
 from oracles import (
     _refine_ratio,
@@ -160,12 +161,12 @@ def _parity_signs(n: int, mu: float, size: int) -> list[int]:
 
 @pytest.fixture
 def fresh_memo():
-    """An empty ``root_params`` memo on entry and on exit, for a test that
-    patches spectral internals: it reads no spectrum that another test left,
-    and leaves none computed under its patch."""
-    spectral._memo.clear()
+    """Empty spectrum and check-row caches on entry and on exit, for a test
+    that patches spectral internals: it reads no spectrum that another test
+    left, and leaves none computed under its patch."""
+    clear_caches()
     yield
-    spectral._memo.clear()
+    clear_caches()
 
 
 class TestSpectrum:
@@ -1202,7 +1203,7 @@ _SIGN_GRID = [
 class TestRootParams:
     @pytest.mark.usefixtures("fresh_memo")
     def test_matches_uncached_oracle(self):
-        # Bit for bit at every root: the memo hands out the lambdas of a
+        # Bit for bit at every root: the cache hands out the lambdas of a
         # fresh spectrum, and the parity rule the signs of the mpmath
         # eigensolve of J ordered by exact lambda.
         for n, mu in _SIGN_GRID:
@@ -1235,32 +1236,35 @@ class TestRootParams:
         root_params(1, 1.0, 1)  # a hit
         seeds = _spy(monkeypatch, "_eigen_seeds")
         root_params(1, 1000.0, 0)
-        assert len(spectral._memo) == 256 and len(seeds) == 1
-        assert (1, 2.0) not in spectral._memo
-        assert list(spectral._memo)[-2:] == [(1, 1.0), (1, 1000.0)]
+        assert spectral._lambdas.cache_info().currsize == 256 and len(seeds) == 1
+        root_params(1, 1.0, 0)  # still held
+        root_params(1, 1000.0, 1)
+        root_params(1, 2.0, 0)  # evicted: computed once more, then held
+        root_params(1, 2.0, 1)
+        assert seeds == [(1, 1000.0), (1, 2.0)]
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_verify_bytes_do_not_depend_on_the_memo(self, capsys):
-        # Cold (memo cleared) and warm, and each signed zero after the other.
+        # Cold (caches cleared) and warm, and each signed zero after the other.
         def verify(n, mu, root):
             code = cli.main(["verify", "--n", str(n), "--mu", mu, "--root", str(root)])
             return code, *capsys.readouterr()
 
         for n, mu in ((12, "1.82"), (7, "-0.7"), (0, "0.25")):
             for root in range(n + 1):
-                spectral._memo.clear()
+                clear_caches()
                 assert verify(n, mu, root) == verify(n, mu, root), (n, mu, root)
         for n in (0, 1, 2):
             for first, other in (("0.0", "-0.0"), ("-0.0", "0.0")):
-                spectral._memo.clear()
+                clear_caches()
                 cold = verify(n, other, 0)
-                spectral._memo.clear()
+                clear_caches()
                 verify(n, first, 0)
                 assert verify(n, other, 0) == cold, (n, first)
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_verify_bytes_do_not_depend_on_the_order(self, capsys):
-        # From a cold memo, every root in ascending, descending and shuffled
+        # From cold caches, every root in ascending, descending and shuffled
         # order gives the bytes of its own cold call: the whole spectrum is
         # certified when its first root comes, and every later root reads
         # its row.
@@ -1271,49 +1275,61 @@ class TestRootParams:
         for n, mu in ((12, "1.82"), (60, "1.37")):
             cold = {}
             for root in range(n + 1):
-                spectral._memo.clear()
+                clear_caches()
                 cold[root] = verify(n, mu, root)
             shuffled = list(range(n + 1))
             random.Random(n).shuffle(shuffled)
             for order in (range(n + 1), range(n, -1, -1), shuffled):
-                spectral._memo.clear()
+                clear_caches()
                 for root in order:
                     assert verify(n, mu, root) == cold[root], (n, mu, root)
-            assert spectral._memo[(n, float(mu))][1].shape == (n + 1, 6)
+            misses = structure._spectrum_rows.cache_info().misses
+            assert structure._spectrum_rows(n, float(mu)).shape == (n + 1, 6)
+            assert structure._spectrum_rows.cache_info().misses == misses
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_an_evicted_spectrum_leaves_no_row(self, capsys):
-        # The rows of a spectrum go with its entry: once the entry is
-        # evicted, verify of its key certifies afresh, and reads nothing of
-        # the old rows (poisoned here).
+        # A spectrum's row table refuses writes, so what a caller reads is
+        # what was formed; once evicted, with its spectrum, verify of its
+        # key certifies afresh, and the table formed again holds the same
+        # bytes.
         def verify():
             code = cli.main(["verify", "--n", "60", "--mu", "1.37", "--root", "30"])
             return code, *capsys.readouterr()
 
         cold = verify()
-        old = spectral._memo[(60, 1.37)]
-        old[1][:] = 0.0
+        old = structure._spectrum_rows(60, 1.37)
+        with pytest.raises(ValueError, match="read-only"):
+            old[30] = 0.0
         for k in range(256):
-            root_params(1, 1.0 + k, 0)
-        assert (60, 1.37) not in spectral._memo
+            structure.certify_root(1, 1.0 + k, 0)
+        spectra = spectral._lambdas.cache_info().misses
+        rows = structure._spectrum_rows.cache_info().misses
         assert verify() == cold
-        assert spectral._memo[(60, 1.37)] is not old
+        assert spectral._lambdas.cache_info().misses == spectra + 1
+        assert structure._spectrum_rows.cache_info().misses == rows + 1
+        again = structure._spectrum_rows(60, 1.37)
+        assert again is not old and again.tobytes() == old.tobytes()
 
     @pytest.mark.usefixtures("fresh_memo")
     def test_threads_share_the_memo(self, monkeypatch):
         # Four threads on two cores certify every root of three spectra, each
-        # in its own order, through a memo of two entries, so that entries
-        # and their rows are evicted and formed again while others read
-        # them, with the interpreter switching threads every microsecond:
-        # every record is that of its root alone.
+        # in its own order, through spectrum and row caches of two entries
+        # each, so that spectra and their rows are evicted and formed again
+        # while others read them, with the interpreter switching threads
+        # every microsecond: every record is that of its root alone.
         problems = [(12, 1.82), (30, -0.7), (60, 1.37)]
         calls = [(n, mu, root) for n, mu in problems for root in range(n + 1)]
         want = {
             call: structure.certify(heun_poly.build_polynomial(*root_params(*call)))
             for call in calls
         }
-        spectral._memo.clear()
-        monkeypatch.setattr(spectral, "_MEMO_SIZE", 2)
+        small = {
+            (module, name): functools.lru_cache(maxsize=2)(getattr(module, name).__wrapped__)
+            for module, name in ((spectral, "_lambdas"), (structure, "_spectrum_rows"))
+        }
+        for (module, name), cache in small.items():
+            monkeypatch.setattr(module, name, cache)
         got, errors = [], []
 
         def work(seed):
@@ -1335,7 +1351,8 @@ class TestRootParams:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert len(got) == 4 * len(calls) and len(spectral._memo) <= 2
+        assert len(got) == 4 * len(calls)
+        assert all(cache.cache_info().currsize <= 2 for cache in small.values())
         for call, record in got:
             assert record == want[call], call
 
@@ -1395,7 +1412,7 @@ class TestRootParams:
             with pytest.raises(ConvergenceFailure):
                 root_params(40, 1e10, 0)
         assert len(seeds) == 2
-        assert spectral._memo == {}
+        assert spectral._lambdas.cache_info().currsize == 0
 
     def test_numpy_index_and_range(self):
         assert root_params(3, 1.0, np.int64(2)) == root_params(3, 1.0, 2)
@@ -1420,7 +1437,7 @@ class TestRootParams:
     @pytest.mark.usefixtures("fresh_memo")
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_signed_zero_mu(self, first):
-        # mu = -0.0 and 0.0 share one memo entry, whichever comes first: each
+        # mu = -0.0 and 0.0 share one cache entry, whichever comes first: each
         # triplet keeps the caller's mu and the lambdas of a fresh spectrum.
         # The roots of n >= 1 are double here, so no oracle orders their
         # signs; both zeros take the mu <= 0 convention, which alternates
@@ -1433,7 +1450,7 @@ class TestRootParams:
                     assert (d.mu.hex(), d.lam.hex(), eps) == (
                         mu.hex(), lambdas[i].hex(), (-1) ** (i + n % 2)
                     ), (n, mu, i)
-        assert len(spectral._memo) == 4
+        assert spectral._lambdas.cache_info().currsize == 4
 
 
 def test_disc_margin_value():

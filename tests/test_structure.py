@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from heun_rsj import cli, heun_poly, spectral, structure
 from heun_rsj.dynamics import bias, integrate_phase
 from heun_rsj.errors import (
-    HeunRsjError,
     InvalidParams,
     MuNotPositive,
     NonPositiveArgument,
@@ -212,7 +211,8 @@ class TestSymmetryResiduals:
             warnings.simplefilter("error")
             checks, skipped = structure.certify(poly)
         assert skipped == [] and all(math.isfinite(c["value"]) for c in checks)
-        assert _outcome(lambda: structure.certify_root(n, mu, index)) == _alone(n, mu, index)
+        got = helpers.outcome(lambda: structure.certify_root(n, mu, index))
+        assert got == _alone(n, mu, index)
 
     def test_long_double_determinant_overflow_is_typed(self):
         # A hand-made P at (200, 1e150), lambda = 1: kappa**2 - mu**2 = 1
@@ -360,7 +360,7 @@ class TestDeterminantChecks:
         monkeypatch.setattr(heun_poly, "_continuant", spy_kernel)
         monkeypatch.setattr(spectral, "_continuant", spy_kernel)
         monkeypatch.setattr(spectral, "_eigen_seeds", spy_seeds)
-        spectral._memo.clear()
+        helpers.clear_caches()
         _, skipped = structure.certify(poly)
         assert skipped == []
         assert sorted(calls) == [
@@ -601,34 +601,28 @@ class TestSampleTable:
                         assert err <= bound, (n, z, float(err / bound))
 
 
-def _outcome(call) -> tuple:
-    """The record of ``call()`` with every value by ``float.hex``, or the
-    type and message of the typed error it raises."""
-    try:
-        checks, skipped = call()
-    except HeunRsjError as exc:
-        return type(exc).__name__, str(exc)
-    return [(c["name"], c["value"].hex(), c["tolerance"], c["pass"]) for c in checks], skipped
-
-
 def _alone(n, mu, root) -> tuple:
     """The outcome of certify on root ``root`` of (n, mu) alone."""
-    return _outcome(
+    return helpers.outcome(
         lambda: structure.certify(heun_poly.build_polynomial(*spectral.root_params(n, mu, root)))
     )
 
 
 def _row(n, mu, root) -> np.ndarray:
-    """The check values of a root in the memo entry of its spectrum."""
-    return spectral._memo[(n, mu)][1][root]
+    """The check values of a root in its spectrum's row table, read from the
+    cache that ``certify_root`` filled: no table is formed here."""
+    misses = structure._spectrum_rows.cache_info().misses
+    row = structure._spectrum_rows(n, mu)[root]
+    assert structure._spectrum_rows.cache_info().misses == misses, (n, mu)
+    return row
 
 
 class TestCertifyRoot:
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        spectral._memo.clear()
+        helpers.clear_caches()
         yield
-        spectral._memo.clear()
+        helpers.clear_caches()
 
     @pytest.mark.parametrize("mu", _LEDGER_MUS)
     def test_rows_are_the_single_root_records(self, mu):
@@ -640,10 +634,10 @@ class TestCertifyRoot:
         for n in degrees:
             for root in range(n + 1):
                 want = _alone(n, mu, root)
-                got = _outcome(lambda: structure.certify_root(n, mu, root))
+                got = helpers.outcome(lambda: structure.certify_root(n, mu, root))
                 assert got == want, (n, mu, root)
                 assert not math.isnan(_row(n, mu, root)[0]), (n, mu, root)
-            assert spectral._memo[(n, mu)][1].shape == (n + 1, 6)
+            assert structure._spectrum_rows(n, mu).shape == (n + 1, 6)
 
     @pytest.mark.parametrize("n,mu", [(0, 1.0), (1, 0.25), (12, 1.82), (22, -0.7), (40, 7.3)])
     def test_batch_runs_one_factor_pass(self, monkeypatch, n, mu):
@@ -681,7 +675,7 @@ class TestCertifyRoot:
         # (60, 1.37) is full of near-degenerate pairs.  Every row is formed.
         for root in range(n + 1):
             want = _alone(n, mu, root)
-            assert _outcome(lambda: structure.certify_root(n, mu, root)) == want, root
+            assert helpers.outcome(lambda: structure.certify_root(n, mu, root)) == want, root
             assert not math.isnan(_row(n, mu, root)[0]), root
 
     @pytest.mark.parametrize(
@@ -701,7 +695,7 @@ class TestCertifyRoot:
         # determinant's scale refused root 1, every root now forms its row.
         for root in roots:
             want = _alone(n, mu, root)
-            assert _outcome(lambda: structure.certify_root(n, mu, root)) == want
+            assert helpers.outcome(lambda: structure.certify_root(n, mu, root)) == want
             refused = isinstance(want[0], str)
             assert math.isnan(_row(n, mu, root)[0]) == refused, (n, mu, root)
             assert not (refused and n == 104), (n, mu, root)
@@ -716,7 +710,7 @@ class TestCertifyRoot:
             want = _alone(n, mu, root)
             assert not isinstance(want[0], str), (n, mu, root, want)
             assert all(math.isfinite(float.fromhex(v)) for _, v, _, _ in want[0])
-            assert _outcome(lambda: structure.certify_root(n, mu, root)) == want
+            assert helpers.outcome(lambda: structure.certify_root(n, mu, root)) == want
             assert not math.isnan(_row(n, mu, root)[0]), (n, mu, root)
             argv = ["verify", "--n", str(n), "--mu", str(mu), "--root", str(root)]
             code = cli.main(argv)
@@ -735,7 +729,7 @@ class TestCertifyRoot:
         refused = 0
         for root in range(13):
             want = _alone(12, 1.82, root)
-            assert _outcome(lambda: structure.certify_root(12, 1.82, root)) == want
+            assert helpers.outcome(lambda: structure.certify_root(12, 1.82, root)) == want
             if want[0] == "NotSpectral":
                 refused += 1
                 assert math.isnan(_row(12, 1.82, root)[0])
@@ -748,7 +742,7 @@ class TestCertifyRoot:
         for root in range(7):
             want = _alone(6, 2.5, root)
             assert want[0] == "NotSpectral"
-            assert _outcome(lambda: structure.certify_root(6, 2.5, root)) == want
+            assert helpers.outcome(lambda: structure.certify_root(6, 2.5, root)) == want
 
 
 class TestPhase:
