@@ -39,15 +39,15 @@ __all__ = ["bias", "integrate_phase", "integrate_xy", "phase_from_xy"]
 
 DEFAULT_STEPS_PER_PERIOD = 2000
 
-# Steps per precomputed drive block: a few lists of this length stay small
-# however long the run.
-_BLOCK = 4096
-
-# Steps per block of companion step maps, and steps per lane of the scan that
-# applies them (``integrate_xy``), sized by timing: at 20,000 steps blocks of
-# 2**12 to 2**14 ran within noise of each other, and this one peaks near
-# 1 MB, half of 2**14; lanes of 32 ran faster than lanes of 16 or 64.
-_XY_BLOCK = 2**13
+# Steps per block of every sampled time grid: the drive of ``integrate_phase``,
+# the step maps of ``integrate_xy`` and the samples of the closed-form phase
+# (``structure._on_circle``), so that a block's lists and temporaries stay
+# small however long the run.  Sized by timing: at 20,000 steps blocks of
+# 2**12 to 2**14 ran within noise of each other, and a block of companion
+# maps peaks near 1 MB, half of 2**14.  Lanes of ``_LANE`` steps divide a
+# block and carry the scan that applies the maps; lanes of 32 ran faster
+# than lanes of 16 or 64.
+_BLOCK = 2**13
 _LANE = 32
 
 # Most samples in one time grid, here and in the closed-form phase: 1 GiB of
@@ -190,8 +190,8 @@ def integrate_xy(
     out[0] = (x, y)
     # An overflowing state is reported once, as NonFiniteState after the loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, _XY_BLOCK):
-            n = min(_XY_BLOCK, n_steps - start)
+        for start in range(0, n_steps, _BLOCK):
+            n = min(_BLOCK, n_steps - start)
             lanes = -(-n // _LANE)
             # Step start + j + _LANE*l sits at [j, ..., l]: a lane is a column.
             # The last lane may run past the block; its extra samples are dropped.

@@ -45,8 +45,8 @@ from .errors import (
     ZeroOnUnitCircle,
 )
 from . import heun_poly, spectral
-from .dynamics import _MAX_SAMPLES, unwrap
-from .model import HeunPolynomial, dche_to_params, mu_squared
+from .dynamics import _BLOCK, _MAX_SAMPLES, unwrap
+from .model import DcheParams, HeunPolynomial, dche_to_params, mu_squared
 
 __all__ = [
     "SAMPLE_POINTS",
@@ -82,10 +82,6 @@ SAMPLE_POINTS: tuple[complex, ...] = (
     *(np.exp(1j * np.pi * k / 8.0) for k in range(16)),
     (-1.0 + 0j),
 )
-
-# Samples per block of the closed-form phase: one block's complex temporaries
-# stay in cache.
-_PHASE_BLOCK = 8192
 
 # The checks of a certification record, in report order, each with its key
 # in ``TOL``; all but the first two need c = sqrt(lambda + mu**2).
@@ -387,17 +383,20 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     return _record(values[0].tolist(), disc)
 
 
-def certify_root(n: int, mu: float, root: int) -> tuple[list[dict], list[dict]]:
-    """``certify(build_polynomial(*spectral.root_params(n, mu, root)))``,
-    bit for bit, its typed errors included, read from the row of ``root``
-    in its spectrum's check-row table (:func:`_spectrum_rows`).  A root
-    whose row is not formed is built and certified alone.
+def certify_root(
+    n: int, mu: float, root: int
+) -> tuple[DcheParams, int, list[dict], list[dict]]:
+    """``(d, epsilon, checks, skipped)``: the triplet and sign of
+    ``spectral.root_params(n, mu, root)`` and ``certify(build_polynomial(d,
+    epsilon))``, bit for bit, its typed errors included, read from the row
+    of ``root`` in its spectrum's check-row table (:func:`_spectrum_rows`).
+    A root whose row is not formed is built and certified alone.
     """
     d, epsilon = spectral.root_params(n, mu, root)
     values = _spectrum_rows(d.n, d.mu)[root]
     if math.isnan(values[0]):
-        return certify(heun_poly.build_polynomial(d, epsilon))
-    return _record(values.tolist(), d.lam + mu_squared(d.mu))
+        return d, epsilon, *certify(heun_poly.build_polynomial(d, epsilon))
+    return d, epsilon, *_record(values.tolist(), d.lam + mu_squared(d.mu))
 
 
 # The certify benchmark's traffic: one cycle misses this cache 158 times in
@@ -540,8 +539,8 @@ def _on_circle(P: HeunPolynomial, omega: float, times: np.ndarray, *readers) -> 
     of readers; each reader's samples are those of a pass of its own.
     """
     outs = tuple(np.empty(len(times)) for _ in readers)
-    for start in range(0, len(times), _PHASE_BLOCK):
-        block = slice(start, start + _PHASE_BLOCK)
+    for start in range(0, len(times), _BLOCK):
+        block = slice(start, start + _BLOCK)
         z = np.exp(1j * omega * times[block])
         v = P.value(z)
         for out, f in zip(outs, readers):

@@ -167,7 +167,7 @@ def test_criterion_5_factorization():
             # and at a generic lambda certify's of a stand-in P, since the
             # determinant checks read only P's triplet.
             roots = [
-                (d, structure.certify_root(n, mu, i))
+                (d, structure.certify_root(n, mu, i)[2:])
                 for i, d, _ in helpers.admissible_points(n, mu)
             ]
             generic = [

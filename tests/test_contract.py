@@ -9,9 +9,10 @@ distance of 1e-9 of max(|root|, 1) on either side.  Once |mu| is large
 against n**2 the roots also follow the Sylvester-Kac limit, which a returned
 root must meet to 1e-9 relative.
 
-Every ``certify_root`` call gives the record of ``certify`` on the root's
-polynomial built alone, value for value, or the same typed error with the
-same message, whether its spectrum and check rows are cached or not.
+Every ``certify_root`` call gives the triplet and sign of ``root_params``
+and the record of ``certify`` on the root's polynomial built alone, value
+for value, or the same typed error with the same message, whether its
+spectrum and check rows are cached or not.
 
 No numpy warning may be raised on the way.
 """
@@ -108,9 +109,20 @@ def test_certify_root_is_certify_of_its_root(n, mu, root):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         clear_caches()
-        want = outcome(lambda: certify(build_polynomial(*root_params(n, mu, root))))
+        record = outcome(lambda: certify(build_polynomial(*root_params(n, mu, root))))
+        params = None if isinstance(record[0], str) else root_params(n, mu, root)
         clear_caches()
-        cold = outcome(lambda: certify_root(n, mu, root))
-        warm = outcome(lambda: certify_root(n, mu, root))
-    assert cold == want
-    assert warm == want
+        cold = _certified(n, mu, root)
+        warm = _certified(n, mu, root)
+    assert cold == (record, params)
+    assert warm == (record, params)
+
+
+def _certified(n, mu, root) -> tuple:
+    """The outcome of ``certify_root(n, mu, root)`` and the triplet and sign
+    that it returns beside the record, None where it raises."""
+    try:
+        d, epsilon, *record = certify_root(n, mu, root)
+    except HeunRsjError as exc:
+        return (type(exc).__name__, str(exc)), None
+    return outcome(lambda: record), (d, epsilon)

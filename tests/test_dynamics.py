@@ -11,7 +11,6 @@ from heun_rsj import dynamics
 from heun_rsj.dynamics import (
     _BLOCK,
     _LANE,
-    _XY_BLOCK,
     _drive,
     _grid,
     _step_maps,
@@ -181,11 +180,9 @@ class TestCompanionStructure:
 
 # Step counts of one step, below a block, at and around a block boundary.
 _STEP_COUNTS = (1, 2, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
-# The same for the companion's map blocks, and around the lanes of a block.
-_XY_STEP_COUNTS = (
-    1, 2, _LANE - 1, _LANE, _LANE + 1, 999,
-    _XY_BLOCK - 1, _XY_BLOCK, _XY_BLOCK + 1, 2 * _XY_BLOCK + 7,
-)
+# The same for the companion, which shares the blocks, and around the lanes
+# of a block.
+_XY_STEP_COUNTS = (*_STEP_COUNTS[:2], _LANE - 1, _LANE, _LANE + 1, *_STEP_COUNTS[2:])
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -260,19 +257,19 @@ class TestAgainstLoopOracle:
 
     @pytest.mark.parametrize("seed", range(56))
     def test_drive_is_bias_at_the_reported_times(self, seed):
-        # Each node is sampled once, in the block of either integrator that
-        # holds it, and is the drive at the time the trajectory reports.
+        # Each node is sampled once, in the block that holds it (both
+        # integrators share the blocks), and is the drive at the time the
+        # trajectory reports.
         p, h, phi0, _, _ = _seeded(seed)
         n_steps = _STEP_COUNTS[seed % len(_STEP_COUNTS)]
         times = integrate_phase(p, phi0, n_steps * h, h).times
         dt = times[1]
         q = bias(p, times)
-        for block in (_BLOCK, _XY_BLOCK):
-            for start in range(0, n_steps, block):
-                stop = min(start + block, n_steps)
-                nodes, mids = _drive(p, dt, start, stop)
-                assert nodes.tobytes() == q[start : stop + 1].tobytes()
-                assert mids.tobytes() == bias(p, times[start:stop] + 0.5 * dt).tobytes()
+        for start in range(0, n_steps, _BLOCK):
+            stop = min(start + _BLOCK, n_steps)
+            nodes, mids = _drive(p, dt, start, stop)
+            assert nodes.tobytes() == q[start : stop + 1].tobytes()
+            assert mids.tobytes() == bias(p, times[start:stop] + 0.5 * dt).tobytes()
 
     @pytest.mark.parametrize("seed", range(56))
     def test_companion_within_propagated_rounding(self, seed):

@@ -1228,6 +1228,22 @@ class TestRootParams:
         assert (len(seeds), solves, scans) == (1, [(13, 13)], [13, 13])
 
     @pytest.mark.usefixtures("fresh_memo")
+    def test_warm_verify_reads_each_cache_once(self, capsys):
+        # A warm verify reads its triplet, sign and record from one
+        # certify_root call: one hit on the spectrum cache and one on the
+        # check-row cache, and no miss.
+        argv = ["verify", "--n", "20", "--mu", "1.82", "--root", "7"]
+        cli.main(argv)
+        caches = (spectral._lambdas, structure._spectrum_rows)
+        before = [cache.cache_info() for cache in caches]
+        cli.main(argv)
+        after = [cache.cache_info() for cache in caches]
+        assert capsys.readouterr().out.count('"command": "verify"') == 2
+        assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)] == [
+            (1, 0), (1, 0)
+        ]
+
+    @pytest.mark.usefixtures("fresh_memo")
     def test_memo_holds_the_last_used_problems(self, monkeypatch):
         # 256 problems; a hit makes its problem the last used, and the least
         # recently used one goes first.
@@ -1321,8 +1337,9 @@ class TestRootParams:
         problems = [(12, 1.82), (30, -0.7), (60, 1.37)]
         calls = [(n, mu, root) for n, mu in problems for root in range(n + 1)]
         want = {
-            call: structure.certify(heun_poly.build_polynomial(*root_params(*call)))
+            call: (*params, *structure.certify(heun_poly.build_polynomial(*params)))
             for call in calls
+            for params in [root_params(*call)]
         }
         small = {
             (module, name): functools.lru_cache(maxsize=2)(getattr(module, name).__wrapped__)

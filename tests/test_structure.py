@@ -264,7 +264,7 @@ class TestDeterminantChecks:
         for mu in _LEDGER_MUS:
             for n in range(41):
                 for i in range(n + 1):
-                    checks, skipped = structure.certify_root(n, mu, i)
+                    _, _, checks, skipped = structure.certify_root(n, mu, i)
                     if skipped:
                         continue
                     passed = {c["name"]: c["pass"] for c in checks}
@@ -287,7 +287,7 @@ class TestDeterminantChecks:
         for mu in _LEDGER_MUS:
             for n in range(41):
                 for i in range(n + 1):
-                    checks, _ = structure.certify_root(n, mu, i)
+                    _, _, checks, _ = structure.certify_root(n, mu, i)
                     roots += 1
                     passed += all(c["pass"] for c in checks)
                     for c in checks:
