@@ -39,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from heun_rsj import HeunRsjError, lambda_spectra, spectral
+import heun_rsj.spectral as spectral
+from heun_rsj import HeunRsjError, lambda_spectra
 from heun_rsj.cli import _non_negative_int
 
 _MUS = [0.25, 1.0, 1.37, 1.82, 2.5, -0.7, 0.01, 7.3]

@@ -203,29 +203,24 @@ def cmd_ortho(args) -> tuple[str, int]:
     return json_dumps(report), 0
 
 
-def _check_grid_rows(n_min: int, n_max: int, mu_points: int) -> None:
-    """``InvalidParams`` where a sweep grid has more than
-    ``dynamics._MAX_SAMPLES`` rows: the sum of (n + 1) over the degrees,
-    times the mu points, counted before anything of that size is
-    allocated."""
-    rows = mu_points * ((n_max + 1) * (n_max + 2) - n_min * (n_min + 1)) // 2
+def cmd_sweep(args) -> tuple[str, int]:
+    # The rows, the sum of (n + 1) over the degrees times the mu points, are
+    # counted before anything of that size is allocated.
+    n_min, n_max, points = args.n_min, args.n_max, args.mu_points
+    rows = points * ((n_max + 1) * (n_max + 2) - n_min * (n_min + 1)) // 2
     if rows > dynamics._MAX_SAMPLES:
         raise InvalidParams(
-            f"sweep grid of n in [{n_min}, {n_max}] at {mu_points} "
+            f"sweep grid of n in [{n_min}, {n_max}] at {points} "
             f"mu points has {rows} rows, over {dynamics._MAX_SAMPLES}"
         )
-
-
-def cmd_sweep(args) -> tuple[str, int]:
-    _check_grid_rows(args.n_min, args.n_max, args.mu_points)
-    mus = np.linspace(args.mu_start, args.mu_stop, args.mu_points)
+    mus = np.linspace(args.mu_start, args.mu_stop, points)
     if not np.all(np.isfinite(mus)):
         raise InvalidParams(
             f"--mu-start {args.mu_start!r} to --mu-stop {args.mu_stop!r} "
-            f"in {args.mu_points} points overflows the mu grid"
+            f"in {points} points overflows the mu grid"
         )
     spectra = spectral.lambda_spectra(
-        [(n, float(mu)) for n in range(args.n_min, args.n_max + 1) for mu in mus]
+        [(n, float(mu)) for n in range(n_min, n_max + 1) for mu in mus]
     )
     n, mu, lam, omega, A, B, error = _roots_table(spectra)
     # A descending mu grid still emits rows in ascending (n, mu, lambda); the

@@ -472,10 +472,10 @@ def root_params(n: int, mu: float, root_index: int) -> tuple[DcheParams, int]:
     if not isinstance(root_index, (int, np.integer)) or isinstance(root_index, bool):
         raise InvalidParams(f"root index must be an int, got {root_index!r}")
     mu_squared(mu)  # raises where the square overflows
+    lambdas = _lambdas(n, mu)  # a spectrum that cannot be computed raises first
     if not 0 <= root_index <= n:
-        lambda_spectrum(n, mu)  # a spectrum that cannot be computed raises first
         raise IndexOutOfRange(f"root index {root_index} outside [0, {n}]")
-    d = DcheParams(n=n, mu=mu, lam=_lambdas(n, mu)[root_index])
+    d = DcheParams(n=n, mu=mu, lam=lambdas[root_index])
     return d, int(_root_signs(n, mu, root_index))
 
 

@@ -13,7 +13,7 @@ import pytest
 import heun_rsj
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ("spectral_sweep.py", "phase_benchmark.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 MODULES = ["heun_rsj"] + [
     f"heun_rsj.{m.name}" for m in pkgutil.iter_modules(heun_rsj.__path__)
 ]
@@ -48,8 +48,8 @@ def test_package_exports_what_is_imported():
     # type that root_params returns and build_polynomial takes.
     used = _names_from_package(_quick_start())
     for script in SCRIPTS:
-        names = _names_from_package((ROOT / "scripts" / script).read_text())
-        assert names, script
+        names = _names_from_package(script.read_text())
+        assert names, script.name
         used |= names
     for name in sorted(used):
         getattr(heun_rsj, name)
@@ -95,7 +95,7 @@ def test_src_holds_no_unreached_code():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{path.stem}.{node.name}"] = node
         reached |= _names_used(n for n in body if not isinstance(n, _NOT_RUN))
-    roots = [*(ROOT / "scripts").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
+    roots = [*SCRIPTS, ROOT / "perfbench" / "workloads.py"]
     for path in roots:
         reached |= _names_used([ast.parse(path.read_text())])
     done: set[str] = set()

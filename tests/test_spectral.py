@@ -1437,6 +1437,22 @@ class TestRootParams:
             with pytest.raises(IndexOutOfRange, match=r"root index -?\d outside \[0, 3\]"):
                 root_params(3, 1.0, index)
 
+    @pytest.mark.usefixtures("fresh_memo")
+    def test_warm_out_of_range_index_computes_no_spectrum(self, monkeypatch):
+        # The range check reads the cached lambdas: one hit, no miss, no
+        # seeds, and the message of a cold call.
+        msg = r"^root index 41 outside \[0, 40\]$"
+        with pytest.raises(IndexOutOfRange, match=msg):
+            root_params(40, 1.82, 41)
+        root_params(40, 1.82, 7)
+        seeds = _spy(monkeypatch, "_eigen_seeds")
+        before = spectral._lambdas.cache_info()
+        with pytest.raises(IndexOutOfRange, match=msg):
+            root_params(40, 1.82, 41)
+        after = spectral._lambdas.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert seeds == []
+
     def test_error_precedence(self):
         # A drive whose square overflows a double raises before any
         # spectral work, so before an out-of-range index or a spectrum that
