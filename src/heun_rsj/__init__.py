@@ -6,11 +6,12 @@ closed-form polynomial solutions, their spectral constraints, and numerical
 oracles cross-checking every closed-form object.
 
 The names below are the ones the quick start and the scripts use, plus the
-base error class and the triplet type; everything else is imported from its
-module (``heun_rsj.structure``, ...).
+base error class and the triplet type; everything else, the other error
+classes included, is imported from its module (``heun_rsj.structure``,
+``heun_rsj.errors``, ...).
 """
 
-from .errors import HeunRsjError, ZeroOnUnitCircle
+from .errors import HeunRsjError
 from .model import DcheParams, dche_to_params
 from .dynamics import integrate_phase
 from .heun_poly import build_polynomial
@@ -20,7 +21,6 @@ from .structure import phase_rate, phase_series
 __all__ = [
     "DcheParams",
     "HeunRsjError",
-    "ZeroOnUnitCircle",
     "build_polynomial",
     "dche_to_params",
     "integrate_phase",

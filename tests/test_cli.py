@@ -343,6 +343,39 @@ class TestPhaseCompare:
         assert code == 0
         assert sizes == [4096, 2001]
 
+    def test_rk4_converges_at_fourth_order(self, capsys):
+        # Each halving of h must divide RK4's deviation from the closed-form
+        # phase by at least 12 (16 at fourth order; 15.2 to 16.4 here).
+        # Over one period at n = 1, mu = 0.5 the RK4 error dominates down to
+        # 400 steps (7e-10 and 4e-8, far above the closed form's 1e-13).  A
+        # step reading the drive at a wrong node falls to first order.
+        for root in ("0", "1"):
+            argv = ["phase-compare", "--n", "1", "--mu", "0.5", "--root", root,
+                    "--periods", "1"]
+            period = 2.0 * math.pi / parse_json(run_cli(capsys, *argv)[1])["omega"]
+            devs = []
+            for steps in (25, 50, 100, 200, 400):
+                out = run_cli(capsys, *argv, "--h", repr(period / steps))[1]
+                devs.append(parse_json(out)["max_phase_dev_mod_2pi"])
+            assert all(coarse >= 12.0 * fine for coarse, fine in zip(devs, devs[1:])), devs
+
+    @pytest.mark.parametrize(
+        "root,error",
+        [
+            (0, "NonPositiveDiscriminant: lambda + mu**2 = 0.0 <= 0"),
+            (1, "InvalidParams: bias amplitude A must be nonzero"),
+            (2, "InvalidParams: bias amplitude A must be nonzero"),
+        ],
+    )
+    def test_zero_mu_root_has_no_drive(self, capsys, root, error):
+        # At mu = 0 no root has a drive: root 0 has lambda = 0 and no real
+        # frequency, and roots 1 and 2, both at lambda = 2, have A = 0.
+        code, out, err = run_cli(
+            capsys, "phase-compare", "--n", "2", "--mu", "0", "--root", str(root)
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: " + error)
+
 
 class TestOrtho:
     def test_different_degrees(self, capsys):
@@ -696,6 +729,11 @@ def test_huge_mu_root_commands_exit_typed(capsys, argv):
             "InvalidParams: mu = 9.313945155129463e+306 overflows the eigenproblem",
             id="sweep-eigenvalues",
         ),
+        pytest.param(
+            ["phase-compare", "--n", "3", "--mu", "1.3e154", "--root", "0"],
+            "ConvergenceFailure: root 0 of (n=3, ",
+            id="phase-compare",
+        ),
     ],
 )
 def test_failing_call_prints_one_stderr_line(argv, error):
@@ -880,6 +918,7 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
 # main reports, and good calls, among them an abbreviated option and a
 # negative value with an exponent.
 _VERIFY = ["verify", "--n", "2", "--mu", "1", "--root", "0"]
+_PHASE = ["phase-compare", "--n", "2", "--mu", "1", "--root", "1"]
 _USAGE = [
     pytest.param([], 2, id="no-argv"),
     pytest.param(["-h"], 0, id="help"),
@@ -900,6 +939,8 @@ _USAGE = [
         2,
         id="mu-points-without-mu-stop",
     ),
+    pytest.param([*_PHASE, "--h", "0"], 2, id="phase-compare-h-zero"),
+    pytest.param([*_PHASE, "--periods", "0"], 2, id="phase-compare-periods-zero"),
     pytest.param([*_VERIFY[:5], "--ro", "0"], 0, id="abbreviated-option"),
     pytest.param(["spectrum", "--n", "2", "--mu", "-1e3"], 0, id="negative-exponent"),
 ]

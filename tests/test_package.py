@@ -40,6 +40,8 @@ def test_readme_quick_start_runs():
     assert len(namespace["spectrum"].lambdas) == 3
     assert namespace["P"].coeffs[-1] == 1.0
     assert len(namespace["phi"]) == len(namespace["rate"]) == 2
+    # RK4 from the closed form's start lands on its phase at the end.
+    assert abs(namespace["rk4"].values[-1, 0] - namespace["phi"][1]) <= 1e-9
 
 
 def test_package_exports_what_is_imported():

@@ -1,5 +1,5 @@
-"""The scripts at tiny sizes, as subprocesses: typed errors, never a
-traceback."""
+"""``scripts/polish_report.py`` at tiny sizes, as a subprocess (usage
+errors, never a traceback), and the mpmath root that the tests take from it."""
 
 import json
 import subprocess
@@ -22,31 +22,7 @@ def _script(name, *argv):
     )
 
 
-def test_phase_benchmark_reports_each_root_at_zero_mu():
-    result = _script(
-        "phase_benchmark.py", "--n", "2", "--mu", "0", "--periods", "1", "--steps", "50"
-    )
-    assert (result.returncode, result.stderr) == (0, "")
-    lines = result.stdout.splitlines()
-    assert lines[1] == "root 0: lambda = 0  (skipped: discriminant below margin)"
-    for root in (1, 2):
-        assert lines[1 + root] == (
-            f"root {root}: lambda = 2  (skipped: InvalidParams: mu must be "
-            "nonzero: at mu = 0 every root is double)"
-        )
-
-
-def test_phase_benchmark_refuses_a_bad_spectrum_in_one_line():
-    result = _script("phase_benchmark.py", "--n", "3", "--mu", "1.3e154")
-    assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr.count("\n") == 1
-    assert result.stderr.startswith("error: ConvergenceFailure: root 0 of (n=3, ")
-
-
 def test_counts_out_of_range_are_usage_errors():
-    result = _script("phase_benchmark.py", "--n", "2", "--mu", "1", "--steps", "0")
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr.endswith("error: argument --steps: must be positive, got 0\n")
     result = _script("polish_report.py", "--n-max", "-1")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.endswith("error: argument --n-max: must be >= 0, got -1\n")
