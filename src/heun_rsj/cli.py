@@ -155,7 +155,7 @@ def cmd_phase_compare(args) -> tuple[str, int]:
     resid = rate + np.sin(closed) - dynamics.bias(p, traj.times)
     ode_max = float(np.max(np.abs(resid)))
 
-    ok = dev <= structure.TOL["phase"] and ode_max <= structure.TOL["phase"]
+    ok = dev <= structure.PHASE_TOL and ode_max <= structure.PHASE_TOL
     report = {
         "schema": SCHEMA,
         "command": "phase-compare",
@@ -171,7 +171,7 @@ def cmd_phase_compare(args) -> tuple[str, int]:
         "epsilon": epsilon,
         "max_phase_dev_mod_2pi": dev,
         "ode_residual_max": ode_max,
-        "tolerance": structure.TOL["phase"],
+        "tolerance": structure.PHASE_TOL,
         "pass": ok,
     }
     return json_dumps(report), 0 if ok else 1

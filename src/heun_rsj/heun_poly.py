@@ -42,7 +42,6 @@ from .model import DcheParams, HeunPolynomial, mu_squared
 
 __all__ = [
     "SPECTRAL_TOL",
-    "residual_linear_system",
     "build_polynomial",
 ]
 
@@ -74,17 +73,11 @@ def _take(index, *values) -> tuple:
     return tuple(x[index] if isinstance(x, np.ndarray) else x for x in values)
 
 
-def residual_linear_system(P: HeunPolynomial) -> np.ndarray:
-    """Row residuals of the coefficient system applied to P's coefficients,
-    each summed from the three bands of the module docstring as
-    ``(diagonal + lower) + upper``: :func:`_linear_rows` of P alone."""
-    a = np.asarray(P.coeffs, dtype=float)
-    return _linear_rows(P.params.n, P.params.mu, np.array([P.params.lam]), a[None])[0]
-
-
 def _linear_rows(n: int, mu: float, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """:func:`residual_linear_system` of each row of coefficients ``a`` of
-    degree n at mu, with the lambda of its row."""
+    """Row residuals of the coefficient system applied to each row of
+    coefficients ``a`` of degree n at mu, with the lambda of its row, each
+    summed from the three bands of the module docstring as ``(diagonal +
+    lower) + upper``."""
     k = np.arange(n + 1)
     rows = (lam[:, None] - k * (n + 1 - k)) * a
     rows[:, 1:] += mu * (n + 1 - k[1:]) * a[:, :-1]

@@ -51,6 +51,7 @@ from .model import DcheParams, HeunPolynomial, dche_to_params, mu_squared
 __all__ = [
     "SAMPLE_POINTS",
     "TOL",
+    "PHASE_TOL",
     "residuals",
     "certify",
     "certify_root",
@@ -61,17 +62,23 @@ __all__ = [
     "orthogonality_integral",
 ]
 
-#: Pass bounds of the certification record, plus the closed-form phase bound
-#: used against brute-force integration.
+#: The certification record: each check's name, in report order, with its
+#: pass bound.
 TOL = {
-    "master": 1e-9,
-    "linear_system": 1e-10,
-    "symmetry": 1e-9,
-    "coeff_relations": 1e-10,
-    "det_product": 1e-9,
-    "det_min": 1e-10,
-    "phase": 1e-6,
+    "master_equation_rel": 1e-9,
+    "linear_system_rel": 1e-10,
+    "reflection_symmetry": 1e-9,
+    "coeff_relations_rel": 1e-10,
+    "det_product_rel": 1e-9,
+    "det_min_rel": 1e-10,
 }
+
+# The checks of ``TOL`` that need no c = sqrt(lambda + mu**2) and those that
+# do, and the determinant checks, as slices of the record.
+_NO_C, _NEEDS_C, _DETS = slice(None, 2), slice(2, None), slice(4, None)
+
+#: Bound on the closed-form phase against brute-force integration.
+PHASE_TOL = 1e-6
 
 # Deterministic residual sample set: two reciprocal pairs on the real axis,
 # sixteen points on the unit circle and the point z = -1 once more.
@@ -81,17 +88,6 @@ SAMPLE_POINTS: tuple[complex, ...] = (
     (2.0 + 0j),
     *(np.exp(1j * np.pi * k / 8.0) for k in range(16)),
     (-1.0 + 0j),
-)
-
-# The checks of a certification record, in report order, each with its key
-# in ``TOL``; all but the first two need c = sqrt(lambda + mu**2).
-_CHECKS = (
-    ("master_equation_rel", "master"),
-    ("linear_system_rel", "linear_system"),
-    ("reflection_symmetry", "symmetry"),
-    ("coeff_relations_rel", "coeff_relations"),
-    ("det_product_rel", "det_product"),
-    ("det_min_rel", "det_min"),
 )
 
 # Values per working array in a batch of :func:`certify_root` (n + 1 per root,
@@ -331,27 +327,27 @@ def residuals(P: HeunPolynomial) -> tuple[float, float]:
     ``InvalidParams`` where a summand is not finite: from n = 1024 on,
     P(2) can overflow.
     """
-    n, mu = P.params.n, P.params.mu
+    n, mu, lam = P.params.n, P.params.mu, np.array([P.params.lam])
     a = _coeff_rows(P)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
-        master, scale = _master_rows(n, mu, np.array([P.params.lam]), _on_samples(a))
+        master, scale = _master_rows(n, mu, lam, _on_samples(a))
     _refuse_overflow(scale, "master equation", n, mu)
-    linear = _rel_max(heun_poly.residual_linear_system(P)[None], a)
+    linear = _rel_max(heun_poly._linear_rows(n, mu, lam, a), a)
     return float(master[0]), float(linear[0])
 
 
 def _record(values, disc: float) -> tuple[list[dict], list[dict]]:
-    """The record of :func:`certify` from its check values in report order,
-    of which only the first two are read where ``disc`` = lambda + mu**2
-    does not clear ``spectral.DISC_MARGIN``."""
+    """The record of :func:`certify` from its check values in the order of
+    ``TOL``, of which only those that need no c are read where ``disc`` =
+    lambda + mu**2 does not clear ``spectral.DISC_MARGIN``."""
     checks = [
-        {"name": name, "value": value, "tolerance": TOL[key], "pass": value <= TOL[key]}
-        for (name, key), value in zip(_CHECKS, values)
+        {"name": name, "value": value, "tolerance": tol, "pass": value <= tol}
+        for (name, tol), value in zip(TOL.items(), values)
     ]
     if disc > spectral.DISC_MARGIN:
         return checks, []
     reason = "NonPositiveDiscriminant" if disc <= 0 else "DiscriminantBelowMargin"
-    return checks[:2], [{"name": name, "reason": reason} for name, _ in _CHECKS[2:]]
+    return checks[_NO_C], [{"name": name, "reason": reason} for name in list(TOL)[_NEEDS_C]]
 
 
 def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
@@ -378,7 +374,7 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     _refuse_overflow(master_scale, "master equation", d.n, d.mu)
     if disc > spectral.DISC_MARGIN:
         _refuse_overflow(symmetry_scale, "reflection relation", d.n, d.mu)
-        if not np.isfinite(values[0, 4:]).all():
+        if not np.isfinite(values[0, _DETS]).all():
             raise InvalidParams(f"a determinant check overflows at (n={d.n}, mu={d.mu})")
     return _record(values[0].tolist(), disc)
 
@@ -406,8 +402,8 @@ def certify_root(
 @functools.lru_cache(maxsize=256)
 def _spectrum_rows(n: int, mu: float) -> np.ndarray:
     """The check values of every root of a validated ``(n, float(mu))``,
-    one read-only row of six per root (:func:`_certify_rows`), from one
-    build and check pass per batch of consecutive roots of at most
+    one read-only row of ``len(TOL)`` per root (:func:`_certify_rows`), from
+    one build and check pass per batch of consecutive roots of at most
     ``_BATCH_VALUES`` values per working array.  The lambdas come from the
     spectrum cache of :func:`spectral.root_params`."""
     lam = np.array(spectral._lambdas(n, mu))
@@ -423,16 +419,16 @@ def _spectrum_rows(n: int, mu: float) -> np.ndarray:
 
 def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """The check values of :func:`certify` at the roots ``lam`` with signs
-    ``eps`` of one validated (n, float mu), one row of six per root, from
-    one build (``heun_poly._build_rows``) and one check pass
+    ``eps`` of one validated (n, float mu), one row of ``len(TOL)`` per
+    root, from one build (``heun_poly._build_rows``) and one check pass
     (:func:`_check_rows`), the pass that :func:`certify` runs on one row.
 
-    Each row is bit for bit that of the root alone.  The four values that
-    need c are NaN where lambda + mu**2 does not clear
-    ``spectral.DISC_MARGIN``.  A root that build_polynomial or certify
-    would refuse, or whose values are not all finite, has a NaN row.
+    Each row is bit for bit that of the root alone.  The values that need c
+    are NaN where lambda + mu**2 does not clear ``spectral.DISC_MARGIN``.  A
+    root that build_polynomial or certify would refuse, or whose values are
+    not all finite, has a NaN row.
     """
-    values = np.full((lam.size, len(_CHECKS)), np.nan)
+    values = np.full((lam.size, len(TOL)), np.nan)
     if mu == 0 and n >= 1:
         return values  # every root is double: build_polynomial refuses it
     a, resid, norm = heun_poly._build_rows(n, mu, lam, eps)
@@ -445,9 +441,9 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
     rows, master_scale, symmetry_scale = _check_rows(n, mu, lam, eps, a)
     # A row that overflows is not formed: the root alone types it.
     finite = np.isfinite(rows)
-    formed = np.isfinite(master_scale) & finite[:, :2].all(axis=1)
+    formed = np.isfinite(master_scale) & finite[:, _NO_C].all(axis=1)
     formed &= (lam + mu_squared(mu) <= spectral.DISC_MARGIN) | (
-        np.isfinite(symmetry_scale) & finite[:, 2:].all(axis=1)
+        np.isfinite(symmetry_scale) & finite[:, _NEEDS_C].all(axis=1)
     )
     rows[~formed] = np.nan
     values[ok] = rows
@@ -473,7 +469,7 @@ def _check_rows(
     are formed in Delta's power-of-two frame, each factor taken to its
     mantissa and its own frame before the product, so no product leaves the
     long-double range first, and each is rounded once to a double.  Returns
-    the six check values of each row in report order, NaN in the four that
+    the check values of each row in the order of ``TOL``, NaN in those that
     need c where lambda + mu**2 does not clear ``spectral.DISC_MARGIN``, and
     the largest master and reflection summand of each row.  Nothing is
     typed here: a value or scale that overflows stays infinite or NaN.
@@ -492,14 +488,14 @@ def _check_rows(
             np.ldexp(abs(m_own), e_own - e), np.ldexp(abs(m_other), e_other - e)
         )
         scale = np.fmax(top, np.ldexp(ld(1), -e))
-        rows = np.empty((lam.size, len(_CHECKS)))
+        rows = np.empty((lam.size, len(TOL)))
         rows[:, 0], master_scale = _master_rows(n, mu, lam, table)
         rows[:, 1] = _rel_max(heun_poly._linear_rows(n, mu, lam, a), a)
         rows[:, 2], symmetry_scale = _symmetry_rows(n, mu, eps_c, table)
         rows[:, 3] = _rel_max(_coeff_relations(mu, eps_c, a), a)
         rows[:, 4] = abs(abs(product) - abs(delta)) / scale  # each rounded to a double
         rows[:, 5] = least / scale
-    rows[disc <= spectral.DISC_MARGIN, 2:] = np.nan
+    rows[disc <= spectral.DISC_MARGIN, _NEEDS_C] = np.nan
     return rows, master_scale.max(axis=1), symmetry_scale.max(axis=1)
 
 
@@ -601,7 +597,8 @@ def phase_series(P: HeunPolynomial, times) -> np.ndarray:
 
     Internally refines the grid so that no step advances the phase by more
     than a small fraction of pi before unwrapping; ``InvalidParams`` where
-    that grid exceeds 2**27 samples.
+    that grid exceeds 2**27 samples, and ``ZeroOnUnitCircle`` as in
+    :func:`phase_rate`.
     """
     (phase,) = _closed_form(P, times, rate=False)
     return phase
@@ -611,7 +608,8 @@ def phase_rate(P: HeunPolynomial, times) -> np.ndarray:
     """Exact time derivative of the closed-form phase at the given times.
 
     ``-omega*(n+1) + 2*omega*Re(z*P'(z)/P(z))`` at ``z = exp(i*omega*t)``;
-    ``ZeroOnUnitCircle`` where P vanishes on the circle.
+    ``ZeroOnUnitCircle`` where min |P| over 4,096 points of the circle is
+    below 1e-10*||a||_1: a test of cancellation, not a located zero.
     """
     times = _times(times)
     _unit_circle_clear(P)

@@ -23,7 +23,7 @@ reflection shuffle in ``structure`` fill their arrays by index assignment;
 the row loops below do the same arithmetic one entry at a time, and the
 array forms must match them bit for bit.  ``linear_rows_loop`` sums the
 rows of the coefficient system one term at a time in the order of
-``heun_poly.residual_linear_system``, which must match it bit for bit.
+``heun_poly._linear_rows``, which must match it bit for bit.
 
 A polynomial carries the reflection sign of its root, which
 ``spectral.root_params`` reads from the parity of the root's index.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from heun_rsj import heun_poly, spectral
 from heun_rsj.errors import IndexOutOfRange, InvalidParams, NotSpectral
-from heun_rsj.heun_poly import _continuant, build_polynomial, residual_linear_system
+from heun_rsj.heun_poly import _continuant, build_polynomial
 from heun_rsj.model import DcheParams, HeunPolynomial
 from heun_rsj.spectral import ROOT_TOL, lambda_spectrum, root_params
 from heun_rsj.structure import SAMPLE_POINTS
@@ -34,6 +34,14 @@ from oracles import (
     spectral_det_transfer,
     transfer_matrix,
 )
+
+
+def _linear_rows(P: HeunPolynomial) -> np.ndarray:
+    """The row residuals of the coefficient system at P's coefficients, from
+    ``heun_poly._linear_rows`` on P's one row."""
+    a = np.asarray(P.coeffs, dtype=float)[None]
+    return heun_poly._linear_rows(P.n, P.params.mu, np.array([P.params.lam]), a)[0]
+
 
 def _magnitude_recurrence(n: int, mu: float, lam: float) -> float:
     """The leading-minor recurrence of the determinant on the magnitudes of
@@ -540,7 +548,7 @@ class TestCoefficientRoutes:
         d = DcheParams(n=3, mu=1.0, lam=0.9)
         a = coeffs_from_ratios(d)
         poly = HeunPolynomial(coeffs=tuple(a), params=d, epsilon=1)
-        rows = residual_linear_system(poly)
+        rows = _linear_rows(poly)
         amax = np.max(np.abs(a))
         assert np.max(np.abs(rows[1:])) <= 1e-12 * amax * 10.0
         assert abs(rows[0]) > 1e-3 * amax
@@ -609,7 +617,7 @@ class TestResidualEvaluators:
         # BLAS's product, which each kernel rounds differently.
         for n, mu, index in ((3, 0.5, 3), (12, 1.82, 5), (40, -0.7, 21)):
             poly = helpers.solution(n, mu, index)
-            rows = residual_linear_system(poly)
+            rows = _linear_rows(poly)
             assert rows.tolist() == linear_rows_loop(poly)
             # Each row is within 5 units of roundoff of the exact sum of its
             # terms (two products and up to two sums on every band term, one
@@ -632,7 +640,7 @@ class TestResidualEvaluators:
         amax = max(abs(c) for c in coeffs)
         coeffs[0] += 1e-4 * amax
         bad = dataclasses.replace(poly, coeffs=tuple(coeffs))
-        assert np.max(np.abs(residual_linear_system(bad))) >= 1e-6 * amax
+        assert np.max(np.abs(_linear_rows(bad))) >= 1e-6 * amax
 
 
 class TestBuildPolynomial:

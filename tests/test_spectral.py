@@ -1300,7 +1300,7 @@ class TestRootParams:
                 for root in order:
                     assert verify(n, mu, root) == cold[root], (n, mu, root)
             misses = structure._spectrum_rows.cache_info().misses
-            assert structure._spectrum_rows(n, float(mu)).shape == (n + 1, 6)
+            assert structure._spectrum_rows(n, float(mu)).shape == (n + 1, len(structure.TOL))
             assert structure._spectrum_rows.cache_info().misses == misses
 
     @pytest.mark.usefixtures("fresh_memo")

@@ -283,7 +283,7 @@ class TestDeterminantChecks:
         # they were 2,820 passes, master_equation_rel 93 and
         # reflection_symmetry 109.
         roots = passed = 0
-        failed = {name: 0 for name, _ in structure._CHECKS}
+        failed = dict.fromkeys(structure.TOL, 0)
         for mu in _LEDGER_MUS:
             for n in range(41):
                 for i in range(n + 1):
@@ -637,7 +637,28 @@ class TestCertifyRoot:
                 got = helpers.outcome(lambda: structure.certify_root(n, mu, root))
                 assert got == want, (n, mu, root)
                 assert not math.isnan(_row(n, mu, root)[0]), (n, mu, root)
-            assert structure._spectrum_rows(n, mu).shape == (n + 1, 6)
+            assert structure._spectrum_rows(n, mu).shape == (n + 1, len(structure.TOL))
+
+    def test_record_is_named_by_tol(self):
+        # TOL defines the record: its names in report order, each with its
+        # bound.  Every root of (5, 0.25) but root 0 clears DISC_MARGIN and
+        # reports every check; at root 0, lambda + mu**2 is 4.0e-12, and the
+        # checks that need c are skipped.
+        names = list(structure.TOL)
+        for root in range(6):
+            d, _, *record = structure.certify_root(5, 0.25, root)
+            alone = structure.certify(helpers.solution(5, 0.25, root))
+            for checks, skipped in (record, alone):
+                assert all(c["tolerance"] == structure.TOL[c["name"]] for c in checks)
+                if root:
+                    assert [c["name"] for c in checks] == names
+                    assert skipped == []
+                    continue
+                assert 0 < d.lam + d.mu**2 <= spectral.DISC_MARGIN
+                assert [c["name"] for c in checks] == names[:2]
+                assert skipped == [
+                    {"name": name, "reason": "DiscriminantBelowMargin"} for name in names[2:]
+                ]
 
     @pytest.mark.parametrize("n,mu", [(0, 1.0), (1, 0.25), (12, 1.82), (22, -0.7), (40, 7.3)])
     def test_batch_runs_one_factor_pass(self, monkeypatch, n, mu):
