@@ -90,7 +90,7 @@ def cmd_spectrum(args) -> tuple[str, int]:
 def cmd_poly(args) -> tuple[str, int]:
     d, epsilon = spectral.root_params(args.n, args.mu, args.root)
     poly = heun_poly.build_polynomial(d, epsilon)
-    master, linear = structure.residuals(poly)
+    values = {c["name"]: c["value"] for c in structure.certify(poly)[0]}
     report = {
         "schema": SCHEMA,
         "command": "poly",
@@ -102,7 +102,10 @@ def cmd_poly(args) -> tuple[str, int]:
     report.update(_physical(*(c.item() for c in drive_columns(d.n, d.mu, [d.lam]))))
     report["epsilon"] = epsilon
     report["coeffs"] = list(poly.coeffs)
-    report["residuals"] = {"master_rel_max": master, "linear_system_rel_max": linear}
+    report["residuals"] = {
+        "master_rel_max": values["master_equation_rel"],
+        "linear_system_rel_max": values["linear_system_rel"],
+    }
     return json_dumps(report), 0
 
 

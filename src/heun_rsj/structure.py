@@ -52,7 +52,6 @@ __all__ = [
     "SAMPLE_POINTS",
     "TOL",
     "PHASE_TOL",
-    "residuals",
     "certify",
     "certify_root",
     "phase_series",
@@ -299,10 +298,12 @@ def _coeff_relations(mu: float, eps_c: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _master_rows(n: int, mu: float, lam: np.ndarray, table: np.ndarray) -> tuple:
-    """The master residual of :func:`residuals` for each row of the sample
-    ``table`` of degree n at mu, with its row's lambda, and the largest
-    summands (:func:`_largest_summands`), for the caller to type: it
-    ignores overflow and invalid values (``np.errstate``)."""
+    """Worst relative residual of the polynomial-form equation (see
+    ``heun_poly``) for each row of the sample ``table`` of degree n at mu,
+    with its row's lambda, each point divided by its largest summand modulus
+    (at least 1e-300), and the largest summands
+    (:func:`_largest_summands`), for the caller to type: it ignores overflow
+    and invalid values (``np.errstate``)."""
     v, _, dv, d2v = _table_rows(table, lam.size)
     z = _ROW_Z
     terms = np.array([
@@ -315,25 +316,6 @@ def _master_rows(n: int, mu: float, lam: np.ndarray, table: np.ndarray) -> tuple
     total = np.add.reduce(terms)
     ratio = np.hypot(total[0], total[1]) / np.maximum(scale, 1e-300)
     return ratio.max(axis=1), scale
-
-
-def residuals(P: HeunPolynomial) -> tuple[float, float]:
-    """Worst relative residuals ``(master_rel, linear_rel)`` of P.
-
-    ``master_rel`` is the residual of the polynomial-form equation (see
-    ``heun_poly``) over the sample set, each point divided by its largest
-    summand modulus (at least 1e-300); ``linear_rel`` is the largest row
-    residual of the coefficient system divided by max |a_k|.
-    ``InvalidParams`` where a summand is not finite: from n = 1024 on,
-    P(2) can overflow.
-    """
-    n, mu, lam = P.params.n, P.params.mu, np.array([P.params.lam])
-    a = _coeff_rows(P)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is typed
-        master, scale = _master_rows(n, mu, lam, _on_samples(a))
-    _refuse_overflow(scale, "master equation", n, mu)
-    linear = _rel_max(heun_poly._linear_rows(n, mu, lam, a), a)
-    return float(master[0]), float(linear[0])
 
 
 def _record(values, disc: float) -> tuple[list[dict], list[dict]]:
@@ -360,12 +342,13 @@ def certify(P: HeunPolynomial) -> tuple[list[dict], list[dict]]:
     as ``{"name", "reason"}``.  The values come from the check pass of
     :func:`certify_root` (:func:`_check_rows`) run on P's one row, and the
     typed errors from that pass's scales and values: ``InvalidParams`` where
-    mu**2 overflows a double, where the master equation overflows
-    (:func:`residuals`), where the reflection relation overflows (z**n at
-    z = 2 from n = 1024 on, or a value of P), and where a determinant check
-    is NaN or infinite: where the product of det G+ and det G- passes
-    Delta's frame by more than the double range, or where long double is
-    plain double and a framed value overflows within one step.
+    mu**2 overflows a double, where the master equation overflows (a
+    summand at z = 2, as at root 3 of (1000, 1.82)), where the reflection
+    relation overflows (z**n at z = 2 from n = 1024 on, or a value of P),
+    and where a determinant check is NaN or infinite: where the product of
+    det G+ and det G- passes Delta's frame by more than the double range,
+    or where long double is plain double and a framed value overflows
+    within one step.
     """
     d = P.params
     disc = d.lam + mu_squared(d.mu)
@@ -438,12 +421,14 @@ def _certify_rows(n: int, mu: float, lam: np.ndarray, eps: np.ndarray) -> np.nda
     elif not ok.any():
         return values
     lam, eps, a = lam[ok], eps[ok], a[ok]
-    rows, master_scale, symmetry_scale = _check_rows(n, mu, lam, eps, a)
-    # A row that overflows is not formed: the root alone types it.
+    rows = _check_rows(n, mu, lam, eps, a)[0]
+    # A row is formed where its values are finite where they are read; the
+    # root alone types the others.  A largest summand that is not finite has
+    # an infinite or NaN part, and so has the sum: its row's ratio is NaN,
+    # and only certify reads the scales, to name its refusal.
     finite = np.isfinite(rows)
-    formed = np.isfinite(master_scale) & finite[:, _NO_C].all(axis=1)
-    formed &= (lam + mu_squared(mu) <= spectral.DISC_MARGIN) | (
-        np.isfinite(symmetry_scale) & finite[:, _NEEDS_C].all(axis=1)
+    formed = finite[:, _NO_C].all(axis=1) & (
+        (lam + mu_squared(mu) <= spectral.DISC_MARGIN) | finite[:, _NEEDS_C].all(axis=1)
     )
     rows[~formed] = np.nan
     values[ok] = rows
@@ -471,8 +456,9 @@ def _check_rows(
     long-double range first, and each is rounded once to a double.  Returns
     the check values of each row in the order of ``TOL``, NaN in those that
     need c where lambda + mu**2 does not clear ``spectral.DISC_MARGIN``, and
-    the largest master and reflection summand of each row.  Nothing is
-    typed here: a value or scale that overflows stays infinite or NaN.
+    the largest master and reflection summand of each row, which
+    :func:`certify` reads to name its refusal.  Nothing is typed here: a
+    value or scale that overflows stays infinite or NaN.
     """
     ld = np.longdouble
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -58,7 +58,7 @@ i + 1; ``mpmath_root`` bisects on the same counts in mpmath alone, in
 that resolves a bracket of 1e-9 against the norm of T at every double mu;
 the contract test brackets each returned root with it.
 
-``structure.residuals`` and ``identities.symmetry_residual`` (the
+``structure.certify`` and ``identities.symmetry_residual`` (the
 certification pass's readers on one row) read one table of P and its
 derivatives on the sample set, from one lane pass; ``samples_polyval``
 builds the same table with one numpy ``polyval`` call per value, and the

@@ -120,9 +120,9 @@ def test_criterion_4_polynomial_certification():
                 tested += 1
                 poly = build_polynomial(d, eps)
                 amax = max(abs(c) for c in poly.coeffs)
-                master, linear = structure.residuals(poly)
-                worst["master"] = max(worst["master"], master)
-                worst["linear"] = max(worst["linear"], linear)
+                values = {c["name"]: c["value"] for c in structure.certify(poly)[0]}
+                worst["master"] = max(worst["master"], values["master_equation_rel"])
+                worst["linear"] = max(worst["linear"], values["linear_system_rel"])
                 worst["symmetry"] = max(
                     worst["symmetry"], identities.symmetry_residual(poly)
                 )

@@ -170,6 +170,27 @@ class TestPoly:
         assert doc["residuals"]["master_rel_max"] <= 1e-9
         assert doc["residuals"]["linear_system_rel_max"] <= 1e-10
 
+    @pytest.mark.parametrize("mu", ["1.82", "-0.7"])
+    def test_residuals_are_the_records(self, capsys, mu):
+        # poly prints the first two checks of the certification record, bit
+        # for bit the values that verify reports at the same root.
+        for root in range(13):
+            argv = ["--n", "12", "--mu", mu, "--root", str(root)]
+            got = parse_json(run_cli(capsys, "poly", *argv)[1])["residuals"]
+            record = parse_json(run_cli(capsys, "verify", *argv)[1])["checks"]
+            want = {c["name"]: c["value"].hex() for c in record}
+            assert got["master_rel_max"].hex() == want["master_equation_rel"], root
+            assert got["linear_system_rel_max"].hex() == want["linear_system_rel"], root
+
+    def test_overflowing_master_equation_is_one_line(self, capsys):
+        # Root 7 of (1030, 3) builds, and its master summands overflow at the
+        # sample point 2 (root 0 is refused earlier, at the build).
+        code, out, err = run_cli(capsys, "poly", "--n", "1030", "--mu", "3", "--root", "7")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: InvalidParams: the master equation overflows a double at (n=1030, mu=3.0)\n"
+        )
+
     def test_equal_lambda_pair_prints_two_polynomials(self, capsys):
         # Roots 1 and 2 of (20, 0.25) round to one double lambda; the
         # reflection sign names each of them, in the order of exact lambda

@@ -176,7 +176,7 @@ class TestSymmetryResiduals:
         with pytest.raises(InvalidParams, match=r"relation overflows a double at \(n=1030"):
             check(fake)
 
-    @pytest.mark.parametrize("check", [structure.certify, structure.residuals])
+    @pytest.mark.parametrize("check", [structure.certify])
     def test_overflowing_value_is_typed(self, check):
         # P = z**1030 overflows at the sample point 2, and so do the master
         # summands there: a typed error, not a residual read from the 19
@@ -514,7 +514,7 @@ class TestSampleTable:
         for n in degrees:
             for _, d, eps in helpers.spectral_points(n, mu):
                 poly = heun_poly.build_polynomial(d, eps)
-                assert structure.residuals(poly)[0] == master_rel_points(poly)
+                assert structure.certify(poly)[0][0]["value"] == master_rel_points(poly)
                 if d.lam + mu**2 > 0:
                     assert symmetry_residual(poly) == symmetry_residual_points(poly)
                 else:
@@ -707,19 +707,23 @@ class TestCertifyRoot:
             (2, 0.0, range(3)),  # every root is double
             (2, -0.0, range(3)),
             (0, -0.0, range(1)),
-            (1030, 3.0, [1030]),  # a_n = 1 overflows the other coefficients
+            # Root 1030: a_n = 1 overflows the other coefficients.  Root 7
+            # builds, and its check pass overflows in the master equation.
+            (1030, 3.0, [7, 1030]),
         ],
     )
     def test_refused_roots_raise_as_alone(self, n, mu, roots):
         # A root that certify refuses alone has no row, and raises the same
         # typed error with the same message.  At n = 104, where the double
-        # determinant's scale refused root 1, every root now forms its row.
+        # determinant's scale refused root 1, every root now forms its row;
+        # at n = 1030 none does.
         for root in roots:
             want = _alone(n, mu, root)
             assert helpers.outcome(lambda: structure.certify_root(n, mu, root)) == want
             refused = isinstance(want[0], str)
             assert math.isnan(_row(n, mu, root)[0]) == refused, (n, mu, root)
             assert not (refused and n == 104), (n, mu, root)
+            assert refused or n != 1030, (n, mu, root)
 
     @pytest.mark.parametrize("n,mu", [(110, 1.82), (130, -0.7)])
     def test_records_form_past_the_double_determinant(self, n, mu, capsys):
