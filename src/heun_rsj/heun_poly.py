@@ -290,7 +290,7 @@ def _reflection_kappa(mu: float, lam: np.ndarray, eps: np.ndarray) -> tuple:
     long double, 0 where lambda + mu**2 <= 0, and the mask of the roots
     where lambda + mu**2 < 0."""
     ld = np.longdouble
-    disc = lam.astype(ld) + ld(mu) ** 2
+    disc = lam.astype(ld) + ld(mu) * ld(mu)
     return -eps * np.sqrt(np.maximum(disc, 0)), disc < 0
 
 

@@ -100,15 +100,19 @@ class DcheParams:
 
 
 def mu_squared(mu: float) -> float:
-    """``mu**2``, or ``InvalidParams`` where the square overflows a double."""
-    try:
-        return mu**2
-    except OverflowError:
-        raise InvalidParams(f"mu**2 overflows a double at mu = {mu!r}") from None
+    """``mu**2`` as the correctly rounded product ``float(mu) * float(mu)``,
+    the one double mu**2 of the package, or ``InvalidParams`` where it
+    overflows.  (libm's ``pow`` behind ``mu**2`` misrounds about one drive
+    in 1,200 drawn uniformly from [0.2, 3].)"""
+    mu2 = float(mu) * float(mu)
+    if mu2 == math.inf:
+        raise InvalidParams(f"mu**2 overflows a double at mu = {mu!r}")
+    return mu2
 
 
 def frequency_scale(d: DcheParams) -> float:
-    """``c = sqrt(lambda + mu**2)``, the inverse of twice the drive frequency.
+    """``c = sqrt(lambda + mu**2)``, the inverse of twice the drive frequency,
+    with mu**2 the correctly rounded product of :func:`mu_squared`.
 
     ``NonPositiveDiscriminant`` where ``lambda + mu**2 <= 0`` (no real drive
     frequency), ``InvalidParams`` where ``mu**2`` overflows a double.
@@ -131,13 +135,6 @@ def dche_to_params(d: DcheParams) -> RsjParams:
     return RsjParams(A=2.0 * d.mu * omega, B=-(d.n + 1.0) * omega, omega=omega)
 
 
-def _square_or_inf(mu: float) -> float:
-    try:
-        return mu_squared(mu)
-    except InvalidParams:
-        return math.inf
-
-
 def drive_columns(n, mu, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`dche_to_params` over whole columns of triplets, without raising.
 
@@ -147,14 +144,13 @@ def drive_columns(n, mu, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     (mu**2 overflows, then ``lambda + mu**2 <= 0``, then a non-finite or zero
     A or omega), or is ``""`` where it returns.  There omega, A and B are
     its values bit for bit: the same operations in the same order, with
-    mu**2 from :func:`mu_squared` (once per distinct mu).  Elsewhere they
-    mean nothing.
+    mu**2 the product ``mu * mu`` that :func:`mu_squared` forms.  Elsewhere
+    they mean nothing.
     """
     lam = np.asarray(lam, dtype=float)
     n, mu = (np.broadcast_to(np.asarray(x, dtype=float), lam.shape) for x in (n, mu))
-    keys, at = np.unique(mu, return_inverse=True)
-    mu2 = np.array([_square_or_inf(m) for m in keys.tolist()])[at]
     with np.errstate(all="ignore"):
+        mu2 = mu * mu
         disc = lam + mu2
         omega = 1.0 / (2.0 * np.sqrt(disc))
         A = (2.0 * mu) * omega

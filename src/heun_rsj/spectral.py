@@ -382,7 +382,7 @@ def _polish_extended(n, mu, seeds: np.ndarray) -> np.ndarray:
     ld = np.longdouble
     cap = 1e-8 * np.maximum(1.0, np.abs(seeds))
     cur = seeds.astype(ld)
-    m2 = ld(mu) ** 2
+    m2 = ld(mu) * ld(mu)
     on_factor = np.abs(cur) >= m2 * _KAPPA_COVER
     live, factor = (~on_factor).nonzero()[0], on_factor.nonzero()[0]
     # Each degree's block starts where its first seed sits.

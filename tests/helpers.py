@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from heun_rsj import HeunRsjError, heun_poly, spectral, structure
-from heun_rsj.model import DcheParams, HeunPolynomial
+from heun_rsj.model import DcheParams, HeunPolynomial, mu_squared
 
 
 def deriv2(P: HeunPolynomial, z):
@@ -62,13 +62,14 @@ def admissible_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:
     return [
         point
         for point in spectral_points(n, mu)
-        if point[1].lam + mu**2 > spectral.DISC_MARGIN
+        if point[1].lam + mu_squared(mu) > spectral.DISC_MARGIN
     ]
 
 
 def positive_disc_points(n: int, mu: float) -> list[tuple[int, DcheParams, int]]:
     """Spectral roots with strictly positive discriminant (physical)."""
-    return [point for point in spectral_points(n, mu) if point[1].lam + mu**2 > 0.0]
+    mu2 = mu_squared(mu)
+    return [point for point in spectral_points(n, mu) if point[1].lam + mu2 > 0.0]
 
 
 def real_zeros_in_window(P: HeunPolynomial, lo: float, hi: float) -> list[float]:

@@ -81,6 +81,16 @@ class TestSpectrum:
         assert row["A"] == "1"
         assert row["B"] == "-1"
 
+    def test_omega_reads_the_rounded_product(self, capsys):
+        # At mu = 1.6658 libm's pow misrounds mu**2; omega of root 0 from the
+        # correctly rounded product mu * mu is the double nearest
+        # 0.591515817897211914.
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--n", "2", "--mu", "1.6658", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "0.59151581789721186"
+
     def test_negative_degree_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["spectrum", "--n", "-1", "--mu", "1"])

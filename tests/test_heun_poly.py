@@ -674,6 +674,17 @@ class TestBuildPolynomial:
             poly = build_polynomial(d, 1)
         assert poly.coeffs == build_polynomial(root, 1).coeffs
 
+    # Where mu**2 overflows a double the build is refused, whatever the
+    # drive's type, and with no warning.
+    @pytest.mark.parametrize(
+        "mu", [10**200, np.float64(1e200), -1e200], ids=["int", "float64", "float"]
+    )
+    def test_overflowing_mu_squared_is_typed(self, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match=r"^mu\*\*2 overflows a double at mu = "):
+                build_polynomial(DcheParams(n=2, mu=mu, lam=1.0), 1)
+
     def test_floored_pivot_keeps_the_other_rows(self, monkeypatch):
         # At (5, 1e20) kappa = -+sqrt(lambda + mu**2) rounds to -+mu in long
         # double at roots 2-5, and a pivot of J - kappa*I cancels to 0: their

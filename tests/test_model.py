@@ -1,10 +1,12 @@
 """Parameter records, the triplet maps, and container validation."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heun_rsj import spectral
@@ -22,6 +24,7 @@ from heun_rsj.model import (
     dche_to_params,
     drive_columns,
     frequency_scale,
+    mu_squared,
 )
 from heun_rsj.spectral import lambda_spectrum
 
@@ -160,6 +163,69 @@ class TestTripletMaps:
         )
         assert cand.mu == pytest.approx(a / (2.0 * w), rel=1e-15)
         assert cand.n_real == pytest.approx(-(b / w + 1.0), rel=1e-12, abs=1e-12)
+
+
+# Drives where libm's pow, behind mu**2, misrounds the square (glibc 2.36);
+# the product mu * mu is correctly rounded at each.
+_POW_MISROUNDS = (1.6658, 2.5486, 1.6598, 2.8874, 0.5102)
+# The largest double whose square is a double, and the square.
+_MU_TOP, _MU2_TOP = 1.3407807929942596e154, 1.7976931348623155e308
+
+
+class TestMuSquared:
+    @pytest.mark.parametrize("mu", _POW_MISROUNDS)
+    def test_pow_misrounded_drives(self, mu):
+        exact = Fraction(mu) ** 2
+        assert mu_squared(mu) == mu * mu
+        assert abs(Fraction(mu_squared(mu)) - exact) <= Fraction(math.ulp(mu * mu)) / 2
+
+    @given(mu=st.floats(allow_nan=False, max_value=_MU_TOP, min_value=-_MU_TOP))
+    @example(mu=_POW_MISROUNDS[0])
+    @settings(max_examples=300)
+    def test_is_the_product(self, mu):
+        assert float.hex(mu_squared(mu)) == float.hex(mu * mu)
+        assert float.hex(mu_squared(np.float64(mu))) == float.hex(mu_squared(mu))
+
+    def test_overflow_boundary(self):
+        assert mu_squared(_MU_TOP) == _MU2_TOP
+        assert mu_squared(-_MU_TOP) == _MU2_TOP
+        with pytest.raises(InvalidParams, match=r"mu\*\*2 overflows a double at mu = "):
+            mu_squared(math.nextafter(_MU_TOP, math.inf))
+
+    # A drive that is not a Python float meets the same overflow rule, with
+    # no warning: an int is not squared exactly, and numpy's square does not
+    # warn.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mu_squared(10**200),
+            lambda: mu_squared(np.float64(1e200)),
+            lambda: frequency_scale(DcheParams(n=2, mu=10**200, lam=1.0)),
+            lambda: frequency_scale(DcheParams(n=2, mu=np.float64(1e200), lam=1.0)),
+            lambda: dche_to_params(DcheParams(n=2, mu=10**200, lam=1.0)),
+        ],
+        ids=["int", "float64", "scale-int", "scale-float64", "drive-int"],
+    )
+    def test_drives_that_are_not_floats_overflow_typed(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match=r"^mu\*\*2 overflows a double at mu = "):
+                call()
+
+    def test_drive_columns_rows(self):
+        # One call over the pow-misrounded drives, each at its root 0 of
+        # degree 2, where lambda + mu**2 cancels enough for the rounding of
+        # mu**2 to reach omega, and over the edges at lambda = 0: each row is
+        # what dche_to_params gives, and omega reads the product.
+        mus = [*_POW_MISROUNDS, 0.0, -0.0, 1e-160, 1e200]
+        lams = [lambda_spectrum(2, mu).lambdas[0] for mu in _POW_MISROUNDS] + [0.0] * 4
+        rows = _drive_rows(2, np.array(mus), np.array(lams))
+        assert rows == [_drive_row(2, mu, lam) for mu, lam in zip(mus, lams)]
+        assert [row if len(row) == 1 else () for row in rows[5:]] == [
+            ("NonPositiveDiscriminant",), ("NonPositiveDiscriminant",), (), ("InvalidParams",)
+        ]
+        for mu, lam, row in zip(_POW_MISROUNDS, lams, rows):
+            assert row[0] == float.hex(1.0 / (2.0 * math.sqrt(lam + mu * mu)))
 
 
 def _drive_row(n: int, mu: float, lam: float) -> tuple:
